@@ -23,7 +23,7 @@ from .ratio_test import (
     ratio_test_mask,
     verify_pair,
 )
-from .registry import available_backends, create_kernel, register_kernel, resolve_backend
+from .registry import available_backends, create_kernel, register_kernel
 from .results import GroupSearchResult, ImageMatch, KnnResult, SearchResult
 from .topk import functional_topk, insertion_topk, top2_scan
 
@@ -64,7 +64,6 @@ __all__ = [
     "prepare_reference",
     "ratio_test_mask",
     "register_kernel",
-    "resolve_backend",
     "top2_scan",
     "verify_pair",
 ]

@@ -35,12 +35,7 @@ class EngineConfig:
     backend:
         Match-kernel backend name from :mod:`repro.core.registry`
         (``"algorithm2"``, ``"algorithm1"``, ``"garcia"``, ``"opencv"``,
-        ``"lsh"``, ...).  ``None`` resolves from the deprecated
-        ``use_rootsift`` flag.
-    use_rootsift:
-        Deprecated alias for ``backend``: ``True`` selects
-        ``"algorithm2"``, ``False`` selects ``"algorithm1"``.  Ignored
-        when ``backend`` is set.
+        ``"lsh"``, ``"cascade"``, ...).
     normalization:
         Unit-norm mapping for the Algorithm-2 path: ``"rootsift"``
         (Hellinger, requires non-negative SIFT histograms) or ``"l2"``
@@ -67,8 +62,7 @@ class EngineConfig:
     n: int = 768
     precision: str = "fp16"
     scale_factor: float = DEFAULT_SCALE_FACTOR
-    backend: str | None = None
-    use_rootsift: bool = True
+    backend: str = "algorithm2"
     normalization: str = "rootsift"
     batch_size: int = 256
     sort_kind: str = "scan"
@@ -101,11 +95,10 @@ class EngineConfig:
             raise ValueError("streams must be >= 1")
         if self.k < 2:
             raise ValueError("k must be >= 2 (the ratio test needs two neighbours)")
-        if self.backend is not None:
-            from .registry import canonical_backend
+        from .registry import canonical_backend
 
-            # normalise aliases once; raises ValueError for unknown names
-            object.__setattr__(self, "backend", canonical_backend(self.backend))
+        # normalise case once; raises ValueError for unknown names
+        object.__setattr__(self, "backend", canonical_backend(self.backend))
 
     @property
     def dtype(self) -> str:
@@ -116,13 +109,6 @@ class EngineConfig:
         """Scale applied before FP16 conversion (1.0 in fp32 mode)."""
         return self.scale_factor if self.precision == "fp16" else 1.0
 
-    @property
-    def resolved_backend(self) -> str:
-        """The match-kernel backend this configuration selects."""
-        from .registry import resolve_backend
-
-        return resolve_backend(self)
-
     def feature_matrix_bytes(self, m: int | None = None) -> int:
         """Bytes of one cached reference feature matrix.
 
@@ -132,7 +118,7 @@ class EngineConfig:
         """
         from .registry import kernel_class
 
-        return kernel_class(self.resolved_backend).memory_per_image(self, m)
+        return kernel_class(self.backend).memory_per_image(self, m)
 
     def with_updates(self, **kwargs) -> "EngineConfig":
         """Functional update helper (frozen dataclass)."""

@@ -625,27 +625,11 @@ class TextureSearchEngine:
         keep_masks: bool = False,
         candidate_ids: set[str] | frozenset[str] | None = None,
     ) -> SearchResult:
-        """One-to-many search over every cached reference image.
-
-        ``candidate_ids`` (from a :mod:`repro.routing` tier) restricts
-        the sweep to the nominated references — see
-        :meth:`_execute_sweep`; ``None`` keeps the exhaustive path
-        bit-identical to the pre-routing engine.
-        """
-        self.flush()
-        query = self.kernel.prepare_query(self.device, query_descriptors)
-        outcome = self._execute_sweep(
-            query, n_queries=1, keep_masks=keep_masks, candidate_ids=candidate_ids
-        )
-        return SearchResult(
-            matches=outcome.per_query_matches[0],
-            elapsed_us=outcome.elapsed_us,
-            images_searched=outcome.images,
-            partial=outcome.partial,
-            images_skipped=outcome.images_skipped,
-            images_pruned=outcome.images_pruned,
-            cascade_pruned=outcome.cascade_pruned,
-        )
+        """One-to-many search over every cached reference image: a
+        query group of one (see :meth:`search_group`)."""
+        return self.search_group(
+            [query_descriptors], keep_masks=keep_masks, candidate_ids=candidate_ids
+        ).results[0]
 
     def search_group(
         self,
@@ -653,46 +637,45 @@ class TextureSearchEngine:
         keep_masks: bool = False,
         candidate_ids: set[str] | frozenset[str] | None = None,
     ) -> GroupSearchResult:
-        """Fused query-group search (Sec. 5.3 extension) — the serving
-        tier's unit of work.
+        """Search a query group in *one* sweep over the cache (Sec. 5.3
+        extension) — the engine's only read path and the serving tier's
+        unit of work.
 
-        The whole group is answered in *one* sweep over the cache:
-        every reference batch is transferred (H2D) once for the group,
+        Every reference batch is transferred (H2D) once for the group,
         the GEMMs fuse to ``group * n`` query columns, tombstones are
         filtered once per batch, and the multi-stream overlap
         correction is applied at the fused width.  Higher throughput,
         but every query's ``elapsed_us`` is the group's completion time
         (the latency cost the paper warns about — quantified by the
-        ``serving`` bench experiment).  Requires a multi-query backend
-        (the RootSIFT Algorithm-2 pipeline).
+        ``serving`` bench experiment).
+
+        A group of one is prepared by the kernel's single-query path
+        (any backend; a cascade prefilter stays active); two or more
+        need a multi-query backend (the RootSIFT Algorithm-2 pipeline).
+        Both give the same matches and simulated time for one query, so
+        the group size alone decides.  ``candidate_ids`` (from a
+        :mod:`repro.routing` tier) restricts the sweep to the nominated
+        references — see :meth:`_execute_sweep`.
         """
-        if not self.kernel.supports_multiquery:
-            raise ValueError(
-                "query-group search requires a multi-query backend (the RootSIFT "
-                f"Algorithm-2 pipeline); backend {self.backend!r} does not support it"
-            )
-        if not query_descriptor_list:
-            return GroupSearchResult()
-        self.flush()
-        query = self.kernel.prepare_query_many(self.device, query_descriptor_list)
         n_queries = len(query_descriptor_list)
+        if not n_queries:
+            return GroupSearchResult()
+        if n_queries > 1 and not self.kernel.supports_multiquery:
+            raise ValueError(
+                "a query group of two or more requires a multi-query backend (the "
+                f"RootSIFT Algorithm-2 pipeline); backend {self.backend!r} does not "
+                "support it"
+            )
+        self.flush()
+        if n_queries == 1:
+            query = self.kernel.prepare_query(self.device, query_descriptor_list[0])
+        else:
+            query = self.kernel.prepare_query_many(self.device, query_descriptor_list)
         outcome = self._execute_sweep(
             query, n_queries=n_queries, keep_masks=keep_masks,
             candidate_ids=candidate_ids,
         )
-        return GroupSearchResult(
-            results=[
-                SearchResult(
-                    matches=outcome.per_query_matches[q],
-                    elapsed_us=outcome.elapsed_us,
-                    images_searched=outcome.images,
-                    partial=outcome.partial,
-                    images_skipped=outcome.images_skipped,
-                    images_pruned=outcome.images_pruned,
-                    cascade_pruned=outcome.cascade_pruned,
-                )
-                for q in range(n_queries)
-            ],
+        shared = dict(  # every member reports the group's sweep
             elapsed_us=outcome.elapsed_us,
             images_searched=outcome.images,
             partial=outcome.partial,
@@ -700,17 +683,13 @@ class TextureSearchEngine:
             images_pruned=outcome.images_pruned,
             cascade_pruned=outcome.cascade_pruned,
         )
-
-    def search_many(
-        self,
-        query_descriptor_list: list[np.ndarray],
-        candidate_ids: set[str] | frozenset[str] | None = None,
-    ) -> list[SearchResult]:
-        """Query-batched one-to-many search; per-query view of
-        :meth:`search_group` (kept for API compatibility)."""
-        return self.search_group(
-            query_descriptor_list, candidate_ids=candidate_ids
-        ).results
+        return GroupSearchResult(
+            results=[
+                SearchResult(matches=matches, **shared)
+                for matches in outcome.per_query_matches
+            ],
+            **shared,
+        )
 
     # ------------------------------------------------------------------
     # verification

@@ -91,8 +91,8 @@ class MatchKernel(ABC):
         host-resident batch, so a fully-pruned batch never pays its
         H2D transfer.
     supports_multiquery:
-        Whether :meth:`match_batch_multi` is implemented (enables
-        ``TextureSearchEngine.search_many``).
+        Whether :meth:`match_batch_multi` is implemented (query groups
+        of two or more in ``TextureSearchEngine.search_group``).
     """
 
     name: str = "abstract"
@@ -229,7 +229,7 @@ class MatchKernel(ABC):
 
 
 class Algorithm2Kernel(MatchKernel):
-    """The paper's RootSIFT pipeline (previously ``use_rootsift=True``).
+    """The paper's RootSIFT pipeline.
 
     Unit-normalised features make the norm vectors vanish; references
     batch into fused GEMMs and the whole sweep is four steps per batch
@@ -325,7 +325,7 @@ class Algorithm2Kernel(MatchKernel):
 
 
 class Algorithm1Kernel(MatchKernel):
-    """The paper's cuBLAS pipeline (previously ``use_rootsift=False``).
+    """The paper's cuBLAS pipeline.
 
     Raw descriptors with cached ``N_R`` squared-norm vectors; matching
     loops per image because the paper batches only the RootSIFT

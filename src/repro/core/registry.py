@@ -3,8 +3,7 @@
 The engine's k-NN math is pluggable: every backend implements the
 :class:`~repro.core.kernels.MatchKernel` interface and is registered
 here under a short name.  :class:`~repro.core.config.EngineConfig`
-selects one via its ``backend`` field (with the legacy ``use_rootsift``
-flag kept as a deprecated alias), and
+selects one via its ``backend`` field, and
 :class:`~repro.core.engine.TextureSearchEngine` asks this module for
 the kernel instance at construction time.
 
@@ -13,10 +12,9 @@ Built-in backends
 
 ``algorithm2``
     The paper's RootSIFT pipeline (batched GEMM, no norm vectors) —
-    the default, previously ``use_rootsift=True``.
+    the default.
 ``algorithm1``
-    The paper's cuBLAS pipeline with cached ``N_R`` norms — previously
-    ``use_rootsift=False``.
+    The paper's cuBLAS pipeline with cached ``N_R`` norms.
 ``garcia``
     Garcia et al. [9]: Algorithm 1 with the original modified insertion
     sort (Table 1, column 2), now runnable through the full engine.
@@ -50,7 +48,6 @@ __all__ = [
     "create_kernel",
     "kernel_class",
     "register_kernel",
-    "resolve_backend",
 ]
 
 #: built-in backends: name -> (module, class).  Lazy so that config
@@ -64,13 +61,7 @@ _BUILTIN: dict[str, tuple[str, str]] = {
     "cascade": ("repro.core.cascade", "CascadeKernel"),
 }
 
-#: historical / descriptive aliases.
-_ALIASES: dict[str, str] = {
-    "rootsift": "algorithm2",
-    "cublas": "algorithm1",
-}
-
-#: classes registered at runtime (always take priority over aliases).
+#: classes registered at runtime (shadow a built-in of the same name).
 _CUSTOM: dict[str, type] = {}
 
 
@@ -80,22 +71,18 @@ def available_backends() -> list[str]:
 
 
 def canonical_backend(name: str) -> str:
-    """Resolve aliases; raise ``ValueError`` for unknown backends.
+    """Lower-case a backend name; raise ``ValueError`` for unknown ones.
 
-    The error lists *every* currently registered name — built-ins,
-    runtime :func:`register_kernel` additions, and the aliases — so a
-    typo'd config points at the real menu, not just the built-in set.
+    The error lists *every* currently registered name — built-ins and
+    runtime :func:`register_kernel` additions — so a typo'd config
+    points at the real menu, not just the built-in set.
     """
     name = str(name).lower()
-    name = _ALIASES.get(name, name)
     if name in _CUSTOM or name in _BUILTIN:
         return name
-    aliases = ", ".join(
-        f"{alias}->{target}" for alias, target in sorted(_ALIASES.items())
-    )
     raise ValueError(
         f"unknown backend {name!r}; registered backends: "
-        f"{', '.join(available_backends())} (aliases: {aliases})"
+        f"{', '.join(available_backends())}"
     )
 
 
@@ -124,20 +111,9 @@ def kernel_class(name: str) -> type:
     return getattr(import_module(module_name), attr)
 
 
-def resolve_backend(config: "EngineConfig") -> str:
-    """The backend a configuration selects.
-
-    ``EngineConfig.backend`` wins when set; otherwise the deprecated
-    ``use_rootsift`` flag picks between the paper's two algorithms.
-    """
-    if config.backend is not None:
-        return canonical_backend(config.backend)
-    return "algorithm2" if config.use_rootsift else "algorithm1"
-
-
 def create_kernel(config: "EngineConfig", name: str | None = None) -> "MatchKernel":
     """Instantiate (and config-validate) the kernel for ``config``."""
-    backend = canonical_backend(name) if name is not None else resolve_backend(config)
+    backend = canonical_backend(name) if name is not None else config.backend
     cls = kernel_class(backend)
     cls.validate_config(config)
     return cls(config)

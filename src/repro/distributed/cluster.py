@@ -98,10 +98,6 @@ _FAILOVERS = _REG.counter(
     "repro_cluster_failovers_total",
     "DOWN nodes decommissioned and re-hydrated onto survivors",
 )
-_BREAKER_SKIPS = _REG.counter(
-    "repro_cluster_breaker_skipped_total",
-    "Node attempts skipped because the node's circuit breaker was open",
-)
 _BROWNOUT_SKIPS = _REG.counter(
     "repro_cluster_brownout_shards_skipped_total",
     "Populated shards left unsearched by web-tier brownout degradation",
@@ -114,12 +110,6 @@ _UNROUTED_SKIPS = _REG.counter(
     "repro_cluster_unrouted_shards_total",
     "Populated shards deliberately not fanned out to because the "
     "candidate router nominated other shards (pruning, not faults)",
-)
-_REPLICA_RETRIES = _REG.counter(
-    "repro_cluster_replica_retries_total",
-    "Read slices transparently retried on a sibling replica after the "
-    "chosen reader failed (the shard only lands in unsearched_shards "
-    "when every serving replica is exhausted)",
 )
 _SCALE_EVENTS = _REG.counter(
     "repro_cluster_scale_events_total",
@@ -136,6 +126,75 @@ _ROUTER_HITS = _REG.counter(
 )
 _SEARCH_SINGLE = _SEARCHES.labels(kind="single")
 _SEARCH_GROUP = _SEARCHES.labels(kind="group")
+
+
+#: the registry-backed blocks of ``GET /stats``: block -> key ->
+#: (metric name, label values).  A label left out sums over all of its
+#: children (``kind`` of the router metrics: every router kind counts,
+#: whichever kinds exist).  A new metric joins ``/stats`` by adding one
+#: row here.
+_STATS_BLOCKS: dict[str, dict[str, tuple[str, dict[str, str]]]] = {
+    "cache": {
+        "adds_total": ("repro_cache_adds_total", {}),
+        "demotions_total": ("repro_cache_demotions_total", {}),
+        "evictions_total": ("repro_cache_evictions_total", {}),
+        "sweep_hits_total": ("repro_cache_sweep_lookups_total", {"result": "hit"}),
+        "sweep_misses_total": ("repro_cache_sweep_lookups_total", {"result": "miss"}),
+    },
+    "fault_tolerance": {
+        "searches_single_total": ("repro_cluster_searches_total", {"kind": "single"}),
+        "searches_group_total": ("repro_cluster_searches_total", {"kind": "group"}),
+        "retries_total": ("repro_cluster_retries_total", {}),
+        "unsearched_shards_total": ("repro_cluster_unsearched_shards_total", {}),
+        "partial_results_total": ("repro_cluster_partial_results_total", {}),
+        "failovers_total": ("repro_cluster_failovers_total", {}),
+    },
+    "routing": {
+        "nominations_routed_total": (
+            "repro_router_nominations_total", {"outcome": "routed"}
+        ),
+        "nominations_exhaustive_total": (
+            "repro_router_nominations_total", {"outcome": "exhaustive"}
+        ),
+        "candidate_hits_total": ("repro_router_candidate_hit_total", {"result": "hit"}),
+        "candidate_misses_total": ("repro_router_candidate_hit_total", {"result": "miss"}),
+        "unrouted_shards_total": ("repro_cluster_unrouted_shards_total", {}),
+        "images_pruned_total": ("repro_engine_images_pruned_total", {}),
+    },
+    "cascade": {
+        "images_pruned_total": ("repro_engine_cascade_pruned_total", {}),
+    },
+    "enrollment": {
+        "enrolls_total": ("repro_enrollment_ops_total", {"op": "enroll"}),
+        "updates_total": ("repro_enrollment_ops_total", {"op": "update"}),
+        "deletes_total": ("repro_enrollment_ops_total", {"op": "delete"}),
+        "cache_removals_total": ("repro_cache_removals_total", {}),
+        "router_refresh_incremental_total": (
+            "repro_router_refresh_total", {"mode": "incremental"}
+        ),
+        "router_refresh_rebuild_total": (
+            "repro_router_refresh_total", {"mode": "rebuild"}
+        ),
+    },
+    "overload": {
+        "shed_reject_new_total": ("repro_serving_shed_total", {"reason": "reject-new"}),
+        "shed_drop_oldest_total": ("repro_serving_shed_total", {"reason": "drop-oldest"}),
+        "shed_deadline_expired_total": (
+            "repro_serving_shed_total", {"reason": "deadline-expired"}
+        ),
+        "deadline_expired_sweeps_total": ("repro_engine_deadline_expired_total", {}),
+        "deadline_skipped_shards_total": (
+            "repro_cluster_deadline_skipped_shards_total", {}
+        ),
+        "breaker_skipped_total": ("repro_cluster_breaker_skipped_total", {}),
+        "breaker_opened_total": ("repro_breaker_transitions_total", {"to": "open"}),
+        "brownout_shards_skipped_total": (
+            "repro_cluster_brownout_shards_skipped_total", {}
+        ),
+        "rate_limited_total": ("repro_web_rate_limited_total", {}),
+        "brownout_requests_total": ("repro_web_brownout_total", {}),
+    },
+}
 
 
 def _jitter_draw(seed: int, *parts: object) -> float:
@@ -796,20 +855,17 @@ class DistributedSearchSystem:
 
     def _route(
         self,
-        queries,
-        group: bool,
+        queries: list[np.ndarray],
         nprobe: int | None,
         recall_target: float | None,
     ) -> RouteDecision | None:
-        """First-tier nomination for one request, or ``None`` when
-        routing is disabled."""
+        """First-tier nomination for one query group (the union of the
+        members' nominations), or ``None`` when routing is disabled."""
         if self.router_policy is None:
             return None
         if self._router is None:
             self.build_router()
-        if group:
-            return self._router.nominate_group(queries, nprobe, recall_target)
-        return self._router.nominate(queries, nprobe, recall_target)
+        return self._router.nominate_group(queries, nprobe, recall_target)
 
     def _partition_routed(
         self, populated: list[ReplicaGroup], route: RouteDecision | None
@@ -831,13 +887,18 @@ class DistributedSearchSystem:
     # ------------------------------------------------------------------
     # fault-tolerant scatter-gather
     # ------------------------------------------------------------------
-    def _attempt_with_retry(self, node: SearchNode, op):
-        """Run one node operation under the retry policy.
+    def _attempt_with_retry(
+        self,
+        node: SearchNode,
+        queries: list[np.ndarray],
+        candidates: frozenset[str] | None,
+    ) -> tuple[list[SearchResult] | None, float, int]:
+        """Search one query slice on one node under the retry policy.
 
-        ``op(node)`` must return ``(payload, elapsed_us)``.  Returns
-        ``(payload | None, node_time_us, retries)``: ``None`` means the
-        shard went unsearched; ``node_time_us`` is the simulated time
-        this node kept the gather waiting (failed attempts included).
+        Returns ``(results | None, node_time_us, retries)``: ``None``
+        means the node gave no answer; ``node_time_us`` is the
+        simulated time this node kept the gather waiting (failed
+        attempts included).
 
         Every attempt outcome feeds the node's circuit breaker (when
         one is configured), and backoff waits are charged against the
@@ -857,50 +918,39 @@ class DistributedSearchSystem:
             return wait_us
 
         for attempt in range(policy.max_attempts):
+            dead = False
             try:
-                payload, elapsed_us = op(node)
+                results = node.search_many(queries, candidate_ids=candidates)
             except NodeDownError:
-                # a dead container fails fast; no point retrying it
-                if breaker is not None:
-                    breaker.record_failure()
-                return None, spent_us, retries
+                dead = True  # a dead container fails fast; no point retrying it
             except TransientNodeError:
-                if breaker is not None:
-                    breaker.record_failure()
-                if node.health.state is NodeHealth.DOWN:
-                    # the failure streak just crossed the down threshold
-                    return None, spent_us, retries
-                if attempt + 1 >= policy.max_attempts:
-                    return None, spent_us, retries
-                spent_us += _wait(attempt)
-                retries += 1
-                continue
-            if policy.timeout_us and elapsed_us > policy.timeout_us:
-                # the caller hangs up at the deadline; the node's work
+                pass
+            else:
+                elapsed_us = max(r.elapsed_us for r in results)
+                if not (policy.timeout_us and elapsed_us > policy.timeout_us):
+                    if breaker is not None:
+                        breaker.record_success()
+                    return results, spent_us + elapsed_us, retries
+                # the caller hangs up at the timeout; the node's work
                 # past it is wasted, so only the budget is charged
                 spent_us += policy.timeout_us
                 node.health.record_failure()
-                if breaker is not None:
-                    breaker.record_failure()
                 if deadline is not None:
                     # the engine charged its full sweep while running;
                     # refund the portion past the hang-up point
                     deadline.spent_us -= max(elapsed_us - policy.timeout_us, 0.0)
-                if node.health.state is NodeHealth.DOWN or attempt + 1 >= policy.max_attempts:
-                    return None, spent_us, retries
-                spent_us += _wait(attempt)
-                retries += 1
-                continue
             if breaker is not None:
-                breaker.record_success()
-            return payload, spent_us + elapsed_us, retries
+                breaker.record_failure()
+            # DOWN: the failure streak just crossed the down threshold
+            if (
+                dead
+                or node.health.state is NodeHealth.DOWN
+                or attempt + 1 >= policy.max_attempts
+            ):
+                break
+            spent_us += _wait(attempt)
+            retries += 1
         return None, spent_us, retries
-
-    def _populated_nodes(self) -> list[SearchNode]:
-        return [node for node in self.nodes if node.n_references > 0]
-
-    def _populated_groups(self) -> list[ReplicaGroup]:
-        return [g for g in self.groups.values() if g.n_references > 0]
 
     def _gather_targets(self, populated: list[ReplicaGroup]) -> tuple[list[ReplicaGroup], list[str]]:
         """Apply any ambient brownout to the fan-out target set.
@@ -924,20 +974,135 @@ class DistributedSearchSystem:
         _BROWNOUT_SKIPS.inc(len(skipped))
         return populated[:keep], skipped
 
-    @staticmethod
-    def _record_gather(search_counter, retries: int, unsearched: list[str]) -> None:
-        """Fault-tolerance accounting for one completed scatter-gather."""
+    def _gather(
+        self,
+        queries: list[np.ndarray],
+        nprobe: int | None,
+        recall_target: float | None,
+        search_counter,
+    ) -> ClusterGroupResult:
+        """The one scatter-gather: fan a query group out to the serving
+        shards and gather the answers per query.
+
+        The fan-out is *per group*, not per query: each shard answers
+        the whole group through :meth:`ReplicaGroup.read` (one RPC and
+        one fault/health gate per reader per group), and all queries
+        share the group's completion time.  With a ``router_policy``
+        the coarse routing tier first nominates candidate shards and
+        per-shard candidate references — the *union* over the group's
+        members (:meth:`RouteDecision.merge`); only nominated shards
+        are fanned out to (the rest land in ``unrouted_shards`` —
+        deliberate pruning, never ``partial``) and each restricts its
+        exact sweep to the nominated reference batches.  A member the
+        router could not route falls the whole group back to
+        exhaustive.
+
+        Shards whose readers are all down, erroring, timing out or
+        breaker-open past the retry budget, and shards shed by brownout
+        or an expired deadline, land in ``unsearched_shards`` — on
+        *every* query's result, each with its own private copy.  If
+        fewer than ``min_shard_fraction`` of the nominated populated
+        shards answered, :class:`DegradedClusterError` is raised
+        instead.  With ``auto_failover``, nodes that went ``DOWN``
+        during the gather are failed over afterwards.
+        """
+        n_queries = len(queries)
+        merged = [
+            ClusterSearchResult(matches=[], per_node={}, elapsed_us=0.0, images_searched=0)
+            for _ in range(n_queries)
+        ]
+        epochs_seen: dict[str, int] = {}
+        slowest_us = 0.0
+        retries = 0
+        unsearched: list[str] = []
+        truncated = False  # any node answered with a deadline-cut sweep
+        route = self._route(queries, nprobe, recall_target)
+        populated = [g for g in self.groups.values() if g.n_references > 0]
+        nominated, unrouted, routed = self._partition_routed(populated, route)
+        targets, brownout_skipped = self._gather_targets(nominated)
+        fanout = DeadlineFanOut(current_deadline())
+        deadline_skipped: list[str] = []
+        if fanout.expired_at_entry:
+            # the budget was gone before the fan-out even started
+            deadline_skipped = [group.shard_id for group in targets]
+            _DEADLINE_SKIPS.inc(len(deadline_skipped))
+            targets = []
+        for group in targets:
+            candidates = (
+                frozenset(route.per_shard.get(group.shard_id, ()))
+                if routed else None
+            )
+
+            def attempt(replica: SearchNode, indices):  # runs inside read() below
+                with fanout.branch():
+                    return self._attempt_with_retry(
+                        replica, [queries[i] for i in indices], candidates
+                    )
+
+            answers, shard_us, shard_retries = group.read(
+                n_queries, attempt, self._clock_us()
+            )
+            slowest_us = max(slowest_us, shard_us)
+            retries += shard_retries
+            if answers is None:
+                unsearched.append(group.shard_id)
+                continue
+            epochs_seen[group.shard_id] = group.epoch
+            for into, result in zip(merged, answers):
+                truncated = truncated or result.partial
+                into.matches.extend(result.matches)
+                into.per_node[group.shard_id] = result
+                into.images_searched += result.images_searched
+                into.images_pruned += result.images_pruned
+                into.cascade_pruned += result.cascade_pruned
+        fanout.join()
+        unsearched.extend(brownout_skipped)
+        unsearched.extend(deadline_skipped)
+        if self.auto_failover:
+            self.repair()
         search_counter.inc()
         if retries:
             _RETRIES.inc(retries)
         if unsearched:
             _UNSEARCHED.inc(len(unsearched))
             _PARTIALS.inc()
-
-    def _check_degradation(self, populated: list[SearchNode], unsearched: list[str]) -> None:
-        searched = len(populated) - len(unsearched)
-        if populated and searched / len(populated) < self.min_shard_fraction:
-            raise DegradedClusterError(searched, len(populated), self.min_shard_fraction)
+        if routed:
+            for into in merged:
+                hit = any(m.score > 0 for m in into.matches)
+                _ROUTER_HITS.labels(result="hit" if hit else "miss").inc()
+        elapsed = slowest_us + WEB_TIER_OVERHEAD_US
+        _TRACER.annotate(
+            nodes=len(populated), retries=retries, unsearched=len(unsearched),
+            unrouted=len(unrouted), sim_elapsed_us=elapsed,
+        )
+        searched = len(nominated) - len(unsearched)
+        if nominated and searched / len(nominated) < self.min_shard_fraction:
+            raise DegradedClusterError(searched, len(nominated), self.min_shard_fraction)
+        deadline_expired = bool(deadline_skipped) or truncated
+        # standalone searches drive the simulated telemetry clock
+        # relatively (no-op under a serving loop's exclusive scope)
+        _ts_advance_by(elapsed)
+        for into in merged:
+            into.elapsed_us = elapsed
+            into.partial = bool(unsearched) or deadline_expired
+            into.unsearched_shards = list(unsearched)  # private copy per query
+            into.retries = retries
+            into.deadline_expired = deadline_expired
+            into.routed = routed
+            into.unrouted_shards = list(unrouted)
+            into.corpus_epoch = dict(epochs_seen)  # private copy per query
+        return ClusterGroupResult(
+            results=merged,
+            elapsed_us=elapsed,
+            retries=retries,
+            unsearched_shards=list(unsearched),
+            deadline_expired=deadline_expired,
+            routed=routed,
+            unrouted_shards=list(unrouted),
+            images_pruned=max(r.images_pruned for r in merged),
+            cascade_pruned=max(r.cascade_pruned for r in merged),
+            corpus_epoch=dict(epochs_seen),
+        )
 
     def search(
         self,
@@ -945,130 +1110,14 @@ class DistributedSearchSystem:
         nprobe: int | None = None,
         recall_target: float | None = None,
     ) -> ClusterSearchResult:
-        """Scatter the query to all serving nodes, gather and rank.
-
-        With a ``router_policy`` configured, the coarse routing tier
-        first nominates candidate shards and per-shard candidate
-        references: only the nominated shards are fanned out to (the
-        rest land in ``unrouted_shards`` — deliberate pruning, never
-        ``partial``), and each nominated shard's engine restricts its
-        exact sweep to the nominated reference batches.  ``nprobe`` /
-        ``recall_target`` override the policy per request.  A router
-        that cannot nominate falls back to the exhaustive fan-out, and
-        a cluster without a policy is bit-identical to the pre-routing
-        system.
-
-        Nodes that are down, keep erroring, or exceed the per-attempt
-        timeout are skipped after bounded retries: the result comes back
-        ``partial=True`` with their shards listed in
-        ``unsearched_shards``.  If fewer than ``min_shard_fraction`` of
-        the *nominated* populated shards answered,
-        :class:`DegradedClusterError` is raised instead.  With
-        ``auto_failover`` enabled, nodes that went ``DOWN`` during the
-        gather are decommissioned afterwards and their shards
-        re-hydrated from the KV store onto the survivors.
-        """
-        with _TRACER.span("cluster.search", layer="cluster") as span:
-            per_node: dict[str, SearchResult] = {}
-            matches: list[ImageMatch] = []
-            epochs_seen: dict[str, int] = {}
-            slowest_us = 0.0
-            images = 0
-            retries = 0
-            unsearched: list[str] = []
-            route = self._route(
-                query_descriptors, group=False,
-                nprobe=nprobe, recall_target=recall_target,
-            )
-            populated = self._populated_groups()
-            nominated, unrouted, routed = self._partition_routed(populated, route)
-            targets, brownout_skipped = self._gather_targets(nominated)
-            deadline = current_deadline()
-            fanout = DeadlineFanOut(deadline) if deadline is not None else None
-            deadline_skipped: list[str] = []
-            if fanout is not None and fanout.expired_at_entry:
-                # the budget was gone before the fan-out even started
-                deadline_skipped = [group.shard_id for group in targets]
-                _DEADLINE_SKIPS.inc(len(deadline_skipped))
-                targets = []
-            for group in targets:
-                candidates = (
-                    frozenset(route.per_shard.get(group.shard_id, ()))
-                    if routed else None
-                )
-                def op(n: SearchNode, c=candidates):
-                    r = n.search(query_descriptors, candidate_ids=c)
-                    return r, r.elapsed_us
-
-                readers = group.readers(self._clock_us())
-                result = None
-                shard_us = 0.0
-                attempted = 0
-                for i, replica in enumerate(readers):
-                    if replica.breaker is not None and not replica.breaker.allow():
-                        _BREAKER_SKIPS.inc()
-                        continue
-                    if attempted:
-                        # the chosen reader failed; retry transparently
-                        # on the next sibling before giving up the shard
-                        _REPLICA_RETRIES.inc()
-                    attempted += 1
-                    if fanout is not None:
-                        with fanout.branch():
-                            result, node_us, node_retries = self._attempt_with_retry(replica, op)
-                    else:
-                        result, node_us, node_retries = self._attempt_with_retry(replica, op)
-                    shard_us += node_us  # sibling failover is sequential
-                    retries += node_retries
-                    if result is not None:
-                        break
-                slowest_us = max(slowest_us, shard_us)
-                if result is None:
-                    unsearched.append(group.shard_id)
-                    continue
-                per_node[group.shard_id] = result
-                epochs_seen[group.shard_id] = group.epoch
-                matches.extend(result.matches)
-                images += result.images_searched
-            if fanout is not None:
-                fanout.join()
-            unsearched.extend(brownout_skipped)
-            unsearched.extend(deadline_skipped)
-            if self.auto_failover:
-                self.repair()
-            self._record_gather(_SEARCH_SINGLE, retries, unsearched)
-            if routed:
-                hit = any(m.score > 0 for m in matches)
-                _ROUTER_HITS.labels(result="hit" if hit else "miss").inc()
-            images_pruned = sum(r.images_pruned for r in per_node.values())
-            cascade_pruned = sum(r.cascade_pruned for r in per_node.values())
-            if span is not None:
-                span.set(nodes=len(populated), retries=retries,
-                         unsearched=len(unsearched),
-                         unrouted=len(unrouted),
-                         sim_elapsed_us=slowest_us + WEB_TIER_OVERHEAD_US)
-            self._check_degradation(nominated, unsearched)
-        deadline_expired = bool(deadline_skipped) or any(
-            r.partial for r in per_node.values()
-        )
-        # standalone searches drive the simulated telemetry clock
-        # relatively (no-op under a serving loop's exclusive scope)
-        _ts_advance_by(slowest_us + WEB_TIER_OVERHEAD_US)
-        return ClusterSearchResult(
-            matches=matches,
-            per_node=per_node,
-            elapsed_us=slowest_us + WEB_TIER_OVERHEAD_US,
-            images_searched=images,
-            partial=bool(unsearched) or deadline_expired,
-            unsearched_shards=unsearched,
-            retries=retries,
-            deadline_expired=deadline_expired,
-            routed=routed,
-            unrouted_shards=unrouted,
-            images_pruned=images_pruned,
-            cascade_pruned=cascade_pruned,
-            corpus_epoch=epochs_seen,
-        )
+        """Scatter one query to all serving shards, gather and rank: a
+        query group of one (see :meth:`_gather` for routing, fault and
+        deadline semantics).  ``nprobe`` / ``recall_target`` override
+        the ``router_policy`` per request."""
+        with _TRACER.span("cluster.search", layer="cluster"):
+            return self._gather(
+                [query_descriptors], nprobe, recall_target, _SEARCH_SINGLE
+            ).results[0]
 
     def search_group(
         self,
@@ -1077,181 +1126,17 @@ class DistributedSearchSystem:
         recall_target: float | None = None,
     ) -> ClusterGroupResult:
         """Fused query-group scatter-gather (Sec. 5.3 applied
-        cluster-wide) — the serving tier's unit of work.
-
-        The fan-out is *per group*, not per query: each node answers
-        the whole group in one sweep (:meth:`SearchNode.search_many`,
-        one RPC and one fault/health gate per shard per group), and
-        per-query results are gathered afterwards.  All queries share
-        the group's completion time.  With a ``router_policy``, the
-        group's nomination is the *union* of the per-query nominations
-        (:meth:`RouteDecision.merge`) — the group shares one fan-out,
-        so it probes every member's candidates; any member the router
-        could not route falls the whole group back to exhaustive.
-        Fault handling matches :meth:`search` at group granularity: a
-        shard that dies mid-group leaves *every* query's result
-        ``partial``, each with its own copy of ``unsearched_shards``
-        (no shared mutable state between the per-query results).
-        """
+        cluster-wide) — the serving tier's unit of work; one shared
+        fan-out answers every query (see :meth:`_gather`)."""
         if not query_descriptor_list:
             return ClusterGroupResult()
-        n_queries = len(query_descriptor_list)
         with _TRACER.span(
-            "cluster.search_group", layer="cluster", queries=n_queries,
-        ) as span:
-            per_query_matches: list[list[ImageMatch]] = [[] for _ in range(n_queries)]
-            per_node_all: list[dict[str, SearchResult]] = [dict() for _ in range(n_queries)]
-            epochs_seen: dict[str, int] = {}
-            per_query_images = [0] * n_queries
-            per_query_pruned = [0] * n_queries
-            per_query_cascade = [0] * n_queries
-            slowest_us = 0.0
-            retries = 0
-            unsearched: list[str] = []
-            truncated = False  # any node answered with a deadline-cut sweep
-            route = self._route(
-                query_descriptor_list, group=True,
-                nprobe=nprobe, recall_target=recall_target,
+            "cluster.search_group", layer="cluster",
+            queries=len(query_descriptor_list),
+        ):
+            return self._gather(
+                query_descriptor_list, nprobe, recall_target, _SEARCH_GROUP
             )
-            populated = self._populated_groups()
-            nominated, unrouted, routed = self._partition_routed(populated, route)
-            targets, brownout_skipped = self._gather_targets(nominated)
-            deadline = current_deadline()
-            fanout = DeadlineFanOut(deadline) if deadline is not None else None
-            deadline_skipped: list[str] = []
-            if fanout is not None and fanout.expired_at_entry:
-                deadline_skipped = [group.shard_id for group in targets]
-                _DEADLINE_SKIPS.inc(len(deadline_skipped))
-                targets = []
-            for group in targets:
-                candidates = (
-                    frozenset(route.per_shard.get(group.shard_id, ()))
-                    if routed else None
-                )
-                # read scaling: the group's queries are partitioned
-                # round-robin across the shard's serving replicas, which
-                # sweep their slices concurrently — the shard's time is
-                # the slowest slice, not the whole group on one node
-                workers = []
-                for replica in group.readers(self._clock_us()):
-                    if replica.breaker is not None and not replica.breaker.allow():
-                        _BREAKER_SKIPS.inc()
-                        continue
-                    workers.append(replica)
-                if not workers:
-                    unsearched.append(group.shard_id)
-                    continue
-                n_workers = len(workers)
-                shard_us = 0.0
-                shard_results: dict[int, SearchResult] = {}
-                shard_failed = False
-                for w, replica in enumerate(workers):
-                    idxs = list(range(w, n_queries, n_workers))
-                    if not idxs:
-                        continue
-                    queries = [query_descriptor_list[i] for i in idxs]
-
-                    def op(n: SearchNode, q=queries, c=candidates):
-                        grouped = n.search_many(q, candidate_ids=c)
-                        return grouped, max(r.elapsed_us for r in grouped)
-
-                    # a failed slice is retried transparently on the
-                    # next sibling before the shard is given up
-                    chain = workers[w:] + workers[:w]
-                    grouped = None
-                    slice_us = 0.0
-                    for j, worker in enumerate(chain):
-                        if j:
-                            _REPLICA_RETRIES.inc()
-                        if fanout is not None:
-                            with fanout.branch():
-                                grouped, node_us, node_retries = self._attempt_with_retry(worker, op)
-                        else:
-                            grouped, node_us, node_retries = self._attempt_with_retry(worker, op)
-                        slice_us += node_us  # sibling failover is sequential
-                        retries += node_retries
-                        if grouped is not None:
-                            break
-                    shard_us = max(shard_us, slice_us)  # slices run concurrently
-                    if grouped is None:
-                        shard_failed = True
-                        break
-                    for i, result in zip(idxs, grouped):
-                        shard_results[i] = result
-                slowest_us = max(slowest_us, shard_us)
-                if shard_failed:
-                    unsearched.append(group.shard_id)
-                    continue
-                epochs_seen[group.shard_id] = group.epoch
-                for q in sorted(shard_results):
-                    result = shard_results[q]
-                    truncated = truncated or result.partial
-                    per_query_matches[q].extend(result.matches)
-                    per_node_all[q][group.shard_id] = result
-                    per_query_images[q] += result.images_searched
-                    per_query_pruned[q] += result.images_pruned
-                    per_query_cascade[q] += result.cascade_pruned
-            if fanout is not None:
-                fanout.join()
-            unsearched.extend(brownout_skipped)
-            unsearched.extend(deadline_skipped)
-            if self.auto_failover:
-                self.repair()
-            self._record_gather(_SEARCH_GROUP, retries, unsearched)
-            if routed:
-                for q in range(n_queries):
-                    hit = any(m.score > 0 for m in per_query_matches[q])
-                    _ROUTER_HITS.labels(result="hit" if hit else "miss").inc()
-            if span is not None:
-                span.set(nodes=len(populated), retries=retries,
-                         unsearched=len(unsearched),
-                         unrouted=len(unrouted),
-                         sim_elapsed_us=slowest_us + WEB_TIER_OVERHEAD_US)
-            self._check_degradation(nominated, unsearched)
-        elapsed = slowest_us + WEB_TIER_OVERHEAD_US
-        deadline_expired = bool(deadline_skipped) or truncated
-        _ts_advance_by(elapsed)
-        return ClusterGroupResult(
-            results=[
-                ClusterSearchResult(
-                    matches=per_query_matches[q],
-                    per_node=per_node_all[q],
-                    elapsed_us=elapsed,
-                    images_searched=per_query_images[q],
-                    partial=bool(unsearched) or deadline_expired,
-                    unsearched_shards=list(unsearched),  # private copy per query
-                    retries=retries,
-                    deadline_expired=deadline_expired,
-                    routed=routed,
-                    unrouted_shards=list(unrouted),
-                    images_pruned=per_query_pruned[q],
-                    cascade_pruned=per_query_cascade[q],
-                    corpus_epoch=dict(epochs_seen),  # private copy per query
-                )
-                for q in range(n_queries)
-            ],
-            elapsed_us=elapsed,
-            retries=retries,
-            unsearched_shards=list(unsearched),
-            deadline_expired=deadline_expired,
-            routed=routed,
-            unrouted_shards=list(unrouted),
-            images_pruned=max(per_query_pruned) if per_query_pruned else 0,
-            cascade_pruned=max(per_query_cascade) if per_query_cascade else 0,
-            corpus_epoch=dict(epochs_seen),
-        )
-
-    def search_many(
-        self,
-        query_descriptor_list: list[np.ndarray],
-        nprobe: int | None = None,
-        recall_target: float | None = None,
-    ) -> list[ClusterSearchResult]:
-        """Query-batched scatter-gather; per-query view of
-        :meth:`search_group` (kept for API compatibility)."""
-        return self.search_group(
-            query_descriptor_list, nprobe=nprobe, recall_target=recall_target
-        ).results
 
     # ------------------------------------------------------------------
     # health / failover
@@ -1333,137 +1218,37 @@ class DistributedSearchSystem:
         """Operational rollup for ``GET /stats``.
 
         ``schema_version`` is bumped whenever the payload shape
-        changes so dashboards can gate on it.  The ``cache`` and
-        ``fault_tolerance`` sections read the process-wide metrics
+        changes so dashboards can gate on it.  The counter blocks are
+        :data:`_STATS_BLOCKS` read off the process-wide metrics
         registry (they aggregate over every engine in the process —
         one cluster per process in any real deployment).
         """
-        return {
+        payload = {
             "schema_version": STATS_SCHEMA_VERSION,
             "nodes": [node.stats() for node in self.nodes],
             "references": self.n_references,
             "capacity_images": self.capacity_images(),
             "kv_keys": self.store.dbsize(),
-            "cache": {
-                "adds_total": _REG.value("repro_cache_adds_total"),
-                "demotions_total": _REG.value("repro_cache_demotions_total"),
-                "evictions_total": _REG.value("repro_cache_evictions_total"),
-                "sweep_hits_total": _REG.value(
-                    "repro_cache_sweep_lookups_total", result="hit"
-                ),
-                "sweep_misses_total": _REG.value(
-                    "repro_cache_sweep_lookups_total", result="miss"
-                ),
-            },
-            "fault_tolerance": {
-                "searches_single_total": _REG.value(
-                    "repro_cluster_searches_total", kind="single"
-                ),
-                "searches_group_total": _REG.value(
-                    "repro_cluster_searches_total", kind="group"
-                ),
-                "retries_total": _REG.value("repro_cluster_retries_total"),
-                "unsearched_shards_total": _REG.value(
-                    "repro_cluster_unsearched_shards_total"
-                ),
-                "partial_results_total": _REG.value(
-                    "repro_cluster_partial_results_total"
-                ),
-                "failovers_total": _REG.value("repro_cluster_failovers_total"),
-            },
-            "routing": {
-                "enabled": self.router_policy is not None,
-                "kind": self.router_policy.kind if self.router_policy else None,
-                "nominations_routed_total": sum(
-                    _REG.value(
-                        "repro_router_nominations_total", kind=k, outcome="routed"
-                    )
-                    for k in ("ivf", "lsh")
-                ),
-                "nominations_exhaustive_total": sum(
-                    _REG.value(
-                        "repro_router_nominations_total", kind=k, outcome="exhaustive"
-                    )
-                    for k in ("ivf", "lsh")
-                ),
-                "candidate_hits_total": _REG.value(
-                    "repro_router_candidate_hit_total", result="hit"
-                ),
-                "candidate_misses_total": _REG.value(
-                    "repro_router_candidate_hit_total", result="miss"
-                ),
-                "unrouted_shards_total": _REG.value(
-                    "repro_cluster_unrouted_shards_total"
-                ),
-                "images_pruned_total": _REG.value(
-                    "repro_engine_images_pruned_total"
-                ),
-            },
-            "cascade": {
-                "enabled": any(
-                    node.engine.kernel.has_prefilter for node in self.nodes
-                ),
-                "images_pruned_total": _REG.value(
-                    "repro_engine_cascade_pruned_total"
-                ),
-            },
-            "enrollment": {
-                "enrolls_total": _REG.value(
-                    "repro_enrollment_ops_total", op="enroll"
-                ),
-                "updates_total": _REG.value(
-                    "repro_enrollment_ops_total", op="update"
-                ),
-                "deletes_total": _REG.value(
-                    "repro_enrollment_ops_total", op="delete"
-                ),
-                "tombstones_live": len(self.tombstones),
-                "epochs": self.epochs.snapshot(),
-                "cache_removals_total": _REG.value("repro_cache_removals_total"),
-                "router_refresh_incremental_total": sum(
-                    _REG.value(
-                        "repro_router_refresh_total", kind=k, mode="incremental"
-                    )
-                    for k in ("ivf", "lsh")
-                ),
-                "router_refresh_rebuild_total": sum(
-                    _REG.value(
-                        "repro_router_refresh_total", kind=k, mode="rebuild"
-                    )
-                    for k in ("ivf", "lsh")
-                ),
-            },
-            "overload": {
-                "shed_reject_new_total": _REG.value(
-                    "repro_serving_shed_total", reason="reject-new"
-                ),
-                "shed_drop_oldest_total": _REG.value(
-                    "repro_serving_shed_total", reason="drop-oldest"
-                ),
-                "shed_deadline_expired_total": _REG.value(
-                    "repro_serving_shed_total", reason="deadline-expired"
-                ),
-                "deadline_expired_sweeps_total": _REG.value(
-                    "repro_engine_deadline_expired_total"
-                ),
-                "deadline_skipped_shards_total": _REG.value(
-                    "repro_cluster_deadline_skipped_shards_total"
-                ),
-                "breaker_skipped_total": _REG.value(
-                    "repro_cluster_breaker_skipped_total"
-                ),
-                "breaker_opened_total": _REG.value(
-                    "repro_breaker_transitions_total", to="open"
-                ),
-                "brownout_shards_skipped_total": _REG.value(
-                    "repro_cluster_brownout_shards_skipped_total"
-                ),
-                "rate_limited_total": _REG.value("repro_web_rate_limited_total"),
-                "brownout_requests_total": _REG.value("repro_web_brownout_total"),
-            },
-            "slo": self._slo_stats(),
-            "elastic": self._elastic_stats(),
         }
+        for block, keys in _STATS_BLOCKS.items():
+            payload[block] = {
+                key: _REG.value(metric, **labels)
+                for key, (metric, labels) in keys.items()
+            }
+        payload["routing"].update(
+            enabled=self.router_policy is not None,
+            kind=self.router_policy.kind if self.router_policy else None,
+        )
+        payload["cascade"]["enabled"] = any(
+            node.engine.kernel.has_prefilter for node in self.nodes
+        )
+        payload["enrollment"].update(
+            tombstones_live=len(self.tombstones),
+            epochs=self.epochs.snapshot(),
+        )
+        payload["slo"] = self._slo_stats()
+        payload["elastic"] = self._elastic_stats()
+        return payload
 
     def elastic_report(self) -> dict:
         """Fleet elasticity rollup for the ``GET /elastic`` route: the

@@ -157,34 +157,26 @@ class SearchNode:
         query_descriptors: np.ndarray,
         candidate_ids: set[str] | frozenset[str] | None = None,
     ) -> SearchResult:
-        """One shard's sweep; ``candidate_ids`` restricts it to a
-        routing tier's nominees (see :meth:`TextureSearchEngine.search`)."""
-        with _TRACER.span("node.search", layer="node", node=self.node_id) as span:
-            multiplier = self._gate()
-            result = self.engine.search(query_descriptors, candidate_ids=candidate_ids)
-            if multiplier != 1.0:
-                result.elapsed_us *= multiplier
-            self.health.record_success()
-            if span is not None:
-                span.set(sim_elapsed_us=result.elapsed_us,
-                         images=result.images_searched)
-        return result
+        """One shard's sweep for one query: a group of one."""
+        return self.search_many([query_descriptors], candidate_ids=candidate_ids)[0]
 
     def search_many(
         self,
         query_descriptor_list: list[np.ndarray],
         candidate_ids: set[str] | frozenset[str] | None = None,
     ) -> list[SearchResult]:
-        """Query-batched search with the same fault/health gating as
-        :meth:`search` (one gate per group — the group is one RPC)."""
+        """One shard's sweep for a query group — the node's read entry:
+        one RPC, one fault/health gate and one engine sweep per group.
+        ``candidate_ids`` restricts the sweep to a routing tier's
+        nominees (see :meth:`TextureSearchEngine.search_group`)."""
         with _TRACER.span(
             "node.search_group", layer="node",
             node=self.node_id, queries=len(query_descriptor_list),
         ) as span:
             multiplier = self._gate()
-            results = self.engine.search_many(
+            results = self.engine.search_group(
                 query_descriptor_list, candidate_ids=candidate_ids
-            )
+            ).results
             if multiplier != 1.0:
                 for result in results:
                     result.elapsed_us *= multiplier

@@ -34,7 +34,9 @@ holds across replicas, not just across failover replays.
 from __future__ import annotations
 
 from enum import Enum
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable, Sequence
+
+from ..obs import default_registry
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from .node import SearchNode
@@ -46,6 +48,18 @@ __all__ = [
     "WARMUP_BASE_US",
     "WARMUP_US_PER_REF",
 ]
+
+_REG = default_registry()
+_BREAKER_SKIPS = _REG.counter(
+    "repro_cluster_breaker_skipped_total",
+    "Node attempts skipped because the node's circuit breaker was open",
+)
+_REPLICA_RETRIES = _REG.counter(
+    "repro_cluster_replica_retries_total",
+    "Read slices transparently retried on a sibling replica after the "
+    "chosen reader failed (the shard only lands in unsearched_shards "
+    "when every serving replica is exhausted)",
+)
 
 #: simulated time a draining replica keeps running to finish in-flight
 #: work before it is detached (it takes no new reads in the meantime).
@@ -197,6 +211,58 @@ class ReplicaGroup:
         start = self._cursor % len(eligible)
         self._cursor += 1
         return eligible[start:] + eligible[:start]
+
+    def read(
+        self,
+        n_queries: int,
+        attempt: Callable[["SearchNode", Sequence[int]], tuple[list | None, float, int]],
+        now_us: float | None = None,
+    ) -> tuple[list | None, float, int]:
+        """Answer a group of ``n_queries`` from this shard's replicas.
+
+        The queries are partitioned round-robin over the eligible
+        readers whose circuit breaker admits them; the slices sweep
+        concurrently, so the shard's time is the slowest slice.  A
+        failed slice is retried transparently down the rotated sibling
+        chain (sequentially — its time is the sum of the attempts)
+        before the shard is given up.
+
+        ``attempt(replica, query_indices)`` runs one slice on one
+        replica and returns ``(results | None, elapsed_us, retries)``.
+        Returns ``(results, shard_us, retries)`` with one result per
+        query in submission order, or ``results=None`` when no reader
+        was admitted or some slice exhausted every sibling (the shard
+        is unsearched).
+        """
+        workers = []
+        for replica in self.readers(now_us):
+            if replica.breaker is not None and not replica.breaker.allow():
+                _BREAKER_SKIPS.inc()
+                continue
+            workers.append(replica)
+        results: list = [None] * n_queries
+        shard_us = 0.0
+        retries = 0
+        if not workers:
+            return None, shard_us, retries
+        for w in range(min(len(workers), n_queries)):
+            indices = range(w, n_queries, len(workers))
+            answered = None
+            slice_us = 0.0
+            for j, replica in enumerate(workers[w:] + workers[:w]):
+                if j:
+                    _REPLICA_RETRIES.inc()
+                answered, node_us, node_retries = attempt(replica, indices)
+                slice_us += node_us
+                retries += node_retries
+                if answered is not None:
+                    break
+            shard_us = max(shard_us, slice_us)
+            if answered is None:
+                return None, shard_us, retries
+            for i, result in zip(indices, answered):
+                results[i] = result
+        return results, shard_us, retries
 
     def snapshot(self) -> dict:
         """Replica-group rollup for stats/health payloads."""

@@ -37,6 +37,7 @@ Fig. 6 is reproduced as a deterministic, testable dispatch layer.
 from __future__ import annotations
 
 import re
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -48,8 +49,9 @@ from ..errors import (
     RestError,
     TransientNodeError,
 )
+from ..core.registry import kernel_class
 from ..obs import deadline_scope
-from .cluster import DistributedSearchSystem
+from .cluster import ClusterSearchResult, DistributedSearchSystem
 
 __all__ = ["Request", "Response", "Router", "build_api"]
 
@@ -112,6 +114,18 @@ class Router:
         return Response(404, {"error": f"no route for {request.path}"})
 
 
+def _parse_top(body: dict) -> int:
+    """Optional result count (``top``, default 1) from the body."""
+    raw = body.get("top", 1)
+    try:
+        top = int(raw)
+    except (TypeError, ValueError) as exc:
+        raise RestError(400, f"'top' must be an integer, got {raw!r}") from exc
+    if not (1 <= top <= 100):
+        raise RestError(400, "'top' must be in [1, 100]")
+    return top
+
+
 def _parse_budget(body: dict) -> float | None:
     """Optional per-request deadline budget (simulated µs) from the body."""
     raw = body.get("budget_us")
@@ -169,6 +183,40 @@ def _parse_descriptors(body: dict, d_expected: int) -> np.ndarray:
     if not np.all(np.isfinite(matrix)):
         raise RestError(400, "descriptors contain non-finite values")
     return matrix
+
+
+def _run_search(body: dict, search: Callable, queries):
+    """Parse the knobs both search routes share (``top``, ``budget_us``,
+    ``nprobe``, ``recall_target``), run ``search(queries, nprobe=...,
+    recall_target=...)`` under the optional request deadline, and
+    return ``(outcome, top)``; a degraded cluster answers 503."""
+    top = _parse_top(body)
+    budget_us = _parse_budget(body)
+    nprobe, recall_target = _parse_routing(body)
+    scope = deadline_scope(budget_us) if budget_us is not None else nullcontext()
+    try:
+        with scope:
+            return search(queries, nprobe=nprobe, recall_target=recall_target), top
+    except DegradedClusterError as exc:
+        raise RestError(503, str(exc)) from exc
+
+
+def _query_payload(result: ClusterSearchResult, top: int) -> dict:
+    """The per-query part of a search response (both search routes)."""
+    return {
+        "results": [
+            {"id": m.reference_id, "score": m.score, "good_matches": m.good_matches}
+            for m in result.top(top)
+        ],
+        "images_searched": result.images_searched,
+        "elapsed_us": result.elapsed_us,
+        "partial": result.partial,
+        "unsearched_shards": list(result.unsearched_shards),
+        "deadline_expired": result.deadline_expired,
+        "images_pruned": result.images_pruned,
+        "cascade_pruned": result.cascade_pruned,
+        "corpus_epoch": dict(result.corpus_epoch),
+    }
 
 
 def _check_id(ref_id: str) -> str:
@@ -274,41 +322,14 @@ def build_api(system: DistributedSearchSystem) -> Router:
     @router.route("POST", "/search")
     def search(request: Request) -> Response:
         matrix = _parse_descriptors(request.body, d)
-        top = int(request.body.get("top", 1))
-        if not (1 <= top <= 100):
-            raise RestError(400, "'top' must be in [1, 100]")
-        budget_us = _parse_budget(request.body)
-        nprobe, recall_target = _parse_routing(request.body)
-        try:
-            if budget_us is not None:
-                with deadline_scope(budget_us):
-                    result = system.search(
-                        matrix, nprobe=nprobe, recall_target=recall_target
-                    )
-            else:
-                result = system.search(
-                    matrix, nprobe=nprobe, recall_target=recall_target
-                )
-        except DegradedClusterError as exc:
-            raise RestError(503, str(exc)) from exc
+        result, top = _run_search(request.body, system.search, matrix)
         return Response(
             200,
             {
-                "results": [
-                    {"id": m.reference_id, "score": m.score, "good_matches": m.good_matches}
-                    for m in result.top(top)
-                ],
-                "images_searched": result.images_searched,
-                "elapsed_us": result.elapsed_us,
+                **_query_payload(result, top),
                 "throughput_images_per_s": result.throughput_images_per_s,
-                "partial": result.partial,
-                "unsearched_shards": list(result.unsearched_shards),
-                "deadline_expired": result.deadline_expired,
                 "routed": result.routed,
                 "unrouted_shards": list(result.unrouted_shards),
-                "images_pruned": result.images_pruned,
-                "cascade_pruned": result.cascade_pruned,
-                "corpus_epoch": dict(result.corpus_epoch),
             },
         )
 
@@ -325,26 +346,17 @@ def build_api(system: DistributedSearchSystem) -> Router:
             raise RestError(
                 400, f"at most {MAX_GROUP_SIZE} queries per batch, got {len(raw_queries)}"
             )
-        top = int(request.body.get("top", 1))
-        if not (1 <= top <= 100):
-            raise RestError(400, "'top' must be in [1, 100]")
-        budget_us = _parse_budget(request.body)
-        nprobe, recall_target = _parse_routing(request.body)
+        backend = system.engine_config.backend
+        if len(raw_queries) > 1 and not kernel_class(backend).supports_multiquery:
+            raise RestError(
+                400,
+                f"backend {backend!r} answers one query per request; "
+                f"got a batch of {len(raw_queries)}",
+            )
         matrices = [
             _parse_descriptors({"descriptors": q}, d) for q in raw_queries
         ]
-        try:
-            if budget_us is not None:
-                with deadline_scope(budget_us):
-                    group = system.search_group(
-                        matrices, nprobe=nprobe, recall_target=recall_target
-                    )
-            else:
-                group = system.search_group(
-                    matrices, nprobe=nprobe, recall_target=recall_target
-                )
-        except DegradedClusterError as exc:
-            raise RestError(503, str(exc)) from exc
+        group, top = _run_search(request.body, system.search_group, matrices)
         return Response(
             200,
             {
@@ -358,25 +370,7 @@ def build_api(system: DistributedSearchSystem) -> Router:
                 "unrouted_shards": list(group.unrouted_shards),
                 "corpus_epoch": dict(group.corpus_epoch),
                 "queries": [
-                    {
-                        "results": [
-                            {
-                                "id": m.reference_id,
-                                "score": m.score,
-                                "good_matches": m.good_matches,
-                            }
-                            for m in result.top(top)
-                        ],
-                        "images_searched": result.images_searched,
-                        "elapsed_us": result.elapsed_us,
-                        "partial": result.partial,
-                        "unsearched_shards": list(result.unsearched_shards),
-                        "retries": result.retries,
-                        "deadline_expired": result.deadline_expired,
-                        "images_pruned": result.images_pruned,
-                        "cascade_pruned": result.cascade_pruned,
-                        "corpus_epoch": dict(result.corpus_epoch),
-                    }
+                    {**_query_payload(result, top), "retries": result.retries}
                     for result in group.results
                 ],
             },

@@ -367,18 +367,23 @@ class MetricsRegistry:
         return "\n".join(lines) + "\n" if lines else ""
 
     def value(self, name: str, **labelvalues: object) -> float:
-        """Convenience: current value of a counter/gauge series
-        (0.0 if the metric or label combination does not exist yet)."""
+        """Convenience: current value of a counter/gauge, summed over
+        every series whose labels match ``labelvalues`` — one series
+        when every label is given, all of a label's children when it is
+        left out (0.0 if the metric or label combination does not exist
+        yet)."""
         metric = self._metrics.get(name)
         if metric is None:
             return 0.0
-        if labelvalues or metric.labelnames:
-            key = tuple(str(labelvalues.get(n, "")) for n in metric.labelnames)
-            child = metric._children.get(key)
-            if child is None:
-                return 0.0
-            return getattr(child, "value", 0.0)
-        return getattr(metric, "value", 0.0)
+        wanted = {k: str(v) for k, v in labelvalues.items()}
+        return sum(
+            (
+                getattr(child, "value", 0.0)
+                for labels, child in metric._series()
+                if all(labels.get(k) == v for k, v in wanted.items())
+            ),
+            0.0,
+        )
 
 
 _default = MetricsRegistry()

@@ -13,7 +13,6 @@ from repro.core import (
     available_backends,
     create_kernel,
     register_kernel,
-    resolve_backend,
 )
 from repro.core.registry import _CUSTOM, canonical_backend, kernel_class
 from repro.gpusim import GPUDevice, TESLA_P100
@@ -60,9 +59,14 @@ class TestRegistry:
             assert expected in names
 
     def test_aliases(self):
-        assert canonical_backend("rootsift") == "algorithm2"
-        assert canonical_backend("cublas") == "algorithm1"
-        assert EngineConfig(backend="ROOTSIFT").backend == "algorithm2"
+        """Names normalise case; the historical ``rootsift``/``cublas``
+        aliases are gone and rejected like any unknown name."""
+        assert canonical_backend("Algorithm1") == "algorithm1"
+        assert EngineConfig(backend="ALGORITHM2").backend == "algorithm2"
+        assert EngineConfig().backend == "algorithm2"
+        for alias in ("rootsift", "cublas"):
+            with pytest.raises(ValueError, match="unknown backend"):
+                canonical_backend(alias)
 
     def test_unknown_backend_rejected_at_config(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -74,9 +78,6 @@ class TestRegistry:
         message = str(excinfo.value)
         for name in available_backends():
             assert name in message
-        # aliases advertised alongside their targets
-        assert "rootsift->algorithm2" in message
-        assert "cublas->algorithm1" in message
 
     def test_unknown_backend_error_includes_runtime_registrations(self):
         register_kernel("bespoke", MatchKernel)
@@ -89,13 +90,6 @@ class TestRegistry:
         with pytest.raises(ValueError) as excinfo:
             canonical_backend("nope")
         assert "bespoke" not in str(excinfo.value)
-
-    def test_use_rootsift_is_a_deprecated_alias(self):
-        assert resolve_backend(EngineConfig()) == "algorithm2"
-        assert resolve_backend(EngineConfig(use_rootsift=False)) == "algorithm1"
-        # an explicit backend wins over the legacy flag
-        explicit = EngineConfig(backend="opencv", precision="fp32", use_rootsift=True)
-        assert resolve_backend(explicit) == "opencv"
 
     def test_engine_reports_backend(self):
         assert TextureSearchEngine(cfg("garcia")).backend == "garcia"
@@ -257,11 +251,11 @@ class TestSweepExecutorRegressions:
         ]
 
     def test_search_many_accumulates_step_times(self):
-        """``search_many`` must feed the same per-step profile stats as
+        """A fused group must feed the same per-step profile stats as
         ``search`` so profile reports cover query-batched sweeps."""
         engine = TextureSearchEngine(cfg("algorithm2"))
         enrolled(engine)
-        engine.search_many([make_descriptors(M, seed=4300 + i) for i in range(3)])
+        engine.search_group([make_descriptors(M, seed=4300 + i) for i in range(3)])
         steps = engine.stats.step_times_us
         assert "GEMM" in steps and "Top-2 sort" in steps
         # the sweep's profile deltas equal the profiler's totals here

@@ -9,13 +9,25 @@ from repro.core import EngineConfig, TextureSearchEngine
 from repro.gpusim import GPUDevice, get_device_spec
 from tests.conftest import make_descriptors, noisy_copy
 
+def _row(test_id: str, **overrides):
+    return pytest.param(overrides, id=test_id)
+
+
+# ids predate the ``backend`` field (algorithm2 was ``use_rootsift=True``)
+# and stay as they were so each row keeps its name in test reports
 CONFIG_GRID = [
-    dict(precision="fp16", use_rootsift=True, sort_kind="scan"),
-    dict(precision="fp32", use_rootsift=True, sort_kind="scan"),
-    dict(precision="fp16", use_rootsift=False, sort_kind="scan"),
-    dict(precision="fp32", use_rootsift=False, sort_kind="scan"),
-    dict(precision="fp32", use_rootsift=False, sort_kind="insertion"),
-    dict(precision="fp16", use_rootsift=True, sort_kind="scan", normalization="l2"),
+    _row("precision=fp16-use_rootsift=True-sort_kind=scan",
+         precision="fp16", backend="algorithm2", sort_kind="scan"),
+    _row("precision=fp32-use_rootsift=True-sort_kind=scan",
+         precision="fp32", backend="algorithm2", sort_kind="scan"),
+    _row("precision=fp16-use_rootsift=False-sort_kind=scan",
+         precision="fp16", backend="algorithm1", sort_kind="scan"),
+    _row("precision=fp32-use_rootsift=False-sort_kind=scan",
+         precision="fp32", backend="algorithm1", sort_kind="scan"),
+    _row("precision=fp32-use_rootsift=False-sort_kind=insertion",
+         precision="fp32", backend="algorithm1", sort_kind="insertion"),
+    _row("precision=fp16-use_rootsift=True-sort_kind=scan-normalization=l2",
+         precision="fp16", backend="algorithm2", sort_kind="scan", normalization="l2"),
 ]
 
 
@@ -24,10 +36,9 @@ def descs():
     return {i: make_descriptors(32, seed=4000 + i) for i in range(6)}
 
 
-@pytest.mark.parametrize("overrides", CONFIG_GRID,
-                         ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
+@pytest.mark.parametrize("overrides", CONFIG_GRID)
 def test_every_configuration_identifies(descs, overrides):
-    scale = 2.0**-7 if not overrides.get("use_rootsift", True) else 0.25
+    scale = 2.0**-7 if overrides["backend"] == "algorithm1" else 0.25
     config = EngineConfig(m=32, n=32, batch_size=3, min_matches=5,
                           scale_factor=scale, **overrides)
     engine = TextureSearchEngine(config)

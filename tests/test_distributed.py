@@ -150,7 +150,7 @@ class TestCluster:
             system.add(f"r{i}", descs[i])
         assert sorted(n.n_references for n in system.nodes) == [1, 2, 2]
         queries = [noisy_copy(descs[0], 8.0, seed=21), noisy_copy(descs[3], 8.0, seed=22)]
-        grouped = system.search_many(queries)
+        grouped = system.search_group(queries).results
         for res in grouped:
             assert res.images_searched == 5
             assert sum(r.images_searched for r in res.per_node.values()) == 5
@@ -228,6 +228,11 @@ class TestRestApi:
             Request("POST", "/search", {"descriptors": descriptors(1)[0].tolist(), "top": 0})
         )
         assert bad_top.status == 400
+        # a 'top' that is not a number is a 400, not an escaped exception
+        for junk in ("abc", None, [1]):
+            body = {"descriptors": descriptors(1)[0].tolist(), "top": junk}
+            response = api.handle(Request("POST", "/search", body))
+            assert response.status == 400 and "'top'" in response.body["error"]
 
     def test_unknown_route_and_method(self, api):
         assert api.handle(Request("GET", "/nope")).status == 404

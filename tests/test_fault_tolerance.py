@@ -257,7 +257,7 @@ class TestPartialResultsAndFailover:
         system, descs = build_cluster(3, 6, injector=injector, auto_failover=False)
         injector.crash("gpu-02")
         queries = [noisy_copy(descs[0], 8.0, seed=8), noisy_copy(descs[1], 8.0, seed=9)]
-        grouped = system.search_many(queries)
+        grouped = system.search_group(queries).results
         for res in grouped:
             assert res.partial
             assert res.unsearched_shards == ["gpu-02"]

@@ -49,7 +49,7 @@ class TestEngineExportImport:
         engine = TextureSearchEngine(CFG)
         engine.add_reference("r0", make_descriptors(32, seed=1300))
         records = engine.export_records()
-        other = TextureSearchEngine(CFG.with_updates(precision="fp32", use_rootsift=True))
+        other = TextureSearchEngine(CFG.with_updates(precision="fp32", backend="algorithm2"))
         with pytest.raises(ValueError, match="fp16"):
             other.import_records(records)
         scaled = TextureSearchEngine(CFG.with_updates(scale_factor=0.5))
@@ -64,7 +64,7 @@ class TestEngineExportImport:
             engine.add_prepared_reference("x", np.zeros((128, 32), np.float32))
 
     def test_algorithm1_roundtrip(self):
-        cfg = CFG.with_updates(use_rootsift=False, precision="fp16", scale_factor=2.0**-7)
+        cfg = CFG.with_updates(backend="algorithm1", precision="fp16", scale_factor=2.0**-7)
         engine = TextureSearchEngine(cfg)
         descs = {i: make_descriptors(32, seed=1400 + i) for i in range(3)}
         for i, d in descs.items():
@@ -133,11 +133,11 @@ class TestClusterSearchMany:
         for i, d in descs.items():
             system.add(f"r{i}", d)
         queries = [noisy_copy(descs[1], 8.0, seed=161), noisy_copy(descs[4], 8.0, seed=162)]
-        grouped = system.search_many(queries)
+        grouped = system.search_group(queries).results
         assert grouped[0].best().reference_id == "r1"
         assert grouped[1].best().reference_id == "r4"
         assert grouped[0].elapsed_us == grouped[1].elapsed_us
-        assert system.search_many([]) == []
+        assert system.search_group([]).results == []
 
 
 class TestWebTier:

@@ -1,6 +1,7 @@
 """Dynamic batching serving layer: admission policy, event loop,
 determinism, fused-vs-serial throughput, and the REST batch route."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,6 +10,9 @@ import pytest
 from tests.conftest import make_descriptors, noisy_copy
 from repro.core import EngineConfig, TextureSearchEngine
 from repro.errors import ExecutorContractError
+from repro.gpusim import GPUDevice, TESLA_P100
+from repro.obs import default_registry
+from repro.routing import RouterPolicy
 from repro.distributed import (
     DistributedSearchSystem,
     FaultInjector,
@@ -42,8 +46,8 @@ def build_engine(n_refs=8, seed=0):
     return engine, descs
 
 
-def build_cluster(n_nodes=3, n_refs=6, injector=None, **kwargs):
-    system = DistributedSearchSystem(n_nodes, CFG, fault_injector=injector, **kwargs)
+def build_cluster(n_nodes=3, n_refs=6, injector=None, config=CFG, **kwargs):
+    system = DistributedSearchSystem(n_nodes, config, fault_injector=injector, **kwargs)
     descs = [make_descriptors(CFG.n, seed=10 + i) for i in range(n_refs)]
     for i, desc in enumerate(descs):
         system.add(f"r{i}", desc)
@@ -246,25 +250,111 @@ class TestWorkloads:
         assert all(x < y for x, y in zip(a, a[1:]))
 
 
+def assert_same_fields(got, want):
+    """Field-by-field dataclass equality (names the field that moved)."""
+    assert type(got) is type(want)
+    for f in dataclasses.fields(want):
+        assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+def searches_counted():
+    reg = default_registry()
+    return tuple(
+        reg.value("repro_cluster_searches_total", kind=kind)
+        for kind in ("single", "group")
+    )
+
+
 class TestEngineServing:
     def test_group_of_one_bit_identical_to_search(self):
-        engine_a, descs = build_engine()
-        engine_b, _ = build_engine()
+        """``search`` *is* a group of one, prepared by the single-query
+        kernel path; what makes choosing that path from ``len == 1`` a
+        free choice is that the multi-query kernel at Q=1 returns the
+        same matches (masks and indices included) for the same
+        simulated time — pinned here one level below the engine."""
+        engine, descs = build_engine()
+        engine.flush()
+        kernel = engine.kernel
+        # one fresh simulated clock per path, so the charges compare exactly
+        device_1, device_m = GPUDevice(TESLA_P100), GPUDevice(TESLA_P100)
         query = noisy_copy(descs[2], 8.0, seed=5)
-        single = engine_a.search(query, keep_masks=True)
-        group = engine_b.search_group([query], keep_masks=True)
-        assert group.group_size == 1
-        grouped = group.results[0]
-        assert grouped.elapsed_us == single.elapsed_us  # exact, not approx
-        assert grouped.images_searched == single.images_searched
-        assert len(grouped.matches) == len(single.matches)
-        for got, want in zip(grouped.matches, single.matches):
-            assert got.reference_id == want.reference_id
-            assert got.good_matches == want.good_matches
-            np.testing.assert_array_equal(got.match_mask, want.match_mask)
-            np.testing.assert_array_equal(
-                got.matched_reference_indices, want.matched_reference_indices
+        single_q = kernel.prepare_query(device_1, query)
+        group_q = kernel.prepare_query_many(device_m, [query])
+        assert single_q.matrix.ndim == 2 and group_q.matrix.shape[0] == 1
+        batches = [cached.batch for cached in engine.cache.batches()]
+        assert batches
+        for batch in batches:
+            want = kernel.match_batch(device_1, batch, single_q, keep_masks=True)
+            (got,) = kernel.match_batch_multi(device_m, batch, group_q, keep_masks=True)
+            assert device_m.synchronize() == device_1.synchronize() > 0  # exact, not approx
+            assert len(got) == len(want) == batch.size
+            for g, w in zip(got, want):
+                assert (g.reference_id, g.good_matches) == (w.reference_id, w.good_matches)
+                np.testing.assert_array_equal(g.match_mask, w.match_mask)
+                np.testing.assert_array_equal(
+                    g.matched_reference_indices, w.matched_reference_indices
+                )
+
+    @pytest.mark.parametrize("router", [None, "ivf"])
+    @pytest.mark.parametrize("replication_factor", [1, 2])
+    @pytest.mark.parametrize("backend", ["algorithm2", "algorithm1", "cascade"])
+    def test_group_of_one_bit_identical_to_search_cluster(
+        self, backend, replication_factor, router
+    ):
+        """Two identically built clusters, ``search(q)`` on one and
+        ``search_group([q])`` on the other: every result field agrees,
+        on every backend (a group of one needs no multi-query kernel),
+        and each entry point counts only itself."""
+        config = CFG.with_updates(
+            backend=backend, scale_factor=0.25 if backend == "algorithm2" else 2.0**-7
+        )
+        policy = RouterPolicy(kind=router, n_lists=4, nprobe=2) if router else None
+        kwargs = dict(
+            n_refs=9, config=config,
+            replication_factor=replication_factor, router_policy=policy,
+        )
+        system_a, descs = build_cluster(**kwargs)
+        system_b, _ = build_cluster(**kwargs)
+        for seed, i in enumerate((4, 7)):  # two rounds: reader rotation at R=2
+            query = noisy_copy(descs[i], 8.0, seed=seed)
+            before = searches_counted()
+            single = system_a.search(query)
+            assert searches_counted() == (before[0] + 1, before[1])
+            group = system_b.search_group([query])
+            assert searches_counted() == (before[0] + 1, before[1] + 1)
+            (grouped,) = group.results
+            assert single.best().reference_id == f"r{i}"
+            assert single.routed == (router is not None)
+            assert_same_fields(grouped, single)
+            assert grouped.per_node.keys() == single.per_node.keys()
+            for shard, want in single.per_node.items():
+                assert_same_fields(grouped.per_node[shard], want)
+
+    @pytest.mark.chaos
+    def test_group_of_one_sibling_retry_identical_to_search(self):
+        """R=2 with the chosen reader crashed: both entry points retry
+        once on the sibling, leave no shard unsearched, and agree."""
+        outcomes = []
+        for entry in ("search", "search_group"):
+            injector = FaultInjector(seed=0)
+            system, descs = build_cluster(
+                injector=injector, replication_factor=2, auto_failover=False
             )
+            chosen = system.groups["gpu-01"].nodes[0]  # cursor 0 reads it first
+            injector.crash(chosen.node_id)
+            reg = default_registry()
+            before = reg.value("repro_cluster_replica_retries_total")
+            query = noisy_copy(descs[1], 8.0, seed=11)
+            if entry == "search":
+                result = system.search(query)
+            else:
+                (result,) = system.search_group([query]).results
+            assert reg.value("repro_cluster_replica_retries_total") == before + 1
+            assert result.unsearched_shards == [] and not result.partial
+            assert result.images_searched == 6
+            assert result.best().reference_id == "r1"
+            outcomes.append(result)
+        assert_same_fields(outcomes[1], outcomes[0])
 
     def test_fused_group_shares_elapsed(self):
         engine, descs = build_engine()
@@ -375,8 +465,26 @@ class TestClusterServing:
         assert router.handle(Request("POST", "/search/batch", too_many)).status == 400
         bad_top = {"queries": [query], "top": 0}
         assert router.handle(Request("POST", "/search/batch", bad_top)).status == 400
+        for junk in ("abc", None, [1]):
+            response = router.handle(
+                Request("POST", "/search/batch", {"queries": [query], "top": junk})
+            )
+            assert response.status == 400 and "'top'" in response.body["error"]
         bad_shape = {"queries": [[[1.0, 2.0]]]}
         assert router.handle(Request("POST", "/search/batch", bad_shape)).status == 400
+
+    def test_rest_batch_route_needs_multiquery_backend_for_two(self):
+        """Two or more queries on a single-query backend answer 400
+        naming the backend; a batch of one is served like a search."""
+        system, descs = build_cluster(
+            n_nodes=2, n_refs=4, config=CFG.with_updates(backend="algorithm1")
+        )
+        router = build_api(system)
+        query = noisy_copy(descs[1], 8.0, seed=3).tolist()
+        two = router.handle(Request("POST", "/search/batch", {"queries": [query, query]}))
+        assert two.status == 400 and "algorithm1" in two.body["error"]
+        one = router.handle(Request("POST", "/search/batch", {"queries": [query]}))
+        assert one.ok and one.body["queries"][0]["results"][0]["id"] == "r1"
 
     def test_webtier_batch_executor_charges_group_time(self):
         system, descs = build_cluster()
