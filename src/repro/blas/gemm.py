@@ -28,9 +28,10 @@ import numpy as np
 from ..gpusim.engine_model import GPUDevice
 from ..gpusim.stream import Stream
 
-__all__ = ["sgemm", "hgemm", "batched_hgemm", "FP16_MAX"]
+__all__ = ["sgemm", "hgemm", "batched_hgemm", "query_major_product", "FP16_MAX"]
 
 FP16_MAX = float(np.finfo(np.float16).max)  # 65504.0
+FP16_MIN_NORMAL = float(np.finfo(np.float16).smallest_normal)  # 2^-14
 
 
 def _as_2d(a: np.ndarray, name: str) -> np.ndarray:
@@ -61,34 +62,70 @@ def sgemm(
     return np.float32(alpha) * (op_a @ b)
 
 
-def _hgemm_product(op_a: np.ndarray, b: np.ndarray, tensor_core: bool) -> tuple[np.ndarray, bool]:
-    """FP16 product with accumulation-overflow detection.
-
-    Returns ``(result_fp32, overflowed)``.  ``result`` is the value an
-    FP32-accumulating engine would produce from FP16 operands; callers
-    that model plain HGEMM must treat ``overflowed=True`` outputs as
-    saturated/invalid (the library raises, see :mod:`repro.fp16`).
+def query_major_product(a32: np.ndarray, b32: np.ndarray) -> np.ndarray:
+    """``a32[i].T @ b32`` for every image of a ``(batch, k, m)`` stack,
+    computed query-major: the buffer is ``(batch, n, m)`` and the
+    ``(batch, m, n)`` result its transposed view, so one query feature's
+    products against an image's ``m`` features are contiguous in memory
+    — the layout the column-wise top-k scans.
     """
-    a16 = op_a.astype(np.float16)
-    b16 = b.astype(np.float16)
-    exact = a16.astype(np.float32) @ b16.astype(np.float32)
-    if tensor_core:
-        # FP32 accumulation: only the final store can overflow.
-        overflow = bool(np.any(np.abs(exact) > FP16_MAX))
-        return exact, overflow
-    if np.all(a16 >= 0) and np.all(b16 >= 0):
-        # Non-negative operands: partial sums are monotone, the max
-        # intermediate is the final value.
-        overflow = bool(np.any(exact > FP16_MAX))
+    return np.matmul(b32.T, a32).transpose(0, 2, 1)
+
+
+def _round_to_fp16(x: np.ndarray, nonneg: bool, hi: float) -> None:
+    """``x[...] = x.astype(float16).astype(float32)`` for an FP32 ``x``
+    whose maximum is ``hi``; ``nonneg`` promises no negative entry or -0.0.
+    When every entry is in [0, 2^-14) the whole array is FP16-subnormal,
+    where the fp32->fp16 conversion is ~24x slower than on normals; but
+    in [0.5, 1) fp32's ulp is 2^-24 — the subnormal grid — and 0.75 is an
+    even multiple of it, so adding 0.75 makes the fp32 adder perform the
+    same round-to-nearest-even and subtracting it again is exact.
+    """
+    if nonneg and hi < FP16_MIN_NORMAL:
+        x += np.float32(0.75)
+        x -= np.float32(0.75)
+    else:
+        x[...] = x.astype(np.float16)
+
+
+def _fp16_gemm(
+    product, a: np.ndarray, b: np.ndarray, alpha: float, tensor_core: bool, store_fp16: bool
+) -> tuple[np.ndarray, bool]:
+    """``(alpha * product(a, b) as float32, overflowed)`` from FP16
+    operands: the one epilogue behind both entry points, which differ in
+    the ``product`` that lays the result out.  Callers that model plain
+    HGEMM must treat ``overflowed=True`` outputs as saturated/invalid
+    (the library raises, see :mod:`repro.fp16`).
+    """
+    a32 = a.astype(np.float16, copy=False).astype(np.float32)
+    b32 = b.astype(np.float16, copy=False).astype(np.float32)
+    # What an FP32-accumulating engine produces; owned, so the rest is in place.
+    exact = product(a32, b32)
+    # fmin/fmax skip NaNs, so ``hi > x`` is ``np.any(exact > x)``.
+    lo = np.fmin.reduce(exact, axis=None, initial=np.inf)
+    hi = np.fmax.reduce(exact, axis=None, initial=-np.inf)
+    unstorable = bool(hi > FP16_MAX or lo < -FP16_MAX)
+    nonneg = bool(a32.min(initial=0.0) >= 0 and b32.min(initial=0.0) >= 0)
+    if tensor_core or nonneg:
+        # FP32 accumulation: only the final store can overflow.  Non-negative
+        # operands: partial sums are monotone, so the final value is the max.
+        overflow = unstorable
     else:
         # Conservative bound on the largest partial sum.
-        bound = np.abs(a16).astype(np.float32) @ np.abs(b16).astype(np.float32)
-        overflow = bool(np.any(bound > FP16_MAX))
-    # Model FP16 rounding of the accumulator on the final result.  (The
-    # per-step rounding error is dominated by input quantization for the
-    # d=128 sums used here.)
-    result = np.clip(exact, -FP16_MAX, FP16_MAX).astype(np.float16).astype(np.float32)
-    return result, overflow
+        bound = product(np.abs(a32), np.abs(b32))
+        overflow = bool(np.fmax.reduce(bound, axis=None, initial=-np.inf) > FP16_MAX)
+    if store_fp16:
+        # Model FP16 rounding of the accumulator on the final result.
+        # (The per-step rounding error is dominated by input
+        # quantization for the d=128 sums used here.)
+        if unstorable:
+            np.clip(exact, -FP16_MAX, FP16_MAX, out=exact)
+        _round_to_fp16(exact, nonneg, hi)
+    if alpha != 1.0:
+        exact *= np.float32(alpha)
+        if abs(alpha) != 1.0 and not tensor_core:
+            overflow = overflow or bool(np.any(np.abs(exact) > FP16_MAX))
+    return exact, overflow
 
 
 def hgemm(
@@ -110,11 +147,8 @@ def hgemm(
     m, k = op_a.shape
     n = b.shape[1]
     device.gemm(m, n, k, batch=1, dtype="fp16", tensor_core=tensor_core, stream=stream, step=step)
-    result, overflow = _hgemm_product(op_a, b, tensor_core)
-    scaled = np.float32(alpha) * result
-    if abs(alpha) != 1.0 and not tensor_core:
-        overflow = overflow or bool(np.any(np.abs(scaled) > FP16_MAX))
-    return scaled, overflow
+    # The tensor-core path hands back the FP32 accumulator unrounded.
+    return _fp16_gemm(np.matmul, op_a, b, alpha, tensor_core, store_fp16=not tensor_core)
 
 
 def batched_hgemm(
@@ -143,23 +177,4 @@ def batched_hgemm(
         raise ValueError(f"inner-dimension mismatch: {a_batch.shape} vs {b.shape}")
     n = b.shape[1]
     device.gemm(m, n, k, batch=batch, dtype="fp16", tensor_core=tensor_core, stream=stream, step=step)
-    a16 = a_batch.astype(np.float16)
-    b16 = b.astype(np.float16)
-    # (batch, m, k) @ (k, n) -> (batch, m, n), FP32 accumulate.
-    exact = np.einsum(
-        "bkm,kn->bmn", a16.astype(np.float32), b16.astype(np.float32), optimize=True
-    )
-    if tensor_core:
-        overflow = bool(np.any(np.abs(exact) > FP16_MAX))
-    elif np.all(a16 >= 0) and np.all(b16 >= 0):
-        overflow = bool(np.any(exact > FP16_MAX))
-    else:
-        bound = np.einsum(
-            "bkm,kn->bmn",
-            np.abs(a16).astype(np.float32),
-            np.abs(b16).astype(np.float32),
-            optimize=True,
-        )
-        overflow = bool(np.any(bound > FP16_MAX))
-    result = np.clip(exact, -FP16_MAX, FP16_MAX).astype(np.float16).astype(np.float32)
-    return np.float32(alpha) * result, overflow
+    return _fp16_gemm(query_major_product, a_batch, b, alpha, tensor_core, store_fp16=True)

@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..blas.gemm import batched_hgemm
+from ..blas.gemm import batched_hgemm, query_major_product
 from ..errors import HalfPrecisionOverflowError
 from ..gpusim.engine_model import GPUDevice
 from ..gpusim.stream import Stream
@@ -55,6 +55,61 @@ class BatchKnnResult:
         return KnnResult(distances=self.distances[i], indices=self.indices[i])
 
 
+def _knn_columns(
+    device: GPUDevice,
+    references: np.ndarray,
+    columns: np.ndarray,
+    scale: float,
+    k: int,
+    precision: str,
+    tensor_core: bool,
+    stream: Optional[Stream],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Steps 1-4 for a ``(batch, d, m)`` reference stack against the
+    ``(d, n)`` columns of one query — or of several, concatenated.
+    Returns ``(distances, indices)``, each ``(k, batch * n)``, image-major.
+    """
+    batch, d, m = references.shape
+    n = columns.shape[1]
+    if not (1 <= k <= m):
+        raise ValueError(f"k={k} out of range for m={m}")
+
+    # Step 1: batched GEMM (one fused call => the Sec. 5 data reuse).
+    if precision == "fp16":
+        a, overflow = batched_hgemm(
+            device, references, columns, alpha=1.0, tensor_core=tensor_core, stream=stream
+        )
+        if overflow:
+            raise HalfPrecisionOverflowError(scale, float(np.abs(a).max()))
+        const = 2.0 * scale * scale
+    elif precision == "fp32":
+        device.gemm(m, n, d, batch=batch, dtype="fp32", stream=stream, step="GEMM")
+        a = query_major_product(
+            references.astype(np.float32, copy=False), columns.astype(np.float32, copy=False)
+        )
+        const = 2.0
+    else:
+        raise ValueError(f"precision must be 'fp16' or 'fp32', got {precision!r}")
+    a *= np.float32(-2.0)
+
+    # Step 2: one scan thread per (image, query-feature) column — on the
+    # query-major product a zero-copy F-ordered view, each column contiguous.
+    device.top2_scan(m, batch * n, dtype=precision, stream=stream, step="Top-2 sort")
+    dist, top_idx = functional_topk(np.transpose(a, (1, 0, 2)).reshape(m, batch * n), k)
+
+    # Step 3: sqrt(const + A) in-register on the winners only.
+    device.elementwise(k * batch * n, dtype=precision, stream=stream, step="sqrt")
+    dist += np.float32(const)
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
+    if precision == "fp16":
+        dist /= np.float32(scale)
+
+    # Step 4: batched result gather.
+    device.d2h_result(n, batch=batch, k=k, dtype=precision, stream=stream)
+    return dist, top_idx.astype(np.int32)
+
+
 def knn_algorithm2(
     device: GPUDevice,
     references: np.ndarray,
@@ -83,48 +138,9 @@ def knn_algorithm2(
         raise ValueError(
             f"query {query.shape} does not match references {references.shape}"
         )
-    batch, d, m = references.shape
-    n = query.shape[1]
-    if not (1 <= k <= m):
-        raise ValueError(f"k={k} out of range for m={m}")
-
-    # Step 1: batched GEMM (one fused call => the Sec. 5 data reuse).
-    if precision == "fp16":
-        prod, overflow = batched_hgemm(
-            device, references, query, alpha=1.0, tensor_core=tensor_core, stream=stream
-        )
-        if overflow:
-            raise HalfPrecisionOverflowError(scale, float(np.abs(prod).max()))
-        a = -2.0 * prod
-        const = 2.0 * scale * scale
-    elif precision == "fp32":
-        device.gemm(m, n, d, batch=batch, dtype="fp32", stream=stream, step="GEMM")
-        a = -2.0 * np.einsum(
-            "bkm,kn->bmn",
-            references.astype(np.float32),
-            query.astype(np.float32),
-            optimize=True,
-        )
-        const = 2.0
-    else:
-        raise ValueError(f"precision must be 'fp16' or 'fp32', got {precision!r}")
-
-    # Step 2: one scan thread per (image, query-feature) column.
-    device.top2_scan(m, batch * n, dtype=precision, stream=stream, step="Top-2 sort")
-    columns = np.transpose(a, (1, 0, 2)).reshape(m, batch * n)
-    top_vals, top_idx = functional_topk(columns, k)
-
-    # Step 3: sqrt(const + A) in-register on the winners only.
-    device.elementwise(k * batch * n, dtype=precision, stream=stream, step="sqrt")
-    sq = top_vals + np.float32(const)
-    np.maximum(sq, 0.0, out=sq)
-    dist = np.sqrt(sq, dtype=np.float32)
-    if precision == "fp16":
-        dist /= np.float32(scale)
-
-    # Step 4: batched result gather.
-    device.d2h_result(n, batch=batch, k=k, dtype=precision, stream=stream)
-    distances = dist.reshape(k, batch, n).transpose(1, 0, 2)
-    indices = top_idx.reshape(k, batch, n).transpose(1, 0, 2).astype(np.int32)
-    return BatchKnnResult(distances=np.ascontiguousarray(distances),
-                          indices=np.ascontiguousarray(indices))
+    dist, idx = _knn_columns(device, references, query, scale, k, precision, tensor_core, stream)
+    shape = (k, references.shape[0], query.shape[1])
+    return BatchKnnResult(
+        distances=np.ascontiguousarray(dist.reshape(shape).transpose(1, 0, 2)),
+        indices=np.ascontiguousarray(idx.reshape(shape).transpose(1, 0, 2)),
+    )

@@ -21,7 +21,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..errors import HalfPrecisionOverflowError
 from ..gpusim.calibration import KernelCalibration
 from ..gpusim.device import DeviceSpec
 from ..gpusim.engine_model import GPUDevice
@@ -34,8 +33,7 @@ from ..gpusim.kernels import (
     top2_scan_us,
 )
 from ..gpusim.stream import Stream
-from .algorithm2 import BatchKnnResult
-from .topk import functional_topk
+from .algorithm2 import BatchKnnResult, _knn_columns
 
 __all__ = ["MultiQueryResult", "knn_algorithm2_multiquery", "QueryBatchPoint", "query_batch_tradeoff"]
 
@@ -87,53 +85,15 @@ def knn_algorithm2_multiquery(
             f"dimension mismatch: references d={references.shape[1]}, "
             f"queries d={queries.shape[1]}"
         )
-    batch, d, m = references.shape
+    batch, d = references.shape[:2]
     n_queries, _, n = queries.shape
-    if not (1 <= k <= m):
-        raise ValueError(f"k={k} out of range for m={m}")
-
     # Column-concatenate queries: (d, Q*n).
     q_all = np.transpose(queries, (1, 0, 2)).reshape(d, n_queries * n)
-
-    if precision == "fp16":
-        from ..blas.gemm import batched_hgemm
-
-        prod, overflow = batched_hgemm(
-            device, references, q_all, alpha=1.0, tensor_core=tensor_core, stream=stream
-        )
-        if overflow:
-            raise HalfPrecisionOverflowError(scale, float(np.abs(prod).max()))
-        a = -2.0 * prod
-        const = 2.0 * scale * scale
-    elif precision == "fp32":
-        device.gemm(m, n_queries * n, d, batch=batch, dtype="fp32", stream=stream, step="GEMM")
-        a = -2.0 * np.einsum(
-            "bkm,kn->bmn",
-            references.astype(np.float32),
-            q_all.astype(np.float32),
-            optimize=True,
-        )
-        const = 2.0
-    else:
-        raise ValueError(f"precision must be 'fp16' or 'fp32', got {precision!r}")
-
-    device.top2_scan(m, batch * n_queries * n, dtype=precision, stream=stream, step="Top-2 sort")
-    columns = np.transpose(a, (1, 0, 2)).reshape(m, batch * n_queries * n)
-    top_vals, top_idx = functional_topk(columns, k)
-
-    device.elementwise(k * batch * n_queries * n, dtype=precision, stream=stream, step="sqrt")
-    sq = top_vals + np.float32(const)
-    np.maximum(sq, 0.0, out=sq)
-    dist = np.sqrt(sq, dtype=np.float32)
-    if precision == "fp16":
-        dist /= np.float32(scale)
-
-    device.d2h_result(n_queries * n, batch=batch, k=k, dtype=precision, stream=stream)
-    distances = dist.reshape(k, batch, n_queries, n).transpose(1, 2, 0, 3)
-    indices = top_idx.reshape(k, batch, n_queries, n).transpose(1, 2, 0, 3).astype(np.int32)
+    dist, idx = _knn_columns(device, references, q_all, scale, k, precision, tensor_core, stream)
+    shape = (k, batch, n_queries, n)
     return MultiQueryResult(
-        distances=np.ascontiguousarray(distances),
-        indices=np.ascontiguousarray(indices),
+        distances=np.ascontiguousarray(dist.reshape(shape).transpose(1, 2, 0, 3)),
+        indices=np.ascontiguousarray(idx.reshape(shape).transpose(1, 2, 0, 3)),
     )
 
 

@@ -28,44 +28,53 @@ from ..gpusim.stream import Stream
 __all__ = ["top2_scan", "insertion_topk", "functional_topk"]
 
 
+def _stable_topk(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    idx = np.argsort(a, axis=0, kind="stable")[:k, :]
+    return np.take_along_axis(a, idx, axis=0), idx
+
+
 def functional_topk(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Smallest ``k`` values (and row indices) of each column of ``a``.
 
     Deterministic tie-breaking: ties resolve to the lower row index,
     matching what a sequential scan produces.  For k ≪ m the selection
-    runs in O(m) per column via ``np.argpartition`` instead of a full
-    sort; a raw partition alone breaks ties arbitrarily at the k-th
-    value boundary, so rows tied with the k-th smallest value are
-    re-selected by ascending row index before the final (k-sized) sort.
+    is Sec. 4.1's ``k`` running minima: one ``argmin`` pass per winner
+    (first occurrence = lower row), the winner masked with ``+inf``
+    before the next pass and every masked entry put back before
+    returning, so ``a`` is unchanged after the call (a read-only ``a``
+    is copied first).  Columns are scanned fastest when contiguous in
+    memory, i.e. when ``a`` is F-ordered.
     """
     a = np.asarray(a)
     if a.ndim != 2:
         raise ValueError(f"expected (m, columns), got shape {a.shape}")
-    m, _cols = a.shape
+    m, cols = a.shape
     if not (1 <= k <= m):
         raise ValueError(f"k={k} out of range for m={m}")
-    if 4 * k >= m:
-        # k is a sizable fraction of m: a stable full sort is both
-        # simpler and no slower.
-        idx = np.argsort(a, axis=0, kind="stable")[:k, :]
-        return np.take_along_axis(a, idx, axis=0), idx
-    # k << m fast path.  The k-th smallest value per column bounds the
-    # selection; rows strictly below it are always in, and the remaining
-    # slots go to the lowest-index rows *equal* to it.
-    thresh = np.partition(a, k - 1, axis=0)[k - 1 : k, :]
-    below = a < thresh
-    at_thresh = a == thresh
-    need = k - below.sum(axis=0)  # per column: at-threshold rows to keep
-    take_at = at_thresh & (np.cumsum(at_thresh, axis=0) <= need[None, :])
-    rows = np.arange(m)[:, None]
-    candidates = np.where(below | take_at, rows, m)  # m = "not selected" sentinel
-    sel = np.sort(np.partition(candidates, k - 1, axis=0)[:k, :], axis=0)
-    vals = np.take_along_axis(a, sel, axis=0)
-    # ascending row order in, stable sort by value out => among equal
-    # values the lower row index still comes first.
-    order = np.argsort(vals, axis=0, kind="stable")
-    idx = np.take_along_axis(sel, order, axis=0)
-    return np.take_along_axis(a, idx, axis=0), idx
+    if 4 * k >= m or a.dtype.kind != "f":
+        # k is a sizable fraction of m (a stable full sort is both
+        # simpler and no slower), or the dtype has no +inf to mask with.
+        return _stable_topk(a, k)
+    work = a if a.flags.writeable else a.copy()
+    col = np.arange(cols)
+    vals = np.empty((k, cols), dtype=a.dtype)
+    idx = np.empty((k, cols), dtype=np.intp)
+    found = 0
+    try:
+        for j in range(k):
+            np.argmin(work, axis=0, out=idx[j])
+            vals[j] = work[idx[j], col]
+            found = j + 1
+            work[idx[j], col] = np.inf
+    finally:
+        work[idx[:found], col] = vals[:found]
+    # A winner that is not < +inf is a NaN (argmin's first pick, a
+    # stable sort's last) or ties with the mask itself: those columns
+    # take the sort's order.
+    unordered = ~(vals < np.inf).all(axis=0)
+    if unordered.any():
+        vals[:, unordered], idx[:, unordered] = _stable_topk(a[:, unordered], k)
+    return vals, idx
 
 
 def top2_scan(
