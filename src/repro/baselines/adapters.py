@@ -145,8 +145,8 @@ class LshKernel(MatchKernel):
         descriptors = self._check_descriptors(descriptors)
         return pad_or_trim(descriptors, self.config.n)
 
-    def prepare_query(self, device, descriptors):
-        matrix = self.query_matrix(descriptors)
+    def prepare_query(self, device, query):
+        matrix = self.engine_matrix(query)
         return PreparedQuery(matrix=matrix, aux=self.codec.encode(matrix))
 
     def _codes_for(self, batch, index: int) -> np.ndarray:

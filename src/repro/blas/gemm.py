@@ -25,13 +25,11 @@ from typing import Optional
 
 import numpy as np
 
+from ..fp16.codec import FP16_MAX, is_nonneg_finite, round_trip_nonneg, upcast_nonneg
 from ..gpusim.engine_model import GPUDevice
 from ..gpusim.stream import Stream
 
 __all__ = ["sgemm", "hgemm", "batched_hgemm", "query_major_product", "FP16_MAX"]
-
-FP16_MAX = float(np.finfo(np.float16).max)  # 65504.0
-FP16_MIN_NORMAL = float(np.finfo(np.float16).smallest_normal)  # 2^-14
 
 
 def _as_2d(a: np.ndarray, name: str) -> np.ndarray:
@@ -72,22 +70,6 @@ def query_major_product(a32: np.ndarray, b32: np.ndarray) -> np.ndarray:
     return np.matmul(b32.T, a32).transpose(0, 2, 1)
 
 
-def _round_to_fp16(x: np.ndarray, nonneg: bool, hi: float) -> None:
-    """``x[...] = x.astype(float16).astype(float32)`` for an FP32 ``x``
-    whose maximum is ``hi``; ``nonneg`` promises no negative entry or -0.0.
-    When every entry is in [0, 2^-14) the whole array is FP16-subnormal,
-    where the fp32->fp16 conversion is ~24x slower than on normals; but
-    in [0.5, 1) fp32's ulp is 2^-24 — the subnormal grid — and 0.75 is an
-    even multiple of it, so adding 0.75 makes the fp32 adder perform the
-    same round-to-nearest-even and subtracting it again is exact.
-    """
-    if nonneg and hi < FP16_MIN_NORMAL:
-        x += np.float32(0.75)
-        x -= np.float32(0.75)
-    else:
-        x[...] = x.astype(np.float16)
-
-
 def _fp16_gemm(
     product, a: np.ndarray, b: np.ndarray, alpha: float, tensor_core: bool, store_fp16: bool
 ) -> tuple[np.ndarray, bool]:
@@ -97,15 +79,21 @@ def _fp16_gemm(
     HGEMM must treat ``overflowed=True`` outputs as saturated/invalid
     (the library raises, see :mod:`repro.fp16`).
     """
-    a32 = a.astype(np.float16, copy=False).astype(np.float32)
-    b32 = b.astype(np.float16, copy=False).astype(np.float32)
+    a = a.astype(np.float16, copy=False)
+    b = b.astype(np.float16, copy=False)
+    # One scan of the stored bits per operand: no sign bit anywhere means
+    # no negative product and no -0.0, and picks the codec over astype.
+    nonneg = is_nonneg_finite(a) and is_nonneg_finite(b)
+    if nonneg:
+        a32, b32 = upcast_nonneg(a), upcast_nonneg(b)
+    else:
+        a32, b32 = a.astype(np.float32), b.astype(np.float32)
     # What an FP32-accumulating engine produces; owned, so the rest is in place.
     exact = product(a32, b32)
     # fmin/fmax skip NaNs, so ``hi > x`` is ``np.any(exact > x)``.
     lo = np.fmin.reduce(exact, axis=None, initial=np.inf)
     hi = np.fmax.reduce(exact, axis=None, initial=-np.inf)
     unstorable = bool(hi > FP16_MAX or lo < -FP16_MAX)
-    nonneg = bool(a32.min(initial=0.0) >= 0 and b32.min(initial=0.0) >= 0)
     if tensor_core or nonneg:
         # FP32 accumulation: only the final store can overflow.  Non-negative
         # operands: partial sums are monotone, so the final value is the max.
@@ -120,7 +108,10 @@ def _fp16_gemm(
         # quantization for the d=128 sums used here.)
         if unstorable:
             np.clip(exact, -FP16_MAX, FP16_MAX, out=exact)
-        _round_to_fp16(exact, nonneg, hi)
+        if nonneg:  # no negative entry or -0.0: the codec's domain
+            round_trip_nonneg(exact, min(hi, FP16_MAX))
+        else:
+            exact[...] = exact.astype(np.float16)
     if alpha != 1.0:
         exact *= np.float32(alpha)
         if abs(alpha) != 1.0 and not tensor_core:

@@ -8,7 +8,7 @@ from .batching import BatchBuilder, ReferenceBatch
 from .config import DEFAULT_SCALE_FACTOR, EngineConfig
 from .engine import EngineStats, TextureSearchEngine
 from .identification import IdentificationDecision, IdentificationPipeline
-from .kernels import MatchKernel, PreparedQuery
+from .kernels import MatchKernel, PreparedQuery, QueryMatrix, ReferenceMatrix
 from .query_batching import (
     MultiQueryResult,
     QueryBatchPoint,
@@ -45,6 +45,8 @@ __all__ = [
     "PreparedFeatures",
     "PreparedQuery",
     "QueryBatchPoint",
+    "QueryMatrix",
+    "ReferenceMatrix",
     "ReferenceBatch",
     "SearchResult",
     "TextureSearchEngine",

@@ -34,7 +34,9 @@ from ..gpusim.stream import Stream
 from .results import KnnResult
 from .topk import functional_topk
 
-__all__ = ["PreparedFeatures", "prepare_reference", "prepare_query", "knn_algorithm1"]
+__all__ = [
+    "PreparedFeatures", "prepare_reference", "prepare_query", "upload_query", "knn_algorithm1",
+]
 
 
 @dataclass
@@ -65,36 +67,43 @@ class PreparedFeatures:
         return self.values.nbytes + self.norms.nbytes
 
 
-def _prepare(
-    features: np.ndarray,
-    precision: str,
-    scale: float,
-    device: Optional[GPUDevice],
-    stream: Optional[Stream],
-    charge: bool,
-) -> PreparedFeatures:
+def _stored(features: np.ndarray, precision: str, scale: float) -> np.ndarray:
+    """``(d, count)`` FP32 features in engine precision (FP16: pre-scaled)."""
     features = np.asarray(features, dtype=np.float32)
     if features.ndim != 2:
         raise ValueError(f"features must be (d, count), got {features.shape}")
     if precision == "fp16":
-        stored = to_scaled_fp16(features, scale)
-        if charge and device is not None:
-            norms, overflow = squared_norms_fp16(device, stored.values, stream=stream)
+        return to_scaled_fp16(features, scale).values
+    if precision == "fp32":
+        return features
+    raise ValueError(f"precision must be 'fp16' or 'fp32', got {precision!r}")
+
+
+def _with_norms(
+    values: np.ndarray,
+    precision: str,
+    scale: float,
+    device: Optional[GPUDevice],
+    stream: Optional[Stream],
+) -> PreparedFeatures:
+    """Attach the squared norms of *stored* values — computed on
+    ``device`` and charged when one is given, offline otherwise."""
+    if precision == "fp16":
+        if device is not None:
+            norms, overflow = squared_norms_fp16(device, values, stream=stream)
         else:
-            v = stored.values.astype(np.float32)
+            v = values.astype(np.float32)
             norms = np.einsum("dc,dc->c", v, v)
             overflow = bool(np.any(norms > FP16_MAX))
             norms = np.clip(norms, 0, FP16_MAX).astype(np.float16).astype(np.float32)
         if overflow:
             raise HalfPrecisionOverflowError(scale, float(norms.max()))
-        return PreparedFeatures(stored.values, norms, "fp16", scale)
-    if precision == "fp32":
-        if charge and device is not None:
-            norms = squared_norms(device, features, stream=stream)
-        else:
-            norms = np.einsum("dc,dc->c", features, features)
-        return PreparedFeatures(features, norms.astype(np.float32), "fp32", 1.0)
-    raise ValueError(f"precision must be 'fp16' or 'fp32', got {precision!r}")
+        return PreparedFeatures(values, norms, "fp16", scale)
+    if device is not None:
+        norms = squared_norms(device, values, stream=stream)
+    else:
+        norms = np.einsum("dc,dc->c", values, values)
+    return PreparedFeatures(values, norms.astype(np.float32), "fp32", 1.0)
 
 
 def prepare_reference(
@@ -107,7 +116,22 @@ def prepare_reference(
     Never charged to the device: the paper computes all reference
     matrices and their ``N_R`` vectors ahead of time (Sec. 4.1).
     """
-    return _prepare(features, precision, scale, device=None, stream=None, charge=False)
+    return _with_norms(_stored(features, precision, scale), precision, scale, None, None)
+
+
+def upload_query(
+    device: GPUDevice,
+    values: np.ndarray,
+    precision: str = "fp16",
+    scale: float = 1.0,
+    stream: Optional[Stream] = None,
+) -> PreparedFeatures:
+    """The device-side half of query preparation, for a matrix already in
+    engine precision: it moves to the GPU and ``N_Q`` is computed there
+    (step 2); both are charged."""
+    elem = 2 if precision == "fp16" else 4
+    device.h2d(values.shape[0] * values.shape[1] * elem, stream=stream, step="query H2D")
+    return _with_norms(values, precision, scale, device, stream)
 
 
 def prepare_query(
@@ -117,12 +141,9 @@ def prepare_query(
     scale: float = 1.0,
     stream: Optional[Stream] = None,
 ) -> PreparedFeatures:
-    """Query preparation: features move to the GPU and ``N_Q`` is
-    computed there (step 2); both are charged."""
-    features = np.asarray(features, dtype=np.float32)
-    elem = 2 if precision == "fp16" else 4
-    device.h2d(features.shape[0] * features.shape[1] * elem, stream=stream, step="query H2D")
-    return _prepare(features, precision, scale, device=device, stream=stream, charge=True)
+    """Query preparation from FP32 features: quantise on the host, then
+    :func:`upload_query`."""
+    return upload_query(device, _stored(features, precision, scale), precision, scale, stream)
 
 
 def knn_algorithm1(

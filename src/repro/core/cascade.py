@@ -156,8 +156,8 @@ class CascadeKernel(Algorithm1Kernel):
     def reference_aux(self, matrix: np.ndarray) -> np.ndarray:
         return self._encode(matrix)
 
-    def prepare_query(self, device: GPUDevice, descriptors: np.ndarray) -> PreparedQuery:
-        prepared = super().prepare_query(device, descriptors)
+    def prepare_query(self, device: GPUDevice, query) -> PreparedQuery:
+        prepared = super().prepare_query(device, query)
         return PreparedQuery(
             matrix=prepared.matrix,
             aux=_CascadeQuery(

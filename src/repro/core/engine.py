@@ -39,7 +39,7 @@ from ..obs import current_deadline, default_registry, default_tracer
 from ..pipeline.scheduler import plan_streams
 from .batching import BatchBuilder, ReferenceBatch
 from .config import EngineConfig
-from .kernels import MatchKernel, PreparedQuery
+from .kernels import MatchKernel, PreparedQuery, QueryMatrix, ReferenceMatrix
 from .registry import create_kernel
 from .results import GroupSearchResult, ImageMatch, SearchResult
 
@@ -221,22 +221,19 @@ class TextureSearchEngine:
         """
         return self.kernel.prepare_reference(descriptors)
 
-    def add_reference(self, ref_id: str, descriptors: np.ndarray) -> None:
-        """Enrol one reference image's descriptors into the cache.
+    def add_reference(self, ref_id: str, descriptors: np.ndarray | ReferenceMatrix) -> None:
+        """Enrol one reference image's descriptors into the cache — raw,
+        or a :class:`~repro.core.kernels.ReferenceMatrix` some tier in
+        front already prepared (the cluster does, once for all replicas).
 
         Re-adding an existing id is an *update*: the old slot is
         tombstoned and the new matrix appended.
         """
-        ref_id = str(ref_id)
-        if ref_id in self._locations:
-            self.remove_reference(ref_id)
-        matrix, norms = self.prepare_reference_matrix(descriptors)
-        aux = self.kernel.reference_aux(matrix) if self.kernel.needs_aux else None
-        self._locations[ref_id] = (None, self._builder.pending)
-        flushed = self._builder.add(ref_id, matrix, norms, aux)
-        if flushed is not None:
-            self._seal(flushed)
-        self.stats.references += 1
+        if isinstance(descriptors, ReferenceMatrix):
+            matrix, norms = descriptors.matrix, descriptors.norms
+        else:
+            matrix, norms = self.prepare_reference_matrix(descriptors)
+        self.add_prepared_reference(ref_id, matrix, norms)
 
     def _seal(self, batch: ReferenceBatch) -> None:
         """Install a completed batch and repoint its slots' locations.
@@ -381,14 +378,6 @@ class TextureSearchEngine:
     def capacity_images(self) -> int:
         """The paper's capacity metric for this engine's configuration."""
         return self.cache.capacity_images(self.config.feature_matrix_bytes())
-
-    # ------------------------------------------------------------------
-    # query preparation
-    # ------------------------------------------------------------------
-    def prepare_query_matrix(self, descriptors: np.ndarray) -> np.ndarray:
-        """Shape/normalise/quantise one query descriptor matrix to
-        ``(d, n)`` engine precision (pure transform, never charged)."""
-        return self.kernel.query_matrix(descriptors)
 
     # ------------------------------------------------------------------
     # the cache-sweep executor
@@ -621,7 +610,7 @@ class TextureSearchEngine:
     # ------------------------------------------------------------------
     def search(
         self,
-        query_descriptors: np.ndarray,
+        query_descriptors: np.ndarray | QueryMatrix,
         keep_masks: bool = False,
         candidate_ids: set[str] | frozenset[str] | None = None,
     ) -> SearchResult:
@@ -633,7 +622,7 @@ class TextureSearchEngine:
 
     def search_group(
         self,
-        query_descriptor_list: list[np.ndarray],
+        query_descriptor_list: list[np.ndarray | QueryMatrix],
         keep_masks: bool = False,
         candidate_ids: set[str] | frozenset[str] | None = None,
     ) -> GroupSearchResult:
@@ -649,7 +638,11 @@ class TextureSearchEngine:
         (the latency cost the paper warns about — quantified by the
         ``serving`` bench experiment).
 
-        A group of one is prepared by the kernel's single-query path
+        Each member is raw ``(d, count)`` descriptors or a
+        :class:`~repro.core.kernels.QueryMatrix` some tier in front
+        already prepared (the cluster does, once per request); either
+        way the device-side preparation is charged here.  A group of
+        one is prepared by the kernel's single-query path
         (any backend; a cascade prefilter stays active); two or more
         need a multi-query backend (the RootSIFT Algorithm-2 pipeline).
         Both give the same matches and simulated time for one query, so

@@ -28,7 +28,7 @@ from ..features.rootsift import l2_normalize, rootsift
 from ..features.selection import pad_or_trim
 from ..fp16.convert import FP16_MAX, to_scaled_fp16
 from ..gpusim.engine_model import GPUDevice
-from .algorithm1 import PreparedFeatures, knn_algorithm1, prepare_query, prepare_reference
+from .algorithm1 import PreparedFeatures, knn_algorithm1, prepare_reference, upload_query
 from .algorithm2 import knn_algorithm2
 from .batching import ReferenceBatch
 from .ratio_test import batch_ratio_test_masks, match_images, match_images_batch
@@ -42,7 +42,32 @@ __all__ = [
     "Algorithm2Kernel",
     "MatchKernel",
     "PreparedQuery",
+    "QueryMatrix",
+    "ReferenceMatrix",
 ]
+
+
+@dataclass(frozen=True)
+class QueryMatrix:
+    """The output of :meth:`MatchKernel.query_matrix`, marked as such.
+
+    A tier that prepares a query once for many engines (the cluster's
+    web tier, Fig. 6) hands each of them this in place of the raw
+    descriptors; the engine then does only its device-side share of the
+    preparation.  Must come from a kernel of the same configuration.
+    """
+
+    matrix: np.ndarray
+
+
+@dataclass(frozen=True)
+class ReferenceMatrix:
+    """The enrolment-side twin of :class:`QueryMatrix`: the output of
+    :meth:`MatchKernel.prepare_reference`, one preparation for every
+    replica that enrols it (``TextureSearchEngine.add_reference``)."""
+
+    matrix: np.ndarray
+    norms: np.ndarray | None = None
 
 
 @dataclass
@@ -191,13 +216,20 @@ class MatchKernel(ABC):
         """Pure transform of ``(d, count)`` descriptors to the
         ``(d, n)`` engine-precision query matrix (never charged)."""
 
-    def prepare_query(self, device: GPUDevice, descriptors: np.ndarray) -> PreparedQuery:
+    def engine_matrix(self, query: np.ndarray | QueryMatrix) -> np.ndarray:
+        """The engine-precision matrix of one query: carried by a
+        :class:`QueryMatrix`, computed here from raw descriptors."""
+        if isinstance(query, QueryMatrix):
+            return query.matrix
+        return self.query_matrix(query)
+
+    def prepare_query(self, device: GPUDevice, query: np.ndarray | QueryMatrix) -> PreparedQuery:
         """Full query preparation, charging the device where the paper
         does (e.g. Algorithm 1's query H2D + ``N_Q``)."""
-        return PreparedQuery(matrix=self.query_matrix(descriptors))
+        return PreparedQuery(matrix=self.engine_matrix(query))
 
     def prepare_query_many(
-        self, device: GPUDevice, descriptor_list: list[np.ndarray]
+        self, device: GPUDevice, queries: list[np.ndarray | QueryMatrix]
     ) -> PreparedQuery:
         """Prepare a query *group* for a multi-query sweep."""
         raise ValueError(
@@ -263,10 +295,8 @@ class Algorithm2Kernel(MatchKernel):
         matrix = pad_or_trim(self._unit_normalize(descriptors), cfg.n)
         return self._to_engine_precision(matrix)
 
-    def prepare_query_many(self, device, descriptor_list):
-        return PreparedQuery(
-            matrix=np.stack([self.query_matrix(q) for q in descriptor_list])
-        )
+    def prepare_query_many(self, device, queries):
+        return PreparedQuery(matrix=np.stack([self.engine_matrix(q) for q in queries]))
 
     def match_batch(self, device, batch, query, keep_masks=False):
         cfg = self.config
@@ -364,14 +394,10 @@ class Algorithm1Kernel(MatchKernel):
         descriptors = self._check_descriptors(descriptors)
         return self._to_engine_precision(pad_or_trim(descriptors, cfg.n))
 
-    def prepare_query(self, device, descriptors):
+    def prepare_query(self, device, query):
         cfg = self.config
-        descriptors = self._check_descriptors(descriptors)
-        features = prepare_query(
-            device,
-            pad_or_trim(descriptors, cfg.n),
-            cfg.precision,
-            cfg.effective_scale,
+        features = upload_query(
+            device, self.engine_matrix(query), cfg.precision, cfg.effective_scale
         )
         return PreparedQuery(matrix=features.values, aux=features)
 

@@ -21,10 +21,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.config import EngineConfig
+from ..core.kernels import QueryMatrix, ReferenceMatrix
+from ..core.registry import create_kernel
 from ..core.results import ImageMatch, SearchResult
 from ..errors import (
     ClusterError,
     DegradedClusterError,
+    HalfPrecisionOverflowError,
+    InvalidDescriptorsError,
     NodeDownError,
     TransientNodeError,
 )
@@ -384,6 +388,10 @@ class DistributedSearchSystem:
         if replication_factor < 1:
             raise ClusterError("replication_factor must be >= 1")
         self.engine_config = engine_config or EngineConfig(m=384, n=768)
+        #: the web tier's feature preparation (Fig. 6): the host-side,
+        #: never-charged transforms run here once per request; the GPU
+        #: containers behind it only match.
+        self._kernel = create_kernel(self.engine_config)
         self.store = store or KVStore()
         #: durable per-shard epoch marks + deletion tombstones (the
         #: epoched-corpus contract lives in the KV store, like the
@@ -520,15 +528,33 @@ class DistributedSearchSystem:
                 continue
             op(node)
 
+    def _prepared(self, transform, descriptors: np.ndarray):
+        """One of the kernel's host-side transforms of client-supplied
+        descriptors; what it rejects is the client's error, raised before
+        the request has touched anything."""
+        try:
+            return transform(descriptors)
+        except (ValueError, HalfPrecisionOverflowError) as exc:
+            raise InvalidDescriptorsError(str(exc)) from exc
+
     def add(self, ref_id: str, descriptors: np.ndarray) -> str:
         """Enrol a reference; returns the shard that owns it.
 
         The raw descriptors are also persisted in the KV store (the
         system of record) so containers can re-hydrate after restarts.
         Every replica of the owning shard observes the mutation, so the
-        group's ``corpus_epoch`` advances in lockstep.
+        group's ``corpus_epoch`` advances in lockstep — from one
+        preparation, made here ahead of the write: descriptors the
+        backend cannot prepare raise
+        :class:`~repro.errors.InvalidDescriptorsError` with nothing
+        written.
         """
-        ref_id = str(ref_id)
+        prepared = self._prepared(self._kernel.prepare_reference, descriptors)
+        return self._commit_add(str(ref_id), descriptors, ReferenceMatrix(*prepared))
+
+    def _commit_add(self, ref_id: str, descriptors: np.ndarray, prepared: ReferenceMatrix) -> str:
+        """:meth:`add` past preparation: the durable write of the raw
+        descriptors, then ``prepared`` to every replica."""
         record = FeatureRecord(
             ref_id=ref_id,
             matrix=np.asarray(descriptors, dtype=np.float32),
@@ -541,7 +567,7 @@ class DistributedSearchSystem:
         else:
             group = self._group_for_shard(self.placement.place(ref_id))
             self._placement[ref_id] = group.shard_id
-        self._mutate_group(group, lambda node: node.add(ref_id, descriptors))
+        self._mutate_group(group, lambda node: node.add(ref_id, prepared))
         self.store.hset("placement", ref_id, group.shard_id.encode())
         # the blob supersedes any earlier delete of this id; clearing
         # the tombstone makes re-enrollment a fresh logical record
@@ -565,6 +591,7 @@ class DistributedSearchSystem:
         """
         ref_id = str(ref_id)
         with _TRACER.span("enroll", layer="cluster", ref=ref_id, op="enroll") as span:
+            prepared = self._prepared(self._kernel.prepare_reference, descriptors)
             updated = ref_id in self._placement
             # peek, don't place: the gate must run against the shard
             # add() will commit to, and round-robin's place() consumes
@@ -577,7 +604,7 @@ class DistributedSearchSystem:
             # fails the enrollment before anything is persisted
             for replica in group.active():
                 replica._gate()
-            shard_id = self.add(ref_id, descriptors)
+            shard_id = self._commit_add(ref_id, descriptors, ReferenceMatrix(*prepared))
             epoch = self.epochs.get(shard_id)
             count_op("update" if updated else "enroll")
             if span is not None:
@@ -890,7 +917,7 @@ class DistributedSearchSystem:
     def _attempt_with_retry(
         self,
         node: SearchNode,
-        queries: list[np.ndarray],
+        queries: list[QueryMatrix],
         candidates: frozenset[str] | None,
     ) -> tuple[list[SearchResult] | None, float, int]:
         """Search one query slice on one node under the retry policy.
@@ -1007,6 +1034,10 @@ class DistributedSearchSystem:
         during the gather are failed over afterwards.
         """
         n_queries = len(queries)
+        # prepared here once, not once per shard; the router keeps the raw
+        prepared = [
+            QueryMatrix(self._prepared(self._kernel.query_matrix, q)) for q in queries
+        ]
         merged = [
             ClusterSearchResult(matches=[], per_node={}, elapsed_us=0.0, images_searched=0)
             for _ in range(n_queries)
@@ -1036,7 +1067,7 @@ class DistributedSearchSystem:
             def attempt(replica: SearchNode, indices):  # runs inside read() below
                 with fanout.branch():
                     return self._attempt_with_retry(
-                        replica, [queries[i] for i in indices], candidates
+                        replica, [prepared[i] for i in indices], candidates
                     )
 
             answers, shard_us, shard_retries = group.read(

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..core.config import EngineConfig
 from ..core.engine import TextureSearchEngine
+from ..core.kernels import QueryMatrix, ReferenceMatrix
 from ..core.results import SearchResult
 from ..errors import NodeDownError, TransientNodeError
 from ..gpusim.device import DeviceSpec, TESLA_P100
@@ -118,7 +119,7 @@ class SearchNode:
             raise
 
     # ------------------------------------------------------------------
-    def add(self, ref_id: str, descriptors: np.ndarray) -> None:
+    def add(self, ref_id: str, descriptors: np.ndarray | ReferenceMatrix) -> None:
         self.engine.add_reference(ref_id, descriptors)
         self.epoch += 1
 
@@ -154,7 +155,7 @@ class SearchNode:
 
     def search(
         self,
-        query_descriptors: np.ndarray,
+        query_descriptors: np.ndarray | QueryMatrix,
         candidate_ids: set[str] | frozenset[str] | None = None,
     ) -> SearchResult:
         """One shard's sweep for one query: a group of one."""
@@ -162,11 +163,12 @@ class SearchNode:
 
     def search_many(
         self,
-        query_descriptor_list: list[np.ndarray],
+        query_descriptor_list: list[np.ndarray | QueryMatrix],
         candidate_ids: set[str] | frozenset[str] | None = None,
     ) -> list[SearchResult]:
         """One shard's sweep for a query group — the node's read entry:
         one RPC, one fault/health gate and one engine sweep per group.
+        Members are raw descriptors or the cluster's prepared matrices.
         ``candidate_ids`` restricts the sweep to a routing tier's
         nominees (see :meth:`TextureSearchEngine.search_group`)."""
         with _TRACER.span(

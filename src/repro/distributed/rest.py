@@ -30,7 +30,10 @@ mutating anything, and deletes are idempotent (a tombstone is written
 even for unknown ids so stale blobs can never resurrect).
 
 Descriptor payloads are ``(d, count)`` nested lists (what a JSON body
-would carry).  No sockets are involved — the web tier of the paper's
+would carry); a well-formed payload the backend cannot prepare (a
+negative entry under RootSIFT, FP16 overflow at the configured scale)
+answers 400 on every route that takes one, with nothing written, routed
+or fanned out.  No sockets are involved — the web tier of the paper's
 Fig. 6 is reproduced as a deterministic, testable dispatch layer.
 """
 
@@ -45,6 +48,7 @@ import numpy as np
 
 from ..errors import (
     DegradedClusterError,
+    InvalidDescriptorsError,
     NodeDownError,
     RestError,
     TransientNodeError,
@@ -109,6 +113,8 @@ class Router:
                 return fn(request, **match.groupdict())
             except RestError as exc:
                 return Response(exc.status, {"error": str(exc)})
+            except InvalidDescriptorsError as exc:  # rejected before any side effect
+                return Response(400, {"error": str(exc)})
         if matched_path:
             return Response(405, {"error": f"method {request.method} not allowed"})
         return Response(404, {"error": f"no route for {request.path}"})

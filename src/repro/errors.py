@@ -135,6 +135,13 @@ class DegradedClusterError(ClusterError):
         )
 
 
+class InvalidDescriptorsError(ClusterError, ValueError):
+    """Descriptors the configured backend cannot prepare (wrong shape, a
+    negative entry under RootSIFT, FP16 overflow at the configured
+    scale).  The cluster raises it before anything is routed, written or
+    fanned out, so the request has had no effect."""
+
+
 class RestError(ReproError):
     """Raised by the REST layer; carries an HTTP-like status code."""
 

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import HalfPrecisionOverflowError
+from .codec import FP16_MAX
 
 __all__ = ["FP16_MAX", "ScaledFP16", "to_scaled_fp16", "check_matmul_overflow"]
-
-FP16_MAX = float(np.finfo(np.float16).max)
 
 
 @dataclass(frozen=True)

@@ -247,3 +247,301 @@ class TestRestApi:
         assert stats.status == 200
         assert stats.body["references"] == 1
         assert len(stats.body["nodes"]) == 2
+
+
+# -- one query preparation per request (PR 14) ------------------------------
+
+
+def twin_clusters(n_nodes, config, refs, **kwargs):
+    """Two clusters in the same state: one to ask, one whose engines
+    answer the raw descriptors themselves (a search advances a node's
+    simulated clock, so the reference must come from an untouched twin)."""
+    pair = []
+    for _ in range(2):
+        system = DistributedSearchSystem(n_nodes, config, **kwargs)
+        for ref_id, d in refs.items():
+            system.add(ref_id, d)
+        pair.append(system)
+    return pair
+
+
+def image_matches(matches):
+    return [(m.reference_id, m.good_matches, m.score) for m in matches]
+
+
+def assert_assembled_from_the_nodes(got, per_shard, system):
+    """``got`` (one query's cluster answer) is exactly what each node's
+    own engine said about the raw descriptors, put together."""
+    from repro.distributed import WEB_TIER_OVERHEAD_US
+
+    assert list(got.per_node) == list(per_shard)
+    matches = []
+    for shard_id, want in per_shard.items():
+        mine = got.per_node[shard_id]
+        assert image_matches(mine.matches) == image_matches(want.matches)
+        assert mine.elapsed_us == want.elapsed_us
+        assert mine.images_searched == want.images_searched
+        matches.extend(want.matches)
+    assert image_matches(got.matches) == image_matches(matches)
+    assert [m.good_matches for m in got.matches] == [m.good_matches for m in matches]
+    assert got.elapsed_us == max(r.elapsed_us for r in per_shard.values()) + WEB_TIER_OVERHEAD_US
+    assert got.corpus_epoch == {g.shard_id: g.epoch for g in system.groups.values()}
+
+
+class TestPreparedOncePerRequest:
+    REFS = {f"r{i}": make_descriptors(32, seed=400 + i) for i in range(28)}
+
+    def test_fourteen_shard_search_is_each_nodes_own_raw_answer(self):
+        asked, twin = twin_clusters(14, CFG, self.REFS)
+        query = noisy_copy(self.REFS["r9"], 8.0, seed=3)
+        got = asked.search(query)
+        per_shard = {n.node_id: n.engine.search(query) for n in twin.nodes}
+        assert got.best().reference_id == "r9" and len(got.per_node) == 14
+        assert_assembled_from_the_nodes(got, per_shard, asked)
+
+    def test_fused_group_is_each_nodes_own_raw_group_answer(self):
+        asked, twin = twin_clusters(14, CFG, self.REFS)
+        queries = [noisy_copy(self.REFS[f"r{i}"], 8.0, seed=i) for i in (2, 11, 20)]
+        got = asked.search_group(queries)
+        groups = {n.node_id: n.engine.search_group(queries).results for n in twin.nodes}
+        assert [r.best().reference_id for r in got.results] == ["r2", "r11", "r20"]
+        for q, result in enumerate(got.results):
+            per_shard = {shard: results[q] for shard, results in groups.items()}
+            assert_assembled_from_the_nodes(result, per_shard, asked)
+        assert got.corpus_epoch == got.results[0].corpus_epoch
+
+    @pytest.fixture
+    def prep_calls(self, monkeypatch):
+        from repro.core.kernels import Algorithm2Kernel
+
+        calls = []
+        real = Algorithm2Kernel.query_matrix
+
+        def counting(kernel, descriptors):
+            calls.append(descriptors)
+            return real(kernel, descriptors)
+
+        monkeypatch.setattr(Algorithm2Kernel, "query_matrix", counting)
+        return calls
+
+    @pytest.mark.parametrize("replication_factor", [1, 2])
+    @pytest.mark.parametrize("routed", [False, True])
+    def test_one_preparation_per_query_per_request(self, prep_calls, routed, replication_factor):
+        from repro.routing import RouterPolicy
+
+        policy = RouterPolicy(kind="ivf", n_lists=4) if routed else None
+        system = DistributedSearchSystem(
+            4, CFG, router_policy=policy, replication_factor=replication_factor
+        )
+        for ref_id, d in self.REFS.items():
+            system.add(ref_id, d)
+        queries = [noisy_copy(self.REFS[f"r{i}"], 8.0, seed=i) for i in (1, 5, 7)]
+        del prep_calls[:]
+        assert system.search(queries[0]).best().reference_id == "r1"
+        assert len(prep_calls) == 1 and prep_calls[0] is queries[0]
+        del prep_calls[:]
+        group = system.search_group(queries)
+        assert [r.best().reference_id for r in group.results] == ["r1", "r5", "r7"]
+        assert len(prep_calls) == 3 and all(a is b for a, b in zip(prep_calls, queries))
+
+    class _Scripted:
+        """A fault injector that plays a fixed script for one node."""
+
+        def __init__(self, node_id, script):
+            self.node_id, self.script = node_id, list(script)
+
+        def is_crashed(self, node_id):
+            return False
+
+        def on_node_op(self, node_id):
+            from repro.errors import TransientNodeError
+
+            step = self.script.pop(0) if node_id == self.node_id and self.script else 1.0
+            if step == "transient":
+                raise TransientNodeError(node_id)
+            return step
+
+    def test_a_sibling_retry_reuses_the_prepared_query(self, prep_calls):
+        from repro.distributed import RetryPolicy
+
+        system = DistributedSearchSystem(
+            2, CFG, replication_factor=2, retry_policy=RetryPolicy(max_attempts=1)
+        )
+        for ref_id, d in self.REFS.items():
+            system.add(ref_id, d)
+        system.poll_lifecycle()
+        first_reader = system.groups["gpu-00"].readers(None)[0]
+        system.groups["gpu-00"]._cursor -= 1  # readers() advanced the rotation
+        first_reader.fault_injector = self._Scripted(first_reader.node_id, ["transient"])
+        del prep_calls[:]
+        got = system.search(noisy_copy(self.REFS["r4"], 8.0, seed=4))
+        assert got.best().reference_id == "r4" and not got.partial
+        assert first_reader.health.total_failures == 1  # the sibling answered
+        assert len(prep_calls) == 1
+
+    def test_a_timeout_and_retry_on_one_node_reuses_the_prepared_query(self, prep_calls):
+        from repro.distributed import RetryPolicy
+
+        system = DistributedSearchSystem(
+            2, CFG, retry_policy=RetryPolicy(max_attempts=2, timeout_us=100_000.0)
+        )
+        for ref_id, d in self.REFS.items():
+            system.add(ref_id, d)
+        system.nodes[0].fault_injector = self._Scripted("gpu-00", [1e6])  # slow once
+        del prep_calls[:]
+        got = system.search(noisy_copy(self.REFS["r4"], 8.0, seed=4))
+        assert got.best().reference_id == "r4" and got.retries == 1 and not got.partial
+        assert len(prep_calls) == 1
+
+    @pytest.mark.parametrize("backend", ["algorithm2", "algorithm1"])
+    def test_an_enrolment_prepares_the_reference_once_for_every_replica(self, backend, monkeypatch):
+        from repro.core import TextureSearchEngine
+        from repro.core.registry import kernel_class
+
+        config = CFG.with_updates(backend=backend)
+        kernel = kernel_class(backend)
+        calls = []
+        real = kernel.prepare_reference
+        monkeypatch.setattr(
+            kernel, "prepare_reference", lambda k, d: (calls.append(1), real(k, d))[1]
+        )
+        entered = []  # the replica-side entry points (the ones perfbench's tracer wraps)
+        for owner, name in ((SearchNode, "add"), (TextureSearchEngine, "add_reference")):
+            inner = getattr(owner, name)
+            monkeypatch.setattr(
+                owner, name, lambda *a, _i=inner, _n=name: (entered.append(_n), _i(*a))[1]
+            )
+        system = DistributedSearchSystem(2, config, replication_factor=2)
+        system.add("r0", self.REFS["r0"])
+        system.enroll("r1", self.REFS["r1"])
+        system.enroll("r0", self.REFS["r2"])  # an update
+        assert len(calls) == 3  # not 3 mutations x 2 replicas
+        assert entered == ["add", "add_reference"] * 6  # every replica, through the same door
+        alone = TextureSearchEngine(config)  # what a node given the raw descriptors stores
+        alone.add_reference("r0", self.REFS["r2"])
+        want = alone.export_records()[0].matrix
+        group = system.groups["gpu-00"]
+        assert len(group.nodes) == 2 and [n.epoch for n in group.nodes] == [2, 2]
+        for node in group.nodes:
+            (record,) = node.engine.export_records()
+            assert record.ref_id == "r0" and record.matrix.dtype == want.dtype
+            assert np.array_equal(record.matrix.view(np.uint16), want.view(np.uint16))
+        query = noisy_copy(self.REFS["r2"], 8.0, seed=2)
+        assert group.nodes[1].search(query).matches[0].good_matches == (
+            alone.search(query).matches[0].good_matches
+        )
+
+    @pytest.mark.parametrize("backend", ["algorithm1", "cascade", "garcia", "opencv", "lsh"])
+    def test_other_backends_answer_through_the_cluster_unchanged(self, backend):
+        config = EngineConfig(
+            m=32, n=32, batch_size=2, min_matches=5, backend=backend, precision="fp32"
+        )
+        refs = {k: self.REFS[k] for k in list(self.REFS)[:9]}
+        asked, twin = twin_clusters(3, config, refs)
+        query = noisy_copy(refs["r4"], 8.0, seed=5)
+        got = asked.search(query)
+        per_shard = {n.node_id: n.engine.search(query) for n in twin.nodes}
+        assert got.best().reference_id == "r4"
+        assert_assembled_from_the_nodes(got, per_shard, asked)
+        for mine, theirs in zip(asked.nodes, twin.nodes):  # per-node simulated charges
+            assert mine.engine.device.profiler.as_dict() == theirs.engine.device.profiler.as_dict()
+            assert mine.engine.stats.step_times_us == theirs.engine.stats.step_times_us
+
+    def test_fp16_algorithm1_still_charges_its_query_upload_on_every_node(self):
+        config = EngineConfig(
+            m=32, n=32, batch_size=2, min_matches=5, backend="algorithm1", scale_factor=0.25
+        )
+        refs = {k: self.REFS[k] for k in list(self.REFS)[:6]}
+        asked, twin = twin_clusters(3, config, refs)
+        query = noisy_copy(refs["r2"], 8.0, seed=6)
+        got = asked.search(query)
+        per_shard = {n.node_id: n.search(query) for n in twin.nodes}
+        assert_assembled_from_the_nodes(got, per_shard, asked)
+        for mine, theirs in zip(asked.nodes, twin.nodes):
+            steps = mine.engine.device.profiler.as_dict()
+            assert steps["query H2D"] > 0 and steps == theirs.engine.device.profiler.as_dict()
+
+
+class TestUnpreparableDescriptorsAreTheClientsError:
+    """One finite negative entry (RootSIFT rejects it) or one entry that
+    overflows FP16 at the configured scale: 400 on every route that takes
+    descriptors, and the request has touched nothing."""
+
+    def _system(self, backend="algorithm2"):
+        from repro.distributed import BreakerPolicy, FaultInjector, WebTier
+
+        injector = FaultInjector(seed=3)
+        config = CFG.with_updates(backend=backend)
+        system = DistributedSearchSystem(
+            2, config, replication_factor=2, fault_injector=injector,
+            breaker_policy=BreakerPolicy(),
+        )
+        descs = descriptors(4)
+        for i, d in descs.items():
+            system.add(f"r{i}", d)
+        system.poll_lifecycle()
+        return system, WebTier(system, n_workers=2), descs
+
+    @staticmethod
+    def _state(system):
+        return {
+            "kv": system.store.dump(),
+            "references": system.n_references,
+            "placement": dict(system._placement),
+            "cursors": {s: g._cursor for s, g in system.groups.items()},
+            "epochs": {n.node_id: n.epoch for n in system.nodes},
+            "durable_epochs": {s: system.epochs.get(s) for s in system.groups},
+            "breakers": {n.node_id: (n.breaker.state, n.breaker.snapshot()) for n in system.nodes},
+            "fault_ops": dict(system.fault_injector._op_counts),
+            "health": {n.node_id: n.health.snapshot() for n in system.nodes},
+            "searches": {n.node_id: n.engine.stats.searches for n in system.nodes},
+        }
+
+    def _requests(self, good, bad):
+        return [
+            Request("POST", "/search", {"descriptors": bad}),
+            Request("POST", "/search/batch", {"queries": [good, bad]}),
+            Request("POST", "/enroll", {"id": "new", "descriptors": bad}),
+            Request("POST", "/textures", {"id": "new", "descriptors": bad}),
+            Request("PUT", "/textures/r1", {"descriptors": bad}),
+        ]
+
+    @pytest.mark.parametrize("backend, poison", [("algorithm2", -1.0), ("algorithm1", 1e6)])
+    def test_all_five_routes_answer_400_with_no_side_effect(self, backend, poison):
+        system, tier, descs = self._system(backend)
+        good = descs[1].tolist()
+        bad = descs[1].copy()
+        bad[7, 3] = poison
+        for request in self._requests(good, bad.tolist()):
+            if backend == "algorithm1" and request.path == "/search/batch":
+                continue  # one query per request on this backend: 400 before any parsing
+            before = self._state(system)
+            record = tier.handle(request)
+            assert record.response.status == 400, request.path
+            error = record.response.body["error"]
+            assert ("non-negative" in error) if poison < 0 else ("FP16 overflow" in error)
+            assert self._state(system) == before, request.path
+        assert not system.has("new")
+        assert tier.handle(Request("GET", "/textures/new")).response.status == 404
+        # the original r1 is still what answers
+        ok = tier.handle(Request("POST", "/search", {"descriptors": good})).response
+        assert ok.status == 200 and ok.body["results"][0]["id"] == "r1"
+
+    def test_the_cluster_raises_one_typed_error_before_touching_anything(self):
+        from repro.errors import ClusterError, InvalidDescriptorsError
+
+        system, _, descs = self._system()
+        bad = descs[0].copy()
+        bad[0, 0] = -3.0
+        before = self._state(system)
+        for call in (
+            lambda: system.search(bad),
+            lambda: system.search_group([descs[0], bad]),
+            lambda: system.add("new", bad),
+            lambda: system.enroll("new", bad),
+            lambda: system.search(descs[0][:5]),  # wrong shape
+        ):
+            with pytest.raises(InvalidDescriptorsError) as raised:
+                call()
+            assert isinstance(raised.value, (ClusterError, ValueError))
+            assert self._state(system) == before

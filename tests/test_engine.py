@@ -169,6 +169,13 @@ class TestTombstones:
         assert top_ids == {"ref3", "ref5"}
         assert engine.n_references == 10
 
+    def test_a_rejected_update_keeps_the_old_reference(self, engine):
+        descs = enrolled(engine)
+        with pytest.raises(ValueError):
+            engine.add_reference("ref5", -descs[3])  # RootSIFT: no negative entries
+        assert engine.has_reference("ref5") and engine.n_references == 10
+        assert engine.search(noisy_copy(descs[5], 8.0, seed=14)).best().reference_id == "ref5"
+
     def test_remove_pending_slot(self, engine):
         # fewer adds than batch_size: slot still in the builder
         engine.add_reference("a", make_descriptors(48, seed=300))

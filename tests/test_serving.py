@@ -498,6 +498,22 @@ class TestClusterServing:
         assert elapsed == tier.worker_clock_us[0]
         assert elapsed > 0
 
+    def test_a_dispatched_group_prepares_each_query_once_for_all_shards(self, monkeypatch):
+        from repro.core.kernels import Algorithm2Kernel
+
+        system, descs = build_cluster(n_nodes=4, n_refs=8)
+        executor = WebTierBatchExecutor(WebTier(system, n_workers=1), top=1)
+        queries = [noisy_copy(descs[i], 8.0, seed=i) for i in range(3)]
+        prepared = []
+        real = Algorithm2Kernel.query_matrix
+        monkeypatch.setattr(
+            Algorithm2Kernel, "query_matrix",
+            lambda kernel, d: (prepared.append(1), real(kernel, d))[1],
+        )
+        payloads, _ = executor.execute(queries)
+        assert [p["results"][0]["id"] for p in payloads] == ["r0", "r1", "r2"]
+        assert len(prepared) == 3  # not 3 queries x 4 shards
+
 
 class TestServingExperiment:
     def test_quick_run_writes_json_and_shows_speedup(self, tmp_path):
