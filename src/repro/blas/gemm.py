@@ -60,24 +60,27 @@ def sgemm(
     return np.float32(alpha) * (op_a @ b)
 
 
-def query_major_product(a32: np.ndarray, b32: np.ndarray) -> np.ndarray:
+def query_major_product(
+    a32: np.ndarray, b32: np.ndarray, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """``a32[i].T @ b32`` for every image of a ``(batch, k, m)`` stack,
-    computed query-major: the buffer is ``(batch, n, m)`` and the
-    ``(batch, m, n)`` result its transposed view, so one query feature's
-    products against an image's ``m`` features are contiguous in memory
-    — the layout the column-wise top-k scans.
+    computed query-major: the buffer (``out``, if given) is ``(batch, n, m)``
+    and the ``(batch, m, n)`` result its transposed view, so one query
+    feature's products against an image's ``m`` features are contiguous
+    in memory — the layout the column-wise top-k scans.
     """
-    return np.matmul(b32.T, a32).transpose(0, 2, 1)
+    return np.matmul(b32.T, a32, out=out).transpose(0, 2, 1)
 
 
 def _fp16_gemm(
-    product, a: np.ndarray, b: np.ndarray, alpha: float, tensor_core: bool, store_fp16: bool
+    product, a: np.ndarray, b: np.ndarray, alpha: float, tensor_core: bool, store_fp16: bool,
+    out: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, bool]:
     """``(alpha * product(a, b) as float32, overflowed)`` from FP16
     operands: the one epilogue behind both entry points, which differ in
-    the ``product`` that lays the result out.  Callers that model plain
-    HGEMM must treat ``overflowed=True`` outputs as saturated/invalid
-    (the library raises, see :mod:`repro.fp16`).
+    the ``product`` that lays the result out (into its ``out``, if given).
+    Callers that model plain HGEMM must treat ``overflowed=True`` outputs
+    as saturated/invalid (the library raises, see :mod:`repro.fp16`).
     """
     a = a.astype(np.float16, copy=False)
     b = b.astype(np.float16, copy=False)
@@ -89,10 +92,11 @@ def _fp16_gemm(
     else:
         a32, b32 = a.astype(np.float32), b.astype(np.float32)
     # What an FP32-accumulating engine produces; owned, so the rest is in place.
-    exact = product(a32, b32)
-    # fmin/fmax skip NaNs, so ``hi > x`` is ``np.any(exact > x)``.
-    lo = np.fmin.reduce(exact, axis=None, initial=np.inf)
+    exact = product(a32, b32, out=out)
+    # fmin/fmax skip NaNs, so ``hi > x`` is ``np.any(exact > x)``.  Sums of
+    # non-negative finite terms are never negative or NaN: one scan, not two.
     hi = np.fmax.reduce(exact, axis=None, initial=-np.inf)
+    lo = 0.0 if nonneg else np.fmin.reduce(exact, axis=None, initial=np.inf)
     unstorable = bool(hi > FP16_MAX or lo < -FP16_MAX)
     if tensor_core or nonneg:
         # FP32 accumulation: only the final store can overflow.  Non-negative
@@ -143,21 +147,25 @@ def hgemm(
 
 
 def batched_hgemm(
-    device: GPUDevice,
+    device: Optional[GPUDevice],
     a_batch: np.ndarray,
     b: np.ndarray,
     alpha: float = 1.0,
     tensor_core: bool = False,
     stream: Optional[Stream] = None,
     step: str = "GEMM",
+    out: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, bool]:
     """Batched FP16 GEMM: ``a_batch`` is ``(batch, k, m)`` reference
     matrices (features stored column-wise, as in Fig. 3); ``b`` is the
-    shared ``(k, n)`` query matrix.  Returns ``(batch, m, n)`` products.
+    shared ``(k, n)`` query matrix.  Returns ``(batch, m, n)`` products,
+    the transposed view of the ``(batch, n, m)`` float32 ``out`` if given.
 
     This is the Sec. 5 batching optimization: the whole batch is charged
     as *one* GEMM call of ``batch`` times the work, which is where the
-    data-reuse efficiency gain comes from.
+    data-reuse efficiency gain comes from.  ``device=None`` computes
+    without charging: ``a_batch`` is then one tile of a batch whose
+    single GEMM the caller has already charged.
     """
     a_batch = np.asarray(a_batch)
     if a_batch.ndim != 3:
@@ -167,5 +175,6 @@ def batched_hgemm(
     if k != b.shape[0]:
         raise ValueError(f"inner-dimension mismatch: {a_batch.shape} vs {b.shape}")
     n = b.shape[1]
-    device.gemm(m, n, k, batch=batch, dtype="fp16", tensor_core=tensor_core, stream=stream, step=step)
-    return _fp16_gemm(query_major_product, a_batch, b, alpha, tensor_core, store_fp16=True)
+    if device is not None:
+        device.gemm(m, n, k, batch=batch, dtype="fp16", tensor_core=tensor_core, stream=stream, step=step)
+    return _fp16_gemm(query_major_product, a_batch, b, alpha, tensor_core, store_fp16=True, out=out)

@@ -55,6 +55,20 @@ class BatchKnnResult:
         return KnnResult(distances=self.distances[i], indices=self.indices[i])
 
 
+# Step 1's product is made, rounded and scanned one tile of whole images at a
+# time, in one reused buffer of at most this many bytes (a single image's
+# product if that is larger).  Measured: docs/architecture.md, "The tiled sweep".
+_PRODUCT_TILE_BYTES = 4 << 20
+
+
+def _accumulator_peak(references: np.ndarray, columns: np.ndarray) -> float:
+    """Largest magnitude a partial sum of the whole batch's GEMM can reach
+    (``|R|^T |Q|``: the FP32 accumulator itself for non-negative operands).
+    For the overflow error only: image by image, whatever the tile size."""
+    q = np.abs(columns.astype(np.float32))
+    return max(float(np.fmax.reduce(np.abs(r.astype(np.float32)).T @ q, axis=None)) for r in references)
+
+
 def _knn_columns(
     device: GPUDevice,
     references: np.ndarray,
@@ -73,41 +87,50 @@ def _knn_columns(
     n = columns.shape[1]
     if not (1 <= k <= m):
         raise ValueError(f"k={k} out of range for m={m}")
-
-    # Step 1: batched GEMM (one fused call => the Sec. 5 data reuse).
-    if precision == "fp16":
-        a, overflow = batched_hgemm(
-            device, references, columns, alpha=1.0, tensor_core=tensor_core, stream=stream
-        )
-        if overflow:
-            raise HalfPrecisionOverflowError(scale, float(np.abs(a).max()))
-        const = 2.0 * scale * scale
-    elif precision == "fp32":
-        device.gemm(m, n, d, batch=batch, dtype="fp32", stream=stream, step="GEMM")
-        a = query_major_product(
-            references.astype(np.float32, copy=False), columns.astype(np.float32, copy=False)
-        )
-        const = 2.0
-    else:
+    if precision not in ("fp16", "fp32"):
         raise ValueError(f"precision must be 'fp16' or 'fp32', got {precision!r}")
-    a *= np.float32(-2.0)
+    fp16 = precision == "fp16"
+    if not fp16:
+        columns = columns.astype(np.float32, copy=False)
 
-    # Step 2: one scan thread per (image, query-feature) column — on the
-    # query-major product a zero-copy F-ordered view, each column contiguous.
+    # Step 1: batched GEMM, charged as one fused call (the Sec. 5 data reuse)
+    # and computed tile by tile: columns are independent, so steps 1-2 of a
+    # tile are those of the whole batch restricted to its images.
+    tc = fp16 and tensor_core
+    device.gemm(m, n, d, batch=batch, dtype=precision, tensor_core=tc, stream=stream, step="GEMM")
+    tile = max(1, _PRODUCT_TILE_BYTES // (4 * m * n))  # images; the charge rejected empty shapes
+    scratch = np.empty((min(tile, batch), n, m), dtype=np.float32)
+    dist = np.empty((k, batch * n), dtype=np.float32)
+    top_idx = np.empty((k, batch * n), dtype=np.int32)
+    for start in range(0, batch, tile):
+        refs = references[start : start + tile]
+        out = scratch[: len(refs)]
+        cols = slice(start * n, (start + len(refs)) * n)
+        if fp16:
+            a, overflow = batched_hgemm(None, refs, columns, tensor_core=tensor_core, out=out)
+            if overflow:
+                raise HalfPrecisionOverflowError(scale, _accumulator_peak(references, columns))
+        else:
+            a = query_major_product(refs.astype(np.float32, copy=False), columns, out=out)
+        a *= np.float32(-2.0)
+        # Step 2: one scan thread per (image, query-feature) column — on the
+        # query-major product a zero-copy F-ordered view, each column
+        # contiguous.  Only the winners leave the tile.
+        scanned = np.transpose(a, (1, 0, 2)).reshape(m, len(refs) * n)
+        dist[:, cols], top_idx[:, cols] = functional_topk(scanned, k)
     device.top2_scan(m, batch * n, dtype=precision, stream=stream, step="Top-2 sort")
-    dist, top_idx = functional_topk(np.transpose(a, (1, 0, 2)).reshape(m, batch * n), k)
 
     # Step 3: sqrt(const + A) in-register on the winners only.
     device.elementwise(k * batch * n, dtype=precision, stream=stream, step="sqrt")
-    dist += np.float32(const)
+    dist += np.float32(2.0 * scale * scale if fp16 else 2.0)
     np.maximum(dist, 0.0, out=dist)
     np.sqrt(dist, out=dist)
-    if precision == "fp16":
+    if fp16:
         dist /= np.float32(scale)
 
     # Step 4: batched result gather.
     device.d2h_result(n, batch=batch, k=k, dtype=precision, stream=stream)
-    return dist, top_idx.astype(np.int32)
+    return dist, top_idx
 
 
 def knn_algorithm2(

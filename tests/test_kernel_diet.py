@@ -7,19 +7,26 @@ before the diet, copied verbatim (only the ``def`` names changed).  The
 rewritten kernels must reproduce them bit for bit: values, indices,
 products and overflow flags — the simulated numbers and the committed
 verdicts were produced with these.
+
+``oracle_knn_columns`` is ``core/algorithm2.py::_knn_columns`` as of the
+commit before the tiled sweep (PR 15): the glue that materialised the
+whole ``(batch, m, n)`` product, kept to pin the tiled loop at every
+tile boundary.
 """
 
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 from typing import Optional
 
 import numpy as np
 import pytest
 
-from repro.blas.gemm import FP16_MAX, _as_2d, batched_hgemm, hgemm
+from repro.blas.gemm import FP16_MAX, _as_2d, batched_hgemm, hgemm, query_major_product
 from repro.core import (
     EngineConfig,
+    TextureSearchEngine,
     algorithm2 as algorithm2_module,
     functional_topk,
     knn_algorithm2,
@@ -28,6 +35,7 @@ from repro.core import (
 from repro.core.batching import ReferenceBatch
 from repro.core.kernels import Algorithm2Kernel
 from repro.data import SyntheticFeatureModel
+from repro.errors import HalfPrecisionOverflowError
 from repro.fp16 import FP16_MIN_NORMAL
 from repro.fp16.codec import round_trip_nonneg
 from repro.gpusim import GPUDevice, TESLA_P100, TESLA_V100
@@ -178,6 +186,14 @@ def oracle_batched_hgemm(
         overflow = bool(np.any(bound > FP16_MAX))
     result = np.clip(exact, -FP16_MAX, FP16_MAX).astype(np.float16).astype(np.float32)
     return np.float32(alpha) * result, overflow
+
+
+def oracle_on_a_tile(device, a_tile, b, out=None, **kwargs):
+    """The call ``_knn_columns`` makes since the tiled sweep — ``device=None``
+    (it has charged the batch itself) and a scratch ``out`` — answered by the
+    oracle, which charges a throwaway device and allocates its own result."""
+    assert device is None
+    return oracle_batched_hgemm(GPUDevice(TESLA_P100), a_tile, b, **kwargs)
 
 
 # -- helpers ---------------------------------------------------------------
@@ -444,7 +460,7 @@ def test_match_masks_and_indices_are_those_of_the_oracles_at_paper_scale(monkeyp
 
     got, got_clock = run()
     monkeypatch.setattr(algorithm2_module, "functional_topk", oracle_functional_topk)
-    monkeypatch.setattr(algorithm2_module, "batched_hgemm", oracle_batched_hgemm)
+    monkeypatch.setattr(algorithm2_module, "batched_hgemm", oracle_on_a_tile)
     want, want_clock = run()
 
     assert got_clock == want_clock > 0  # exact, not approx
@@ -456,3 +472,246 @@ def test_match_masks_and_indices_are_those_of_the_oracles_at_paper_scale(monkeyp
             assert np.array_equal(g.matched_reference_indices, w.matched_reference_indices)
             matched += g.good_matches
     assert matched > 0
+
+
+# -- the tiled sweep (PR 15) -----------------------------------------------
+
+
+def oracle_knn_columns(device, references, columns, scale, k, precision, tensor_core, stream):
+    """``core/algorithm2.py::_knn_columns`` as of the commit before the
+    tiled sweep, verbatim: one product for the whole batch, swept whole."""
+    batch, d, m = references.shape
+    n = columns.shape[1]
+    if not (1 <= k <= m):
+        raise ValueError(f"k={k} out of range for m={m}")
+
+    # Step 1: batched GEMM (one fused call => the Sec. 5 data reuse).
+    if precision == "fp16":
+        a, overflow = batched_hgemm(
+            device, references, columns, alpha=1.0, tensor_core=tensor_core, stream=stream
+        )
+        if overflow:
+            raise HalfPrecisionOverflowError(scale, float(np.abs(a).max()))
+        const = 2.0 * scale * scale
+    elif precision == "fp32":
+        device.gemm(m, n, d, batch=batch, dtype="fp32", stream=stream, step="GEMM")
+        a = query_major_product(
+            references.astype(np.float32, copy=False), columns.astype(np.float32, copy=False)
+        )
+        const = 2.0
+    else:
+        raise ValueError(f"precision must be 'fp16' or 'fp32', got {precision!r}")
+    a *= np.float32(-2.0)
+
+    # Step 2: one scan thread per (image, query-feature) column — on the
+    # query-major product a zero-copy F-ordered view, each column contiguous.
+    device.top2_scan(m, batch * n, dtype=precision, stream=stream, step="Top-2 sort")
+    dist, top_idx = functional_topk(np.transpose(a, (1, 0, 2)).reshape(m, batch * n), k)
+
+    # Step 3: sqrt(const + A) in-register on the winners only.
+    device.elementwise(k * batch * n, dtype=precision, stream=stream, step="sqrt")
+    dist += np.float32(const)
+    np.maximum(dist, 0.0, out=dist)
+    np.sqrt(dist, out=dist)
+    if precision == "fp16":
+        dist /= np.float32(scale)
+
+    # Step 4: batched result gather.
+    device.d2h_result(n, batch=batch, k=k, dtype=precision, stream=stream)
+    return dist, top_idx.astype(np.int32)
+
+
+def knn_operands(kind: str, precision: str, shape, rng: np.random.Generator):
+    """``(references, queries, scale)``: unit-norm columns times the scale."""
+    batch, m, n_queries, n = shape
+    draw = rng.standard_normal if kind == "signed" else rng.random
+    refs = draw((batch, 128, m), dtype=np.float32)
+    queries = draw((n_queries, 128, n), dtype=np.float32)
+    scale = 1.0 if precision == "fp32" else 2.0**-7 if kind == "subnormal" else 0.25
+    dtype = np.float32 if precision == "fp32" else np.float16
+    refs = (refs / np.linalg.norm(refs, axis=1, keepdims=True) * scale).astype(dtype)
+    queries = (queries / np.linalg.norm(queries, axis=1, keepdims=True) * scale).astype(dtype)
+    return refs, queries, scale
+
+
+def steps(device: GPUDevice) -> list[tuple[str, float, int]]:
+    return [(r.name, r.total_us, r.calls) for r in device.profiler.records()]
+
+
+def count_calls(monkeypatch, name: str) -> list:
+    """Count the sweep's calls of ``algorithm2_module.<name>``."""
+    calls, real = [], getattr(algorithm2_module, name)
+    monkeypatch.setattr(
+        algorithm2_module, name, lambda *args, **kw: (calls.append(1), real(*args, **kw))[1]
+    )
+    return calls
+
+
+def check_against_the_untiled_sweep(refs, queries, scale, k, precision, tensor_core):
+    """Both entry points against the parent glue on a device of its own:
+    values, indices, simulated clock, profiler steps, operands untouched."""
+    batch, _, m = refs.shape
+    n_queries, _, n = queries.shape
+    case = f"k={k} tensor_core={tensor_core} Q={n_queries}"
+    before = refs.tobytes(), queries.tobytes()
+    kwargs = dict(scale=scale, k=k, precision=precision, tensor_core=tensor_core)
+
+    def oracle(columns):
+        device = GPUDevice(TESLA_V100)
+        dist, idx = oracle_knn_columns(device, refs, columns, stream=None, **kwargs)
+        return dist, idx, device
+
+    device = GPUDevice(TESLA_V100)
+    multi = knn_algorithm2_multiquery(device, refs, queries, **kwargs)
+    dist, idx, oracle_device = oracle(np.transpose(queries, (1, 0, 2)).reshape(128, -1))
+    shape = (k, batch, n_queries, n)
+    assert multi.indices.dtype == np.int32 and multi.distances.dtype == np.float32, case
+    assert np.array_equal(multi.indices, idx.reshape(shape).transpose(1, 2, 0, 3)), case
+    assert np.array_equal(
+        bits(multi.distances), bits(dist.reshape(shape).transpose(1, 2, 0, 3))
+    ), case
+    assert device.synchronize() == oracle_device.synchronize() > 0, case
+    assert steps(device) == steps(oracle_device), case
+
+    device = GPUDevice(TESLA_V100)
+    single = knn_algorithm2(device, refs, queries[0], **kwargs)
+    dist, idx, oracle_device = oracle(queries[0])
+    shape = (k, batch, n)
+    assert np.array_equal(single.indices, idx.reshape(shape).transpose(1, 0, 2)), case
+    assert np.array_equal(
+        bits(single.distances), bits(dist.reshape(shape).transpose(1, 0, 2))
+    ), case
+    assert device.synchronize() == oracle_device.synchronize() > 0, case
+    assert steps(device) == steps(oracle_device), case
+    assert (refs.tobytes(), queries.tobytes()) == before, case
+
+
+#: images per tile -> tiles for a batch of five; None leaves the module's budget
+#: alone (one tile), 0 is a budget smaller than a single image's product.
+TILINGS = {"one_image_per_tile": (1, 5), "ragged_last_tile": (2, 3),
+           "budget_below_one_image": (0, 5), "one_tile": (None, 1)}
+
+
+@pytest.mark.parametrize("kind", ["nonneg", "signed", "subnormal"])
+@pytest.mark.parametrize("precision", ["fp16", "fp32"])
+@pytest.mark.parametrize("tiling", TILINGS)
+def test_tiled_sweep_matches_the_untiled_glue(monkeypatch, tiling, precision, kind):
+    images_per_tile, tiles = TILINGS[tiling]
+    rng = np.random.default_rng(15)
+    for n_queries, k, tensor_core in itertools.product((1, 3), (1, 2, 3), (False, True)):
+        refs, queries, scale = knn_operands(kind, precision, (5, 40, n_queries, 24), rng)
+        with monkeypatch.context() as patch:
+            scans = count_calls(patch, "functional_topk")
+            if images_per_tile is not None:
+                budget = images_per_tile * 40 * n_queries * 24 * 4 or 1
+                patch.setattr(algorithm2_module, "_PRODUCT_TILE_BYTES", budget)
+            knn_algorithm2_multiquery(
+                GPUDevice(TESLA_V100), refs, queries, scale=scale, precision=precision
+            )
+            assert len(scans) == tiles
+            check_against_the_untiled_sweep(refs, queries, scale, k, precision, tensor_core)
+
+
+def test_consecutive_sweeps_of_different_shapes_share_nothing(monkeypatch):
+    monkeypatch.setattr(algorithm2_module, "_PRODUCT_TILE_BYTES", 2 * 40 * 24 * 4)
+    rng = np.random.default_rng(4)
+    for shape in ((5, 40, 1, 24), (3, 56, 2, 9), (7, 12, 1, 40), (5, 40, 1, 24)):
+        refs, queries, scale = knn_operands("nonneg", "fp16", shape, rng)
+        check_against_the_untiled_sweep(refs, queries, scale, 2, "fp16", False)
+
+
+def test_engine_search_at_paper_dimensions_is_the_same_at_any_tiling(monkeypatch):
+    config = EngineConfig(m=384, n=768, batch_size=8, scale_factor=2.0**-7)
+    model = SyntheticFeatureModel(seed=7)
+    query = model.capture(5, "query").top(config.n).descriptors
+
+    def search():
+        engine = TextureSearchEngine(config)
+        for i in range(12):  # one full batch and a ragged one
+            engine.add_reference(f"ref-{i}", model.capture(i, "reference").top(config.m).descriptors)
+        engine.flush()
+        scans = count_calls(monkeypatch, "functional_topk")
+        return engine.search(query), len(scans)
+
+    as_shipped, scans = search()
+    assert scans == 3 + 2  # three images of 1.2 MB per tile: 3+3+2 and 3+1
+    assert as_shipped.best().reference_id == "ref-5" and as_shipped.elapsed_us > 0
+    for budget, tiles in ((1 << 30, 1 + 1), (384 * 768 * 4, 8 + 4)):
+        monkeypatch.setattr(algorithm2_module, "_PRODUCT_TILE_BYTES", budget)
+        result, scans = search()
+        assert scans == tiles
+        assert result == as_shipped  # matches, counts and elapsed_us, field by field
+
+
+def test_the_batch_product_is_never_materialised():
+    """Peak traced memory is the scratch tile, the winners and one tile's
+    operands — not the 18.9 MB ``(16, 384, 768)`` fp32 product."""
+    rng = np.random.default_rng(6)
+    refs, queries, scale = knn_operands("nonneg", "fp16", (16, 384, 1, 768), rng)
+    device = GPUDevice(TESLA_P100)
+    knn_algorithm2(device, refs, queries[0], scale=scale)  # imports, lazy set-up
+    budget = algorithm2_module._PRODUCT_TILE_BYTES
+    image = 384 * 768 * 4
+    per_tile = budget // image
+    assert 1 < per_tile < 16
+    outputs = 2 * (2 * 16 * 768 * 4) * 2  # (k, batch*n) winners, then the (batch, k, n) results
+    operands = (per_tile * 128 * 384 + 128 * 768) * 4  # one tile's fp32 up-casts
+    codec = 2 * image  # the round trip's per-image constants: this image's and the previous one's
+    tracemalloc.start()
+    try:
+        knn_algorithm2(device, refs, queries[0], scale=scale)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    allowed = budget + outputs + operands + codec + 256 * 1024  # + top-k and interpreter small change
+    assert peak < allowed < 16 * image / 2
+
+
+def test_batched_hgemm_on_an_already_charged_tile(device):
+    """``device=None`` charges nothing and ``out`` is where the product lands."""
+    rng = np.random.default_rng(8)
+    a, b = gemm_operands("nonneg", (3, 128, 33, 17), np.float16, rng)
+    want, want_flag = batched_hgemm(device, a, b)
+    out = np.empty((4, 17, 33), dtype=np.float32)
+    got, got_flag = batched_hgemm(None, a, b, out=out[:3])
+    assert got_flag == want_flag and np.array_equal(bits(got), bits(want))
+    assert np.shares_memory(got, out) and np.array_equal(bits(out[:3].transpose(0, 2, 1)), bits(want))
+    assert [record.calls for record in device.profiler.records()] == [1]
+
+
+# -- overflow --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("hot_image", [0, 3, 5], ids=["first_tile", "middle_tile", "last_tile"])
+def test_overflow_error_reports_the_unclipped_batch_wide_magnitude(monkeypatch, hot_image):
+    refs = np.full((6, 128, 40), 0.01, dtype=np.float16)
+    query = np.full((128, 24), 0.01, dtype=np.float16)
+    query[:, 7] = 200.0
+    refs[hot_image, :, 11] = 200.0  # 128 * 200 * 200: far beyond 65 504
+    refs[2, :, 0] = 30.0  # 128 * 30 * 200: a smaller overflow, in another tile
+    seen = []
+    for budget in (1, 2 * 40 * 24 * 4, 4 << 20):  # six tiles, three, one
+        monkeypatch.setattr(algorithm2_module, "_PRODUCT_TILE_BYTES", budget)
+        for tensor_core in (False, True):
+            device = GPUDevice(TESLA_V100)
+            with pytest.raises(HalfPrecisionOverflowError) as raised:
+                knn_algorithm2(device, refs, query, scale=0.25, tensor_core=tensor_core)
+            error = raised.value
+            seen.append((error.scale, error.max_value, str(error)))
+            assert [(name, calls) for name, _, calls in steps(device)] == [("GEMM", 1)]
+    assert set(seen) == {seen[0]}
+    scale, max_value, message = seen[0]
+    assert scale == 0.25 and max_value == 128 * 200.0 * 200.0 > FP16_MAX
+    assert "5.12e+06" in message and "65504 exceeds" not in message
+
+
+def test_negative_overflow_of_a_signed_product_is_flagged_and_clipped(device):
+    """Only ``lo`` sees it: signed operands keep both product reductions."""
+    a = np.full((2, 16, 5), 0.5, dtype=np.float16)
+    b = np.full((16, 3), 0.5, dtype=np.float16)
+    a[1, :, 2], b[:, 1] = -200.0, 200.0  # one product of 16 * -40 000
+    for tensor_core in (False, True):
+        product, overflow = batched_hgemm(device, a, b, tensor_core=tensor_core)
+        assert overflow is True
+        assert product[1, 2, 1] == -FP16_MAX == product.min() and product.max() == 16 * 0.5 * 200
+        assert hgemm(device, a[1], b, transpose_a=True, tensor_core=tensor_core)[1] is True
