@@ -16,13 +16,14 @@ divided by ``s`` in step 3.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..blas.gemm import batched_hgemm, query_major_product
 from ..errors import HalfPrecisionOverflowError
 from ..gpusim.engine_model import GPUDevice
+from ..gpusim.kernels import d2h_result_us, elementwise_us, gemm_us, top2_scan_us
 from ..gpusim.stream import Stream
 from .results import KnnResult
 from .topk import functional_topk
@@ -69,9 +70,22 @@ def _accumulator_peak(references: np.ndarray, columns: np.ndarray) -> float:
     return max(float(np.fmax.reduce(np.abs(r.astype(np.float32)).T @ q, axis=None)) for r in references)
 
 
+def knn_steps(device: GPUDevice, batch, m, n, d, k, precision, tensor_core) -> list[tuple]:
+    """Steps 1-4 of one ``(batch, d, m)`` reference batch against ``n`` query
+    columns, pre-costed for :meth:`GPUDevice.charge`: pure in the shapes."""
+    spec, cal = device.spec, device.cal
+    return [
+        ("compute", gemm_us(spec, cal, m, n, d, batch, precision,
+                            precision == "fp16" and tensor_core), "GEMM"),
+        ("compute", top2_scan_us(spec, cal, m, batch * n, precision), "Top-2 sort"),
+        ("compute", elementwise_us(spec, cal, k * batch * n, precision), "sqrt"),
+        ("d2h", d2h_result_us(spec, cal, n, batch, k, precision), "D2H copy"),
+    ]
+
+
 def _knn_columns(
-    device: GPUDevice,
-    references: np.ndarray,
+    device: Optional[GPUDevice],
+    stack: Sequence[np.ndarray],
     columns: np.ndarray,
     scale: float,
     k: int,
@@ -79,11 +93,15 @@ def _knn_columns(
     tensor_core: bool,
     stream: Optional[Stream],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Steps 1-4 for a ``(batch, d, m)`` reference stack against the
-    ``(d, n)`` columns of one query — or of several, concatenated.
-    Returns ``(distances, indices)``, each ``(k, batch * n)``, image-major.
+    """Steps 1-4 for a *stack* — ``(batch_i, d, m)`` reference batches taken
+    as the one batch they would concatenate to — against the ``(d, n)``
+    columns of one query, or of several, concatenated.  ``device=None``
+    computes only (the engine's sweep has charged each member as its own
+    batch).  Returns ``(distances, indices)``, each ``(k, images * n)``,
+    image-major in stack order.
     """
-    batch, d, m = references.shape
+    d, m = stack[0].shape[1:]
+    images = sum(len(refs) for refs in stack)
     n = columns.shape[1]
     if not (1 <= k <= m):
         raise ValueError(f"k={k} out of range for m={m}")
@@ -93,23 +111,31 @@ def _knn_columns(
     if not fp16:
         columns = columns.astype(np.float32, copy=False)
 
-    # Step 1: batched GEMM, charged as one fused call (the Sec. 5 data reuse)
-    # and computed tile by tile: columns are independent, so steps 1-2 of a
-    # tile are those of the whole batch restricted to its images.
-    tc = fp16 and tensor_core
-    device.gemm(m, n, d, batch=batch, dtype=precision, tensor_core=tc, stream=stream, step="GEMM")
-    tile = max(1, _PRODUCT_TILE_BYTES // (4 * m * n))  # images; the charge rejected empty shapes
-    scratch = np.empty((min(tile, batch), n, m), dtype=np.float32)
-    dist = np.empty((k, batch * n), dtype=np.float32)
-    top_idx = np.empty((k, batch * n), dtype=np.int32)
-    for start in range(0, batch, tile):
-        refs = references[start : start + tile]
+    # Step 1: batched GEMM, charged as one fused call per batch (the Sec. 5
+    # data reuse) and computed tile by tile: columns are independent, so steps
+    # 1-2 of a tile are those of its batches restricted to its images.
+    if device is not None:
+        steps = knn_steps(device, images, m, n, d, k, precision, tensor_core)
+        device.charge(steps[:1], stream)
+    tile = max(1, _PRODUCT_TILE_BYTES // max(1, 4 * m * n))  # images
+    scratch = np.empty((min(tile, images), n, m), dtype=np.float32)
+    dist = np.empty((k, images * n), dtype=np.float32)
+    top_idx = np.empty((k, images * n), dtype=np.int32)
+    # A tile stops at an image boundary, not at a member's: inside one member
+    # it is a view, across members a copy of this tile's operand only.
+    flat = stack[0] if len(stack) == 1 else [image for refs in stack for image in refs]
+    for start in range(0, images, tile):
+        refs = np.asarray(flat[start : start + tile])
         out = scratch[: len(refs)]
         cols = slice(start * n, (start + len(refs)) * n)
         if fp16:
             a, overflow = batched_hgemm(None, refs, columns, tensor_core=tensor_core, out=out)
             if overflow:
-                raise HalfPrecisionOverflowError(scale, _accumulator_peak(references, columns))
+                # error path only: name the first member whose own product overflows,
+                # image by image — whatever the tile size and whatever shared its tile
+                hot = next((member for member in stack for image in member if batched_hgemm(
+                    None, image[None], columns, tensor_core=tensor_core)[1]), refs)
+                raise HalfPrecisionOverflowError(scale, _accumulator_peak(hot, columns))
         else:
             a = query_major_product(refs.astype(np.float32, copy=False), columns, out=out)
         a *= np.float32(-2.0)
@@ -118,18 +144,15 @@ def _knn_columns(
         # contiguous.  Only the winners leave the tile.
         scanned = np.transpose(a, (1, 0, 2)).reshape(m, len(refs) * n)
         dist[:, cols], top_idx[:, cols] = functional_topk(scanned, k)
-    device.top2_scan(m, batch * n, dtype=precision, stream=stream, step="Top-2 sort")
 
-    # Step 3: sqrt(const + A) in-register on the winners only.
-    device.elementwise(k * batch * n, dtype=precision, stream=stream, step="sqrt")
+    # Step 3: sqrt(const + A) in-register on the winners only; step 4: the gather.
+    if device is not None:
+        device.charge(steps[1:], stream)
     dist += np.float32(2.0 * scale * scale if fp16 else 2.0)
     np.maximum(dist, 0.0, out=dist)
     np.sqrt(dist, out=dist)
     if fp16:
         dist /= np.float32(scale)
-
-    # Step 4: batched result gather.
-    device.d2h_result(n, batch=batch, k=k, dtype=precision, stream=stream)
     return dist, top_idx
 
 
@@ -161,7 +184,7 @@ def knn_algorithm2(
         raise ValueError(
             f"query {query.shape} does not match references {references.shape}"
         )
-    dist, idx = _knn_columns(device, references, query, scale, k, precision, tensor_core, stream)
+    dist, idx = _knn_columns(device, [references], query, scale, k, precision, tensor_core, stream)
     shape = (k, references.shape[0], query.shape[1])
     return BatchKnnResult(
         distances=np.ascontiguousarray(dist.reshape(shape).transpose(1, 0, 2)),

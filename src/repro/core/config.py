@@ -52,7 +52,9 @@ class EngineConfig:
     min_matches:
         Good matches required to declare two textures identical.
     streams:
-        CUDA streams / CPU worker threads for the hybrid cache overlap.
+        CUDA streams of the hybrid-cache overlap model (Sec. 6.2) — a
+        simulated-clock quantity only: no host thread is ever started
+        (measured why not: docs/architecture.md, "The stacked sweep").
     k:
         Neighbours retrieved (always 2 in the paper).
     """

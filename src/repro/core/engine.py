@@ -186,6 +186,8 @@ class TextureSearchEngine:
             keep_aux=self.kernel.needs_aux,
         )
         self.stats = EngineStats()
+        #: (batch size, query count) -> the kernel's ``batch_steps``, costed once
+        self._batch_steps: dict[tuple[int, int], list | None] = {}
         #: live id -> (ReferenceBatch | None, slot index); ``None`` means
         #: the slot is still in the builder's pending batch.  Deleting or
         #: updating a reference renames its slot to a dead marker —
@@ -379,6 +381,17 @@ class TextureSearchEngine:
         """The paper's capacity metric for this engine's configuration."""
         return self.cache.capacity_images(self.config.feature_matrix_bytes())
 
+    def fragmentation(self) -> dict:
+        """How the sealed cache is chunked, which is what a sweep is charged
+        by: batches, their mean fill against ``batch_size``, and the share
+        of their slots that are tombstones (compared, never reported)."""
+        sealed, slots = len(self.cache), self.cache.total_images
+        return {
+            "sealed_batches": sealed,
+            "batch_fill": slots / (sealed * self.config.batch_size) if sealed else 0.0,
+            "dead_slot_share": sum(self._dead_in_batch.values()) / slots if slots else 0.0,
+        }
+
     # ------------------------------------------------------------------
     # the cache-sweep executor
     # ------------------------------------------------------------------
@@ -400,6 +413,13 @@ class TextureSearchEngine:
         ``batches`` overrides the cache iteration (``verify`` passes a
         transient single-image batch); ``record_stats`` is off for
         sweeps that are not searches.
+
+        Two planes.  The loop is the *timing* plane: it decides, batch
+        by batch, what is swept and charges the device the kernel's
+        ``batch_steps``.  What it swept is then computed by the
+        *functional* plane (:meth:`_swept_matches`) in one kernel call —
+        a sealed batch bounds a charge, not a computation.  Kernels
+        without ``batch_steps`` still match inside the loop.
 
         ``candidate_ids`` restricts the exact sweep to a routing
         tier's nominees (:mod:`repro.routing`): a reference batch with
@@ -442,7 +462,6 @@ class TextureSearchEngine:
         )
         with sweep_cm as sweep_span:
             start_us = self.device.synchronize()
-            per_query: list[list[ImageMatch]] = [[] for _ in range(n_queries)]
             images = 0
             host_images = 0
             images_skipped = 0
@@ -454,6 +473,7 @@ class TextureSearchEngine:
             )
             source = self.cache.batches() if batches is None else batches
             traced = _TRACER.enabled
+            swept: list[tuple[ReferenceBatch, list | None]] = []
             for cached in source:
                 if candidate_ids is not None and not any(
                     slot_id in candidate_ids for slot_id in cached.batch.ids
@@ -479,6 +499,10 @@ class TextureSearchEngine:
                 fully_pruned = survivors is not None and not survivors.any()
                 if record_stats:
                     (_SWEEP_HIT if resident else _SWEEP_MISS).inc()
+                shape = (batch.size, n_queries)
+                if shape not in self._batch_steps:
+                    self._batch_steps[shape] = self.kernel.batch_steps(self.device, *shape)
+                steps = self._batch_steps[shape]
                 batch_cm = (
                     _TRACER.span(
                         "cache.batch", layer="cache",
@@ -499,33 +523,17 @@ class TextureSearchEngine:
                         # no survivor: the batch never transfers and the
                         # exact stage is skipped outright.
                         groups = [self._pruned_matches(batch, keep_masks)]
+                    elif steps is not None:
+                        # charged now, computed with the rest of the sweep
+                        self.device.charge(steps)
+                        groups = None
                     elif query.matrix.ndim == 3:  # a prepared query *group*
                         groups = self.kernel.match_batch_multi(self.device, batch, query, keep_masks)
-                    elif survivors is not None:
-                        groups = [
-                            self.kernel.match_batch(
-                                self.device, batch, query, keep_masks,
-                                survivors=survivors,
-                            )
-                        ]
                     else:
-                        groups = [self.kernel.match_batch(self.device, batch, query, keep_masks)]
-                    # tombstone filtering: resolve the batch's dead slots once
-                    # (kernels emit one match per slot, in slot order), then
-                    # drop them from every query's list by index.
-                    alive: list[int] | None = None
-                    if self._dead_slots or candidate_ids is not None:
-                        alive = [
-                            i for i, slot_id in enumerate(batch.ids)
-                            if not slot_id.startswith(_DEAD_PREFIX)
-                            and (candidate_ids is None or slot_id in candidate_ids)
-                        ]
-                        if len(alive) == batch.size:
-                            alive = None
-                    for q, matches in enumerate(groups):
-                        if alive is not None:
-                            matches = [matches[i] for i in alive]
-                        per_query[q].extend(matches)
+                        kept = {} if survivors is None else {"survivors": survivors}
+                        match = self.kernel.match_batch
+                        groups = [match(self.device, batch, query, keep_masks, **kept)]
+                    swept.append((batch, groups))
                     images += batch.size
                 if deadline is not None:
                     # charge per batch (non-mutating clock read) so the
@@ -533,6 +541,7 @@ class TextureSearchEngine:
                     now_us = self.device.elapsed_us()
                     deadline.charge(now_us - charged_at_us)
                     charged_at_us = now_us
+            per_query = self._swept_matches(swept, query, n_queries, keep_masks, candidate_ids)
             elapsed = self.device.synchronize() - start_us
 
             if cfg.streams > 1 and host_images:
@@ -586,6 +595,40 @@ class TextureSearchEngine:
             images_pruned=images_pruned,
             cascade_pruned=cascade_pruned,
         )
+
+    def _swept_matches(
+        self, swept: list[tuple[ReferenceBatch, list | None]], query: PreparedQuery,
+        n_queries: int, keep_masks: bool, candidate_ids: set[str] | frozenset[str] | None,
+    ) -> list[list[ImageMatch]]:
+        """The sweep's functional plane: per-query matches of the batches
+        the timing plane swept, in sweep order.  Those it only charged
+        (``groups`` is ``None``) are computed here as one stack; every
+        batch then goes through the tombstone/candidate filter."""
+        stack = [batch for batch, groups in swept if groups is None]
+        stacked = self.kernel.match_batch_multi(None, stack, query, keep_masks) if stack else []
+        per_query: list[list[ImageMatch]] = [[] for _ in range(n_queries)]
+        taken = 0
+        for batch, groups in swept:
+            if groups is None:
+                groups = [matches[taken : taken + batch.size] for matches in stacked]
+                taken += batch.size
+            # tombstone filtering: resolve the batch's dead slots once
+            # (kernels emit one match per slot, in slot order), then
+            # drop them from every query's list by index.
+            alive: list[int] | None = None
+            if self._dead_slots or candidate_ids is not None:
+                alive = [
+                    i for i, slot_id in enumerate(batch.ids)
+                    if not slot_id.startswith(_DEAD_PREFIX)
+                    and (candidate_ids is None or slot_id in candidate_ids)
+                ]
+                if len(alive) == batch.size:
+                    alive = None
+            for q, matches in enumerate(groups):
+                if alive is not None:
+                    matches = [matches[i] for i in alive]
+                per_query[q].extend(matches)
+        return per_query
 
     def _pruned_matches(self, batch: ReferenceBatch, keep_masks: bool) -> list[ImageMatch]:
         """Zero-match entries for a fully Hamming-pruned batch — one per
@@ -659,11 +702,12 @@ class TextureSearchEngine:
                 f"RootSIFT Algorithm-2 pipeline); backend {self.backend!r} does not "
                 "support it"
             )
-        self.flush()
+        # prepared before the flush: a rejected query must not seal the pending batch
         if n_queries == 1:
             query = self.kernel.prepare_query(self.device, query_descriptor_list[0])
         else:
             query = self.kernel.prepare_query_many(self.device, query_descriptor_list)
+        self.flush()
         outcome = self._execute_sweep(
             query, n_queries=n_queries, keep_masks=keep_masks,
             candidate_ids=candidate_ids,

@@ -28,10 +28,12 @@ from ..features.rootsift import l2_normalize, rootsift
 from ..features.selection import pad_or_trim
 from ..fp16.convert import FP16_MAX, to_scaled_fp16
 from ..gpusim.engine_model import GPUDevice
+from ..gpusim.kernels import postprocess_us
 from .algorithm1 import PreparedFeatures, knn_algorithm1, prepare_reference, upload_query
-from .algorithm2 import knn_algorithm2
+from .algorithm2 import knn_steps
 from .batching import ReferenceBatch
-from .ratio_test import batch_ratio_test_masks, match_images, match_images_batch
+from .query_batching import knn_algorithm2_multiquery
+from .ratio_test import batch_ratio_test_masks, match_images
 from .results import ImageMatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -237,6 +239,15 @@ class MatchKernel(ABC):
         )
 
     # -- matching ------------------------------------------------------
+    def batch_steps(self, device: GPUDevice, size: int, n_queries: int) -> list[tuple] | None:
+        """All that matching a batch of ``size`` images against
+        ``n_queries`` queries charges, pre-costed for
+        :meth:`GPUDevice.charge` (pure in both sizes).  With it the sweep
+        charges batch by batch and computes them all in one
+        ``match_batch_multi(None, stack, ...)``; ``None`` — charges
+        interleaved with per-image work — keeps matching per batch."""
+        return None
+
     @abstractmethod
     def match_batch(
         self,
@@ -298,60 +309,49 @@ class Algorithm2Kernel(MatchKernel):
     def prepare_query_many(self, device, queries):
         return PreparedQuery(matrix=np.stack([self.engine_matrix(q) for q in queries]))
 
-    def match_batch(self, device, batch, query, keep_masks=False):
+    def batch_steps(self, device, size, n_queries):
         cfg = self.config
-        result = knn_algorithm2(
-            device,
-            batch.tensor,
-            query.matrix,
-            scale=cfg.effective_scale,
-            k=cfg.k,
-            precision=cfg.precision,
-            tensor_core=cfg.tensor_core,
-        )
-        device.cpu_postprocess(batch.size, cfg.precision, cfg.n)
-        # one vectorised ratio-test/count pass over the whole batch
-        return match_images_batch(
-            batch.ids, result.distances, result.indices, cfg.ratio_threshold, keep_masks
-        )
+        post = postprocess_us(device.cal, size * n_queries, cfg.precision, cfg.n)
+        return knn_steps(device, size, cfg.m, n_queries * cfg.n, cfg.d, cfg.k, cfg.precision,
+                         cfg.tensor_core) + [("cpu", post, "Post-processing")]
+
+    def match_batch(self, device, batch, query, keep_masks=False):
+        return self.match_batch_multi(device, batch, query, keep_masks)[0]
 
     def match_batch_multi(self, device, batch, query, keep_masks=False):
-        from .query_batching import knn_algorithm2_multiquery
-
+        """The kernel's one body.  ``batch`` may be a *stack* — a list of
+        batches taken in order as the one batch they would concatenate to
+        (``device=None``: the sweep has charged each as its own) — and
+        ``query`` a single prepared query, a group of one."""
         cfg = self.config
-        n_queries = query.n_queries
+        stack = [batch] if isinstance(batch, ReferenceBatch) else batch
+        queries = query.matrix if query.matrix.ndim == 3 else query.matrix[None]
+        if device is not None:
+            images = sum(member.size for member in stack)
+            device.charge(self.batch_steps(device, images, len(queries)))
         result = knn_algorithm2_multiquery(
-            device,
-            batch.tensor,
-            query.matrix,
-            scale=cfg.effective_scale,
-            k=cfg.k,
-            precision=cfg.precision,
-            tensor_core=cfg.tensor_core,
+            None, [member.tensor for member in stack], queries, scale=cfg.effective_scale,
+            k=cfg.k, precision=cfg.precision, tensor_core=cfg.tensor_core,
         )
-        device.cpu_postprocess(batch.size * n_queries, cfg.precision, cfg.n)
-        # one vectorised ratio-test/count pass over the whole
-        # (batch, n_queries) group, instead of per-pair calls
+        # one vectorised ratio-test/count pass over every (image, query) pair
         masks = batch_ratio_test_masks(result.distances, cfg.ratio_threshold)
-        counts = masks.sum(axis=-1)  # (batch, n_queries)
-        n_query = result.distances.shape[-1]
-        groups: list[list[ImageMatch]] = []
-        for q in range(n_queries):
-            groups.append(
-                [
-                    ImageMatch(
-                        reference_id=batch.ids[i],
-                        good_matches=int(counts[i, q]),
-                        n_query_features=n_query,
-                        match_mask=masks[i, q] if keep_masks else None,
-                        matched_reference_indices=(
-                            result.indices[i, q, 0][masks[i, q]] if keep_masks else None
-                        ),
-                    )
-                    for i in range(batch.size)
-                ]
-            )
-        return groups
+        counts = masks.sum(axis=-1).tolist()
+        ids = [slot_id for member in stack for slot_id in member.ids]
+        return [
+            [
+                ImageMatch(
+                    reference_id=slot_id,
+                    good_matches=counts[i][q],
+                    n_query_features=queries.shape[-1],
+                    match_mask=masks[i, q] if keep_masks else None,
+                    matched_reference_indices=(
+                        result.indices[i, q, 0][masks[i, q]] if keep_masks else None
+                    ),
+                )
+                for i, slot_id in enumerate(ids)
+            ]
+            for q in range(len(queries))
+        ]
 
 
 class Algorithm1Kernel(MatchKernel):

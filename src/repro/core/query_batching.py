@@ -17,7 +17,7 @@ models — the ablation the paper hand-waves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -61,8 +61,8 @@ class MultiQueryResult:
 
 
 def knn_algorithm2_multiquery(
-    device: GPUDevice,
-    references: np.ndarray,
+    device: Optional[GPUDevice],
+    references: np.ndarray | Sequence[np.ndarray],
     queries: np.ndarray,
     scale: float = 1.0,
     k: int = 2,
@@ -74,23 +74,26 @@ def knn_algorithm2_multiquery(
 
     ``references`` is ``(batch, d, m)``; ``queries`` is ``(Q, d, n)``.
     Functionally equivalent to running Algorithm 2 once per query, but
-    charged as one fused GEMM + one wide scan.
+    charged as one fused GEMM + one wide scan.  ``references`` may be a
+    *stack*: a list of such batches, taken in order as the one batch they
+    would concatenate to; ``device=None`` charges nothing.
     """
-    references = np.asarray(references)
+    stack = references if isinstance(references, (list, tuple)) else [references]
+    stack = [np.asarray(refs) for refs in stack]
     queries = np.asarray(queries)
-    if references.ndim != 3 or queries.ndim != 3:
+    if not stack or any(refs.ndim != 3 for refs in stack) or queries.ndim != 3:
         raise ValueError("references must be (batch, d, m) and queries (Q, d, n)")
-    if references.shape[1] != queries.shape[1]:
+    d = stack[0].shape[1]
+    if any(refs.shape[1:] != stack[0].shape[1:] for refs in stack) or d != queries.shape[1]:
         raise ValueError(
-            f"dimension mismatch: references d={references.shape[1]}, "
+            f"dimension mismatch: references {[refs.shape for refs in stack]}, "
             f"queries d={queries.shape[1]}"
         )
-    batch, d = references.shape[:2]
     n_queries, _, n = queries.shape
     # Column-concatenate queries: (d, Q*n).
     q_all = np.transpose(queries, (1, 0, 2)).reshape(d, n_queries * n)
-    dist, idx = _knn_columns(device, references, q_all, scale, k, precision, tensor_core, stream)
-    shape = (k, batch, n_queries, n)
+    dist, idx = _knn_columns(device, stack, q_all, scale, k, precision, tensor_core, stream)
+    shape = (k, -1, n_queries, n)
     return MultiQueryResult(
         distances=np.ascontiguousarray(dist.reshape(shape).transpose(1, 2, 0, 3)),
         indices=np.ascontiguousarray(idx.reshape(shape).transpose(1, 2, 0, 3)),

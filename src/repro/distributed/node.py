@@ -297,4 +297,5 @@ class SearchNode:
             "searches": self.engine.stats.searches,
             "mean_images_per_s": self.engine.stats.mean_throughput_images_per_s,
             "cascade_prefilter": self.engine.kernel.has_prefilter,
+            **self.engine.fragmentation(),
         }

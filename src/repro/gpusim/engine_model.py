@@ -128,6 +128,13 @@ class GPUDevice:
             self.profiler.add(step, duration_us)
         return end
 
+    def charge(self, steps, stream: Optional[Stream] = None) -> None:
+        """Submit pre-costed ``(engine, duration_us, step)`` operations
+        back to back: a recurring step list is costed once, where the
+        typed operations below evaluate their cost model per call."""
+        for engine, duration_us, step in steps:
+            self.submit(engine, duration_us, stream, step)
+
     def synchronize(self) -> float:
         """Wait for all engines/streams; returns the elapsed time (us)."""
         t = self.elapsed_us()

@@ -176,6 +176,23 @@ class TestTombstones:
         assert engine.has_reference("ref5") and engine.n_references == 10
         assert engine.search(noisy_copy(descs[5], 8.0, seed=14)).best().reference_id == "ref5"
 
+    def test_a_rejected_search_seals_nothing(self, engine):
+        """A query the kernel cannot prepare raises before the flush: the
+        pending partial batch stays pending (sealing it would fragment the
+        cache for every later sweep) and nothing else moves."""
+        descs = enrolled(engine, count=4)  # one full batch, sealed
+        engine.add_reference("late0", make_descriptors(48, seed=310))
+        engine.add_reference("late1", make_descriptors(48, seed=311))
+        before = (len(engine.cache), engine._builder.pending, engine.device.elapsed_us())
+        assert before[:2] == (1, 2)
+        for bad in (np.ones((64, 48), np.float32), [descs[0], np.ones((64, 48), np.float32)]):
+            with pytest.raises(ValueError):
+                engine.search_group(bad if isinstance(bad, list) else [bad])
+        assert (len(engine.cache), engine._builder.pending, engine.device.elapsed_us()) == before
+        assert engine.stats.searches == 0
+        assert engine.search(noisy_copy(descs[2], 8.0, seed=15)).images_searched == 6
+        assert (len(engine.cache), engine._builder.pending) == (2, 0)
+
     def test_remove_pending_slot(self, engine):
         # fewer adds than batch_size: slot still in the builder
         engine.add_reference("a", make_descriptors(48, seed=300))

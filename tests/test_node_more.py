@@ -47,6 +47,23 @@ class TestNodeOps:
         assert stats["mean_images_per_s"] > 0
         assert stats["references"] == 1
 
+    def test_stats_report_how_the_cache_is_chunked(self):
+        """What a sweep is charged by, read from inside: sealed batches,
+        their fill against ``batch_size`` (2 here) and their dead slots."""
+        node = SearchNode("n0", CFG)
+        chunked = lambda: {k: node.stats()[k] for k in ("sealed_batches", "batch_fill", "dead_slot_share")}
+        assert chunked() == {"sealed_batches": 0, "batch_fill": 0.0, "dead_slot_share": 0.0}
+        for i in range(3):
+            node.add(f"r{i}", make_descriptors(32, seed=6100 + i))
+        # one full batch sealed, r2 still pending: in neither number
+        assert chunked() == {"sealed_batches": 1, "batch_fill": 1.0, "dead_slot_share": 0.0}
+        node.search(noisy_copy(make_descriptors(32, seed=6100), 8.0, seed=62))  # seals r2 alone
+        assert chunked() == {"sealed_batches": 2, "batch_fill": 0.75, "dead_slot_share": 0.0}
+        node.remove("r0")  # a tombstone: still swept, never reported
+        assert chunked() == {"sealed_batches": 2, "batch_fill": 0.75, "dead_slot_share": 1 / 3}
+        node.remove("r1")  # the batch's last live slot: the whole batch is purged
+        assert chunked() == {"sealed_batches": 1, "batch_fill": 0.5, "dead_slot_share": 0.0}
+
     def test_capacity_reflects_node_budgets(self):
         node = SearchNode("n0", CFG)
         per_image = CFG.feature_matrix_bytes()
