@@ -74,13 +74,16 @@ def query_major_product(
 
 def _fp16_gemm(
     product, a: np.ndarray, b: np.ndarray, alpha: float, tensor_core: bool, store_fp16: bool,
-    out: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, bool]:
+    out: Optional[np.ndarray] = None, unexamined: bool = False,
+) -> tuple[np.ndarray, Optional[bool]]:
     """``(alpha * product(a, b) as float32, overflowed)`` from FP16
     operands: the one epilogue behind both entry points, which differ in
     the ``product`` that lays the result out (into its ``out``, if given).
     Callers that model plain HGEMM must treat ``overflowed=True`` outputs
     as saturated/invalid (the library raises, see :mod:`repro.fp16`).
+    ``unexamined`` skips the epilogue where a caller can make up for it on
+    a few entries: the accumulator of non-negative finite operands comes
+    back as it is, flagged ``None``.
     """
     a = a.astype(np.float16, copy=False)
     b = b.astype(np.float16, copy=False)
@@ -93,6 +96,8 @@ def _fp16_gemm(
         a32, b32 = a.astype(np.float32), b.astype(np.float32)
     # What an FP32-accumulating engine produces; owned, so the rest is in place.
     exact = product(a32, b32, out=out)
+    if nonneg and unexamined:
+        return exact if alpha == 1.0 else np.multiply(exact, np.float32(alpha), out=exact), None
     # fmin/fmax skip NaNs, so ``hi > x`` is ``np.any(exact > x)``.  Sums of
     # non-negative finite terms are never negative or NaN: one scan, not two.
     hi = np.fmax.reduce(exact, axis=None, initial=-np.inf)
@@ -155,7 +160,8 @@ def batched_hgemm(
     stream: Optional[Stream] = None,
     step: str = "GEMM",
     out: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, bool]:
+    store_fp16: bool = True,
+) -> tuple[np.ndarray, Optional[bool]]:
     """Batched FP16 GEMM: ``a_batch`` is ``(batch, k, m)`` reference
     matrices (features stored column-wise, as in Fig. 3); ``b`` is the
     shared ``(k, n)`` query matrix.  Returns ``(batch, m, n)`` products,
@@ -165,7 +171,12 @@ def batched_hgemm(
     as *one* GEMM call of ``batch`` times the work, which is where the
     data-reuse efficiency gain comes from.  ``device=None`` computes
     without charging: ``a_batch`` is then one tile of a batch whose
-    single GEMM the caller has already charged.
+    single GEMM the caller has already charged.  ``store_fp16=False`` asks
+    for the unrounded accumulator, as ``hgemm(tensor_core=True)`` returns
+    it, and gets it — flagged ``None``: overflowed iff its largest entry
+    exceeds ``FP16_MAX``, for the caller to read off the few entries it
+    keeps — for non-negative finite operands only; any others come back
+    stored and flagged as ever, since their flag needs the whole product.
     """
     a_batch = np.asarray(a_batch)
     if a_batch.ndim != 3:
@@ -177,4 +188,5 @@ def batched_hgemm(
     n = b.shape[1]
     if device is not None:
         device.gemm(m, n, k, batch=batch, dtype="fp16", tensor_core=tensor_core, stream=stream, step=step)
-    return _fp16_gemm(query_major_product, a_batch, b, alpha, tensor_core, store_fp16=True, out=out)
+    return _fp16_gemm(query_major_product, a_batch, b, alpha, tensor_core, store_fp16=True,
+                      out=out, unexamined=not store_fp16)

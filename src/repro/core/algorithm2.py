@@ -20,8 +20,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..blas.gemm import batched_hgemm, query_major_product
+from ..blas.gemm import FP16_MAX, batched_hgemm, query_major_product
 from ..errors import HalfPrecisionOverflowError
+from ..fp16.codec import round_trip_nonneg
 from ..gpusim.engine_model import GPUDevice
 from ..gpusim.kernels import d2h_result_us, elementwise_us, gemm_us, top2_scan_us
 from ..gpusim.stream import Stream
@@ -92,13 +93,16 @@ def _knn_columns(
     precision: str,
     tensor_core: bool,
     stream: Optional[Stream],
-) -> tuple[np.ndarray, np.ndarray]:
+    indices: bool = True,
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Steps 1-4 for a *stack* — ``(batch_i, d, m)`` reference batches taken
     as the one batch they would concatenate to — against the ``(d, n)``
     columns of one query, or of several, concatenated.  ``device=None``
     computes only (the engine's sweep has charged each member as its own
     batch).  Returns ``(distances, indices)``, each ``(k, images * n)``,
-    image-major in stack order.
+    image-major in stack order; ``indices=False`` returns ``None`` for them
+    and lets a tile select on its unrounded product (docs/architecture.md,
+    "The winners-only epilogue").
     """
     d, m = stack[0].shape[1:]
     images = sum(len(refs) for refs in stack)
@@ -120,7 +124,9 @@ def _knn_columns(
     tile = max(1, _PRODUCT_TILE_BYTES // max(1, 4 * m * n))  # images
     scratch = np.empty((min(tile, images), n, m), dtype=np.float32)
     dist = np.empty((k, images * n), dtype=np.float32)
-    top_idx = np.empty((k, images * n), dtype=np.int32)
+    top_idx = np.empty((k, images * n), dtype=np.int32) if indices else None
+    # Values alone survive selecting before rounding; 4k >= m is a sort either way.
+    unrounded = not indices and 4 * k < m
     # A tile stops at an image boundary, not at a member's: inside one member
     # it is a view, across members a copy of this tile's operand only.
     flat = stack[0] if len(stack) == 1 else [image for refs in stack for image in refs]
@@ -129,21 +135,38 @@ def _knn_columns(
         out = scratch[: len(refs)]
         cols = slice(start * n, (start + len(refs)) * n)
         if fp16:
-            a, overflow = batched_hgemm(None, refs, columns, tensor_core=tensor_core, out=out)
-            if overflow:
-                # error path only: name the first member whose own product overflows,
-                # image by image — whatever the tile size and whatever shared its tile
-                hot = next((member for member in stack for image in member if batched_hgemm(
-                    None, image[None], columns, tensor_core=tensor_core)[1]), refs)
-                raise HalfPrecisionOverflowError(scale, _accumulator_peak(hot, columns))
+            a, overflow = batched_hgemm(None, refs, columns, tensor_core=tensor_core, out=out,
+                                        store_fp16=not unrounded)
         else:
             a = query_major_product(refs.astype(np.float32, copy=False), columns, out=out)
-        a *= np.float32(-2.0)
+            overflow = False
         # Step 2: one scan thread per (image, query-feature) column — on the
         # query-major product a zero-copy F-ordered view, each column
         # contiguous.  Only the winners leave the tile.
         scanned = np.transpose(a, (1, 0, 2)).reshape(m, len(refs) * n)
-        dist[:, cols], top_idx[:, cols] = functional_topk(scanned, k)
+        unexamined = overflow is None
+        if unexamined:
+            # The unrounded accumulator of non-negative operands.  Rounding and x-2 are
+            # monotone: its k largest, rounded, are the k smallest of the rounded -2A with
+            # multiplicity, the first of them the maxima the overflow rule asks about.
+            won = functional_topk(scanned, k, largest=True)[0]
+            peak = float(won[0].max())
+            overflow = peak > FP16_MAX
+        if overflow:
+            # error path only: name the first member whose own product overflows,
+            # image by image — whatever the tile size and whatever shared its tile
+            hot = next((member for member in stack for image in member if batched_hgemm(
+                None, image[None], columns, tensor_core=tensor_core)[1]), refs)
+            raise HalfPrecisionOverflowError(scale, _accumulator_peak(hot, columns))
+        if unexamined:
+            round_trip_nonneg(won, peak)
+            won *= np.float32(-2.0)
+        else:
+            scanned *= np.float32(-2.0)
+            won, won_idx = functional_topk(scanned, k)
+            if indices:
+                top_idx[:, cols] = won_idx
+        dist[:, cols] = won
 
     # Step 3: sqrt(const + A) in-register on the winners only; step 4: the gather.
     if device is not None:

@@ -331,7 +331,7 @@ class Algorithm2Kernel(MatchKernel):
             device.charge(self.batch_steps(device, images, len(queries)))
         result = knn_algorithm2_multiquery(
             None, [member.tensor for member in stack], queries, scale=cfg.effective_scale,
-            k=cfg.k, precision=cfg.precision, tensor_core=cfg.tensor_core,
+            k=cfg.k, precision=cfg.precision, tensor_core=cfg.tensor_core, indices=keep_masks,
         )
         # one vectorised ratio-test/count pass over every (image, query) pair
         masks = batch_ratio_test_masks(result.distances, cfg.ratio_threshold)
@@ -343,7 +343,7 @@ class Algorithm2Kernel(MatchKernel):
                     reference_id=slot_id,
                     good_matches=counts[i][q],
                     n_query_features=queries.shape[-1],
-                    match_mask=masks[i, q] if keep_masks else None,
+                    match_mask=masks[i, q].copy() if keep_masks else None,  # not a view of the sweep
                     matched_reference_indices=(
                         result.indices[i, q, 0][masks[i, q]] if keep_masks else None
                     ),

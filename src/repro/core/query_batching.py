@@ -42,11 +42,12 @@ __all__ = ["MultiQueryResult", "knn_algorithm2_multiquery", "QueryBatchPoint", "
 class MultiQueryResult:
     """Top-k results for every (reference image, query) pair.
 
-    ``distances``/``indices`` have shape ``(batch, n_queries, k, n)``.
+    ``distances``/``indices`` have shape ``(batch, n_queries, k, n)``;
+    ``indices`` is ``None`` when the search was asked for none.
     """
 
     distances: np.ndarray
-    indices: np.ndarray
+    indices: Optional[np.ndarray]
 
     def query(self, q: int) -> BatchKnnResult:
         """The per-query view, shaped like a single-query Algorithm 2 run."""
@@ -69,6 +70,7 @@ def knn_algorithm2_multiquery(
     precision: str = "fp16",
     tensor_core: bool = False,
     stream: Optional[Stream] = None,
+    indices: bool = True,
 ) -> MultiQueryResult:
     """Batched-reference x batched-query 2-NN.
 
@@ -76,7 +78,9 @@ def knn_algorithm2_multiquery(
     Functionally equivalent to running Algorithm 2 once per query, but
     charged as one fused GEMM + one wide scan.  ``references`` may be a
     *stack*: a list of such batches, taken in order as the one batch they
-    would concatenate to; ``device=None`` charges nothing.
+    would concatenate to; ``device=None`` charges nothing.  A caller that
+    reads only distances passes ``indices=False`` (ties only ever decide an
+    index, so the scan may then select before it rounds).
     """
     stack = references if isinstance(references, (list, tuple)) else [references]
     stack = [np.asarray(refs) for refs in stack]
@@ -92,12 +96,12 @@ def knn_algorithm2_multiquery(
     n_queries, _, n = queries.shape
     # Column-concatenate queries: (d, Q*n).
     q_all = np.transpose(queries, (1, 0, 2)).reshape(d, n_queries * n)
-    dist, idx = _knn_columns(device, stack, q_all, scale, k, precision, tensor_core, stream)
-    shape = (k, -1, n_queries, n)
-    return MultiQueryResult(
-        distances=np.ascontiguousarray(dist.reshape(shape).transpose(1, 2, 0, 3)),
-        indices=np.ascontiguousarray(idx.reshape(shape).transpose(1, 2, 0, 3)),
-    )
+    dist, idx = _knn_columns(device, stack, q_all, scale, k, precision, tensor_core, stream, indices)
+
+    def per_pair(x):  # (k, images * Q * n) -> (images, Q, k, n)
+        return np.ascontiguousarray(x.reshape(k, -1, n_queries, n).transpose(1, 2, 0, 3))
+
+    return MultiQueryResult(distances=per_pair(dist), indices=per_pair(idx) if indices else None)
 
 
 @dataclass(frozen=True)

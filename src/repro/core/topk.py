@@ -33,7 +33,9 @@ def _stable_topk(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.take_along_axis(a, idx, axis=0), idx
 
 
-def functional_topk(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def functional_topk(
+    a: np.ndarray, k: int, largest: bool = False
+) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Smallest ``k`` values (and row indices) of each column of ``a``.
 
     Deterministic tie-breaking: ties resolve to the lower row index,
@@ -44,6 +46,11 @@ def functional_topk(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     returning, so ``a`` is unchanged after the call (a read-only ``a``
     is copied first).  Columns are scanned fastest when contiguous in
     memory, i.e. when ``a`` is F-ordered.
+
+    ``largest=True`` is the values-only mirror image for a caller that
+    owns ``a`` and is done with it: the ``k`` largest values, largest
+    first and with multiplicity, of columns free of NaN and ``-inf``;
+    no indices (``None``), and the winners stay masked with ``-inf``.
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -54,20 +61,24 @@ def functional_topk(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if 4 * k >= m or a.dtype.kind != "f":
         # k is a sizable fraction of m (a stable full sort is both
         # simpler and no slower), or the dtype has no +inf to mask with.
-        return _stable_topk(a, k)
+        return (np.sort(a, axis=0)[: -k - 1 : -1], None) if largest else _stable_topk(a, k)
     work = a if a.flags.writeable else a.copy()
     col = np.arange(cols)
     vals = np.empty((k, cols), dtype=a.dtype)
     idx = np.empty((k, cols), dtype=np.intp)
     found = 0
+    pick, mask = (np.argmax, -np.inf) if largest else (np.argmin, np.inf)
     try:
         for j in range(k):
-            np.argmin(work, axis=0, out=idx[j])
+            pick(work, axis=0, out=idx[j])
             vals[j] = work[idx[j], col]
             found = j + 1
-            work[idx[j], col] = np.inf
+            work[idx[j], col] = mask
     finally:
-        work[idx[:found], col] = vals[:found]
+        if not largest:
+            work[idx[:found], col] = vals[:found]
+    if largest:
+        return vals, None
     # A winner that is not < +inf is a NaN (argmin's first pick, a
     # stable sort's last) or ties with the mask itself: those columns
     # take the sort's order.

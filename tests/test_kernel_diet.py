@@ -188,11 +188,12 @@ def oracle_batched_hgemm(
     return np.float32(alpha) * result, overflow
 
 
-def oracle_on_a_tile(device, a_tile, b, out=None, **kwargs):
+def oracle_on_a_tile(device, a_tile, b, out=None, store_fp16=True, **kwargs):
     """The call ``_knn_columns`` makes since the tiled sweep — ``device=None``
-    (it has charged the batch itself) and a scratch ``out`` — answered by the
-    oracle, which charges a throwaway device and allocates its own result."""
-    assert device is None
+    (it has charged the batch itself), a scratch ``out`` and, for a caller that
+    wants indices, a stored product — answered by the oracle, which charges a
+    throwaway device and allocates its own result."""
+    assert device is None and store_fp16
     return oracle_batched_hgemm(GPUDevice(TESLA_P100), a_tile, b, **kwargs)
 
 
