@@ -80,7 +80,7 @@ class OpenCVKernel(MatchKernel):
         descriptors = self._check_descriptors(descriptors)
         return pad_or_trim(descriptors, self.config.n)
 
-    def match_batch(self, device, batch, query, keep_masks=False):
+    def match_batch(self, device, batch, query, keep_masks=False, survivors=None):
         cfg = self.config
         matches = []
         for i in range(batch.size):
@@ -159,7 +159,7 @@ class LshKernel(MatchKernel):
             self._ref_codes[key] = codes
         return codes
 
-    def match_batch(self, device, batch, query, keep_masks=False):
+    def match_batch(self, device, batch, query, keep_masks=False, survivors=None):
         cfg = self.config
         q = query.matrix
         q_codes = query.aux if query.aux is not None else self.codec.encode(q)

@@ -16,6 +16,7 @@ from ..gpusim.kernels import (
     elementwise_us,
     gemm_us,
     insertion_sort_us,
+    knn_steps_us,
     postprocess_us,
     top2_scan_us,
 )
@@ -61,11 +62,13 @@ def algorithm2_steps(
     tensor_core: bool = False,
 ) -> dict[str, float]:
     """Per-*batch* step times (us) of Algorithm 2, Table 3 layout."""
+    gemm, scan, sqrt, d2h = (
+        us for _, us, _ in knn_steps_us(spec, cal, batch, m, n, d, 2, dtype, tensor_core)
+    )
     return {
-        "HGEMM/step1": gemm_us(spec, cal, m, n, d, batch, dtype, tensor_core),
-        "Sort and Sqrt/step2&3": top2_scan_us(spec, cal, m, batch * n, dtype)
-        + elementwise_us(spec, cal, 2 * batch * n, dtype),
-        "D2H memory copy/step4": d2h_result_us(spec, cal, n, batch, 2, dtype),
+        "HGEMM/step1": gemm,
+        "Sort and Sqrt/step2&3": scan + sqrt,
+        "D2H memory copy/step4": d2h,
         "Post-processing/CPU": postprocess_us(cal, batch, dtype, n),
     }
 

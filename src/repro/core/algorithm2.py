@@ -24,7 +24,7 @@ from ..blas.gemm import FP16_MAX, batched_hgemm, query_major_product
 from ..errors import HalfPrecisionOverflowError
 from ..fp16.codec import round_trip_nonneg
 from ..gpusim.engine_model import GPUDevice
-from ..gpusim.kernels import d2h_result_us, elementwise_us, gemm_us, top2_scan_us
+from ..gpusim.kernels import knn_steps_us
 from ..gpusim.stream import Stream
 from .results import KnnResult
 from .topk import functional_topk
@@ -73,15 +73,10 @@ def _accumulator_peak(references: np.ndarray, columns: np.ndarray) -> float:
 
 def knn_steps(device: GPUDevice, batch, m, n, d, k, precision, tensor_core) -> list[tuple]:
     """Steps 1-4 of one ``(batch, d, m)`` reference batch against ``n`` query
-    columns, pre-costed for :meth:`GPUDevice.charge`: pure in the shapes."""
-    spec, cal = device.spec, device.cal
-    return [
-        ("compute", gemm_us(spec, cal, m, n, d, batch, precision,
-                            precision == "fp16" and tensor_core), "GEMM"),
-        ("compute", top2_scan_us(spec, cal, m, batch * n, precision), "Top-2 sort"),
-        ("compute", elementwise_us(spec, cal, k * batch * n, precision), "sqrt"),
-        ("d2h", d2h_result_us(spec, cal, n, batch, k, precision), "D2H copy"),
-    ]
+    columns, pre-costed for :meth:`GPUDevice.charge`: pure in the shapes.
+    The engine's FP32 path ignores ``tensor_core``."""
+    return knn_steps_us(device.spec, device.cal, batch, m, n, d, k, precision,
+                        precision == "fp16" and tensor_core)
 
 
 def _knn_columns(

@@ -35,11 +35,6 @@ class AsymmetricPolicy:
         if self.m_reference <= 0 or self.n_query <= 0:
             raise ValueError("budgets must be positive")
 
-    @property
-    def reference_compression(self) -> float:
-        """Cache-size factor vs. the symmetric n-feature baseline."""
-        return self.m_reference / self.n_query
-
 
 class AsymmetricExtractor:
     """Extracts reference features at budget ``m`` and query features at

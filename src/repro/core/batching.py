@@ -96,7 +96,6 @@ class BatchBuilder:
         self._norms: list[np.ndarray] = []
         self._aux: list[np.ndarray] = []
         self._next_batch_id = 0
-        self._completed: list[ReferenceBatch] = []
 
     def add(
         self,
@@ -157,9 +156,4 @@ class BatchBuilder:
         self._matrices = []
         self._norms = []
         self._aux = []
-        self._completed.append(batch)
         return batch
-
-    @property
-    def completed_batches(self) -> list[ReferenceBatch]:
-        return list(self._completed)

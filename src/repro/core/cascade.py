@@ -19,12 +19,12 @@ per batch:
   is a *hit*, and an image with fewer than ``min_hits`` hits is pruned.
 
 Only surviving images reach the exact cuBLAS 2-NN pipeline (Algorithm
-1's steps 3-8); pruned images report zero good matches without any
-GEMM — and a batch with no survivor is short-circuited by the engine
-before its H2D transfer.  Both Hamming stages are charged through the
-:func:`repro.gpusim.kernels.hamming_us` integer popcount cost model, so
-the simulated speedup reflects popcount throughput vs GEMM FLOPs
-rather than being free.
+1's steps 3-8, the inherited match loop); pruned images report zero
+good matches without any GEMM — and a host-resident batch with no
+survivor is never staged by the engine.  Both Hamming stages are
+charged through the :func:`repro.gpusim.kernels.hamming_us` integer
+popcount cost model, so the simulated speedup reflects popcount
+throughput vs GEMM FLOPs rather than being free.
 
 The default knobs are *conservative*: sign bits of genuinely matching
 descriptor pairs disagree on only a few percent of planes, while
@@ -43,11 +43,9 @@ import numpy as np
 
 from ..features.binarize import hamming_distances, pack_bits, sign_planes, words_for_bits
 from ..gpusim.engine_model import GPUDevice
-from .algorithm1 import PreparedFeatures, knn_algorithm1
+from .algorithm1 import PreparedFeatures
 from .batching import ReferenceBatch
 from .kernels import Algorithm1Kernel, PreparedQuery
-from .ratio_test import match_images
-from .results import ImageMatch
 
 __all__ = ["CascadeKernel"]
 
@@ -212,35 +210,6 @@ class CascadeKernel(Algorithm1Kernel):
             )
         return survivors
 
-    # -- matching ------------------------------------------------------
-    def match_batch(self, device, batch, query, keep_masks=False, survivors=None):
-        cfg = self.config
-        features = query.aux.features if isinstance(query.aux, _CascadeQuery) else query.aux
-        matches = []
-        for i in range(batch.size):
-            if survivors is not None and not survivors[i]:
-                # Hamming-pruned: no GEMM, no scan, no post-processing.
-                matches.append(
-                    ImageMatch(
-                        reference_id=batch.ids[i],
-                        good_matches=0,
-                        n_query_features=cfg.n,
-                        match_mask=np.zeros(cfg.n, dtype=bool) if keep_masks else None,
-                        matched_reference_indices=(
-                            np.zeros(0, dtype=np.int32) if keep_masks else None
-                        ),
-                    )
-                )
-                continue
-            ref = PreparedFeatures(
-                values=batch.tensor[i],
-                norms=batch.norms[i],
-                precision=cfg.precision,
-                scale=cfg.effective_scale,
-            )
-            knn = knn_algorithm1(
-                device, ref, features, k=cfg.k, sort_kind=self._sort_kind()
-            )
-            device.cpu_postprocess(1, cfg.precision, cfg.n)
-            matches.append(match_images(batch.ids[i], knn, cfg.ratio_threshold, keep_masks))
-        return matches
+    # -- matching: Algorithm 1's loop, which skips what ``survivors`` rules out
+    def _query_features(self, query: PreparedQuery) -> PreparedFeatures:
+        return query.aux.features

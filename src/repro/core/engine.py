@@ -11,11 +11,13 @@ k-NN backend, see :mod:`repro.core.kernels` and
 
 Every optimization is a config knob (precision, backend, batch size,
 sort kind, streams, asymmetric m/n), so the benchmark harness can
-reproduce each table by toggling exactly one of them.  All three entry
-points run on a single private cache-sweep executor
-(:meth:`_execute_sweep`) that owns the batch loop, H2D transfer
+reproduce each table by toggling exactly one of them.  A search —
+alone or as a fused group — is one private cache sweep
+(:meth:`_execute_sweep`), which owns the batch loop, H2D transfer
 accounting, tombstone filtering, the multi-stream overlap correction
-and stats — the kernels only see one batch at a time.
+and stats; the kernel decides what each slot of a swept batch costs
+and reports.  :meth:`verify` is not a sweep: it hands one transient
+image to the same kernel calls and touches neither cache nor stats.
 
 Timing: with a single stream the engine's event-driven device model is
 exact (all stages serialise in-stream, as in Tables 1/3/5).  With
@@ -26,13 +28,11 @@ serial NumPy execution cannot exhibit.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
-from ..cache.hybrid import CachedBatch, CacheLocation, HybridFeatureCache
+from ..cache.hybrid import CacheLocation, HybridFeatureCache
 from ..gpusim.device import TESLA_P100
 from ..gpusim.engine_model import GPUDevice
 from ..obs import current_deadline, default_registry, default_tracer
@@ -400,201 +400,140 @@ class TextureSearchEngine:
         query: PreparedQuery,
         n_queries: int,
         keep_masks: bool = False,
-        batches: Iterable[CachedBatch] | None = None,
-        record_stats: bool = True,
-        honor_deadline: bool = True,
         candidate_ids: set[str] | frozenset[str] | None = None,
     ) -> _SweepOutcome:
-        """The one batch loop every match path runs on.
+        """One search's pass over the cache, for :meth:`search_group`.
 
-        Owns, for every backend: H2D transfer accounting for
-        host-resident batches, tombstone filtering, the multi-stream
-        overlap correction (Sec. 6.2) and stats/profile accumulation.
-        ``batches`` overrides the cache iteration (``verify`` passes a
-        transient single-image batch); ``record_stats`` is off for
-        sweeps that are not searches.
+        Two planes.  The loop is the *timing* plane: batch by batch it
+        decides what is swept and staged (H2D for host-resident
+        batches) and charges the device the kernel's pre-costed
+        ``batch_steps``; what it swept is then computed — and its
+        tombstones dropped — by the *functional* plane
+        (:meth:`_swept_matches`) in one kernel call.  Kernels without
+        ``batch_steps`` match inside the loop.  The multi-stream overlap
+        correction (Sec. 6.2) and the stats follow the loop.
 
-        Two planes.  The loop is the *timing* plane: it decides, batch
-        by batch, what is swept and charges the device the kernel's
-        ``batch_steps``.  What it swept is then computed by the
-        *functional* plane (:meth:`_swept_matches`) in one kernel call —
-        a sealed batch bounds a charge, not a computation.  Kernels
-        without ``batch_steps`` still match inside the loop.
+        ``candidate_ids`` (a :mod:`repro.routing` tier's nominees): a
+        batch with no nominated slot is skipped outright — no staging,
+        no simulated cost — and counted into ``images_pruned``; a swept
+        batch runs at full width (the honest cost of the immutable
+        layout) and its matches are filtered to the nominees, so results
+        depend on the candidate set, never on batch co-location.
 
-        ``candidate_ids`` restricts the exact sweep to a routing
-        tier's nominees (:mod:`repro.routing`): a reference batch with
-        no live nominated slot is skipped outright (no H2D staging, no
-        GEMM, no simulated cost) and its images counted into
-        ``images_pruned``; in batches that *are* swept — the GEMM runs
-        at full batch width, the honest cost of the immutable (batch,
-        d, m) layout — matches are filtered to the nominated ids, so
-        results depend only on the candidate set, never on batch
-        co-location.
+        Deadline (:func:`repro.obs.current_deadline`): each swept
+        batch's simulated time is charged to the budget; once it expires
+        the remaining batches are counted into ``images_skipped``
+        instead of compared and the outcome is ``partial``.  What *was*
+        swept is bit-identical to a full sweep's prefix.
 
-        When a request deadline (:func:`repro.obs.current_deadline`) is
-        active, the loop charges the budget with each batch's simulated
-        time and stops sweeping once it expires: remaining batches are
-        counted into ``images_skipped`` instead of compared, and the
-        outcome comes back ``partial``.  The batches that *were* swept
-        produce bit-identical matches to a full sweep's prefix.
-
-        Prefilter backends (``kernel.has_prefilter``) add a stage in
-        front of the exact match: ``prefilter_batch`` runs on the
-        cached aux codes *before* any H2D staging, its cost charged
-        through the gpusim popcount model.  A batch with no survivor is
-        short-circuited — no transfer, no GEMM — and its images report
-        zero matches (they still count into ``images``: the prefilter
-        *examined* them, unlike routing-pruned batches it never saw);
-        partial survivors are handed to ``match_batch`` so pruned slots
-        skip their per-image GEMM.  ``cascade_pruned`` counts the
-        skipped GEMMs.
+        Prefilter (``kernel.has_prefilter``): ``prefilter_batch`` runs
+        on the cached aux codes before any staging, its cost charged.
+        The engine's part is not to stage a batch with no survivor; the
+        mask goes to ``match_batch``, which reports zero matches for the
+        slots it rules out and charges nothing for them.  They still
+        count into ``images`` (examined, unlike routing-pruned ones) and
+        into ``cascade_pruned``.
         """
         cfg = self.config
-        deadline = current_deadline() if honor_deadline else None
-        profile_before = self.device.profiler.as_dict() if record_stats else {}
-        sweep_cm = (
-            _TRACER.span(
-                "engine.sweep", layer="engine",
-                backend=self.kernel.name, queries=n_queries,
-            )
-            if _TRACER.enabled
-            else nullcontext()
-        )
-        with sweep_cm as sweep_span:
-            start_us = self.device.synchronize()
-            images = 0
+        deadline = current_deadline()
+        profile_before = self.device.profiler.as_dict()
+        out = _SweepOutcome(per_query_matches=[], images=0, elapsed_us=0.0)
+        with _TRACER.span("engine.sweep", layer="engine", backend=self.backend, queries=n_queries):
+            start_us = charged_at_us = self.device.synchronize()
             host_images = 0
-            images_skipped = 0
-            images_pruned = 0
-            cascade_pruned = 0
-            charged_at_us = start_us
-            prefilter_active = (
-                self.kernel.has_prefilter and query.matrix.ndim == 2
-            )
-            source = self.cache.batches() if batches is None else batches
-            traced = _TRACER.enabled
+            prefilter_active = self.kernel.has_prefilter and query.matrix.ndim == 2
             swept: list[tuple[ReferenceBatch, list | None]] = []
-            for cached in source:
+            for cached in self.cache.batches():
+                batch = cached.batch
                 if candidate_ids is not None and not any(
-                    slot_id in candidate_ids for slot_id in cached.batch.ids
+                    slot_id in candidate_ids for slot_id in batch.ids
                 ):
-                    # no nominee lives here: the batch is never staged
-                    # or compared, and no simulated time is charged.
-                    images_pruned += cached.batch.size
+                    # no nominee lives here: never staged, compared or charged
+                    out.images_pruned += batch.size
                     continue
                 if deadline is not None and deadline.expired:
-                    # an expired deadline stops the sweep: remaining
-                    # batches are never staged or compared.
-                    images_skipped += cached.batch.size
+                    # expired: the remaining batches are never staged or compared
+                    out.images_skipped += batch.size
                     continue
-                batch = cached.batch
                 resident = cached.location is not CacheLocation.HOST
-                survivors = None
+                survivors, surviving = None, batch.size
                 if prefilter_active:
-                    # the prefilter runs on the small cached codes before
-                    # any feature staging; its popcount cost is charged.
+                    # on the small cached codes, before any feature staging
                     survivors = self.kernel.prefilter_batch(self.device, batch, query)
                     if survivors is not None:
-                        cascade_pruned += batch.size - int(survivors.sum())
-                fully_pruned = survivors is not None and not survivors.any()
-                if record_stats:
-                    (_SWEEP_HIT if resident else _SWEEP_MISS).inc()
+                        surviving = int(survivors.sum())
+                        out.cascade_pruned += batch.size - surviving
+                (_SWEEP_HIT if resident else _SWEEP_MISS).inc()
                 shape = (batch.size, n_queries)
                 if shape not in self._batch_steps:
                     self._batch_steps[shape] = self.kernel.batch_steps(self.device, *shape)
                 steps = self._batch_steps[shape]
-                batch_cm = (
-                    _TRACER.span(
-                        "cache.batch", layer="cache",
-                        batch_id=batch.batch_id, images=batch.size,
-                        location=cached.location.value,
-                    )
-                    if traced
-                    else nullcontext()
-                )
-                with batch_cm:
-                    if not resident and not fully_pruned:
+                with _TRACER.span(
+                    "cache.batch", layer="cache", batch_id=batch.batch_id,
+                    images=batch.size, location=cached.location.value,
+                ):
+                    if surviving and not resident:
                         # one H2D per reference batch per *sweep* — a query
                         # group shares the transfer, it is not paid per query
                         self.device.h2d(batch.nbytes, pinned=self.cache.pinned)
                         _H2D_BYTES.inc(batch.nbytes)
                         host_images += batch.size
-                    if fully_pruned:
-                        # no survivor: the batch never transfers and the
-                        # exact stage is skipped outright.
-                        groups = [self._pruned_matches(batch, keep_masks)]
-                    elif steps is not None:
+                    if steps is not None:
                         # charged now, computed with the rest of the sweep
                         self.device.charge(steps)
                         groups = None
-                    elif query.matrix.ndim == 3:  # a prepared query *group*
-                        groups = self.kernel.match_batch_multi(self.device, batch, query, keep_masks)
                     else:
-                        kept = {} if survivors is None else {"survivors": survivors}
-                        match = self.kernel.match_batch
-                        groups = [match(self.device, batch, query, keep_masks, **kept)]
+                        groups = [self.kernel.match_batch(
+                            self.device, batch, query, keep_masks, survivors=survivors
+                        )]
                     swept.append((batch, groups))
-                    images += batch.size
+                    out.images += batch.size
                 if deadline is not None:
                     # charge per batch (non-mutating clock read) so the
                     # expiry check above sees this batch's cost.
                     now_us = self.device.elapsed_us()
                     deadline.charge(now_us - charged_at_us)
                     charged_at_us = now_us
-            per_query = self._swept_matches(swept, query, n_queries, keep_masks, candidate_ids)
-            elapsed = self.device.synchronize() - start_us
+            out.per_query_matches = self._swept_matches(
+                swept, query, n_queries, keep_masks, candidate_ids)
+            out.elapsed_us = self.device.synchronize() - start_us
 
             if cfg.streams > 1 and host_images:
-                # Replace the serial estimate for the host-resident part by
-                # the multi-stream overlap model (Sec. 6.2).  A query group
-                # widens the fused GEMM to ``n_queries * n`` columns while
-                # the per-batch H2D transfer stays the same, so the plan is
-                # computed at the group's fused width — the transfer is
-                # amortised across the group instead of charged per query.
+                # Replace the serial estimate for the host-resident part by the
+                # multi-stream overlap model (Sec. 6.2), planned at the group's fused
+                # width: a group widens the GEMM to ``n_queries * n`` columns while the
+                # per-batch H2D stays the same — amortised across it, not paid per query.
                 plan = plan_streams(
                     self.device.spec, self.device.cal, cfg.streams, cfg.batch_size,
                     m=cfg.m, n=cfg.n * n_queries, d=cfg.d, precision=cfg.precision,
                     tensor_core=cfg.tensor_core, pinned=self.cache.pinned,
                     with_norms=self.kernel.needs_norms,
                 )
-                gpu_fraction = (images - host_images) / images if images else 0.0
-                elapsed = (
-                    elapsed * gpu_fraction
-                    + host_images / plan.throughput_images_per_s * 1e6
-                )
+                gpu_fraction = (out.images - host_images) / out.images  # images >= host_images > 0
+                streamed_us = host_images / plan.throughput_images_per_s * 1e6
+                out.elapsed_us = out.elapsed_us * gpu_fraction + streamed_us
 
-            if record_stats:
-                self.stats.searches += n_queries
-                self.stats.images_compared += images * n_queries
-                self.stats.total_search_us += elapsed
-                _SWEEPS.inc()
-                _SWEEP_US.observe(elapsed)
-                for name, total in self.device.profiler.as_dict().items():
-                    delta = total - profile_before.get(name, 0.0)
-                    if delta:
-                        self.stats.step_times_us[name] = (
-                            self.stats.step_times_us.get(name, 0.0) + delta
-                        )
-                        _STEP_US.labels(step=name).observe(delta)
-            if images_skipped:
+            self.stats.searches += n_queries
+            self.stats.images_compared += out.images * n_queries
+            self.stats.total_search_us += out.elapsed_us
+            _SWEEPS.inc()
+            _SWEEP_US.observe(out.elapsed_us)
+            step_times = self.stats.step_times_us
+            for name, total in self.device.profiler.as_dict().items():
+                delta = total - profile_before.get(name, 0.0)
+                if delta:
+                    step_times[name] = step_times.get(name, 0.0) + delta
+                    _STEP_US.labels(step=name).observe(delta)
+            if out.images_skipped:
                 _DEADLINE_SWEEPS.inc()
-            if images_pruned and record_stats:
-                _IMAGES_PRUNED.inc(images_pruned)
-            if cascade_pruned and record_stats:
-                _CASCADE_PRUNED.inc(cascade_pruned)
-            if sweep_span is not None:
-                sweep_span.set(sim_elapsed_us=elapsed, images=images,
-                               images_skipped=images_skipped,
-                               images_pruned=images_pruned,
-                               cascade_pruned=cascade_pruned)
-        return _SweepOutcome(
-            per_query_matches=per_query,
-            images=images,
-            elapsed_us=elapsed,
-            images_skipped=images_skipped,
-            images_pruned=images_pruned,
-            cascade_pruned=cascade_pruned,
-        )
+            _IMAGES_PRUNED.inc(out.images_pruned)
+            _CASCADE_PRUNED.inc(out.cascade_pruned)
+            _TRACER.annotate(
+                sim_elapsed_us=out.elapsed_us, images=out.images,
+                images_skipped=out.images_skipped, images_pruned=out.images_pruned,
+                cascade_pruned=out.cascade_pruned,
+            )
+        return out
 
     def _swept_matches(
         self, swept: list[tuple[ReferenceBatch, list | None]], query: PreparedQuery,
@@ -629,24 +568,6 @@ class TextureSearchEngine:
                     matches = [matches[i] for i in alive]
                 per_query[q].extend(matches)
         return per_query
-
-    def _pruned_matches(self, batch: ReferenceBatch, keep_masks: bool) -> list[ImageMatch]:
-        """Zero-match entries for a fully Hamming-pruned batch — one per
-        slot, in slot order, so the tombstone/candidate filtering below
-        treats them exactly like kernel output."""
-        n = self.config.n
-        return [
-            ImageMatch(
-                reference_id=slot_id,
-                good_matches=0,
-                n_query_features=n,
-                match_mask=np.zeros(n, dtype=bool) if keep_masks else None,
-                matched_reference_indices=(
-                    np.zeros(0, dtype=np.int32) if keep_masks else None
-                ),
-            )
-            for slot_id in batch.ids
-        ]
 
     # ------------------------------------------------------------------
     # search
@@ -696,11 +617,14 @@ class TextureSearchEngine:
         n_queries = len(query_descriptor_list)
         if not n_queries:
             return GroupSearchResult()
-        if n_queries > 1 and not self.kernel.supports_multiquery:
+        if n_queries > 1 and not (
+            self.kernel.supports_multiquery
+            and self.kernel.batch_steps(self.device, 1, n_queries) is not None
+        ):
             raise ValueError(
-                "a query group of two or more requires a multi-query backend (the "
-                f"RootSIFT Algorithm-2 pipeline); backend {self.backend!r} does not "
-                "support it"
+                "a query group of two or more requires a multi-query backend that pre-costs "
+                "its batches (the RootSIFT Algorithm-2 pipeline); backend "
+                f"{self.backend!r} is not one"
             )
         # prepared before the flush: a rejected query must not seal the pending batch
         if n_queries == 1:
@@ -736,7 +660,11 @@ class TextureSearchEngine:
         reference_descriptors: np.ndarray,
         query_descriptors: np.ndarray,
     ) -> tuple[bool, int]:
-        """One-to-one verification: ``(same_texture, good_matches)``."""
+        """One-to-one verification: ``(same_texture, good_matches)``.
+
+        The pair goes straight to the kernel — its prefilter, if it has
+        one, then ``match_batch`` on a transient one-image batch — and
+        pays what one such image pays inside a sweep."""
         cfg = self.config
         ref_matrix, norms = self.prepare_reference_matrix(reference_descriptors)
         aux = self.kernel.reference_aux(ref_matrix) if self.kernel.needs_aux else None
@@ -748,14 +676,14 @@ class TextureSearchEngine:
             norms=norms[None, ...] if norms is not None else None,
             aux=aux[None, ...] if aux is not None else None,
         )
-        outcome = self._execute_sweep(
-            query,
-            n_queries=1,
-            batches=[CachedBatch(batch=transient, location=CacheLocation.GPU)],
-            record_stats=False,
-            honor_deadline=False,  # a 1:1 verification is never sheddable
-        )
-        match = outcome.per_query_matches[0][0]
+        # not a sweep: nothing cached is touched, no search is counted and —
+        # a 1:1 verification is never sheddable — no deadline is consulted
+        self.device.synchronize()
+        survivors = None
+        if self.kernel.has_prefilter:
+            survivors = self.kernel.prefilter_batch(self.device, transient, query)
+        match = self.kernel.match_batch(self.device, transient, query, survivors=survivors)[0]
+        self.device.synchronize()
         return match.good_matches >= cfg.min_matches, match.good_matches
 
     # ------------------------------------------------------------------

@@ -118,8 +118,12 @@ class MatchKernel(ABC):
         host-resident batch, so a fully-pruned batch never pays its
         H2D transfer.
     supports_multiquery:
-        Whether :meth:`match_batch_multi` is implemented (query groups
-        of two or more in ``TextureSearchEngine.search_group``).
+        Whether the kernel answers query groups of two or more
+        (``TextureSearchEngine.search_group``).  Multi-query implies
+        pre-costed: charges from :meth:`batch_steps`, matches from
+        ``match_batch_multi(None, stack, ...)`` — the sweep charges a
+        group, it never dispatches one, and the engine rejects a
+        multi-query kernel that is not pre-costed.
     """
 
     name: str = "abstract"
@@ -205,8 +209,8 @@ class MatchKernel(ABC):
         match, charging the device for the prune test itself.
 
         ``None`` means "no pruning decision" (all slots survive).  The
-        engine short-circuits batches whose mask is all-False before
-        any H2D staging, and passes the mask to :meth:`match_batch` as
+        engine does not stage a host-resident batch whose mask is
+        all-False, and passes every mask to :meth:`match_batch` as
         ``survivors`` so the kernel skips the exact GEMM for pruned
         slots.  Only called when :attr:`has_prefilter`.
         """
@@ -255,8 +259,14 @@ class MatchKernel(ABC):
         batch: ReferenceBatch,
         query: PreparedQuery,
         keep_masks: bool = False,
+        survivors: np.ndarray | None = None,
     ) -> list[ImageMatch]:
-        """Match one prepared query against one reference batch."""
+        """Match one prepared query against one reference batch: one
+        :class:`ImageMatch` per slot, in slot order.  ``survivors`` is
+        this kernel's own :meth:`prefilter_batch` mask (``None`` without
+        a prefilter); the engine decides whether a batch is swept, the
+        kernel what each slot costs and reports — a slot the mask rules
+        out is :meth:`ImageMatch.empty` and charges nothing."""
 
     def match_batch_multi(
         self,
@@ -265,7 +275,9 @@ class MatchKernel(ABC):
         query: PreparedQuery,
         keep_masks: bool = False,
     ) -> list[list[ImageMatch]]:
-        """Match a query group against one batch; per-query match lists."""
+        """Match a prepared query (or group) against a batch, or a *stack*
+        of batches the sweep has already charged (``device=None``);
+        per-query match lists.  Pre-costed kernels only."""
         raise ValueError(
             f"backend {self.name!r} does not support query-batched search"
         )
@@ -315,7 +327,7 @@ class Algorithm2Kernel(MatchKernel):
         return knn_steps(device, size, cfg.m, n_queries * cfg.n, cfg.d, cfg.k, cfg.precision,
                          cfg.tensor_core) + [("cpu", post, "Post-processing")]
 
-    def match_batch(self, device, batch, query, keep_masks=False):
+    def match_batch(self, device, batch, query, keep_masks=False, survivors=None):
         return self.match_batch_multi(device, batch, query, keep_masks)[0]
 
     def match_batch_multi(self, device, batch, query, keep_masks=False):
@@ -401,10 +413,19 @@ class Algorithm1Kernel(MatchKernel):
         )
         return PreparedQuery(matrix=features.values, aux=features)
 
-    def match_batch(self, device, batch, query, keep_masks=False):
+    def _query_features(self, query: PreparedQuery) -> PreparedFeatures:
+        """Where :meth:`prepare_query` left the exact path's features."""
+        return query.aux
+
+    def match_batch(self, device, batch, query, keep_masks=False, survivors=None):
         cfg = self.config
+        features = self._query_features(query)
         matches = []
         for i in range(batch.size):
+            if survivors is not None and not survivors[i]:
+                # ruled out by the prefilter: no GEMM, no scan, no post-processing
+                matches.append(ImageMatch.empty(batch.ids[i], cfg.n, keep_masks))
+                continue
             ref = PreparedFeatures(
                 values=batch.tensor[i],
                 norms=batch.norms[i],
@@ -412,7 +433,7 @@ class Algorithm1Kernel(MatchKernel):
                 scale=cfg.effective_scale,
             )
             knn = knn_algorithm1(
-                device, ref, query.aux, k=cfg.k, sort_kind=self._sort_kind()
+                device, ref, features, k=cfg.k, sort_kind=self._sort_kind()
             )
             device.cpu_postprocess(1, cfg.precision, cfg.n)
             matches.append(match_images(batch.ids[i], knn, cfg.ratio_threshold, keep_masks))

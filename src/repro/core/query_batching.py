@@ -24,14 +24,7 @@ import numpy as np
 from ..gpusim.calibration import KernelCalibration
 from ..gpusim.device import DeviceSpec
 from ..gpusim.engine_model import GPUDevice
-from ..gpusim.kernels import (
-    d2h_result_us,
-    dtype_bytes,
-    elementwise_us,
-    gemm_us,
-    postprocess_us,
-    top2_scan_us,
-)
+from ..gpusim.kernels import dtype_bytes, knn_steps_us, postprocess_us
 from ..gpusim.stream import Stream
 from .algorithm2 import BatchKnnResult, _knn_columns
 
@@ -151,13 +144,10 @@ def query_batch_tradeoff(
     for qb in query_batches:
         if qb < 1:
             raise ValueError("query batch must be >= 1")
-        compute = (
-            gemm_us(spec, cal, m, qb * n, d, ref_batch, precision)
-            + top2_scan_us(spec, cal, m, ref_batch * qb * n, precision)
-            + elementwise_us(spec, cal, 2 * ref_batch * qb * n, precision)
-            + d2h_result_us(spec, cal, qb * n, ref_batch, 2, precision)
-            + postprocess_us(cal, ref_batch * qb, precision, n)
+        gemm, scan, sqrt, d2h = (
+            us for _, us, _ in knn_steps_us(spec, cal, ref_batch, m, qb * n, d, 2, precision)
         )
+        compute = gemm + scan + sqrt + d2h + postprocess_us(cal, ref_batch * qb, precision, n)
         # Single-stream regime: transfer and compute serialise; the
         # transfer is paid once per reference batch per sweep.
         per_ref_batch = max(transfer, 0.0) + compute

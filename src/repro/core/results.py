@@ -48,6 +48,19 @@ class ImageMatch:
     matched_reference_indices: np.ndarray | None = None
     inliers: int | None = None  # populated by geometric verification
 
+    @classmethod
+    def empty(cls, reference_id: str, n_query_features: int, keep_masks: bool = False) -> "ImageMatch":
+        """The match of a slot its kernel ruled out before comparing it:
+        zero good matches, shaped (with ``keep_masks``) like a compared
+        image that matched nothing."""
+        return cls(
+            reference_id=reference_id,
+            good_matches=0,
+            n_query_features=n_query_features,
+            match_mask=np.zeros(n_query_features, dtype=bool) if keep_masks else None,
+            matched_reference_indices=np.zeros(0, dtype=np.int32) if keep_masks else None,
+        )
+
     @property
     def score(self) -> int:
         """Ranking score: inlier count when verified, else match count."""

@@ -309,13 +309,14 @@ class ClusterSearchResult:
     #: observed its enrollment.
     corpus_epoch: dict[str, int] = field(default_factory=dict)
 
-    def best(self) -> ImageMatch | None:
-        if not self.matches:
-            return None
-        return max(self.matches, key=lambda m: (m.score, m.reference_id != ""))
-
     def top(self, count: int = 1) -> list[ImageMatch]:
         return sorted(self.matches, key=lambda m: (-m.score, m.reference_id))[:count]
+
+    def best(self) -> ImageMatch | None:
+        """``top(1)``'s match — on a score tie the smallest id, whichever
+        shard answered first (what REST serves and ``SearchResult.best``)."""
+        top = self.top(1)
+        return top[0] if top else None
 
     @property
     def throughput_images_per_s(self) -> float:
@@ -1237,13 +1238,6 @@ class DistributedSearchSystem:
     def capacity_images(self) -> int:
         """Cluster capacity (Sec. 8: 10.8 M at m=384 FP16, 14 nodes)."""
         return sum(node.capacity_images() for node in self.nodes)
-
-    def aggregate_throughput_images_per_s(self) -> float:
-        """Sum of per-node steady-state search throughputs."""
-        total = 0.0
-        for node in self.nodes:
-            total += node.engine.stats.mean_throughput_images_per_s
-        return total
 
     def stats(self) -> dict:
         """Operational rollup for ``GET /stats``.

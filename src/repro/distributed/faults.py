@@ -105,10 +105,6 @@ class FaultInjector:
     def is_crashed(self, node_id: str) -> bool:
         return str(node_id) in self._crashed
 
-    @property
-    def crashed_nodes(self) -> list[str]:
-        return sorted(self._crashed)
-
     # ------------------------------------------------------------------
     # hooks consulted by the wrapped components
     # ------------------------------------------------------------------

@@ -109,19 +109,6 @@ class TransientNodeError(NodeError):
         super().__init__(node_id, f"node {node_id!r}: {reason}")
 
 
-class NodeTimeoutError(NodeError):
-    """A node answered, but slower than the caller's per-attempt budget."""
-
-    def __init__(self, node_id: str, elapsed_us: float, timeout_us: float) -> None:
-        self.elapsed_us = float(elapsed_us)
-        self.timeout_us = float(timeout_us)
-        super().__init__(
-            node_id,
-            f"node {node_id!r}: answered in {elapsed_us:.0f} us, "
-            f"budget was {timeout_us:.0f} us",
-        )
-
-
 class DegradedClusterError(ClusterError):
     """Too many shards were unsearchable to honour ``min_shard_fraction``."""
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .descriptor import DESCRIPTOR_DIM, compute_descriptors
+from .descriptor import compute_descriptors
 from .dog import DEFAULT_CONTRAST_THRESHOLD, DEFAULT_EDGE_RATIO, detect_keypoints
 from .gaussian import build_gaussian_pyramid
 from .keypoints import Keypoint
@@ -100,7 +100,3 @@ class SIFTExtractor:
         if cfg.use_rootsift and descriptors.size:
             descriptors = rootsift(descriptors)
         return ExtractionResult(descriptors=descriptors, keypoints=kept)
-
-    @property
-    def descriptor_dim(self) -> int:
-        return DESCRIPTOR_DIM

@@ -230,7 +230,3 @@ class SURFExtractor:
         descriptors = np.stack(columns, axis=1)
         descriptors, kept = select_top_features(descriptors, kept, budget)
         return ExtractionResult(descriptors=descriptors, keypoints=kept)
-
-    @property
-    def descriptor_dim(self) -> int:
-        return SURF_DESCRIPTOR_DIM

@@ -31,6 +31,7 @@ __all__ = [
     "d2h_result_us",
     "result_bytes",
     "postprocess_us",
+    "knn_steps_us",
 ]
 
 _DTYPE_BYTES = {"fp16": 2, "fp32": 4}
@@ -227,3 +228,19 @@ def postprocess_us(
     parallel = min(float(batch), cal.post_parallel_cap)
     per_image = cal.post_floor_us + (batch1 - cal.post_floor_us) / parallel
     return per_image * batch * (n / 768.0)
+
+
+def knn_steps_us(
+    spec: DeviceSpec, cal: KernelCalibration, batch: int, m: int, n: int, d: int,
+    k: int = 2, dtype: str = "fp16", tensor_core: bool = False,
+) -> list[tuple[str, float, str]]:
+    """Algorithm 2's steps 1-4 for one ``(batch, d, m)`` reference batch
+    against ``n`` query columns, as ``(engine, us, profiler step)`` — the
+    one spelling of the chain: the engine charges it
+    (``GPUDevice.charge``), the analytic models add its durations up."""
+    return [
+        ("compute", gemm_us(spec, cal, m, n, d, batch, dtype, tensor_core), "GEMM"),
+        ("compute", top2_scan_us(spec, cal, m, batch * n, dtype), "Top-2 sort"),
+        ("compute", elementwise_us(spec, cal, k * batch * n, dtype), "sqrt"),
+        ("d2h", d2h_result_us(spec, cal, n, batch, k, dtype), "D2H copy"),
+    ]

@@ -30,7 +30,7 @@ hierarchy above the engine rows it generated.
 from __future__ import annotations
 
 import json
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from time import perf_counter_ns
@@ -38,6 +38,10 @@ from time import perf_counter_ns
 __all__ = ["RequestTracer", "Span", "default_tracer", "to_perfetto"]
 
 _current_span: ContextVar["Span | None"] = ContextVar("repro_obs_span", default=None)
+
+#: what a disabled tracer hands every ``with`` site: it enters to ``None``
+#: and holds no state, so the one instance nests and re-enters freely.
+_NO_SPAN = nullcontext()
 
 
 @dataclass
@@ -94,15 +98,18 @@ class RequestTracer:
         return (now - self._t0_ns) / 1e3
 
     # -- span API -------------------------------------------------------
-    @contextmanager
     def span(self, name: str, layer: str = "app", **attrs: object):
         """Open a span under the current one (minting a trace at the
         root).  Yields the :class:`Span`, or ``None`` when disabled —
         callers guard attribute writes with ``if span is not None`` or
-        use :meth:`annotate`."""
+        use :meth:`annotate`.  The off switch is here, not at the call
+        site: a disabled tracer returns one shared no-op context."""
         if not self.enabled:
-            yield None
-            return
+            return _NO_SPAN
+        return self._open(name, layer, attrs)
+
+    @contextmanager
+    def _open(self, name: str, layer: str, attrs: dict):
         parent = _current_span.get()
         if parent is None:
             self._trace_seq += 1
@@ -122,7 +129,7 @@ class RequestTracer:
             parent_id=parent_id,
             start_us=self._now_us(),
             depth=depth,
-            attrs=dict(attrs),
+            attrs=attrs,
         )
         token = _current_span.set(span)
         try:

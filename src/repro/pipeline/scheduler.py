@@ -26,14 +26,7 @@ from dataclasses import dataclass
 
 from ..gpusim.calibration import KernelCalibration
 from ..gpusim.device import DeviceSpec
-from ..gpusim.kernels import (
-    d2h_result_us,
-    dtype_bytes,
-    elementwise_us,
-    gemm_us,
-    postprocess_us,
-    top2_scan_us,
-)
+from ..gpusim.kernels import dtype_bytes, elementwise_us, knn_steps_us, postprocess_us
 from ..gpusim.pcie import h2d_time_us
 
 __all__ = ["StreamPlan", "plan_streams", "stream_extra_gpu_bytes", "batch_component_times"]
@@ -100,16 +93,18 @@ def batch_component_times(
     """
     elem = dtype_bytes(precision)
     transfer_bytes = batch * m * d * elem
-    compute = gemm_us(spec, cal, m, n, d, batch, precision, tensor_core)
+    compute, scan, sqrt, d2h = (
+        us for _, us, _ in knn_steps_us(spec, cal, batch, m, n, d, 2, precision, tensor_core)
+    )
     if with_norms:
         transfer_bytes += batch * m * elem
         compute += elementwise_us(spec, cal, batch * m * n, precision)
-    compute += top2_scan_us(spec, cal, m, batch * n, precision)
-    compute += elementwise_us(spec, cal, 2 * batch * n, precision)  # sqrt winners
+    compute += scan
+    compute += sqrt
     return {
         "h2d": h2d_time_us(spec, transfer_bytes, pinned),
         "compute": compute,
-        "d2h": d2h_result_us(spec, cal, n, batch, 2, precision),
+        "d2h": d2h,
         "post": postprocess_us(cal, batch, precision, n),
     }
 

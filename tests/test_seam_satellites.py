@@ -1,0 +1,147 @@
+"""The fixes and the de-duplication that rode along with PR 18: a purged
+batch is freed, a cluster's ``best()`` does not depend on shard order,
+and Algorithm 2's per-batch cost chain is spelled once."""
+
+from __future__ import annotations
+
+import gc
+import itertools
+import weakref
+
+import pytest
+
+from repro.bench.chains import algorithm2_steps
+from repro.core import EngineConfig, TextureSearchEngine
+from repro.core.algorithm2 import knn_steps
+from repro.core.query_batching import query_batch_tradeoff
+from repro.core.results import ImageMatch, SearchResult
+from repro.distributed.cluster import ClusterSearchResult
+from repro.gpusim import GPUDevice, KernelCalibration, TESLA_P100, TESLA_V100
+from repro.gpusim.kernels import (
+    d2h_result_us, dtype_bytes, elementwise_us, gemm_us, postprocess_us, top2_scan_us,
+)
+from repro.gpusim.pcie import h2d_time_us
+from repro.pipeline.event_sim import simulate_stream_pipeline
+from repro.pipeline.scheduler import batch_component_times
+from tests.conftest import make_descriptors
+
+# -- a purged batch is freed -----------------------------------------------
+
+
+def test_a_batch_the_engine_purged_is_garbage():
+    """Every slot tombstoned -> ``cache.remove`` — and nothing else may
+    hold the batch (the builder used to keep every batch it emitted)."""
+    cfg = EngineConfig(m=24, n=16, batch_size=2, min_matches=2, scale_factor=0.25)
+    engine = TextureSearchEngine(cfg)
+    for i in range(4):
+        engine.add_reference(f"ref{i}", make_descriptors(24, seed=i))
+    purged, kept = [weakref.ref(cached.batch) for cached in engine.cache.batches()]
+    tensor = weakref.ref(purged().tensor)
+    assert engine.remove_reference("ref0") and engine.remove_reference("ref1")
+    gc.collect()
+    assert len(engine.cache) == 1
+    assert purged() is None and tensor() is None
+    assert kept() is not None and engine.search(make_descriptors(16, seed=2)).images_searched == 2
+
+
+# -- best() on a tie -------------------------------------------------------
+
+
+def match(ref_id: str, score: int) -> ImageMatch:
+    return ImageMatch(reference_id=ref_id, good_matches=score, n_query_features=16)
+
+
+@pytest.mark.parametrize("order", [("b", "a"), ("a", "b")])
+def test_a_cluster_tie_goes_to_the_smallest_id_whichever_shard_answered_first(order):
+    shards = {ref_id: SearchResult(matches=[match(ref_id, 9), match(ref_id + "-low", 3)])
+              for ref_id in order}
+    result = ClusterSearchResult(
+        matches=[m for shard in shards.values() for m in shard.matches],
+        per_node={f"gpu-{i:02d}": shard for i, shard in enumerate(shards.values())},
+        elapsed_us=1.0, images_searched=4,
+    )
+    assert result.best() is result.top(1)[0]
+    assert result.best().reference_id == "a"
+    assert SearchResult(matches=result.matches).best().reference_id == "a"  # what one engine says
+
+
+def test_no_match_has_no_best():
+    assert ClusterSearchResult(matches=[], per_node={}, elapsed_us=0.0, images_searched=0).best() is None
+
+
+# -- one spelling of Algorithm 2's cost chain ------------------------------
+
+SHAPES = [
+    (spec, m, n, batch, precision, tensor_core)
+    for spec, m, n, batch, precision, tensor_core in itertools.product(
+        (TESLA_P100, TESLA_V100), (96, 384, 768), (128, 768), (1, 8, 256, 1024),
+        ("fp16", "fp32"), (False, True),
+    )
+    if not tensor_core or (precision == "fp16" and spec.tensor_tflops > 0)
+]
+
+
+def test_the_shapes_cover_both_cards_precisions_and_the_tensor_core():
+    assert len(SHAPES) == 120 and sum(shape[-1] for shape in SHAPES) == 24
+
+
+@pytest.mark.parametrize("spec", [TESLA_P100, TESLA_V100], ids=lambda spec: spec.name)
+def test_every_spelling_is_the_parents_formula_bit_for_bit(spec):
+    """The right-hand sides are the four mirrors as the parent commit
+    spelled them, term by term, added left to right."""
+    cal = KernelCalibration.for_device(spec)
+    d, k = 128, 2
+    for _, m, n, batch, precision, tc in (shape for shape in SHAPES if shape[0] is spec):
+        gemm = gemm_us(spec, cal, m, n, d, batch, precision, tc)
+        scan = top2_scan_us(spec, cal, m, batch * n, precision)
+        sqrt = elementwise_us(spec, cal, k * batch * n, precision)
+        d2h = d2h_result_us(spec, cal, n, batch, k, precision)
+        post = postprocess_us(cal, batch, precision, n)
+        # core/algorithm2.py::knn_steps — what the engine charges
+        assert knn_steps(GPUDevice(spec, cal), batch, m, n, d, k, precision, tc) == [
+            ("compute", gemm, "GEMM"), ("compute", scan, "Top-2 sort"),
+            ("compute", sqrt, "sqrt"), ("d2h", d2h, "D2H copy"),
+        ]
+        # bench/chains.py::algorithm2_steps
+        assert algorithm2_steps(spec, cal, m, n, d, batch, precision, tc) == {
+            "HGEMM/step1": gemm, "Sort and Sqrt/step2&3": scan + sqrt,
+            "D2H memory copy/step4": d2h, "Post-processing/CPU": post,
+        }
+        # pipeline/scheduler.py::batch_component_times
+        for with_norms in (False, True):
+            compute = gemm
+            nbytes = batch * m * d * dtype_bytes(precision)
+            if with_norms:
+                nbytes += batch * m * dtype_bytes(precision)
+                compute += elementwise_us(spec, cal, batch * m * n, precision)
+            compute += scan
+            compute += sqrt
+            assert batch_component_times(
+                spec, cal, m, n, d, batch, precision, tc, True, with_norms
+            ) == {"h2d": h2d_time_us(spec, nbytes, True), "compute": compute, "d2h": d2h, "post": post}
+        if tc:
+            continue  # the last two spellings have no tensor-core knob
+        # core/query_batching.py::query_batch_tradeoff, a group of one and of four
+        for qb in (1, 4):
+            chain = (
+                gemm_us(spec, cal, m, qb * n, d, batch, precision)
+                + top2_scan_us(spec, cal, m, batch * qb * n, precision)
+                + elementwise_us(spec, cal, 2 * batch * qb * n, precision)
+                + d2h_result_us(spec, cal, qb * n, batch, 2, precision)
+                + postprocess_us(cal, batch * qb, precision, n)
+            )
+            (point,) = query_batch_tradeoff(spec, cal, [qb], reference_count=4 * batch, ref_batch=batch,
+                                            m=m, n=n, precision=precision, host_resident=False)
+            assert point.latency_ms_per_query == chain * 4 / 1e3
+        # pipeline/event_sim.py: four typed device calls per batch
+        typed = GPUDevice(spec, cal)
+        stream = typed.create_stream("s0")
+        for _ in range(3):
+            typed.gemm(m, n, d, batch=batch, dtype=precision, stream=stream)
+            typed.top2_scan(m, batch * n, dtype=precision, stream=stream)
+            typed.elementwise(2 * batch * n, dtype=precision, stream=stream, step="sqrt")
+            typed.d2h_result(n, batch=batch, dtype=precision, stream=stream)
+        simulated = simulate_stream_pipeline(spec, cal, 1, 3, batch, m, n, d, precision,
+                                             host_resident=False)
+        assert simulated.elapsed_us == typed.synchronize()
+        assert list(simulated.engine_busy_us.items()) == list(typed.profiler.as_dict().items())

@@ -1,0 +1,583 @@
+"""Frozen-oracle differential tests for the sweep seam (PR 18).
+
+``ParentEngine.verify`` / ``_execute_sweep`` / ``_pruned_matches`` and
+``ParentCascadeKernel.match_batch`` are the bodies of ``core/engine.py``
+and ``core/cascade.py`` as of the commit before the seam moved, copied
+verbatim (the ``tests/test_stacked_sweep.py`` method: only the class they
+hang off and the sweep's docstring changed).  There ``verify`` was a
+sweep over a transient one-image batch with its stats, deadline and
+cache switched off by parameter, the engine built the zero-match entries
+of a fully pruned batch itself, and the cascade kernel carried its own
+copy of Algorithm 1's match loop.  Now ``verify`` calls the kernel
+directly, every kernel's ``match_batch`` takes ``survivors`` and reports
+``ImageMatch.empty`` for what the mask rules out, and the tracer owns
+its off switch — and nothing observable may have moved: verdicts,
+matches, masks, ``elapsed_us``, the device clock, the profiler's rows,
+``EngineStats`` and every engine counter.
+"""
+
+from __future__ import annotations
+
+import copy
+import json
+from contextlib import nullcontext
+from typing import Iterable
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.cache.hybrid import CachedBatch, CacheLocation
+from repro.core import EngineConfig, TextureSearchEngine, registry
+from repro.core.algorithm1 import PreparedFeatures, knn_algorithm1
+from repro.core.batching import ReferenceBatch
+from repro.core.cascade import CascadeKernel, _CascadeQuery
+from repro.core.engine import (
+    _CASCADE_PRUNED, _DEADLINE_SWEEPS, _H2D_BYTES, _IMAGES_PRUNED, _STEP_US,
+    _SWEEP_HIT, _SWEEP_MISS, _SWEEP_US, _SWEEPS, _TRACER, _SweepOutcome,
+)
+from repro.core.kernels import Algorithm2Kernel, PreparedQuery
+from repro.core.ratio_test import match_images
+from repro.core.results import ImageMatch
+from repro.distributed import DistributedSearchSystem
+from repro.gpusim import GPUDevice, TESLA_P100
+from repro.obs import current_deadline, deadline_scope, default_registry, default_tracer
+from repro.obs.tracing import RequestTracer
+from repro.pipeline.scheduler import plan_streams
+from repro.routing import RouterPolicy
+from tests.conftest import make_descriptors, noisy_copy
+from tests.test_stacked_sweep import BATCH, M, N, config, observed, query_for
+
+# -- frozen oracles (verbatim from the parent commit) ----------------------
+
+
+class ParentCascadeKernel(CascadeKernel):
+    """``CascadeKernel.match_batch`` as of the parent commit: its own copy
+    of Algorithm 1's loop, building the pruned slots' entries itself."""
+
+    def match_batch(self, device, batch, query, keep_masks=False, survivors=None):
+        cfg = self.config
+        features = query.aux.features if isinstance(query.aux, _CascadeQuery) else query.aux
+        matches = []
+        for i in range(batch.size):
+            if survivors is not None and not survivors[i]:
+                # Hamming-pruned: no GEMM, no scan, no post-processing.
+                matches.append(
+                    ImageMatch(
+                        reference_id=batch.ids[i],
+                        good_matches=0,
+                        n_query_features=cfg.n,
+                        match_mask=np.zeros(cfg.n, dtype=bool) if keep_masks else None,
+                        matched_reference_indices=(
+                            np.zeros(0, dtype=np.int32) if keep_masks else None
+                        ),
+                    )
+                )
+                continue
+            ref = PreparedFeatures(
+                values=batch.tensor[i],
+                norms=batch.norms[i],
+                precision=cfg.precision,
+                scale=cfg.effective_scale,
+            )
+            knn = knn_algorithm1(
+                device, ref, features, k=cfg.k, sort_kind=self._sort_kind()
+            )
+            device.cpu_postprocess(1, cfg.precision, cfg.n)
+            matches.append(match_images(batch.ids[i], knn, cfg.ratio_threshold, keep_masks))
+        return matches
+
+
+class ParentEngine(TextureSearchEngine):
+    def _execute_sweep(
+        self,
+        query: PreparedQuery,
+        n_queries: int,
+        keep_masks: bool = False,
+        batches: Iterable[CachedBatch] | None = None,
+        record_stats: bool = True,
+        honor_deadline: bool = True,
+        candidate_ids: set[str] | frozenset[str] | None = None,
+    ) -> _SweepOutcome:
+        """``TextureSearchEngine._execute_sweep`` as of the parent commit: the one
+        batch loop ``verify`` ran on too, with the engine deciding what a pruned
+        slot reports."""
+        cfg = self.config
+        deadline = current_deadline() if honor_deadline else None
+        profile_before = self.device.profiler.as_dict() if record_stats else {}
+        sweep_cm = (
+            _TRACER.span(
+                "engine.sweep", layer="engine",
+                backend=self.kernel.name, queries=n_queries,
+            )
+            if _TRACER.enabled
+            else nullcontext()
+        )
+        with sweep_cm as sweep_span:
+            start_us = self.device.synchronize()
+            images = 0
+            host_images = 0
+            images_skipped = 0
+            images_pruned = 0
+            cascade_pruned = 0
+            charged_at_us = start_us
+            prefilter_active = (
+                self.kernel.has_prefilter and query.matrix.ndim == 2
+            )
+            source = self.cache.batches() if batches is None else batches
+            traced = _TRACER.enabled
+            swept: list[tuple[ReferenceBatch, list | None]] = []
+            for cached in source:
+                if candidate_ids is not None and not any(
+                    slot_id in candidate_ids for slot_id in cached.batch.ids
+                ):
+                    # no nominee lives here: the batch is never staged
+                    # or compared, and no simulated time is charged.
+                    images_pruned += cached.batch.size
+                    continue
+                if deadline is not None and deadline.expired:
+                    # an expired deadline stops the sweep: remaining
+                    # batches are never staged or compared.
+                    images_skipped += cached.batch.size
+                    continue
+                batch = cached.batch
+                resident = cached.location is not CacheLocation.HOST
+                survivors = None
+                if prefilter_active:
+                    # the prefilter runs on the small cached codes before
+                    # any feature staging; its popcount cost is charged.
+                    survivors = self.kernel.prefilter_batch(self.device, batch, query)
+                    if survivors is not None:
+                        cascade_pruned += batch.size - int(survivors.sum())
+                fully_pruned = survivors is not None and not survivors.any()
+                if record_stats:
+                    (_SWEEP_HIT if resident else _SWEEP_MISS).inc()
+                shape = (batch.size, n_queries)
+                if shape not in self._batch_steps:
+                    self._batch_steps[shape] = self.kernel.batch_steps(self.device, *shape)
+                steps = self._batch_steps[shape]
+                batch_cm = (
+                    _TRACER.span(
+                        "cache.batch", layer="cache",
+                        batch_id=batch.batch_id, images=batch.size,
+                        location=cached.location.value,
+                    )
+                    if traced
+                    else nullcontext()
+                )
+                with batch_cm:
+                    if not resident and not fully_pruned:
+                        # one H2D per reference batch per *sweep* — a query
+                        # group shares the transfer, it is not paid per query
+                        self.device.h2d(batch.nbytes, pinned=self.cache.pinned)
+                        _H2D_BYTES.inc(batch.nbytes)
+                        host_images += batch.size
+                    if fully_pruned:
+                        # no survivor: the batch never transfers and the
+                        # exact stage is skipped outright.
+                        groups = [self._pruned_matches(batch, keep_masks)]
+                    elif steps is not None:
+                        # charged now, computed with the rest of the sweep
+                        self.device.charge(steps)
+                        groups = None
+                    elif query.matrix.ndim == 3:  # a prepared query *group*
+                        groups = self.kernel.match_batch_multi(self.device, batch, query, keep_masks)
+                    else:
+                        kept = {} if survivors is None else {"survivors": survivors}
+                        match = self.kernel.match_batch
+                        groups = [match(self.device, batch, query, keep_masks, **kept)]
+                    swept.append((batch, groups))
+                    images += batch.size
+                if deadline is not None:
+                    # charge per batch (non-mutating clock read) so the
+                    # expiry check above sees this batch's cost.
+                    now_us = self.device.elapsed_us()
+                    deadline.charge(now_us - charged_at_us)
+                    charged_at_us = now_us
+            per_query = self._swept_matches(swept, query, n_queries, keep_masks, candidate_ids)
+            elapsed = self.device.synchronize() - start_us
+
+            if cfg.streams > 1 and host_images:
+                # Replace the serial estimate for the host-resident part by
+                # the multi-stream overlap model (Sec. 6.2).  A query group
+                # widens the fused GEMM to ``n_queries * n`` columns while
+                # the per-batch H2D transfer stays the same, so the plan is
+                # computed at the group's fused width — the transfer is
+                # amortised across the group instead of charged per query.
+                plan = plan_streams(
+                    self.device.spec, self.device.cal, cfg.streams, cfg.batch_size,
+                    m=cfg.m, n=cfg.n * n_queries, d=cfg.d, precision=cfg.precision,
+                    tensor_core=cfg.tensor_core, pinned=self.cache.pinned,
+                    with_norms=self.kernel.needs_norms,
+                )
+                gpu_fraction = (images - host_images) / images if images else 0.0
+                elapsed = (
+                    elapsed * gpu_fraction
+                    + host_images / plan.throughput_images_per_s * 1e6
+                )
+
+            if record_stats:
+                self.stats.searches += n_queries
+                self.stats.images_compared += images * n_queries
+                self.stats.total_search_us += elapsed
+                _SWEEPS.inc()
+                _SWEEP_US.observe(elapsed)
+                for name, total in self.device.profiler.as_dict().items():
+                    delta = total - profile_before.get(name, 0.0)
+                    if delta:
+                        self.stats.step_times_us[name] = (
+                            self.stats.step_times_us.get(name, 0.0) + delta
+                        )
+                        _STEP_US.labels(step=name).observe(delta)
+            if images_skipped:
+                _DEADLINE_SWEEPS.inc()
+            if images_pruned and record_stats:
+                _IMAGES_PRUNED.inc(images_pruned)
+            if cascade_pruned and record_stats:
+                _CASCADE_PRUNED.inc(cascade_pruned)
+            if sweep_span is not None:
+                sweep_span.set(sim_elapsed_us=elapsed, images=images,
+                               images_skipped=images_skipped,
+                               images_pruned=images_pruned,
+                               cascade_pruned=cascade_pruned)
+        return _SweepOutcome(
+            per_query_matches=per_query,
+            images=images,
+            elapsed_us=elapsed,
+            images_skipped=images_skipped,
+            images_pruned=images_pruned,
+            cascade_pruned=cascade_pruned,
+        )
+
+    def _pruned_matches(self, batch: ReferenceBatch, keep_masks: bool) -> list[ImageMatch]:
+        """Zero-match entries for a fully Hamming-pruned batch — one per
+        slot, in slot order, so the tombstone/candidate filtering below
+        treats them exactly like kernel output."""
+        n = self.config.n
+        return [
+            ImageMatch(
+                reference_id=slot_id,
+                good_matches=0,
+                n_query_features=n,
+                match_mask=np.zeros(n, dtype=bool) if keep_masks else None,
+                matched_reference_indices=(
+                    np.zeros(0, dtype=np.int32) if keep_masks else None
+                ),
+            )
+            for slot_id in batch.ids
+        ]
+
+    def verify(
+        self,
+        reference_descriptors: np.ndarray,
+        query_descriptors: np.ndarray,
+    ) -> tuple[bool, int]:
+        """One-to-one verification: ``(same_texture, good_matches)``."""
+        cfg = self.config
+        ref_matrix, norms = self.prepare_reference_matrix(reference_descriptors)
+        aux = self.kernel.reference_aux(ref_matrix) if self.kernel.needs_aux else None
+        query = self.kernel.prepare_query(self.device, query_descriptors)
+        transient = ReferenceBatch(
+            batch_id=-1,
+            ids=["\x00verify"],
+            tensor=ref_matrix[None, ...],
+            norms=norms[None, ...] if norms is not None else None,
+            aux=aux[None, ...] if aux is not None else None,
+        )
+        outcome = self._execute_sweep(
+            query,
+            n_queries=1,
+            batches=[CachedBatch(batch=transient, location=CacheLocation.GPU)],
+            record_stats=False,
+            honor_deadline=False,  # a 1:1 verification is never sheddable
+        )
+        match = outcome.per_query_matches[0][0]
+        return match.good_matches >= cfg.min_matches, match.good_matches
+
+
+# -- helpers ---------------------------------------------------------------
+
+#: every built-in backend, with the precisions its ``validate_config`` takes
+BACKENDS = [
+    ("algorithm2", "fp16"), ("algorithm2", "fp32"), ("algorithm1", "fp16"), ("algorithm1", "fp32"),
+    ("garcia", "fp16"), ("garcia", "fp32"), ("cascade", "fp16"), ("cascade", "fp32"),
+    ("opencv", "fp32"), ("lsh", "fp32"),
+]
+
+
+def test_every_registered_backend_is_covered():
+    assert sorted({backend for backend, _ in BACKENDS}) == sorted(registry._BUILTIN)
+    for backend in registry._BUILTIN:
+        for precision in ("fp16", "fp32"):
+            try:
+                registry.create_kernel(config(precision, backend=backend))
+            except ValueError:
+                assert (backend, precision) not in BACKENDS
+            else:
+                assert (backend, precision) in BACKENDS
+
+
+def build(engine_class, cfg, host, seals, dead):
+    """An engine on a device of its own whose cache went through ``seals``
+    (references added, then a flush, per entry) and the removal of the
+    ``dead`` ids.  ``host`` leaves room for one full batch on the device
+    (features, FP32-widened norms, codes): the rest is host-resident."""
+    kwargs = {}
+    if host:
+        batch_bytes = cfg.batch_size * (cfg.feature_matrix_bytes() + 4 * cfg.m)
+        kwargs = dict(gpu_cache_bytes=batch_bytes, host_cache_bytes=64 * batch_bytes)
+    if engine_class is ParentEngine and cfg.backend == "cascade":
+        kwargs["kernel"] = ParentCascadeKernel(cfg)
+    engine = engine_class(cfg, device=GPUDevice(TESLA_P100.with_memory(10**8)), **kwargs)
+    image = 0
+    for count in seals:
+        for _ in range(count):
+            engine.add_reference(f"ref{image}", make_descriptors(M, seed=500 + image))
+            image += 1
+        engine.flush()
+    for image in dead:
+        engine.remove_reference(f"ref{image}")
+    return engine
+
+
+def pair(backend, precision, host=False, seals=(3, 4, 2), dead=()):
+    """This tree's engine and the parent's, identically built."""
+    cfg = config(precision, backend=backend, streams=2 if host else 1)
+    return build(TextureSearchEngine, cfg, host, seals, dead), build(ParentEngine, cfg, host, seals, dead)
+
+
+def engine_counters() -> str:
+    """Every ``repro_engine_*`` / ``repro_cache_sweep_*`` series, as text."""
+    snapshot = default_registry().snapshot()
+    return json.dumps(
+        {name: series for name, series in snapshot.items()
+         if name.startswith(("repro_engine_", "repro_cache_sweep_"))},
+        sort_keys=True,
+    )
+
+
+def clock_and_profile(engine) -> tuple:
+    device = engine.device
+    return device.elapsed_us(), [(r.name, r.total_us, r.calls) for r in device.profiler.records()]
+
+
+def impostor(seed: int = 9999) -> np.ndarray:
+    return make_descriptors(N, seed=seed)
+
+
+# -- verify is what it was, and not a sweep --------------------------------
+
+
+@pytest.mark.parametrize("backend,precision", BACKENDS)
+def test_verify_is_the_parents_verify(backend, precision):
+    engine, parent = pair(backend, precision)
+    reference = make_descriptors(M, seed=77)
+    seen = []
+    for side in (engine, parent):
+        side.search(query_for(1, seed=5))  # stats and counters worth not moving
+        stats, counters = copy.deepcopy(side.stats), engine_counters()
+        verdicts = [side.verify(reference, noisy_copy(reference[:, :N], 6.0, seed=3)),
+                    side.verify(reference, impostor())]
+        with deadline_scope(0.0) as expired:  # a 1:1 verification is never sheddable
+            verdicts.append(side.verify(reference, noisy_copy(reference[:, :N], 6.0, seed=3)))
+        assert expired.spent_us == 0.0
+        assert verdicts[2] == verdicts[0]
+        assert side.stats == stats and engine_counters() == counters
+        assert len(side.cache) == 3  # the transient batch was never cached
+        seen.append((verdicts, clock_and_profile(side)))
+    assert seen[0] == seen[1]
+    (same, count), (other, _) = seen[0][0][:2]
+    assert same and count >= engine.config.min_matches and not other
+
+
+def test_verify_opens_no_sweep_span():
+    """The one intended difference (docs/observability.md): a verify is
+    not a sweep, so a traced one emits no engine.sweep / cache.batch."""
+    engine, parent = pair("algorithm2", "fp16")
+    reference = make_descriptors(M, seed=77)
+    tracer = default_tracer()
+    tracer.enable()
+    engine.verify(reference, reference[:, :N])
+    assert tracer.spans == []
+    parent.verify(reference, reference[:, :N])
+    assert [span.name for span in tracer.spans] == ["cache.batch", "engine.sweep"]
+
+
+# -- the cascade: the kernel reports what it pruned ------------------------
+
+
+@pytest.mark.cascade
+@pytest.mark.parametrize("precision", ["fp16", "fp32"])
+def test_a_pruned_pair_verifies_false_without_a_gemm(precision):
+    engine, parent = pair("cascade", precision)
+    reference = make_descriptors(M, seed=77)
+    profiles = []
+    for side in (engine, parent):
+        assert side.verify(reference, impostor()) == (False, 0)
+        profiles.append(clock_and_profile(side))
+        steps = {name for name, _, _ in profiles[-1][1]}
+        assert "Hamming prefilter" in steps
+        assert not steps & {"GEMM", "Top-2 sort", "add N_R", "Post-processing", "D2H copy"}
+    assert profiles[0] == profiles[1]
+
+
+@pytest.mark.cascade
+@pytest.mark.parametrize("keep_masks", [False, True])
+def test_a_host_batch_with_no_survivor_is_not_staged_and_reports_empty_matches(keep_masks):
+    seen = []
+    for side in pair("cascade", "fp32", host=True, seals=(4, 4, 3)):
+        assert sum(c.location is CacheLocation.HOST for c in side.cache.batches()) == 2
+        h2d_before = _H2D_BYTES.value
+        result = side.search_group([impostor()], keep_masks=keep_masks)
+        assert _H2D_BYTES.value == h2d_before
+        assert result.images_searched == result.cascade_pruned == 11
+        steps = {r.name: r.calls for r in side.device.profiler.records()}
+        assert "H2D copy" not in steps and "GEMM" not in steps
+        matches = result.results[0].matches
+        assert [m.reference_id for m in matches] == [f"ref{i}" for i in range(11)]
+        for match in matches:
+            assert (match.good_matches, match.n_query_features) == (0, N)
+            if keep_masks:
+                assert match.match_mask.dtype == np.bool_ and match.match_mask.shape == (N,)
+                assert not match.match_mask.any()
+                indices = match.matched_reference_indices
+                assert indices.dtype == np.int32 and indices.shape == (0,)
+            else:
+                assert match.match_mask is None and match.matched_reference_indices is None
+        seen.append(observed(side, result))
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.cascade
+@pytest.mark.parametrize("host", [False, True])
+def test_partial_survivors_skip_exactly_the_pruned_slots_charges(host):
+    seen = []
+    for side in pair("cascade", "fp32", host=host, seals=(4, 4, 3)):
+        misses_before = _SWEEP_MISS.value
+        result = side.search_group([query_for(5, seed=2)], keep_masks=True)
+        survivors = result.images_searched - result.cascade_pruned
+        assert 0 < survivors < result.images_searched == 11
+        steps = {r.name: r.calls for r in side.device.profiler.records()}
+        assert steps["GEMM"] == steps["Post-processing"] == steps["D2H copy"] == survivors
+        # the one batch holding a survivor is staged, whole; the others never are
+        assert steps.get("H2D copy", 0) == (1 if host else 0)
+        assert _SWEEP_MISS.value - misses_before == (2 if host else 0)
+        assert result.results[0].best().reference_id == "ref5"
+        seen.append(observed(side, result))
+    assert seen[0] == seen[1]
+
+
+# -- the per-batch path against the parent's -------------------------------
+
+
+@st.composite
+def per_batch_sweeps(draw):
+    host = draw(st.booleans())
+    seals = draw(st.lists(st.integers(1, BATCH + 1), min_size=3 if host else 1, max_size=5))
+    total = sum(seals)
+    nominees = st.sets(st.integers(0, total + 1), min_size=1, max_size=total)
+    return dict(
+        backend=draw(st.sampled_from(["algorithm1", "cascade"])),
+        precision=draw(st.sampled_from(["fp16", "fp32"])),
+        host=host,
+        seals=seals,
+        dead=sorted(draw(st.sets(st.integers(0, total - 1), max_size=total // 2))),
+        candidates=draw(st.none() | st.none() | nominees),
+        # a reference's own noisy copy (partial survivors) or an impostor (none)
+        queries=draw(st.lists(st.none() | st.integers(0, total - 1), min_size=1, max_size=2)),
+        keep_masks=draw(st.booleans()),
+        cut=draw(st.none() | st.floats(0.05, 0.95)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(per_batch_sweeps())
+def test_the_per_batch_sweep_is_the_parents_bit_for_bit(case):
+    args = (case["backend"], case["precision"], case["host"], case["seals"], case["dead"])
+    candidates = None if case["candidates"] is None else {f"ref{i}" for i in case["candidates"]}
+    kwargs = dict(keep_masks=case["keep_masks"], candidate_ids=candidates)
+    engine, parent = pair(*args)
+    for search, image in enumerate(case["queries"]):
+        query = impostor(seed=4000 + search) if image is None else query_for(image, seed=search)
+        budget = None
+        if case["cut"] is not None:
+            # a deadline that expires part of the way through the parent's full sweep
+            budget = case["cut"] * pair(*args)[1].search(query, **kwargs).elapsed_us
+        seen = []
+        for side in (engine, parent):
+            counters = engine_counters()
+            with deadline_scope(budget) if budget is not None else nullcontext() as deadline:
+                group = side.search_group([query], **kwargs)
+            seen.append((observed(side, group), deadline and deadline.spent_us,
+                         counters != engine_counters()))
+        assert seen[0] == seen[1]
+
+
+# -- a kernel that answers groups is pre-costed ----------------------------
+
+
+def test_a_multiquery_kernel_that_is_not_pre_costed_is_rejected_before_any_side_effect():
+    class Dispatching(Algorithm2Kernel):
+        def batch_steps(self, device, size, n_queries):
+            return None
+
+    cfg = config()
+    engine = TextureSearchEngine(cfg, kernel=Dispatching(cfg))
+    engine.add_reference("ref0", make_descriptors(M, seed=500))
+    with pytest.raises(ValueError, match="multi-query backend that pre-costs"):
+        engine.search_group([query_for(0, seed=1), query_for(0, seed=2)])
+    assert len(engine.cache) == 0 and engine.stats.searches == 0  # nothing sealed, nothing swept
+
+
+# -- the tracer owns its off switch ----------------------------------------
+
+
+def test_a_disabled_span_is_one_reentrant_nestable_no_op():
+    tracer = RequestTracer()
+    outer = tracer.span("outer", layer="web", attempt=1)
+    assert outer is tracer.span("other")  # one shared context, no state
+    with outer as a:
+        with tracer.span("inner") as b, outer as again:
+            assert a is b is again is None
+        with outer as after:
+            assert after is None
+    assert tracer.spans == [] and tracer.current() is None
+    tracer.enable()
+    with tracer.span("live", layer="web", attempt=2) as span:
+        assert span.attrs == {"attempt": 2} and tracer.current() is span
+        with outer as stale:  # handed out while disabled: still the no-op
+            assert stale is None and tracer.current() is span
+    assert [s.name for s in tracer.spans] == ["live"]
+
+
+def routed_cluster():
+    cfg = EngineConfig(m=32, n=32, batch_size=2, min_matches=5, scale_factor=0.25)
+    system = DistributedSearchSystem(3, cfg, router_policy=RouterPolicy(kind="ivf", n_lists=6))
+    refs = {f"r{i}": make_descriptors(32, seed=700 + i) for i in range(18)}
+    for ref_id, descriptors in refs.items():
+        system.add(ref_id, descriptors)
+    return system, [noisy_copy(refs[r], sigma=8.0) for r in ("r5", "r11")]
+
+
+def test_an_enabled_trace_of_a_routed_search_has_the_parents_shape(monkeypatch):
+    tracer = default_tracer()
+    shapes = []
+    for parent in (False, True):
+        with monkeypatch.context() as patch:
+            if parent:
+                patch.setattr(TextureSearchEngine, "_execute_sweep", ParentEngine._execute_sweep)
+            system, queries = routed_cluster()
+            tracer.reset()
+            tracer.enable()
+            assert system.search(queries[0], nprobe=1).routed
+            system.search_group(queries, nprobe=2)
+            tracer.disable()
+        shapes.append([tracer.trace_shape(trace_id) for trace_id in tracer.traces()])
+        sweeps = [s for s in tracer.spans if s.name == "engine.sweep"]
+        assert sweeps and all(
+            s.attrs.keys() >= {"backend", "queries", "sim_elapsed_us", "images", "images_pruned"}
+            for s in sweeps
+        )
+        shapes.append([(s.name, sorted(s.attrs)) for s in tracer.spans])
+    assert len(shapes[0]) == 2 and any(name == "cache.batch" for _, _, name in shapes[0][0])
+    assert shapes[:2] == shapes[2:]
