@@ -5,6 +5,7 @@ from .algorithm1 import PreparedFeatures, knn_algorithm1, prepare_query, prepare
 from .algorithm2 import BatchKnnResult, knn_algorithm2
 from .asymmetric import AsymmetricExtractor, AsymmetricPolicy
 from .batching import BatchBuilder, ReferenceBatch
+from .compute import SweepCompute, compute_scope, current_compute
 from .config import DEFAULT_SCALE_FACTOR, EngineConfig
 from .engine import EngineStats, TextureSearchEngine
 from .identification import IdentificationDecision, IdentificationPipeline
@@ -49,10 +50,13 @@ __all__ = [
     "ReferenceMatrix",
     "ReferenceBatch",
     "SearchResult",
+    "SweepCompute",
     "TextureSearchEngine",
     "available_backends",
     "batch_ratio_test_masks",
+    "compute_scope",
     "create_kernel",
+    "current_compute",
     "functional_topk",
     "good_match_count",
     "insertion_topk",

@@ -15,6 +15,7 @@ divided by ``s`` in step 3.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -117,16 +118,29 @@ def _knn_columns(
         steps = knn_steps(device, images, m, n, d, k, precision, tensor_core)
         device.charge(steps[:1], stream)
     tile = max(1, _PRODUCT_TILE_BYTES // max(1, 4 * m * n))  # images
-    scratch = np.empty((min(tile, images), n, m), dtype=np.float32)
+    width = min(tile, images)
+    # One allocation a call — the scratch every tile reuses and, behind it, room for a tile
+    # that crosses members: apart, they and the GEMM's up-cast are trimmed off the heap and
+    # faulted back in on every call (docs/architecture.md, "One functional plane per gather").
+    dtype, product = stack[0].dtype, 4 * width * n * m
+    room = width * d * m * dtype.itemsize if len(stack) > 1 else 0
+    workspace = np.empty(product + room, dtype=np.uint8)
+    scratch = workspace[:product].view(np.float32).reshape(width, n, m)
+    crossing = workspace[product:].view(dtype).reshape(-1, d, m)
     dist = np.empty((k, images * n), dtype=np.float32)
     top_idx = np.empty((k, images * n), dtype=np.int32) if indices else None
     # Values alone survive selecting before rounding; 4k >= m is a sort either way.
     unrounded = not indices and 4 * k < m
-    # A tile stops at an image boundary, not at a member's: inside one member
-    # it is a view, across members a copy of this tile's operand only.
-    flat = stack[0] if len(stack) == 1 else [image for refs in stack for image in refs]
+    offsets = np.cumsum([0] + [len(refs) for refs in stack]).tolist()  # where members start
     for start in range(0, images, tile):
-        refs = np.asarray(flat[start : start + tile])
+        stop = min(start + tile, images)
+        # A tile stops at an image boundary, not at a member's: inside one member
+        # it is a view, across members a copy of this tile's operand only.
+        first, last = bisect_right(offsets, start) - 1, bisect_right(offsets, stop - 1) - 1
+        refs = stack[first][start - offsets[first] : stop - offsets[first]]
+        if first != last:
+            parts = [refs] + [stack[i][: stop - offsets[i]] for i in range(first + 1, last + 1)]
+            refs = np.concatenate(parts, out=crossing[: stop - start])
         out = scratch[: len(refs)]
         cols = slice(start * n, (start + len(refs)) * n)
         if fp16:

@@ -54,7 +54,7 @@ class EngineConfig:
     streams:
         CUDA streams of the hybrid-cache overlap model (Sec. 6.2) — a
         simulated-clock quantity only: no host thread is ever started
-        (measured why not: docs/architecture.md, "The stacked sweep").
+        (what was measured: docs/architecture.md, "Host threads stay parked").
     k:
         Neighbours retrieved (always 2 in the paper).
     """

@@ -38,6 +38,7 @@ from ..gpusim.engine_model import GPUDevice
 from ..obs import current_deadline, default_registry, default_tracer
 from ..pipeline.scheduler import plan_streams
 from .batching import BatchBuilder, ReferenceBatch
+from .compute import current_compute
 from .config import EngineConfig
 from .kernels import MatchKernel, PreparedQuery, QueryMatrix, ReferenceMatrix
 from .registry import create_kernel
@@ -409,7 +410,8 @@ class TextureSearchEngine:
         batches) and charges the device the kernel's pre-costed
         ``batch_steps``; what it swept is then computed — and its
         tombstones dropped — by the *functional* plane
-        (:meth:`_swept_matches`) in one kernel call.  Kernels without
+        (:meth:`_swept_matches`) in one kernel call — its own, or that of
+        the gather it is part of (:mod:`repro.core.compute`).  Kernels without
         ``batch_steps`` match inside the loop.  The multi-stream overlap
         correction (Sec. 6.2) and the stats follow the loop.
 
@@ -539,34 +541,35 @@ class TextureSearchEngine:
         self, swept: list[tuple[ReferenceBatch, list | None]], query: PreparedQuery,
         n_queries: int, keep_masks: bool, candidate_ids: set[str] | frozenset[str] | None,
     ) -> list[list[ImageMatch]]:
-        """The sweep's functional plane: per-query matches of the batches
+        """The sweep's functional plane: per-query match lists for the batches
         the timing plane swept, in sweep order.  Those it only charged
-        (``groups`` is ``None``) are computed here as one stack; every
-        batch then goes through the tombstone/candidate filter."""
-        stack = [batch for batch, groups in swept if groups is None]
-        stacked = self.kernel.match_batch_multi(None, stack, query, keep_masks) if stack else []
+        (``groups`` is ``None``) are *submitted* as one stack to the ambient
+        scope (:mod:`repro.core.compute`); when that computes — at once, unless a
+        gather holds it open — ``deliver`` filters every batch into the lists."""
         per_query: list[list[ImageMatch]] = [[] for _ in range(n_queries)]
-        taken = 0
-        for batch, groups in swept:
-            if groups is None:
-                groups = [matches[taken : taken + batch.size] for matches in stacked]
-                taken += batch.size
-            # tombstone filtering: resolve the batch's dead slots once
-            # (kernels emit one match per slot, in slot order), then
-            # drop them from every query's list by index.
-            alive: list[int] | None = None
-            if self._dead_slots or candidate_ids is not None:
-                alive = [
-                    i for i, slot_id in enumerate(batch.ids)
-                    if not slot_id.startswith(_DEAD_PREFIX)
-                    and (candidate_ids is None or slot_id in candidate_ids)
-                ]
-                if len(alive) == batch.size:
-                    alive = None
-            for q, matches in enumerate(groups):
-                if alive is not None:
-                    matches = [matches[i] for i in alive]
-                per_query[q].extend(matches)
+
+        def deliver(stacked: list[list[ImageMatch]]) -> None:
+            taken = 0
+            for batch, groups in swept:
+                if groups is None:
+                    groups = [matches[taken : taken + batch.size] for matches in stacked]
+                    taken += batch.size
+                # resolve the batch's dead slots once (kernels emit one match
+                # per slot, in slot order), then drop them from every query's list
+                alive: list[int] | None = None
+                if self._dead_slots or candidate_ids is not None:
+                    alive = [
+                        i for i, slot_id in enumerate(batch.ids)
+                        if not slot_id.startswith(_DEAD_PREFIX)
+                        and (candidate_ids is None or slot_id in candidate_ids)
+                    ]
+                    if len(alive) == batch.size:
+                        alive = None
+                for q, matches in enumerate(groups):
+                    per_query[q].extend(matches if alive is None else [matches[i] for i in alive])
+
+        stack = [batch for batch, groups in swept if groups is None]
+        current_compute().submit(self.kernel, stack, query, keep_masks, deliver)
         return per_query
 
     # ------------------------------------------------------------------

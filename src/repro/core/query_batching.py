@@ -86,6 +86,8 @@ def knn_algorithm2_multiquery(
             f"dimension mismatch: references {[refs.shape for refs in stack]}, "
             f"queries d={queries.shape[1]}"
         )
+    if any(refs.dtype != stack[0].dtype for refs in stack):  # a crossing tile would cast
+        raise ValueError(f"a stack has one dtype, got {sorted({str(refs.dtype) for refs in stack})}")
     n_queries, _, n = queries.shape
     # Column-concatenate queries: (d, Q*n).
     q_all = np.transpose(queries, (1, 0, 2)).reshape(d, n_queries * n)

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..core.compute import compute_scope
 from ..core.config import EngineConfig
 from ..core.kernels import QueryMatrix, ReferenceMatrix
 from ..core.registry import create_kernel
@@ -1059,26 +1060,31 @@ class DistributedSearchSystem:
             deadline_skipped = [group.shard_id for group in targets]
             _DEADLINE_SKIPS.inc(len(deadline_skipped))
             targets = []
-        for group in targets:
-            candidates = (
-                frozenset(route.per_shard.get(group.shard_id, ()))
-                if routed else None
-            )
+        answered: list[tuple[ReplicaGroup, list[SearchResult]]] = []
+        with compute_scope() as compute:  # shards charge in here; run() computes them all
+            for group in targets:
+                candidates = (
+                    frozenset(route.per_shard.get(group.shard_id, ()))
+                    if routed else None
+                )
 
-            def attempt(replica: SearchNode, indices):  # runs inside read() below
-                with fanout.branch():
-                    return self._attempt_with_retry(
-                        replica, [prepared[i] for i in indices], candidates
-                    )
+                def attempt(replica: SearchNode, indices):  # runs inside read() below
+                    with fanout.branch():
+                        return self._attempt_with_retry(
+                            replica, [prepared[i] for i in indices], candidates
+                        )
 
-            answers, shard_us, shard_retries = group.read(
-                n_queries, attempt, self._clock_us()
-            )
-            slowest_us = max(slowest_us, shard_us)
-            retries += shard_retries
-            if answers is None:
-                unsearched.append(group.shard_id)
-                continue
+                answers, shard_us, shard_retries = group.read(
+                    n_queries, attempt, self._clock_us()
+                )
+                slowest_us = max(slowest_us, shard_us)
+                retries += shard_retries
+                if answers is None:
+                    unsearched.append(group.shard_id)
+                else:
+                    answered.append((group, answers))
+            compute.run()
+        for group, answers in answered:
             epochs_seen[group.shard_id] = group.epoch
             for into, result in zip(merged, answers):
                 truncated = truncated or result.partial

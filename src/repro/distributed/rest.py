@@ -109,6 +109,8 @@ class Router:
             matched_path = True
             if method != request.method.upper():
                 continue
+            if not isinstance(request.body, dict):
+                return Response(400, {"error": "request 'body' must be an object"})
             try:
                 return fn(request, **match.groupdict())
             except RestError as exc:
@@ -125,7 +127,7 @@ def _parse_top(body: dict) -> int:
     raw = body.get("top", 1)
     try:
         top = int(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
         raise RestError(400, f"'top' must be an integer, got {raw!r}") from exc
     if not (1 <= top <= 100):
         raise RestError(400, "'top' must be in [1, 100]")
@@ -141,7 +143,7 @@ def _parse_budget(body: dict) -> float | None:
         budget_us = float(raw)
     except (TypeError, ValueError) as exc:
         raise RestError(400, f"'budget_us' must be a number, got {raw!r}") from exc
-    if budget_us <= 0:
+    if not budget_us > 0:  # a NaN budget would never expire
         raise RestError(400, f"'budget_us' must be > 0, got {budget_us}")
     return budget_us
 
@@ -154,7 +156,7 @@ def _parse_routing(body: dict) -> tuple[int | None, float | None]:
     if nprobe is not None:
         try:
             nprobe = int(nprobe)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise RestError(400, f"'nprobe' must be an integer, got {nprobe!r}") from exc
         if nprobe < 1:
             raise RestError(400, f"'nprobe' must be >= 1, got {nprobe}")
@@ -437,7 +439,7 @@ def build_api(system: DistributedSearchSystem) -> Router:
         if limit is not None:
             try:
                 limit = int(limit)
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise RestError(
                     400, f"'limit' must be an integer, got {limit!r}"
                 ) from exc

@@ -19,6 +19,14 @@ __all__ = ["rootsift", "l2_normalize", "is_unit_normalized"]
 _EPS = 1e-12
 
 
+def _finite(norms: np.ndarray, kind: str) -> np.ndarray:
+    """Dividing by an overflowed column norm would store the whole image as
+    exact zeros — a reference nothing can ever match — so refuse it."""
+    if not np.all(np.isfinite(norms)):
+        raise ValueError(f"a descriptor column's {kind} norm is not finite in float32")
+    return norms
+
+
 def rootsift(descriptors: np.ndarray) -> np.ndarray:
     """Apply RootSIFT column-wise to a ``(d, count)`` descriptor matrix.
 
@@ -30,7 +38,8 @@ def rootsift(descriptors: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected (d, count) matrix, got shape {d.shape}")
     if np.any(d < 0):
         raise ValueError("RootSIFT requires non-negative descriptors")
-    l1 = d.sum(axis=0, keepdims=True)
+    with np.errstate(over="ignore"):  # reported as an error instead
+        l1 = _finite(d.sum(axis=0, keepdims=True), "L1")
     safe = np.maximum(l1, _EPS)
     return np.sqrt(d / safe, dtype=np.float32)
 
@@ -47,7 +56,8 @@ def l2_normalize(descriptors: np.ndarray) -> np.ndarray:
     d = np.asarray(descriptors, dtype=np.float32)
     if d.ndim != 2:
         raise ValueError(f"expected (d, count) matrix, got shape {d.shape}")
-    norms = np.linalg.norm(d, axis=0, keepdims=True)
+    with np.errstate(over="ignore"):  # reported as an error instead
+        norms = _finite(np.linalg.norm(d, axis=0, keepdims=True), "L2")
     return d / np.maximum(norms, _EPS)
 
 
