@@ -1,7 +1,10 @@
-"""Why ROADMAP 5(a) (tiles on `EngineConfig.streams` host threads) stays parked:
-aggregate rate of one worker, two threads and two processes, each on
-single-threaded OpenBLAS, for the bare SGEMM of one service-scale tile and for
-the whole tile step (product -> FP16 epilogue -> top-2).  Run it alone:
+"""What a second host thread buys on one tile, the measurement behind host
+tile lanes (docs/architecture.md, "Host tile lanes"): aggregate rate of one
+worker, two threads and two processes, each on single-threaded OpenBLAS, for
+the bare SGEMM of one service-scale tile and for the whole tile step
+(product -> FP16 epilogue -> top-2).  Each worker makes its own one-tile
+calls, and a one-tile call runs on one lane, so the kernel's own lanes stay
+out of the measurement.  Run it alone:
     PYTHONPATH=src python docs/hostclock/stream_scaling.py
 """
 import os

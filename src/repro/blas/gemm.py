@@ -111,6 +111,7 @@ def _fp16_gemm(
         # Conservative bound on the largest partial sum.
         bound = product(np.abs(a32), np.abs(b32))
         overflow = bool(np.fmax.reduce(bound, axis=None, initial=-np.inf) > FP16_MAX)
+    del a32, b32  # the up-casts are spent: the round trip's constants may take their place
     if store_fp16:
         # Model FP16 rounding of the accumulator on the final result.
         # (The per-step rounding error is dominated by input

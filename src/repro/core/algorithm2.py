@@ -15,7 +15,9 @@ divided by ``s`` in step 3.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_right
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -64,6 +66,32 @@ class BatchKnnResult:
 _PRODUCT_TILE_BYTES = 4 << 20
 
 
+# The tiles of one call run on lanes, one per CPU this process may use: lane 0 is the
+# caller, the others borrow a thread of one module pool (it starts none until the first
+# submit).  NumPy drops the GIL in the SGEMM and the scans, and tiles are column-disjoint,
+# so no bit depends on the lane count.  Measured: docs/architecture.md, "Host tile lanes".
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity mask, so ``taskset`` counts)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_LANES = ThreadPoolExecutor(_usable_cpus(), "tile-lane")
+
+
+def _fresh_lanes() -> None:
+    """A forked child inherits the pool's bookkeeping but none of its threads:
+    it would queue work nobody runs.  It starts a pool of its own instead."""
+    global _LANES
+    _LANES = ThreadPoolExecutor(_usable_cpus(), "tile-lane")
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_fresh_lanes)
+
+
 def _accumulator_peak(references: np.ndarray, columns: np.ndarray) -> float:
     """Largest magnitude a partial sum of the whole batch's GEMM can reach
     (``|R|^T |Q|``: the FP32 accumulator itself for non-negative operands).
@@ -98,7 +126,9 @@ def _knn_columns(
     batch).  Returns ``(distances, indices)``, each ``(k, images * n)``,
     image-major in stack order; ``indices=False`` returns ``None`` for them
     and lets a tile select on its unrounded product (docs/architecture.md,
-    "The winners-only epilogue").
+    "The winners-only epilogue").  The tiles run on ``min(usable CPUs,
+    tiles)`` lanes, each with its own workspace; the call joins every lane
+    before it returns or raises.
     """
     d, m = stack[0].shape[1:]
     images = sum(len(refs) for refs in stack)
@@ -119,63 +149,80 @@ def _knn_columns(
         device.charge(steps[:1], stream)
     tile = max(1, _PRODUCT_TILE_BYTES // max(1, 4 * m * n))  # images
     width = min(tile, images)
-    # One allocation a call — the scratch every tile reuses and, behind it, room for a tile
-    # that crosses members: apart, they and the GEMM's up-cast are trimmed off the heap and
-    # faulted back in on every call (docs/architecture.md, "One functional plane per gather").
+    starts = range(0, images, tile)
+    lanes = min(_usable_cpus(), len(starts))
     dtype, product = stack[0].dtype, 4 * width * n * m
     room = width * d * m * dtype.itemsize if len(stack) > 1 else 0
-    workspace = np.empty(product + room, dtype=np.uint8)
-    scratch = workspace[:product].view(np.float32).reshape(width, n, m)
-    crossing = workspace[product:].view(dtype).reshape(-1, d, m)
     dist = np.empty((k, images * n), dtype=np.float32)
     top_idx = np.empty((k, images * n), dtype=np.int32) if indices else None
     # Values alone survive selecting before rounding; 4k >= m is a sort either way.
     unrounded = not indices and 4 * k < m
     offsets = np.cumsum([0] + [len(refs) for refs in stack]).tolist()  # where members start
-    for start in range(0, images, tile):
-        stop = min(start + tile, images)
-        # A tile stops at an image boundary, not at a member's: inside one member
-        # it is a view, across members a copy of this tile's operand only.
-        first, last = bisect_right(offsets, start) - 1, bisect_right(offsets, stop - 1) - 1
-        refs = stack[first][start - offsets[first] : stop - offsets[first]]
-        if first != last:
-            parts = [refs] + [stack[i][: stop - offsets[i]] for i in range(first + 1, last + 1)]
-            refs = np.concatenate(parts, out=crossing[: stop - start])
-        out = scratch[: len(refs)]
-        cols = slice(start * n, (start + len(refs)) * n)
-        if fp16:
-            a, overflow = batched_hgemm(None, refs, columns, tensor_core=tensor_core, out=out,
-                                        store_fp16=not unrounded)
-        else:
-            a = query_major_product(refs.astype(np.float32, copy=False), columns, out=out)
-            overflow = False
-        # Step 2: one scan thread per (image, query-feature) column — on the
-        # query-major product a zero-copy F-ordered view, each column
-        # contiguous.  Only the winners leave the tile.
-        scanned = np.transpose(a, (1, 0, 2)).reshape(m, len(refs) * n)
-        unexamined = overflow is None
-        if unexamined:
-            # The unrounded accumulator of non-negative operands.  Rounding and x-2 are
-            # monotone: its k largest, rounded, are the k smallest of the rounded -2A with
-            # multiplicity, the first of them the maxima the overflow rule asks about.
-            won = functional_topk(scanned, k, largest=True)[0]
-            peak = float(won[0].max())
-            overflow = peak > FP16_MAX
-        if overflow:
-            # error path only: name the first member whose own product overflows,
-            # image by image — whatever the tile size and whatever shared its tile
-            hot = next((member for member in stack for image in member if batched_hgemm(
-                None, image[None], columns, tensor_core=tensor_core)[1]), refs)
-            raise HalfPrecisionOverflowError(scale, _accumulator_peak(hot, columns))
-        if unexamined:
-            round_trip_nonneg(won, peak)
-            won *= np.float32(-2.0)
-        else:
-            scanned *= np.float32(-2.0)
-            won, won_idx = functional_topk(scanned, k)
-            if indices:
-                top_idx[:, cols] = won_idx
-        dist[:, cols] = won
+
+    def lane() -> None:
+        # One allocation a lane a call — the scratch its tiles reuse and, behind it, room for a
+        # tile that crosses members: apart, they and the GEMM's up-cast are trimmed off the heap
+        # and faulted back in on every call (docs/architecture.md, "One functional plane per
+        # gather").  A tile writes only its own columns of dist / top_idx.
+        workspace = np.empty(product + room, dtype=np.uint8)
+        scratch = workspace[:product].view(np.float32).reshape(width, n, m)
+        crossing = workspace[product:].view(dtype).reshape(-1, d, m)
+        for start in unclaimed:
+            stop = min(start + tile, images)
+            # A tile stops at an image boundary, not at a member's: inside one member
+            # it is a view, across members a copy of this tile's operand only.
+            first, last = bisect_right(offsets, start) - 1, bisect_right(offsets, stop - 1) - 1
+            refs = stack[first][start - offsets[first] : stop - offsets[first]]
+            if first != last:
+                parts = [refs] + [stack[i][: stop - offsets[i]] for i in range(first + 1, last + 1)]
+                refs = np.concatenate(parts, out=crossing[: stop - start])
+            out = scratch[: len(refs)]
+            cols = slice(start * n, (start + len(refs)) * n)
+            if fp16:
+                a, overflow = batched_hgemm(None, refs, columns, tensor_core=tensor_core, out=out,
+                                            store_fp16=not unrounded)
+            else:
+                a = query_major_product(refs.astype(np.float32, copy=False), columns, out=out)
+                overflow = False
+            # Step 2: one scan thread per (image, query-feature) column — on the
+            # query-major product a zero-copy F-ordered view, each column
+            # contiguous.  Only the winners leave the tile.
+            scanned = np.transpose(a, (1, 0, 2)).reshape(m, len(refs) * n)
+            unexamined = overflow is None
+            if unexamined:
+                # The unrounded accumulator of non-negative operands.  Rounding and x-2 are
+                # monotone: its k largest, rounded, are the k smallest of the rounded -2A with
+                # multiplicity, the first of them the maxima the overflow rule asks about.
+                won = functional_topk(scanned, k, largest=True)[0]
+                peak = float(won[0].max())
+                overflow = peak > FP16_MAX
+            if overflow:
+                # error path only: name the first member whose own product overflows,
+                # image by image — whatever the tile size and whatever shared its tile
+                hot = next((member for member in stack for image in member if batched_hgemm(
+                    None, image[None], columns, tensor_core=tensor_core)[1]), refs)
+                raise HalfPrecisionOverflowError(scale, _accumulator_peak(hot, columns))
+            if unexamined:
+                round_trip_nonneg(won, peak)
+                won *= np.float32(-2.0)
+            else:
+                scanned *= np.float32(-2.0)
+                won, won_idx = functional_topk(scanned, k)
+                if indices:
+                    top_idx[:, cols] = won_idx
+            dist[:, cols] = won
+
+    # Every lane claims the next unclaimed tile when it finishes one (a range iterator's next()
+    # holds the GIL), so a lane whose CPU is taken leaves its share to the others instead of
+    # holding the call back.  Lane 0 is this thread, alone when lanes == 1.
+    unclaimed = iter(starts)
+    others = [_LANES.submit(lane) for _ in range(1, lanes)]
+    try:
+        lane()
+    finally:
+        wait(others)  # no lane touches a buffer once control leaves
+    for other in others:
+        other.result()
 
     # Step 3: sqrt(const + A) in-register on the winners only; step 4: the gather.
     if device is not None:

@@ -53,8 +53,9 @@ class EngineConfig:
         Good matches required to declare two textures identical.
     streams:
         CUDA streams of the hybrid-cache overlap model (Sec. 6.2) — a
-        simulated-clock quantity only: no host thread is ever started
-        (what was measured: docs/architecture.md, "Host threads stay parked").
+        simulated-clock quantity only.  How many host threads compute a
+        sweep's tiles is the process's CPU count, not this (docs/architecture.md,
+        "Host tile lanes").
     k:
         Neighbours retrieved (always 2 in the paper).
     """

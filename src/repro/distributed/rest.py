@@ -180,7 +180,8 @@ def _parse_descriptors(body: dict, d_expected: int) -> np.ndarray:
     if raw is None:
         raise RestError(400, "missing 'descriptors'")
     try:
-        matrix = np.asarray(raw, dtype=np.float32)
+        with np.errstate(over="ignore"):  # a finite double past float32 becomes inf: 400 below
+            matrix = np.asarray(raw, dtype=np.float32)
     except (TypeError, ValueError) as exc:
         raise RestError(400, f"malformed descriptors: {exc}") from exc
     if matrix.ndim != 2 or matrix.shape[0] != d_expected:

@@ -63,10 +63,10 @@ def round_trip_nonneg(x: np.ndarray, hi: float) -> None:
         x += _SUBNORMAL_C
         x -= _SUBNORMAL_C
         return
+    c = None  # one image's constants, reused: every image of a stack has one shape
     for block in x if x.ndim == 3 else (x,):
-        c = block.view(np.uint32) & _EXPONENT_FIELD
+        c = np.bitwise_and(block.view(np.uint32), _EXPONENT_FIELD, out=c)
         np.maximum(c, _MIN_NORMAL_FIELD, out=c)
         c += _TO_ONE_AND_A_HALF_UP_13
-        c = c.view(np.float32)
-        block += c
-        block -= c
+        block += c.view(np.float32)
+        block -= c.view(np.float32)

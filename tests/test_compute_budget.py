@@ -2,7 +2,8 @@
 
 The gather's functional plane (``core/compute.py``) stays a small leaf
 module with one opener, and fusing sweeps added no knob: every
-constructor and ``EngineConfig`` keep the parameters they had.
+constructor and ``EngineConfig`` keep the parameters they had.  Host tile
+lanes stay inside the tile loop: no other module gains a thread.
 """
 
 from __future__ import annotations
@@ -76,3 +77,15 @@ def test_fusion_added_no_knob():
         "retry_policy", "min_shard_fraction", "auto_failover", "fault_injector", "health_policy",
         "breaker_policy", "router_policy", "replication_factor",
     ]
+
+
+def test_only_the_tile_loop_starts_host_threads():
+    """Host tile lanes live in ``core/algorithm2.py``; the only other user of
+    ``threading`` is the KV store's lock.  (``EngineConfig``'s field list —
+    no lane knob — is pinned by ``test_fusion_added_no_knob``.)"""
+    users = sorted(
+        path.relative_to(SRC).as_posix() for path in SRC.rglob("*.py")
+        if any(word in path.read_text() for word in ("threading", "ThreadPoolExecutor",
+                                                     "concurrent.futures"))
+    )
+    assert users == ["core/algorithm2.py", "distributed/kvstore.py"]

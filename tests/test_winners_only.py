@@ -671,11 +671,12 @@ def test_without_masks_nothing_but_the_gemm_and_the_two_scans_touches_a_tile(mon
     image = PAPER.m * PAPER.n
     per_tile = algorithm2_module._PRODUCT_TILE_BYTES // (4 * image)
     tiles = [per_tile * image] * (8 // per_tile) + [8 % per_tile * image] * (8 % per_tile > 0)
-    assert scans == tiles and len(tiles) > 1  # one selection per tile, on the tile
+    # one selection per tile, on the tile, in whatever order the lanes finish
+    assert sorted(scans) == sorted(tiles) and len(tiles) > 1
     if keep_masks:
-        assert rounded == tiles and spy.reduced == tiles
+        assert sorted(rounded) == sorted(tiles) and sorted(spy.reduced) == sorted(tiles)
     else:
-        assert rounded == [PAPER.k * size // PAPER.m for size in tiles]  # the (k, columns) winners
+        assert sorted(rounded) == sorted(PAPER.k * size // PAPER.m for size in tiles)  # the winners
         assert spy.reduced == []
 
 
