@@ -97,7 +97,8 @@ def _with_norms(
             overflow = bool(np.any(norms > FP16_MAX))
             norms = np.clip(norms, 0, FP16_MAX).astype(np.float16).astype(np.float32)
         if overflow:
-            raise HalfPrecisionOverflowError(scale, float(norms.max()))
+            v = values.astype(np.float32)  # the real squared norm, not the clipped one stored
+            raise HalfPrecisionOverflowError(scale, float(np.einsum("dc,dc->c", v, v).max()))
         return PreparedFeatures(values, norms, "fp16", scale)
     if device is not None:
         norms = squared_norms(device, values, stream=stream)

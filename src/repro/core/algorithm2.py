@@ -92,6 +92,16 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_fresh_lanes)
 
 
+def _tile_starts(images: int, image_bytes: int, lanes: int) -> range:
+    """Where a call's tiles start; ``step`` is the tile, in images.  A tile holds at most
+    ``_PRODUCT_TILE_BYTES`` of product (one image if that is larger) and at most
+    ``ceil(images / lanes)`` images, so no tile is larger than an even share of the lanes'
+    work and a call the budget fits in one tile still runs on more than one lane.  At one
+    lane the budget alone decides."""
+    budget = max(1, _PRODUCT_TILE_BYTES // max(1, image_bytes))
+    return range(0, images, max(1, min(budget, -(-images // lanes))))
+
+
 def _accumulator_peak(references: np.ndarray, columns: np.ndarray) -> float:
     """Largest magnitude a partial sum of the whole batch's GEMM can reach
     (``|R|^T |Q|``: the FP32 accumulator itself for non-negative operands).
@@ -126,9 +136,9 @@ def _knn_columns(
     batch).  Returns ``(distances, indices)``, each ``(k, images * n)``,
     image-major in stack order; ``indices=False`` returns ``None`` for them
     and lets a tile select on its unrounded product (docs/architecture.md,
-    "The winners-only epilogue").  The tiles run on ``min(usable CPUs,
-    tiles)`` lanes, each with its own workspace; the call joins every lane
-    before it returns or raises.
+    "The winners-only epilogue").  The tiles (:func:`_tile_starts`) run on
+    ``min(usable CPUs, tiles)`` lanes, each with its own workspace; the call
+    joins every lane before it returns or raises.
     """
     d, m = stack[0].shape[1:]
     images = sum(len(refs) for refs in stack)
@@ -147,10 +157,11 @@ def _knn_columns(
     if device is not None:
         steps = knn_steps(device, images, m, n, d, k, precision, tensor_core)
         device.charge(steps[:1], stream)
-    tile = max(1, _PRODUCT_TILE_BYTES // max(1, 4 * m * n))  # images
+    cpus = _usable_cpus()  # read once: the plan and the submits see the same count
+    starts = _tile_starts(images, 4 * m * n, cpus)
+    tile = starts.step  # images
     width = min(tile, images)
-    starts = range(0, images, tile)
-    lanes = min(_usable_cpus(), len(starts))
+    lanes = min(cpus, len(starts))
     dtype, product = stack[0].dtype, 4 * width * n * m
     room = width * d * m * dtype.itemsize if len(stack) > 1 else 0
     dist = np.empty((k, images * n), dtype=np.float32)

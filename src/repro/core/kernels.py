@@ -404,7 +404,10 @@ class Algorithm1Kernel(MatchKernel):
     def query_matrix(self, descriptors):
         cfg = self.config
         descriptors = self._check_descriptors(descriptors)
-        return self._to_engine_precision(pad_or_trim(descriptors, cfg.n))
+        # N_Q is the device's, at search time; its FP16 overflow is also checked here, on the
+        # host and uncharged as N_R's is, so such a query is refused before any shard sees it
+        return prepare_reference(pad_or_trim(descriptors, cfg.n), cfg.precision,
+                                 cfg.effective_scale).values
 
     def prepare_query(self, device, query):
         cfg = self.config

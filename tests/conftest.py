@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import algorithm2 as algorithm2_module
 from repro.gpusim import GPUDevice, KernelCalibration, TESLA_P100, TESLA_V100
 from repro.obs import reset_observability
 
@@ -35,6 +36,19 @@ def noisy_copy(desc: np.ndarray, sigma: float, seed: int = 1) -> np.ndarray:
     out = np.maximum(desc + rng.normal(0, sigma, desc.shape).astype(np.float32), 0)
     norms = np.maximum(np.linalg.norm(out, axis=0, keepdims=True), 1e-9)
     return (out / norms * 512.0).astype(np.float32)
+
+
+def tile_sizes(starts: range, images: int) -> list[int]:
+    """The images of each tile of a plan (``algorithm2._tile_starts``), in order."""
+    return [min(start + starts.step, images) - start for start in starts]
+
+
+def planned_tiles(images: int, image_bytes: int) -> list[int]:
+    """The images of each tile a kernel call over ``images`` images makes, in
+    order, at this process's lane count and the module's tile budget (both
+    as patched, if they are)."""
+    lanes = algorithm2_module._usable_cpus()
+    return tile_sizes(algorithm2_module._tile_starts(images, image_bytes, lanes), images)
 
 
 @pytest.fixture

@@ -1,9 +1,11 @@
-"""The other side of ``tests/test_design_budget.py`` (stdlib ``ast`` only).
+"""The other side of ``tests/test_design_budget.py`` (stdlib ``ast``, and
+one search for the threading contract).
 
 The gather's functional plane (``core/compute.py``) stays a small leaf
 module with one opener, and fusing sweeps added no knob: every
 constructor and ``EngineConfig`` keep the parameters they had.  Host tile
-lanes stay inside the tile loop: no other module gains a thread.
+lanes stay inside the tile loop: no other module gains a thread, and no
+code on a lane reads the caller's context variables.
 """
 
 from __future__ import annotations
@@ -11,11 +13,14 @@ from __future__ import annotations
 import ast
 import dataclasses
 import inspect
+import threading
 from pathlib import Path
 
 import repro
-from repro.core import EngineConfig, TextureSearchEngine, compute
+from repro.core import EngineConfig, TextureSearchEngine, algorithm2, compute, compute_scope
 from repro.distributed import DistributedSearchSystem, SearchNode
+from repro.obs import brownout_scope, deadline_scope, default_tracer, reqctx, tracing
+from tests.conftest import make_descriptors
 
 SRC = Path(repro.__file__).resolve().parent
 MAX_LINES = 80
@@ -89,3 +94,69 @@ def test_only_the_tile_loop_starts_host_threads():
                                                      "concurrent.futures"))
     )
     assert users == ["core/algorithm2.py", "distributed/kvstore.py"]
+
+
+class Watched:
+    """A context variable that records every read made on a ``tile-lane``
+    thread (such a thread does not inherit the caller's context, so a read
+    there sees the default, not the request's)."""
+
+    def __init__(self, var, seen: list):
+        self.var, self.seen, self.reads = var, seen, 0
+
+    def get(self, *default):
+        self.reads += 1
+        if threading.current_thread().name.startswith("tile-lane"):
+            self.seen.append(self.var.name)
+        return self.var.get(*default)
+
+    def set(self, value):
+        return self.var.set(value)
+
+    def reset(self, token):
+        self.var.reset(token)
+
+
+def test_nothing_on_a_tile_lane_reads_the_callers_context(monkeypatch):
+    """The deadline, the brownout, the compute scope and the current span
+    stay on the caller's thread: a two-lane search under all of them, with
+    tracing on, reads none of them from a lane."""
+    seen: list = []
+    watched = [(reqctx, "_deadline"), (reqctx, "_brownout"), (compute, "_scope"),
+               (tracing, "_current_span")]
+    for owner, name in watched:
+        monkeypatch.setattr(owner, name, Watched(getattr(owner, name), seen))
+    monkeypatch.setattr(algorithm2, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(algorithm2, "_PRODUCT_TILE_BYTES", 1)  # a tile an image
+    real_gemm, lane_ran = algorithm2.batched_hgemm, threading.Event()
+
+    def gemm(*args, **kwargs):  # the caller's first tile waits until a lane has one too
+        if threading.current_thread().name.startswith("tile-lane"):
+            lane_ran.set()
+        else:
+            lane_ran.wait(timeout=10)
+        return real_gemm(*args, **kwargs)
+
+    monkeypatch.setattr(algorithm2, "batched_hgemm", gemm)
+    service = EngineConfig(m=24, n=16, batch_size=4, min_matches=2, scale_factor=0.25)
+    system = DistributedSearchSystem(2, service)
+    for image in range(10):
+        system.add(f"ref{image}", make_descriptors(24, seed=image))
+    engine = TextureSearchEngine(service)
+    for image in range(6):
+        engine.add_reference(f"ref{image}", make_descriptors(24, seed=image))
+    query = make_descriptors(24, seed=3)[:, :16]
+    tracer = default_tracer()
+    tracer.enable()
+    try:
+        with deadline_scope(1e12), brownout_scope(1.0):
+            assert system.search(query).best().reference_id == "ref3"
+            with compute_scope() as scope:
+                result = engine.search(query)
+                scope.run()
+            assert result.best().reference_id == "ref3"
+    finally:
+        tracer.disable()
+    assert lane_ran.is_set() and tracer.spans  # two lanes ran, and spans were taken
+    assert all(variable.reads for variable in (getattr(owner, name) for owner, name in watched))
+    assert seen == []

@@ -467,11 +467,11 @@ class TestUnpreparableDescriptorsAreTheClientsError:
     overflows FP16 at the configured scale: 400 on every route that takes
     descriptors, and the request has touched nothing."""
 
-    def _system(self, backend="algorithm2"):
+    def _system(self, backend="algorithm2", **updates):
         from repro.distributed import BreakerPolicy, FaultInjector, WebTier
 
         injector = FaultInjector(seed=3)
-        config = CFG.with_updates(backend=backend)
+        config = CFG.with_updates(backend=backend, **updates)
         system = DistributedSearchSystem(
             2, config, replication_factor=2, fault_injector=injector,
             breaker_policy=BreakerPolicy(),
@@ -545,3 +545,38 @@ class TestUnpreparableDescriptorsAreTheClientsError:
                 call()
             assert isinstance(raised.value, (ClusterError, ValueError))
             assert self._state(system) == before
+
+    #: every entry fits FP16 at the default scale 2^-7 (468.75), but a column's
+    #: squared norm, 128 * 468.75^2 = 2.8125e7, does not
+    HOT = np.full((128, 32), 60000.0, dtype=np.float32)
+
+    def test_an_algorithm1_query_whose_norms_overflow_is_refused_before_the_fan_out(self):
+        from repro.errors import InvalidDescriptorsError
+
+        system, tier, _ = self._system("algorithm1", scale_factor=EngineConfig().scale_factor)
+        before = self._state(system)
+        for request in (
+            Request("POST", "/search", {"descriptors": self.HOT.tolist()}),
+            Request("POST", "/search/batch", {"queries": [self.HOT.tolist()]}),
+            Request("POST", "/enroll", {"id": "new", "descriptors": self.HOT.tolist()}),
+        ):
+            response = tier.handle(request).response
+            assert response.status == 400, request.path
+            assert "magnitude 2.8125e+07 exceeds" in response.body["error"]  # not the clipped 65504
+            assert self._state(system) == before, request.path
+        with pytest.raises(InvalidDescriptorsError):
+            system.search(self.HOT)
+        assert self._state(system) == before
+
+    def test_the_device_side_query_norm_check_still_charges_and_names_the_real_norm(self):
+        from repro.core.algorithm1 import upload_query
+        from repro.errors import HalfPrecisionOverflowError
+        from repro.fp16.convert import to_scaled_fp16
+        from repro.gpusim import GPUDevice, TESLA_P100
+
+        scale = EngineConfig().scale_factor
+        device = GPUDevice(TESLA_P100)
+        with pytest.raises(HalfPrecisionOverflowError) as raised:
+            upload_query(device, to_scaled_fp16(self.HOT, scale).values, "fp16", scale)
+        assert raised.value.max_value == pytest.approx(128 * (60000.0 * scale) ** 2, rel=1e-6)
+        assert {"query H2D", "norms"} <= set(device.profiler.as_dict())

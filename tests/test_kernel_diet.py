@@ -40,6 +40,7 @@ from repro.fp16 import FP16_MIN_NORMAL
 from repro.fp16.codec import round_trip_nonneg
 from repro.gpusim import GPUDevice, TESLA_P100, TESLA_V100
 from repro.gpusim.stream import Stream
+from tests.conftest import planned_tiles
 
 # -- frozen oracles (verbatim from the parent commit) ----------------------
 
@@ -587,8 +588,9 @@ def check_against_the_untiled_sweep(refs, queries, scale, k, precision, tensor_c
     assert (refs.tobytes(), queries.tobytes()) == before, case
 
 
-#: images per tile -> tiles for a batch of five; None leaves the module's budget
-#: alone (one tile), 0 is a budget smaller than a single image's product.
+#: images per tile -> tiles for a batch of five at one lane; None leaves the
+#: module's budget alone (one tile), 0 is a budget smaller than a single image's
+#: product.  More lanes may split a call further (``_tile_starts``).
 TILINGS = {"one_image_per_tile": (1, 5), "ragged_last_tile": (2, 3),
            "budget_below_one_image": (0, 5), "one_tile": (None, 1)}
 
@@ -606,10 +608,12 @@ def test_tiled_sweep_matches_the_untiled_glue(monkeypatch, tiling, precision, ki
             if images_per_tile is not None:
                 budget = images_per_tile * 40 * n_queries * 24 * 4 or 1
                 patch.setattr(algorithm2_module, "_PRODUCT_TILE_BYTES", budget)
+            image = 40 * n_queries * 24 * 4
+            assert len(algorithm2_module._tile_starts(5, image, 1)) == tiles
             knn_algorithm2_multiquery(
                 GPUDevice(TESLA_V100), refs, queries, scale=scale, precision=precision
             )
-            assert len(scans) == tiles
+            assert len(scans) == len(planned_tiles(5, image))
             check_against_the_untiled_sweep(refs, queries, scale, k, precision, tensor_core)
 
 
@@ -634,15 +638,17 @@ def test_engine_search_at_paper_dimensions_is_the_same_at_any_tiling(monkeypatch
         scans = count_calls(monkeypatch, "functional_topk")
         return engine.search(query), len(scans)
 
+    image = 384 * 768 * 4
     as_shipped, scans = search()
     # three images of 1.2 MB per tile, and since the stacked sweep (PR 16) a
-    # tile runs on into the next batch: 3+3+3+3, where per batch it was 3+3+2 and 3+1
-    assert scans == 4
+    # tile runs on into the next batch: 3+3+3+3 up to four lanes, where per batch it
+    # was 3+3+2 and 3+1
+    assert scans == len(planned_tiles(12, image))
     assert as_shipped.best().reference_id == "ref-5" and as_shipped.elapsed_us > 0
-    for budget, tiles in ((1 << 30, 1), (384 * 768 * 4, 12)):
+    for budget in (1 << 30, image):  # at one lane: one tile, twelve
         monkeypatch.setattr(algorithm2_module, "_PRODUCT_TILE_BYTES", budget)
         result, scans = search()
-        assert scans == tiles
+        assert scans == len(planned_tiles(12, image))
         assert result == as_shipped  # matches, counts and elapsed_us, field by field
 
 

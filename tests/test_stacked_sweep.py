@@ -43,7 +43,7 @@ from repro.gpusim import GPUDevice, TESLA_P100
 from repro.gpusim.stream import Stream
 from repro.obs import current_deadline, deadline_scope
 from repro.pipeline.scheduler import plan_streams
-from tests.conftest import make_descriptors, noisy_copy
+from tests.conftest import make_descriptors, noisy_copy, planned_tiles
 
 # -- frozen oracles (verbatim from the parent commit) ----------------------
 
@@ -480,7 +480,7 @@ def observed(engine, group) -> tuple:
 
 def tile_budget(images_per_tile: Optional[int], n_queries: int):
     """Patch the module's tile budget to hold that many images' products
-    (``None``: the shipped budget, one tile here)."""
+    (``None``: the shipped budget, one tile here at one lane)."""
     if images_per_tile is None:
         return nullcontext()
     return mock.patch.object(
@@ -563,20 +563,22 @@ def count_calls(monkeypatch, name: str) -> list:
 
 def test_one_gemm_per_tile_not_per_batch(monkeypatch):
     """Five partial batches, eleven images: one ``batched_hgemm`` and one
-    top-k at the shipped budget, ``ceil(11 / t)`` at ``t`` images a tile —
-    while the device is still charged five batches."""
+    top-k per tile of the plan, not per batch — at one lane one call at the
+    shipped budget and ``ceil(11 / t)`` at ``t`` images a tile — while the
+    device is still charged five batches."""
     seals = [3, 1, 2, 4, 1]
     query = query_for(5, seed=9)
-    for images_per_tile, tiles in ((None, 1), (4, 3), (2, 6), (1, 11)):
+    for images_per_tile in (None, 4, 2, 1):
         engine = build(TextureSearchEngine, config(), False, seals, [])
         with monkeypatch.context() as patch, tile_budget(images_per_tile, 1):
+            tiles = planned_tiles(11, M * N * 4)
             gemms = count_calls(patch, "batched_hgemm")
             scans = count_calls(patch, "functional_topk")
             result = engine.search(query)
-        assert len(gemms) == len(scans) == tiles
+        assert len(gemms) == len(scans) == len(tiles)
         assert all(args[0] is None for args in gemms)  # computed, never charged, here
         assert sum(args[1].shape[0] for args in gemms) == 11
-        assert max(args[1].shape[0] for args in gemms) == (images_per_tile or 11)
+        assert sorted(args[1].shape[0] for args in gemms) == sorted(tiles)  # any lane order
         assert result.images_searched == 11 and result.best().reference_id == "ref5"
         steps = {r.name: r.calls for r in engine.device.profiler.records()}
         assert steps == dict.fromkeys(
@@ -585,6 +587,7 @@ def test_one_gemm_per_tile_not_per_batch(monkeypatch):
 
 
 def test_a_tile_inside_one_batch_is_a_view_and_across_batches_one_tiles_copy(monkeypatch):
+    monkeypatch.setattr(algorithm2_module, "_usable_cpus", lambda: 1)  # the budget's 3 + 3 + 2
     engine = build(TextureSearchEngine, config(), False, [4, 4], [])
     tensors = [cached.batch.tensor for cached in engine.cache.batches()]
     with monkeypatch.context() as patch, tile_budget(3, 1):

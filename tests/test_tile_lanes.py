@@ -1,5 +1,6 @@
-"""Host tile lanes: the tiles of one ``_knn_columns`` call run on
-``min(usable CPUs, tiles)`` lanes, and nothing may depend on how many.
+"""Host tile lanes: the tiles of one ``_knn_columns`` call — each within the
+byte budget and at most ``ceil(images / lanes)`` images (``_tile_starts``) —
+run on ``min(usable CPUs, tiles)`` lanes, and nothing may depend on how many.
 
 The lane count is the process's CPU count; tests set it by patching
 ``algorithm2._usable_cpus``, so the one-, two- and three-lane paths run on
@@ -13,6 +14,7 @@ import os
 import signal
 import threading
 import time
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -24,7 +26,7 @@ from repro.core import algorithm2 as algorithm2_module
 from repro.distributed import DistributedSearchSystem
 from repro.errors import HalfPrecisionOverflowError
 from repro.gpusim import GPUDevice, TESLA_P100
-from tests.conftest import make_descriptors, noisy_copy
+from tests.conftest import make_descriptors, noisy_copy, planned_tiles, tile_sizes
 
 M, N, BATCH, D = 24, 16, 4, 128
 LANES = (1, 2, 3)
@@ -211,16 +213,96 @@ def test_four_caller_threads_searching_one_cluster_get_the_serial_answers():
 
 
 def test_a_one_tile_call_submits_nothing_to_the_pool():
+    """A call is one tile only when it has one image or one lane, and then
+    its caller computes it alone; five images at three lanes, well inside
+    the budget, are three tiles on three lanes."""
     stack, queries, scale = operands([3, 2], 2, "fp16", seed=5)
 
     def no_pool(*args, **kwargs):
         raise AssertionError("a one-tile call reached for the pool")
 
-    with lanes(3), mock.patch.object(algorithm2_module._LANES, "submit", no_pool):
-        one = knn_algorithm2_multiquery(None, stack, queries, scale=scale)
+    with mock.patch.object(algorithm2_module._LANES, "submit", no_pool):
+        with lanes(1):
+            one_lane = knn_algorithm2_multiquery(None, stack, queries, scale=scale)
+        with lanes(3):
+            one_image = knn_algorithm2_multiquery(None, [stack[1][:1]], queries, scale=scale)
+    real_submit, submitted = algorithm2_module._LANES.submit, []
+    with lanes(3), mock.patch.object(algorithm2_module._LANES, "submit",
+                                     lambda fn: (submitted.append(fn), real_submit(fn))[1]):
+        three_lanes = knn_algorithm2_multiquery(None, stack, queries, scale=scale)
     with lanes(1), tile_budget(1, 2):
         tiled = knn_algorithm2_multiquery(None, stack, queries, scale=scale)
-    assert one.distances.tobytes() == tiled.distances.tobytes()
+    assert len(submitted) == 2
+    assert one_lane.distances.tobytes() == tiled.distances.tobytes() == three_lanes.distances.tobytes()
+    assert one_image.distances.tobytes() == one_lane.distances[3:4].tobytes()
+
+
+# -- the plan: every lane gets a tile, one lane gets the budget's ----------
+
+
+@settings(max_examples=300, deadline=None)
+@given(images=st.integers(1, 300), image_bytes=st.integers(1, 1 << 22),
+       lanes_=st.integers(1, 4), budget=st.integers(1, 1 << 24))
+def test_the_plan_covers_every_image_once_within_both_caps(images, image_bytes, lanes_, budget):
+    with mock.patch.object(algorithm2_module, "_PRODUCT_TILE_BYTES", budget):
+        starts = algorithm2_module._tile_starts(images, image_bytes, lanes_)
+    sizes = tile_sizes(starts, images)
+    assert list(starts) == [sum(sizes[:i]) for i in range(len(sizes))]  # in order, no gap
+    assert sum(sizes) == images and min(sizes) >= 1  # no overlap, nothing left out
+    assert all(size == 1 or size * image_bytes <= budget for size in sizes)
+    assert max(sizes) <= -(-images // lanes_)
+    if lanes_ > 1 and images > 1:
+        assert len(sizes) > 1  # a call the budget fits in one tile still runs on two lanes
+    if lanes_ == 1:  # the budget alone
+        assert list(starts) == list(range(0, images, max(1, budget // image_bytes)))
+
+
+def test_one_lane_makes_the_parents_tiles_and_any_lane_count_the_plans():
+    """``taskset -c 0`` (one usable CPU) is the parent's tiling, call for
+    call; patched or real, the lane count a call reads is the plan's."""
+    stack, queries, scale = operands([3, 4, 3], 2, "fp16", seed=8)
+    image, made, real_gemm = M * 2 * N * 4, [], algorithm2_module.batched_hgemm
+
+    def tiles_made() -> list[int]:
+        made.clear()
+        knn_algorithm2_multiquery(None, stack, queries, scale=scale)
+        return list(made)
+
+    with mock.patch.object(algorithm2_module, "batched_hgemm",
+                           lambda *args, **kw: (made.append(len(args[1])), real_gemm(*args, **kw))[1]):
+        for images_per_tile in (None, 1, 3, 4):
+            with lanes(1), (tile_budget(images_per_tile, 2) if images_per_tile else nullcontext()):
+                parent_tile = algorithm2_module._PRODUCT_TILE_BYTES // image  # the budget alone
+                assert tiles_made() == tile_sizes(range(0, 10, parent_tile), 10)  # in order
+        assert sorted(tiles_made()) == sorted(planned_tiles(10, image))  # this process's CPUs
+        if algorithm2_module._usable_cpus() == 1:
+            assert made == [10]
+
+
+def test_a_rest_fanout_request_is_bit_equal_at_every_lane_count():
+    """Fourteen shards of six images at the service scale m=96, n=128: one
+    4.13 MB tile under the 4 MiB budget at one lane, 42 + 42 images at two,
+    28 × 3 at three — and the same distances, indices, clock and profiler."""
+    m, n = 96, 128
+    rng = np.random.default_rng(26)
+    unit = lambda a: (a / np.linalg.norm(a, axis=1, keepdims=True) * 0.25).astype(np.float16)
+    stack = [unit(rng.random((6, D, m), dtype=np.float32)) for _ in range(14)]
+    query = unit(rng.random((1, D, n), dtype=np.float32))
+    seen = {}
+    for count in LANES:
+        with lanes(count):
+            assert planned_tiles(84, m * n * 4) == [84 // count] * count
+            for indices in (True, False):
+                device = GPUDevice(TESLA_P100)
+                result = knn_algorithm2_multiquery(device, stack, query, scale=0.25, indices=indices)
+                seen.setdefault(indices, []).append((
+                    result.distances.tobytes(),
+                    None if result.indices is None else result.indices.tobytes(),
+                    device.elapsed_us(),
+                    [(r.name, r.total_us, r.calls) for r in device.profiler.records()],
+                ))
+    for runs in seen.values():
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_a_lane_that_starts_late_leaves_its_tiles_to_the_others():

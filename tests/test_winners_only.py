@@ -42,6 +42,7 @@ from repro.errors import HalfPrecisionOverflowError
 from repro.fp16.codec import FP16_MIN_NORMAL, is_nonneg_finite, round_trip_nonneg, upcast_nonneg
 from repro.gpusim import GPUDevice, TESLA_P100, TESLA_V100
 from repro.gpusim.stream import Stream
+from tests.conftest import planned_tiles
 
 # -- frozen oracles (verbatim from the parent commit) ----------------------
 
@@ -669,8 +670,7 @@ def test_without_masks_nothing_but_the_gemm_and_the_two_scans_touches_a_tile(mon
     result = engine.search(query, keep_masks=keep_masks)
     assert result.best().reference_id == "ref-5"
     image = PAPER.m * PAPER.n
-    per_tile = algorithm2_module._PRODUCT_TILE_BYTES // (4 * image)
-    tiles = [per_tile * image] * (8 // per_tile) + [8 % per_tile * image] * (8 % per_tile > 0)
+    tiles = [size * image for size in planned_tiles(8, 4 * image)]
     # one selection per tile, on the tile, in whatever order the lanes finish
     assert sorted(scans) == sorted(tiles) and len(tiles) > 1
     if keep_masks:
