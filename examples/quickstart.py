@@ -37,7 +37,7 @@ def main() -> None:
     print(f"  best match : {best.reference_id} "
           f"({best.good_matches} good matches)")
     print(f"  simulated  : {result.elapsed_us:,.0f} us "
-          f"({result.throughput_images_per_s:,.0f} images/s on a {engine.device.spec.name})")
+          f"({result.images_per_s:,.0f} images/s on a {engine.device.spec.name})")
     for match in result.top(3):
         print(f"    {match.reference_id}: {match.good_matches} matches")
 
@@ -62,7 +62,7 @@ def main() -> None:
     baseline_result = baseline.search(query.descriptors)
     print(f"\nbackend {baseline.backend!r}: best match "
           f"{baseline_result.best().reference_id}, "
-          f"{baseline_result.throughput_images_per_s:,.0f} images/s")
+          f"{baseline_result.images_per_s:,.0f} images/s")
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ Quickstart::
     engine = TextureSearchEngine(EngineConfig(m=384, n=768))
     engine.add_reference("brick-0", descriptors)   # (128, count) SIFT
     result = engine.search(query_descriptors)
-    print(result.best().reference_id, result.throughput_images_per_s)
+    print(result.best().reference_id, result.images_per_s)
 
 Subpackages
 -----------
@@ -37,12 +37,13 @@ Subpackages
 """
 
 from .core import (
+    Answer,
     AsymmetricExtractor,
     AsymmetricPolicy,
     EngineConfig,
     ImageMatch,
     KnnResult,
-    SearchResult,
+    Sweep,
     TextureSearchEngine,
 )
 from .distributed import DistributedSearchSystem, build_api
@@ -58,6 +59,7 @@ from .gpusim import GPUDevice, TESLA_P100, TESLA_V100
 __version__ = "1.0.0"
 
 __all__ = [
+    "Answer",
     "AsymmetricExtractor",
     "AsymmetricPolicy",
     "CacheCapacityError",
@@ -71,7 +73,7 @@ __all__ = [
     "ReproError",
     "SIFTConfig",
     "SIFTExtractor",
-    "SearchResult",
+    "Sweep",
     "TESLA_P100",
     "TESLA_V100",
     "TextureSearchEngine",

@@ -106,7 +106,7 @@ def run(
         for i in range(n_references):
             engine.add_reference(f"ref{i}", _synthetic_descriptors(m, d, seed=1000 + i))
         search = engine.search(_synthetic_descriptors(n, d, seed=999))
-        engine_speed = search.throughput_images_per_s
+        engine_speed = search.images_per_s
         model = _model_speed(spec, cal, backend, precision, m, n, d)
         delta = (engine_speed / model - 1.0) * 100.0 if model else None
         if model:

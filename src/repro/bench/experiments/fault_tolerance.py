@@ -88,7 +88,7 @@ def run(
             correct += int(best is not None and best.reference_id == expected)
             partial += int(answer.partial)
             retries += answer.retries
-            throughputs.append(answer.throughput_images_per_s)
+            throughputs.append(answer.images_per_s)
         result.rows.append(
             [
                 rate,

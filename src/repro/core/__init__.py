@@ -25,10 +25,11 @@ from .ratio_test import (
     verify_pair,
 )
 from .registry import available_backends, create_kernel, register_kernel
-from .results import GroupSearchResult, ImageMatch, KnnResult, SearchResult
+from .results import Answer, ImageMatch, KnnResult, Sweep
 from .topk import functional_topk, insertion_topk, top2_scan
 
 __all__ = [
+    "Answer",
     "AsymmetricExtractor",
     "AsymmetricPolicy",
     "BatchBuilder",
@@ -36,7 +37,6 @@ __all__ = [
     "DEFAULT_SCALE_FACTOR",
     "EngineConfig",
     "EngineStats",
-    "GroupSearchResult",
     "IdentificationDecision",
     "IdentificationPipeline",
     "ImageMatch",
@@ -49,7 +49,7 @@ __all__ = [
     "QueryMatrix",
     "ReferenceMatrix",
     "ReferenceBatch",
-    "SearchResult",
+    "Sweep",
     "SweepCompute",
     "TextureSearchEngine",
     "available_backends",

@@ -42,7 +42,7 @@ from .compute import current_compute
 from .config import EngineConfig
 from .kernels import MatchKernel, PreparedQuery, QueryMatrix, ReferenceMatrix
 from .registry import create_kernel
-from .results import GroupSearchResult, ImageMatch, SearchResult
+from .results import Answer, ImageMatch, Sweep
 
 __all__ = ["TextureSearchEngine", "EngineStats"]
 
@@ -108,33 +108,6 @@ class EngineStats:
         if self.total_search_us <= 0:
             return 0.0
         return self.images_compared / (self.total_search_us * 1e-6)
-
-
-@dataclass
-class _SweepOutcome:
-    """What one cache sweep produced: per-query matches + accounting.
-
-    ``images_skipped`` counts cached images the sweep never reached
-    because the request's deadline expired mid-sweep; ``partial`` is
-    True whenever that count is non-zero.  ``images_pruned`` counts
-    images in batches the candidate restriction excluded — a
-    deliberate first-tier decision that never marks the outcome
-    partial.  ``cascade_pruned`` counts images whose exact GEMM the
-    kernel's Hamming prefilter skipped — those images still count into
-    ``images`` (they were examined and report zero matches), unlike
-    routing-pruned ones.
-    """
-
-    per_query_matches: list[list[ImageMatch]]
-    images: int
-    elapsed_us: float
-    images_skipped: int = 0
-    images_pruned: int = 0
-    cascade_pruned: int = 0
-
-    @property
-    def partial(self) -> bool:
-        return self.images_skipped > 0
 
 
 class TextureSearchEngine:
@@ -402,7 +375,7 @@ class TextureSearchEngine:
         n_queries: int,
         keep_masks: bool = False,
         candidate_ids: set[str] | frozenset[str] | None = None,
-    ) -> _SweepOutcome:
+    ) -> Sweep:
         """One search's pass over the cache, for :meth:`search_group`.
 
         Two planes.  The loop is the *timing* plane: batch by batch it
@@ -425,24 +398,23 @@ class TextureSearchEngine:
         Deadline (:func:`repro.obs.current_deadline`): each swept
         batch's simulated time is charged to the budget; once it expires
         the remaining batches are counted into ``images_skipped``
-        instead of compared and the outcome is ``partial``.  What *was*
-        swept is bit-identical to a full sweep's prefix.
+        instead of compared and the sweep is ``deadline_expired``.
+        What *was* swept is bit-identical to a full sweep's prefix.
 
         Prefilter (``kernel.has_prefilter``): ``prefilter_batch`` runs
         on the cached aux codes before any staging, its cost charged.
         The engine's part is not to stage a batch with no survivor; the
         mask goes to ``match_batch``, which reports zero matches for the
         slots it rules out and charges nothing for them.  They still
-        count into ``images`` (examined, unlike routing-pruned ones) and
-        into ``cascade_pruned``.
+        count into ``images_searched`` (examined, unlike routing-pruned
+        ones) and into ``cascade_pruned``.
         """
         cfg = self.config
         deadline = current_deadline()
         profile_before = self.device.profiler.as_dict()
-        out = _SweepOutcome(per_query_matches=[], images=0, elapsed_us=0.0)
         with _TRACER.span("engine.sweep", layer="engine", backend=self.backend, queries=n_queries):
             start_us = charged_at_us = self.device.synchronize()
-            host_images = 0
+            images = host_images = skipped = pruned = cascade = 0
             prefilter_active = self.kernel.has_prefilter and query.matrix.ndim == 2
             swept: list[tuple[ReferenceBatch, list | None]] = []
             for cached in self.cache.batches():
@@ -451,11 +423,11 @@ class TextureSearchEngine:
                     slot_id in candidate_ids for slot_id in batch.ids
                 ):
                     # no nominee lives here: never staged, compared or charged
-                    out.images_pruned += batch.size
+                    pruned += batch.size
                     continue
                 if deadline is not None and deadline.expired:
                     # expired: the remaining batches are never staged or compared
-                    out.images_skipped += batch.size
+                    skipped += batch.size
                     continue
                 resident = cached.location is not CacheLocation.HOST
                 survivors, surviving = None, batch.size
@@ -464,7 +436,7 @@ class TextureSearchEngine:
                     survivors = self.kernel.prefilter_batch(self.device, batch, query)
                     if survivors is not None:
                         surviving = int(survivors.sum())
-                        out.cascade_pruned += batch.size - surviving
+                        cascade += batch.size - surviving
                 (_SWEEP_HIT if resident else _SWEEP_MISS).inc()
                 shape = (batch.size, n_queries)
                 if shape not in self._batch_steps:
@@ -489,16 +461,15 @@ class TextureSearchEngine:
                             self.device, batch, query, keep_masks, survivors=survivors
                         )]
                     swept.append((batch, groups))
-                    out.images += batch.size
+                    images += batch.size
                 if deadline is not None:
                     # charge per batch (non-mutating clock read) so the
                     # expiry check above sees this batch's cost.
                     now_us = self.device.elapsed_us()
                     deadline.charge(now_us - charged_at_us)
                     charged_at_us = now_us
-            out.per_query_matches = self._swept_matches(
-                swept, query, n_queries, keep_masks, candidate_ids)
-            out.elapsed_us = self.device.synchronize() - start_us
+            per_query = self._swept_matches(swept, query, n_queries, keep_masks, candidate_ids)
+            elapsed = self.device.synchronize() - start_us
 
             if cfg.streams > 1 and host_images:
                 # Replace the serial estimate for the host-resident part by the
@@ -511,31 +482,33 @@ class TextureSearchEngine:
                     tensor_core=cfg.tensor_core, pinned=self.cache.pinned,
                     with_norms=self.kernel.needs_norms,
                 )
-                gpu_fraction = (out.images - host_images) / out.images  # images >= host_images > 0
+                gpu_fraction = (images - host_images) / images  # images >= host_images > 0
                 streamed_us = host_images / plan.throughput_images_per_s * 1e6
-                out.elapsed_us = out.elapsed_us * gpu_fraction + streamed_us
+                elapsed = elapsed * gpu_fraction + streamed_us
 
             self.stats.searches += n_queries
-            self.stats.images_compared += out.images * n_queries
-            self.stats.total_search_us += out.elapsed_us
+            self.stats.images_compared += images * n_queries
+            self.stats.total_search_us += elapsed
             _SWEEPS.inc()
-            _SWEEP_US.observe(out.elapsed_us)
+            _SWEEP_US.observe(elapsed)
             step_times = self.stats.step_times_us
             for name, total in self.device.profiler.as_dict().items():
                 delta = total - profile_before.get(name, 0.0)
                 if delta:
                     step_times[name] = step_times.get(name, 0.0) + delta
                     _STEP_US.labels(step=name).observe(delta)
-            if out.images_skipped:
+            if skipped:
                 _DEADLINE_SWEEPS.inc()
-            _IMAGES_PRUNED.inc(out.images_pruned)
-            _CASCADE_PRUNED.inc(out.cascade_pruned)
+            _IMAGES_PRUNED.inc(pruned)
+            _CASCADE_PRUNED.inc(cascade)
             _TRACER.annotate(
-                sim_elapsed_us=out.elapsed_us, images=out.images,
-                images_skipped=out.images_skipped, images_pruned=out.images_pruned,
-                cascade_pruned=out.cascade_pruned,
+                sim_elapsed_us=elapsed, images=images, images_skipped=skipped,
+                images_pruned=pruned, cascade_pruned=cascade,
             )
-        return out
+        return Sweep(
+            elapsed_us=elapsed, images_searched=images, images_skipped=skipped,
+            images_pruned=pruned, cascade_pruned=cascade, deadline_expired=skipped > 0,
+        ).carrying(per_query)
 
     def _swept_matches(
         self, swept: list[tuple[ReferenceBatch, list | None]], query: PreparedQuery,
@@ -580,19 +553,19 @@ class TextureSearchEngine:
         query_descriptors: np.ndarray | QueryMatrix,
         keep_masks: bool = False,
         candidate_ids: set[str] | frozenset[str] | None = None,
-    ) -> SearchResult:
+    ) -> Answer:
         """One-to-many search over every cached reference image: a
         query group of one (see :meth:`search_group`)."""
         return self.search_group(
             [query_descriptors], keep_masks=keep_masks, candidate_ids=candidate_ids
-        ).results[0]
+        ).answers[0]
 
     def search_group(
         self,
         query_descriptor_list: list[np.ndarray | QueryMatrix],
         keep_masks: bool = False,
         candidate_ids: set[str] | frozenset[str] | None = None,
-    ) -> GroupSearchResult:
+    ) -> Sweep:
         """Search a query group in *one* sweep over the cache (Sec. 5.3
         extension) — the engine's only read path and the serving tier's
         unit of work.
@@ -601,9 +574,8 @@ class TextureSearchEngine:
         the GEMMs fuse to ``group * n`` query columns, tombstones are
         filtered once per batch, and the multi-stream overlap
         correction is applied at the fused width.  Higher throughput,
-        but every query's ``elapsed_us`` is the group's completion time
-        (the latency cost the paper warns about — quantified by the
-        ``serving`` bench experiment).
+        but every answer shares the group's completion time (the latency
+        cost the paper warns about — the ``serving`` bench experiment).
 
         Each member is raw ``(d, count)`` descriptors or a
         :class:`~repro.core.kernels.QueryMatrix` some tier in front
@@ -619,7 +591,7 @@ class TextureSearchEngine:
         """
         n_queries = len(query_descriptor_list)
         if not n_queries:
-            return GroupSearchResult()
+            return Sweep()
         if n_queries > 1 and not (
             self.kernel.supports_multiquery
             and self.kernel.batch_steps(self.device, 1, n_queries) is not None
@@ -635,24 +607,8 @@ class TextureSearchEngine:
         else:
             query = self.kernel.prepare_query_many(self.device, query_descriptor_list)
         self.flush()
-        outcome = self._execute_sweep(
-            query, n_queries=n_queries, keep_masks=keep_masks,
-            candidate_ids=candidate_ids,
-        )
-        shared = dict(  # every member reports the group's sweep
-            elapsed_us=outcome.elapsed_us,
-            images_searched=outcome.images,
-            partial=outcome.partial,
-            images_skipped=outcome.images_skipped,
-            images_pruned=outcome.images_pruned,
-            cascade_pruned=outcome.cascade_pruned,
-        )
-        return GroupSearchResult(
-            results=[
-                SearchResult(matches=matches, **shared)
-                for matches in outcome.per_query_matches
-            ],
-            **shared,
+        return self._execute_sweep(
+            query, n_queries=n_queries, keep_masks=keep_masks, candidate_ids=candidate_ids
         )
 
     # ------------------------------------------------------------------

@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = ["KnnResult", "ImageMatch", "SearchResult", "GroupSearchResult"]
+__all__ = ["Answer", "ImageMatch", "KnnResult", "Sweep"]
 
 
 @dataclass
@@ -67,79 +68,88 @@ class ImageMatch:
         return self.inliers if self.inliers is not None else self.good_matches
 
 
-@dataclass
-class SearchResult:
-    """Outcome of a one-to-many search.
+@dataclass(frozen=True)
+class Sweep:
+    """The header of one search — one engine's pass over its cache, one
+    node's, or a cluster's gather folded over its shards — carrying one
+    :class:`Answer` per query, in submission order.  Immutable, so the
+    answers that share it cannot alias each other's metadata; a field
+    added here reaches every answer, from engine to REST.
 
-    ``partial`` is True when the sweep was cut short by an expired
-    request deadline (:mod:`repro.obs.reqctx`): the reference batches
-    it *did* scan produced exactly the matches a full sweep would have
-    (same order, same counts), and ``images_skipped`` counts the cached
-    images the sweep never reached.  ``images_pruned`` counts cached
-    images *deliberately* not swept because a candidate-routing tier
-    (:mod:`repro.routing`) restricted the sweep — pruning is a
-    first-tier decision, not a fault, so it never sets ``partial``.
-    ``cascade_pruned`` counts images whose exact GEMM a Hamming
-    prefilter backend skipped (:mod:`repro.core.cascade`); unlike
-    routing prunes they still count into ``images_searched`` — the
-    prefilter examined them and they report zero matches.
+    ``images_searched`` counts references scanned *once* for the whole
+    group.  ``images_skipped`` counts those an expired request deadline
+    left unreached (what was scanned matched exactly as a full sweep's
+    prefix).  ``images_pruned`` counts those a candidate router kept out
+    — a first-tier decision, never :attr:`partial`.  ``cascade_pruned``
+    counts those whose exact GEMM a Hamming prefilter skipped (still
+    searched).  A gather adds its fan-out: ``retries``, the
+    ``unsearched_shards`` it lost (down, timing out, breaker-open, shed by
+    brownout or the deadline), the ``unrouted_shards`` a ``routed``
+    fan-out did not nominate, ``deadline_expired`` when the deadline
+    skipped a shard or cut a sweep, and ``shard_epochs``: each answering
+    shard's index epoch, read as the :attr:`corpus_epoch` map — the
+    read-your-writes handle a client compares with its
+    :class:`~repro.distributed.enrollment.EnrollmentAck`.
     """
 
-    matches: list[ImageMatch] = field(default_factory=list)
+    answers: tuple[Answer, ...] = ()
     elapsed_us: float = 0.0
     images_searched: int = 0
-    partial: bool = False
     images_skipped: int = 0
     images_pruned: int = 0
     cascade_pruned: int = 0
+    retries: int = 0
+    unsearched_shards: tuple[str, ...] = ()
+    unrouted_shards: tuple[str, ...] = ()
+    routed: bool = False
+    deadline_expired: bool = False
+    shard_epochs: tuple[tuple[str, int], ...] = ()
+
+    @property
+    def corpus_epoch(self) -> dict[str, int]:
+        """:attr:`shard_epochs` as a shard -> epoch dict (a fresh copy)."""
+        return dict(self.shard_epochs)
+
+    @property
+    def partial(self) -> bool:
+        """Some shard went unanswered or the deadline cut the search short."""
+        return bool(self.unsearched_shards) or self.deadline_expired
+
+    @property
+    def images_per_s(self) -> float:
+        """Reference images one query was compared with per simulated second."""
+        return self.images_searched / (self.elapsed_us * 1e-6) if self.elapsed_us > 0 else 0.0
+
+    @property
+    def pairs_per_s(self) -> float:
+        """(reference, query) pairs the whole group compared per simulated second."""
+        pairs = self.images_searched * len(self.answers)
+        return pairs / (self.elapsed_us * 1e-6) if self.elapsed_us > 0 else 0.0
+
+    def carrying(self, matches: Iterable[list[ImageMatch]]) -> Sweep:
+        """This header carrying one answer per query's match list."""
+        return replace(self, answers=tuple(Answer(m, self) for m in matches))
+
+
+@dataclass(frozen=True)
+class Answer:
+    """One query's matches, ranked by :meth:`top` / :meth:`best`; every
+    other field is read through :attr:`sweep`, the header the query was
+    answered under (a header carries no answers of its own)."""
+
+    matches: list[ImageMatch]
+    sweep: Sweep
+
+    def __getattr__(self, name: str):
+        if name == "sweep" or name.startswith("__"):  # not set yet while copying
+            raise AttributeError(name)
+        return getattr(self.sweep, name)
 
     def top(self, count: int = 1) -> list[ImageMatch]:
-        """Best ``count`` reference images by score (descending)."""
+        """Best ``count`` reference images by score (descending); a score
+        tie goes to the smallest id, whichever shard answered first."""
         return sorted(self.matches, key=lambda m: (-m.score, m.reference_id))[:count]
 
     def best(self) -> ImageMatch | None:
         top = self.top(1)
         return top[0] if top else None
-
-    @property
-    def throughput_images_per_s(self) -> float:
-        if self.elapsed_us <= 0:
-            return 0.0
-        return self.images_searched / (self.elapsed_us * 1e-6)
-
-
-@dataclass
-class GroupSearchResult:
-    """Outcome of one fused query-group sweep (Sec. 5.3 extension).
-
-    ``results`` holds one :class:`SearchResult` per query, in
-    submission order; every member shares the group's completion time.
-    ``images_searched`` counts cached references scanned *once* —
-    the whole point of the group is that the sweep (and its H2D
-    traffic) is shared, so pair throughput multiplies by the group
-    size.
-    """
-
-    results: list[SearchResult] = field(default_factory=list)
-    elapsed_us: float = 0.0
-    images_searched: int = 0
-    partial: bool = False
-    images_skipped: int = 0
-    images_pruned: int = 0
-    cascade_pruned: int = 0
-
-    @property
-    def group_size(self) -> int:
-        return len(self.results)
-
-    @property
-    def pairs_compared(self) -> int:
-        """Image comparisons across the whole group."""
-        return self.images_searched * self.group_size
-
-    @property
-    def throughput_images_per_s(self) -> float:
-        """Fused throughput: (reference, query) pairs per second."""
-        if self.elapsed_us <= 0:
-            return 0.0
-        return self.pairs_compared / (self.elapsed_us * 1e-6)

@@ -101,11 +101,12 @@ class Capture:
         return self.descriptors.shape[1]
 
     def top(self, budget: int) -> "Capture":
-        """The strongest ``budget`` features (already ranked)."""
+        """The strongest ``budget`` features (already ranked), copied: a
+        view would keep the whole capture alive as long as the slice."""
         return Capture(
             self.brick_id,
-            self.descriptors[:, :budget],
-            self.keypoint_ids[:budget],
+            self.descriptors[:, :budget].copy(),
+            self.keypoint_ids[:budget].copy(),
         )
 
 

@@ -13,8 +13,6 @@ from .autoscaler import Autoscaler, AutoscalerPolicy, ScalingEvent
 from .breaker import BreakerPolicy, BreakerState, CircuitBreaker
 from .enrollment import DeletionAck, EnrollmentAck, EpochRegistry, TombstoneLog
 from .cluster import (
-    ClusterGroupResult,
-    ClusterSearchResult,
     DistributedSearchSystem,
     RetryPolicy,
     WEB_TIER_OVERHEAD_US,
@@ -43,8 +41,6 @@ __all__ = [
     "BreakerPolicy",
     "BreakerState",
     "CircuitBreaker",
-    "ClusterGroupResult",
-    "ClusterSearchResult",
     "DeletionAck",
     "EnrollmentAck",
     "EpochRegistry",

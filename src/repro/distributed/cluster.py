@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from ..core.compute import compute_scope
 from ..core.config import EngineConfig
 from ..core.kernels import QueryMatrix, ReferenceMatrix
 from ..core.registry import create_kernel
-from ..core.results import ImageMatch, SearchResult
+from ..core.results import Answer, Sweep
 from ..errors import (
     ClusterError,
     DegradedClusterError,
@@ -66,8 +66,6 @@ from .replica import (
 from .serialization import FeatureRecord, deserialize_record, serialize_record
 
 __all__ = [
-    "ClusterGroupResult",
-    "ClusterSearchResult",
     "DistributedSearchSystem",
     "RetryPolicy",
     "STATS_SCHEMA_VERSION",
@@ -131,6 +129,9 @@ _ROUTER_HITS = _REG.counter(
 )
 _SEARCH_SINGLE = _SEARCHES.labels(kind="single")
 _SEARCH_GROUP = _SEARCHES.labels(kind="group")
+
+#: the header counts a gather sums over the shard sweeps that answered a query
+_COUNTS = ("images_searched", "images_skipped", "images_pruned", "cascade_pruned")
 
 
 #: the registry-backed blocks of ``GET /stats``: block -> key ->
@@ -263,103 +264,6 @@ class RetryPolicy:
             return base
         u = _jitter_draw(self.jitter_seed, key, retry_index)
         return base * (1.0 - self.jitter_fraction * u)
-
-
-@dataclass
-class ClusterSearchResult:
-    """Scatter-gather outcome across the whole cluster.
-
-    ``partial`` is True when at least one populated shard could not be
-    searched (its node was down, timing out, breaker-open, shed by
-    brownout, or erroring past the retry budget) *or* when any node
-    answered with a deadline-truncated sweep; ``unsearched_shards``
-    lists skipped node ids and ``retries`` counts the extra attempts
-    the gather spent.  ``deadline_expired`` is True when the request
-    deadline cut the gather short — whole shards skipped, or per-node
-    sweeps truncated mid-scan (the matches on the shards that *were*
-    searched are bit-identical to a full search's).
-
-    Routing metadata is kept strictly apart from fault metadata:
-    ``routed`` marks a search whose fan-out was pruned by the
-    candidate router, ``unrouted_shards`` lists populated shards the
-    router deliberately did not nominate (never counted in
-    ``unsearched_shards`` and never setting ``partial`` — pruning is
-    a first-tier decision, not a failure), and ``images_pruned``
-    totals the cached images the nominated shards' engines skipped.
-    ``cascade_pruned`` totals the images whose exact GEMM a cascade
-    prefilter backend skipped across the answering shards (those
-    images still count into ``images_searched``).
-    """
-
-    matches: list[ImageMatch]
-    per_node: dict[str, SearchResult]
-    elapsed_us: float
-    images_searched: int
-    partial: bool = False
-    unsearched_shards: list[str] = field(default_factory=list)
-    retries: int = 0
-    deadline_expired: bool = False
-    routed: bool = False
-    unrouted_shards: list[str] = field(default_factory=list)
-    images_pruned: int = 0
-    cascade_pruned: int = 0
-    #: index epoch each answering shard's corpus was at while it was
-    #: searched — the read-your-writes handle: a client holding an
-    #: :class:`~repro.distributed.enrollment.EnrollmentAck` checks
-    #: ``corpus_epoch[ack.node_id] >= ack.epoch`` to confirm the search
-    #: observed its enrollment.
-    corpus_epoch: dict[str, int] = field(default_factory=dict)
-
-    def top(self, count: int = 1) -> list[ImageMatch]:
-        return sorted(self.matches, key=lambda m: (-m.score, m.reference_id))[:count]
-
-    def best(self) -> ImageMatch | None:
-        """``top(1)``'s match — on a score tie the smallest id, whichever
-        shard answered first (what REST serves and ``SearchResult.best``)."""
-        top = self.top(1)
-        return top[0] if top else None
-
-    @property
-    def throughput_images_per_s(self) -> float:
-        if self.elapsed_us <= 0:
-            return 0.0
-        return self.images_searched / (self.elapsed_us * 1e-6)
-
-
-@dataclass
-class ClusterGroupResult:
-    """Outcome of one fused query-group scatter-gather.
-
-    ``results`` holds one :class:`ClusterSearchResult` per query in
-    submission order.  Partial-result metadata propagates *per query*:
-    each member carries its own ``partial`` flag and its own (private)
-    ``unsearched_shards`` list — a shard that died mid-group leaves
-    every member of the group flagged, and downstream consumers (the
-    serving tier fuses queries from unrelated requests into one group)
-    can attach or mutate one request's metadata without aliasing
-    another's.
-    """
-
-    results: list[ClusterSearchResult] = field(default_factory=list)
-    elapsed_us: float = 0.0
-    retries: int = 0
-    unsearched_shards: list[str] = field(default_factory=list)
-    deadline_expired: bool = False
-    routed: bool = False
-    unrouted_shards: list[str] = field(default_factory=list)
-    images_pruned: int = 0
-    cascade_pruned: int = 0
-    #: shard -> index epoch observed during the gather (see
-    #: :attr:`ClusterSearchResult.corpus_epoch`).
-    corpus_epoch: dict[str, int] = field(default_factory=dict)
-
-    @property
-    def group_size(self) -> int:
-        return len(self.results)
-
-    @property
-    def partial(self) -> bool:
-        return bool(self.unsearched_shards) or self.deadline_expired
 
 
 class DistributedSearchSystem:
@@ -582,7 +486,7 @@ class DistributedSearchSystem:
     def enroll(self, ref_id: str, descriptors: np.ndarray) -> EnrollmentAck:
         """Online enrollment under live traffic; returns an ack whose
         ``epoch`` gives the client read-your-writes (see
-        :attr:`ClusterSearchResult.corpus_epoch`).
+        :attr:`~repro.core.results.Sweep.corpus_epoch`).
 
         Unlike bulk :meth:`add`, the target shard's fault gate runs
         *before* anything is persisted: a crashed or flaky node raises
@@ -921,10 +825,10 @@ class DistributedSearchSystem:
         node: SearchNode,
         queries: list[QueryMatrix],
         candidates: frozenset[str] | None,
-    ) -> tuple[list[SearchResult] | None, float, int]:
+    ) -> tuple[Sweep | None, float, int]:
         """Search one query slice on one node under the retry policy.
 
-        Returns ``(results | None, node_time_us, retries)``: ``None``
+        Returns ``(sweep | None, node_time_us, retries)``: ``None``
         means the node gave no answer; ``node_time_us`` is the
         simulated time this node kept the gather waiting (failed
         attempts included).
@@ -949,17 +853,17 @@ class DistributedSearchSystem:
         for attempt in range(policy.max_attempts):
             dead = False
             try:
-                results = node.search_many(queries, candidate_ids=candidates)
+                sweep = node.search_many(queries, candidate_ids=candidates)
             except NodeDownError:
                 dead = True  # a dead container fails fast; no point retrying it
             except TransientNodeError:
                 pass
             else:
-                elapsed_us = max(r.elapsed_us for r in results)
+                elapsed_us = sweep.elapsed_us
                 if not (policy.timeout_us and elapsed_us > policy.timeout_us):
                     if breaker is not None:
                         breaker.record_success()
-                    return results, spent_us + elapsed_us, retries
+                    return sweep, spent_us + elapsed_us, retries
                 # the caller hangs up at the timeout; the node's work
                 # past it is wasted, so only the budget is charged
                 spent_us += policy.timeout_us
@@ -1009,7 +913,7 @@ class DistributedSearchSystem:
         nprobe: int | None,
         recall_target: float | None,
         search_counter,
-    ) -> ClusterGroupResult:
+    ) -> Sweep:
         """The one scatter-gather: fan a query group out to the serving
         shards and gather the answers per query.
 
@@ -1028,27 +932,21 @@ class DistributedSearchSystem:
 
         Shards whose readers are all down, erroring, timing out or
         breaker-open past the retry budget, and shards shed by brownout
-        or an expired deadline, land in ``unsearched_shards`` — on
-        *every* query's result, each with its own private copy.  If
-        fewer than ``min_shard_fraction`` of the nominated populated
-        shards answered, :class:`DegradedClusterError` is raised
-        instead.  With ``auto_failover``, nodes that went ``DOWN``
-        during the gather are failed over afterwards.
+        or an expired deadline, land in ``unsearched_shards``.  If fewer
+        than ``min_shard_fraction`` of the nominated populated shards
+        answered, :class:`DegradedClusterError` is raised instead.  With
+        ``auto_failover``, nodes that went ``DOWN`` during the gather are
+        failed over afterwards.  The answer is a fold over the shard
+        sweeps (docs/architecture.md, "One answer shape").
         """
         n_queries = len(queries)
         # prepared here once, not once per shard; the router keeps the raw
         prepared = [
             QueryMatrix(self._prepared(self._kernel.query_matrix, q)) for q in queries
         ]
-        merged = [
-            ClusterSearchResult(matches=[], per_node={}, elapsed_us=0.0, images_searched=0)
-            for _ in range(n_queries)
-        ]
-        epochs_seen: dict[str, int] = {}
         slowest_us = 0.0
         retries = 0
         unsearched: list[str] = []
-        truncated = False  # any node answered with a deadline-cut sweep
         route = self._route(queries, nprobe, recall_target)
         populated = [g for g in self.groups.values() if g.n_references > 0]
         nominated, unrouted, routed = self._partition_routed(populated, route)
@@ -1060,7 +958,8 @@ class DistributedSearchSystem:
             deadline_skipped = [group.shard_id for group in targets]
             _DEADLINE_SKIPS.inc(len(deadline_skipped))
             targets = []
-        answered: list[tuple[ReplicaGroup, list[SearchResult]]] = []
+        answered: list[list[Answer]] = []  # per answering shard, one answer per query
+        epochs: dict[str, int] = {}
         with compute_scope() as compute:  # shards charge in here; run() computes them all
             for group in targets:
                 candidates = (
@@ -1082,17 +981,9 @@ class DistributedSearchSystem:
                 if answers is None:
                     unsearched.append(group.shard_id)
                 else:
-                    answered.append((group, answers))
+                    answered.append(answers)
+                    epochs[group.shard_id] = group.epoch
             compute.run()
-        for group, answers in answered:
-            epochs_seen[group.shard_id] = group.epoch
-            for into, result in zip(merged, answers):
-                truncated = truncated or result.partial
-                into.matches.extend(result.matches)
-                into.per_node[group.shard_id] = result
-                into.images_searched += result.images_searched
-                into.images_pruned += result.images_pruned
-                into.cascade_pruned += result.cascade_pruned
         fanout.join()
         unsearched.extend(brownout_skipped)
         unsearched.extend(deadline_skipped)
@@ -1104,9 +995,16 @@ class DistributedSearchSystem:
         if unsearched:
             _UNSEARCHED.inc(len(unsearched))
             _PARTIALS.inc()
+        # the fold: each query's matches and counts summed over the shard sweeps that
+        # answered it; R > 1 slices a deadline cut apart give a query its own header
+        matches = [[m for shard in answered for m in shard[i].matches] for i in range(n_queries)]
+        shares = [
+            tuple(sum(getattr(shard[i].sweep, name) for shard in answered) for name in _COUNTS)
+            for i in range(n_queries)
+        ]
         if routed:
-            for into in merged:
-                hit = any(m.score > 0 for m in into.matches)
+            for found in matches:
+                hit = any(m.score > 0 for m in found)
                 _ROUTER_HITS.labels(result="hit" if hit else "miss").inc()
         elapsed = slowest_us + WEB_TIER_OVERHEAD_US
         _TRACER.annotate(
@@ -1116,30 +1014,20 @@ class DistributedSearchSystem:
         searched = len(nominated) - len(unsearched)
         if nominated and searched / len(nominated) < self.min_shard_fraction:
             raise DegradedClusterError(searched, len(nominated), self.min_shard_fraction)
-        deadline_expired = bool(deadline_skipped) or truncated
         # standalone searches drive the simulated telemetry clock
         # relatively (no-op under a serving loop's exclusive scope)
         _ts_advance_by(elapsed)
-        for into in merged:
-            into.elapsed_us = elapsed
-            into.partial = bool(unsearched) or deadline_expired
-            into.unsearched_shards = list(unsearched)  # private copy per query
-            into.retries = retries
-            into.deadline_expired = deadline_expired
-            into.routed = routed
-            into.unrouted_shards = list(unrouted)
-            into.corpus_epoch = dict(epochs_seen)  # private copy per query
-        return ClusterGroupResult(
-            results=merged,
-            elapsed_us=elapsed,
-            retries=retries,
-            unsearched_shards=list(unsearched),
-            deadline_expired=deadline_expired,
-            routed=routed,
-            unrouted_shards=list(unrouted),
-            images_pruned=max(r.images_pruned for r in merged),
-            cascade_pruned=max(r.cascade_pruned for r in merged),
-            corpus_epoch=dict(epochs_seen),
+        shared = dict(
+            elapsed_us=elapsed, retries=retries, unsearched_shards=tuple(unsearched),
+            unrouted_shards=tuple(unrouted), routed=routed, shard_epochs=tuple(epochs.items()),
+            deadline_expired=bool(deadline_skipped) or any(
+                answer.sweep.deadline_expired for shard in answered for answer in shard
+            ),
+        )
+        headers = {share: Sweep(**shared, **dict(zip(_COUNTS, share))) for share in set(shares)}
+        return Sweep(
+            answers=tuple(Answer(m, headers[share]) for m, share in zip(matches, shares)),
+            **shared, **dict(zip(_COUNTS, map(max, zip(*shares)))),
         )
 
     def search(
@@ -1147,27 +1035,26 @@ class DistributedSearchSystem:
         query_descriptors: np.ndarray,
         nprobe: int | None = None,
         recall_target: float | None = None,
-    ) -> ClusterSearchResult:
+    ) -> Answer:
         """Scatter one query to all serving shards, gather and rank: a
         query group of one (see :meth:`_gather` for routing, fault and
         deadline semantics).  ``nprobe`` / ``recall_target`` override
         the ``router_policy`` per request."""
         with _TRACER.span("cluster.search", layer="cluster"):
-            return self._gather(
-                [query_descriptors], nprobe, recall_target, _SEARCH_SINGLE
-            ).results[0]
+            group = [query_descriptors]  # of one
+            return self._gather(group, nprobe, recall_target, _SEARCH_SINGLE).answers[0]
 
     def search_group(
         self,
         query_descriptor_list: list[np.ndarray],
         nprobe: int | None = None,
         recall_target: float | None = None,
-    ) -> ClusterGroupResult:
+    ) -> Sweep:
         """Fused query-group scatter-gather (Sec. 5.3 applied
         cluster-wide) — the serving tier's unit of work; one shared
         fan-out answers every query (see :meth:`_gather`)."""
         if not query_descriptor_list:
-            return ClusterGroupResult()
+            return Sweep()
         with _TRACER.span(
             "cluster.search_group", layer="cluster",
             queries=len(query_descriptor_list),

@@ -130,24 +130,30 @@ class TombstoneLog:
     every replayer (failover re-hydration, warm restore, cache
     warming) sees it no matter when it crashed.  Re-enrolling the same
     id clears the tombstone — the new blob is a different logical
-    record.
+    record.  As its store's one tombstone writer, the log counts live
+    tombstones once and then keeps the count (and the gauge) as it marks
+    and clears: no mutation scans the store.
     """
 
     def __init__(self, store: KVStore) -> None:
         self._store = store
+        self._live = len(self)
+        _TOMBSTONES_LIVE.set(self._live)
 
     def _key(self, ref_id: str) -> str:
         return f"{TOMBSTONE_PREFIX}{ref_id}"
 
     def mark(self, ref_id: str, node_id: str, epoch: int) -> None:
-        self._store.set(
-            self._key(ref_id), f"{node_id}:{int(epoch)}".encode()
-        )
-        _TOMBSTONES_LIVE.set(len(self))
+        key = self._key(ref_id)
+        if not self._store.exists(key):
+            self._live += 1
+        self._store.set(key, f"{node_id}:{int(epoch)}".encode())
+        _TOMBSTONES_LIVE.set(self._live)
 
     def clear(self, ref_id: str) -> bool:
         removed = self._store.delete(self._key(ref_id)) > 0
-        _TOMBSTONES_LIVE.set(len(self))
+        self._live -= removed
+        _TOMBSTONES_LIVE.set(self._live)
         return removed
 
     def contains(self, ref_id: str) -> bool:

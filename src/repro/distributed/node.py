@@ -8,14 +8,14 @@ per container), and hydrates itself from the shared KV store.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..core.config import EngineConfig
 from ..core.engine import TextureSearchEngine
 from ..core.kernels import QueryMatrix, ReferenceMatrix
-from ..core.results import SearchResult
+from ..core.results import Answer, Sweep
 from ..errors import NodeDownError, TransientNodeError
 from ..gpusim.device import DeviceSpec, TESLA_P100
 from ..gpusim.engine_model import GPUDevice
@@ -157,15 +157,15 @@ class SearchNode:
         self,
         query_descriptors: np.ndarray | QueryMatrix,
         candidate_ids: set[str] | frozenset[str] | None = None,
-    ) -> SearchResult:
+    ) -> Answer:
         """One shard's sweep for one query: a group of one."""
-        return self.search_many([query_descriptors], candidate_ids=candidate_ids)[0]
+        return self.search_many([query_descriptors], candidate_ids=candidate_ids).answers[0]
 
     def search_many(
         self,
         query_descriptor_list: list[np.ndarray | QueryMatrix],
         candidate_ids: set[str] | frozenset[str] | None = None,
-    ) -> list[SearchResult]:
+    ) -> Sweep:
         """One shard's sweep for a query group — the node's read entry:
         one RPC, one fault/health gate and one engine sweep per group.
         Members are raw descriptors or the cluster's prepared matrices.
@@ -176,16 +176,14 @@ class SearchNode:
             node=self.node_id, queries=len(query_descriptor_list),
         ) as span:
             multiplier = self._gate()
-            results = self.engine.search_group(
-                query_descriptor_list, candidate_ids=candidate_ids
-            ).results
-            if multiplier != 1.0:
-                for result in results:
-                    result.elapsed_us *= multiplier
+            sweep = self.engine.search_group(query_descriptor_list, candidate_ids=candidate_ids)
+            if multiplier != 1.0:  # an injected slow node: the same answers, later
+                header = replace(sweep, answers=(), elapsed_us=sweep.elapsed_us * multiplier)
+                sweep = header.carrying(answer.matches for answer in sweep.answers)
             self.health.record_success()
-            if span is not None and results:
-                span.set(sim_elapsed_us=max(r.elapsed_us for r in results))
-        return results
+            if span is not None:
+                span.set(sim_elapsed_us=sweep.elapsed_us)
+        return sweep
 
     def heartbeat(self) -> dict:
         """Cheap liveness probe: health state + shard occupancy.

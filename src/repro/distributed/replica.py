@@ -39,6 +39,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 from ..obs import default_registry
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from ..core.results import Answer, Sweep
     from .node import SearchNode
 
 __all__ = [
@@ -215,9 +216,9 @@ class ReplicaGroup:
     def read(
         self,
         n_queries: int,
-        attempt: Callable[["SearchNode", Sequence[int]], tuple[list | None, float, int]],
+        attempt: Callable[["SearchNode", Sequence[int]], tuple[Sweep | None, float, int]],
         now_us: float | None = None,
-    ) -> tuple[list | None, float, int]:
+    ) -> tuple[list[Answer] | None, float, int]:
         """Answer a group of ``n_queries`` from this shard's replicas.
 
         The queries are partitioned round-robin over the eligible
@@ -228,9 +229,10 @@ class ReplicaGroup:
         before the shard is given up.
 
         ``attempt(replica, query_indices)`` runs one slice on one
-        replica and returns ``(results | None, elapsed_us, retries)``.
-        Returns ``(results, shard_us, retries)`` with one result per
-        query in submission order, or ``results=None`` when no reader
+        replica and returns ``(sweep | None, elapsed_us, retries)``.
+        Returns ``(answers, shard_us, retries)`` with one answer per
+        query in submission order — each under its own slice's sweep —
+        or ``answers=None`` when no reader
         was admitted or some slice exhausted every sibling (the shard
         is unsearched).
         """
@@ -240,7 +242,7 @@ class ReplicaGroup:
                 _BREAKER_SKIPS.inc()
                 continue
             workers.append(replica)
-        results: list = [None] * n_queries
+        answers: list = [None] * n_queries
         shard_us = 0.0
         retries = 0
         if not workers:
@@ -260,9 +262,9 @@ class ReplicaGroup:
             shard_us = max(shard_us, slice_us)
             if answered is None:
                 return None, shard_us, retries
-            for i, result in zip(indices, answered):
-                results[i] = result
-        return results, shard_us, retries
+            for i, answer in zip(indices, answered.answers):
+                answers[i] = answer
+        return answers, shard_us, retries
 
     def snapshot(self) -> dict:
         """Replica-group rollup for stats/health payloads."""

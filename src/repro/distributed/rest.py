@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import re
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -54,8 +54,9 @@ from ..errors import (
     TransientNodeError,
 )
 from ..core.registry import kernel_class
+from ..core.results import Answer, Sweep
 from ..obs import deadline_scope
-from .cluster import ClusterSearchResult, DistributedSearchSystem
+from .cluster import DistributedSearchSystem
 
 __all__ = ["Request", "Response", "Router", "build_api"]
 
@@ -210,21 +211,31 @@ def _run_search(body: dict, search: Callable, queries):
         raise RestError(503, str(exc)) from exc
 
 
-def _query_payload(result: ClusterSearchResult, top: int) -> dict:
-    """The per-query part of a search response (both search routes)."""
+#: what every answer of a search response reports of its header, in order
+_ANSWER_KEYS = (
+    "images_searched", "elapsed_us", "partial", "unsearched_shards",
+    "deadline_expired", "images_pruned", "cascade_pruned", "corpus_epoch",
+)
+_SWEEP_FIELDS = frozenset(f.name for f in fields(Sweep))
+
+
+def _header(sweep: Sweep, keys) -> dict:
+    """Header fields as a JSON body holds them (tuples as lists)."""
+    values = {key: getattr(sweep, key) for key in keys}
+    return {key: list(v) if isinstance(v, tuple) else v for key, v in values.items()}
+
+
+def _query_payload(answer: Answer, top: int, *keys: str) -> dict:
+    """The per-query part of a search response (both search routes): the
+    ranked matches, then :data:`_ANSWER_KEYS` and ``keys`` of the answer's
+    header, then any field a :class:`Sweep` subclass adds."""
+    added = [f.name for f in fields(answer.sweep) if f.name not in _SWEEP_FIELDS]
     return {
         "results": [
             {"id": m.reference_id, "score": m.score, "good_matches": m.good_matches}
-            for m in result.top(top)
+            for m in answer.top(top)
         ],
-        "images_searched": result.images_searched,
-        "elapsed_us": result.elapsed_us,
-        "partial": result.partial,
-        "unsearched_shards": list(result.unsearched_shards),
-        "deadline_expired": result.deadline_expired,
-        "images_pruned": result.images_pruned,
-        "cascade_pruned": result.cascade_pruned,
-        "corpus_epoch": dict(result.corpus_epoch),
+        **_header(answer.sweep, (*_ANSWER_KEYS, *keys, *added)),
     }
 
 
@@ -331,14 +342,13 @@ def build_api(system: DistributedSearchSystem) -> Router:
     @router.route("POST", "/search")
     def search(request: Request) -> Response:
         matrix = _parse_descriptors(request.body, d)
-        result, top = _run_search(request.body, system.search, matrix)
+        answer, top = _run_search(request.body, system.search, matrix)
         return Response(
             200,
             {
-                **_query_payload(result, top),
-                "throughput_images_per_s": result.throughput_images_per_s,
-                "routed": result.routed,
-                "unrouted_shards": list(result.unrouted_shards),
+                **_query_payload(answer, top),
+                "throughput_images_per_s": answer.images_per_s,
+                **_header(answer.sweep, ("routed", "unrouted_shards")),
             },
         )
 
@@ -365,23 +375,16 @@ def build_api(system: DistributedSearchSystem) -> Router:
         matrices = [
             _parse_descriptors({"descriptors": q}, d) for q in raw_queries
         ]
-        group, top = _run_search(request.body, system.search_group, matrices)
+        sweep, top = _run_search(request.body, system.search_group, matrices)
         return Response(
             200,
             {
-                "group_size": group.group_size,
-                "elapsed_us": group.elapsed_us,
-                "retries": group.retries,
-                "partial": group.partial,
-                "unsearched_shards": list(group.unsearched_shards),
-                "deadline_expired": group.deadline_expired,
-                "routed": group.routed,
-                "unrouted_shards": list(group.unrouted_shards),
-                "corpus_epoch": dict(group.corpus_epoch),
-                "queries": [
-                    {**_query_payload(result, top), "retries": result.retries}
-                    for result in group.results
-                ],
+                "group_size": len(sweep.answers),
+                **_header(sweep, (
+                    "elapsed_us", "retries", "partial", "unsearched_shards",
+                    "deadline_expired", "routed", "unrouted_shards", "corpus_epoch",
+                )),
+                "queries": [_query_payload(answer, top, "retries") for answer in sweep.answers],
             },
         )
 

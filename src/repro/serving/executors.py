@@ -49,8 +49,8 @@ class FusedEngineExecutor(GroupExecutor):
         self.engine = engine
 
     def execute(self, queries: list[Any]) -> tuple[list[Any], float]:
-        group = self.engine.search_group(queries)
-        return list(group.results), group.elapsed_us
+        sweep = self.engine.search_group(queries)
+        return list(sweep.answers), sweep.elapsed_us
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"FusedEngineExecutor({self.engine!r})"
@@ -67,9 +67,9 @@ class SerialEngineExecutor(GroupExecutor):
         self.engine = engine
 
     def execute(self, queries: list[Any]) -> tuple[list[Any], float]:
-        results = [self.engine.search(q) for q in queries]
-        elapsed_us = float(sum(r.elapsed_us for r in results))
-        return results, elapsed_us
+        answers = [self.engine.search(q) for q in queries]
+        elapsed_us = float(sum(a.elapsed_us for a in answers))
+        return answers, elapsed_us
 
 
 class ClusterGroupExecutor(GroupExecutor):
@@ -95,24 +95,24 @@ class ClusterGroupExecutor(GroupExecutor):
         self.recall_target = recall_target
 
     def execute(self, queries: list[Any]) -> tuple[list[Any], float]:
-        group = self.system.search_group(
+        sweep = self.system.search_group(
             queries, nprobe=self.nprobe, recall_target=self.recall_target
         )
-        return list(group.results), group.elapsed_us
+        return list(sweep.answers), sweep.elapsed_us
 
 
-class MixedClusterExecutor(GroupExecutor):
+class MixedClusterExecutor(ClusterGroupExecutor):
     """Search *and* corpus-mutation traffic on one cluster backend.
 
     Requests in a group are either plain queries (a bare descriptor
-    array, served like :class:`ClusterGroupExecutor`) or mutations:
+    array, served as :class:`ClusterGroupExecutor` serves them) or mutations:
     ``("enroll", ref_id, descriptors)`` and ``("delete", ref_id)``
     tuples.  Mutations are applied first, then the remaining searches
     run as one fused ``search_group`` so a mutation admitted before a
     search in the same group is visible to it (group-local
     read-your-writes).  Payload order mirrors query order: mutations
     yield their :class:`EnrollmentAck` / :class:`DeletionAck`,
-    searches their per-query result.
+    searches their :class:`~repro.core.results.Answer`.
 
     Timing model: mutations are host-side work (serialisation, KV
     writes, router absorb) at :data:`ENROLL_COST_US` each, and they
@@ -126,16 +126,6 @@ class MixedClusterExecutor(GroupExecutor):
     #: per-mutation web/KV handling cost (µs) charged to the backend on
     #: top of the cluster's own simulated time.
     ENROLL_COST_US = 300.0
-
-    def __init__(
-        self,
-        system,
-        nprobe: int | None = None,
-        recall_target: float | None = None,
-    ) -> None:
-        self.system = system
-        self.nprobe = nprobe
-        self.recall_target = recall_target
 
     @staticmethod
     def _is_mutation(query: Any) -> bool:
@@ -159,14 +149,9 @@ class MixedClusterExecutor(GroupExecutor):
                 payloads[slot] = self.system.delete(query[1])
             mutation_us += self.ENROLL_COST_US
         if searches:
-            group = self.system.search_group(
-                [q for _, q in searches],
-                nprobe=self.nprobe,
-                recall_target=self.recall_target,
-            )
-            for (slot, _), result in zip(searches, group.results):
-                payloads[slot] = result
-            search_us = group.elapsed_us
+            answers, search_us = super().execute([q for _, q in searches])
+            for (slot, _), answer in zip(searches, answers):
+                payloads[slot] = answer
         return payloads, max(mutation_us, search_us)
 
 

@@ -87,7 +87,7 @@ def percentile(values: Sequence[float], p: float) -> float:
 
 def _payload_images(payload) -> int:
     """Pairs compared for one request's result payload — works for
-    SearchResult / ClusterSearchResult objects and REST dict bodies."""
+    :class:`~repro.core.results.Answer` objects and REST dict bodies."""
     value = getattr(payload, "images_searched", None)
     if value is None and isinstance(payload, dict):
         value = payload.get("images_searched")

@@ -132,6 +132,13 @@ class TestSyntheticFeatures:
         top = cap.top(10)
         assert top.count == 10
         np.testing.assert_array_equal(top.descriptors, cap.descriptors[:, :10])
+        np.testing.assert_array_equal(top.keypoint_ids, cap.keypoint_ids[:10])
+
+    def test_top_does_not_pin_the_capture(self, model):
+        cap = model.capture(0, "reference")
+        top = cap.top(10)
+        assert not np.shares_memory(top.descriptors, cap.descriptors)
+        assert not np.shares_memory(top.keypoint_ids, cap.keypoint_ids)
 
     def test_same_brick_matches_better_than_impostor(self, model):
         ref = model.capture(5, "reference").descriptors.astype(np.float64)

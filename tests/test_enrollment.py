@@ -15,6 +15,7 @@ The invariants under test mirror ``docs/enrollment.md``:
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import EngineConfig, TextureSearchEngine
 from repro.distributed import (
@@ -133,9 +134,9 @@ class TestClusterEnroll:
         group = system.search_group(
             [noisy_copy(desc, sigma=4.0), noisy_copy(refs["r1"], sigma=4.0)]
         )
-        assert group.results[0].best().reference_id == "fresh"
+        assert group.answers[0].best().reference_id == "fresh"
         assert group.corpus_epoch[ack.node_id] >= ack.epoch
-        for result in group.results:
+        for result in group.answers:
             assert result.corpus_epoch[ack.node_id] >= ack.epoch
 
     def test_delete_ack_and_idempotence(self):
@@ -485,3 +486,43 @@ class TestEngineUnderMutation:
         result = engine.search(noisy_copy(refs["r3"], sigma=4.0))
         assert result.best().reference_id == "r3"
         assert result.images_searched == engine.n_references
+
+
+class TestTombstoneGauge:
+    """The live-tombstone gauge stays exact without scanning the store: a
+    scan per mutation made enrolment cost grow with the corpus."""
+
+    def test_enrolments_never_scan_the_store(self, monkeypatch):
+        system = build_cluster(2, corpus(4))
+        system.delete("r1")
+        scans = []
+        real = KVStore.keys
+        monkeypatch.setattr(
+            KVStore, "keys", lambda store, *a: (scans.append(a), real(store, *a))[1])
+        for i in range(20):
+            system.enroll(f"n{i}", make_descriptors(32, seed=900 + i))
+        system.enroll("r1", make_descriptors(32, seed=501))  # clears the tombstone
+        system.delete("r2")
+        system.enroll("r2", make_descriptors(32, seed=502))
+        assert scans == []
+        assert default_registry().value("repro_enrollment_tombstones_live") == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["mark", "clear", "enroll", "delete"]),
+                              st.integers(0, 5)), max_size=25))
+    def test_the_gauge_is_the_count_after_any_mix(self, ops):
+        store = KVStore()
+        TombstoneLog(store).mark("old", "", 0)  # a tombstone the cluster inherits
+        system = DistributedSearchSystem(2, CFG, store=store)
+        log = system.tombstones
+        for op, i in ops:
+            ref_id = f"r{i}"
+            if op == "mark":
+                log.mark(ref_id, "gpu-00", i)
+            elif op == "clear":
+                log.clear(ref_id)
+            elif op == "enroll":
+                system.enroll(ref_id, make_descriptors(32, seed=600 + i))
+            else:
+                system.delete(ref_id)
+        assert default_registry().value("repro_enrollment_tombstones_live") == len(log)

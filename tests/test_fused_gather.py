@@ -7,7 +7,8 @@ as of the commit before the gather owned the functional plane: every shard
 computes its own stack inside its own sweep, the gather merges as answers
 arrive.  The shipped gather lets every shard *charge* its sweep, computes all
 of them in one ``SweepCompute.run()`` and merges afterwards; nothing but the
-number of kernel calls may differ.  Also here: the regression tests for the
+number of kernel calls may differ.  The parent's two result classes are
+frozen here too; both shapes are compared through :func:`plain`.  Also here: the regression tests for the
 two escapes fixed in the same change (REST knobs that raised, norms that
 overflowed to zeros) and the allocation pin.
 """
@@ -17,7 +18,9 @@ from __future__ import annotations
 import copy
 import dataclasses
 import resource
+from collections.abc import Mapping
 from contextlib import nullcontext
+from dataclasses import dataclass, field
 from types import MethodType
 
 import numpy as np
@@ -29,6 +32,7 @@ from repro.core import (
 )
 from repro.core import algorithm2 as algorithm2_module
 from repro.core.engine import _DEAD_PREFIX
+from repro.core.results import Answer, Sweep
 from repro.core.kernels import Algorithm2Kernel, PreparedQuery, QueryMatrix, ReferenceBatch
 from repro.distributed import (
     DistributedSearchSystem, FaultInjector, FaultSpec, Request, RetryPolicy, SearchNode, WebTier,
@@ -36,7 +40,7 @@ from repro.distributed import (
 )
 from repro.distributed.cluster import (
     _DEADLINE_SKIPS, _PARTIALS, _RETRIES, _ROUTER_HITS, _TRACER, _UNSEARCHED,
-    WEB_TIER_OVERHEAD_US, ClusterGroupResult, ClusterSearchResult, _ts_advance_by,
+    WEB_TIER_OVERHEAD_US, _ts_advance_by,
 )
 from repro.errors import (
     DegradedClusterError, HalfPrecisionOverflowError, InvalidDescriptorsError,
@@ -47,6 +51,45 @@ from repro.routing import RouterPolicy
 from tests.conftest import make_descriptors, noisy_copy, planned_tiles
 
 # -- frozen oracles (verbatim from the parent commit) ----------------------
+
+
+@dataclass
+class ClusterSearchResult:
+    matches: list[ImageMatch]
+    per_node: dict
+    elapsed_us: float
+    images_searched: int
+    partial: bool = False
+    unsearched_shards: list[str] = field(default_factory=list)
+    retries: int = 0
+    deadline_expired: bool = False
+    routed: bool = False
+    unrouted_shards: list[str] = field(default_factory=list)
+    images_pruned: int = 0
+    cascade_pruned: int = 0
+    corpus_epoch: dict[str, int] = field(default_factory=dict)
+
+
+@dataclass
+class ClusterGroupResult:
+    results: list[ClusterSearchResult] = field(default_factory=list)
+    elapsed_us: float = 0.0
+    retries: int = 0
+    unsearched_shards: list[str] = field(default_factory=list)
+    deadline_expired: bool = False
+    routed: bool = False
+    unrouted_shards: list[str] = field(default_factory=list)
+    images_pruned: int = 0
+    cascade_pruned: int = 0
+    corpus_epoch: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def partial(self) -> bool:
+        return bool(self.unsearched_shards) or self.deadline_expired
+
+    @property
+    def answers(self) -> list[ClusterSearchResult]:  # what today's ``search`` reads
+        return self.results
 
 
 def parent_swept_matches(
@@ -250,9 +293,28 @@ def build(system_class, cfg, shards=3, replicas=1, seals=(5,), dead=(), routed=F
     return system
 
 
+#: what a group reports in both shapes, and what each of its answers does
+GROUP = ("elapsed_us", "retries", "partial", "unsearched_shards", "deadline_expired", "routed",
+         "unrouted_shards", "images_pruned", "cascade_pruned", "corpus_epoch")
+ANSWER = GROUP + ("images_searched",)
+
+
+def builtin(value):
+    return list(value) if isinstance(value, tuple) else (
+        dict(value) if isinstance(value, Mapping) else value)
+
+
 def plain(result) -> dict:
-    """A result dataclass, nested ones and all, as comparable builtins."""
-    return dataclasses.asdict(result)
+    """A search's answer or group — a :class:`Sweep` / :class:`Answer` or the
+    parent's classes — as comparable builtins: matches and every field both
+    shapes report (an engine's sweep has no fan-out: its fan-out fields read
+    as they would on the parent's cluster result)."""
+    if isinstance(result, (Answer, ClusterSearchResult)):
+        return {"matches": [dataclasses.asdict(m) for m in result.matches],
+                **{name: builtin(getattr(result, name)) for name in ANSWER}}
+    answers = result.answers if isinstance(result, Sweep) else result.results
+    return {**{name: builtin(getattr(result, name)) for name in GROUP},
+            "answers": [plain(answer) for answer in answers]}
 
 
 def left_behind(system) -> list:
@@ -379,7 +441,7 @@ def test_fourteen_shards_one_kernel_call_one_gemm_per_tile_of_the_whole_stack(mo
         assert sorted(len(args[1]) for args in gemms) == sorted(tiles)  # lanes finish in any order
         assert [args[1].ndim for args in gemms] == [3] * len(tiles)
         assert sum(len(args[1]) for args in gemms) == 56 == result.images_searched
-        assert result.best().reference_id == "ref17" and len(result.per_node) == 14
+        assert result.best().reference_id == "ref17" and len(result.corpus_epoch) == 14
     for node in system.nodes:  # while every device was charged its own two batches, each time
         steps = {r.name: r.calls for r in node.engine.device.profiler.records()}
         assert steps == dict.fromkeys(
@@ -392,7 +454,7 @@ def test_replica_slices_with_different_queries_are_different_computations(monkey
     system = build(DistributedSearchSystem, config(), shards=3, replicas=2, seals=[9])
     kernels = count_calls(monkeypatch, Algorithm2Kernel, "match_batch_multi")
     group = system.search_group([query_for(i, seed=i) for i in (1, 4, 7)])
-    assert [r.best().reference_id for r in group.results] == ["ref1", "ref4", "ref7"]
+    assert [r.best().reference_id for r in group.answers] == ["ref1", "ref4", "ref7"]
     assert len(kernels) == 2
     assert sorted(args[3].n_queries for args in kernels) == [1, 2]
     assert all(len(args[2]) == 3 for args in kernels)  # one batch from each shard, both times
@@ -541,7 +603,7 @@ def test_outside_a_scope_the_engine_is_the_parents_engine():
             got = engine.search_group(queries, keep_masks=keep_masks, candidate_ids=candidates)
             want = parent.search_group(queries, keep_masks=keep_masks, candidate_ids=candidates)
             assert repr(plain(got)) == repr(plain(want))  # masks are arrays: compare as text
-            assert [len(r.matches) for r in got.results] == [2 if candidates else 7] * 2
+            assert [len(r.matches) for r in got.answers] == [2 if candidates else 7] * 2
     assert repr(plain(engine.search(queries[0]))) == repr(plain(parent.search(queries[0])))
     assert engine.verify(reference(2), queries[0]) == parent.verify(reference(2), queries[0])
     assert engine.stats == parent.stats
@@ -554,14 +616,14 @@ def test_inside_a_scope_matches_arrive_with_run():
     want = parent.search_group(queries)
     with compute_scope() as scope:
         held = engine.search_group(queries)
-        assert [r.matches for r in held.results] == [[], []]
-        assert plain(held) == {**plain(want), "results": [
-            {**plain(r), "matches": []} for r in want.results]}  # all but the matches is there
+        assert [r.matches for r in held.answers] == [[], []]
+        assert plain(held) == {**plain(want), "answers": [
+            {**plain(r), "matches": []} for r in want.answers]}  # all but the matches is there
         assert engine.stats == parent.stats  # the timing plane is complete
-        lists = [r.matches for r in held.results]
+        lists = [r.matches for r in held.answers]
         scope.run()
     assert plain(held) == plain(want)
-    assert all(a is b for a, b in zip(lists, (r.matches for r in held.results)))  # filled in place
+    assert all(a is b for a, b in zip(lists, (r.matches for r in held.answers)))  # filled in place
     assert plain(engine.search_group(queries)) == plain(parent.search_group(queries))  # none left open
 
 

@@ -351,7 +351,7 @@ class TestEngineDeadlines:
             group = engine.search_group(queries)
         assert group.partial
         assert group.images_skipped > 0
-        for member in group.results:
+        for member in group.answers:
             assert member.partial
 
 
@@ -487,7 +487,7 @@ class TestClusterBreaker:
         assert sick.breaker.state is BreakerState.HALF_OPEN
         result = system.search(query)  # the probe goes through and works
         assert sick.breaker.state is BreakerState.CLOSED
-        assert sick.node_id in result.per_node
+        assert sick.node_id in result.corpus_epoch
 
     def test_breaker_chaos_is_deterministic(self):
         def run():
@@ -782,8 +782,7 @@ class TestClusterDeadlines:
     def test_fanout_charges_slowest_node_not_the_sum(self):
         system, descs = build_cluster(3, 6)
         query = noisy_copy(descs[0], 8.0, seed=91)
-        baseline = system.search(query)
-        per_node_us = [r.elapsed_us for r in baseline.per_node.values()]
+        per_node_us = [node.search_many([query]).elapsed_us for node in system.nodes]
         budget = sum(per_node_us) * 0.9  # < serial sum, >> max node time
         with deadline_scope(budget) as deadline:
             result = system.search(query)
@@ -802,7 +801,7 @@ class TestClusterDeadlines:
             group = system.search_group(queries)
         assert group.deadline_expired
         assert group.partial
-        for member in group.results:
+        for member in group.answers:
             assert member.deadline_expired
 
 

@@ -133,11 +133,11 @@ class TestClusterSearchMany:
         for i, d in descs.items():
             system.add(f"r{i}", d)
         queries = [noisy_copy(descs[1], 8.0, seed=161), noisy_copy(descs[4], 8.0, seed=162)]
-        grouped = system.search_group(queries).results
+        grouped = system.search_group(queries).answers
         assert grouped[0].best().reference_id == "r1"
         assert grouped[1].best().reference_id == "r4"
         assert grouped[0].elapsed_us == grouped[1].elapsed_us
-        assert system.search_group([]).results == []
+        assert system.search_group([]).answers == ()
 
 
 class TestWebTier:

@@ -48,4 +48,4 @@ def test_quickstart_snippet_shape():
     engine.flush()
     result = engine.search(desc)
     assert result.best().reference_id == "brick-0"
-    assert result.throughput_images_per_s > 0
+    assert result.images_per_s > 0

@@ -67,7 +67,7 @@ class TestEngineSearchMany:
             multi_engine.add_reference(f"r{i}", d)
             seq_engine.add_reference(f"r{i}", d)
         queries = [noisy_copy(descs[2], 8.0, seed=61), noisy_copy(descs[5], 8.0, seed=62)]
-        grouped = multi_engine.search_group(queries).results
+        grouped = multi_engine.search_group(queries).answers
         assert len(grouped) == 2
         assert grouped[0].best().reference_id == "r2"
         assert grouped[1].best().reference_id == "r5"
@@ -83,7 +83,7 @@ class TestEngineSearchMany:
             engine.add_reference(f"r{i}", make_descriptors(32, seed=700 + i))
         results = engine.search_group(
             [make_descriptors(32, seed=710 + i) for i in range(3)]
-        ).results
+        ).answers
         assert len({r.elapsed_us for r in results}) == 1  # one group time
 
     def test_requires_rootsift(self):
@@ -98,7 +98,7 @@ class TestEngineSearchMany:
         query = noisy_copy(descs[3], 8.0, seed=72)
         with pytest.raises(ValueError, match="RootSIFT"):
             engine.search_group([query, query])
-        (grouped,) = engine.search_group([query]).results
+        (grouped,) = engine.search_group([query]).answers
         solo = twin.search(query)
         assert grouped.best().reference_id == "r3"
         assert grouped.elapsed_us == solo.elapsed_us
@@ -108,7 +108,7 @@ class TestEngineSearchMany:
 
     def test_empty_input(self):
         engine = TextureSearchEngine(EngineConfig(m=32, n=32, batch_size=4))
-        assert engine.search_group([]).results == []
+        assert engine.search_group([]).answers == ()
 
     def test_respects_tombstones(self):
         cfg = EngineConfig(m=32, n=32, batch_size=2, scale_factor=0.25)
@@ -117,7 +117,7 @@ class TestEngineSearchMany:
         for i, d in descs.items():
             engine.add_reference(f"r{i}", d)
         engine.remove_reference("r1")
-        results = engine.search_group([noisy_copy(descs[1], 8.0, seed=81)]).results
+        results = engine.search_group([noisy_copy(descs[1], 8.0, seed=81)]).answers
         assert all(m.reference_id != "r1" for m in results[0].matches)
 
 

@@ -5,10 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
-    GroupSearchResult,
+    Answer,
     ImageMatch,
     KnnResult,
-    SearchResult,
+    Sweep,
     batch_ratio_test_masks,
     good_match_count,
     match_images,
@@ -140,21 +140,20 @@ class TestBatchMatchCounting:
             batch_ratio_test_masks(np.ones((3, 2, 4)), 1.0)
 
 
-class TestGroupSearchResult:
+class TestSweepHeader:
     def test_pairs_and_throughput(self):
-        group = GroupSearchResult(
-            results=[SearchResult(), SearchResult(), SearchResult()],
-            elapsed_us=2_000_000.0,
-            images_searched=10,
-        )
-        assert group.group_size == 3
-        assert group.pairs_compared == 30
-        assert group.throughput_images_per_s == pytest.approx(15.0)
+        group = Sweep(elapsed_us=2_000_000.0, images_searched=10).carrying([[], [], []])
+        assert len(group.answers) == 3
+        assert group.pairs_per_s == pytest.approx(15.0)  # pairs: every query saw every image
+        assert group.images_per_s == group.answers[0].images_per_s == pytest.approx(5.0)
+        assert all(answer.sweep == Sweep(elapsed_us=2_000_000.0, images_searched=10)
+                   for answer in group.answers)
 
     def test_empty(self):
-        group = GroupSearchResult()
-        assert group.group_size == 0
-        assert group.throughput_images_per_s == 0.0
+        group = Sweep()
+        assert group.answers == ()
+        assert group.pairs_per_s == group.images_per_s == 0.0
+        assert not group.partial
 
 
 class TestResultContainers:
@@ -163,24 +162,20 @@ class TestResultContainers:
             KnnResult(np.ones((2, 3)), np.ones((2, 4), np.int32))
 
     def test_search_result_ranking(self):
-        result = SearchResult(
-            matches=[
-                ImageMatch("a", 3, 10),
-                ImageMatch("b", 7, 10),
-                ImageMatch("c", 7, 10),
-            ],
-            elapsed_us=1000.0,
-            images_searched=3,
-        )
+        (result,) = Sweep(elapsed_us=1000.0, images_searched=3).carrying([[
+            ImageMatch("a", 3, 10),
+            ImageMatch("b", 7, 10),
+            ImageMatch("c", 7, 10),
+        ]]).answers
         top = result.top(2)
         assert [m.reference_id for m in top] == ["b", "c"]  # id tiebreak
         assert result.best().reference_id == "b"
-        assert result.throughput_images_per_s == pytest.approx(3000.0)
+        assert result.images_per_s == pytest.approx(3000.0)
 
     def test_inliers_override_score(self):
         match = ImageMatch("a", 9, 10, inliers=2)
         assert match.score == 2
 
     def test_empty_result(self):
-        assert SearchResult().best() is None
-        assert SearchResult().throughput_images_per_s == 0.0
+        assert Answer([], Sweep()).best() is None
+        assert Answer([], Sweep()).images_per_s == 0.0

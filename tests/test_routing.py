@@ -256,7 +256,7 @@ class TestRoutedCluster:
         assert result.routed
         assert result.best().reference_id == "r7"
         assert not result.partial
-        assert result.unsearched_shards == []
+        assert result.unsearched_shards == ()
         assert result.images_searched + result.images_pruned <= len(refs)
         assert result.images_searched < len(refs)
 
@@ -280,7 +280,7 @@ class TestRoutedCluster:
         group = system.search_group(queries)
         assert group.routed
         assert not group.partial
-        for query_result, expected in zip(group.results, ("r2", "r9", "r17")):
+        for query_result, expected in zip(group.answers, ("r2", "r9", "r17")):
             assert query_result.best().reference_id == expected
         assert group.images_pruned > 0
 

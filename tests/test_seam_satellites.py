@@ -14,8 +14,7 @@ from repro.bench.chains import algorithm2_steps
 from repro.core import EngineConfig, TextureSearchEngine
 from repro.core.algorithm2 import knn_steps
 from repro.core.query_batching import query_batch_tradeoff
-from repro.core.results import ImageMatch, SearchResult
-from repro.distributed.cluster import ClusterSearchResult
+from repro.core.results import Answer, ImageMatch, Sweep
 from repro.gpusim import GPUDevice, KernelCalibration, TESLA_P100, TESLA_V100
 from repro.gpusim.kernels import (
     d2h_result_us, dtype_bytes, elementwise_us, gemm_us, postprocess_us, top2_scan_us,
@@ -53,20 +52,14 @@ def match(ref_id: str, score: int) -> ImageMatch:
 
 @pytest.mark.parametrize("order", [("b", "a"), ("a", "b")])
 def test_a_cluster_tie_goes_to_the_smallest_id_whichever_shard_answered_first(order):
-    shards = {ref_id: SearchResult(matches=[match(ref_id, 9), match(ref_id + "-low", 3)])
-              for ref_id in order}
-    result = ClusterSearchResult(
-        matches=[m for shard in shards.values() for m in shard.matches],
-        per_node={f"gpu-{i:02d}": shard for i, shard in enumerate(shards.values())},
-        elapsed_us=1.0, images_searched=4,
-    )
+    shards = [[match(ref_id, 9), match(ref_id + "-low", 3)] for ref_id in order]
+    result = Answer([m for shard in shards for m in shard], Sweep(elapsed_us=1.0, images_searched=4))
     assert result.best() is result.top(1)[0]
     assert result.best().reference_id == "a"
-    assert SearchResult(matches=result.matches).best().reference_id == "a"  # what one engine says
 
 
 def test_no_match_has_no_best():
-    assert ClusterSearchResult(matches=[], per_node={}, elapsed_us=0.0, images_searched=0).best() is None
+    assert Answer([], Sweep()).best() is None
 
 
 # -- one spelling of Algorithm 2's cost chain ------------------------------

@@ -322,13 +322,10 @@ class TestEngineServing:
             assert searches_counted() == (before[0] + 1, before[1])
             group = system_b.search_group([query])
             assert searches_counted() == (before[0] + 1, before[1] + 1)
-            (grouped,) = group.results
+            (grouped,) = group.answers
             assert single.best().reference_id == f"r{i}"
             assert single.routed == (router is not None)
             assert_same_fields(grouped, single)
-            assert grouped.per_node.keys() == single.per_node.keys()
-            for shard, want in single.per_node.items():
-                assert_same_fields(grouped.per_node[shard], want)
 
     @pytest.mark.chaos
     def test_group_of_one_sibling_retry_identical_to_search(self):
@@ -348,9 +345,9 @@ class TestEngineServing:
             if entry == "search":
                 result = system.search(query)
             else:
-                (result,) = system.search_group([query]).results
+                (result,) = system.search_group([query]).answers
             assert reg.value("repro_cluster_replica_retries_total") == before + 1
-            assert result.unsearched_shards == [] and not result.partial
+            assert result.unsearched_shards == () and not result.partial
             assert result.images_searched == 6
             assert result.best().reference_id == "r1"
             outcomes.append(result)
@@ -360,9 +357,9 @@ class TestEngineServing:
         engine, descs = build_engine()
         queries = [noisy_copy(descs[i], 8.0, seed=i) for i in range(4)]
         group = engine.search_group(queries)
-        assert group.group_size == 4
-        assert all(r.elapsed_us == group.elapsed_us for r in group.results)
-        assert group.pairs_compared == 4 * group.images_searched
+        assert len(group.answers) == 4
+        assert all(r.elapsed_us == group.elapsed_us for r in group.answers)
+        assert group.pairs_per_s == pytest.approx(4 * group.images_per_s)
 
     def test_fused_beats_serial_at_concurrency_4(self):
         """The acceptance bar: batching must strictly raise throughput
@@ -414,23 +411,23 @@ class TestClusterServing:
     @pytest.mark.chaos
     def test_shard_death_mid_group_flags_every_query(self):
         """S3: a shard dying during a fused group leaves *every* member
-        partial, each with its own private unsearched_shards copy."""
+        partial, under one header no member can change."""
         injector = FaultInjector(seed=0)
         system, descs = build_cluster(n_nodes=3, n_refs=6, injector=injector)
         queries = [noisy_copy(descs[i], 8.0, seed=i) for i in range(4)]
         injector.crash_after("gpu-01", 1)  # dies on the group's shard RPC
         group = system.search_group(queries)
-        assert group.group_size == 4
+        assert len(group.answers) == 4
         assert group.partial
-        assert group.unsearched_shards == ["gpu-01"]
-        for result in group.results:
+        assert group.unsearched_shards == ("gpu-01",)
+        for result in group.answers:
             assert result.partial
-            assert result.unsearched_shards == ["gpu-01"]
-        # the copies are independent: poisoning one query's metadata
-        # must not leak into its group-mates (or the group rollup)
-        group.results[0].unsearched_shards.append("poison")
-        assert group.results[1].unsearched_shards == ["gpu-01"]
-        assert group.unsearched_shards == ["gpu-01"]
+            assert result.unsearched_shards == ("gpu-01",)
+        # one query's metadata cannot be poisoned for its group-mates
+        # (or the group rollup): the header is immutable
+        with pytest.raises(AttributeError):
+            group.answers[0].unsearched_shards.append("poison")
+        assert group.answers[1].unsearched_shards == group.unsearched_shards == ("gpu-01",)
 
     def test_rest_batch_route_happy_path(self):
         system, descs = build_cluster()

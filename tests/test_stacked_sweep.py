@@ -32,12 +32,12 @@ from repro.core import EngineConfig, TextureSearchEngine, algorithm2 as algorith
 from repro.core.algorithm2 import BatchKnnResult, _accumulator_peak
 from repro.core.engine import (
     _CASCADE_PRUNED, _DEAD_PREFIX, _DEADLINE_SWEEPS, _H2D_BYTES, _IMAGES_PRUNED, _STEP_US,
-    _SWEEP_HIT, _SWEEP_MISS, _SWEEP_US, _SWEEPS, _TRACER, _SweepOutcome,
+    _SWEEP_HIT, _SWEEP_MISS, _SWEEP_US, _SWEEPS, _TRACER,
 )
 from repro.core.kernels import Algorithm2Kernel, PreparedQuery
 from repro.core.query_batching import MultiQueryResult
 from repro.core.ratio_test import batch_ratio_test_masks, match_images_batch
-from repro.core.results import ImageMatch
+from repro.core.results import ImageMatch, Sweep
 from repro.errors import HalfPrecisionOverflowError
 from repro.gpusim import GPUDevice, TESLA_P100
 from repro.gpusim.stream import Stream
@@ -46,6 +46,16 @@ from repro.pipeline.scheduler import plan_streams
 from tests.conftest import make_descriptors, noisy_copy, planned_tiles
 
 # -- frozen oracles (verbatim from the parent commit) ----------------------
+
+
+def _SweepOutcome(per_query_matches, images, elapsed_us, images_skipped=0, images_pruned=0,
+                  cascade_pruned=0) -> Sweep:
+    """The parent's sweep outcome, in today's shape."""
+    return Sweep(
+        elapsed_us=elapsed_us, images_searched=images, images_skipped=images_skipped,
+        images_pruned=images_pruned, cascade_pruned=cascade_pruned,
+        deadline_expired=images_skipped > 0,
+    ).carrying(per_query_matches)
 
 
 def oracle_knn_columns(
@@ -467,11 +477,11 @@ def observed(engine, group) -> tuple:
           None if m.matched_reference_indices is None
           else (m.matched_reference_indices.dtype.str, m.matched_reference_indices.tobytes()))
          for m in result.matches]
-        for result in group.results
+        for result in group.answers
     ]
     assert all(
         (r.elapsed_us, r.images_searched, r.partial, r.images_skipped, r.images_pruned,
-         r.cascade_pruned) == shared for r in group.results
+         r.cascade_pruned) == shared for r in group.answers
     )
     device = engine.device
     return (shared, matches, copy.deepcopy(engine.stats), device.elapsed_us(),
@@ -542,7 +552,7 @@ def test_the_cut_sweep_is_a_prefix_of_the_full_one():
     with deadline_scope(0.5 * full.elapsed_us):
         cut = engine.search_group(queries, keep_masks=True)
     assert cut.partial and 0 < cut.images_searched < full.images_searched
-    for part, whole in zip(cut.results, full.results, strict=True):
+    for part, whole in zip(cut.answers, full.answers, strict=True):
         assert 0 < len(part.matches) < len(whole.matches)
         for got, want in zip(part.matches, whole.matches):  # the prefix
             assert (got.reference_id, got.good_matches) == (want.reference_id, want.good_matches)

@@ -34,7 +34,7 @@ from repro.core.batching import ReferenceBatch
 from repro.core.cascade import CascadeKernel, _CascadeQuery
 from repro.core.engine import (
     _CASCADE_PRUNED, _DEADLINE_SWEEPS, _H2D_BYTES, _IMAGES_PRUNED, _STEP_US,
-    _SWEEP_HIT, _SWEEP_MISS, _SWEEP_US, _SWEEPS, _TRACER, _SweepOutcome,
+    _SWEEP_HIT, _SWEEP_MISS, _SWEEP_US, _SWEEPS, _TRACER,
 )
 from repro.core.kernels import Algorithm2Kernel, PreparedQuery
 from repro.core.ratio_test import match_images
@@ -46,7 +46,7 @@ from repro.obs.tracing import RequestTracer
 from repro.pipeline.scheduler import plan_streams
 from repro.routing import RouterPolicy
 from tests.conftest import make_descriptors, noisy_copy
-from tests.test_stacked_sweep import BATCH, M, N, config, observed, query_for
+from tests.test_stacked_sweep import BATCH, M, N, _SweepOutcome, config, observed, query_for
 
 # -- frozen oracles (verbatim from the parent commit) ----------------------
 
@@ -291,7 +291,7 @@ class ParentEngine(TextureSearchEngine):
             record_stats=False,
             honor_deadline=False,  # a 1:1 verification is never sheddable
         )
-        match = outcome.per_query_matches[0][0]
+        match = outcome.answers[0].matches[0]
         return match.good_matches >= cfg.min_matches, match.good_matches
 
 
@@ -433,7 +433,7 @@ def test_a_host_batch_with_no_survivor_is_not_staged_and_reports_empty_matches(k
         assert result.images_searched == result.cascade_pruned == 11
         steps = {r.name: r.calls for r in side.device.profiler.records()}
         assert "H2D copy" not in steps and "GEMM" not in steps
-        matches = result.results[0].matches
+        matches = result.answers[0].matches
         assert [m.reference_id for m in matches] == [f"ref{i}" for i in range(11)]
         for match in matches:
             assert (match.good_matches, match.n_query_features) == (0, N)
@@ -462,7 +462,7 @@ def test_partial_survivors_skip_exactly_the_pruned_slots_charges(host):
         # the one batch holding a survivor is staged, whole; the others never are
         assert steps.get("H2D copy", 0) == (1 if host else 0)
         assert _SWEEP_MISS.value - misses_before == (2 if host else 0)
-        assert result.results[0].best().reference_id == "ref5"
+        assert result.answers[0].best().reference_id == "ref5"
         seen.append(observed(side, result))
     assert seen[0] == seen[1]
 

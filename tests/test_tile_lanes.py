@@ -113,10 +113,10 @@ def observed(engine, group) -> tuple:
           None if m.matched_reference_indices is None
           else m.matched_reference_indices.tobytes())
          for m in result.matches]
-        for result in group.results
+        for result in group.answers
     ]
     shared = [(r.elapsed_us, r.images_searched, r.partial, r.images_skipped, r.images_pruned)
-              for r in group.results]
+              for r in group.answers]
     return (matches, shared, copy.deepcopy(engine.stats), engine.device.elapsed_us(),
             [(r.name, r.total_us, r.calls) for r in engine.device.profiler.records()])
 

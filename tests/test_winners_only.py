@@ -596,10 +596,10 @@ def test_engine_results_are_the_parent_engines(config, keep_masks):
         want_group = parent.search_group(group, keep_masks=keep_masks)
     assert observed(engine, got_single, got_group) == observed(parent, want_single, want_group)
     if not keep_masks:
-        assert got_single == want_single and got_group.results == want_group.results
+        assert got_single == want_single and got_group.answers == want_group.answers
     assert got_single.best().reference_id == "ref-5" and got_single.elapsed_us > 0
-    assert sum(m.good_matches for r in got_group.results for m in r.matches) > 0
-    masks = [m.match_mask for r in got_group.results for m in r.matches]
+    assert sum(m.good_matches for r in got_group.answers for m in r.matches) > 0
+    masks = [m.match_mask for r in got_group.answers for m in r.matches]
     assert len(masks) == 36 and all((mask is not None) == keep_masks for mask in masks)
 
 
