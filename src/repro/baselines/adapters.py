@@ -19,12 +19,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.kernels import Algorithm1Kernel, MatchKernel, PreparedQuery
-from ..core.ratio_test import match_images
+from ..core.kernels import Algorithm1Kernel, PerImageKernel, PreparedQuery
 from ..core.results import KnnResult
 from ..features.selection import pad_or_trim
+from ..gpusim.kernels import d2h_result_us, elementwise_us, postprocess_us
 from .lsh import LshCodec
-from .opencv_cuda import opencv_knn_match
+from .opencv_cuda import opencv_knn_match, opencv_steps_us
 
 __all__ = ["GarciaKernel", "LshKernel", "OpenCVKernel"]
 
@@ -48,7 +48,7 @@ class GarciaKernel(Algorithm1Kernel):
         return "insertion"
 
 
-class OpenCVKernel(MatchKernel):
+class OpenCVKernel(PerImageKernel):
     """OpenCV CUDA ``knnMatch`` baseline (Table 1, column 1).
 
     Raw FP32 descriptors, per-pair distance kernel without GEMM reuse,
@@ -59,7 +59,6 @@ class OpenCVKernel(MatchKernel):
 
     name = "opencv"
     needs_norms = False
-    supports_multiquery = False
 
     def describe(self) -> str:
         return "(OpenCV CUDA)"
@@ -80,22 +79,21 @@ class OpenCVKernel(MatchKernel):
         descriptors = self._check_descriptors(descriptors)
         return pad_or_trim(descriptors, self.config.n)
 
-    def match_batch(self, device, batch, query, keep_masks=False, survivors=None):
+    def image_steps(self, device):
         cfg = self.config
-        matches = []
-        for i in range(batch.size):
-            knn = opencv_knn_match(device, batch.tensor[i], query.matrix, k=cfg.k)
-            device.cpu_postprocess(1, "fp32", cfg.n)
-            matches.append(match_images(batch.ids[i], knn, cfg.ratio_threshold, keep_masks))
-        return matches
+        return opencv_steps_us(device.spec, device.cal, cfg.m, cfg.n, cfg.d, cfg.k)
+
+    def image_knn(self, batch, index, query):
+        return opencv_knn_match(None, batch.tensor[index], query.matrix, k=self.config.k)
 
 
-class LshKernel(MatchKernel):
+class LshKernel(PerImageKernel):
     """Kusamura et al. LSH compression baseline (related work [15]).
 
     References are cached as FP32 matrices (so the hybrid cache and
-    tombstones behave normally) and hashed on first contact with a
-    sweep; queries carry their hash codes in ``PreparedQuery.aux``.
+    tombstones behave normally) and hashed where they are compared, so
+    the kernel keeps nothing per batch; queries carry their hash codes
+    in ``PreparedQuery.aux``.
     Matching filters candidates in Hamming space and re-ranks exactly,
     so with ``n_candidates >= m`` the results equal FP32 brute force.
 
@@ -107,7 +105,6 @@ class LshKernel(MatchKernel):
 
     name = "lsh"
     needs_norms = False
-    supports_multiquery = False
 
     def __init__(self, config, n_bits: int = 256, n_candidates: int = 16, seed: int = 0) -> None:
         super().__init__(config)
@@ -115,10 +112,6 @@ class LshKernel(MatchKernel):
             raise ValueError("need at least 2 candidates for the ratio test")
         self.codec = LshCodec(d=config.d, n_bits=n_bits, seed=seed)
         self.n_candidates = int(n_candidates)
-        #: per-batch reference codes, keyed by batch id (batches are
-        #: immutable; transient verify batches use negative ids and are
-        #: never memoised).
-        self._ref_codes: dict[tuple[int, int], np.ndarray] = {}
 
     def describe(self) -> str:
         return f"(LSH {self.codec.n_bits}b/{self.n_candidates}c)"
@@ -149,47 +142,39 @@ class LshKernel(MatchKernel):
         matrix = self.engine_matrix(query)
         return PreparedQuery(matrix=matrix, aux=self.codec.encode(matrix))
 
-    def _codes_for(self, batch, index: int) -> np.ndarray:
-        key = (batch.batch_id, index)
-        if batch.batch_id < 0:
-            return self.codec.encode(batch.tensor[index])
-        codes = self._ref_codes.get(key)
-        if codes is None:
-            codes = self.codec.encode(batch.tensor[index])
-            self._ref_codes[key] = codes
-        return codes
+    def image_steps(self, device):
+        cfg = self.config
+        spec, cal = device.spec, device.cal
+        k_cand = min(self.n_candidates, cfg.m)
+        return [
+            # Hamming filter: one XOR+popcount pass over all pairs
+            ("compute", elementwise_us(spec, cal, cfg.n * cfg.m * self.codec.n_words, "fp32"),
+             "Hamming filter"),
+            # exact re-rank of the candidate set only
+            ("compute", elementwise_us(spec, cal, 2 * cfg.n * k_cand * cfg.d, "fp32"), "re-rank"),
+            ("d2h", d2h_result_us(spec, cal, cfg.n, 1, cfg.k, "fp32"), "D2H copy"),
+            ("cpu", postprocess_us(cal, 1, "fp32", cfg.n), "Post-processing"),
+        ]
 
-    def match_batch(self, device, batch, query, keep_masks=False, survivors=None):
+    def image_knn(self, batch, index, query):
         cfg = self.config
         q = query.matrix
         q_codes = query.aux if query.aux is not None else self.codec.encode(q)
-        n = q.shape[1]
-        matches = []
-        for i in range(batch.size):
-            ref = batch.tensor[i]
-            m = ref.shape[1]
-            codes = self._codes_for(batch, i)
-            # Hamming filter: one XOR+popcount pass over all pairs.
-            device.elementwise(n * m * self.codec.n_words, dtype="fp32", step="Hamming filter")
-            hamming = self.codec.hamming(q_codes, codes)  # (n, m)
-            k_cand = min(self.n_candidates, m)
-            if k_cand < m:
-                candidates = np.argpartition(hamming, k_cand - 1, axis=1)[:, :k_cand]
-            else:
-                candidates = np.broadcast_to(np.arange(m), (n, m)).copy()
-            # Exact re-rank of the candidate set only.
-            device.elementwise(2 * n * k_cand * cfg.d, dtype="fp32", step="re-rank")
-            cand = ref[:, candidates]  # (d, n, k_cand)
-            diff = cand - q[:, :, None]
-            dists = np.sqrt(np.einsum("dnk,dnk->nk", diff, diff, optimize=True))
-            order = np.argsort(dists, axis=1)[:, : cfg.k]
-            top_d = np.take_along_axis(dists, order, axis=1)  # (n, k)
-            top_i = np.take_along_axis(candidates, order, axis=1)
-            knn = KnnResult(
-                distances=np.ascontiguousarray(top_d.T.astype(np.float32)),
-                indices=np.ascontiguousarray(top_i.T.astype(np.int32)),
-            )
-            device.d2h_result(n, batch=1, k=cfg.k, dtype="fp32")
-            device.cpu_postprocess(1, "fp32", cfg.n)
-            matches.append(match_images(batch.ids[i], knn, cfg.ratio_threshold, keep_masks))
-        return matches
+        ref = batch.tensor[index]
+        n, m = q.shape[1], ref.shape[1]
+        hamming = self.codec.hamming(q_codes, self.codec.encode(ref))  # (n, m)
+        k_cand = min(self.n_candidates, m)
+        if k_cand < m:
+            candidates = np.argpartition(hamming, k_cand - 1, axis=1)[:, :k_cand]
+        else:
+            candidates = np.broadcast_to(np.arange(m), (n, m)).copy()
+        cand = ref[:, candidates]  # (d, n, k_cand)
+        diff = cand - q[:, :, None]
+        dists = np.sqrt(np.einsum("dnk,dnk->nk", diff, diff, optimize=True))
+        order = np.argsort(dists, axis=1)[:, : cfg.k]
+        top_d = np.take_along_axis(dists, order, axis=1)  # (n, k)
+        top_i = np.take_along_axis(candidates, order, axis=1)
+        return KnnResult(
+            distances=np.ascontiguousarray(top_d.T.astype(np.float32)),
+            indices=np.ascontiguousarray(top_i.T.astype(np.int32)),
+        )

@@ -18,11 +18,13 @@ import numpy as np
 
 from ..core.results import KnnResult
 from ..core.topk import functional_topk
+from ..gpusim.calibration import KernelCalibration
+from ..gpusim.device import DeviceSpec
 from ..gpusim.engine_model import GPUDevice
-from ..gpusim.kernels import postprocess_us
+from ..gpusim.kernels import d2h_result_us, insertion_sort_us, postprocess_us
 from ..gpusim.stream import Stream
 
-__all__ = ["opencv_knn_match", "opencv_memory_bytes", "DIST_KERNEL_EFF_FP32"]
+__all__ = ["opencv_knn_match", "opencv_memory_bytes", "opencv_steps_us", "DIST_KERNEL_EFF_FP32"]
 
 #: efficiency of OpenCV's non-GEMM distance kernel, anchored so the
 #: P100 total lands on Table 1's 497.0 us/img (distance part 215.6 us).
@@ -33,14 +35,34 @@ DIST_KERNEL_EFF_FP32 = 0.0753
 CONTEXT_OVERHEAD_BYTES = int(344e6)
 
 
+def opencv_steps_us(
+    spec: DeviceSpec, cal: KernelCalibration, m: int = 768, n: int = 768, d: int = 128, k: int = 2,
+) -> list[tuple[str, float, str]]:
+    """The matcher's per-image chain as ``(engine, us, profiler step)``: the
+    distance kernel, the library's in-memory insertion sort, the result D2H
+    and the host post-processing.  :func:`opencv_knn_match` charges the first
+    three, the engine's ``opencv`` kernel all four per image it compares."""
+    # each thread block recomputes its tile of reference/query columns from
+    # scratch — no GEMM reuse
+    flops = 2.0 * m * n * d
+    distance_us = spec.kernel_launch_us + flops / (spec.fp32_tflops * 1e12 * DIST_KERNEL_EFF_FP32) * 1e6
+    return [
+        ("compute", distance_us, "distance kernel"),
+        ("compute", insertion_sort_us(spec, cal, m, n, "fp32"), "Top-2 sort"),
+        ("d2h", d2h_result_us(spec, cal, n, 1, k, "fp32"), "D2H copy"),
+        ("cpu", postprocess_us(cal, 1, "fp32", n), "Post-processing"),
+    ]
+
+
 def opencv_knn_match(
-    device: GPUDevice,
+    device: Optional[GPUDevice],
     reference: np.ndarray,
     query: np.ndarray,
     k: int = 2,
     stream: Optional[Stream] = None,
 ) -> KnnResult:
-    """Brute-force FP32 2-NN, charged with the OpenCV cost model.
+    """Brute-force FP32 2-NN, charged with the OpenCV cost model
+    (``device=None`` computes only).
 
     ``reference``/``query`` are ``(d, m)`` / ``(d, n)`` FP32 matrices.
     """
@@ -52,41 +74,20 @@ def opencv_knn_match(
     n = query.shape[1]
     if not (1 <= k <= m):
         raise ValueError(f"k={k} out of range for m={m}")
-
-    # Distance kernel: each thread block recomputes its tile of
-    # reference/query columns from scratch — no GEMM reuse.
-    flops = 2.0 * m * n * d
-    dist_us = device.spec.kernel_launch_us + flops / (
-        device.spec.fp32_tflops * 1e12 * DIST_KERNEL_EFF_FP32
-    ) * 1e6
-    device.submit("compute", dist_us, stream, step="distance kernel")
+    if device is not None:
+        device.charge(opencv_steps_us(device.spec, device.cal, m, n, d, k)[:-1], stream)
 
     nr = np.einsum("dm,dm->m", reference, reference)
     nq = np.einsum("dn,dn->n", query, query)
     sq = nr[:, None] + nq[None, :] - 2.0 * (reference.T @ query)
     np.maximum(sq, 0.0, out=sq)
-
-    # General-k selection: the library's in-memory insertion sort.
-    device.insertion_sort(m, n, dtype="fp32", stream=stream, step="Top-2 sort")
     vals, idx = functional_topk(sq, k)
-    device.d2h_result(n, batch=1, k=k, dtype="fp32", stream=stream)
     return KnnResult(distances=np.sqrt(vals, dtype=np.float32), indices=idx.astype(np.int32))
 
 
 def opencv_search_time_us(device: GPUDevice, m: int = 768, n: int = 768, d: int = 128) -> float:
     """Per-image serial-chain time, including CPU post-processing."""
-    flops = 2.0 * m * n * d
-    dist_us = device.spec.kernel_launch_us + flops / (
-        device.spec.fp32_tflops * 1e12 * DIST_KERNEL_EFF_FP32
-    ) * 1e6
-    from ..gpusim.kernels import d2h_result_us, insertion_sort_us
-
-    return (
-        dist_us
-        + insertion_sort_us(device.spec, device.cal, m, n, "fp32")
-        + d2h_result_us(device.spec, device.cal, n, 1, 2, "fp32")
-        + postprocess_us(device.cal, 1, "fp32", n)
-    )
+    return sum(us for _, us, _ in opencv_steps_us(device.spec, device.cal, m, n, d))
 
 
 def opencv_memory_bytes(n_references: int, m: int = 768, d: int = 128) -> int:

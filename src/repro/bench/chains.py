@@ -10,19 +10,16 @@ from __future__ import annotations
 
 from ..gpusim.calibration import KernelCalibration
 from ..gpusim.device import DeviceSpec
-from ..gpusim.kernels import (
-    d2h_result_us,
-    dtype_bytes,
-    elementwise_us,
-    gemm_us,
-    insertion_sort_us,
-    knn_steps_us,
-    postprocess_us,
-    top2_scan_us,
-)
+from ..gpusim.kernels import algorithm1_steps_us, dtype_bytes, knn_steps_us, postprocess_us
 from ..gpusim.pcie import h2d_time_us
 
 __all__ = ["algorithm1_steps", "algorithm2_steps", "chain_speed", "hybrid_speed"]
+
+#: Table 1's row labels for the steps of ``algorithm1_steps_us``, in order
+_TABLE1_ROWS = (
+    "GEMM/step3", "Add N_R/step4", "Top-2 sort/step5", "Add N_Q and Sqrt/step6&7",
+    "D2H copy/step8", "Post-processing/CPU",
+)
 
 
 def algorithm1_steps(
@@ -34,21 +31,10 @@ def algorithm1_steps(
     dtype: str = "fp32",
     sort_kind: str = "scan",
 ) -> dict[str, float]:
-    """Per-image step times (us) of Algorithm 1, Table 1 layout."""
-    if sort_kind == "scan":
-        sort = top2_scan_us(spec, cal, m, n, dtype)
-    elif sort_kind == "insertion":
-        sort = insertion_sort_us(spec, cal, m, n, dtype)
-    else:
-        raise ValueError(f"unknown sort_kind {sort_kind!r}")
-    return {
-        "GEMM/step3": gemm_us(spec, cal, m, n, d, 1, dtype),
-        "Add N_R/step4": elementwise_us(spec, cal, m * n, dtype),
-        "Top-2 sort/step5": sort,
-        "Add N_Q and Sqrt/step6&7": elementwise_us(spec, cal, 2 * n, dtype),
-        "D2H copy/step8": d2h_result_us(spec, cal, n, 1, 2, dtype),
-        "Post-processing/CPU": postprocess_us(cal, 1, dtype, n),
-    }
+    """Per-image step times (us) of Algorithm 1, Table 1 layout: the chain
+    the engine charges per image, relabelled."""
+    chain = algorithm1_steps_us(spec, cal, m, n, d, 2, dtype, sort_kind)
+    return {row: us for row, (_, us, _) in zip(_TABLE1_ROWS, chain, strict=True)}
 
 
 def algorithm2_steps(

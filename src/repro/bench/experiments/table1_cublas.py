@@ -18,14 +18,6 @@ from ..tables import ExperimentResult
 __all__ = ["run"]
 
 PAPER_SPEEDS = {"CUDA (OpenCV)": 2012, "cuBLAS [9]": 3027, "cuBLAS (ours)": 6734, "cuBLAS+FP16 (ours)": 5917}
-_STEP_ORDER = [
-    "GEMM/step3",
-    "Add N_R/step4",
-    "Top-2 sort/step5",
-    "Add N_Q and Sqrt/step6&7",
-    "D2H copy/step8",
-    "Post-processing/CPU",
-]
 
 
 def run(
@@ -59,7 +51,7 @@ def run(
         name=f"Table 1: cuBLAS 2-NN pipeline, m={m} n={n} d={d}, {spec.name}",
         headers=["Execution step"] + names,
     )
-    for step in _STEP_ORDER:
+    for step in columns["cuBLAS (ours)"]:  # the chain's steps, in order
         result.rows.append(
             [step] + ["-" if name == "CUDA (OpenCV)" else round(columns[name][step], 2) for name in names]
         )

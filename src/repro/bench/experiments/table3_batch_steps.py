@@ -11,13 +11,6 @@ from ..tables import ExperimentResult
 
 __all__ = ["run"]
 
-_STEP_ORDER = [
-    "HGEMM/step1",
-    "Sort and Sqrt/step2&3",
-    "D2H memory copy/step4",
-    "Post-processing/CPU",
-]
-
 
 def run(
     spec: DeviceSpec = TESLA_P100,
@@ -36,7 +29,7 @@ def run(
         headers=["Execution step", f"BatchSize={small_batch} (us)",
                  f"BatchSize={large_batch} (us/img)"],
     )
-    for step in _STEP_ORDER:
+    for step in small:  # the chain's steps, in order
         result.rows.append(
             [step, round(small[step] / small_batch, 2), round(large[step] / large_batch, 2)]
         )

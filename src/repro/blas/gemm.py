@@ -40,7 +40,7 @@ def _as_2d(a: np.ndarray, name: str) -> np.ndarray:
 
 
 def sgemm(
-    device: GPUDevice,
+    device: Optional[GPUDevice],
     a: np.ndarray,
     b: np.ndarray,
     alpha: float = 1.0,
@@ -48,7 +48,7 @@ def sgemm(
     stream: Optional[Stream] = None,
     step: str = "GEMM",
 ) -> np.ndarray:
-    """``alpha * op(A) @ B`` in FP32, charging simulated GEMM time."""
+    """``alpha * op(A) @ B`` in FP32, charging simulated GEMM time (``device=None``: charged)."""
     a = _as_2d(a, "a").astype(np.float32, copy=False)
     b = _as_2d(b, "b").astype(np.float32, copy=False)
     op_a = a.T if transpose_a else a
@@ -56,7 +56,8 @@ def sgemm(
         raise ValueError(f"shape mismatch: {op_a.shape} @ {b.shape}")
     m, k = op_a.shape
     n = b.shape[1]
-    device.gemm(m, n, k, batch=1, dtype="fp32", stream=stream, step=step)
+    if device is not None:
+        device.gemm(m, n, k, batch=1, dtype="fp32", stream=stream, step=step)
     return np.float32(alpha) * (op_a @ b)
 
 
@@ -130,7 +131,7 @@ def _fp16_gemm(
 
 
 def hgemm(
-    device: GPUDevice,
+    device: Optional[GPUDevice],
     a: np.ndarray,
     b: np.ndarray,
     alpha: float = 1.0,
@@ -139,7 +140,7 @@ def hgemm(
     stream: Optional[Stream] = None,
     step: str = "GEMM",
 ) -> tuple[np.ndarray, bool]:
-    """FP16 GEMM; returns ``(alpha * op(A) @ B as float32, overflowed)``."""
+    """FP16 GEMM; returns ``(alpha * op(A) @ B as float32, overflowed)`` (``device=None``: charged)."""
     a = _as_2d(a, "a")
     b = _as_2d(b, "b")
     op_a = a.T if transpose_a else a
@@ -147,7 +148,8 @@ def hgemm(
         raise ValueError(f"shape mismatch: {op_a.shape} @ {b.shape}")
     m, k = op_a.shape
     n = b.shape[1]
-    device.gemm(m, n, k, batch=1, dtype="fp16", tensor_core=tensor_core, stream=stream, step=step)
+    if device is not None:
+        device.gemm(m, n, k, batch=1, dtype="fp16", tensor_core=tensor_core, stream=stream, step=step)
     # The tensor-core path hands back the FP32 accumulator unrounded.
     return _fp16_gemm(np.matmul, op_a, b, alpha, tensor_core, store_fp16=not tensor_core)
 

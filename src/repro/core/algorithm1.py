@@ -30,6 +30,7 @@ from ..blas.norms import squared_norms, squared_norms_fp16
 from ..errors import HalfPrecisionOverflowError
 from ..fp16.convert import FP16_MAX, to_scaled_fp16
 from ..gpusim.engine_model import GPUDevice
+from ..gpusim.kernels import algorithm1_steps_us
 from ..gpusim.stream import Stream
 from .results import KnnResult
 from .topk import functional_topk
@@ -148,7 +149,7 @@ def prepare_query(
 
 
 def knn_algorithm1(
-    device: GPUDevice,
+    device: Optional[GPUDevice],
     reference: PreparedFeatures,
     query: PreparedFeatures,
     k: int = 2,
@@ -157,7 +158,11 @@ def knn_algorithm1(
 ) -> KnnResult:
     """Run steps 3-8 of Algorithm 1 for one reference image.
 
-    Returns a :class:`KnnResult` with *unscaled* Euclidean distances.
+    Charged as the device half of the per-image chain
+    (:func:`~repro.gpusim.kernels.algorithm1_steps_us`; the host
+    post-processing is the caller's), then computed; ``device=None``
+    computes only.  Returns a :class:`KnnResult` with *unscaled*
+    Euclidean distances.
     """
     if reference.precision != query.precision:
         raise ValueError("reference/query precision mismatch")
@@ -169,39 +174,31 @@ def knn_algorithm1(
     if not (1 <= k <= m):
         raise ValueError(f"k={k} out of range for m={m}")
     dtype = reference.precision
+    if device is not None:
+        steps = algorithm1_steps_us(device.spec, device.cal, m, n, reference.d, k, dtype, sort_kind)
+        device.charge(steps[:-1], stream)
 
     # Step 3: A = -2 R^T Q.
     if dtype == "fp16":
-        a, overflow = hgemm(device, reference.values, query.values, alpha=1.0,
-                            transpose_a=True, stream=stream)
+        a, overflow = hgemm(None, reference.values, query.values, alpha=1.0, transpose_a=True)
         if overflow:
             raise HalfPrecisionOverflowError(reference.scale, float(np.abs(a).max()))
         a = -2.0 * a
     else:
-        a = sgemm(device, reference.values, query.values, alpha=-2.0,
-                  transpose_a=True, stream=stream)
+        a = sgemm(None, reference.values, query.values, alpha=-2.0, transpose_a=True)
 
     # Step 4: in-place row broadcast of N_R.
-    device.elementwise(m * n, dtype=dtype, stream=stream, step="add N_R")
     a += reference.norms[:, None]
 
-    # Step 5: column-parallel top-k.
-    if sort_kind == "scan":
-        device.top2_scan(m, n, dtype=dtype, stream=stream, step="Top-2 sort")
-    elif sort_kind == "insertion":
-        device.insertion_sort(m, n, dtype=dtype, stream=stream, step="Top-2 sort")
-    else:
-        raise ValueError(f"sort_kind must be 'scan' or 'insertion', got {sort_kind!r}")
+    # Step 5: column-parallel top-k (the scan and the insertion sort select alike).
     top_vals, top_idx = functional_topk(a, k)
 
     # Steps 6-7 (merged kernel): add N_Q to the k winners, sqrt.
-    device.elementwise(k * n, dtype=dtype, stream=stream, step="add N_Q + sqrt")
     sq = top_vals + query.norms[None, :]
     np.maximum(sq, 0.0, out=sq)
     distances = np.sqrt(sq, dtype=np.float32)
     if dtype == "fp16":
         distances /= np.float32(reference.scale)
 
-    # Step 8: ship the k x n result (+ indices) to the host.
-    device.d2h_result(n, batch=1, k=k, dtype=dtype, stream=stream)
+    # Step 8: the k x n result (+ indices) is what reaches the host.
     return KnnResult(distances=distances, indices=top_idx.astype(np.int32))

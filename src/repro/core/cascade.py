@@ -19,9 +19,10 @@ per batch:
   is a *hit*, and an image with fewer than ``min_hits`` hits is pruned.
 
 Only surviving images reach the exact cuBLAS 2-NN pipeline (Algorithm
-1's steps 3-8, the inherited match loop); pruned images report zero
-good matches without any GEMM — and a host-resident batch with no
-survivor is never staged by the engine.  Both Hamming stages are
+1's per-image chain and body, inherited): the sweep charges a batch the
+chain once per survivor, and pruned images report zero good matches
+without any GEMM — and a host-resident batch with no survivor is never
+staged by the engine.  Both Hamming stages are
 charged through the :func:`repro.gpusim.kernels.hamming_us` integer
 popcount cost model, so the simulated speedup reflects popcount
 throughput vs GEMM FLOPs rather than being free.
@@ -77,7 +78,6 @@ class CascadeKernel(Algorithm1Kernel):
     needs_norms = True
     needs_aux = True
     has_prefilter = True
-    supports_multiquery = False
 
     #: default signature width (bits); :meth:`memory_per_image` assumes
     #: it unless told otherwise.
@@ -210,6 +210,6 @@ class CascadeKernel(Algorithm1Kernel):
             )
         return survivors
 
-    # -- matching: Algorithm 1's loop, which skips what ``survivors`` rules out
+    # -- matching: Algorithm 1's per-image body, which skips what ``survivors`` rules out
     def _query_features(self, query: PreparedQuery) -> PreparedFeatures:
         return query.aux.features

@@ -34,11 +34,12 @@ class SweepCompute:
     def __init__(self) -> None:
         self._jobs: list[tuple] = []
 
-    def submit(self, kernel, stack, query, keep_masks, deliver) -> None:
-        """Queue one sweep's charged batches.  ``deliver(stacked)`` receives
-        the per-query match lists ``kernel.match_batch_multi(None, stack,
-        query, keep_masks)`` would return (``[]`` for an empty stack)."""
-        self._jobs.append((kernel, stack, query, keep_masks, deliver))
+    def submit(self, kernel, stack, survivors, query, keep_masks, deliver) -> None:
+        """Queue one sweep's charged batches, each beside its prefilter's
+        survivor mask (or ``None``).  ``deliver(stacked)`` receives the
+        per-query match lists ``kernel.match_batch_multi(None, stack, query,
+        keep_masks, survivors)`` would return (``[]`` for an empty stack)."""
+        self._jobs.append((kernel, stack, survivors, query, keep_masks, deliver))
 
     def run(self) -> None:
         """Compute every queued job, those that are one computation over
@@ -46,12 +47,12 @@ class SweepCompute:
         jobs, self._jobs = self._jobs, []
         fused: list[list[tuple]] = []
         for job in jobs:
-            kernel, stack, query, keep_masks, deliver = job
+            kernel, stack, _, query, keep_masks, deliver = job
             if not stack:
                 deliver([])
                 continue
             for group in fused:
-                first, _, asked, masks, _ = group[0]
+                first, _, _, asked, masks, _ = group[0]
                 if (
                     type(kernel) is type(first) and kernel.config == first.config
                     and keep_masks == masks and query.aux is None and asked.aux is None
@@ -62,11 +63,12 @@ class SweepCompute:
             else:
                 fused.append([job])
         for group in fused:
-            kernel, _, query, keep_masks, _ = group[0]
+            kernel, _, _, query, keep_masks, _ = group[0]
             stacked = kernel.match_batch_multi(
-                None, [batch for job in group for batch in job[1]], query, keep_masks)
+                None, [batch for job in group for batch in job[1]], query, keep_masks,
+                [mask for job in group for mask in job[2]])
             taken = 0
-            for _, stack, _, _, deliver in group:
+            for _, stack, _, _, _, deliver in group:
                 images = sum(batch.size for batch in stack)
                 deliver([matches[taken : taken + images] for matches in stacked])
                 taken += images
@@ -75,8 +77,8 @@ class SweepCompute:
 class _AtOnce(SweepCompute):
     """The scope of one a sweep gets when nobody gathers it."""
 
-    def submit(self, kernel, stack, query, keep_masks, deliver) -> None:
-        super().submit(kernel, stack, query, keep_masks, deliver)
+    def submit(self, kernel, stack, survivors, query, keep_masks, deliver) -> None:
+        super().submit(kernel, stack, survivors, query, keep_masks, deliver)
         self.run()
 
 

@@ -160,8 +160,8 @@ class TextureSearchEngine:
             keep_aux=self.kernel.needs_aux,
         )
         self.stats = EngineStats()
-        #: (batch size, query count) -> the kernel's ``batch_steps``, costed once
-        self._batch_steps: dict[tuple[int, int], list | None] = {}
+        #: (images compared, query count) -> the kernel's ``batch_steps``, costed once
+        self._batch_steps: dict[tuple[int, int], list] = {}
         #: live id -> (ReferenceBatch | None, slot index); ``None`` means
         #: the slot is still in the builder's pending batch.  Deleting or
         #: updating a reference renames its slot to a dead marker —
@@ -384,9 +384,9 @@ class TextureSearchEngine:
         ``batch_steps``; what it swept is then computed — and its
         tombstones dropped — by the *functional* plane
         (:meth:`_swept_matches`) in one kernel call — its own, or that of
-        the gather it is part of (:mod:`repro.core.compute`).  Kernels without
-        ``batch_steps`` match inside the loop.  The multi-stream overlap
-        correction (Sec. 6.2) and the stats follow the loop.
+        the gather it is part of (:mod:`repro.core.compute`).  The
+        multi-stream overlap correction (Sec. 6.2) and the stats follow
+        the loop.
 
         ``candidate_ids`` (a :mod:`repro.routing` tier's nominees): a
         batch with no nominated slot is skipped outright — no staging,
@@ -403,9 +403,10 @@ class TextureSearchEngine:
 
         Prefilter (``kernel.has_prefilter``): ``prefilter_batch`` runs
         on the cached aux codes before any staging, its cost charged.
-        The engine's part is not to stage a batch with no survivor; the
-        mask goes to ``match_batch``, which reports zero matches for the
-        slots it rules out and charges nothing for them.  They still
+        The batch is then charged ``batch_steps`` for its surviving slots
+        only — nothing, and no staging, when none survives — and its mask
+        rides beside it into the functional plane, where the kernel
+        reports zero matches for the slots it rules out.  They still
         count into ``images_searched`` (examined, unlike routing-pruned
         ones) and into ``cascade_pruned``.
         """
@@ -416,7 +417,8 @@ class TextureSearchEngine:
             start_us = charged_at_us = self.device.synchronize()
             images = host_images = skipped = pruned = cascade = 0
             prefilter_active = self.kernel.has_prefilter and query.matrix.ndim == 2
-            swept: list[tuple[ReferenceBatch, list | None]] = []
+            swept: list[ReferenceBatch] = []
+            survivors_of: list[np.ndarray | None] = []
             for cached in self.cache.batches():
                 batch = cached.batch
                 if candidate_ids is not None and not any(
@@ -438,10 +440,9 @@ class TextureSearchEngine:
                         surviving = int(survivors.sum())
                         cascade += batch.size - surviving
                 (_SWEEP_HIT if resident else _SWEEP_MISS).inc()
-                shape = (batch.size, n_queries)
+                shape = (surviving, n_queries)
                 if shape not in self._batch_steps:
                     self._batch_steps[shape] = self.kernel.batch_steps(self.device, *shape)
-                steps = self._batch_steps[shape]
                 with _TRACER.span(
                     "cache.batch", layer="cache", batch_id=batch.batch_id,
                     images=batch.size, location=cached.location.value,
@@ -452,15 +453,10 @@ class TextureSearchEngine:
                         self.device.h2d(batch.nbytes, pinned=self.cache.pinned)
                         _H2D_BYTES.inc(batch.nbytes)
                         host_images += batch.size
-                    if steps is not None:
-                        # charged now, computed with the rest of the sweep
-                        self.device.charge(steps)
-                        groups = None
-                    else:
-                        groups = [self.kernel.match_batch(
-                            self.device, batch, query, keep_masks, survivors=survivors
-                        )]
-                    swept.append((batch, groups))
+                    # charged now, computed with the rest of the sweep
+                    self.device.charge(self._batch_steps[shape])
+                    swept.append(batch)
+                    survivors_of.append(survivors)
                     images += batch.size
                 if deadline is not None:
                     # charge per batch (non-mutating clock read) so the
@@ -468,7 +464,8 @@ class TextureSearchEngine:
                     now_us = self.device.elapsed_us()
                     deadline.charge(now_us - charged_at_us)
                     charged_at_us = now_us
-            per_query = self._swept_matches(swept, query, n_queries, keep_masks, candidate_ids)
+            per_query = self._swept_matches(
+                swept, survivors_of, query, n_queries, keep_masks, candidate_ids)
             elapsed = self.device.synchronize() - start_us
 
             if cfg.streams > 1 and host_images:
@@ -511,22 +508,22 @@ class TextureSearchEngine:
         ).carrying(per_query)
 
     def _swept_matches(
-        self, swept: list[tuple[ReferenceBatch, list | None]], query: PreparedQuery,
-        n_queries: int, keep_masks: bool, candidate_ids: set[str] | frozenset[str] | None,
+        self, swept: list[ReferenceBatch], survivors: list[np.ndarray | None],
+        query: PreparedQuery, n_queries: int, keep_masks: bool,
+        candidate_ids: set[str] | frozenset[str] | None,
     ) -> list[list[ImageMatch]]:
         """The sweep's functional plane: per-query match lists for the batches
-        the timing plane swept, in sweep order.  Those it only charged
-        (``groups`` is ``None``) are *submitted* as one stack to the ambient
-        scope (:mod:`repro.core.compute`); when that computes — at once, unless a
+        the timing plane swept, in sweep order.  They are *submitted*, with
+        their survivor masks, as one stack to the ambient scope
+        (:mod:`repro.core.compute`); when that computes — at once, unless a
         gather holds it open — ``deliver`` filters every batch into the lists."""
         per_query: list[list[ImageMatch]] = [[] for _ in range(n_queries)]
 
         def deliver(stacked: list[list[ImageMatch]]) -> None:
             taken = 0
-            for batch, groups in swept:
-                if groups is None:
-                    groups = [matches[taken : taken + batch.size] for matches in stacked]
-                    taken += batch.size
+            for batch in swept:
+                groups = [matches[taken : taken + batch.size] for matches in stacked]
+                taken += batch.size
                 # resolve the batch's dead slots once (kernels emit one match
                 # per slot, in slot order), then drop them from every query's list
                 alive: list[int] | None = None
@@ -541,8 +538,7 @@ class TextureSearchEngine:
                 for q, matches in enumerate(groups):
                     per_query[q].extend(matches if alive is None else [matches[i] for i in alive])
 
-        stack = [batch for batch, groups in swept if groups is None]
-        current_compute().submit(self.kernel, stack, query, keep_masks, deliver)
+        current_compute().submit(self.kernel, swept, survivors, query, keep_masks, deliver)
         return per_query
 
     # ------------------------------------------------------------------
@@ -592,14 +588,10 @@ class TextureSearchEngine:
         n_queries = len(query_descriptor_list)
         if not n_queries:
             return Sweep()
-        if n_queries > 1 and not (
-            self.kernel.supports_multiquery
-            and self.kernel.batch_steps(self.device, 1, n_queries) is not None
-        ):
+        if n_queries > 1 and not self.kernel.supports_multiquery:
             raise ValueError(
-                "a query group of two or more requires a multi-query backend that pre-costs "
-                "its batches (the RootSIFT Algorithm-2 pipeline); backend "
-                f"{self.backend!r} is not one"
+                "a query group of two or more requires a multi-query backend (the RootSIFT "
+                f"Algorithm-2 pipeline); backend {self.backend!r} is not one"
             )
         # prepared before the flush: a rejected query must not seal the pending batch
         if n_queries == 1:

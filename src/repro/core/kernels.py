@@ -28,13 +28,13 @@ from ..features.rootsift import l2_normalize, rootsift
 from ..features.selection import pad_or_trim
 from ..fp16.convert import FP16_MAX, to_scaled_fp16
 from ..gpusim.engine_model import GPUDevice
-from ..gpusim.kernels import postprocess_us
+from ..gpusim.kernels import algorithm1_steps_us, postprocess_us
 from .algorithm1 import PreparedFeatures, knn_algorithm1, prepare_reference, upload_query
 from .algorithm2 import knn_steps
 from .batching import ReferenceBatch
 from .query_batching import knn_algorithm2_multiquery
 from .ratio_test import batch_ratio_test_masks, match_images
-from .results import ImageMatch
+from .results import ImageMatch, KnnResult
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .config import EngineConfig
@@ -43,6 +43,7 @@ __all__ = [
     "Algorithm1Kernel",
     "Algorithm2Kernel",
     "MatchKernel",
+    "PerImageKernel",
     "PreparedQuery",
     "QueryMatrix",
     "ReferenceMatrix",
@@ -119,11 +120,12 @@ class MatchKernel(ABC):
         H2D transfer.
     supports_multiquery:
         Whether the kernel answers query groups of two or more
-        (``TextureSearchEngine.search_group``).  Multi-query implies
-        pre-costed: charges from :meth:`batch_steps`, matches from
-        ``match_batch_multi(None, stack, ...)`` — the sweep charges a
-        group, it never dispatches one, and the engine rejects a
-        multi-query kernel that is not pre-costed.
+        (``TextureSearchEngine.search_group``).
+
+    Every kernel is pre-costed: what matching a batch charges is
+    :meth:`batch_steps`, and what it computes is the one functional body
+    ``match_batch_multi(None, stack, ...)`` — the sweep charges batch by
+    batch and computes the whole stack once.
     """
 
     name: str = "abstract"
@@ -210,9 +212,10 @@ class MatchKernel(ABC):
 
         ``None`` means "no pruning decision" (all slots survive).  The
         engine does not stage a host-resident batch whose mask is
-        all-False, and passes every mask to :meth:`match_batch` as
-        ``survivors`` so the kernel skips the exact GEMM for pruned
-        slots.  Only called when :attr:`has_prefilter`.
+        all-False, charges :meth:`batch_steps` for the surviving slots
+        only, and hands every mask to :meth:`match_batch_multi` as
+        ``survivors``, so pruned slots are neither charged nor compared.
+        Only called when :attr:`has_prefilter`.
         """
         return None
 
@@ -243,44 +246,33 @@ class MatchKernel(ABC):
         )
 
     # -- matching ------------------------------------------------------
-    def batch_steps(self, device: GPUDevice, size: int, n_queries: int) -> list[tuple] | None:
-        """All that matching a batch of ``size`` images against
-        ``n_queries`` queries charges, pre-costed for
-        :meth:`GPUDevice.charge` (pure in both sizes).  With it the sweep
-        charges batch by batch and computes them all in one
-        ``match_batch_multi(None, stack, ...)``; ``None`` — charges
-        interleaved with per-image work — keeps matching per batch."""
-        return None
+    @abstractmethod
+    def batch_steps(self, device: GPUDevice, size: int, n_queries: int) -> list[tuple]:
+        """All that matching ``size`` images of a batch against ``n_queries``
+        queries charges, pre-costed for :meth:`GPUDevice.charge` (pure in
+        both sizes).  The sweep charges each swept batch the steps of its
+        surviving slots — none for a batch its prefilter emptied — and
+        computes every swept batch in one ``match_batch_multi(None, stack, ...)``."""
+
+    def match_batch(self, device: GPUDevice, batch: ReferenceBatch, query: PreparedQuery,
+                    keep_masks: bool = False, survivors: np.ndarray | None = None) -> list[ImageMatch]:
+        """Match one prepared query against one reference batch, charged: one
+        :class:`ImageMatch` per slot, in slot order.  ``survivors`` is this
+        kernel's own :meth:`prefilter_batch` mask (``None`` without a
+        prefilter); a slot the mask rules out is :meth:`ImageMatch.empty`
+        and charges nothing."""
+        return self.match_batch_multi(device, batch, query, keep_masks, [survivors])[0]
 
     @abstractmethod
-    def match_batch(
-        self,
-        device: GPUDevice,
-        batch: ReferenceBatch,
-        query: PreparedQuery,
-        keep_masks: bool = False,
-        survivors: np.ndarray | None = None,
-    ) -> list[ImageMatch]:
-        """Match one prepared query against one reference batch: one
-        :class:`ImageMatch` per slot, in slot order.  ``survivors`` is
-        this kernel's own :meth:`prefilter_batch` mask (``None`` without
-        a prefilter); the engine decides whether a batch is swept, the
-        kernel what each slot costs and reports — a slot the mask rules
-        out is :meth:`ImageMatch.empty` and charges nothing."""
-
-    def match_batch_multi(
-        self,
-        device: GPUDevice,
-        batch: ReferenceBatch,
-        query: PreparedQuery,
-        keep_masks: bool = False,
-    ) -> list[list[ImageMatch]]:
-        """Match a prepared query (or group) against a batch, or a *stack*
-        of batches the sweep has already charged (``device=None``);
-        per-query match lists.  Pre-costed kernels only."""
-        raise ValueError(
-            f"backend {self.name!r} does not support query-batched search"
-        )
+    def match_batch_multi(self, device: GPUDevice | None, batch: ReferenceBatch | list[ReferenceBatch],
+                          query: PreparedQuery, keep_masks: bool = False,
+                          survivors: list[np.ndarray | None] | None = None) -> list[list[ImageMatch]]:
+        """The kernel's one functional body: per-query match lists for a
+        prepared query (or group) against a batch or a *stack* — a list of
+        batches taken in order as the one batch they would concatenate to.
+        ``survivors`` holds each member's prefilter mask (or ``None``).
+        ``device=None``: the sweep has charged every member its
+        :meth:`batch_steps`; given a device, the call charges them first."""
 
 
 class Algorithm2Kernel(MatchKernel):
@@ -330,11 +322,12 @@ class Algorithm2Kernel(MatchKernel):
     def match_batch(self, device, batch, query, keep_masks=False, survivors=None):
         return self.match_batch_multi(device, batch, query, keep_masks)[0]
 
-    def match_batch_multi(self, device, batch, query, keep_masks=False):
+    def match_batch_multi(self, device, batch, query, keep_masks=False, survivors=None):
         """The kernel's one body.  ``batch`` may be a *stack* — a list of
         batches taken in order as the one batch they would concatenate to
         (``device=None``: the sweep has charged each as its own) — and
-        ``query`` a single prepared query, a group of one."""
+        ``query`` a single prepared query, a group of one.  No prefilter:
+        every mask in ``survivors`` is ``None``."""
         cfg = self.config
         stack = [batch] if isinstance(batch, ReferenceBatch) else batch
         queries = query.matrix if query.matrix.ndim == 3 else query.matrix[None]
@@ -366,7 +359,43 @@ class Algorithm2Kernel(MatchKernel):
         ]
 
 
-class Algorithm1Kernel(MatchKernel):
+class PerImageKernel(MatchKernel):
+    """A kernel that compares one reference image at a time (Algorithm 1 and
+    the Table 1 baselines): a batch costs :meth:`image_steps` per image
+    compared, and the body runs :meth:`image_knn` on every surviving slot."""
+
+    supports_multiquery = False
+
+    @abstractmethod
+    def image_steps(self, device: GPUDevice) -> list[tuple]:
+        """What comparing one reference image against one query charges."""
+
+    @abstractmethod
+    def image_knn(self, batch: ReferenceBatch, index: int, query: PreparedQuery) -> KnnResult:
+        """Slot ``index`` of ``batch`` against ``query``: computed, never charged."""
+
+    def batch_steps(self, device, size, n_queries):
+        return self.image_steps(device) * (size * n_queries)
+
+    def match_batch_multi(self, device, batch, query, keep_masks=False, survivors=None):
+        cfg = self.config
+        stack = [batch] if isinstance(batch, ReferenceBatch) else batch
+        masks = survivors or [None] * len(stack)
+        if device is not None:
+            compared = sum(m.size if mask is None else int(mask.sum()) for m, mask in zip(stack, masks))
+            device.charge(self.batch_steps(device, compared, query.n_queries))
+        matches = []
+        for member, mask in zip(stack, masks):
+            for i, slot_id in enumerate(member.ids):
+                if mask is None or mask[i]:
+                    knn = self.image_knn(member, i, query)
+                    matches.append(match_images(slot_id, knn, cfg.ratio_threshold, keep_masks))
+                else:  # ruled out by the prefilter: neither compared nor charged
+                    matches.append(ImageMatch.empty(slot_id, cfg.n, keep_masks))
+        return [matches]
+
+
+class Algorithm1Kernel(PerImageKernel):
     """The paper's cuBLAS pipeline.
 
     Raw descriptors with cached ``N_R`` squared-norm vectors; matching
@@ -377,7 +406,6 @@ class Algorithm1Kernel(MatchKernel):
 
     name = "algorithm1"
     needs_norms = True
-    supports_multiquery = False
 
     def describe(self) -> str:
         return "(Alg. 1)"
@@ -420,24 +448,12 @@ class Algorithm1Kernel(MatchKernel):
         """Where :meth:`prepare_query` left the exact path's features."""
         return query.aux
 
-    def match_batch(self, device, batch, query, keep_masks=False, survivors=None):
+    def image_steps(self, device):
         cfg = self.config
-        features = self._query_features(query)
-        matches = []
-        for i in range(batch.size):
-            if survivors is not None and not survivors[i]:
-                # ruled out by the prefilter: no GEMM, no scan, no post-processing
-                matches.append(ImageMatch.empty(batch.ids[i], cfg.n, keep_masks))
-                continue
-            ref = PreparedFeatures(
-                values=batch.tensor[i],
-                norms=batch.norms[i],
-                precision=cfg.precision,
-                scale=cfg.effective_scale,
-            )
-            knn = knn_algorithm1(
-                device, ref, features, k=cfg.k, sort_kind=self._sort_kind()
-            )
-            device.cpu_postprocess(1, cfg.precision, cfg.n)
-            matches.append(match_images(batch.ids[i], knn, cfg.ratio_threshold, keep_masks))
-        return matches
+        return algorithm1_steps_us(device.spec, device.cal, cfg.m, cfg.n, cfg.d, cfg.k,
+                                   cfg.precision, self._sort_kind())
+
+    def image_knn(self, batch, index, query):
+        cfg = self.config
+        ref = PreparedFeatures(batch.tensor[index], batch.norms[index], cfg.precision, cfg.effective_scale)
+        return knn_algorithm1(None, ref, self._query_features(query), k=cfg.k, sort_kind=self._sort_kind())

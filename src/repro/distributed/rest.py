@@ -123,13 +123,21 @@ class Router:
         return Response(404, {"error": f"no route for {request.path}"})
 
 
+def _number(field: str, raw, cast: type):
+    """The body's ``field`` value ``raw`` as ``cast`` (``int`` or ``float``), or
+    a 400.  A JSON ``true``/``false`` is no number, though ``int(True)`` is 1."""
+    try:
+        if isinstance(raw, bool):
+            raise TypeError(raw)
+        return cast(raw)
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
+        noun = "an integer" if cast is int else "a number"
+        raise RestError(400, f"'{field}' must be {noun}, got {raw!r}") from exc
+
+
 def _parse_top(body: dict) -> int:
     """Optional result count (``top``, default 1) from the body."""
-    raw = body.get("top", 1)
-    try:
-        top = int(raw)
-    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: int(inf)
-        raise RestError(400, f"'top' must be an integer, got {raw!r}") from exc
+    top = _number("top", body.get("top", 1), int)
     if not (1 <= top <= 100):
         raise RestError(400, "'top' must be in [1, 100]")
     return top
@@ -140,10 +148,7 @@ def _parse_budget(body: dict) -> float | None:
     raw = body.get("budget_us")
     if raw is None:
         return None
-    try:
-        budget_us = float(raw)
-    except (TypeError, ValueError) as exc:
-        raise RestError(400, f"'budget_us' must be a number, got {raw!r}") from exc
+    budget_us = _number("budget_us", raw, float)
     if not budget_us > 0:  # a NaN budget would never expire
         raise RestError(400, f"'budget_us' must be > 0, got {budget_us}")
     return budget_us
@@ -155,20 +160,12 @@ def _parse_routing(body: dict) -> tuple[int | None, float | None]:
     are ignored when no router is configured."""
     nprobe = body.get("nprobe")
     if nprobe is not None:
-        try:
-            nprobe = int(nprobe)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise RestError(400, f"'nprobe' must be an integer, got {nprobe!r}") from exc
+        nprobe = _number("nprobe", nprobe, int)
         if nprobe < 1:
             raise RestError(400, f"'nprobe' must be >= 1, got {nprobe}")
     recall_target = body.get("recall_target")
     if recall_target is not None:
-        try:
-            recall_target = float(recall_target)
-        except (TypeError, ValueError) as exc:
-            raise RestError(
-                400, f"'recall_target' must be a number, got {recall_target!r}"
-            ) from exc
+        recall_target = _number("recall_target", recall_target, float)
         if not 0.0 < recall_target <= 1.0:
             raise RestError(
                 400, f"'recall_target' must be in (0, 1], got {recall_target}"
@@ -433,20 +430,10 @@ def build_api(system: DistributedSearchSystem) -> Router:
                 raise RestError(400, "'names' must be a list of metric names")
         since_us = request.body.get("since_us")
         if since_us is not None:
-            try:
-                since_us = float(since_us)
-            except (TypeError, ValueError) as exc:
-                raise RestError(
-                    400, f"'since_us' must be a number, got {since_us!r}"
-                ) from exc
+            since_us = _number("since_us", since_us, float)
         limit = request.body.get("limit")
         if limit is not None:
-            try:
-                limit = int(limit)
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise RestError(
-                    400, f"'limit' must be an integer, got {limit!r}"
-                ) from exc
+            limit = _number("limit", limit, int)
             if limit < 0:
                 raise RestError(400, f"'limit' must be >= 0, got {limit}")
         return Response(

@@ -14,8 +14,6 @@ SIFT), ``m`` reference features per image, ``n`` query features, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .calibration import KernelCalibration
 from .device import DeviceSpec
 from .pcie import d2h_result_time_us
@@ -32,6 +30,7 @@ __all__ = [
     "result_bytes",
     "postprocess_us",
     "knn_steps_us",
+    "algorithm1_steps_us",
 ]
 
 _DTYPE_BYTES = {"fp16": 2, "fp32": 4}
@@ -243,4 +242,28 @@ def knn_steps_us(
         ("compute", top2_scan_us(spec, cal, m, batch * n, dtype), "Top-2 sort"),
         ("compute", elementwise_us(spec, cal, k * batch * n, dtype), "sqrt"),
         ("d2h", d2h_result_us(spec, cal, n, batch, k, dtype), "D2H copy"),
+    ]
+
+
+def algorithm1_steps_us(
+    spec: DeviceSpec, cal: KernelCalibration, m: int, n: int, d: int,
+    k: int = 2, dtype: str = "fp16", sort_kind: str = "scan",
+) -> list[tuple[str, float, str]]:
+    """Algorithm 1's steps 3-8 and the host post-processing for one ``(d, m)``
+    reference image against ``n`` query columns, as ``(engine, us, profiler
+    step)``: Table 1's per-image chain, spelled once (the scan or Garcia et
+    al.'s insertion sort)."""
+    if sort_kind == "scan":
+        sort = top2_scan_us(spec, cal, m, n, dtype)
+    elif sort_kind == "insertion":
+        sort = insertion_sort_us(spec, cal, m, n, dtype)
+    else:
+        raise ValueError(f"sort_kind must be 'scan' or 'insertion', got {sort_kind!r}")
+    return [
+        ("compute", gemm_us(spec, cal, m, n, d, 1, dtype), "GEMM"),
+        ("compute", elementwise_us(spec, cal, m * n, dtype), "add N_R"),
+        ("compute", sort, "Top-2 sort"),
+        ("compute", elementwise_us(spec, cal, k * n, dtype), "add N_Q + sqrt"),
+        ("d2h", d2h_result_us(spec, cal, n, 1, k, dtype), "D2H copy"),
+        ("cpu", postprocess_us(cal, 1, dtype, n), "Post-processing"),
     ]

@@ -105,7 +105,11 @@ class TestRegistry:
             def query_matrix(self, descriptors):  # pragma: no cover
                 raise NotImplementedError
 
-            def match_batch(self, device, batch, query, keep_masks=False):  # pragma: no cover
+            def batch_steps(self, device, size, n_queries):  # pragma: no cover
+                raise NotImplementedError
+
+            def match_batch_multi(self, device, batch, query, keep_masks=False,
+                                  survivors=None):  # pragma: no cover
                 raise NotImplementedError
 
         register_kernel("shouty", ShoutyKernel)

@@ -33,7 +33,9 @@ from repro.core import (
 from repro.core import algorithm2 as algorithm2_module
 from repro.core.engine import _DEAD_PREFIX
 from repro.core.results import Answer, Sweep
-from repro.core.kernels import Algorithm2Kernel, PreparedQuery, QueryMatrix, ReferenceBatch
+from repro.core.kernels import (
+    Algorithm2Kernel, PerImageKernel, PreparedQuery, QueryMatrix, ReferenceBatch,
+)
 from repro.distributed import (
     DistributedSearchSystem, FaultInjector, FaultSpec, Request, RetryPolicy, SearchNode, WebTier,
     build_api,
@@ -127,6 +129,18 @@ def parent_swept_matches(
     return per_query
 
 
+def parent_plane(self, swept, survivors, query, n_queries, keep_masks, candidate_ids):
+    """Today's call into the functional plane, answered by the parent's.  A
+    batch with a survivor mask (the cascade's) was matched inside the sweep
+    loop there, by a call of its own."""
+    matched = [
+        (batch, None if mask is None
+         else self.kernel.match_batch_multi(None, [batch], query, keep_masks, [mask]))
+        for batch, mask in zip(swept, survivors, strict=True)
+    ]
+    return parent_swept_matches(self, matched, query, n_queries, keep_masks, candidate_ids)
+
+
 class ParentSystem(DistributedSearchSystem):
     """The parent's cluster: its ``_gather``, over engines whose functional
     plane is the parent's ``_swept_matches``."""
@@ -134,7 +148,7 @@ class ParentSystem(DistributedSearchSystem):
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         for node in self.nodes:
-            node.engine._swept_matches = MethodType(parent_swept_matches, node.engine)
+            node.engine._swept_matches = MethodType(parent_plane, node.engine)
 
     def _gather(
         self,
@@ -469,7 +483,7 @@ def job(kernel, query, sizes=(2, 1), keep_masks=False):
         for i, size in enumerate(sizes)
     ]
     delivered: list = []
-    return (kernel, stack, query, keep_masks, delivered.append), delivered
+    return (kernel, stack, [None] * len(stack), query, keep_masks, delivered.append), delivered
 
 
 def test_jobs_are_fused_only_when_provably_one_computation(monkeypatch):
@@ -496,7 +510,7 @@ def test_jobs_are_fused_only_when_provably_one_computation(monkeypatch):
                 lists.append((submission, delivered))
             scope.run()
         assert len(kernels) == calls
-        for (k, stack, q, masks, _), delivered in lists:  # each its own answer, whoever shared the call
+        for (k, stack, _, q, masks, _), delivered in lists:  # each its own answer, whoever shared the call
             alone = k.match_batch_multi(None, stack, q, masks)
             assert [[dataclasses.astuple(m) for m in per_query] for per_query in delivered[0]] == [
                 [dataclasses.astuple(m) for m in per_query] for per_query in alone]
@@ -511,6 +525,7 @@ def test_jobs_are_fused_only_when_provably_one_computation(monkeypatch):
 
 def test_an_empty_stack_is_delivered_without_a_kernel_call(monkeypatch):
     kernels = count_calls(monkeypatch, Algorithm2Kernel, "match_batch_multi")
+    per_image = count_calls(monkeypatch, PerImageKernel, "match_batch_multi")
     engine = TextureSearchEngine(config())
     for image in range(6):
         engine.add_reference(f"ref{image}", reference(image))
@@ -518,13 +533,16 @@ def test_an_empty_stack_is_delivered_without_a_kernel_call(monkeypatch):
         pruned = engine.search(query_for(1, seed=1), candidate_ids={"nobody"})
         scope.run()
     assert pruned.matches == [] and pruned.images_pruned == 6 and not kernels
-    exact = TextureSearchEngine(config(backend="algorithm1"))  # no batch_steps: matched in the loop
+    exact = TextureSearchEngine(config(backend="algorithm1"))  # pre-costed like every kernel
     exact.add_reference("ref1", reference(1))
     with compute_scope() as scope:
+        nobody = exact.search(query_for(1, seed=1), candidate_ids={"nobody"})
         held = exact.search(query_for(1, seed=1))
         assert held.matches == []  # delivered by run(), like everyone's
         scope.run()
+    assert nobody.matches == [] and nobody.images_pruned == 1
     assert [m.reference_id for m in held.matches] == ["ref1"] and not kernels
+    assert [args[2] for args in per_image] == [[next(iter(exact.cache.batches())).batch]]  # held's only
 
 
 def test_a_scope_abandoned_by_the_fan_out_computes_nothing(monkeypatch):
@@ -584,7 +602,7 @@ def engines(dead=(1, 6)):
     for parent in (False, True):
         engine = TextureSearchEngine(config())
         if parent:
-            engine._swept_matches = MethodType(parent_swept_matches, engine)
+            engine._swept_matches = MethodType(parent_plane, engine)
         for image in range(9):
             engine.add_reference(f"ref{image}", reference(image))
             if image % 3 == 1:
@@ -666,9 +684,8 @@ def test_malformed_search_knobs_answer_400_and_touch_nothing(knob, field):
         assert after == stats_before
     assert default_registry().value("repro_web_requests_total", status="400") == 2
     assert default_registry().value("repro_web_requests_total") == 2
-    # lenient as ever: int() truncates a float and takes a bool
-    for top in (2.9, True):
-        assert tier.handle(Request("POST", "/search", {"descriptors": query, "top": top})).response.ok
+    # lenient as ever: int() truncates a float (a bool is no number: tests/test_rest_knobs.py)
+    assert tier.handle(Request("POST", "/search", {"descriptors": query, "top": 2.9})).response.ok
 
 
 @pytest.mark.parametrize("make", [

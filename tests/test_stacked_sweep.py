@@ -28,7 +28,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.blas.gemm import batched_hgemm, query_major_product
 from repro.cache.hybrid import CachedBatch, CacheLocation
-from repro.core import EngineConfig, TextureSearchEngine, algorithm2 as algorithm2_module, functional_topk
+from repro.baselines.opencv_cuda import DIST_KERNEL_EFF_FP32
+from repro.core import EngineConfig, TextureSearchEngine, algorithm2 as algorithm2_module, functional_topk, registry
 from repro.core.algorithm2 import BatchKnnResult, _accumulator_peak
 from repro.core.engine import (
     _CASCADE_PRUNED, _DEAD_PREFIX, _DEADLINE_SWEEPS, _H2D_BYTES, _IMAGES_PRUNED, _STEP_US,
@@ -615,22 +616,66 @@ def test_a_tile_inside_one_batch_is_a_view_and_across_batches_one_tiles_copy(mon
     assert all(np.shares_memory(args[1], tensor) for args in gemms)  # a stack of one: views
 
 
+#: every built-in backend with each precision its ``validate_config`` accepts
+BACKENDS = [
+    ("algorithm2", "fp16"), ("algorithm2", "fp32"), ("algorithm1", "fp16"), ("algorithm1", "fp32"),
+    ("garcia", "fp16"), ("garcia", "fp32"), ("cascade", "fp16"), ("cascade", "fp32"),
+    ("opencv", "fp32"), ("lsh", "fp32"),
+]
+
+
+def typed_charges(device: GPUDevice, kernel, size: int, n_queries: int) -> None:
+    """The typed operations the parent's sweep made to match ``size`` images
+    of a batch against ``n_queries`` queries: Algorithm 2's five per batch,
+    every other backend's chain per image (its kernel's loop, as it was)."""
+    cfg = kernel.config
+    m, n, d, k, dtype = cfg.m, cfg.n, cfg.d, cfg.k, cfg.precision
+    if cfg.backend == "algorithm2":
+        width = n_queries * n
+        device.gemm(m, width, d, batch=size, dtype=dtype, step="GEMM")
+        device.top2_scan(m, size * width, dtype=dtype, step="Top-2 sort")
+        device.elementwise(k * size * width, dtype=dtype, step="sqrt")
+        device.d2h_result(width, batch=size, k=k, dtype=dtype)
+        device.cpu_postprocess(size * n_queries, dtype, n)
+        return
+    for _ in range(size * n_queries):
+        if cfg.backend == "opencv":
+            flops = 2.0 * m * n * d
+            device.submit("compute", device.spec.kernel_launch_us + flops / (
+                device.spec.fp32_tflops * 1e12 * DIST_KERNEL_EFF_FP32) * 1e6, step="distance kernel")
+            device.insertion_sort(m, n, dtype="fp32", step="Top-2 sort")
+        elif cfg.backend == "lsh":
+            device.elementwise(n * m * kernel.codec.n_words, dtype="fp32", step="Hamming filter")
+            device.elementwise(2 * n * min(kernel.n_candidates, m) * d, dtype="fp32", step="re-rank")
+        else:  # Algorithm 1's steps 3-8: algorithm1, garcia, cascade
+            device.gemm(m, n, d, batch=1, dtype=dtype, step="GEMM")
+            device.elementwise(m * n, dtype=dtype, step="add N_R")
+            sort = device.insertion_sort if cfg.backend == "garcia" else device.top2_scan
+            sort(m, n, dtype=dtype, step="Top-2 sort")
+            device.elementwise(k * n, dtype=dtype, step="add N_Q + sqrt")
+        device.d2h_result(n, batch=1, k=k, dtype=dtype)
+        device.cpu_postprocess(1, dtype, n)
+
+
 def test_batch_steps_are_the_typed_operations_costs():
-    """The pre-costed list is the five typed charges, value for value."""
-    cfg = config()
-    kernel = Algorithm2Kernel(cfg)
-    for size, n_queries in ((1, 1), (3, 2), (4, 4)):
-        listed, typed = GPUDevice(TESLA_P100), GPUDevice(TESLA_P100)
-        listed.charge(kernel.batch_steps(listed, size, n_queries))
-        n = n_queries * cfg.n
-        typed.gemm(cfg.m, n, cfg.d, batch=size, dtype="fp16", step="GEMM")
-        typed.top2_scan(cfg.m, size * n, dtype="fp16", step="Top-2 sort")
-        typed.elementwise(cfg.k * size * n, dtype="fp16", step="sqrt")
-        typed.d2h_result(n, batch=size, k=cfg.k, dtype="fp16")
-        typed.cpu_postprocess(size * n_queries, "fp16", cfg.n)
-        records = lambda device: [(r.name, r.total_us, r.calls) for r in device.profiler.records()]
-        assert records(listed) == records(typed)
-        assert listed.synchronize() == typed.synchronize() > 0
+    """For every registered backend the pre-costed list is the typed charges
+    the parent's sweep made, value for value; a batch with nothing left to
+    compare (a prefilter emptied it) charges nothing."""
+    assert sorted({backend for backend, _ in BACKENDS}) == sorted(registry._BUILTIN)
+    records = lambda device: [(r.name, r.total_us, r.calls) for r in device.profiler.records()]
+    for backend, precision in BACKENDS:
+        kernel = registry.create_kernel(config(precision, backend=backend))
+        groups = (1, 2, 4) if kernel.supports_multiquery else (1,)
+        for size, n_queries in ((size, q) for size in (1, 3, 4) for q in groups):
+            listed, typed = GPUDevice(TESLA_P100), GPUDevice(TESLA_P100)
+            steps = kernel.batch_steps(listed, size, n_queries)
+            assert isinstance(steps, list)
+            listed.charge(steps)
+            typed_charges(typed, kernel, size, n_queries)
+            assert records(listed) == records(typed), (backend, precision, size, n_queries)
+            assert listed.synchronize() == typed.synchronize() > 0
+        if not kernel.supports_multiquery:
+            assert kernel.batch_steps(GPUDevice(TESLA_P100), 0, 1) == []
 
 
 # -- overflow --------------------------------------------------------------

@@ -4,7 +4,11 @@
 ``ParentCascadeKernel.match_batch`` are the bodies of ``core/engine.py``
 and ``core/cascade.py`` as of the commit before the seam moved, copied
 verbatim (the ``tests/test_stacked_sweep.py`` method: only the class they
-hang off and the sweep's docstring changed).  There ``verify`` was a
+hang off and the sweep's docstring changed; since every kernel is
+pre-costed, the sweep reads the parent's ``batch_steps`` — ``None`` but
+for Algorithm 2 — through :func:`parent_batch_steps` and computes what
+it charged through ``tests/test_fused_gather.py``'s
+``parent_swept_matches``).  There ``verify`` was a
 sweep over a transient one-image batch with its stats, deadline and
 cache switched off by parameter, the engine built the zero-match entries
 of a fully pruned batch itself, and the cascade kernel carried its own
@@ -36,7 +40,8 @@ from repro.core.engine import (
     _CASCADE_PRUNED, _DEADLINE_SWEEPS, _H2D_BYTES, _IMAGES_PRUNED, _STEP_US,
     _SWEEP_HIT, _SWEEP_MISS, _SWEEP_US, _SWEEPS, _TRACER,
 )
-from repro.core.kernels import Algorithm2Kernel, PreparedQuery
+from repro.baselines.adapters import GarciaKernel
+from repro.core.kernels import Algorithm1Kernel, PreparedQuery
 from repro.core.ratio_test import match_images
 from repro.core.results import ImageMatch
 from repro.distributed import DistributedSearchSystem
@@ -46,6 +51,7 @@ from repro.obs.tracing import RequestTracer
 from repro.pipeline.scheduler import plan_streams
 from repro.routing import RouterPolicy
 from tests.conftest import make_descriptors, noisy_copy
+from tests.test_fused_gather import parent_swept_matches
 from tests.test_stacked_sweep import BATCH, M, N, _SweepOutcome, config, observed, query_for
 
 # -- frozen oracles (verbatim from the parent commit) ----------------------
@@ -86,6 +92,30 @@ class ParentCascadeKernel(CascadeKernel):
             device.cpu_postprocess(1, cfg.precision, cfg.n)
             matches.append(match_images(batch.ids[i], knn, cfg.ratio_threshold, keep_masks))
         return matches
+
+
+class ParentAlgorithm1Kernel(Algorithm1Kernel):
+    """``Algorithm1Kernel`` as of the parent commit: the same loop."""
+
+    match_batch = ParentCascadeKernel.match_batch
+
+
+class ParentGarciaKernel(GarciaKernel):
+    match_batch = ParentCascadeKernel.match_batch
+
+
+#: the parent's kernels that matched inside the sweep loop, by backend
+PARENT_KERNELS = {
+    "algorithm1": ParentAlgorithm1Kernel, "garcia": ParentGarciaKernel, "cascade": ParentCascadeKernel,
+}
+
+
+def parent_batch_steps(kernel, device, size, n_queries):
+    """What the parent's ``kernel.batch_steps`` returned: a list for the kernels
+    pre-costed then, ``None`` for those that matched inside the loop."""
+    if isinstance(kernel, tuple(PARENT_KERNELS.values())):
+        return None
+    return kernel.batch_steps(device, size, n_queries)
 
 
 class ParentEngine(TextureSearchEngine):
@@ -154,7 +184,7 @@ class ParentEngine(TextureSearchEngine):
                     (_SWEEP_HIT if resident else _SWEEP_MISS).inc()
                 shape = (batch.size, n_queries)
                 if shape not in self._batch_steps:
-                    self._batch_steps[shape] = self.kernel.batch_steps(self.device, *shape)
+                    self._batch_steps[shape] = parent_batch_steps(self.kernel, self.device, *shape)
                 steps = self._batch_steps[shape]
                 batch_cm = (
                     _TRACER.span(
@@ -194,7 +224,7 @@ class ParentEngine(TextureSearchEngine):
                     now_us = self.device.elapsed_us()
                     deadline.charge(now_us - charged_at_us)
                     charged_at_us = now_us
-            per_query = self._swept_matches(swept, query, n_queries, keep_masks, candidate_ids)
+            per_query = parent_swept_matches(self, swept, query, n_queries, keep_masks, candidate_ids)
             elapsed = self.device.synchronize() - start_us
 
             if cfg.streams > 1 and host_images:
@@ -326,8 +356,8 @@ def build(engine_class, cfg, host, seals, dead):
     if host:
         batch_bytes = cfg.batch_size * (cfg.feature_matrix_bytes() + 4 * cfg.m)
         kwargs = dict(gpu_cache_bytes=batch_bytes, host_cache_bytes=64 * batch_bytes)
-    if engine_class is ParentEngine and cfg.backend == "cascade":
-        kwargs["kernel"] = ParentCascadeKernel(cfg)
+    if engine_class is ParentEngine and cfg.backend in PARENT_KERNELS:
+        kwargs["kernel"] = PARENT_KERNELS[cfg.backend](cfg)
     engine = engine_class(cfg, device=GPUDevice(TESLA_P100.with_memory(10**8)), **kwargs)
     image = 0
     for count in seals:
@@ -511,22 +541,6 @@ def test_the_per_batch_sweep_is_the_parents_bit_for_bit(case):
             seen.append((observed(side, group), deadline and deadline.spent_us,
                          counters != engine_counters()))
         assert seen[0] == seen[1]
-
-
-# -- a kernel that answers groups is pre-costed ----------------------------
-
-
-def test_a_multiquery_kernel_that_is_not_pre_costed_is_rejected_before_any_side_effect():
-    class Dispatching(Algorithm2Kernel):
-        def batch_steps(self, device, size, n_queries):
-            return None
-
-    cfg = config()
-    engine = TextureSearchEngine(cfg, kernel=Dispatching(cfg))
-    engine.add_reference("ref0", make_descriptors(M, seed=500))
-    with pytest.raises(ValueError, match="multi-query backend that pre-costs"):
-        engine.search_group([query_for(0, seed=1), query_for(0, seed=2)])
-    assert len(engine.cache) == 0 and engine.stats.searches == 0  # nothing sealed, nothing swept
 
 
 # -- the tracer owns its off switch ----------------------------------------
