@@ -1,41 +1,44 @@
 #!/usr/bin/env python
 """Capacity planning: how many reference textures fit on a node?
 
-Reproduces the paper's capacity arithmetic across configurations —
-precision, feature count m, hybrid-cache size — and shows where the
-headline "20x larger capacity" (Fig. 1) comes from.
+Builds an engine per configuration — precision, feature count m,
+hybrid-cache size — and reads what its two-level cache can hold, which
+shows where the headline "20x larger capacity" (Fig. 1) comes from.
 """
 
+from repro import EngineConfig, TextureSearchEngine
 from repro.bench.tables import format_table
-from repro.cache import plan_capacity
+from repro.gpusim import GPUDevice, TESLA_P100
 
 GIB = 1024**3
+HOST = 64 * 10**9
 
 
 def main() -> None:
     rows = []
     configs = [
-        ("FP32, m=768, GPU only (baseline)", dict(m=768, precision="fp32")),
-        ("FP16, m=768, GPU only (Sec. 6: ~85k)", dict(m=768, precision="fp16")),
-        ("FP16, m=768, +64 GB host", dict(m=768, precision="fp16", host_cache_bytes=64 * 10**9)),
-        ("FP16, m=384, +64 GB host", dict(m=384, precision="fp16", host_cache_bytes=64 * 10**9)),
-        ("Sec. 8 container (4 GB reserved)", dict(
-            m=384, precision="fp16",
-            gpu_reserved_bytes=4 * GIB, host_cache_bytes=64 * 10**9,
-        )),
+        ("FP32, m=768, GPU only (baseline)",
+         EngineConfig(m=768, precision="fp32", backend="opencv"), 0, 0),
+        ("FP16, m=768, GPU only (Sec. 6: ~85k)", EngineConfig(m=768), 0, 0),
+        ("FP16, m=768, +64 GB host", EngineConfig(m=768), 0, HOST),
+        ("FP16, m=384, +64 GB host", EngineConfig(m=384), 0, HOST),
+        ("Sec. 8 container (4 GB reserved)", EngineConfig(m=384), 4 * GIB, HOST),
     ]
     baseline = None
-    for label, kwargs in configs:
-        plan = plan_capacity(**kwargs)
+    for label, config, reserved, host in configs:
+        engine = TextureSearchEngine(config, device=GPUDevice(TESLA_P100, reserved_bytes=reserved),
+                                     host_cache_bytes=host)
+        per_image = config.feature_matrix_bytes()
+        total = engine.capacity_images()
         if baseline is None:
-            baseline = plan.total_images
+            baseline = total
         rows.append([
             label,
-            f"{plan.bytes_per_image / 1024:.1f} KiB",
-            f"{plan.gpu_images:,}",
-            f"{plan.host_images:,}",
-            f"{plan.total_images:,}",
-            f"{plan.total_images / baseline:.1f}x",
+            f"{per_image / 1024:.1f} KiB",
+            f"{engine.cache.gpu_budget_bytes // per_image:,}",
+            f"{engine.cache.host_budget_bytes // per_image:,}",
+            f"{total:,}",
+            f"{total / baseline:.1f}x",
         ])
     print(format_table(
         ["configuration", "bytes/image", "GPU images", "host images", "total", "vs baseline"],
@@ -43,9 +46,8 @@ def main() -> None:
         title="Single-node capacity (Tesla P100 16 GB)",
     ))
 
-    sec8 = plan_capacity(m=384, precision="fp16",
-                         gpu_reserved_bytes=4 * GIB, host_cache_bytes=64 * 10**9)
-    print(f"\n14-container cluster: {sec8.total_images * 14 / 1e6:.1f} M cached "
+    sec8 = total  # the last configuration is the Sec. 8 container
+    print(f"\n14-container cluster: {sec8 * 14 / 1e6:.1f} M cached "
           f"reference matrices (paper: 10.8 M)")
 
 

@@ -7,14 +7,11 @@ the real engine (``EngineConfig(backend="opencv" | "garcia" | "lsh")``).
 
 from .adapters import GarciaKernel, LshKernel, OpenCVKernel
 from .cbir_ivf import CbirVote, IVFPQIndex, ProductQuantizer, kmeans
-from .cublas_garcia import garcia_knn_match, garcia_memory_bytes, make_prepared
 from .lsh import LshCodec, LshMatcher
 from .opencv_cuda import (
     CONTEXT_OVERHEAD_BYTES,
     DIST_KERNEL_EFF_FP32,
     opencv_knn_match,
-    opencv_memory_bytes,
-    opencv_search_time_us,
 )
 
 __all__ = [
@@ -28,11 +25,6 @@ __all__ = [
     "LshMatcher",
     "OpenCVKernel",
     "ProductQuantizer",
-    "garcia_knn_match",
-    "garcia_memory_bytes",
     "kmeans",
-    "make_prepared",
     "opencv_knn_match",
-    "opencv_memory_bytes",
-    "opencv_search_time_us",
 ]

@@ -24,7 +24,7 @@ from ..gpusim.engine_model import GPUDevice
 from ..gpusim.kernels import d2h_result_us, insertion_sort_us, postprocess_us
 from ..gpusim.stream import Stream
 
-__all__ = ["opencv_knn_match", "opencv_memory_bytes", "opencv_steps_us", "DIST_KERNEL_EFF_FP32"]
+__all__ = ["opencv_knn_match", "opencv_steps_us", "CONTEXT_OVERHEAD_BYTES", "DIST_KERNEL_EFF_FP32"]
 
 #: efficiency of OpenCV's non-GEMM distance kernel, anchored so the
 #: P100 total lands on Table 1's 497.0 us/img (distance part 215.6 us).
@@ -83,16 +83,3 @@ def opencv_knn_match(
     np.maximum(sq, 0.0, out=sq)
     vals, idx = functional_topk(sq, k)
     return KnnResult(distances=np.sqrt(vals, dtype=np.float32), indices=idx.astype(np.int32))
-
-
-def opencv_search_time_us(device: GPUDevice, m: int = 768, n: int = 768, d: int = 128) -> float:
-    """Per-image serial-chain time, including CPU post-processing."""
-    return sum(us for _, us, _ in opencv_steps_us(device.spec, device.cal, m, n, d))
-
-
-def opencv_memory_bytes(n_references: int, m: int = 768, d: int = 128) -> int:
-    """GPU memory for caching ``n_references`` FP32 feature matrices
-    (Table 1, last row)."""
-    if n_references < 0:
-        raise ValueError("n_references must be non-negative")
-    return n_references * m * d * 4 + CONTEXT_OVERHEAD_BYTES

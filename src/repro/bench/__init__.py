@@ -1,17 +1,14 @@
-"""Benchmark harness: table formatting, serial-chain compositions, and
-the per-table/figure experiment runners."""
+"""Benchmark harness: table formatting, the reader of what the engine's
+kernels charge, and the per-table/figure experiment runners."""
 
-from .chains import algorithm1_steps, algorithm2_steps, chain_speed, hybrid_speed
 from .experiments import ALL_EXPERIMENTS
-from .tables import ExperimentResult, fmt, format_table
+from .tables import ExperimentResult, fmt, format_table, images_per_s, kernel_steps
 
 __all__ = [
     "ALL_EXPERIMENTS",
     "ExperimentResult",
-    "algorithm1_steps",
-    "algorithm2_steps",
-    "chain_speed",
     "fmt",
     "format_table",
-    "hybrid_speed",
+    "images_per_s",
+    "kernel_steps",
 ]

@@ -2,29 +2,27 @@
 engine path (cache sweep, tombstones, stats), at Table 1's operating
 point (m = n = 768, d = 128, Tesla P100).
 
-Historically the Table 1 baselines were modelled by bespoke per-image
-chains (``bench/chains.py``, ``baselines/opencv_cuda.py``); with the
-kernel registry they also run end to end through
+Every backend runs end to end through
 :class:`~repro.core.engine.TextureSearchEngine`.  This experiment
-measures the engine-path throughput per backend and cross-checks it
-against the closed-form chain models and the paper's published speeds —
-the engine path must reproduce the baseline columns within the repo's
-existing anchor tolerances.
+measures the engine-path throughput per backend and cross-checks the
+Table 1 columns against their kernel's per-image serial chain (what
+Table 1 adds up) and the paper's published speeds — the engine path
+must reproduce the baseline columns within the repo's existing anchor
+tolerances.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ...baselines.opencv_cuda import CONTEXT_OVERHEAD_BYTES, opencv_search_time_us
+from ...baselines.opencv_cuda import CONTEXT_OVERHEAD_BYTES
 from ...core.config import EngineConfig
 from ...core.engine import TextureSearchEngine
 from ...core.registry import canonical_backend
 from ...gpusim.calibration import KernelCalibration
 from ...gpusim.device import TESLA_P100, DeviceSpec
 from ...gpusim.engine_model import GPUDevice
-from ..chains import algorithm1_steps
-from ..tables import ExperimentResult
+from ..tables import ExperimentResult, kernel_steps
 from .table1_cublas import PAPER_SPEEDS
 
 __all__ = ["run", "VARIANTS"]
@@ -55,17 +53,6 @@ def _synthetic_descriptors(count: int, d: int, seed: int) -> np.ndarray:
     desc = rng.gamma(0.6, 1.0, size=(d, count)).astype(np.float32)
     desc /= np.maximum(np.linalg.norm(desc, axis=0, keepdims=True), 1e-9)
     return (desc * 512.0).astype(np.float32)
-
-
-def _model_speed(spec: DeviceSpec, cal: KernelCalibration, backend: str,
-                 precision: str, m: int, n: int, d: int) -> float | None:
-    """Closed-form chain-model prediction (img/s), where one exists."""
-    if backend == "opencv":
-        return 1e6 / opencv_search_time_us(GPUDevice(spec, cal), m, n, d)
-    if backend in ("algorithm1", "garcia"):
-        sort = "insertion" if backend == "garcia" else "scan"
-        return 1e6 / sum(algorithm1_steps(spec, cal, m, n, d, precision, sort).values())
-    return None
 
 
 def run(
@@ -107,7 +94,10 @@ def run(
             engine.add_reference(f"ref{i}", _synthetic_descriptors(m, d, seed=1000 + i))
         search = engine.search(_synthetic_descriptors(n, d, seed=999))
         engine_speed = search.images_per_s
-        model = _model_speed(spec, cal, backend, precision, m, n, d)
+        # the Table 1 columns' per-image serial chain, as Table 1 adds it up
+        model = None
+        if label in PAPER_SPEEDS:
+            model = 1e6 / sum(us for _, us, _ in kernel_steps(spec, cfg))
         delta = (engine_speed / model - 1.0) * 100.0 if model else None
         if model:
             deltas[label] = delta

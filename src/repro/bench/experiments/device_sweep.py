@@ -10,12 +10,13 @@ asymmetric optimization has moved the bottleneck.
 
 from __future__ import annotations
 
-from ...cache.capacity import plan_capacity
+from ...core.config import EngineConfig
+from ...core.engine import TextureSearchEngine
 from ...gpusim.calibration import KernelCalibration
 from ...gpusim.device import DEVICE_REGISTRY
+from ...gpusim.engine_model import GPUDevice
 from ...pipeline.scheduler import plan_streams
-from ..chains import algorithm2_steps, chain_speed
-from ..tables import ExperimentResult
+from ..tables import ExperimentResult, images_per_s, kernel_steps
 
 __all__ = ["run"]
 
@@ -36,17 +37,16 @@ def run(
         headers=["device", "GPU-resident (img/s)", "hybrid+streams (img/s)",
                  "PCIe bound (img/s)", "bottleneck", "capacity (images)"],
     )
+    config = EngineConfig(m=m, n=n, d=d, precision="fp16")
     for key in ("p100", "v100", "a100"):
         spec = DEVICE_REGISTRY[key]
         cal = KernelCalibration.for_device(spec)
-        resident = chain_speed(algorithm2_steps(spec, cal, m, n, d, batch, "fp16"), batch)
+        resident = images_per_s(kernel_steps(spec, config, batch), batch)
         plan = plan_streams(spec, cal, streams, batch, m, n, d, "fp16")
         hybrid = min(plan.throughput_images_per_s, resident)
         bottleneck = "PCIe" if plan.theoretical_images_per_s < resident else "compute"
-        capacity = plan_capacity(
-            m=m, d=d, precision="fp16", gpu_mem_bytes=spec.mem_bytes,
-            gpu_reserved_bytes=4 * GIB, host_cache_bytes=host_cache_bytes,
-        ).total_images
+        capacity = TextureSearchEngine(config, device=GPUDevice(spec, cal, reserved_bytes=4 * GIB),
+                                       host_cache_bytes=host_cache_bytes).capacity_images()
         result.rows.append(
             [spec.name, int(round(resident)), int(round(hybrid)),
              int(round(plan.theoretical_images_per_s)), bottleneck, capacity]

@@ -9,18 +9,15 @@ and speed (image comparisons/s) after each stage.
 
 from __future__ import annotations
 
-from ...baselines.opencv_cuda import opencv_search_time_us
-from ...cache.capacity import plan_capacity
+from ...core.config import EngineConfig
+from ...core.engine import TextureSearchEngine
 from ...gpusim.calibration import KernelCalibration
 from ...gpusim.device import TESLA_P100, DeviceSpec
 from ...gpusim.engine_model import GPUDevice
 from ...pipeline.scheduler import plan_streams
-from ..chains import algorithm1_steps, algorithm2_steps, chain_speed
-from ..tables import ExperimentResult
+from ..tables import ExperimentResult, images_per_s, kernel_steps
 
 __all__ = ["run"]
-
-GIB = 1024**3
 
 
 def run(
@@ -29,57 +26,38 @@ def run(
     d: int = 128,
 ) -> ExperimentResult:
     cal = KernelCalibration.for_device(spec)
-    device = GPUDevice(spec, cal)
-
-    def capacity(m: int, precision: str, with_norms: bool, host: int) -> int:
-        plan = plan_capacity(
-            m=m, d=d, precision=precision, with_norms=with_norms,
-            gpu_mem_bytes=spec.mem_bytes, host_cache_bytes=host,
-        )
-        return plan.total_images
-
     stages: list[tuple[str, float, int]] = []
 
+    def stage(label: str, config: EngineConfig, batch: int = 1, hybrid: bool = False,
+              speed: float | None = None) -> None:
+        """One stage: its speed (the kernel's serial chain unless given) and
+        the capacity of an engine so configured on ``spec``."""
+        config = config.with_updates(d=d)
+        if speed is None:
+            speed = images_per_s(kernel_steps(spec, config, batch), batch)
+        engine = TextureSearchEngine(config, device=GPUDevice(spec, cal),
+                                     host_cache_bytes=host_cache_bytes if hybrid else 0)
+        stages.append((label, speed, engine.capacity_images()))
+
     # Stage 0: OpenCV CUDA baseline — FP32, GPU-resident only.
-    stages.append((
-        "baseline: OpenCV CUDA (FP32)",
-        1e6 / opencv_search_time_us(device, 768, 768, d),
-        capacity(768, "fp32", False, 0),
-    ))
+    stage("baseline: OpenCV CUDA (FP32)", EngineConfig(backend="opencv", precision="fp32"))
     # Stage 1: + cuBLAS Algorithm 1 with register top-2 scan (FP32).
-    stages.append((
-        "+ cuBLAS 2-NN (top-2 scan)",
-        chain_speed(algorithm1_steps(spec, cal, 768, 768, d, "fp32", "scan")),
-        capacity(768, "fp32", True, 0),
-    ))
+    stage("+ cuBLAS 2-NN (top-2 scan)", EngineConfig(backend="algorithm1", precision="fp32"))
     # Stage 2: + FP16 storage (halves footprint; batch-1 speed dips).
-    stages.append((
-        "+ FP16 (scale factor)",
-        chain_speed(algorithm1_steps(spec, cal, 768, 768, d, "fp16", "scan")),
-        capacity(768, "fp16", True, 0),
-    ))
+    stage("+ FP16 (scale factor)", EngineConfig(backend="algorithm1", precision="fp16"))
     # Stage 3: + RootSIFT + batching (batch 1024, GPU-resident).
-    stages.append((
-        "+ RootSIFT + batching (1024)",
-        chain_speed(algorithm2_steps(spec, cal, 768, 768, d, 1024, "fp16"), 1024),
-        capacity(768, "fp16", False, 0),
-    ))
+    stage("+ RootSIFT + batching (1024)", EngineConfig(), 1024)
     # Stage 4: + hybrid cache with 8 streams (references on host).
     plan8 = plan_streams(spec, cal, 8, 512, 768, 768, d, "fp16")
-    stages.append((
-        "+ hybrid cache + 8 streams",
-        plan8.throughput_images_per_s,
-        capacity(768, "fp16", False, host_cache_bytes),
-    ))
+    stage("+ hybrid cache + 8 streams", EngineConfig(), hybrid=True,
+          speed=plan8.throughput_images_per_s)
     # Stage 5: + asymmetric extraction m=384 (transfer halves; the
     # pipeline becomes compute-bound, so GPU-resident speed applies).
-    asym_speed = chain_speed(algorithm2_steps(spec, cal, 384, 768, d, 256, "fp16"), 256)
+    asymmetric = EngineConfig(m=384, n=768, d=d)
+    asym_speed = images_per_s(kernel_steps(spec, asymmetric, 256), 256)
     plan_asym = plan_streams(spec, cal, 8, 512, 384, 768, d, "fp16")
-    stages.append((
-        "+ asymmetric m=384, n=768",
-        min(asym_speed, plan_asym.theoretical_images_per_s),
-        capacity(384, "fp16", False, host_cache_bytes),
-    ))
+    stage("+ asymmetric m=384, n=768", asymmetric, hybrid=True,
+          speed=min(asym_speed, plan_asym.theoretical_images_per_s))
 
     base_speed, base_cap = stages[0][1], stages[0][2]
     result = ExperimentResult(

@@ -8,27 +8,20 @@ the curve flattens past batch 256.
 
 from __future__ import annotations
 
-from ...gpusim.calibration import KernelCalibration
+from ...core.config import EngineConfig
 from ...gpusim.device import TESLA_P100, TESLA_V100, DeviceSpec
-from ..chains import algorithm2_steps, chain_speed
-from ..tables import ExperimentResult
+from ..tables import ExperimentResult, images_per_s, kernel_steps
 
 __all__ = ["run", "DEFAULT_BATCHES"]
 
 DEFAULT_BATCHES = [1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024]
 
 
-def speed_at(
-    spec: DeviceSpec,
-    cal: KernelCalibration,
-    batch: int,
-    m: int,
-    n: int,
-    d: int,
-    tensor_core: bool = False,
-) -> float:
-    steps = algorithm2_steps(spec, cal, m, n, d, batch, "fp16", tensor_core)
-    return chain_speed(steps, batch)
+def speed_at(spec: DeviceSpec, batch: int, m: int, n: int, d: int,
+             tensor_core: bool = False) -> float:
+    """Images/s of the FP16 Algorithm-2 kernel's batch chain, GPU-resident."""
+    config = EngineConfig(m=m, n=n, d=d, precision="fp16", tensor_core=tensor_core)
+    return images_per_s(kernel_steps(spec, config, batch), batch)
 
 
 def run(
@@ -38,18 +31,15 @@ def run(
     d: int = 128,
 ) -> ExperimentResult:
     batches = batches if batches is not None else list(DEFAULT_BATCHES)
-    p100_cal = KernelCalibration.for_device(TESLA_P100)
-    v100_cal = KernelCalibration.for_device(TESLA_V100)
-
     result = ExperimentResult(
         name=f"Fig. 4: speed vs batch size (RootSIFT + FP16, m={m} n={n} d={d})",
         headers=["batch", "P100 (img/s)", "V100 (img/s)", "V100 + TensorCore (img/s)"],
     )
     series: dict[str, list[float]] = {"p100": [], "v100": [], "v100_tc": []}
     for batch in batches:
-        p = speed_at(TESLA_P100, p100_cal, batch, m, n, d)
-        v = speed_at(TESLA_V100, v100_cal, batch, m, n, d)
-        vt = speed_at(TESLA_V100, v100_cal, batch, m, n, d, tensor_core=True)
+        p = speed_at(TESLA_P100, batch, m, n, d)
+        v = speed_at(TESLA_V100, batch, m, n, d)
+        vt = speed_at(TESLA_V100, batch, m, n, d, tensor_core=True)
         series["p100"].append(p)
         series["v100"].append(v)
         series["v100_tc"].append(vt)

@@ -18,15 +18,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from ...cache.capacity import feature_matrix_bytes, plan_capacity
 from ...core.config import EngineConfig
+from ...core.engine import TextureSearchEngine
 from ...distributed.cluster import DistributedSearchSystem
 from ...distributed.rest import Request, build_api
 from ...gpusim.calibration import KernelCalibration
 from ...gpusim.device import TESLA_P100, DeviceSpec
+from ...gpusim.engine_model import GPUDevice
 from ...pipeline.scheduler import plan_streams
-from ..chains import algorithm2_steps, chain_speed
-from ..tables import ExperimentResult
+from ..tables import ExperimentResult, images_per_s, kernel_steps
 
 __all__ = ["run"]
 
@@ -48,17 +48,17 @@ def run(
     cal = KernelCalibration.for_device(spec)
 
     # --- full-scale arithmetic -------------------------------------------
-    per_node_plan = plan_capacity(
-        m=m, d=d, precision="fp16",
-        gpu_mem_bytes=spec.mem_bytes, gpu_reserved_bytes=gpu_reserved_bytes,
+    production = EngineConfig(m=m, n=n, d=d, precision="fp16")
+    container = TextureSearchEngine(
+        production, device=GPUDevice(spec, cal, reserved_bytes=gpu_reserved_bytes),
         host_cache_bytes=host_cache_bytes,
     )
-    node_cache_bytes = per_node_plan.total_cache_bytes
-    cluster_capacity = per_node_plan.total_images * n_nodes
+    node_cache_bytes = container.cache.gpu_budget_bytes + container.cache.host_budget_bytes
+    cluster_capacity = container.capacity_images() * n_nodes
 
     # Per-GPU speed: compute-bound chain at batch 256, capped by the
     # PCIe bound (which no longer binds at m=384 — the point of Sec. 7).
-    compute_speed = chain_speed(algorithm2_steps(spec, cal, m, n, d, 256, "fp16"), 256)
+    compute_speed = images_per_s(kernel_steps(spec, production, 256), 256)
     stream_plan = plan_streams(spec, cal, 8, 512, m, n, d, "fp16")
     per_gpu_speed = min(compute_speed, stream_plan.theoretical_images_per_s)
     cluster_speed = per_gpu_speed * n_nodes
@@ -68,7 +68,7 @@ def run(
         name=f"Sec. 8: distributed system ({n_nodes} x {spec.name}, m={m} n={n} FP16)",
         headers=["quantity", "model", "paper"],
     )
-    result.rows.append(["feature matrix bytes", feature_matrix_bytes(m, d, "fp16"), 98304])
+    result.rows.append(["feature matrix bytes", production.feature_matrix_bytes(), 98304])
     result.rows.append(["hybrid cache per container (GB)", round(node_cache_bytes / 1e9, 1), 76])
     result.rows.append(["total cache (GB)", round(node_cache_bytes * n_nodes / 1e9, 0), 1064])
     result.rows.append(["cached matrices (M)", round(cluster_capacity / 1e6, 2), 10.8])

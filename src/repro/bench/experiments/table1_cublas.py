@@ -7,17 +7,29 @@ sort, ours (register top-2 scan), ours + FP16.
 
 from __future__ import annotations
 
-from ...baselines.cublas_garcia import garcia_memory_bytes
-from ...baselines.opencv_cuda import opencv_memory_bytes, opencv_search_time_us
-from ...gpusim.calibration import KernelCalibration
+from ...baselines.opencv_cuda import CONTEXT_OVERHEAD_BYTES
+from ...core.config import EngineConfig
 from ...gpusim.device import TESLA_P100, DeviceSpec
-from ...gpusim.engine_model import GPUDevice
-from ..chains import algorithm1_steps
-from ..tables import ExperimentResult
+from ..tables import ExperimentResult, kernel_steps
 
 __all__ = ["run"]
 
 PAPER_SPEEDS = {"CUDA (OpenCV)": 2012, "cuBLAS [9]": 3027, "cuBLAS (ours)": 6734, "cuBLAS+FP16 (ours)": 5917}
+
+#: column -> the backend and precision the engine runs it with
+COLUMNS = {
+    "CUDA (OpenCV)": ("opencv", "fp32"),
+    "cuBLAS [9]": ("garcia", "fp32"),
+    "cuBLAS (ours)": ("algorithm1", "fp32"),
+    "cuBLAS+FP16 (ours)": ("algorithm1", "fp16"),
+}
+
+#: Table 1's row label for each step of the Algorithm-1 kernel's per-image chain
+ROWS = {
+    "GEMM": "GEMM/step3", "add N_R": "Add N_R/step4", "Top-2 sort": "Top-2 sort/step5",
+    "add N_Q + sqrt": "Add N_Q and Sqrt/step6&7", "D2H copy": "D2H copy/step8",
+    "Post-processing": "Post-processing/CPU",
+}
 
 
 def run(
@@ -27,23 +39,16 @@ def run(
     d: int = 128,
     cached_references: int = 10_000,
 ) -> ExperimentResult:
-    cal = KernelCalibration.for_device(spec)
-    device = GPUDevice(spec, cal)
-
-    columns: dict[str, dict[str, float]] = {
-        "cuBLAS [9]": algorithm1_steps(spec, cal, m, n, d, "fp32", "insertion"),
-        "cuBLAS (ours)": algorithm1_steps(spec, cal, m, n, d, "fp32", "scan"),
-        "cuBLAS+FP16 (ours)": algorithm1_steps(spec, cal, m, n, d, "fp16", "scan"),
-    }
-    opencv_total = opencv_search_time_us(device, m, n, d)
-    totals = {"CUDA (OpenCV)": opencv_total}
-    totals.update({name: sum(steps.values()) for name, steps in columns.items()})
+    configs = {name: EngineConfig(m=m, n=n, d=d, backend=backend, precision=precision)
+               for name, (backend, precision) in COLUMNS.items()}
+    chains = {name: kernel_steps(spec, cfg) for name, cfg in configs.items()}
+    columns = {name: {ROWS[step]: us for _, us, step in chain}
+               for name, chain in chains.items() if name != "CUDA (OpenCV)"}
+    totals = {name: sum(us for _, us, _ in chain) for name, chain in chains.items()}
     speeds = {name: 1e6 / total for name, total in totals.items()}
     memory_mb = {
-        "CUDA (OpenCV)": opencv_memory_bytes(cached_references, m, d) / 1e6,
-        "cuBLAS [9]": garcia_memory_bytes(cached_references, m, d, "fp32") / 1e6,
-        "cuBLAS (ours)": garcia_memory_bytes(cached_references, m, d, "fp32") / 1e6,
-        "cuBLAS+FP16 (ours)": garcia_memory_bytes(cached_references, m, d, "fp16") / 1e6,
+        name: (cfg.feature_matrix_bytes() * cached_references + CONTEXT_OVERHEAD_BYTES) / 1e6
+        for name, cfg in configs.items()
     }
 
     names = list(totals.keys())

@@ -4,12 +4,25 @@ FP16, m = n = 768, Tesla P100; batch-1024 times normalised per image).
 
 from __future__ import annotations
 
-from ...gpusim.calibration import KernelCalibration
+from ...core.config import EngineConfig
 from ...gpusim.device import TESLA_P100, DeviceSpec
-from ..chains import algorithm2_steps
-from ..tables import ExperimentResult
+from ..tables import ExperimentResult, kernel_steps
 
 __all__ = ["run"]
+
+#: Table 3's row label for each step of the Algorithm-2 kernel's batch chain
+ROWS = {
+    "GEMM": "HGEMM/step1", "Top-2 sort": "Sort and Sqrt/step2&3", "sqrt": "Sort and Sqrt/step2&3",
+    "D2H copy": "D2H memory copy/step4", "Post-processing": "Post-processing/CPU",
+}
+
+
+def table_rows(steps: list[tuple]) -> dict[str, float]:
+    """A kernel's step list summed into Table 3's rows, in chain order."""
+    rows: dict[str, float] = {}
+    for _, us, step in steps:
+        rows[ROWS[step]] = rows.get(ROWS[step], 0.0) + us
+    return rows
 
 
 def run(
@@ -20,9 +33,9 @@ def run(
     small_batch: int = 1,
     large_batch: int = 1024,
 ) -> ExperimentResult:
-    cal = KernelCalibration.for_device(spec)
-    small = algorithm2_steps(spec, cal, m, n, d, small_batch, "fp16")
-    large = algorithm2_steps(spec, cal, m, n, d, large_batch, "fp16")
+    config = EngineConfig(m=m, n=n, d=d, precision="fp16")
+    small = table_rows(kernel_steps(spec, config, small_batch))
+    large = table_rows(kernel_steps(spec, config, large_batch))
 
     result = ExperimentResult(
         name=f"Table 3: batched Algorithm 2 step times (FP16, m={m} n={n}, {spec.name})",

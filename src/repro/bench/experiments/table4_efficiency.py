@@ -7,12 +7,10 @@ HGEMM-only efficiency reaches 67.9 % / 65.7 % (Sec. 5.3).
 
 from __future__ import annotations
 
-from ...gpusim.calibration import KernelCalibration
+from ...core.config import EngineConfig
 from ...gpusim.device import TESLA_P100, TESLA_V100
-from ...gpusim.kernels import gemm_us
 from ...metrics.throughput import gemm_flops_per_image, gpu_efficiency
-from ..chains import algorithm2_steps, chain_speed
-from ..tables import ExperimentResult
+from ..tables import ExperimentResult, images_per_s, kernel_steps
 
 __all__ = ["run"]
 
@@ -29,11 +27,11 @@ def run(batch: int = 1024, m: int = 768, n: int = 768, d: int = 128) -> Experime
                  "Theoretical TFLOPS (FP16)", "Efficiency", "HGEMM-only eff."],
     )
     for label, spec, tc in configs:
-        cal = KernelCalibration.for_device(spec)
-        steps = algorithm2_steps(spec, cal, m, n, d, batch, "fp16", tc)
-        speed = chain_speed(steps, batch)
+        config = EngineConfig(m=m, n=n, d=d, precision="fp16", tensor_core=tc)
+        steps = kernel_steps(spec, config, batch)
+        speed = images_per_s(steps, batch)
         report = gpu_efficiency(spec, speed, m, n, d, "fp16", tc)
-        hgemm_time = gemm_us(spec, cal, m, n, d, batch, "fp16", tc)
+        hgemm_time = next(us for _, us, step in steps if step == "GEMM")
         hgemm_eff = (
             gemm_flops_per_image(m, n, d) * batch / (hgemm_time * 1e-6)
         ) / (spec.peak_tflops("fp16", tc) * 1e12)

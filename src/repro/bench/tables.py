@@ -1,8 +1,11 @@
-"""Table formatting for the experiment runners.
+"""Table formatting for the experiment runners, and the one reader of
+what the engine charges.
 
 Every experiment returns an :class:`ExperimentResult`; the benchmark
 harness prints it in the same row/column layout as the paper's table so
-paper-vs-measured comparison is an eyeball diff.
+paper-vs-measured comparison is an eyeball diff.  Every cost a table
+prints is a step list the engine's own match kernel charges
+(:func:`kernel_steps`); the tables only relabel and add it up.
 """
 
 from __future__ import annotations
@@ -10,7 +13,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
-__all__ = ["ExperimentResult", "format_table", "fmt"]
+from ..core.config import EngineConfig
+from ..core.registry import create_kernel
+from ..gpusim.device import DeviceSpec
+from ..gpusim.engine_model import GPUDevice
+
+__all__ = ["ExperimentResult", "format_table", "fmt", "images_per_s", "kernel_steps"]
+
+
+def kernel_steps(spec: DeviceSpec, config: EngineConfig, batch: int = 1,
+                 n_queries: int = 1) -> list[tuple]:
+    """What the engine's kernel for ``config`` charges on ``spec`` to match
+    a ``batch``-image reference batch against ``n_queries`` queries:
+    ``(engine, us, step)`` tuples, in charge order."""
+    return create_kernel(config).batch_steps(GPUDevice(spec), batch, n_queries)
+
+
+def images_per_s(steps: list[tuple], images: int = 1) -> float:
+    """Images (or pairs) per second of a serial chain that covers ``images``."""
+    return images / sum(us for _, us, _ in steps) * 1e6
 
 
 def fmt(value: Any, digits: int = 2) -> str:

@@ -1,17 +1,13 @@
-"""Hybrid memory cache substrate: FIFO caches, the two-level GPU+host
-feature cache (Fig. 5), and capacity planning arithmetic."""
+"""Hybrid memory cache substrate: FIFO caches and the two-level GPU+host
+feature cache (Fig. 5), which also answers the paper's capacity metric."""
 
-from .capacity import CapacityPlan, feature_matrix_bytes, plan_capacity
 from .fifo import Entry, FifoCache
 from .hybrid import CachedBatch, CacheLocation, HybridFeatureCache
 
 __all__ = [
     "CacheLocation",
     "CachedBatch",
-    "CapacityPlan",
     "Entry",
     "FifoCache",
     "HybridFeatureCache",
-    "feature_matrix_bytes",
-    "plan_capacity",
 ]

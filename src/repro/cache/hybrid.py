@@ -233,8 +233,10 @@ class HybridFeatureCache:
         return self._gpu.used_bytes, self._host.used_bytes
 
     def capacity_images(self, bytes_per_image: int) -> int:
-        """How many images the combined budgets could hold (the paper's
-        "capacity" metric)."""
+        """How many images the two levels could hold (the paper's "capacity"
+        metric).  Each level is counted in whole images: no image straddles
+        the GPU and the host."""
         if bytes_per_image <= 0:
             raise ValueError("bytes_per_image must be positive")
-        return (self.gpu_budget_bytes + self.host_budget_bytes) // bytes_per_image
+        gpu, host = self.gpu_budget_bytes, self.host_budget_bytes
+        return gpu // bytes_per_image + host // bytes_per_image

@@ -10,12 +10,7 @@ from .config import DEFAULT_SCALE_FACTOR, EngineConfig
 from .engine import EngineStats, TextureSearchEngine
 from .identification import IdentificationDecision, IdentificationPipeline
 from .kernels import MatchKernel, PreparedQuery, QueryMatrix, ReferenceMatrix
-from .query_batching import (
-    MultiQueryResult,
-    QueryBatchPoint,
-    knn_algorithm2_multiquery,
-    query_batch_tradeoff,
-)
+from .query_batching import MultiQueryResult, knn_algorithm2_multiquery
 from .ratio_test import (
     batch_ratio_test_masks,
     good_match_count,
@@ -45,7 +40,6 @@ __all__ = [
     "MultiQueryResult",
     "PreparedFeatures",
     "PreparedQuery",
-    "QueryBatchPoint",
     "QueryMatrix",
     "ReferenceMatrix",
     "ReferenceBatch",
@@ -65,7 +59,6 @@ __all__ = [
     "knn_algorithm2_multiquery",
     "match_images",
     "match_images_batch",
-    "query_batch_tradeoff",
     "prepare_query",
     "prepare_reference",
     "ratio_test_mask",

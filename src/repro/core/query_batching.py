@@ -10,8 +10,9 @@ and the top-2 scan sees ``batch * Q * n`` columns.
 
 Throughput rises (more data reuse per cached reference batch, more scan
 occupancy); *per-query latency* becomes the whole group's completion
-time.  :func:`query_batch_tradeoff` quantifies both from the calibrated
-models — the ablation the paper hand-waves.
+time.  The ``ablation-query-batch`` experiment quantifies both from what
+:class:`~repro.core.kernels.Algorithm2Kernel` charges a group — the
+ablation the paper hand-waves.
 """
 
 from __future__ import annotations
@@ -21,14 +22,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..gpusim.calibration import KernelCalibration
-from ..gpusim.device import DeviceSpec
 from ..gpusim.engine_model import GPUDevice
-from ..gpusim.kernels import dtype_bytes, knn_steps_us, postprocess_us
 from ..gpusim.stream import Stream
 from .algorithm2 import BatchKnnResult, _knn_columns
 
-__all__ = ["MultiQueryResult", "knn_algorithm2_multiquery", "QueryBatchPoint", "query_batch_tradeoff"]
+__all__ = ["MultiQueryResult", "knn_algorithm2_multiquery"]
 
 
 @dataclass
@@ -97,69 +95,3 @@ def knn_algorithm2_multiquery(
         return np.ascontiguousarray(x.reshape(k, -1, n_queries, n).transpose(1, 2, 0, 3))
 
     return MultiQueryResult(distances=per_pair(dist), indices=per_pair(idx) if indices else None)
-
-
-@dataclass(frozen=True)
-class QueryBatchPoint:
-    """One point of the throughput/latency trade-off curve."""
-
-    query_batch: int
-    throughput_images_per_s: float
-    latency_ms_per_query: float
-
-
-def query_batch_tradeoff(
-    spec: DeviceSpec,
-    cal: KernelCalibration,
-    query_batches: list[int],
-    reference_count: int = 100_000,
-    ref_batch: int = 256,
-    m: int = 384,
-    n: int = 768,
-    d: int = 128,
-    precision: str = "fp16",
-    host_resident: bool = True,
-) -> list[QueryBatchPoint]:
-    """Throughput vs. latency as the query batch grows.
-
-    One query group must scan *all* ``reference_count`` references;
-    latency is that full sweep's duration, throughput counts image
-    comparisons (pairs) per second.
-
-    With ``host_resident`` references (the hybrid-cache regime where
-    query batching actually pays) every sweep streams each reference
-    batch over PCIe *once*, so a larger query group amortises the
-    transfer across more comparisons — this is the mechanism behind
-    Sec. 5.3's "higher performance".
-    """
-    if reference_count < ref_batch:
-        raise ValueError("reference_count must cover at least one batch")
-    from ..gpusim.pcie import h2d_time_us
-
-    points = []
-    n_ref_batches = reference_count // ref_batch
-    transfer = (
-        h2d_time_us(spec, ref_batch * m * d * dtype_bytes(precision), pinned=True)
-        if host_resident
-        else 0.0
-    )
-    for qb in query_batches:
-        if qb < 1:
-            raise ValueError("query batch must be >= 1")
-        gemm, scan, sqrt, d2h = (
-            us for _, us, _ in knn_steps_us(spec, cal, ref_batch, m, qb * n, d, 2, precision)
-        )
-        compute = gemm + scan + sqrt + d2h + postprocess_us(cal, ref_batch * qb, precision, n)
-        # Single-stream regime: transfer and compute serialise; the
-        # transfer is paid once per reference batch per sweep.
-        per_ref_batch = max(transfer, 0.0) + compute
-        sweep_us = per_ref_batch * n_ref_batches
-        pairs = reference_count * qb
-        points.append(
-            QueryBatchPoint(
-                query_batch=qb,
-                throughput_images_per_s=pairs / sweep_us * 1e6,
-                latency_ms_per_query=sweep_us / 1e3,
-            )
-        )
-    return points

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import HalfPrecisionOverflowError
+from .codec import FP16_MAX, is_nonneg_finite, round_trip_nonneg
 from .convert import check_matmul_overflow, to_scaled_fp16
 
 __all__ = [
@@ -51,6 +51,11 @@ def fp16_accumulated_dot(r16: np.ndarray, q16: np.ndarray, round_every: int = 1)
     q16 = np.asarray(q16, dtype=np.float16)
     if round_every < 1:
         raise ValueError("round_every must be >= 1")
+    # round_trip_nonneg needs non-negative finite sums with no -0.0: operands
+    # with no sign bit, inf or NaN give exactly that; the sums only grow, so an
+    # update that overflowed (astype's inf) still shows in the final sum
+    if not (is_nonneg_finite(r16) and is_nonneg_finite(q16)):
+        raise ValueError("FP16 accumulation needs non-negative finite operands")
     d = r16.shape[0]
     acc = np.zeros((r16.shape[1], q16.shape[1]), dtype=np.float32)
     rv = r16.astype(np.float32)
@@ -59,7 +64,9 @@ def fp16_accumulated_dot(r16: np.ndarray, q16: np.ndarray, round_every: int = 1)
         stop = min(start + round_every, d)
         acc += rv[start:stop].T @ qv[start:stop]
         # Round the accumulator to FP16 (the register precision).
-        acc = acc.astype(np.float16).astype(np.float32)
+        round_trip_nonneg(acc, FP16_MAX)
+    if acc.size and float(acc.max()) > FP16_MAX:
+        raise ValueError("the FP16 accumulator overflowed; check_matmul_overflow first")
     return acc
 
 

@@ -27,14 +27,12 @@ from .clock import SimClock
 from .device import DeviceSpec
 from .kernels import (
     d2h_result_us,
-    dtype_bytes,
     elementwise_us,
     gemm_us,
     hamming_us,
     insertion_sort_us,
     norm_vector_us,
     postprocess_us,
-    result_bytes,
     top2_scan_us,
 )
 from .memory import Allocation, MemoryPool
@@ -274,13 +272,6 @@ class GPUDevice:
 
     def free(self, allocation: Allocation) -> None:
         self.memory.free(allocation)
-
-    def feature_matrix_bytes(self, m: int, d: int = 128, dtype: str = "fp16") -> int:
-        """Bytes occupied by one reference feature matrix on device."""
-        return int(m) * int(d) * dtype_bytes(dtype)
-
-    def result_bytes(self, n: int, batch: int, k: int = 2, dtype: str = "fp16") -> int:
-        return result_bytes(n, batch, k, dtype)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"GPUDevice({self.spec.name!r}, t={self.elapsed_us():.1f}us)"

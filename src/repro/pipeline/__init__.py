@@ -1,5 +1,5 @@
-"""Multi-stream scheduling substrate: the Table-6 overlap model and the
-CPU-thread partitioning helpers."""
+"""Multi-stream scheduling substrate: the Table-6 overlap model and its
+event-driven upper bound."""
 
 from .event_sim import EventSimResult, simulate_stream_pipeline
 from .scheduler import (
@@ -9,7 +9,6 @@ from .scheduler import (
     plan_streams,
     stream_extra_gpu_bytes,
 )
-from .worker import interleave_schedules, partition_equally
 
 __all__ = [
     "EventSimResult",
@@ -17,8 +16,6 @@ __all__ = [
     "StreamPlan",
     "simulate_stream_pipeline",
     "batch_component_times",
-    "interleave_schedules",
-    "partition_equally",
     "plan_streams",
     "stream_extra_gpu_bytes",
 ]

@@ -17,7 +17,6 @@ from ..gpusim.calibration import KernelCalibration
 from ..gpusim.device import DeviceSpec
 from ..gpusim.engine_model import GPUDevice
 from ..gpusim.kernels import dtype_bytes, knn_steps_us
-from .worker import partition_equally
 
 __all__ = ["EventSimResult", "simulate_stream_pipeline"]
 
@@ -59,19 +58,19 @@ def simulate_stream_pipeline(
         raise ValueError("streams, n_batches and batch must be >= 1")
     device = GPUDevice(spec, cal)
     stream_objs = [device.create_stream(f"s{i}") for i in range(streams)]
-    partitions = partition_equally(list(range(n_batches)), streams)
+    # the batches divide equally over the streams, the first ``extra`` one more
+    base, extra = divmod(n_batches, streams)
+    counts = [base + (s < extra) for s in range(streams)]
     transfer_bytes = batch * m * d * dtype_bytes(precision)
     knn_steps = knn_steps_us(spec, cal, batch, m, n, d, 2, precision)
 
     # Interleave issue order round-robin across streams (the CPU threads
     # all enqueue concurrently); in-stream order is preserved by the
     # stream semantics regardless of issue order.
-    longest = max(len(p) for p in partitions)
-    for i in range(longest):
-        for s, part in enumerate(partitions):
-            if i >= len(part):
+    for i in range(max(counts)):
+        for stream, count in zip(stream_objs, counts):
+            if i >= count:
                 continue
-            stream = stream_objs[s]
             if host_resident:
                 device.h2d(transfer_bytes, stream=stream, pinned=pinned)
             device.charge(knn_steps, stream)

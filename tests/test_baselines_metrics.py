@@ -3,18 +3,23 @@
 import numpy as np
 import pytest
 
-from repro.baselines import (
-    garcia_knn_match,
-    garcia_memory_bytes,
-    make_prepared,
-    opencv_knn_match,
-    opencv_memory_bytes,
-    opencv_search_time_us,
-)
-from repro.core import knn_algorithm1, prepare_query, prepare_reference
-from repro.gpusim import GPUDevice, TESLA_P100, TESLA_V100
+from repro.baselines import CONTEXT_OVERHEAD_BYTES, opencv_knn_match
+from repro.bench import kernel_steps
+from repro.core import EngineConfig, TextureSearchEngine, knn_algorithm1, prepare_query, prepare_reference
+from repro.gpusim import TESLA_P100, TESLA_V100
 from repro.metrics import gemm_flops_per_image, gpu_efficiency, schedule_efficiency
 from tests.conftest import make_descriptors, noisy_copy
+
+
+def per_image_us(spec, backend: str) -> float:
+    """What the backend's engine kernel charges to compare one image."""
+    return sum(us for _, us, _ in kernel_steps(spec, EngineConfig(backend=backend, precision="fp32")))
+
+
+def table1_memory_mb(precision: str, backend: str, references: int = 10_000) -> float:
+    """Table 1's last row: what ``references`` cached matrices occupy on the device."""
+    per_image = EngineConfig(backend=backend, precision=precision).feature_matrix_bytes()
+    return (references * per_image + CONTEXT_OVERHEAD_BYTES) / 1e6
 
 
 class TestOpencvBaseline:
@@ -28,39 +33,44 @@ class TestOpencvBaseline:
         np.testing.assert_allclose(baseline.distances, ours.distances, atol=0.5)
         np.testing.assert_array_equal(baseline.indices, ours.indices)
 
-    def test_paper_speed_p100(self, p100):
-        """Table 1: OpenCV CUDA = 2,012 img/s on P100."""
-        total = opencv_search_time_us(p100)
-        assert 1e6 / total == pytest.approx(2012, rel=0.05)
+    def test_paper_speed_p100(self):
+        """Table 1: OpenCV CUDA = 2,012 img/s on P100 (497 us/img)."""
+        assert per_image_us(TESLA_P100, "opencv") == pytest.approx(497.0, rel=0.02)
+        assert 1e6 / per_image_us(TESLA_P100, "opencv") == pytest.approx(2012, rel=0.05)
 
-    def test_paper_speed_v100(self, v100):
+    def test_paper_speed_v100(self):
         """Sec. 3.3: 2,937 img/s on V100 (we accept a wider band)."""
-        total = opencv_search_time_us(v100)
-        assert 1e6 / total == pytest.approx(2937, rel=0.25)
+        assert 1e6 / per_image_us(TESLA_V100, "opencv") == pytest.approx(2937, rel=0.25)
 
     def test_memory_matches_table1(self):
-        assert opencv_memory_bytes(10_000) / 1e6 == pytest.approx(4271, rel=0.01)
+        assert table1_memory_mb("fp32", "opencv") == pytest.approx(4271, rel=0.01)
 
     def test_validation(self, p100):
         with pytest.raises(ValueError):
             opencv_knn_match(p100, np.ones((4, 3), np.float32), np.ones((5, 3), np.float32))
-        with pytest.raises(ValueError):
-            opencv_memory_bytes(-1)
 
 
 class TestGarciaBaseline:
-    def test_functionally_identical_to_ours(self, p100):
-        ref_d = make_descriptors(16, seed=2)
-        qry_d = noisy_copy(ref_d, 20.0, seed=3)
-        ref = make_prepared(ref_d, "fp32")
-        qry = prepare_query(p100, qry_d, "fp32")
-        garcia = garcia_knn_match(p100, ref, qry)
-        ours = knn_algorithm1(p100, ref, qry, sort_kind="scan")
-        np.testing.assert_allclose(garcia.distances, ours.distances)
+    def test_functionally_identical_to_ours(self):
+        """The garcia backend is Algorithm 1 with another sort: the same
+        matches through the engine, at a higher per-image cost."""
+        refs = {f"r{i}": make_descriptors(16, seed=2 + i) for i in range(3)}
+        query = noisy_copy(refs["r1"], 20.0, seed=3)
+        answers = {}
+        for backend in ("garcia", "algorithm1"):
+            engine = TextureSearchEngine(EngineConfig(m=16, n=16, backend=backend, precision="fp32",
+                                                      batch_size=2, min_matches=2))
+            for ref_id, descriptors in refs.items():
+                engine.add_reference(ref_id, descriptors)
+            answers[backend] = engine.search(query, keep_masks=True)
+        garcia, ours = answers["garcia"], answers["algorithm1"]
+        assert [(m.reference_id, m.good_matches, m.match_mask.tolist()) for m in garcia.matches] == [
+            (m.reference_id, m.good_matches, m.match_mask.tolist()) for m in ours.matches]
+        assert garcia.matches and garcia.elapsed_us > ours.elapsed_us
 
     def test_memory_matches_table1(self):
-        assert garcia_memory_bytes(10_000, precision="fp32") / 1e6 == pytest.approx(4307, rel=0.01)
-        assert garcia_memory_bytes(10_000, precision="fp16") / 1e6 == pytest.approx(2307, rel=0.01)
+        assert table1_memory_mb("fp32", "garcia") == pytest.approx(4307, rel=0.01)
+        assert table1_memory_mb("fp16", "garcia") == pytest.approx(2307, rel=0.01)
 
 
 class TestEfficiencyMetrics:

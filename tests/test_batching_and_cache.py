@@ -1,17 +1,11 @@
-"""Batch builder, FIFO cache, hybrid cache, capacity planner."""
+"""Batch builder, FIFO cache, hybrid cache and its capacity metric."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cache import (
-    CacheLocation,
-    FifoCache,
-    HybridFeatureCache,
-    feature_matrix_bytes,
-    plan_capacity,
-)
-from repro.core import BatchBuilder, ReferenceBatch
+from repro.cache import CacheLocation, FifoCache, HybridFeatureCache
+from repro.core import BatchBuilder, EngineConfig, ReferenceBatch
 from repro.errors import CacheCapacityError
 from repro.gpusim import GPUDevice, TESLA_P100
 
@@ -280,30 +274,39 @@ class TestHybridCache:
 
 
 class TestCapacityPlanner:
+    """The paper's capacity metric, as the hybrid cache counts it."""
+
     def test_paper_gpu_only_capacity(self):
         """Sec. 6: 16 GB / 187.5 KB ~= 85,000 images at m=768 FP16."""
-        plan = plan_capacity(m=768, precision="fp16")
-        assert plan.bytes_per_image == 196608
-        assert 85_000 <= plan.gpu_images <= 88_000
+        per_image = EngineConfig(m=768).feature_matrix_bytes()
+        assert per_image == 196608
+        assert 85_000 <= HybridFeatureCache(GPUDevice(TESLA_P100)).capacity_images(per_image) <= 88_000
 
     def test_sec8_per_container(self):
         """Sec. 8: 12 GB GPU + 64 GB host = 76 GB -> ~780k at m=384."""
-        plan = plan_capacity(
-            m=384, precision="fp16",
-            gpu_reserved_bytes=4 * 1024**3, host_cache_bytes=64 * 10**9,
-        )
-        assert plan.bytes_per_image == 98304
-        assert 770_000 <= plan.total_images <= 790_000
+        per_image = EngineConfig(m=384).feature_matrix_bytes()
+        cache = HybridFeatureCache(GPUDevice(TESLA_P100, reserved_bytes=4 * 1024**3),
+                                   host_budget_bytes=64 * 10**9)
+        assert per_image == 98304
+        assert 770_000 <= cache.capacity_images(per_image) <= 790_000
         # 14 containers land within 10% of the paper's 10.8M
-        assert abs(plan.total_images * 14 - 10_800_000) / 10_800_000 < 0.10
+        assert abs(cache.capacity_images(per_image) * 14 - 10_800_000) / 10_800_000 < 0.10
 
     def test_norms_included_for_algorithm1(self):
-        with_n = feature_matrix_bytes(768, 128, "fp32", with_norms=True)
-        without = feature_matrix_bytes(768, 128, "fp32", with_norms=False)
+        with_n = EngineConfig(backend="algorithm1", precision="fp32").feature_matrix_bytes()
+        without = EngineConfig(backend="opencv", precision="fp32").feature_matrix_bytes()
         assert with_n - without == 768 * 4
 
     def test_validation(self):
+        cache = HybridFeatureCache(small_device())
         with pytest.raises(ValueError):
-            feature_matrix_bytes(0)
+            cache.capacity_images(0)
         with pytest.raises(ValueError):
-            plan_capacity(gpu_reserved_bytes=10**20)
+            HybridFeatureCache(small_device(), host_budget_bytes=-1)
+
+    @pytest.mark.parametrize("gpu,host,per", [(10, 10, 4), (250, 350, 100), (0, 9, 3)])
+    def test_no_image_straddles_the_two_levels(self, gpu, host, per):
+        """Each level holds whole images: 10 + 10 bytes at 4 a piece is
+        2 + 2 images, not the 5 that the summed budgets would fit."""
+        cache = HybridFeatureCache(small_device(), gpu_budget_bytes=gpu, host_budget_bytes=host)
+        assert cache.capacity_images(per) == gpu // per + host // per

@@ -18,6 +18,8 @@ from repro.bench.experiments import (
     table5_hybrid_cache,
     table6_streams,
 )
+from repro.core import EngineConfig, TextureSearchEngine
+from repro.gpusim import GPUDevice, TESLA_P100
 
 
 class TestTables:
@@ -151,6 +153,26 @@ class TestFig1:
         result = fig1_waterfall.run()
         assert result.summary["final_speedup"] == pytest.approx(31.0, rel=0.15)
         assert result.summary["final_capacity_gain"] == pytest.approx(20.0, rel=0.15)
+
+    def test_every_capacity_is_what_an_engine_so_configured_holds(self):
+        """A P100 engine per stage, with the 64 GB host cache from the hybrid
+        stage on: its ``capacity_images()`` is the stage's capacity cell
+        (412,901 and 825,803 for the two hybrid stages, where an image may
+        not straddle the GPU and the host)."""
+        host = 64 * 10**9
+        stages = [
+            (EngineConfig(backend="opencv", precision="fp32"), 0),
+            (EngineConfig(backend="algorithm1", precision="fp32"), 0),
+            (EngineConfig(backend="algorithm1", precision="fp16"), 0),
+            (EngineConfig(), 0),
+            (EngineConfig(), host),
+            (EngineConfig(m=384, n=768), host),
+        ]
+        engines = [TextureSearchEngine(config, device=GPUDevice(TESLA_P100), host_cache_bytes=host_bytes)
+                   for config, host_bytes in stages]
+        column = fig1_waterfall.run().column("capacity (images)")
+        assert [engine.capacity_images() for engine in engines] == column
+        assert column[-2:] == [412_901, 825_803]
 
 
 class TestSec8:

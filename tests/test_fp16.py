@@ -99,6 +99,32 @@ class TestDistances:
         err_once = np.abs(once - exact).mean()
         assert err_seq > err_once
 
+    @pytest.mark.parametrize("scale", [2.0**-2, 2.0**-7, 2.0**-16, 2.0**-22])
+    @pytest.mark.parametrize("round_every", [1, 5, 128])
+    def test_accumulated_dot_is_the_astype_round_trip(self, scale, round_every):
+        """The codec's round trip is bit-equal to rounding the accumulator
+        through ``astype(float16)`` after every update, on the plateau and in
+        the subnormal range alike."""
+        r16 = (make_descriptors(24, seed=13) * np.float32(scale)).astype(np.float16)
+        q16 = (make_descriptors(20, seed=14) * np.float32(scale)).astype(np.float16)
+        want = np.zeros((24, 20), np.float32)
+        for start in range(0, 128, round_every):
+            rows = slice(start, start + round_every)
+            want += r16[rows].astype(np.float32).T @ q16[rows].astype(np.float32)
+            want = want.astype(np.float16).astype(np.float32)
+        got = fp16_accumulated_dot(r16, q16, round_every)
+        np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    def test_accumulated_dot_refuses_what_the_codec_cannot_round(self):
+        d = (make_descriptors(8, seed=15) * np.float32(2**-7)).astype(np.float16)
+        negative_zero = d.copy()
+        negative_zero[0, 0] = -0.0
+        for operand in (-d, negative_zero, np.full_like(d, np.inf)):
+            with pytest.raises(ValueError):
+                fp16_accumulated_dot(operand, d)
+        with pytest.raises(ValueError):  # every product is 200 * 200 * 128 > FP16_MAX
+            fp16_accumulated_dot(np.full_like(d, 200), np.full_like(d, 200))
+
 
 class TestCompressionError:
     def test_plateau_magnitude(self):

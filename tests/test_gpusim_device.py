@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import EngineConfig, TextureSearchEngine
 from repro.errors import InvalidStreamError
 from repro.gpusim import (
     DEVICE_REGISTRY,
@@ -10,6 +11,7 @@ from repro.gpusim import (
     TESLA_V100,
     get_device_spec,
 )
+from tests.conftest import make_descriptors
 
 
 class TestDeviceSpec:
@@ -119,9 +121,15 @@ class TestGPUDevice:
         steps = p100.profiler.as_dict()
         assert {"GEMM", "Top-2 sort", "D2H copy", "Post-processing"} <= set(steps)
 
-    def test_feature_matrix_bytes(self, p100):
-        assert p100.feature_matrix_bytes(768, 128, "fp16") == 768 * 128 * 2
-        assert p100.feature_matrix_bytes(384, 128, "fp16") == 98304
+    def test_feature_matrix_bytes(self):
+        """One cached FP16 reference matrix takes its config's
+        ``feature_matrix_bytes()`` of device memory, no more."""
+        for m, nbytes in ((768, 768 * 128 * 2), (384, 98304)):
+            device = GPUDevice(TESLA_P100)
+            config = EngineConfig(m=m, batch_size=1)
+            engine = TextureSearchEngine(config, device=device)
+            engine.add_reference("r0", make_descriptors(m, seed=m))
+            assert device.memory.used_bytes == config.feature_matrix_bytes() == nbytes
 
 
 class TestEvents:

@@ -69,9 +69,8 @@ class TestNodeOps:
         per_image = CFG.feature_matrix_bytes()
         expected = node.engine.cache.capacity_images(per_image)
         assert node.capacity_images() == expected
-        # Sec. 8 budgets: 12 GB GPU cache + 64 GB host
-        total_budget = (16 * 1024**3 - 4 * 1024**3) + 64 * 10**9
-        assert node.capacity_images() == total_budget // per_image
+        # Sec. 8 budgets: 12 GB GPU cache + 64 GB host, each holding whole images
+        assert node.capacity_images() == (16 * 1024**3 - 4 * 1024**3) // per_image + 64 * 10**9 // per_image
 
     def test_hydrate_skips_missing_keys(self):
         node = SearchNode("n0", CFG)

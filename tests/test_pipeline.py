@@ -1,4 +1,5 @@
-"""Multi-stream scheduler model and CPU-thread partitioning."""
+"""Multi-stream scheduler model and the event-driven stream simulation's
+division of batches over streams."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 from repro.gpusim import KernelCalibration, TESLA_P100
 from repro.pipeline import (
     batch_component_times,
-    interleave_schedules,
-    partition_equally,
     plan_streams,
+    simulate_stream_pipeline,
     stream_extra_gpu_bytes,
 )
 
@@ -16,37 +16,40 @@ SPEC = TESLA_P100
 CAL = KernelCalibration.for_device(SPEC)
 
 
+def issued(streams: int, n_batches: int) -> dict:
+    """Busy time per step of ``n_batches`` small host-resident batches
+    simulated over ``streams`` streams."""
+    return simulate_stream_pipeline(SPEC, CAL, streams, n_batches, 4, m=96, n=128).engine_busy_us
+
+
 class TestPartition:
+    """The event simulation divides its batches over the streams: every
+    batch is issued exactly once, whatever the stream count."""
+
     def test_even_split(self):
-        assert partition_equally([1, 2, 3, 4], 2) == [[1, 2], [3, 4]]
+        """Four batches over two streams: each issued once, and one stream's
+        copies overlap the other's compute."""
+        assert issued(2, 4) == pytest.approx({step: 4 * us for step, us in issued(1, 1).items()})
+        two, one = (simulate_stream_pipeline(SPEC, CAL, s, 4, 4, m=96, n=128) for s in (2, 1))
+        assert two.elapsed_us < one.elapsed_us
 
     def test_uneven_split(self):
-        parts = partition_equally(list(range(10)), 3)
-        assert [len(p) for p in parts] == [4, 3, 3]
-        assert sum(parts, []) == list(range(10))
+        assert issued(3, 10) == pytest.approx({step: 10 * us for step, us in issued(1, 1).items()})
 
     def test_more_workers_than_items(self):
-        parts = partition_equally([1], 3)
-        assert parts == [[1], [], []]
+        one = simulate_stream_pipeline(SPEC, CAL, 1, 1, 4, m=96, n=128)
+        spread = simulate_stream_pipeline(SPEC, CAL, 3, 1, 4, m=96, n=128)
+        assert spread.elapsed_us == one.elapsed_us  # idle streams issue nothing
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
-            partition_equally([1], 0)
+            simulate_stream_pipeline(SPEC, CAL, 0, 1, 4)
 
-    @given(st.lists(st.integers(), max_size=50), st.integers(1, 8))
+    @given(st.integers(1, 50), st.integers(1, 8))
     @settings(max_examples=50, deadline=None)
-    def test_partition_properties(self, items, workers):
-        parts = partition_equally(items, workers)
-        assert len(parts) == workers
-        assert sum(parts, []) == items  # order preserved, nothing lost
-        sizes = [len(p) for p in parts]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_interleave(self):
-        assert interleave_schedules([[1, 3], [2, 4], [5]]) == [1, 2, 5, 3, 4]
-
-    def test_interleave_empty(self):
-        assert interleave_schedules([]) == []
+    def test_partition_properties(self, n_batches, streams):
+        busy = issued(streams, n_batches)
+        assert busy == pytest.approx({step: n_batches * us for step, us in issued(1, 1).items()})
 
 
 class TestStreamPlan:

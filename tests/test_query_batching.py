@@ -3,18 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    EngineConfig,
-    TextureSearchEngine,
-    knn_algorithm2,
-    knn_algorithm2_multiquery,
-    query_batch_tradeoff,
-)
+from repro.bench import kernel_steps
+from repro.bench.experiments.ablations import run_query_batch_ablation
+from repro.core import EngineConfig, TextureSearchEngine, knn_algorithm2, knn_algorithm2_multiquery
 from repro.features import rootsift
-from repro.gpusim import KernelCalibration, TESLA_P100
+from repro.gpusim import TESLA_P100
 from tests.conftest import make_descriptors, noisy_copy
-
-CAL = KernelCalibration.for_device(TESLA_P100)
 
 
 def rootsift_batch(count, m, seed):
@@ -122,23 +116,31 @@ class TestEngineSearchMany:
 
 
 class TestTradeoffModel:
+    """The ``ablation-query-batch`` curve, built from what the Algorithm-2
+    kernel charges a query group of each width."""
+
     def test_throughput_rises_latency_rises(self):
-        points = query_batch_tradeoff(TESLA_P100, CAL, [1, 4, 16])
-        throughputs = [p.throughput_images_per_s for p in points]
-        latencies = [p.latency_ms_per_query for p in points]
+        result = run_query_batch_ablation(query_batches=[1, 4, 16])
+        throughputs = result.column("throughput (pairs/s)")
+        latencies = result.column("latency per query (ms)")
         assert throughputs == sorted(throughputs)
         assert latencies == sorted(latencies)
         assert throughputs[-1] / throughputs[0] > 1.3  # PCIe amortisation
 
     def test_gpu_resident_gain_is_smaller(self):
-        streamed = query_batch_tradeoff(TESLA_P100, CAL, [1, 16], host_resident=True)
-        resident = query_batch_tradeoff(TESLA_P100, CAL, [1, 16], host_resident=False)
-        gain_streamed = streamed[1].throughput_images_per_s / streamed[0].throughput_images_per_s
-        gain_resident = resident[1].throughput_images_per_s / resident[0].throughput_images_per_s
-        assert gain_streamed > gain_resident
+        """Without the per-batch PCIe copy to amortise, a wider group gains
+        only what the kernel's own chain amortises."""
+        config = EngineConfig(m=384, n=768, precision="fp16")
+
+        def batch_us(width):
+            return sum(us for _, us, _ in kernel_steps(TESLA_P100, config, 256, width))
+
+        gain_resident = 16 * batch_us(1) / batch_us(16)
+        streamed = run_query_batch_ablation(query_batches=[1, 16]).column("throughput (pairs/s)")
+        assert streamed[1] / streamed[0] > gain_resident > 1.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            query_batch_tradeoff(TESLA_P100, CAL, [0])
+            run_query_batch_ablation(query_batches=[0])
         with pytest.raises(ValueError):
-            query_batch_tradeoff(TESLA_P100, CAL, [1], reference_count=10, ref_batch=100)
+            run_query_batch_ablation(reference_count=10)

@@ -10,10 +10,8 @@ import weakref
 
 import pytest
 
-from repro.bench.chains import algorithm2_steps
-from repro.core import EngineConfig, TextureSearchEngine
+from repro.core import EngineConfig, TextureSearchEngine, create_kernel
 from repro.core.algorithm2 import knn_steps
-from repro.core.query_batching import query_batch_tradeoff
 from repro.core.results import Answer, ImageMatch, Sweep
 from repro.gpusim import GPUDevice, KernelCalibration, TESLA_P100, TESLA_V100
 from repro.gpusim.kernels import (
@@ -80,8 +78,9 @@ def test_the_shapes_cover_both_cards_precisions_and_the_tensor_core():
 
 @pytest.mark.parametrize("spec", [TESLA_P100, TESLA_V100], ids=lambda spec: spec.name)
 def test_every_spelling_is_the_parents_formula_bit_for_bit(spec):
-    """The right-hand sides are the four mirrors as the parent commit
-    spelled them, term by term, added left to right."""
+    """The right-hand sides are the formulas as the parent commit spelled
+    them, term by term, added left to right: what the engine charges, the
+    Table-6 overlap model and the event-driven stream ablation."""
     cal = KernelCalibration.for_device(spec)
     d, k = 128, 2
     for _, m, n, batch, precision, tc in (shape for shape in SHAPES if shape[0] is spec):
@@ -95,11 +94,6 @@ def test_every_spelling_is_the_parents_formula_bit_for_bit(spec):
             ("compute", gemm, "GEMM"), ("compute", scan, "Top-2 sort"),
             ("compute", sqrt, "sqrt"), ("d2h", d2h, "D2H copy"),
         ]
-        # bench/chains.py::algorithm2_steps
-        assert algorithm2_steps(spec, cal, m, n, d, batch, precision, tc) == {
-            "HGEMM/step1": gemm, "Sort and Sqrt/step2&3": scan + sqrt,
-            "D2H memory copy/step4": d2h, "Post-processing/CPU": post,
-        }
         # pipeline/scheduler.py::batch_component_times
         for with_norms in (False, True):
             compute = gemm
@@ -114,18 +108,17 @@ def test_every_spelling_is_the_parents_formula_bit_for_bit(spec):
             ) == {"h2d": h2d_time_us(spec, nbytes, True), "compute": compute, "d2h": d2h, "post": post}
         if tc:
             continue  # the last two spellings have no tensor-core knob
-        # core/query_batching.py::query_batch_tradeoff, a group of one and of four
+        # core/kernels.py::Algorithm2Kernel.batch_steps, a group of one and of four
+        # (what the query-batching ablation adds up)
+        kernel = create_kernel(EngineConfig(m=m, n=n, d=d, precision=precision))
         for qb in (1, 4):
-            chain = (
-                gemm_us(spec, cal, m, qb * n, d, batch, precision)
-                + top2_scan_us(spec, cal, m, batch * qb * n, precision)
-                + elementwise_us(spec, cal, 2 * batch * qb * n, precision)
-                + d2h_result_us(spec, cal, qb * n, batch, 2, precision)
-                + postprocess_us(cal, batch * qb, precision, n)
-            )
-            (point,) = query_batch_tradeoff(spec, cal, [qb], reference_count=4 * batch, ref_batch=batch,
-                                            m=m, n=n, precision=precision, host_resident=False)
-            assert point.latency_ms_per_query == chain * 4 / 1e3
+            assert kernel.batch_steps(GPUDevice(spec, cal), batch, qb) == [
+                ("compute", gemm_us(spec, cal, m, qb * n, d, batch, precision), "GEMM"),
+                ("compute", top2_scan_us(spec, cal, m, batch * qb * n, precision), "Top-2 sort"),
+                ("compute", elementwise_us(spec, cal, 2 * batch * qb * n, precision), "sqrt"),
+                ("d2h", d2h_result_us(spec, cal, qb * n, batch, 2, precision), "D2H copy"),
+                ("cpu", postprocess_us(cal, batch * qb, precision, n), "Post-processing"),
+            ]
         # pipeline/event_sim.py: four typed device calls per batch
         typed = GPUDevice(spec, cal)
         stream = typed.create_stream("s0")
