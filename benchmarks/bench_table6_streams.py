@@ -2,7 +2,9 @@
 
 from conftest import attach_summary, record_result
 from repro.bench.experiments import table6_streams
-from repro.gpusim import KernelCalibration, TESLA_P100
+from repro.bench.tables import staged_batch
+from repro.core import EngineConfig
+from repro.gpusim import TESLA_P100
 from repro.pipeline import plan_streams
 
 
@@ -19,5 +21,4 @@ def test_table6_rows(benchmark):
 
 
 def test_stream_planner_kernel(benchmark):
-    cal = KernelCalibration.for_device(TESLA_P100)
-    benchmark(plan_streams, TESLA_P100, cal, 8, 512)
+    benchmark(plan_streams, 8, 512, *staged_batch(TESLA_P100, EngineConfig(), 512))

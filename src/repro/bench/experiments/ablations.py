@@ -30,7 +30,7 @@ from ...gpusim.pcie import h2d_time_us
 from ...metrics.accuracy import evaluate_top1
 from ...pipeline.event_sim import simulate_stream_pipeline
 from ...pipeline.scheduler import plan_streams
-from ..tables import ExperimentResult, kernel_steps
+from ..tables import ExperimentResult, kernel_steps, staged_batch
 
 __all__ = [
     "run_sort_ablation",
@@ -356,10 +356,11 @@ def run_stream_model_ablation(
                  "paper (img/s)"],
     )
     paper = {1: 24984, 2: 29459, 4: 37955, 8: 41546}
+    staged = staged_batch(spec, EngineConfig(), batch)
     for streams in streams_list:
-        fair = plan_streams(spec, cal, streams, batch).throughput_images_per_s
+        fair = plan_streams(streams, batch, *staged).throughput_images_per_s
         ideal = simulate_stream_pipeline(
-            spec, cal, streams, n_batches, batch
+            spec, cal, streams, n_batches, batch, *staged
         ).throughput_images_per_s
         result.rows.append(
             [streams, int(round(fair)), int(round(ideal)), paper.get(streams, "-")]

@@ -16,7 +16,7 @@ from ...gpusim.calibration import KernelCalibration
 from ...gpusim.device import DEVICE_REGISTRY
 from ...gpusim.engine_model import GPUDevice
 from ...pipeline.scheduler import plan_streams
-from ..tables import ExperimentResult, images_per_s, kernel_steps
+from ..tables import ExperimentResult, images_per_s, kernel_steps, staged_batch
 
 __all__ = ["run"]
 
@@ -42,7 +42,7 @@ def run(
         spec = DEVICE_REGISTRY[key]
         cal = KernelCalibration.for_device(spec)
         resident = images_per_s(kernel_steps(spec, config, batch), batch)
-        plan = plan_streams(spec, cal, streams, batch, m, n, d, "fp16")
+        plan = plan_streams(streams, batch, *staged_batch(spec, config, batch))
         hybrid = min(plan.throughput_images_per_s, resident)
         bottleneck = "PCIe" if plan.theoretical_images_per_s < resident else "compute"
         capacity = TextureSearchEngine(config, device=GPUDevice(spec, cal, reserved_bytes=4 * GIB),

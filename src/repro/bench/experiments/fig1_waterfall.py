@@ -15,7 +15,7 @@ from ...gpusim.calibration import KernelCalibration
 from ...gpusim.device import TESLA_P100, DeviceSpec
 from ...gpusim.engine_model import GPUDevice
 from ...pipeline.scheduler import plan_streams
-from ..tables import ExperimentResult, images_per_s, kernel_steps
+from ..tables import ExperimentResult, images_per_s, kernel_steps, staged_batch
 
 __all__ = ["run"]
 
@@ -48,14 +48,14 @@ def run(
     # Stage 3: + RootSIFT + batching (batch 1024, GPU-resident).
     stage("+ RootSIFT + batching (1024)", EngineConfig(), 1024)
     # Stage 4: + hybrid cache with 8 streams (references on host).
-    plan8 = plan_streams(spec, cal, 8, 512, 768, 768, d, "fp16")
+    plan8 = plan_streams(8, 512, *staged_batch(spec, EngineConfig(d=d), 512))
     stage("+ hybrid cache + 8 streams", EngineConfig(), hybrid=True,
           speed=plan8.throughput_images_per_s)
     # Stage 5: + asymmetric extraction m=384 (transfer halves; the
     # pipeline becomes compute-bound, so GPU-resident speed applies).
     asymmetric = EngineConfig(m=384, n=768, d=d)
     asym_speed = images_per_s(kernel_steps(spec, asymmetric, 256), 256)
-    plan_asym = plan_streams(spec, cal, 8, 512, 384, 768, d, "fp16")
+    plan_asym = plan_streams(8, 512, *staged_batch(spec, asymmetric, 512))
     stage("+ asymmetric m=384, n=768", asymmetric, hybrid=True,
           speed=min(asym_speed, plan_asym.theoretical_images_per_s))
 

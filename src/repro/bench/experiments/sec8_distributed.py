@@ -26,7 +26,7 @@ from ...gpusim.calibration import KernelCalibration
 from ...gpusim.device import TESLA_P100, DeviceSpec
 from ...gpusim.engine_model import GPUDevice
 from ...pipeline.scheduler import plan_streams
-from ..tables import ExperimentResult, images_per_s, kernel_steps
+from ..tables import ExperimentResult, images_per_s, kernel_steps, staged_batch
 
 __all__ = ["run"]
 
@@ -59,7 +59,7 @@ def run(
     # Per-GPU speed: compute-bound chain at batch 256, capped by the
     # PCIe bound (which no longer binds at m=384 — the point of Sec. 7).
     compute_speed = images_per_s(kernel_steps(spec, production, 256), 256)
-    stream_plan = plan_streams(spec, cal, 8, 512, m, n, d, "fp16")
+    stream_plan = plan_streams(8, 512, *staged_batch(spec, production, 512))
     per_gpu_speed = min(compute_speed, stream_plan.theoretical_images_per_s)
     cluster_speed = per_gpu_speed * n_nodes
     million_scale_s = 1_000_000 / cluster_speed

@@ -9,10 +9,10 @@ speed 47,592 img/s.
 
 from __future__ import annotations
 
-from ...gpusim.calibration import KernelCalibration
+from ...core.config import EngineConfig
 from ...gpusim.device import TESLA_P100, DeviceSpec
-from ...pipeline.scheduler import plan_streams
-from ..tables import ExperimentResult
+from ...pipeline.scheduler import plan_streams, stream_extra_gpu_bytes
+from ..tables import ExperimentResult, staged_batch
 
 __all__ = ["run", "DEFAULT_GRID"]
 
@@ -27,7 +27,7 @@ def run(
     d: int = 128,
 ) -> ExperimentResult:
     grid = grid if grid is not None else list(DEFAULT_GRID)
-    cal = KernelCalibration.for_device(spec)
+    config = EngineConfig(m=m, n=n, d=d, precision="fp16")
     result = ExperimentResult(
         name=f"Table 6: CPU threads / CUDA streams, m={m} n={n}, {spec.name}",
         headers=["BatchSize", "CUDA streams", "Extra GPU mem (GB)",
@@ -35,13 +35,13 @@ def run(
     )
     plans = {}
     for batch, streams in grid:
-        plan = plan_streams(spec, cal, streams, batch, m, n, d, "fp16")
+        plan = plan_streams(streams, batch, *staged_batch(spec, config, batch))
         plans[(batch, streams)] = plan
         result.rows.append(
             [
                 batch,
                 streams,
-                round(plan.extra_gpu_bytes / 1e9, 3),
+                round(stream_extra_gpu_bytes(streams, batch, m, n, d) / 1e9, 3),
                 int(round(plan.throughput_images_per_s)),
                 f"{plan.schedule_efficiency:.1%}",
             ]

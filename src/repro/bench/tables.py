@@ -5,7 +5,8 @@ Every experiment returns an :class:`ExperimentResult`; the benchmark
 harness prints it in the same row/column layout as the paper's table so
 paper-vs-measured comparison is an eyeball diff.  Every cost a table
 prints is a step list the engine's own match kernel charges
-(:func:`kernel_steps`); the tables only relabel and add it up.
+(:func:`kernel_steps`), plus, for a streamed batch, the H2D the sweep
+stages (:func:`staged_batch`); the tables only relabel and add it up.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from ..core.config import EngineConfig
 from ..core.registry import create_kernel
 from ..gpusim.device import DeviceSpec
 from ..gpusim.engine_model import GPUDevice
+from ..gpusim.pcie import h2d_time_us
 
-__all__ = ["ExperimentResult", "format_table", "fmt", "images_per_s", "kernel_steps"]
+__all__ = ["ExperimentResult", "format_table", "fmt", "images_per_s", "kernel_steps", "staged_batch"]
 
 
 def kernel_steps(spec: DeviceSpec, config: EngineConfig, batch: int = 1,
@@ -27,6 +29,14 @@ def kernel_steps(spec: DeviceSpec, config: EngineConfig, batch: int = 1,
     a ``batch``-image reference batch against ``n_queries`` queries:
     ``(engine, us, step)`` tuples, in charge order."""
     return create_kernel(config).batch_steps(GPUDevice(spec), batch, n_queries)
+
+
+def staged_batch(spec: DeviceSpec, config: EngineConfig, batch: int) -> tuple[float, list[tuple]]:
+    """A host-resident ``batch``-image batch as the engine's sweep prices it:
+    its pinned H2D µs and its kernel's step list — what
+    :func:`repro.pipeline.scheduler.plan_streams` and
+    :func:`repro.pipeline.event_sim.simulate_stream_pipeline` take."""
+    return h2d_time_us(spec, batch * config.feature_matrix_bytes()), kernel_steps(spec, config, batch)
 
 
 def images_per_s(steps: list[tuple], images: int = 1) -> float:

@@ -80,7 +80,7 @@ def _stored(features: np.ndarray, precision: str, scale: float) -> np.ndarray:
     raise ValueError(f"precision must be 'fp16' or 'fp32', got {precision!r}")
 
 
-def _with_norms(
+def _attach_norms(
     values: np.ndarray,
     precision: str,
     scale: float,
@@ -118,7 +118,7 @@ def prepare_reference(
     Never charged to the device: the paper computes all reference
     matrices and their ``N_R`` vectors ahead of time (Sec. 4.1).
     """
-    return _with_norms(_stored(features, precision, scale), precision, scale, None, None)
+    return _attach_norms(_stored(features, precision, scale), precision, scale, None, None)
 
 
 def upload_query(
@@ -133,7 +133,7 @@ def upload_query(
     (step 2); both are charged."""
     elem = 2 if precision == "fp16" else 4
     device.h2d(values.shape[0] * values.shape[1] * elem, stream=stream, step="query H2D")
-    return _with_norms(values, precision, scale, device, stream)
+    return _attach_norms(values, precision, scale, device, stream)
 
 
 def prepare_query(

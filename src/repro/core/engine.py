@@ -21,9 +21,11 @@ image to the same kernel calls and touches neither cache nor stats.
 
 Timing: with a single stream the engine's event-driven device model is
 exact (all stages serialise in-stream, as in Tables 1/3/5).  With
-multiple streams the overlap is computed by the Table-6 steady-state
-scheduler model, because real stream concurrency is a property the
-serial NumPy execution cannot exhibit.
+multiple streams the sweep replaces the serial time of the batches it
+staged from the host by Table 6's overlap rule
+(:func:`repro.pipeline.scheduler.overlap_us`), fed the H2D µs and the
+kernel steps it charged them, because real stream concurrency is a
+property the serial NumPy execution cannot exhibit.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numpy as np
 from ..cache.hybrid import CacheLocation, HybridFeatureCache
 from ..gpusim.device import TESLA_P100
 from ..gpusim.engine_model import GPUDevice
+from ..gpusim.pcie import h2d_time_us
 from ..obs import current_deadline, default_registry, default_tracer
 from ..pipeline.scheduler import plan_streams
 from .batching import BatchBuilder, ReferenceBatch
@@ -384,9 +387,13 @@ class TextureSearchEngine:
         ``batch_steps``; what it swept is then computed — and its
         tombstones dropped — by the *functional* plane
         (:meth:`_swept_matches`) in one kernel call — its own, or that of
-        the gather it is part of (:mod:`repro.core.compute`).  The
-        multi-stream overlap correction (Sec. 6.2) and the stats follow
-        the loop.
+        the gather it is part of (:mod:`repro.core.compute`).  The stats
+        follow the loop, and so does the multi-stream overlap (Sec. 6.2):
+        the H2D µs and the steps charged to every batch staged from the
+        host — its surviving slots, at the group's width — go to
+        :func:`~repro.pipeline.scheduler.plan_streams`, whose
+        ``hidden_us`` comes off the serial clock (nothing at one stream
+        or with no host batch).
 
         ``candidate_ids`` (a :mod:`repro.routing` tier's nominees): a
         batch with no nominated slot is skipped outright — no staging,
@@ -410,12 +417,12 @@ class TextureSearchEngine:
         count into ``images_searched`` (examined, unlike routing-pruned
         ones) and into ``cascade_pruned``.
         """
-        cfg = self.config
         deadline = current_deadline()
         profile_before = self.device.profiler.as_dict()
         with _TRACER.span("engine.sweep", layer="engine", backend=self.backend, queries=n_queries):
             start_us = charged_at_us = self.device.synchronize()
             images = host_images = skipped = pruned = cascade = 0
+            host_h2d_us, host_steps = 0.0, []
             prefilter_active = self.kernel.has_prefilter and query.matrix.ndim == 2
             swept: list[ReferenceBatch] = []
             survivors_of: list[np.ndarray | None] = []
@@ -450,9 +457,12 @@ class TextureSearchEngine:
                     if surviving and not resident:
                         # one H2D per reference batch per *sweep* — a query
                         # group shares the transfer, it is not paid per query
-                        self.device.h2d(batch.nbytes, pinned=self.cache.pinned)
+                        h2d_us = h2d_time_us(self.device.spec, batch.nbytes, self.cache.pinned)
+                        self.device.charge([("h2d", h2d_us, "H2D copy")])
                         _H2D_BYTES.inc(batch.nbytes)
                         host_images += batch.size
+                        host_h2d_us += h2d_us
+                        host_steps += self._batch_steps[shape]
                     # charged now, computed with the rest of the sweep
                     self.device.charge(self._batch_steps[shape])
                     swept.append(batch)
@@ -466,22 +476,9 @@ class TextureSearchEngine:
                     charged_at_us = now_us
             per_query = self._swept_matches(
                 swept, survivors_of, query, n_queries, keep_masks, candidate_ids)
-            elapsed = self.device.synchronize() - start_us
-
-            if cfg.streams > 1 and host_images:
-                # Replace the serial estimate for the host-resident part by the
-                # multi-stream overlap model (Sec. 6.2), planned at the group's fused
-                # width: a group widens the GEMM to ``n_queries * n`` columns while the
-                # per-batch H2D stays the same — amortised across it, not paid per query.
-                plan = plan_streams(
-                    self.device.spec, self.device.cal, cfg.streams, cfg.batch_size,
-                    m=cfg.m, n=cfg.n * n_queries, d=cfg.d, precision=cfg.precision,
-                    tensor_core=cfg.tensor_core, pinned=self.cache.pinned,
-                    with_norms=self.kernel.needs_norms,
-                )
-                gpu_fraction = (images - host_images) / images  # images >= host_images > 0
-                streamed_us = host_images / plan.throughput_images_per_s * 1e6
-                elapsed = elapsed * gpu_fraction + streamed_us
+            # the host batches' serial time becomes their multi-stream overlap (Sec. 6.2)
+            plan = plan_streams(self.config.streams, host_images, host_h2d_us, host_steps)
+            elapsed = self.device.synchronize() - start_us - plan.hidden_us
 
             self.stats.searches += n_queries
             self.stats.images_compared += images * n_queries
@@ -568,8 +565,8 @@ class TextureSearchEngine:
 
         Every reference batch is transferred (H2D) once for the group,
         the GEMMs fuse to ``group * n`` query columns, tombstones are
-        filtered once per batch, and the multi-stream overlap
-        correction is applied at the fused width.  Higher throughput,
+        filtered once per batch, and the multi-stream overlap reads the
+        steps charged at the fused width.  Higher throughput,
         but every answer shares the group's completion time (the latency
         cost the paper warns about — the ``serving`` bench experiment).
 

@@ -52,14 +52,10 @@ class SearchNode:
         device_spec: DeviceSpec = TESLA_P100,
         node_config: NodeConfig | None = None,
         health_policy: HealthPolicy | None = None,
-        backend: str | None = None,
         breaker_policy: BreakerPolicy | None = None,
     ) -> None:
         self.node_id = str(node_id)
         self.node_config = node_config or NodeConfig()
-        if backend is not None:
-            # construct the engine by backend name (kernel registry)
-            engine_config = (engine_config or EngineConfig()).with_updates(backend=backend)
         device = GPUDevice(device_spec, reserved_bytes=self.node_config.engine_reserved_bytes)
         self.engine = TextureSearchEngine(
             config=engine_config,

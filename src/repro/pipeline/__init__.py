@@ -5,7 +5,7 @@ from .event_sim import EventSimResult, simulate_stream_pipeline
 from .scheduler import (
     FIXED_OVERHEAD_BYTES,
     StreamPlan,
-    batch_component_times,
+    overlap_us,
     plan_streams,
     stream_extra_gpu_bytes,
 )
@@ -15,7 +15,7 @@ __all__ = [
     "FIXED_OVERHEAD_BYTES",
     "StreamPlan",
     "simulate_stream_pipeline",
-    "batch_component_times",
+    "overlap_us",
     "plan_streams",
     "stream_extra_gpu_bytes",
 ]

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from ..gpusim.calibration import KernelCalibration
 from ..gpusim.device import DeviceSpec
 from ..gpusim.engine_model import GPUDevice
-from ..gpusim.kernels import dtype_bytes, knn_steps_us
 
 __all__ = ["EventSimResult", "simulate_stream_pipeline"]
 
@@ -39,20 +38,19 @@ def simulate_stream_pipeline(
     streams: int,
     n_batches: int,
     batch: int,
-    m: int = 768,
-    n: int = 768,
-    d: int = 128,
-    precision: str = "fp16",
-    pinned: bool = True,
-    host_resident: bool = True,
+    h2d_us: float,
+    steps: list[tuple],
 ) -> EventSimResult:
-    """Simulate ``n_batches`` reference batches through ``streams``
-    CUDA streams on the event-driven device.
+    """Simulate ``n_batches`` reference batches of ``batch`` images through
+    ``streams`` CUDA streams on the event-driven device.
 
-    Each stream processes its partition in-order: (H2D if the batch is
-    host-resident) -> batched GEMM -> top-2 scan -> sqrt -> D2H result.
-    Engines (one H2D, one compute, one D2H) serialise across streams,
-    so copy/compute overlap emerges naturally.
+    Each batch is what :func:`repro.pipeline.scheduler.plan_streams`
+    prices: ``h2d_us`` of H2D (none for a GPU-resident batch,
+    ``h2d_us=0``), then the device steps of its kernel's ``(engine, us,
+    step)`` list — the ``cpu`` ones run on other workers.  Each stream
+    processes its partition in order; engines (one H2D, one compute, one
+    D2H) serialise across streams, so copy/compute overlap emerges
+    naturally.
     """
     if streams < 1 or n_batches < 1 or batch < 1:
         raise ValueError("streams, n_batches and batch must be >= 1")
@@ -61,19 +59,16 @@ def simulate_stream_pipeline(
     # the batches divide equally over the streams, the first ``extra`` one more
     base, extra = divmod(n_batches, streams)
     counts = [base + (s < extra) for s in range(streams)]
-    transfer_bytes = batch * m * d * dtype_bytes(precision)
-    knn_steps = knn_steps_us(spec, cal, batch, m, n, d, 2, precision)
+    staged = [("h2d", h2d_us, "H2D copy")] if h2d_us else []
+    issued = staged + [step for step in steps if step[0] != "cpu"]
 
     # Interleave issue order round-robin across streams (the CPU threads
     # all enqueue concurrently); in-stream order is preserved by the
     # stream semantics regardless of issue order.
     for i in range(max(counts)):
         for stream, count in zip(stream_objs, counts):
-            if i >= count:
-                continue
-            if host_resident:
-                device.h2d(transfer_bytes, stream=stream, pinned=pinned)
-            device.charge(knn_steps, stream)
+            if i < count:
+                device.charge(issued, stream)
 
     elapsed = device.synchronize()
     images = n_batches * batch

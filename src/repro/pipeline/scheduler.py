@@ -4,14 +4,19 @@ The paper dedicates one CPU thread + one CUDA stream to each equal
 slice of the host-resident reference batches.  Within a thread the
 cycle per batch is H2D -> kernels -> D2H (issued synchronously), while
 across threads the PCIe engine arbitrates transfers in chunks — each
-concurrent stream sees ~1/S of the link.  The steady-state cycle of one
-stream is therefore::
+concurrent stream sees ~1/S of the link — and the device still runs
+one kernel at a time.  Over batches whose H2D totals ``h2d_us`` and
+whose device work (compute + D2H) totals ``busy_us``, ``S`` streams
+therefore take::
 
-    cycle(S) = S * t_h2d + t_compute + t_d2h
+    overlap_us(S, h2d_us, busy_us) = max(h2d_us + busy_us / S, busy_us)
 
-and the node completes ``S`` batches per cycle.  The model reproduces
-Table 6's ramp (52.5 % -> 87.3 % schedule efficiency from 1 to 8
-streams) and its *theoretical speed* — the pure PCIe bound
+with CPU post-processing moved to the other workers; one stream stays
+the serial cycle, post-processing included.  The inputs are a batch's
+H2D time and the step list its match kernel charges (``batch_steps``),
+so the engine's sweep and the tables price a batch one way.  The model
+reproduces Table 6's ramp (52.5 % -> 87.3 % schedule efficiency from 1
+to 8 streams) and its *theoretical speed* — the pure PCIe bound
 ``batch / t_h2d`` (47,592 img/s for m=768 FP16 at 9.4 GB/s, Sec. 6.2).
 
 Extra GPU memory per stream is the stream's private similarity matrix
@@ -24,38 +29,70 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..gpusim.calibration import KernelCalibration
-from ..gpusim.device import DeviceSpec
-from ..gpusim.kernels import dtype_bytes, elementwise_us, knn_steps_us, postprocess_us
-from ..gpusim.pcie import h2d_time_us
+from ..gpusim.kernels import dtype_bytes
 
-__all__ = ["StreamPlan", "plan_streams", "stream_extra_gpu_bytes", "batch_component_times"]
+__all__ = ["StreamPlan", "overlap_us", "plan_streams", "stream_extra_gpu_bytes"]
 
 #: fixed engine overhead independent of stream count (cuBLAS workspace,
 #: query buffers, ...), fit from Table 6's footprints.
 FIXED_OVERHEAD_BYTES = int(0.3e9)
 
 
+def overlap_us(streams: int, h2d_us: float, busy_us: float) -> float:
+    """Table 6's rule: PCIe fair-shared over ``streams``, the device serial."""
+    return max(h2d_us + busy_us / streams, busy_us)
+
+
 @dataclass(frozen=True)
 class StreamPlan:
-    """Predicted steady-state behaviour of one stream configuration."""
+    """``streams`` streams over host-resident work of ``batch`` images:
+    its H2D, its device compute + D2H (``busy_us``) and its CPU
+    post-processing."""
 
     streams: int
     batch: int
-    throughput_images_per_s: float
-    theoretical_images_per_s: float
-    cycle_us: float
     h2d_us: float
-    compute_us: float
-    d2h_us: float
-    extra_gpu_bytes: int
+    busy_us: float
+    post_us: float
+
+    @property
+    def serial_us(self) -> float:
+        return self.h2d_us + self.busy_us + self.post_us
+
+    @property
+    def cycle_us(self) -> float:
+        if self.streams == 1:
+            return self.serial_us
+        return overlap_us(self.streams, self.h2d_us, self.busy_us)
+
+    @property
+    def hidden_us(self) -> float:
+        """What the overlap takes off the serial time (0.0 at one stream)."""
+        return self.serial_us - self.cycle_us
+
+    @property
+    def throughput_images_per_s(self) -> float:
+        return self.batch / self.cycle_us * 1e6
+
+    @property
+    def theoretical_images_per_s(self) -> float:
+        """The pure PCIe bound."""
+        return self.batch / self.h2d_us * 1e6
 
     @property
     def schedule_efficiency(self) -> float:
         """Eq. 4: achieved / theoretical speed."""
-        if self.theoretical_images_per_s <= 0:
-            return 0.0
         return self.throughput_images_per_s / self.theoretical_images_per_s
+
+
+def plan_streams(streams: int, batch: int, h2d_us: float, steps: list[tuple]) -> StreamPlan:
+    """``streams`` streams over ``batch`` host-resident images that stage
+    ``h2d_us`` of H2D and charge the ``(engine, us, step)`` list ``steps``."""
+    if streams < 1:
+        raise ValueError("streams must be >= 1")
+    busy = sum(us for engine, us, _ in steps if engine != "cpu")
+    post = sum(us for engine, us, _ in steps if engine == "cpu")
+    return StreamPlan(streams, batch, h2d_us, busy, post)
 
 
 def stream_extra_gpu_bytes(
@@ -72,84 +109,3 @@ def stream_extra_gpu_bytes(
     elem = dtype_bytes(precision)
     per_stream = batch * m * n * elem + batch * m * d * elem
     return FIXED_OVERHEAD_BYTES + streams * per_stream
-
-
-def batch_component_times(
-    spec: DeviceSpec,
-    cal: KernelCalibration,
-    m: int,
-    n: int,
-    d: int,
-    batch: int,
-    precision: str = "fp16",
-    tensor_core: bool = False,
-    pinned: bool = True,
-    with_norms: bool = False,
-) -> dict[str, float]:
-    """Per-batch stage durations (us) for the Algorithm-2 pipeline.
-
-    ``with_norms`` adds the Algorithm-1 N_R bytes to the transfer and
-    the row-broadcast kernel to compute.
-    """
-    elem = dtype_bytes(precision)
-    transfer_bytes = batch * m * d * elem
-    compute, scan, sqrt, d2h = (
-        us for _, us, _ in knn_steps_us(spec, cal, batch, m, n, d, 2, precision, tensor_core)
-    )
-    if with_norms:
-        transfer_bytes += batch * m * elem
-        compute += elementwise_us(spec, cal, batch * m * n, precision)
-    compute += scan
-    compute += sqrt
-    return {
-        "h2d": h2d_time_us(spec, transfer_bytes, pinned),
-        "compute": compute,
-        "d2h": d2h,
-        "post": postprocess_us(cal, batch, precision, n),
-    }
-
-
-def plan_streams(
-    spec: DeviceSpec,
-    cal: KernelCalibration,
-    streams: int,
-    batch: int,
-    m: int = 768,
-    n: int = 768,
-    d: int = 128,
-    precision: str = "fp16",
-    tensor_core: bool = False,
-    pinned: bool = True,
-    with_norms: bool = False,
-) -> StreamPlan:
-    """Steady-state throughput for ``streams`` threads/streams over
-    host-resident references."""
-    if streams < 1:
-        raise ValueError("streams must be >= 1")
-    t = batch_component_times(
-        spec, cal, m, n, d, batch, precision, tensor_core, pinned, with_norms
-    )
-    # Single stream: everything serialises, including CPU post-processing
-    # (one thread does it all).  Multi-stream: post-processing moves to
-    # the other CPU workers; PCIe is fair-shared across in-flight
-    # streams; compute still serialises on the device.
-    if streams == 1:
-        cycle = t["h2d"] + t["compute"] + t["d2h"] + t["post"]
-        throughput = batch / cycle * 1e6
-    else:
-        cycle = streams * t["h2d"] + t["compute"] + t["d2h"]
-        throughput = streams * batch / cycle * 1e6
-        compute_cap = batch / (t["compute"] + t["d2h"]) * 1e6
-        throughput = min(throughput, compute_cap)
-    theoretical = batch / t["h2d"] * 1e6
-    return StreamPlan(
-        streams=streams,
-        batch=batch,
-        throughput_images_per_s=throughput,
-        theoretical_images_per_s=theoretical,
-        cycle_us=cycle,
-        h2d_us=t["h2d"],
-        compute_us=t["compute"],
-        d2h_us=t["d2h"],
-        extra_gpu_bytes=stream_extra_gpu_bytes(streams, batch, m, n, d, precision),
-    )

@@ -307,9 +307,7 @@ class TestNodeBackend:
     def test_node_constructed_by_backend_name(self):
         from repro.distributed import SearchNode
 
-        node = SearchNode(
-            "n0", EngineConfig(m=M, n=N, precision="fp32"), backend="opencv"
-        )
+        node = SearchNode("n0", EngineConfig(m=M, n=N, precision="fp32").with_updates(backend="opencv"))
         assert node.engine.backend == "opencv"
         assert node.stats()["backend"] == "opencv"
 
@@ -317,7 +315,7 @@ class TestNodeBackend:
         from repro.distributed import SearchNode
 
         with pytest.raises(ValueError, match="fp32"):
-            SearchNode("n0", EngineConfig(m=M, n=N, precision="fp16"), backend="opencv")
+            SearchNode("n0", EngineConfig(m=M, n=N, precision="fp16").with_updates(backend="opencv"))
 
 
 class TestBackendBenchExperiment:

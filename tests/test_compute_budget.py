@@ -74,8 +74,7 @@ def test_fusion_added_no_knob():
         "config", "device", "host_cache_bytes", "gpu_cache_bytes", "pinned", "kernel",
     ]
     assert parameters(SearchNode) == [
-        "node_id", "engine_config", "device_spec", "node_config", "health_policy", "backend",
-        "breaker_policy",
+        "node_id", "engine_config", "device_spec", "node_config", "health_policy", "breaker_policy",
     ]
     assert parameters(DistributedSearchSystem) == [
         "n_nodes", "engine_config", "device_spec", "node_config", "store", "placement",

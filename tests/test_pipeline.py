@@ -4,9 +4,11 @@ division of batches over streams."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.bench.tables import staged_batch
+from repro.core import EngineConfig
 from repro.gpusim import KernelCalibration, TESLA_P100
 from repro.pipeline import (
-    batch_component_times,
+    overlap_us,
     plan_streams,
     simulate_stream_pipeline,
     stream_extra_gpu_bytes,
@@ -14,12 +16,22 @@ from repro.pipeline import (
 
 SPEC = TESLA_P100
 CAL = KernelCalibration.for_device(SPEC)
+SMALL = staged_batch(SPEC, EngineConfig(m=96, n=128), 4)
+
+
+def plan(streams: int, batch: int, **config):
+    """The overlap model over one host-resident ``batch`` as the engine prices it."""
+    return plan_streams(streams, batch, *staged_batch(SPEC, EngineConfig(**config), batch))
+
+
+def simulated(streams: int, n_batches: int):
+    return simulate_stream_pipeline(SPEC, CAL, streams, n_batches, 4, *SMALL)
 
 
 def issued(streams: int, n_batches: int) -> dict:
     """Busy time per step of ``n_batches`` small host-resident batches
     simulated over ``streams`` streams."""
-    return simulate_stream_pipeline(SPEC, CAL, streams, n_batches, 4, m=96, n=128).engine_busy_us
+    return simulated(streams, n_batches).engine_busy_us
 
 
 class TestPartition:
@@ -30,20 +42,20 @@ class TestPartition:
         """Four batches over two streams: each issued once, and one stream's
         copies overlap the other's compute."""
         assert issued(2, 4) == pytest.approx({step: 4 * us for step, us in issued(1, 1).items()})
-        two, one = (simulate_stream_pipeline(SPEC, CAL, s, 4, 4, m=96, n=128) for s in (2, 1))
+        two, one = (simulated(s, 4) for s in (2, 1))
         assert two.elapsed_us < one.elapsed_us
 
     def test_uneven_split(self):
         assert issued(3, 10) == pytest.approx({step: 10 * us for step, us in issued(1, 1).items()})
 
     def test_more_workers_than_items(self):
-        one = simulate_stream_pipeline(SPEC, CAL, 1, 1, 4, m=96, n=128)
-        spread = simulate_stream_pipeline(SPEC, CAL, 3, 1, 4, m=96, n=128)
+        one = simulated(1, 1)
+        spread = simulated(3, 1)
         assert spread.elapsed_us == one.elapsed_us  # idle streams issue nothing
 
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
-            simulate_stream_pipeline(SPEC, CAL, 0, 1, 4)
+            simulate_stream_pipeline(SPEC, CAL, 0, 1, 4, *SMALL)
 
     @given(st.integers(1, 50), st.integers(1, 8))
     @settings(max_examples=50, deadline=None)
@@ -55,26 +67,25 @@ class TestPartition:
 class TestStreamPlan:
     def test_more_streams_more_throughput(self):
         speeds = [
-            plan_streams(SPEC, CAL, s, 512).throughput_images_per_s for s in (1, 2, 4, 8)
+            plan(s, 512).throughput_images_per_s for s in (1, 2, 4, 8)
         ]
         assert speeds == sorted(speeds)
 
     def test_never_exceeds_theoretical(self):
         for streams in (1, 2, 4, 8, 16):
-            plan = plan_streams(SPEC, CAL, streams, 512)
-            assert plan.throughput_images_per_s <= plan.theoretical_images_per_s * 1.0001
+            planned = plan(streams, 512)
+            assert planned.throughput_images_per_s <= planned.theoretical_images_per_s * 1.0001
 
     def test_table6_efficiency_band(self):
         """Paper: 52.5% at 1 stream -> 87.3% at 8 streams (batch 512)."""
-        eff1 = plan_streams(SPEC, CAL, 1, 512).schedule_efficiency
-        eff8 = plan_streams(SPEC, CAL, 8, 512).schedule_efficiency
+        eff1 = plan(1, 512).schedule_efficiency
+        eff8 = plan(8, 512).schedule_efficiency
         assert 0.40 < eff1 < 0.60
         assert 0.80 < eff8 < 0.95
 
     def test_theoretical_speed_matches_paper(self):
         """Sec. 6.2: PCIe-bound theoretical speed ~47,592 img/s."""
-        plan = plan_streams(SPEC, CAL, 1, 512)
-        assert plan.theoretical_images_per_s == pytest.approx(47592, rel=0.02)
+        assert plan(1, 512).theoretical_images_per_s == pytest.approx(47592, rel=0.02)
 
     def test_extra_memory_matches_table6(self):
         """Table 6 footprints: 0.989 GB (1 stream) -> 5.819 GB (8)."""
@@ -91,18 +102,25 @@ class TestStreamPlan:
     def test_compute_bound_cap(self):
         """At m=384 the transfer halves and compute becomes the
         bottleneck — throughput must cap below PCIe-bound theoretical."""
-        plan = plan_streams(SPEC, CAL, 16, 512, m=384)
-        compute_cap = 512 / (plan.compute_us + plan.d2h_us) * 1e6
-        assert plan.throughput_images_per_s <= compute_cap * 1.0001
+        planned = plan(16, 512, m=384)
+        compute_cap = 512 / planned.busy_us * 1e6
+        assert planned.throughput_images_per_s <= compute_cap * 1.0001
 
-    def test_with_norms_adds_transfer(self):
-        without = batch_component_times(SPEC, CAL, 768, 768, 128, 64)
-        with_n = batch_component_times(SPEC, CAL, 768, 768, 128, 64, with_norms=True)
-        assert with_n["h2d"] > without["h2d"]
-        assert with_n["compute"] > without["compute"]
+    @given(st.integers(1, 16), st.floats(0, 1e4), st.floats(0, 1e4), st.floats(0, 1e3))
+    @settings(max_examples=100, deadline=None)
+    def test_the_overlap_sits_between_the_device_and_the_serial_cycle(self, streams, h2d, busy, post):
+        """More streams never cost more than one, and never less than the
+        device work itself; one stream is the serial cycle, post-processing in."""
+        planned = plan_streams(streams, 1, h2d, [("compute", busy, "GEMM"), ("cpu", post, "Post")])
+        assert busy <= planned.cycle_us <= planned.serial_us == h2d + busy + post
+        assert planned.hidden_us >= 0
+        assert planned.cycle_us == (planned.serial_us if streams == 1 else overlap_us(streams, h2d, busy))
+
+    def test_no_host_work_hides_nothing(self):
+        assert plan_streams(4, 0, 0.0, []).hidden_us == 0.0
 
     def test_invalid_streams(self):
         with pytest.raises(ValueError):
-            plan_streams(SPEC, CAL, 0, 512)
+            plan_streams(0, 512, *staged_batch(SPEC, EngineConfig(), 512))
         with pytest.raises(ValueError):
             stream_extra_gpu_bytes(0, 512, 768, 768)

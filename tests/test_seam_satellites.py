@@ -19,7 +19,7 @@ from repro.gpusim.kernels import (
 )
 from repro.gpusim.pcie import h2d_time_us
 from repro.pipeline.event_sim import simulate_stream_pipeline
-from repro.pipeline.scheduler import batch_component_times
+from repro.pipeline.scheduler import plan_streams
 from tests.conftest import make_descriptors
 
 # -- a purged batch is freed -----------------------------------------------
@@ -94,18 +94,13 @@ def test_every_spelling_is_the_parents_formula_bit_for_bit(spec):
             ("compute", gemm, "GEMM"), ("compute", scan, "Top-2 sort"),
             ("compute", sqrt, "sqrt"), ("d2h", d2h, "D2H copy"),
         ]
-        # pipeline/scheduler.py::batch_component_times
-        for with_norms in (False, True):
-            compute = gemm
-            nbytes = batch * m * d * dtype_bytes(precision)
-            if with_norms:
-                nbytes += batch * m * dtype_bytes(precision)
-                compute += elementwise_us(spec, cal, batch * m * n, precision)
-            compute += scan
-            compute += sqrt
-            assert batch_component_times(
-                spec, cal, m, n, d, batch, precision, tc, True, with_norms
-            ) == {"h2d": h2d_time_us(spec, nbytes, True), "compute": compute, "d2h": d2h, "post": post}
+        # pipeline/scheduler.py::plan_streams: the plan's compute and D2H are
+        # the kernel's step sums, its post-processing the kernel's CPU step
+        steps = create_kernel(EngineConfig(m=m, n=n, d=d, precision=precision, tensor_core=tc)
+                              ).batch_steps(GPUDevice(spec, cal), batch, 1)
+        h2d = h2d_time_us(spec, batch * m * d * dtype_bytes(precision), True)
+        plan = plan_streams(2, batch, h2d, steps)
+        assert (plan.h2d_us, plan.busy_us, plan.post_us) == (h2d, gemm + scan + sqrt + d2h, post)
         if tc:
             continue  # the last two spellings have no tensor-core knob
         # core/kernels.py::Algorithm2Kernel.batch_steps, a group of one and of four
@@ -119,7 +114,8 @@ def test_every_spelling_is_the_parents_formula_bit_for_bit(spec):
                 ("d2h", d2h_result_us(spec, cal, qb * n, batch, 2, precision), "D2H copy"),
                 ("cpu", postprocess_us(cal, batch * qb, precision, n), "Post-processing"),
             ]
-        # pipeline/event_sim.py: four typed device calls per batch
+        # pipeline/event_sim.py: four typed device calls per GPU-resident batch
+        # (the kernel's CPU step runs on the other workers)
         typed = GPUDevice(spec, cal)
         stream = typed.create_stream("s0")
         for _ in range(3):
@@ -127,7 +123,7 @@ def test_every_spelling_is_the_parents_formula_bit_for_bit(spec):
             typed.top2_scan(m, batch * n, dtype=precision, stream=stream)
             typed.elementwise(2 * batch * n, dtype=precision, stream=stream, step="sqrt")
             typed.d2h_result(n, batch=batch, dtype=precision, stream=stream)
-        simulated = simulate_stream_pipeline(spec, cal, 1, 3, batch, m, n, d, precision,
-                                             host_resident=False)
+        simulated = simulate_stream_pipeline(spec, cal, 1, 3, batch, 0.0,
+                                             kernel.batch_steps(GPUDevice(spec, cal), batch, 1))
         assert simulated.elapsed_us == typed.synchronize()
         assert list(simulated.engine_busy_us.items()) == list(typed.profiler.as_dict().items())

@@ -7,7 +7,8 @@ bodies of ``core/engine.py``, ``core/kernels.py``, ``core/algorithm2.py``
 and ``core/query_batching.py`` as of the commit before the stacked
 sweep, copied verbatim (the ``tests/test_kernel_diet.py`` method: only
 the ``def`` names, the sweep's docstring and the module the tile budget
-is read from changed).  There every sealed batch is charged *and*
+is read from changed — and the multi-stream block, which applies today's
+overlap rule to the host batches the loop staged).  There every sealed batch is charged *and*
 computed inside the sweep loop, through five cost-model calls and one
 kernel call each.  The split sweep — charge every batch in the loop,
 compute all of them in one pass whose tiles run across batch boundaries
@@ -43,6 +44,7 @@ from repro.errors import HalfPrecisionOverflowError
 from repro.gpusim import GPUDevice, TESLA_P100
 from repro.gpusim.stream import Stream
 from repro.obs import current_deadline, deadline_scope
+from repro.gpusim.pcie import h2d_time_us
 from repro.pipeline.scheduler import plan_streams
 from tests.conftest import make_descriptors, noisy_copy, planned_tiles
 
@@ -374,23 +376,19 @@ class ParentEngine(TextureSearchEngine):
             elapsed = self.device.synchronize() - start_us
 
             if cfg.streams > 1 and host_images:
-                # Replace the serial estimate for the host-resident part by
-                # the multi-stream overlap model (Sec. 6.2).  A query group
-                # widens the fused GEMM to ``n_queries * n`` columns while
-                # the per-batch H2D transfer stays the same, so the plan is
-                # computed at the group's fused width — the transfer is
-                # amortised across the group instead of charged per query.
-                plan = plan_streams(
-                    self.device.spec, self.device.cal, cfg.streams, cfg.batch_size,
-                    m=cfg.m, n=cfg.n * n_queries, d=cfg.d, precision=cfg.precision,
-                    tensor_core=cfg.tensor_core, pinned=self.cache.pinned,
-                    with_norms=self.kernel.needs_norms,
-                )
-                gpu_fraction = (images - host_images) / images if images else 0.0
-                elapsed = (
-                    elapsed * gpu_fraction
-                    + host_images / plan.throughput_images_per_s * 1e6
-                )
+                # The overlap rule (Sec. 6.2) over the host batches the loop
+                # staged — the nominated ones, up to the ``images`` swept
+                # before any cut: their H2D and the steps charged them.
+                h2d_us, steps, walked = 0.0, [], 0
+                for cached in self.cache.batches():
+                    nominated = candidate_ids is None or any(
+                        slot_id in candidate_ids for slot_id in cached.batch.ids)
+                    if nominated and walked < images:
+                        walked += cached.batch.size
+                        if cached.location is CacheLocation.HOST:
+                            h2d_us += h2d_time_us(self.device.spec, cached.batch.nbytes, self.cache.pinned)
+                            steps += self.kernel.batch_steps(self.device, cached.batch.size, n_queries)
+                elapsed -= plan_streams(cfg.streams, host_images, h2d_us, steps).hidden_us
 
             if record_stats:
                 self.stats.searches += n_queries

@@ -4,7 +4,8 @@
 ``ParentCascadeKernel.match_batch`` are the bodies of ``core/engine.py``
 and ``core/cascade.py`` as of the commit before the seam moved, copied
 verbatim (the ``tests/test_stacked_sweep.py`` method: only the class they
-hang off and the sweep's docstring changed; since every kernel is
+hang off, the sweep's docstring and its multi-stream block — today's
+overlap rule over the host batches it staged — changed; since every kernel is
 pre-costed, the sweep reads the parent's ``batch_steps`` — ``None`` but
 for Algorithm 2 — through :func:`parent_batch_steps` and computes what
 it charged through ``tests/test_fused_gather.py``'s
@@ -48,6 +49,7 @@ from repro.distributed import DistributedSearchSystem
 from repro.gpusim import GPUDevice, TESLA_P100
 from repro.obs import current_deadline, deadline_scope, default_registry, default_tracer
 from repro.obs.tracing import RequestTracer
+from repro.gpusim.pcie import h2d_time_us
 from repro.pipeline.scheduler import plan_streams
 from repro.routing import RouterPolicy
 from tests.conftest import make_descriptors, noisy_copy
@@ -228,23 +230,20 @@ class ParentEngine(TextureSearchEngine):
             elapsed = self.device.synchronize() - start_us
 
             if cfg.streams > 1 and host_images:
-                # Replace the serial estimate for the host-resident part by
-                # the multi-stream overlap model (Sec. 6.2).  A query group
-                # widens the fused GEMM to ``n_queries * n`` columns while
-                # the per-batch H2D transfer stays the same, so the plan is
-                # computed at the group's fused width — the transfer is
-                # amortised across the group instead of charged per query.
-                plan = plan_streams(
-                    self.device.spec, self.device.cal, cfg.streams, cfg.batch_size,
-                    m=cfg.m, n=cfg.n * n_queries, d=cfg.d, precision=cfg.precision,
-                    tensor_core=cfg.tensor_core, pinned=self.cache.pinned,
-                    with_norms=self.kernel.needs_norms,
-                )
-                gpu_fraction = (images - host_images) / images if images else 0.0
-                elapsed = (
-                    elapsed * gpu_fraction
-                    + host_images / plan.throughput_images_per_s * 1e6
-                )
+                # The overlap rule (Sec. 6.2) over the swept batches the loop
+                # staged from the host: their H2D and the steps charged their
+                # surviving slots (the prefilter re-run on a throwaway device).
+                location = {cached.batch.batch_id: cached.location for cached in self.cache.batches()}
+                h2d_us, steps = 0.0, []
+                for batch, _ in swept:
+                    surviving = batch.size
+                    if prefilter_active:
+                        mask = self.kernel.prefilter_batch(GPUDevice(self.device.spec), batch, query)
+                        surviving = batch.size if mask is None else int(mask.sum())
+                    if surviving and location[batch.batch_id] is CacheLocation.HOST:
+                        h2d_us += h2d_time_us(self.device.spec, batch.nbytes, self.cache.pinned)
+                        steps += self.kernel.batch_steps(self.device, surviving, n_queries)
+                elapsed -= plan_streams(cfg.streams, host_images, h2d_us, steps).hidden_us
 
             if record_stats:
                 self.stats.searches += n_queries
