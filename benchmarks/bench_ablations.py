@@ -1,5 +1,5 @@
 """Design-choice ablations (DESIGN.md Sec. 4): sort kernel, query
-batching, CBIR vs. identification, stream scheduling models."""
+batching, CBIR vs. identification, verification ROC, LSH compression."""
 
 from conftest import QUICK, attach_summary, record_result
 from repro.bench.experiments import ablations
@@ -22,18 +22,6 @@ def test_ablation_query_batching(benchmark):
     benchmark(ablations.run_query_batch_ablation)
     assert result.summary["throughput_gain"] > 1.3
     assert result.summary["latency_cost"] > 5.0
-
-
-def test_ablation_stream_models(benchmark):
-    result = ablations.run_stream_model_ablation()
-    record_result(result)
-    attach_summary(benchmark, result)
-    benchmark.pedantic(
-        ablations.run_stream_model_ablation,
-        kwargs=dict(streams_list=[1, 8], n_batches=16),
-        rounds=1, iterations=1,
-    )
-    assert result.summary["ideal_saturates_by_2_streams"]
 
 
 def test_ablation_verification_roc(benchmark):

@@ -2,10 +2,9 @@
 
 from conftest import attach_summary, record_result
 from repro.bench.experiments import table6_streams
-from repro.bench.tables import staged_batch
+from repro.bench.tables import swept
 from repro.core import EngineConfig
 from repro.gpusim import TESLA_P100
-from repro.pipeline import plan_streams
 
 
 def test_table6_rows(benchmark):
@@ -21,4 +20,5 @@ def test_table6_rows(benchmark):
 
 
 def test_stream_planner_kernel(benchmark):
-    benchmark(plan_streams, 8, 512, *staged_batch(TESLA_P100, EngineConfig(), 512))
+    """One timing-only engine sweep of Table 6's 8-stream, batch-512 row."""
+    benchmark(swept, TESLA_P100, EngineConfig(batch_size=512, streams=8), 8, host=True)

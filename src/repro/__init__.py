@@ -25,8 +25,9 @@ Subpackages
     overflow detection, compression error (Eq. 2).
 ``repro.features`` / ``repro.geometry``
     SIFT from scratch, RootSIFT, RANSAC geometric verification.
-``repro.cache`` / ``repro.pipeline``
-    Hybrid GPU+host FIFO cache, multi-stream overlap model.
+``repro.cache``
+    Hybrid GPU+host FIFO cache (the sweep's multi-stream overlap lives
+    in ``repro.core.engine``).
 ``repro.data`` / ``repro.metrics`` / ``repro.baselines``
     Synthetic tea-brick datasets, accuracy/efficiency metrics, OpenCV
     CUDA and Garcia-et-al. baselines.

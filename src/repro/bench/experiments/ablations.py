@@ -1,6 +1,6 @@
 """Ablations of the paper's design choices.
 
-Four studies the paper motivates but does not tabulate:
+Studies the paper motivates but does not tabulate:
 
 * **sort kind** — register top-2 scan vs. modified insertion sort
   across batch sizes (quantifies Sec. 4.1's choice beyond the single
@@ -9,10 +9,7 @@ Four studies the paper motivates but does not tabulate:
   mentions and defers;
 * **CBIR vs. identification** — a from-scratch Faiss-style IVF-PQ
   retrieval engine on the *same* dataset, measuring the accuracy gap
-  that justifies the paper's one-by-one matching design (Secs. 2-3);
-* **stream scheduling** — the fair-share analytic model (what the
-  paper's thread-per-stream code achieves) vs. an event-driven ideal
-  pipeline (what perfect asynchrony could achieve).
+  that justifies the paper's one-by-one matching design (Secs. 2-3).
 """
 
 from __future__ import annotations
@@ -28,15 +25,12 @@ from ...gpusim.device import TESLA_P100, DeviceSpec
 from ...gpusim.kernels import insertion_sort_us, top2_scan_us
 from ...gpusim.pcie import h2d_time_us
 from ...metrics.accuracy import evaluate_top1
-from ...pipeline.event_sim import simulate_stream_pipeline
-from ...pipeline.scheduler import plan_streams
-from ..tables import ExperimentResult, kernel_steps, staged_batch
+from ..tables import ExperimentResult, kernel_steps
 
 __all__ = [
     "run_sort_ablation",
     "run_query_batch_ablation",
     "run_cbir_ablation",
-    "run_stream_model_ablation",
     "run_verification_ablation",
     "run_lsh_ablation",
 ]
@@ -340,37 +334,3 @@ def run_lsh_ablation(
     )
     return result
 
-
-def run_stream_model_ablation(
-    spec: DeviceSpec = TESLA_P100,
-    streams_list: list[int] | None = None,
-    batch: int = 512,
-    n_batches: int = 64,
-) -> ExperimentResult:
-    """Fair-share analytic model vs. event-driven ideal pipelining."""
-    streams_list = streams_list or [1, 2, 4, 8]
-    cal = KernelCalibration.for_device(spec)
-    result = ExperimentResult(
-        name=f"Ablation: stream scheduling models, batch={batch}, {spec.name}",
-        headers=["streams", "fair-share (img/s)", "event-driven ideal (img/s)",
-                 "paper (img/s)"],
-    )
-    paper = {1: 24984, 2: 29459, 4: 37955, 8: 41546}
-    staged = staged_batch(spec, EngineConfig(), batch)
-    for streams in streams_list:
-        fair = plan_streams(streams, batch, *staged).throughput_images_per_s
-        ideal = simulate_stream_pipeline(
-            spec, cal, streams, n_batches, batch, *staged
-        ).throughput_images_per_s
-        result.rows.append(
-            [streams, int(round(fair)), int(round(ideal)), paper.get(streams, "-")]
-        )
-    result.summary = {
-        "ideal_saturates_by_2_streams": result.rows[1][2] / result.rows[-1][2] > 0.95,
-    }
-    result.notes.append(
-        "perfect asynchrony would hit the PCIe bound with 2 streams; the "
-        "paper's measured ramp (and our fair-share model) reflect the "
-        "synchronous-issue CPU threads of the real implementation"
-    )
-    return result

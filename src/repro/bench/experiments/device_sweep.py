@@ -5,7 +5,9 @@ Tesla P100, V100, and A100", Sec. 4.2).  This experiment predicts the
 production configuration's behaviour across the device registry:
 GPU-resident speed, host-streamed speed (hybrid cache + 8 streams),
 single-node capacity, and the PCIe bound that determines whether the
-asymmetric optimization has moved the bottleneck.
+asymmetric optimization has moved the bottleneck — each speed a
+timing-only sweep of the production engine on that card
+(:func:`repro.bench.tables.swept`).
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ from ...core.engine import TextureSearchEngine
 from ...gpusim.calibration import KernelCalibration
 from ...gpusim.device import DEVICE_REGISTRY
 from ...gpusim.engine_model import GPUDevice
-from ...pipeline.scheduler import plan_streams
-from ..tables import ExperimentResult, images_per_s, kernel_steps, staged_batch
+from ..tables import ExperimentResult, pcie_bound, swept
 
 __all__ = ["run"]
 
@@ -37,19 +38,21 @@ def run(
         headers=["device", "GPU-resident (img/s)", "hybrid+streams (img/s)",
                  "PCIe bound (img/s)", "bottleneck", "capacity (images)"],
     )
-    config = EngineConfig(m=m, n=n, d=d, precision="fp16")
+    config = EngineConfig(m=m, n=n, d=d, precision="fp16", batch_size=batch, streams=streams)
     for key in ("p100", "v100", "a100"):
         spec = DEVICE_REGISTRY[key]
         cal = KernelCalibration.for_device(spec)
-        resident = images_per_s(kernel_steps(spec, config, batch), batch)
-        plan = plan_streams(streams, batch, *staged_batch(spec, config, batch))
-        hybrid = min(plan.throughput_images_per_s, resident)
-        bottleneck = "PCIe" if plan.theoretical_images_per_s < resident else "compute"
+        resident = swept(spec, config, 1)[0].images_per_s
+        sweep, step_us = swept(spec, config, streams, host=True)
+        bound = pcie_bound(sweep, step_us)
+        # min: at S > 1 only host batches hide post-processing, so the host sweep outruns `resident`
+        hybrid = min(sweep.images_per_s, resident)
+        bottleneck = "PCIe" if bound < resident else "compute"
         capacity = TextureSearchEngine(config, device=GPUDevice(spec, cal, reserved_bytes=4 * GIB),
                                        host_cache_bytes=host_cache_bytes).capacity_images()
         result.rows.append(
             [spec.name, int(round(resident)), int(round(hybrid)),
-             int(round(plan.theoretical_images_per_s)), bottleneck, capacity]
+             int(round(bound)), bottleneck, capacity]
         )
         result.summary[key] = hybrid
     result.notes.append(

@@ -4,7 +4,9 @@ The paper's headline: starting from the OpenCV CUDA baseline on one
 P100 (16 GB GPU + 64 GB host), the four contributions stack up to
 "20x larger capacity and 31x faster speed".  This experiment applies
 them cumulatively and reports capacity (cacheable reference matrices)
-and speed (image comparisons/s) after each stage.
+and speed (image comparisons/s) after each stage, every speed read off
+a timing-only sweep of an engine so configured
+(:func:`repro.bench.tables.swept`).
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from ...core.engine import TextureSearchEngine
 from ...gpusim.calibration import KernelCalibration
 from ...gpusim.device import TESLA_P100, DeviceSpec
 from ...gpusim.engine_model import GPUDevice
-from ...pipeline.scheduler import plan_streams
-from ..tables import ExperimentResult, images_per_s, kernel_steps, staged_batch
+from ..tables import ExperimentResult, pcie_bound, swept
 
 __all__ = ["run"]
 
@@ -30,11 +31,12 @@ def run(
 
     def stage(label: str, config: EngineConfig, batch: int = 1, hybrid: bool = False,
               speed: float | None = None) -> None:
-        """One stage: its speed (the kernel's serial chain unless given) and
-        the capacity of an engine so configured on ``spec``."""
+        """One stage: its speed (a GPU-resident sweep of one ``batch``-image
+        batch unless given) and the capacity of an engine so configured on
+        ``spec``."""
         config = config.with_updates(d=d)
         if speed is None:
-            speed = images_per_s(kernel_steps(spec, config, batch), batch)
+            speed = swept(spec, config.with_updates(batch_size=batch), 1)[0].images_per_s
         engine = TextureSearchEngine(config, device=GPUDevice(spec, cal),
                                      host_cache_bytes=host_cache_bytes if hybrid else 0)
         stages.append((label, speed, engine.capacity_images()))
@@ -48,16 +50,17 @@ def run(
     # Stage 3: + RootSIFT + batching (batch 1024, GPU-resident).
     stage("+ RootSIFT + batching (1024)", EngineConfig(), 1024)
     # Stage 4: + hybrid cache with 8 streams (references on host).
-    plan8 = plan_streams(8, 512, *staged_batch(spec, EngineConfig(d=d), 512))
+    streamed = EngineConfig(d=d, batch_size=512, streams=8)
     stage("+ hybrid cache + 8 streams", EngineConfig(), hybrid=True,
-          speed=plan8.throughput_images_per_s)
+          speed=swept(spec, streamed, 8, host=True)[0].images_per_s)
     # Stage 5: + asymmetric extraction m=384 (transfer halves; the
     # pipeline becomes compute-bound, so GPU-resident speed applies).
     asymmetric = EngineConfig(m=384, n=768, d=d)
-    asym_speed = images_per_s(kernel_steps(spec, asymmetric, 256), 256)
-    plan_asym = plan_streams(8, 512, *staged_batch(spec, asymmetric, 512))
+    asym_speed = swept(spec, asymmetric.with_updates(batch_size=256), 1)[0].images_per_s
+    streamed = asymmetric.with_updates(batch_size=512, streams=8)
+    # min, not the host sweep's speed: at S > 1 only host batches hide post-processing
     stage("+ asymmetric m=384, n=768", asymmetric, hybrid=True,
-          speed=min(asym_speed, plan_asym.theoretical_images_per_s))
+          speed=min(asym_speed, pcie_bound(*swept(spec, streamed, 8, host=True))))
 
     base_speed, base_cap = stages[0][1], stages[0][2]
     result = ExperimentResult(

@@ -7,8 +7,10 @@ total), caching 10.8 M reference matrices (m=384, FP16) and searching
 
 Two parts:
 
-* **capacity/throughput arithmetic** at the paper's full scale, from
-  the calibrated models (no functional compute needed);
+* **capacity/throughput arithmetic** at the paper's full scale: one
+  container's capacity, and its speed read off timing-only sweeps of the
+  production engine (:func:`repro.bench.tables.swept`, no functional
+  compute needed);
 * a **functional mini-cluster** (scaled-down descriptors) that actually
   enrols, shards, serialises and answers a search through the REST API,
   verifying the machinery end-to-end.
@@ -25,8 +27,7 @@ from ...distributed.rest import Request, build_api
 from ...gpusim.calibration import KernelCalibration
 from ...gpusim.device import TESLA_P100, DeviceSpec
 from ...gpusim.engine_model import GPUDevice
-from ...pipeline.scheduler import plan_streams
-from ..tables import ExperimentResult, images_per_s, kernel_steps, staged_batch
+from ..tables import ExperimentResult, pcie_bound, swept
 
 __all__ = ["run"]
 
@@ -56,11 +57,13 @@ def run(
     node_cache_bytes = container.cache.gpu_budget_bytes + container.cache.host_budget_bytes
     cluster_capacity = container.capacity_images() * n_nodes
 
-    # Per-GPU speed: compute-bound chain at batch 256, capped by the
-    # PCIe bound (which no longer binds at m=384 — the point of Sec. 7).
-    compute_speed = images_per_s(kernel_steps(spec, production, 256), 256)
-    stream_plan = plan_streams(8, 512, *staged_batch(spec, production, 512))
-    per_gpu_speed = min(compute_speed, stream_plan.theoretical_images_per_s)
+    # Per-GPU speed: a GPU-resident sweep at batch 256, capped by the
+    # PCIe bound of 8 streams over batches of 512 (which no longer binds
+    # at m=384 — the point of Sec. 7).
+    compute_speed = swept(spec, production.with_updates(batch_size=256), 1)[0].images_per_s
+    streamed = production.with_updates(batch_size=512, streams=8)
+    # min, not the host sweep's speed: at S > 1 only host batches hide post-processing
+    per_gpu_speed = min(compute_speed, pcie_bound(*swept(spec, streamed, 8, host=True)))
     cluster_speed = per_gpu_speed * n_nodes
     million_scale_s = 1_000_000 / cluster_speed
 

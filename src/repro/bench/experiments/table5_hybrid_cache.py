@@ -3,14 +3,15 @@ FP16, Tesla P100, PCIe Gen3 x16).
 
 Paper: GPU memory 45,539 img/s; host memory w/o pinned 17,619; host
 memory w/ pinned 25,362 — the PCIe link is the bottleneck (Sec. 6.1).
+Each row is a timing-only sweep of one batch by the engine, its batch
+GPU-resident or staged from host memory (:func:`repro.bench.tables.swept`).
 """
 
 from __future__ import annotations
 
 from ...core.config import EngineConfig
 from ...gpusim.device import TESLA_P100, DeviceSpec
-from ...gpusim.pcie import h2d_time_us
-from ..tables import ExperimentResult, kernel_steps
+from ..tables import ExperimentResult, swept
 
 __all__ = ["run"]
 
@@ -24,22 +25,19 @@ def run(
     n: int = 768,
     d: int = 128,
 ) -> ExperimentResult:
-    config = EngineConfig(m=m, n=n, d=d, precision="fp16")
-    compute = sum(us for _, us, _ in kernel_steps(spec, config, batch))
-    # a host-resident batch pays its H2D copy ahead of the serial chain
-    batch_bytes = batch * config.feature_matrix_bytes()
-    rows = [
-        ("GPU memory", 0.0),
-        ("Host memory w/o pinned", h2d_time_us(spec, batch_bytes, pinned=False)),
-        ("Host memory w/ pinned", h2d_time_us(spec, batch_bytes, pinned=True)),
+    config = EngineConfig(m=m, n=n, d=d, precision="fp16", batch_size=batch)
+    rows = [  # (label, host, pinned)
+        ("GPU memory", False, True),
+        ("Host memory w/o pinned", True, False),
+        ("Host memory w/ pinned", True, True),
     ]
     result = ExperimentResult(
         name=f"Table 5: hybrid cache speed, batch={batch}, m={m} n={n}, {spec.name}",
         headers=["Cache type", "Speed (images/s)", "paper (images/s)"],
     )
     speeds = {}
-    for label, h2d in rows:
-        speed = batch / (compute + h2d) * 1e6
+    for label, host, pinned in rows:
+        speed = swept(spec, config, 1, host, pinned)[0].images_per_s
         speeds[label] = speed
         result.rows.append([label, int(round(speed)), _PAPER[label]])
     result.summary = {

@@ -4,9 +4,10 @@ what the engine charges.
 Every experiment returns an :class:`ExperimentResult`; the benchmark
 harness prints it in the same row/column layout as the paper's table so
 paper-vs-measured comparison is an eyeball diff.  Every cost a table
-prints is a step list the engine's own match kernel charges
-(:func:`kernel_steps`), plus, for a streamed batch, the H2D the sweep
-stages (:func:`staged_batch`); the tables only relabel and add it up.
+prints is one the engine charges: a per-step table relabels and adds up
+the step list of its match kernel (:func:`kernel_steps`), and a speed
+over cached batches — GPU- or host-resident, over any number of streams
+— is read off a timing-only sweep of the engine itself (:func:`swept`).
 """
 
 from __future__ import annotations
@@ -14,13 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Sequence
 
+import numpy as np
+
+from ..core.batching import ReferenceBatch
+from ..core.compute import compute_scope
 from ..core.config import EngineConfig
+from ..core.engine import TextureSearchEngine
 from ..core.registry import create_kernel
+from ..core.results import Sweep
 from ..gpusim.device import DeviceSpec
 from ..gpusim.engine_model import GPUDevice
-from ..gpusim.pcie import h2d_time_us
 
-__all__ = ["ExperimentResult", "format_table", "fmt", "images_per_s", "kernel_steps", "staged_batch"]
+__all__ = ["ExperimentResult", "format_table", "fmt", "images_per_s", "kernel_steps", "pcie_bound",
+           "swept"]
 
 
 def kernel_steps(spec: DeviceSpec, config: EngineConfig, batch: int = 1,
@@ -31,12 +38,51 @@ def kernel_steps(spec: DeviceSpec, config: EngineConfig, batch: int = 1,
     return create_kernel(config).batch_steps(GPUDevice(spec), batch, n_queries)
 
 
-def staged_batch(spec: DeviceSpec, config: EngineConfig, batch: int) -> tuple[float, list[tuple]]:
-    """A host-resident ``batch``-image batch as the engine's sweep prices it:
-    its pinned H2D µs and its kernel's step list — what
-    :func:`repro.pipeline.scheduler.plan_streams` and
-    :func:`repro.pipeline.event_sim.simulate_stream_pipeline` take."""
-    return h2d_time_us(spec, batch * config.feature_matrix_bytes()), kernel_steps(spec, config, batch)
+def swept(spec: DeviceSpec, config: EngineConfig, batches: int, host: bool = False,
+          pinned: bool = True) -> tuple[Sweep, dict[str, float]]:
+    """One query's search of ``batches`` full ``config.batch_size``-image
+    batches by a :class:`~repro.core.engine.TextureSearchEngine` on
+    ``spec``: the :class:`~repro.core.results.Sweep` and its µs per step.
+
+    The batches are GPU-resident, or with ``host`` all staged from
+    (``pinned``) host memory over ``config.streams`` streams.  They hold
+    no bytes: each tensor (and ``N_R`` vector, if the kernel caches one) is
+    a zero-stride view of one zero in the dtype the kernel stores, whose
+    ``nbytes`` is still the full size, so the cache and the H2D see real
+    sizes.  The search's compute scope is never run: every batch is
+    charged, none is matched.
+    """
+    rng = np.random.default_rng(0)
+    kernel = create_kernel(config)
+    matrix, norms = kernel.prepare_reference(rng.random((config.d, config.m), dtype=np.float32))
+
+    def empty(batch_id: int) -> ReferenceBatch:
+        shape = (config.batch_size,)
+        return ReferenceBatch(
+            batch_id, [f"{batch_id}/{slot}" for slot in range(config.batch_size)],
+            np.broadcast_to(matrix.dtype.type(0), shape + matrix.shape),
+            None if norms is None else np.broadcast_to(norms.dtype.type(0), shape + norms.shape))
+
+    stack = [empty(batch_id) for batch_id in range(batches + host)]
+    nbytes = stack[0].nbytes
+    engine = TextureSearchEngine(
+        config, GPUDevice(spec), host_cache_bytes=batches * nbytes if host else 0,
+        gpu_cache_bytes=nbytes if host else None, pinned=pinned, kernel=kernel)
+    for batch in stack:
+        engine.cache.add(batch)
+    if host:
+        # FIFO demotion is the only way to the host level: with a one-batch
+        # GPU level the extra batch demoted the last swept one; drop it
+        engine.cache.remove(stack[-1].batch_id)
+    with compute_scope():  # never run
+        sweep = engine.search_group([rng.random((config.d, config.n), dtype=np.float32)])
+    return sweep, engine.stats.step_times_us
+
+
+def pcie_bound(sweep: Sweep, step_us: dict[str, float]) -> float:
+    """The images per second a :func:`swept` sweep's own H2D allows: Table
+    6's theoretical speed (Eq. 4)."""
+    return sweep.images_searched / step_us["H2D copy"] * 1e6
 
 
 def images_per_s(steps: list[tuple], images: int = 1) -> float:

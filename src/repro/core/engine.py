@@ -22,10 +22,11 @@ image to the same kernel calls and touches neither cache nor stats.
 Timing: with a single stream the engine's event-driven device model is
 exact (all stages serialise in-stream, as in Tables 1/3/5).  With
 multiple streams the sweep replaces the serial time of the batches it
-staged from the host by Table 6's overlap rule
-(:func:`repro.pipeline.scheduler.overlap_us`), fed the H2D µs and the
-kernel steps it charged them, because real stream concurrency is a
-property the serial NumPy execution cannot exhibit.
+staged from the host by Table 6's overlap rule (:func:`overlap_us`), fed
+the H2D µs and the kernel steps it charged them, because real stream
+concurrency is a property the serial NumPy execution cannot exhibit.
+This sweep is the only stream model: the paper's stream tables run it
+timing-only (:func:`repro.bench.tables.swept`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from ..gpusim.device import TESLA_P100
 from ..gpusim.engine_model import GPUDevice
 from ..gpusim.pcie import h2d_time_us
 from ..obs import current_deadline, default_registry, default_tracer
-from ..pipeline.scheduler import plan_streams
 from .batching import BatchBuilder, ReferenceBatch
 from .compute import current_compute
 from .config import EngineConfig
@@ -47,7 +47,7 @@ from .kernels import MatchKernel, PreparedQuery, QueryMatrix, ReferenceMatrix
 from .registry import create_kernel
 from .results import Answer, ImageMatch, Sweep
 
-__all__ = ["TextureSearchEngine", "EngineStats"]
+__all__ = ["TextureSearchEngine", "EngineStats", "hidden_us", "overlap_us"]
 
 _REG = default_registry()
 _TRACER = default_tracer()
@@ -94,6 +94,26 @@ _SWEEP_MISS = _SWEEP_LOOKUPS.labels(result="miss")
 #: prefix of tombstoned slot ids (never collides with user ids, which
 #: the REST layer validates).
 _DEAD_PREFIX = "\x00dead:"
+
+
+def overlap_us(streams: int, h2d_us: float, busy_us: float) -> float:
+    """Table 6's multi-stream rule (Sec. 6.2): one CPU thread and CUDA
+    stream per slice of the host batches, the PCIe link fair-shared over
+    ``streams``, the device serial, CPU post-processing moved to the
+    other workers."""
+    return max(h2d_us + busy_us / streams, busy_us)
+
+
+def hidden_us(streams: int, h2d_us: float, steps: list[tuple]) -> float:
+    """What ``streams`` streams take off the serial time of host batches
+    that staged ``h2d_us`` of H2D and were charged the ``(engine, us,
+    step)`` list ``steps``: nothing at one stream, else the serial cycle
+    (H2D + device work + post-processing) less :func:`overlap_us`."""
+    if streams == 1:
+        return 0.0
+    busy = sum(us for engine, us, _ in steps if engine != "cpu")
+    post = sum(us for engine, us, _ in steps if engine == "cpu")
+    return h2d_us + busy + post - overlap_us(streams, h2d_us, busy)
 
 
 @dataclass
@@ -391,9 +411,10 @@ class TextureSearchEngine:
         follow the loop, and so does the multi-stream overlap (Sec. 6.2):
         the H2D µs and the steps charged to every batch staged from the
         host — its surviving slots, at the group's width — go to
-        :func:`~repro.pipeline.scheduler.plan_streams`, whose
-        ``hidden_us`` comes off the serial clock (nothing at one stream
-        or with no host batch).
+        :func:`hidden_us`, which comes off the serial clock (nothing at
+        one stream or with no host batch).  This is the only stream
+        model: the paper's stream tables run this sweep timing-only
+        (:func:`repro.bench.tables.swept`).
 
         ``candidate_ids`` (a :mod:`repro.routing` tier's nominees): a
         batch with no nominated slot is skipped outright — no staging,
@@ -421,7 +442,7 @@ class TextureSearchEngine:
         profile_before = self.device.profiler.as_dict()
         with _TRACER.span("engine.sweep", layer="engine", backend=self.backend, queries=n_queries):
             start_us = charged_at_us = self.device.synchronize()
-            images = host_images = skipped = pruned = cascade = 0
+            images = skipped = pruned = cascade = 0
             host_h2d_us, host_steps = 0.0, []
             prefilter_active = self.kernel.has_prefilter and query.matrix.ndim == 2
             swept: list[ReferenceBatch] = []
@@ -460,7 +481,6 @@ class TextureSearchEngine:
                         h2d_us = h2d_time_us(self.device.spec, batch.nbytes, self.cache.pinned)
                         self.device.charge([("h2d", h2d_us, "H2D copy")])
                         _H2D_BYTES.inc(batch.nbytes)
-                        host_images += batch.size
                         host_h2d_us += h2d_us
                         host_steps += self._batch_steps[shape]
                     # charged now, computed with the rest of the sweep
@@ -477,8 +497,8 @@ class TextureSearchEngine:
             per_query = self._swept_matches(
                 swept, survivors_of, query, n_queries, keep_masks, candidate_ids)
             # the host batches' serial time becomes their multi-stream overlap (Sec. 6.2)
-            plan = plan_streams(self.config.streams, host_images, host_h2d_us, host_steps)
-            elapsed = self.device.synchronize() - start_us - plan.hidden_us
+            elapsed = (self.device.synchronize() - start_us
+                       - hidden_us(self.config.streams, host_h2d_us, host_steps))
 
             self.stats.searches += n_queries
             self.stats.images_compared += images * n_queries

@@ -29,14 +29,6 @@ class TestQueryBatchAblation:
         assert latencies == sorted(latencies)
 
 
-class TestStreamModelAblation:
-    def test_ideal_dominates_fair_share(self):
-        result = ablations.run_stream_model_ablation(streams_list=[1, 2, 8], n_batches=16)
-        for row in result.rows[1:]:  # beyond 1 stream
-            assert row[2] >= row[1]  # ideal >= fair-share
-        assert result.summary["ideal_saturates_by_2_streams"]
-
-
 class TestCbirAblation:
     def test_decisive_gap(self):
         """Per-image matching stays decisive; CBIR voting collapses."""

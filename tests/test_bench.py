@@ -45,7 +45,7 @@ class TestTables:
             "fig1", "table1", "table2", "table3", "fig4",
             "table4", "table5", "table6", "table7", "sec8",
             "ablation-sort", "ablation-query-batch",
-            "ablation-cbir", "ablation-streams",
+            "ablation-cbir",
             "fault-tolerance", "backends",
         }
 

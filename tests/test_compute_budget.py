@@ -2,7 +2,9 @@
 one search for the threading contract).
 
 The gather's functional plane (``core/compute.py``) stays a small leaf
-module with one opener, and fusing sweeps added no knob: every
+module with two openers — the gather, which runs its scope, and the
+paper tables' timing-only sweep, which never does — and fusing sweeps
+added no knob: every
 constructor and ``EngineConfig`` keep the parameters they had.  Host tile
 lanes stay inside the tile loop: no other module gains a thread, and no
 code on a lane reads the caller's context variables.
@@ -61,7 +63,7 @@ def test_only_the_gather_opens_a_scope():
             for node in ast.walk(fn):
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "compute_scope":
                     callers.append((path.relative_to(SRC).as_posix(), fn.name))
-    assert callers == [("distributed/cluster.py", "_gather")]
+    assert callers == [("bench/tables.py", "swept"), ("distributed/cluster.py", "_gather")]
 
 
 def test_fusion_added_no_knob():

@@ -1,49 +1,13 @@
-"""Event-driven stream simulation, cluster failover, and the CLI."""
+"""Cluster failover and the CLI."""
 
 import numpy as np
 import pytest
 
 from repro.bench.run import main as bench_main
-from repro.bench.tables import staged_batch
 from repro.core import EngineConfig
 from repro.distributed import DistributedSearchSystem
 from repro.errors import ClusterError
-from repro.gpusim import KernelCalibration, TESLA_P100
-from repro.pipeline import plan_streams, simulate_stream_pipeline
 from tests.conftest import make_descriptors, noisy_copy
-
-CAL = KernelCalibration.for_device(TESLA_P100)
-#: one host-resident batch of 256 images as the engine prices it: (H2D µs, kernel steps)
-STAGED = staged_batch(TESLA_P100, EngineConfig(), 256)
-
-
-class TestEventDrivenSim:
-    def test_single_stream_matches_serial_chain(self):
-        result = simulate_stream_pipeline(TESLA_P100, CAL, 1, 8, 256, *STAGED)
-        plan = plan_streams(1, 256, *STAGED)
-        # the event sim has no CPU post stage; compare against the plan's
-        # GPU-only chain within 15%
-        expected = 256 / (plan.h2d_us + plan.busy_us) * 1e6
-        assert result.throughput_images_per_s == pytest.approx(expected, rel=0.15)
-
-    def test_ideal_overlap_reaches_pcie_bound_quickly(self):
-        two = simulate_stream_pipeline(TESLA_P100, CAL, 2, 16, 256, *STAGED)
-        plan = plan_streams(2, 256, *STAGED)
-        # perfect asynchrony beats the fair-share model
-        assert two.throughput_images_per_s > plan.throughput_images_per_s
-        assert two.throughput_images_per_s <= plan.theoretical_images_per_s * 1.02
-
-    def test_gpu_resident_skips_transfers(self):
-        _, steps = STAGED
-        streamed = simulate_stream_pipeline(TESLA_P100, CAL, 1, 4, 256, *STAGED)
-        resident = simulate_stream_pipeline(TESLA_P100, CAL, 1, 4, 256, 0.0, steps)
-        assert resident.throughput_images_per_s > streamed.throughput_images_per_s
-        assert "H2D copy" not in resident.engine_busy_us
-        assert "Post-processing" not in streamed.engine_busy_us  # on the other CPU workers
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            simulate_stream_pipeline(TESLA_P100, CAL, 0, 4, 256, *STAGED)
 
 
 class TestClusterFailover:

@@ -18,7 +18,7 @@ from repro.bench.experiments import ALL_EXPERIMENTS
 GOLDEN = Path(__file__).parent / "golden" / "paper_tables.txt"
 EXPERIMENTS = [
     "fig1", "table1", "table3", "fig4", "table4", "table5", "table6", "sec8",
-    "device-sweep", "ablation-query-batch", "ablation-streams", "backends",
+    "device-sweep", "ablation-query-batch", "backends",
 ]
 
 

@@ -8,7 +8,7 @@ import repro
 
 SUBPACKAGES = [
     "repro.core", "repro.gpusim", "repro.blas", "repro.fp16",
-    "repro.features", "repro.geometry", "repro.cache", "repro.pipeline",
+    "repro.features", "repro.geometry", "repro.cache",
     "repro.baselines", "repro.data", "repro.metrics", "repro.distributed",
     "repro.serving", "repro.obs", "repro.routing",
     "repro.bench", "repro.bench.experiments",

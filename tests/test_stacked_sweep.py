@@ -45,7 +45,7 @@ from repro.gpusim import GPUDevice, TESLA_P100
 from repro.gpusim.stream import Stream
 from repro.obs import current_deadline, deadline_scope
 from repro.gpusim.pcie import h2d_time_us
-from repro.pipeline.scheduler import plan_streams
+from repro.core.engine import hidden_us
 from tests.conftest import make_descriptors, noisy_copy, planned_tiles
 
 # -- frozen oracles (verbatim from the parent commit) ----------------------
@@ -388,7 +388,7 @@ class ParentEngine(TextureSearchEngine):
                         if cached.location is CacheLocation.HOST:
                             h2d_us += h2d_time_us(self.device.spec, cached.batch.nbytes, self.cache.pinned)
                             steps += self.kernel.batch_steps(self.device, cached.batch.size, n_queries)
-                elapsed -= plan_streams(cfg.streams, host_images, h2d_us, steps).hidden_us
+                elapsed -= hidden_us(cfg.streams, h2d_us, steps)
 
             if record_stats:
                 self.stats.searches += n_queries

@@ -50,7 +50,7 @@ from repro.gpusim import GPUDevice, TESLA_P100
 from repro.obs import current_deadline, deadline_scope, default_registry, default_tracer
 from repro.obs.tracing import RequestTracer
 from repro.gpusim.pcie import h2d_time_us
-from repro.pipeline.scheduler import plan_streams
+from repro.core.engine import hidden_us
 from repro.routing import RouterPolicy
 from tests.conftest import make_descriptors, noisy_copy
 from tests.test_fused_gather import parent_swept_matches
@@ -243,7 +243,7 @@ class ParentEngine(TextureSearchEngine):
                     if surviving and location[batch.batch_id] is CacheLocation.HOST:
                         h2d_us += h2d_time_us(self.device.spec, batch.nbytes, self.cache.pinned)
                         steps += self.kernel.batch_steps(self.device, surviving, n_queries)
-                elapsed -= plan_streams(cfg.streams, host_images, h2d_us, steps).hidden_us
+                elapsed -= hidden_us(cfg.streams, h2d_us, steps)
 
             if record_stats:
                 self.stats.searches += n_queries

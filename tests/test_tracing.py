@@ -152,10 +152,7 @@ class TestWithPipeline:
     def test_multistream_overlap_visible(self):
         """The tracer shows what the Sec. 6.2 design buys: H2D overlapped
         with compute once multiple streams are used."""
-        from repro.gpusim import KernelCalibration
-        from repro.pipeline import simulate_stream_pipeline
-
-        # re-run the event sim manually with tracing
+        # two streams driven by hand, with tracing
         device = GPUDevice(TESLA_P100)
         tracer = TimelineTracer()
         tracer.attach(device)
