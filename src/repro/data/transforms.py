@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = ["CaptureProfile", "REFERENCE_PROFILE", "QUERY_PROFILE", "CaptureSimulator"]
 
@@ -70,6 +69,8 @@ class CaptureSimulator:
         self.profile = profile
 
     def capture(self, image: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        from scipy import ndimage  # image-pipeline only: keeps SciPy off the search path
+
         image = np.asarray(image, dtype=np.float32)
         if image.ndim != 2:
             raise ValueError(f"expected 2-D image, got {image.shape}")

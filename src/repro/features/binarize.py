@@ -99,14 +99,29 @@ def hamming_distances(
     ``words`` restricts the comparison to the first ``words`` uint64
     words of each signature — the cascade prefilter's coarse stage
     tests a short prefix before paying for the full width.
+
+    Accumulates one ``(len(a), len(b))`` array word by word rather than
+    summing a ``(len(a), len(b), words)`` XOR cube.  The accumulator is
+    the narrowest unsigned type that holds ``64 * words`` (an in-place add
+    into a wider one costs several times the XOR and popcount); the
+    result has the dtype that cube's sum had (``uint64`` off
+    ``np.bitwise_count``, ``int64`` off the byte table).
     """
     codes_a = np.asarray(codes_a, dtype=np.uint64)
     codes_b = np.asarray(codes_b, dtype=np.uint64)
     if words is not None:
         codes_a = codes_a[:, :words]
         codes_b = codes_b[:, :words]
-    xor = codes_a[:, None, :] ^ codes_b[None, :, :]
-    return popcount(xor).sum(axis=2)
+    if codes_a.shape[1] != codes_b.shape[1]:
+        raise ValueError(
+            f"codes differ in width: {codes_a.shape[1]} vs {codes_b.shape[1]} words"
+        )
+    n_words = codes_a.shape[1]
+    dist = np.zeros((len(codes_a), len(codes_b)), dtype=np.min_scalar_type(64 * n_words))
+    for w in range(n_words):
+        count = popcount(codes_a[:, w, None] ^ codes_b[None, :, w])
+        np.add(dist, count, out=dist, casting="unsafe")
+    return dist.astype(popcount(codes_a[:0, :0]).sum().dtype)
 
 
 def sign_planes(d: int, n_bits: int, seed: int = 0) -> np.ndarray:

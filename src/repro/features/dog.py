@@ -9,7 +9,6 @@ candidate refinement loops only over the (small) candidate set.
 from __future__ import annotations
 
 import numpy as np
-from scipy import ndimage
 
 from .gaussian import GaussianPyramid
 from .keypoints import Keypoint
@@ -36,6 +35,8 @@ def _find_extrema(dog: np.ndarray, threshold: float) -> np.ndarray:
     the contrast threshold mirrors Lowe's implementation: weak extrema
     are discarded before the expensive refinement.
     """
+    from scipy import ndimage  # image-pipeline only: keeps SciPy off the search path
+
     pre = 0.8 * threshold
     maxf = ndimage.maximum_filter(dog, size=3, mode="nearest")
     minf = ndimage.minimum_filter(dog, size=3, mode="nearest")

@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .integral import BoxFilter, box_sum, integral_image
 from .keypoints import Keypoint
@@ -104,6 +103,8 @@ class SURFExtractor:
         return stack
 
     def _detect(self, image: np.ndarray) -> list[Keypoint]:
+        from scipy import ndimage  # image-pipeline only: keeps SciPy off the search path
+
         h, w = image.shape
         ii = integral_image(image)
         stack = self._hessian_stack(ii, h, w)

@@ -1,6 +1,9 @@
 """The top-level public API surface stays importable and coherent."""
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -12,6 +15,13 @@ SUBPACKAGES = [
     "repro.baselines", "repro.data", "repro.metrics", "repro.distributed",
     "repro.serving", "repro.obs", "repro.routing",
     "repro.bench", "repro.bench.experiments",
+]
+
+# What a search process imports: SciPy serves only the image pipeline
+# (DoG, SURF, capture simulation) and loads on its first call there.
+SEARCH_PATH = [
+    "repro", "repro.core", "repro.distributed", "repro.serving",
+    "repro.routing", "repro.obs",
 ]
 
 
@@ -26,6 +36,24 @@ def test_all_names_resolve(name):
     module = importlib.import_module(name)
     for symbol in getattr(module, "__all__", []):
         assert hasattr(module, symbol), f"{name}.{symbol} missing"
+
+
+def test_search_path_loads_no_scipy():
+    """A fresh interpreter that imports every search-path package holds
+    no ``scipy`` module: each one it loaded would be resident memory a
+    search process cannot spend on its reference cache."""
+    code = (
+        "import importlib, sys\n"
+        f"for name in {SEARCH_PATH!r}: importlib.import_module(name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.strip() == "[]", done.stdout
 
 
 def test_top_level_exports():
