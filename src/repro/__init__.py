@@ -19,7 +19,8 @@ Subpackages
     batching, asymmetric extraction, the composable search engine.
 ``repro.gpusim``
     Simulated GPU substrate (P100/V100 specs, calibrated cost models,
-    streams, memory pools) — see DESIGN.md for the substitution rules.
+    one in-order queue per device, memory pools) — see DESIGN.md for the
+    substitution rules.
 ``repro.blas`` / ``repro.fp16``
     GEMM layer with FP16 accumulation semantics; scale factors,
     overflow detection, compression error (Eq. 2).

@@ -22,7 +22,6 @@ from ..gpusim.calibration import KernelCalibration
 from ..gpusim.device import DeviceSpec
 from ..gpusim.engine_model import GPUDevice
 from ..gpusim.kernels import d2h_result_us, insertion_sort_us, postprocess_us
-from ..gpusim.stream import Stream
 
 __all__ = ["opencv_knn_match", "opencv_steps_us", "CONTEXT_OVERHEAD_BYTES", "DIST_KERNEL_EFF_FP32"]
 
@@ -59,7 +58,6 @@ def opencv_knn_match(
     reference: np.ndarray,
     query: np.ndarray,
     k: int = 2,
-    stream: Optional[Stream] = None,
 ) -> KnnResult:
     """Brute-force FP32 2-NN, charged with the OpenCV cost model
     (``device=None`` computes only).
@@ -75,7 +73,7 @@ def opencv_knn_match(
     if not (1 <= k <= m):
         raise ValueError(f"k={k} out of range for m={m}")
     if device is not None:
-        device.charge(opencv_steps_us(device.spec, device.cal, m, n, d, k)[:-1], stream)
+        device.charge(opencv_steps_us(device.spec, device.cal, m, n, d, k)[:-1])
 
     nr = np.einsum("dm,dm->m", reference, reference)
     nq = np.einsum("dn,dn->n", query, query)

@@ -50,10 +50,15 @@ def swept(spec: DeviceSpec, config: EngineConfig, batches: int, host: bool = Fal
     a zero-stride view of one zero in the dtype the kernel stores, whose
     ``nbytes`` is still the full size, so the cache and the H2D see real
     sizes.  The search's compute scope is never run: every batch is
-    charged, none is matched.
+    charged, none is matched.  A kernel with a prefilter is refused
+    (``ValueError``): it would read the zeros as codes with no valid word
+    and prune every slot, so the sweep would time the prefilter alone.
     """
     rng = np.random.default_rng(0)
     kernel = create_kernel(config)
+    if kernel.has_prefilter:
+        raise ValueError(f"swept cannot time the {config.backend!r} backend: its prefilter "
+                         "needs codes, and byte-free batches hold none")
     matrix, norms = kernel.prepare_reference(rng.random((config.d, config.m), dtype=np.float32))
 
     def empty(batch_id: int) -> ReferenceBatch:

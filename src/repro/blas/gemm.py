@@ -27,7 +27,6 @@ import numpy as np
 
 from ..fp16.codec import FP16_MAX, is_nonneg_finite, round_trip_nonneg, upcast_nonneg
 from ..gpusim.engine_model import GPUDevice
-from ..gpusim.stream import Stream
 
 __all__ = ["sgemm", "hgemm", "batched_hgemm", "query_major_product", "FP16_MAX"]
 
@@ -45,7 +44,6 @@ def sgemm(
     b: np.ndarray,
     alpha: float = 1.0,
     transpose_a: bool = False,
-    stream: Optional[Stream] = None,
     step: str = "GEMM",
 ) -> np.ndarray:
     """``alpha * op(A) @ B`` in FP32, charging simulated GEMM time (``device=None``: charged)."""
@@ -57,7 +55,7 @@ def sgemm(
     m, k = op_a.shape
     n = b.shape[1]
     if device is not None:
-        device.gemm(m, n, k, batch=1, dtype="fp32", stream=stream, step=step)
+        device.gemm(m, n, k, batch=1, dtype="fp32", step=step)
     return np.float32(alpha) * (op_a @ b)
 
 
@@ -137,7 +135,6 @@ def hgemm(
     alpha: float = 1.0,
     transpose_a: bool = False,
     tensor_core: bool = False,
-    stream: Optional[Stream] = None,
     step: str = "GEMM",
 ) -> tuple[np.ndarray, bool]:
     """FP16 GEMM; returns ``(alpha * op(A) @ B as float32, overflowed)`` (``device=None``: charged)."""
@@ -149,7 +146,7 @@ def hgemm(
     m, k = op_a.shape
     n = b.shape[1]
     if device is not None:
-        device.gemm(m, n, k, batch=1, dtype="fp16", tensor_core=tensor_core, stream=stream, step=step)
+        device.gemm(m, n, k, batch=1, dtype="fp16", tensor_core=tensor_core, step=step)
     # The tensor-core path hands back the FP32 accumulator unrounded.
     return _fp16_gemm(np.matmul, op_a, b, alpha, tensor_core, store_fp16=not tensor_core)
 
@@ -160,7 +157,6 @@ def batched_hgemm(
     b: np.ndarray,
     alpha: float = 1.0,
     tensor_core: bool = False,
-    stream: Optional[Stream] = None,
     step: str = "GEMM",
     out: Optional[np.ndarray] = None,
     store_fp16: bool = True,
@@ -190,6 +186,6 @@ def batched_hgemm(
         raise ValueError(f"inner-dimension mismatch: {a_batch.shape} vs {b.shape}")
     n = b.shape[1]
     if device is not None:
-        device.gemm(m, n, k, batch=batch, dtype="fp16", tensor_core=tensor_core, stream=stream, step=step)
+        device.gemm(m, n, k, batch=batch, dtype="fp16", tensor_core=tensor_core, step=step)
     return _fp16_gemm(query_major_product, a_batch, b, alpha, tensor_core, store_fp16=True,
                       out=out, unexamined=not store_fp16)

@@ -7,12 +7,9 @@ GPU-memory saving (Sec. 4.1).
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..gpusim.engine_model import GPUDevice
-from ..gpusim.stream import Stream
 
 __all__ = ["squared_norms", "squared_norms_fp16"]
 
@@ -20,7 +17,6 @@ __all__ = ["squared_norms", "squared_norms_fp16"]
 def squared_norms(
     device: GPUDevice,
     features: np.ndarray,
-    stream: Optional[Stream] = None,
     step: str = "norms",
 ) -> np.ndarray:
     """Column-wise squared L2 norms of a ``(d, count)`` feature matrix.
@@ -31,14 +27,13 @@ def squared_norms(
     if features.ndim != 2:
         raise ValueError(f"features must be (d, count), got shape {features.shape}")
     d, count = features.shape
-    device.norm_vector(count, d, dtype="fp32", stream=stream, step=step)
+    device.norm_vector(count, d, dtype="fp32", step=step)
     return np.einsum("dc,dc->c", features, features, optimize=True)
 
 
 def squared_norms_fp16(
     device: GPUDevice,
     features16: np.ndarray,
-    stream: Optional[Stream] = None,
     step: str = "norms",
 ) -> tuple[np.ndarray, bool]:
     """FP16 variant; returns ``(norms_fp32, overflowed)``.
@@ -50,7 +45,7 @@ def squared_norms_fp16(
     if f16.ndim != 2:
         raise ValueError(f"features must be (d, count), got shape {f16.shape}")
     d, count = f16.shape
-    device.norm_vector(count, d, dtype="fp16", stream=stream, step=step)
+    device.norm_vector(count, d, dtype="fp16", step=step)
     exact = np.einsum(
         "dc,dc->c", f16.astype(np.float32), f16.astype(np.float32), optimize=True
     )

@@ -5,7 +5,7 @@ budget is full, the *oldest* batch is swapped out to the (much larger)
 host level, still FIFO.  Swap granularity is a whole batch when
 batching is enabled — exactly the paper's design.  Searching iterates
 every batch; host-resident batches must be streamed over PCIe, which is
-what the multi-stream scheduler then overlaps with compute.
+what the sweep's multi-stream rule then overlaps with compute.
 
 The GPU level holds real :class:`~repro.gpusim.memory.MemoryPool`
 allocations so capacity interacts correctly with the engine's other

@@ -31,7 +31,6 @@ from ..errors import HalfPrecisionOverflowError
 from ..fp16.convert import FP16_MAX, to_scaled_fp16
 from ..gpusim.engine_model import GPUDevice
 from ..gpusim.kernels import algorithm1_steps_us
-from ..gpusim.stream import Stream
 from .results import KnnResult
 from .topk import functional_topk
 
@@ -85,13 +84,12 @@ def _attach_norms(
     precision: str,
     scale: float,
     device: Optional[GPUDevice],
-    stream: Optional[Stream],
 ) -> PreparedFeatures:
     """Attach the squared norms of *stored* values — computed on
     ``device`` and charged when one is given, offline otherwise."""
     if precision == "fp16":
         if device is not None:
-            norms, overflow = squared_norms_fp16(device, values, stream=stream)
+            norms, overflow = squared_norms_fp16(device, values)
         else:
             v = values.astype(np.float32)
             norms = np.einsum("dc,dc->c", v, v)
@@ -102,7 +100,7 @@ def _attach_norms(
             raise HalfPrecisionOverflowError(scale, float(np.einsum("dc,dc->c", v, v).max()))
         return PreparedFeatures(values, norms, "fp16", scale)
     if device is not None:
-        norms = squared_norms(device, values, stream=stream)
+        norms = squared_norms(device, values)
     else:
         norms = np.einsum("dc,dc->c", values, values)
     return PreparedFeatures(values, norms.astype(np.float32), "fp32", 1.0)
@@ -118,7 +116,7 @@ def prepare_reference(
     Never charged to the device: the paper computes all reference
     matrices and their ``N_R`` vectors ahead of time (Sec. 4.1).
     """
-    return _attach_norms(_stored(features, precision, scale), precision, scale, None, None)
+    return _attach_norms(_stored(features, precision, scale), precision, scale, None)
 
 
 def upload_query(
@@ -126,14 +124,13 @@ def upload_query(
     values: np.ndarray,
     precision: str = "fp16",
     scale: float = 1.0,
-    stream: Optional[Stream] = None,
 ) -> PreparedFeatures:
     """The device-side half of query preparation, for a matrix already in
     engine precision: it moves to the GPU and ``N_Q`` is computed there
     (step 2); both are charged."""
     elem = 2 if precision == "fp16" else 4
-    device.h2d(values.shape[0] * values.shape[1] * elem, stream=stream, step="query H2D")
-    return _attach_norms(values, precision, scale, device, stream)
+    device.h2d(values.shape[0] * values.shape[1] * elem, step="query H2D")
+    return _attach_norms(values, precision, scale, device)
 
 
 def prepare_query(
@@ -141,11 +138,10 @@ def prepare_query(
     features: np.ndarray,
     precision: str = "fp16",
     scale: float = 1.0,
-    stream: Optional[Stream] = None,
 ) -> PreparedFeatures:
     """Query preparation from FP32 features: quantise on the host, then
     :func:`upload_query`."""
-    return upload_query(device, _stored(features, precision, scale), precision, scale, stream)
+    return upload_query(device, _stored(features, precision, scale), precision, scale)
 
 
 def knn_algorithm1(
@@ -154,7 +150,6 @@ def knn_algorithm1(
     query: PreparedFeatures,
     k: int = 2,
     sort_kind: str = "scan",
-    stream: Optional[Stream] = None,
 ) -> KnnResult:
     """Run steps 3-8 of Algorithm 1 for one reference image.
 
@@ -176,7 +171,7 @@ def knn_algorithm1(
     dtype = reference.precision
     if device is not None:
         steps = algorithm1_steps_us(device.spec, device.cal, m, n, reference.d, k, dtype, sort_kind)
-        device.charge(steps[:-1], stream)
+        device.charge(steps[:-1])
 
     # Step 3: A = -2 R^T Q.
     if dtype == "fp16":

@@ -28,7 +28,6 @@ from ..errors import HalfPrecisionOverflowError
 from ..fp16.codec import round_trip_nonneg
 from ..gpusim.engine_model import GPUDevice
 from ..gpusim.kernels import knn_steps_us
-from ..gpusim.stream import Stream
 from .results import KnnResult
 from .topk import functional_topk
 
@@ -126,7 +125,6 @@ def _knn_columns(
     k: int,
     precision: str,
     tensor_core: bool,
-    stream: Optional[Stream],
     indices: bool = True,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Steps 1-4 for a *stack* — ``(batch_i, d, m)`` reference batches taken
@@ -156,7 +154,7 @@ def _knn_columns(
     # 1-2 of a tile are those of its batches restricted to its images.
     if device is not None:
         steps = knn_steps(device, images, m, n, d, k, precision, tensor_core)
-        device.charge(steps[:1], stream)
+        device.charge(steps[:1])
     cpus = _usable_cpus()  # read once: the plan and the submits see the same count
     starts = _tile_starts(images, 4 * m * n, cpus)
     tile = starts.step  # images
@@ -237,7 +235,7 @@ def _knn_columns(
 
     # Step 3: sqrt(const + A) in-register on the winners only; step 4: the gather.
     if device is not None:
-        device.charge(steps[1:], stream)
+        device.charge(steps[1:])
     dist += np.float32(2.0 * scale * scale if fp16 else 2.0)
     np.maximum(dist, 0.0, out=dist)
     np.sqrt(dist, out=dist)
@@ -254,7 +252,6 @@ def knn_algorithm2(
     k: int = 2,
     precision: str = "fp16",
     tensor_core: bool = False,
-    stream: Optional[Stream] = None,
 ) -> BatchKnnResult:
     """Batched RootSIFT 2-NN.
 
@@ -274,7 +271,7 @@ def knn_algorithm2(
         raise ValueError(
             f"query {query.shape} does not match references {references.shape}"
         )
-    dist, idx = _knn_columns(device, [references], query, scale, k, precision, tensor_core, stream)
+    dist, idx = _knn_columns(device, [references], query, scale, k, precision, tensor_core)
     shape = (k, references.shape[0], query.shape[1])
     return BatchKnnResult(
         distances=np.ascontiguousarray(dist.reshape(shape).transpose(1, 0, 2)),

@@ -19,14 +19,14 @@ and stats; the kernel decides what each slot of a swept batch costs
 and reports.  :meth:`verify` is not a sweep: it hands one transient
 image to the same kernel calls and touches neither cache nor stats.
 
-Timing: with a single stream the engine's event-driven device model is
-exact (all stages serialise in-stream, as in Tables 1/3/5).  With
-multiple streams the sweep replaces the serial time of the batches it
-staged from the host by Table 6's overlap rule (:func:`overlap_us`), fed
-the H2D µs and the kernel steps it charged them, because real stream
-concurrency is a property the serial NumPy execution cannot exhibit.
-This sweep is the only stream model: the paper's stream tables run it
-timing-only (:func:`repro.bench.tables.swept`).
+Timing: the device is one in-order queue, so with a single stream every
+stage serialises, as in Tables 1/3/5.  With multiple streams the sweep
+replaces the serial time of the batches it staged from the host by
+Table 6's overlap rule (:func:`overlap_us`), fed the H2D µs and the
+kernel steps it charged them, because real stream concurrency is a
+property the serial NumPy execution cannot exhibit.  This sweep is the
+only stream model: the paper's stream tables run it timing-only
+(:func:`repro.bench.tables.swept`).
 """
 
 from __future__ import annotations

@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..gpusim.engine_model import GPUDevice
-from ..gpusim.stream import Stream
 from .algorithm2 import BatchKnnResult, _knn_columns
 
 __all__ = ["MultiQueryResult", "knn_algorithm2_multiquery"]
@@ -60,7 +59,6 @@ def knn_algorithm2_multiquery(
     k: int = 2,
     precision: str = "fp16",
     tensor_core: bool = False,
-    stream: Optional[Stream] = None,
     indices: bool = True,
 ) -> MultiQueryResult:
     """Batched-reference x batched-query 2-NN.
@@ -89,7 +87,7 @@ def knn_algorithm2_multiquery(
     n_queries, _, n = queries.shape
     # Column-concatenate queries: (d, Q*n).
     q_all = np.transpose(queries, (1, 0, 2)).reshape(d, n_queries * n)
-    dist, idx = _knn_columns(device, stack, q_all, scale, k, precision, tensor_core, stream, indices)
+    dist, idx = _knn_columns(device, stack, q_all, scale, k, precision, tensor_core, indices)
 
     def per_pair(x):  # (k, images * Q * n) -> (images, Q, k, n)
         return np.ascontiguousarray(x.reshape(k, -1, n_queries, n).transpose(1, 2, 0, 3))

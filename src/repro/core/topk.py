@@ -23,7 +23,6 @@ from typing import Optional
 import numpy as np
 
 from ..gpusim.engine_model import GPUDevice
-from ..gpusim.stream import Stream
 
 __all__ = ["top2_scan", "insertion_topk", "functional_topk"]
 
@@ -92,7 +91,6 @@ def top2_scan(
     device: GPUDevice,
     a: np.ndarray,
     dtype: str = "fp16",
-    stream: Optional[Stream] = None,
     k: int = 2,
     step: str = "Top-2 sort",
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +104,7 @@ def top2_scan(
     if a.ndim != 2:
         raise ValueError(f"expected (m, columns), got shape {a.shape}")
     m, cols = a.shape
-    device.top2_scan(m, cols, dtype=dtype, stream=stream, step=step)
+    device.top2_scan(m, cols, dtype=dtype, step=step)
     return functional_topk(a, k)
 
 
@@ -115,7 +113,6 @@ def insertion_topk(
     a: np.ndarray,
     k: int = 2,
     dtype: str = "fp32",
-    stream: Optional[Stream] = None,
     step: str = "Top-2 sort",
 ) -> tuple[np.ndarray, np.ndarray]:
     """Modified insertion sort baseline (general k, heavy memory traffic)."""
@@ -123,5 +120,5 @@ def insertion_topk(
     if a.ndim != 2:
         raise ValueError(f"expected (m, columns), got shape {a.shape}")
     m, cols = a.shape
-    device.insertion_sort(m, cols, dtype=dtype, stream=stream, step=step)
+    device.insertion_sort(m, cols, dtype=dtype, step=step)
     return functional_topk(a, k)

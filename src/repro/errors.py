@@ -33,10 +33,6 @@ class DeviceOutOfMemoryError(DeviceError):
         )
 
 
-class InvalidStreamError(DeviceError):
-    """Raised when an operation references a stream of another device."""
-
-
 class HalfPrecisionOverflowError(ReproError):
     """Raised when an FP16 conversion would overflow ``float16`` range.
 

@@ -2,13 +2,13 @@
 
 The paper runs on Tesla P100/V100 cards; this reproduction executes all
 kernels functionally in NumPy while a calibrated analytic model charges
-simulated time against device engines (compute, H2D, D2H, CPU), streams
-and memory pools.  See DESIGN.md Sec. 2 for the substitution rationale
-and :mod:`repro.gpusim.calibration` for every anchored constant.
+simulated time to one in-order queue per device (each operation tagged
+with its engine: compute, H2D, D2H, CPU) and tracks memory pools.  See
+DESIGN.md Sec. 2 for the substitution rationale and
+:mod:`repro.gpusim.calibration` for every anchored constant.
 """
 
 from .calibration import GemmCalibration, HammingCalibration, KernelCalibration, ScanCalibration
-from .clock import SimClock, s_to_us, us_to_s
 from .device import (
     DEVICE_REGISTRY,
     TESLA_A100,
@@ -33,24 +33,20 @@ from .kernels import (
 from .memory import Allocation, MemoryPool
 from .pcie import TransferModel, effective_h2d_bandwidth_gbs, h2d_time_us
 from .profiler import StepProfiler, StepRecord
-from .stream import Event, Stream
 from .tracing import TimelineTracer, TraceEvent
 
 __all__ = [
     "Allocation",
     "DEVICE_REGISTRY",
     "DeviceSpec",
-    "Event",
     "GPUDevice",
     "GemmCalibration",
     "HammingCalibration",
     "KernelCalibration",
     "MemoryPool",
     "ScanCalibration",
-    "SimClock",
     "StepProfiler",
     "StepRecord",
-    "Stream",
     "TESLA_A100",
     "TESLA_P100",
     "TESLA_V100",
@@ -69,7 +65,5 @@ __all__ = [
     "norm_vector_us",
     "postprocess_us",
     "result_bytes",
-    "s_to_us",
     "top2_scan_us",
-    "us_to_s",
 ]

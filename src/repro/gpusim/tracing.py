@@ -1,16 +1,16 @@
 """Timeline tracing for the simulated device.
 
 Attach a :class:`TimelineTracer` to a :class:`GPUDevice` and every
-submitted operation is recorded as ``(engine, stream, step, start,
-end)``.  The trace can be inspected programmatically (overlap analysis,
-engine utilisation) or exported as Chrome ``chrome://tracing`` /
-Perfetto JSON — the tool GPU engineers would use on the real system's
-nvprof output, reproduced for the simulator.
+submitted operation is recorded as ``(engine, step, start, end)`` on the
+device's one queue.  The trace can be inspected programmatically
+(per-engine busy time and utilisation) or exported, one lane per engine,
+as Perfetto JSON by :func:`repro.obs.to_perfetto` — the view GPU
+engineers would take of the real system's nvprof output, reproduced for
+the simulator.
 """
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -24,7 +24,6 @@ class TraceEvent:
     """One operation on the simulated timeline."""
 
     engine: str
-    stream: str
     step: str
     start_us: float
     end_us: float
@@ -52,17 +51,10 @@ class TimelineTracer:
             raise ValueError("device already has a tracer attached")
         original = device.submit
 
-        def traced_submit(engine, duration_us, stream=None, step=None):
-            end = original(engine, duration_us, stream=stream, step=step)
-            resolved = device._resolve_stream(stream)
+        def traced_submit(engine, duration_us, step=None):
+            end = original(engine, duration_us, step=step)
             self.events.append(
-                TraceEvent(
-                    engine=engine,
-                    stream=resolved.name,
-                    step=step or engine,
-                    start_us=end - duration_us,
-                    end_us=end,
-                )
+                TraceEvent(engine=engine, step=step or engine, start_us=end - duration_us, end_us=end)
             )
             return end
 
@@ -126,59 +118,3 @@ class TimelineTracer:
         if makespan <= 0:
             return {engine: 0.0 for engine in self.engine_busy_us()}
         return {engine: busy / makespan for engine, busy in self.engine_busy_us().items()}
-
-    def overlap_us(self, engine_a: str, engine_b: str) -> float:
-        """Total time two engines were busy simultaneously.
-
-        This is the quantity the multi-stream design maximises: H2D
-        copy overlapped with compute (Sec. 6.2).
-        """
-        intervals_a = sorted(
-            (e.start_us, e.end_us) for e in self.events if e.engine == engine_a
-        )
-        intervals_b = sorted(
-            (e.start_us, e.end_us) for e in self.events if e.engine == engine_b
-        )
-        total = 0.0
-        i = j = 0
-        while i < len(intervals_a) and j < len(intervals_b):
-            a0, a1 = intervals_a[i]
-            b0, b1 = intervals_b[j]
-            total += max(0.0, min(a1, b1) - max(a0, b0))
-            if a1 <= b1:
-                i += 1
-            else:
-                j += 1
-        return total
-
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
-    def to_chrome_trace(self) -> str:
-        """Chrome tracing / Perfetto JSON (complete events, 'X' phase)."""
-        engines = sorted({e.engine for e in self.events})
-        tid = {engine: i + 1 for i, engine in enumerate(engines)}
-        records = [
-            {
-                "name": event.step,
-                "cat": event.stream,
-                "ph": "X",
-                "ts": event.start_us,
-                "dur": event.duration_us,
-                "pid": 1,
-                "tid": tid[event.engine],
-                "args": {"stream": event.stream},
-            }
-            for event in self.events
-        ]
-        records.extend(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": 1,
-                "tid": t,
-                "args": {"name": engine},
-            }
-            for engine, t in tid.items()
-        )
-        return json.dumps({"traceEvents": records, "displayTimeUnit": "ms"})

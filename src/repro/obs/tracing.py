@@ -194,7 +194,7 @@ def to_perfetto(spans, engine_events=(), counters=()) -> str:
     lane per trace under the ``requests`` process); ``engine_events``
     are :class:`~repro.gpusim.tracing.TraceEvent`-shaped objects
     (simulated timestamps, one lane per device engine under the
-    ``device`` process); ``counters`` are
+    ``device`` process, categorised by engine); ``counters`` are
     ``{"series", "ts", "value"}`` dicts, typically from
     :meth:`repro.obs.timeseries.TimeSeriesRecorder.perfetto_counters`
     (simulated timestamps, one ``ph: "C"`` counter track per series
@@ -240,13 +240,13 @@ def to_perfetto(spans, engine_events=(), counters=()) -> str:
         records.append(
             {
                 "name": event.step,
-                "cat": event.stream,
+                "cat": event.engine,
                 "ph": "X",
                 "ts": event.start_us,
                 "dur": event.duration_us,
                 "pid": _DEVICE_PID,
                 "tid": engine_tid[event.engine],
-                "args": {"stream": event.stream, "sim_time": True},
+                "args": {"sim_time": True},
             }
         )
     for engine, tid in engine_tid.items():

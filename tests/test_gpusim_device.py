@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import EngineConfig, TextureSearchEngine
-from repro.errors import InvalidStreamError
 from repro.gpusim import (
     DEVICE_REGISTRY,
     GPUDevice,
@@ -62,7 +61,7 @@ class TestGPUDevice:
 
     def test_submit_serialises_within_stream(self, p100):
         p100.submit("compute", 10.0)
-        end = p100.submit("h2d", 5.0)  # same (default) stream: must wait
+        end = p100.submit("h2d", 5.0)  # one in-order queue: must wait
         assert end == 15.0
 
     def test_submit_unknown_engine(self, p100):
@@ -73,33 +72,13 @@ class TestGPUDevice:
         with pytest.raises(ValueError, match="non-negative"):
             p100.submit("compute", -1.0)
 
-    def test_streams_overlap_across_engines(self, p100):
-        s1 = p100.create_stream("a")
-        s2 = p100.create_stream("b")
-        p100.submit("compute", 10.0, stream=s1)
-        end = p100.submit("h2d", 5.0, stream=s2)  # independent engine+stream
-        assert end == 5.0
-        assert p100.elapsed_us() == 10.0
-
-    def test_streams_contend_for_one_engine(self, p100):
-        s1 = p100.create_stream("a")
-        s2 = p100.create_stream("b")
-        p100.submit("compute", 10.0, stream=s1)
-        end = p100.submit("compute", 5.0, stream=s2)
-        assert end == 15.0  # engine busy until 10
-
-    def test_foreign_stream_rejected(self, p100, v100):
-        s = v100.create_stream()
-        with pytest.raises(InvalidStreamError):
-            p100.submit("compute", 1.0, stream=s)
-
     def test_synchronize_aligns_everything(self, p100):
-        s1 = p100.create_stream()
-        p100.submit("compute", 7.0, stream=s1)
+        p100.submit("compute", 7.0)
+        p100.submit("d2h", 2.0)
         t = p100.synchronize()
-        assert t == 7.0
-        # after sync, new default-stream work starts at the barrier
-        assert p100.submit("compute", 1.0) == 8.0
+        assert t == 9.0 == p100.elapsed_us()
+        # after sync, work on any engine starts at the barrier
+        assert p100.submit("h2d", 1.0) == 10.0
 
     def test_reset_timing(self, p100):
         p100.submit("compute", 10.0, step="GEMM")
@@ -130,21 +109,3 @@ class TestGPUDevice:
             engine = TextureSearchEngine(config, device=device)
             engine.add_reference("r0", make_descriptors(m, seed=m))
             assert device.memory.used_bytes == config.feature_matrix_bytes() == nbytes
-
-
-class TestEvents:
-    def test_event_ordering_across_streams(self, p100):
-        s1 = p100.create_stream()
-        s2 = p100.create_stream()
-        p100.submit("h2d", 20.0, stream=s1)
-        ev = s1.record_event()
-        s2.wait_event(ev)
-        end = p100.submit("compute", 5.0, stream=s2)
-        assert end == 25.0
-
-    def test_wait_unrecorded_event_fails(self, p100):
-        from repro.gpusim import Event
-
-        s = p100.create_stream()
-        with pytest.raises(ValueError, match="not been recorded"):
-            s.wait_event(Event("never"))

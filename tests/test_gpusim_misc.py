@@ -1,41 +1,16 @@
-"""PCIe model, profiler, clock, and calibration edge cases."""
+"""PCIe model, profiler, and calibration edge cases."""
 
 import pytest
 
 from repro.gpusim import (
     KernelCalibration,
-    SimClock,
     StepProfiler,
     TESLA_A100,
     TESLA_P100,
     TransferModel,
     effective_h2d_bandwidth_gbs,
     h2d_time_us,
-    s_to_us,
-    us_to_s,
 )
-
-
-class TestClock:
-    def test_monotone(self):
-        clock = SimClock()
-        clock.advance_to(10.0)
-        clock.advance_to(5.0)  # no-op, never rewinds
-        assert clock.now_us == 10.0
-
-    def test_reset(self):
-        clock = SimClock(5.0)
-        clock.advance_to(100.0)
-        clock.reset()
-        assert clock.now_us == 0.0
-
-    def test_negative_start_rejected(self):
-        with pytest.raises(ValueError):
-            SimClock(-1.0)
-
-    def test_unit_conversions(self):
-        assert us_to_s(1_000_000.0) == 1.0
-        assert s_to_us(2.5) == 2_500_000.0
 
 
 class TestTransferModel:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
-from typing import Optional
 
 import numpy as np
 import pytest
@@ -39,7 +38,6 @@ from repro.errors import HalfPrecisionOverflowError
 from repro.fp16 import FP16_MIN_NORMAL
 from repro.fp16.codec import round_trip_nonneg
 from repro.gpusim import GPUDevice, TESLA_P100, TESLA_V100
-from repro.gpusim.stream import Stream
 from tests.conftest import planned_tiles
 
 # -- frozen oracles (verbatim from the parent commit) ----------------------
@@ -122,7 +120,6 @@ def oracle_hgemm(
     alpha: float = 1.0,
     transpose_a: bool = False,
     tensor_core: bool = False,
-    stream: Optional[Stream] = None,
     step: str = "GEMM",
 ) -> tuple[np.ndarray, bool]:
     """FP16 GEMM; returns ``(alpha * op(A) @ B as float32, overflowed)``."""
@@ -133,7 +130,7 @@ def oracle_hgemm(
         raise ValueError(f"shape mismatch: {op_a.shape} @ {b.shape}")
     m, k = op_a.shape
     n = b.shape[1]
-    device.gemm(m, n, k, batch=1, dtype="fp16", tensor_core=tensor_core, stream=stream, step=step)
+    device.gemm(m, n, k, batch=1, dtype="fp16", tensor_core=tensor_core, step=step)
     result, overflow = _oracle_hgemm_product(op_a, b, tensor_core)
     scaled = np.float32(alpha) * result
     if abs(alpha) != 1.0 and not tensor_core:
@@ -147,7 +144,6 @@ def oracle_batched_hgemm(
     b: np.ndarray,
     alpha: float = 1.0,
     tensor_core: bool = False,
-    stream: Optional[Stream] = None,
     step: str = "GEMM",
 ) -> tuple[np.ndarray, bool]:
     """Batched FP16 GEMM: ``a_batch`` is ``(batch, k, m)`` reference
@@ -166,7 +162,7 @@ def oracle_batched_hgemm(
     if k != b.shape[0]:
         raise ValueError(f"inner-dimension mismatch: {a_batch.shape} vs {b.shape}")
     n = b.shape[1]
-    device.gemm(m, n, k, batch=batch, dtype="fp16", tensor_core=tensor_core, stream=stream, step=step)
+    device.gemm(m, n, k, batch=batch, dtype="fp16", tensor_core=tensor_core, step=step)
     a16 = a_batch.astype(np.float16)
     b16 = b.astype(np.float16)
     # (batch, m, k) @ (k, n) -> (batch, m, n), FP32 accumulate.
@@ -479,7 +475,7 @@ def test_match_masks_and_indices_are_those_of_the_oracles_at_paper_scale(monkeyp
 # -- the tiled sweep (PR 15) -----------------------------------------------
 
 
-def oracle_knn_columns(device, references, columns, scale, k, precision, tensor_core, stream):
+def oracle_knn_columns(device, references, columns, scale, k, precision, tensor_core):
     """``core/algorithm2.py::_knn_columns`` as of the commit before the
     tiled sweep, verbatim: one product for the whole batch, swept whole."""
     batch, d, m = references.shape
@@ -490,13 +486,13 @@ def oracle_knn_columns(device, references, columns, scale, k, precision, tensor_
     # Step 1: batched GEMM (one fused call => the Sec. 5 data reuse).
     if precision == "fp16":
         a, overflow = batched_hgemm(
-            device, references, columns, alpha=1.0, tensor_core=tensor_core, stream=stream
+            device, references, columns, alpha=1.0, tensor_core=tensor_core
         )
         if overflow:
             raise HalfPrecisionOverflowError(scale, float(np.abs(a).max()))
         const = 2.0 * scale * scale
     elif precision == "fp32":
-        device.gemm(m, n, d, batch=batch, dtype="fp32", stream=stream, step="GEMM")
+        device.gemm(m, n, d, batch=batch, dtype="fp32", step="GEMM")
         a = query_major_product(
             references.astype(np.float32, copy=False), columns.astype(np.float32, copy=False)
         )
@@ -507,11 +503,11 @@ def oracle_knn_columns(device, references, columns, scale, k, precision, tensor_
 
     # Step 2: one scan thread per (image, query-feature) column — on the
     # query-major product a zero-copy F-ordered view, each column contiguous.
-    device.top2_scan(m, batch * n, dtype=precision, stream=stream, step="Top-2 sort")
+    device.top2_scan(m, batch * n, dtype=precision, step="Top-2 sort")
     dist, top_idx = functional_topk(np.transpose(a, (1, 0, 2)).reshape(m, batch * n), k)
 
     # Step 3: sqrt(const + A) in-register on the winners only.
-    device.elementwise(k * batch * n, dtype=precision, stream=stream, step="sqrt")
+    device.elementwise(k * batch * n, dtype=precision, step="sqrt")
     dist += np.float32(const)
     np.maximum(dist, 0.0, out=dist)
     np.sqrt(dist, out=dist)
@@ -519,7 +515,7 @@ def oracle_knn_columns(device, references, columns, scale, k, precision, tensor_
         dist /= np.float32(scale)
 
     # Step 4: batched result gather.
-    device.d2h_result(n, batch=batch, k=k, dtype=precision, stream=stream)
+    device.d2h_result(n, batch=batch, k=k, dtype=precision)
     return dist, top_idx.astype(np.int32)
 
 
@@ -560,7 +556,7 @@ def check_against_the_untiled_sweep(refs, queries, scale, k, precision, tensor_c
 
     def oracle(columns):
         device = GPUDevice(TESLA_V100)
-        dist, idx = oracle_knn_columns(device, refs, columns, stream=None, **kwargs)
+        dist, idx = oracle_knn_columns(device, refs, columns, **kwargs)
         return dist, idx, device
 
     device = GPUDevice(TESLA_V100)

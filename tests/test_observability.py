@@ -168,6 +168,8 @@ class TestRequestTracer:
         with timeline.attached(device):
             with tracer.span("request", layer="web"):
                 device.submit("compute", 5.0, step="GEMM")
+                device.submit("d2h", 1.0, step="result")
+                device.submit("compute", 2.0, step="sqrt")
         payload = json.loads(to_perfetto(tracer.spans, timeline.events))
         pids = {e["pid"] for e in payload["traceEvents"] if e["ph"] == "X"}
         assert pids == {1, 2}
@@ -177,6 +179,19 @@ class TestRequestTracer:
             if e["ph"] == "M" and e["name"] == "process_name"
         }
         assert names == {"requests", "device"}
+        # device lanes: one per engine, named by thread-name metadata
+        lanes = {
+            e["tid"]: e["args"]["name"]
+            for e in payload["traceEvents"]
+            if e["ph"] == "M" and e["name"] == "thread_name" and e["pid"] == 2
+        }
+        assert sorted(lanes.values()) == ["compute", "d2h"]
+        device_events = [e for e in payload["traceEvents"] if e["ph"] == "X" and e["pid"] == 2]
+        # one event per submit: named by its step, lasting the charged us,
+        # categorised by and drawn in its engine's lane
+        assert [(e["name"], e["dur"], e["cat"]) for e in device_events] == [
+            ("GEMM", 5.0, "compute"), ("result", 1.0, "d2h"), ("sqrt", 2.0, "compute")]
+        assert all(lanes[e["tid"]] == e["cat"] for e in device_events)
 
 
 def _small_system(n_refs=6):

@@ -42,7 +42,6 @@ from repro.core.ratio_test import batch_ratio_test_masks, match_images_batch
 from repro.core.results import ImageMatch, Sweep
 from repro.errors import HalfPrecisionOverflowError
 from repro.gpusim import GPUDevice, TESLA_P100
-from repro.gpusim.stream import Stream
 from repro.obs import current_deadline, deadline_scope
 from repro.gpusim.pcie import h2d_time_us
 from repro.core.engine import hidden_us
@@ -69,7 +68,6 @@ def oracle_knn_columns(
     k: int,
     precision: str,
     tensor_core: bool,
-    stream: Optional[Stream],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Steps 1-4 for a ``(batch, d, m)`` reference stack against the
     ``(d, n)`` columns of one query — or of several, concatenated.
@@ -89,7 +87,7 @@ def oracle_knn_columns(
     # and computed tile by tile: columns are independent, so steps 1-2 of a
     # tile are those of the whole batch restricted to its images.
     tc = fp16 and tensor_core
-    device.gemm(m, n, d, batch=batch, dtype=precision, tensor_core=tc, stream=stream, step="GEMM")
+    device.gemm(m, n, d, batch=batch, dtype=precision, tensor_core=tc, step="GEMM")
     tile = max(1, algorithm2_module._PRODUCT_TILE_BYTES // (4 * m * n))  # images; the charge rejected empty shapes
     scratch = np.empty((min(tile, batch), n, m), dtype=np.float32)
     dist = np.empty((k, batch * n), dtype=np.float32)
@@ -110,10 +108,10 @@ def oracle_knn_columns(
         # contiguous.  Only the winners leave the tile.
         scanned = np.transpose(a, (1, 0, 2)).reshape(m, len(refs) * n)
         dist[:, cols], top_idx[:, cols] = functional_topk(scanned, k)
-    device.top2_scan(m, batch * n, dtype=precision, stream=stream, step="Top-2 sort")
+    device.top2_scan(m, batch * n, dtype=precision, step="Top-2 sort")
 
     # Step 3: sqrt(const + A) in-register on the winners only.
-    device.elementwise(k * batch * n, dtype=precision, stream=stream, step="sqrt")
+    device.elementwise(k * batch * n, dtype=precision, step="sqrt")
     dist += np.float32(2.0 * scale * scale if fp16 else 2.0)
     np.maximum(dist, 0.0, out=dist)
     np.sqrt(dist, out=dist)
@@ -121,7 +119,7 @@ def oracle_knn_columns(
         dist /= np.float32(scale)
 
     # Step 4: batched result gather.
-    device.d2h_result(n, batch=batch, k=k, dtype=precision, stream=stream)
+    device.d2h_result(n, batch=batch, k=k, dtype=precision)
     return dist, top_idx
 
 
@@ -133,7 +131,6 @@ def oracle_knn_algorithm2(
     k: int = 2,
     precision: str = "fp16",
     tensor_core: bool = False,
-    stream: Optional[Stream] = None,
 ) -> BatchKnnResult:
     """Batched RootSIFT 2-NN.
 
@@ -153,7 +150,7 @@ def oracle_knn_algorithm2(
         raise ValueError(
             f"query {query.shape} does not match references {references.shape}"
         )
-    dist, idx = oracle_knn_columns(device, references, query, scale, k, precision, tensor_core, stream)
+    dist, idx = oracle_knn_columns(device, references, query, scale, k, precision, tensor_core)
     shape = (k, references.shape[0], query.shape[1])
     return BatchKnnResult(
         distances=np.ascontiguousarray(dist.reshape(shape).transpose(1, 0, 2)),
@@ -169,7 +166,6 @@ def oracle_knn_algorithm2_multiquery(
     k: int = 2,
     precision: str = "fp16",
     tensor_core: bool = False,
-    stream: Optional[Stream] = None,
 ) -> MultiQueryResult:
     """Batched-reference x batched-query 2-NN.
 
@@ -190,7 +186,7 @@ def oracle_knn_algorithm2_multiquery(
     n_queries, _, n = queries.shape
     # Column-concatenate queries: (d, Q*n).
     q_all = np.transpose(queries, (1, 0, 2)).reshape(d, n_queries * n)
-    dist, idx = oracle_knn_columns(device, references, q_all, scale, k, precision, tensor_core, stream)
+    dist, idx = oracle_knn_columns(device, references, q_all, scale, k, precision, tensor_core)
     shape = (k, batch, n_queries, n)
     return MultiQueryResult(
         distances=np.ascontiguousarray(dist.reshape(shape).transpose(1, 2, 0, 3)),

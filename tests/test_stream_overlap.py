@@ -29,9 +29,9 @@ def swept(monkeypatch, engine, queries) -> tuple[float, float]:
     charged: list[tuple[str, float]] = []
     submit, sweep = GPUDevice.submit, engine._execute_sweep
 
-    def recording(device, name, duration_us, stream=None, step=None):
+    def recording(device, name, duration_us, step=None):
         charged.append((name, duration_us))
-        return submit(device, name, duration_us, stream, step)
+        return submit(device, name, duration_us, step)
 
     def sweep_alone(*args, **kwargs):
         charged.clear()  # the group's query preparation is behind us

@@ -77,3 +77,12 @@ def test_the_byte_free_sweep_reads_what_a_real_engine_charges(monkeypatch, confi
     # the real engine computed its matches, the timing-only one none
     assert len(answer.matches) == BATCHES * config.batch_size
     assert sweep.answers[0].matches == []
+
+
+def test_a_prefilter_kernel_is_refused():
+    """Byte-free batches hold no codes: the cascade's prefilter would prune
+    every slot (16 of 16 here) and the sweep would time the prefilter
+    alone, 58x faster than ``algorithm1``."""
+    config = EngineConfig(m=96, n=128, batch_size=8, backend="cascade", precision="fp16")
+    with pytest.raises(ValueError, match="prefilter"):
+        tables.swept(TESLA_P100, config, 2)

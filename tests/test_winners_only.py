@@ -41,7 +41,6 @@ from repro.data import SyntheticFeatureModel
 from repro.errors import HalfPrecisionOverflowError
 from repro.fp16.codec import FP16_MIN_NORMAL, is_nonneg_finite, round_trip_nonneg, upcast_nonneg
 from repro.gpusim import GPUDevice, TESLA_P100, TESLA_V100
-from repro.gpusim.stream import Stream
 from tests.conftest import planned_tiles
 
 # -- frozen oracles (verbatim from the parent commit) ----------------------
@@ -153,7 +152,6 @@ def oracle_batched_hgemm(
     b: np.ndarray,
     alpha: float = 1.0,
     tensor_core: bool = False,
-    stream: Optional[Stream] = None,
     step: str = "GEMM",
     out: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, bool]:
@@ -177,7 +175,7 @@ def oracle_batched_hgemm(
         raise ValueError(f"inner-dimension mismatch: {a_batch.shape} vs {b.shape}")
     n = b.shape[1]
     if device is not None:
-        device.gemm(m, n, k, batch=batch, dtype="fp16", tensor_core=tensor_core, stream=stream, step=step)
+        device.gemm(m, n, k, batch=batch, dtype="fp16", tensor_core=tensor_core, step=step)
     return oracle_fp16_gemm(query_major_product, a_batch, b, alpha, tensor_core, store_fp16=True, out=out)
 
 
@@ -189,7 +187,6 @@ def oracle_knn_columns(
     k: int,
     precision: str,
     tensor_core: bool,
-    stream: Optional[Stream],
 ) -> tuple[np.ndarray, np.ndarray]:
     """Steps 1-4 for a *stack* — ``(batch_i, d, m)`` reference batches taken
     as the one batch they would concatenate to — against the ``(d, n)``
@@ -214,7 +211,7 @@ def oracle_knn_columns(
     # 1-2 of a tile are those of its batches restricted to its images.
     if device is not None:
         steps = knn_steps(device, images, m, n, d, k, precision, tensor_core)
-        device.charge(steps[:1], stream)
+        device.charge(steps[:1])
     tile = max(1, algorithm2_module._PRODUCT_TILE_BYTES // max(1, 4 * m * n))  # images
     scratch = np.empty((min(tile, images), n, m), dtype=np.float32)
     dist = np.empty((k, images * n), dtype=np.float32)
@@ -245,7 +242,7 @@ def oracle_knn_columns(
 
     # Step 3: sqrt(const + A) in-register on the winners only; step 4: the gather.
     if device is not None:
-        device.charge(steps[1:], stream)
+        device.charge(steps[1:])
     dist += np.float32(2.0 * scale * scale if fp16 else 2.0)
     np.maximum(dist, 0.0, out=dist)
     np.sqrt(dist, out=dist)
@@ -254,9 +251,9 @@ def oracle_knn_columns(
     return dist, top_idx
 
 
-def parent_knn_columns(device, stack, columns, scale, k, precision, tensor_core, stream, indices=True):
+def parent_knn_columns(device, stack, columns, scale, k, precision, tensor_core, indices=True):
     """The oracle behind today's signature: the parent always found indices."""
-    return oracle_knn_columns(device, stack, columns, scale, k, precision, tensor_core, stream)
+    return oracle_knn_columns(device, stack, columns, scale, k, precision, tensor_core)
 
 
 @contextmanager
@@ -364,7 +361,7 @@ def check_against_the_parent(stack, queries, scale, k, precision, tensor_core, i
     with tile_budget(images_per_tile, m, n_queries * n):
         oracle_device = GPUDevice(TESLA_V100)
         q_all = np.transpose(queries, (1, 0, 2)).reshape(D, n_queries * n)
-        dist, idx = oracle_knn_columns(oracle_device, stack, q_all, stream=None, **kwargs)
+        dist, idx = oracle_knn_columns(oracle_device, stack, q_all, **kwargs)
         want = bits(dist.reshape(shape).transpose(1, 2, 0, 3))
         for indices in (False, True, None):
             device = GPUDevice(TESLA_V100)
@@ -380,7 +377,7 @@ def check_against_the_parent(stack, queries, scale, k, precision, tensor_core, i
             assert device.synchronize() == oracle_device.synchronize() > 0, case
             assert steps(device) == steps(oracle_device), case
     with tile_budget(images_per_tile, m, n):
-        dist, idx = oracle_knn_columns(GPUDevice(TESLA_V100), stack, queries[0], stream=None, **kwargs)
+        dist, idx = oracle_knn_columns(GPUDevice(TESLA_V100), stack, queries[0], **kwargs)
         single = knn_algorithm2(GPUDevice(TESLA_V100), np.concatenate(stack), queries[0], **kwargs)
         assert np.array_equal(single.indices, idx.reshape(k, images, n).transpose(1, 0, 2)), case
         assert np.array_equal(
@@ -464,8 +461,7 @@ def test_operands_with_a_sign_bit_inf_or_nan_take_the_parents_path(kind):
             extra = {} if sweep is oracle_knn_columns else {"indices": False}
             with tile_budget(images_per_tile, 24, 14), np.errstate(invalid="ignore"):
                 try:
-                    dist, _ = sweep(device, split(refs, 2), q_all, 0.25, 2, "fp16", tensor_core,
-                                    None, **extra)
+                    dist, _ = sweep(device, split(refs, 2), q_all, 0.25, 2, "fp16", tensor_core, **extra)
                     seen.append((bits(dist).tobytes(), steps(device)))
                 except HalfPrecisionOverflowError as error:
                     seen.append((error.scale, error.max_value, str(error), steps(device)))
