@@ -31,7 +31,7 @@ def test_hybrid_cache_churn(benchmark):
                                    host_budget_bytes=512 * 1024 * 1024)
         builder = BatchBuilder(batch_size=4, d=128, m=64)
         for i in range(256):
-            batch = builder.add(f"r{i}", np.zeros((128, 64), np.float16))
+            batch = builder.add(i, np.zeros((128, 64), np.float16))
             if batch is not None:
                 cache.add(batch)
         return cache.gpu_batches, cache.host_batches

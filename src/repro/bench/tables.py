@@ -64,7 +64,7 @@ def swept(spec: DeviceSpec, config: EngineConfig, batches: int, host: bool = Fal
     def empty(batch_id: int) -> ReferenceBatch:
         shape = (config.batch_size,)
         return ReferenceBatch(
-            batch_id, [f"{batch_id}/{slot}" for slot in range(config.batch_size)],
+            batch_id, np.arange(batch_id * config.batch_size, (batch_id + 1) * config.batch_size),
             np.broadcast_to(matrix.dtype.type(0), shape + matrix.shape),
             None if norms is None else np.broadcast_to(norms.dtype.type(0), shape + norms.shape))
 

@@ -2,7 +2,9 @@
 
 Reference feature batches enqueue into GPU memory first; once the GPU
 budget is full, the *oldest* batch is swapped out to the (much larger)
-host level, still FIFO.  Swap granularity is a whole batch when
+host level, still FIFO.  A batch reaches the host only as the GPU
+level's oldest, so the two levels' FIFO orders, host first, are the
+cache's one global order.  Swap granularity is a whole batch when
 batching is enabled — exactly the paper's design.  Searching iterates
 every batch; host-resident batches must be streamed over PCIe, which is
 what the sweep's multi-stream rule then overlaps with compute.
@@ -95,7 +97,6 @@ class HybridFeatureCache:
         self.pinned = bool(pinned)
         self._gpu: FifoCache[int, CachedBatch] = FifoCache(self.gpu_budget_bytes, "gpu-cache")
         self._host: FifoCache[int, CachedBatch] = FifoCache(self.host_budget_bytes, "host-cache")
-        self._order: list[int] = []  # global FIFO order of batch ids
 
     # ------------------------------------------------------------------
     def add(self, batch: ReferenceBatch) -> None:
@@ -112,35 +113,21 @@ class HybridFeatureCache:
                 f"{self.gpu_budget_bytes} B"
             )
         # Re-adding an id supersedes the cached copy wherever it lives —
-        # otherwise the id would appear twice in the FIFO order (batches()
-        # would yield it twice and total_images double-count) and a
-        # replaced GPU copy would leak its device allocation.
+        # otherwise batches() would yield it twice (and total_images
+        # double-count) and a replaced GPU copy would leak its device
+        # allocation.
         if batch.batch_id in self._gpu:
             old = self._gpu.pop(batch.batch_id).value
             if old.gpu_allocation is not None:
                 self.device.free(old.gpu_allocation)
         elif batch.batch_id in self._host:
             self._host.pop(batch.batch_id)
-        if batch.batch_id in self._order:
-            self._order.remove(batch.batch_id)
         cached = CachedBatch(batch=batch, location=CacheLocation.GPU)
-        try:
-            cached.gpu_allocation = self._alloc_gpu(nbytes, f"batch{batch.batch_id}")
-            evicted = self._gpu.put(batch.batch_id, cached, nbytes)
-            self._order.append(batch.batch_id)
-            _ADDS.inc()
-            for _key, entry in evicted:
-                self._demote(entry.value)
-        except CacheCapacityError:
-            # whatever overflowed was dropped from the levels; drop its
-            # id from the FIFO order too so batches() stays consistent
-            self._prune_order()
-            raise
-
-    def _prune_order(self) -> None:
-        self._order = [
-            bid for bid in self._order if bid in self._gpu or bid in self._host
-        ]
+        cached.gpu_allocation = self._alloc_gpu(nbytes, f"batch{batch.batch_id}")
+        evicted = self._gpu.put(batch.batch_id, cached, nbytes)
+        _ADDS.inc()
+        for _key, entry in evicted:
+            self._demote(entry.value)
 
     def _alloc_gpu(self, nbytes: int, label: str) -> Allocation:
         # Free device memory can be below our budget if other engine
@@ -173,8 +160,8 @@ class HybridFeatureCache:
 
     def remove(self, batch_id: int) -> bool:
         """Drop a batch from whichever level holds it, releasing its
-        capacity (device allocation freed, budgets credited, id pruned
-        from the FIFO order).  Returns whether the batch was cached.
+        capacity (device allocation freed, budgets credited).  Returns
+        whether the batch was cached.
 
         This is the delete path of online enrollment: when every slot
         of a sealed batch is tombstoned the engine purges the whole
@@ -191,22 +178,21 @@ class HybridFeatureCache:
         elif batch_id in self._host:
             self._host.pop(batch_id)
             removed = True
-        if batch_id in self._order:
-            self._order.remove(batch_id)
         if removed:
             _REMOVALS.inc()
         return removed
 
     # ------------------------------------------------------------------
     def batches(self) -> Iterator[CachedBatch]:
-        """All cached batches in global FIFO order.
+        """All cached batches in global FIFO order: the host level's,
+        then the GPU level's.
 
         Iterates a snapshot of the order taken at call time, so a sweep
         already in flight keeps a consistent view of the corpus even if
         enrollments land (or deletes purge batches) between batches —
         the sweep covers the corpus as of sweep start.
         """
-        for batch_id in list(self._order):
+        for batch_id in self._host.keys() + self._gpu.keys():
             if batch_id in self._gpu:
                 yield self._gpu.get(batch_id)
             elif batch_id in self._host:

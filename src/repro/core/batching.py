@@ -5,12 +5,14 @@ reuse to fill a GPU; stacking ``batch_size`` of them into a single
 batched GEMM raises arithmetic intensity and is the paper's second
 optimization.  :class:`BatchBuilder` accumulates prepared reference
 matrices into fixed-shape ``(batch, d, m)`` blocks; the block is also
-the swap granularity of the hybrid cache (Sec. 6.1).
+the swap granularity of the hybrid cache (Sec. 6.1).  A block knows its
+references only by their integer slots: which external id a slot holds,
+if any, is the engine's table, not the batch's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +30,12 @@ class ReferenceBatch:
     packed sign-bit codes — and is counted into :attr:`nbytes`, so the
     hybrid cache's capacity, eviction and ``remove()`` accounting cover
     it exactly like the feature tensors (the batch is the swap unit).
+    ``slots`` is the ``(size,)`` int64 array of the engine slots its
+    images were enrolled at, consecutive and in enrolment order.
     """
 
     batch_id: int
-    ids: list[str]
+    slots: np.ndarray
     tensor: np.ndarray
     norms: np.ndarray | None = None
     aux: np.ndarray | None = None
@@ -52,9 +56,9 @@ class ReferenceBatch:
     def __post_init__(self) -> None:
         if self.tensor.ndim != 3:
             raise ValueError(f"tensor must be (batch, d, m), got {self.tensor.shape}")
-        if len(self.ids) != self.tensor.shape[0]:
+        if self.slots.shape != (self.tensor.shape[0],):
             raise ValueError(
-                f"{len(self.ids)} ids for a batch of {self.tensor.shape[0]}"
+                f"{self.slots.shape} slots for a batch of {self.tensor.shape[0]}"
             )
         if self.norms is not None and self.norms.shape != (
             self.tensor.shape[0],
@@ -91,7 +95,7 @@ class BatchBuilder:
         self.m = int(m)
         self.keep_norms = keep_norms
         self.keep_aux = keep_aux
-        self._ids: list[str] = []
+        self._slots: list[int] = []
         self._matrices: list[np.ndarray] = []
         self._norms: list[np.ndarray] = []
         self._aux: list[np.ndarray] = []
@@ -99,12 +103,12 @@ class BatchBuilder:
 
     def add(
         self,
-        ref_id: str,
+        slot: int,
         matrix: np.ndarray,
         norms: np.ndarray | None = None,
         aux: np.ndarray | None = None,
     ) -> ReferenceBatch | None:
-        """Add one prepared matrix; returns a batch if one just filled."""
+        """Add one prepared matrix at ``slot``; returns a batch if one just filled."""
         matrix = np.asarray(matrix)
         if matrix.shape != (self.d, self.m):
             raise ValueError(
@@ -121,20 +125,15 @@ class BatchBuilder:
             if aux is None:
                 raise ValueError("this builder requires per-matrix aux data")
             self._aux.append(np.asarray(aux))
-        self._ids.append(str(ref_id))
+        self._slots.append(int(slot))
         self._matrices.append(matrix)
-        if len(self._ids) == self.batch_size:
+        if len(self._slots) == self.batch_size:
             return self.flush()
         return None
 
     @property
     def pending(self) -> int:
-        return len(self._ids)
-
-    def rename(self, position: int, new_id: str) -> None:
-        """Rename a pending slot (used for tombstoning before the batch
-        seals)."""
-        self._ids[position] = str(new_id)
+        return len(self._slots)
 
     def pending_matrix(self, position: int) -> np.ndarray:
         """The matrix of a pending (unsealed) slot."""
@@ -142,17 +141,17 @@ class BatchBuilder:
 
     def flush(self) -> ReferenceBatch | None:
         """Emit the in-progress (possibly partial) batch, or ``None``."""
-        if not self._ids:
+        if not self._slots:
             return None
         tensor = np.stack(self._matrices, axis=0)
         norms = np.stack(self._norms, axis=0) if self.keep_norms else None
         aux = np.stack(self._aux, axis=0) if self.keep_aux else None
         batch = ReferenceBatch(
-            batch_id=self._next_batch_id, ids=self._ids, tensor=tensor,
-            norms=norms, aux=aux,
+            batch_id=self._next_batch_id, slots=np.array(self._slots, dtype=np.int64),
+            tensor=tensor, norms=norms, aux=aux,
         )
         self._next_batch_id += 1
-        self._ids = []
+        self._slots = []
         self._matrices = []
         self._norms = []
         self._aux = []

@@ -14,9 +14,13 @@ sort kind, streams, asymmetric m/n), so the benchmark harness can
 reproduce each table by toggling exactly one of them.  A search —
 alone or as a fused group — is one private cache sweep
 (:meth:`_execute_sweep`), which owns the batch loop, H2D transfer
-accounting, tombstone filtering, the multi-stream overlap correction
-and stats; the kernel decides what each slot of a swept batch costs
-and reports.  :meth:`verify` is not a sweep: it hands one transient
+accounting, the multi-stream overlap correction and stats; the kernel
+decides what each slot of a swept batch costs and reports.
+
+A reference is an integer *slot*, numbered in enrolment order.  Batches
+and kernels see only slots; the engine holds the one id table (``_slots``
+from live id to slot, ``_names`` from slot to id, ``None`` once the slot
+is a tombstone), and its sweep names the matches it reports from it.  :meth:`verify` is not a sweep: it hands one transient
 image to the same kernel calls and touches neither cache nor stats.
 
 Timing: the device is one in-order queue, so with a single stream every
@@ -31,11 +35,13 @@ only stream model: the paper's stream tables run it timing-only
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..cache.hybrid import CacheLocation, HybridFeatureCache
+from ..errors import CacheCapacityError
 from ..gpusim.device import TESLA_P100
 from ..gpusim.engine_model import GPUDevice
 from ..gpusim.pcie import h2d_time_us
@@ -90,10 +96,6 @@ _CASCADE_PRUNED = _REG.counter(
 #: pre-bound children — the sweep loop must not pay label resolution.
 _SWEEP_HIT = _SWEEP_LOOKUPS.labels(result="hit")
 _SWEEP_MISS = _SWEEP_LOOKUPS.labels(result="miss")
-
-#: prefix of tombstoned slot ids (never collides with user ids, which
-#: the REST layer validates).
-_DEAD_PREFIX = "\x00dead:"
 
 
 def overlap_us(streams: int, h2d_us: float, busy_us: float) -> float:
@@ -185,18 +187,18 @@ class TextureSearchEngine:
         self.stats = EngineStats()
         #: (images compared, query count) -> the kernel's ``batch_steps``, costed once
         self._batch_steps: dict[tuple[int, int], list] = {}
-        #: live id -> (ReferenceBatch | None, slot index); ``None`` means
-        #: the slot is still in the builder's pending batch.  Deleting or
-        #: updating a reference renames its slot to a dead marker —
-        #: batches are immutable, so the slot is still *compared* (honest
-        #: cost) but its matches are dropped from results.
-        self._locations: dict[str, tuple[ReferenceBatch | None, int]] = {}
-        self._dead_slots = 0
-        #: sealed batch id -> count of tombstoned slots.  When every
-        #: slot of a batch is dead the whole batch is purged from the
-        #: cache (capacity released in whole-batch units — swap
+        #: the id table: live id -> slot, and slot -> id, or ``None`` once
+        #: deleting or updating the reference tombstoned it — batches are
+        #: immutable, so the slot is still *compared* (honest cost) but its
+        #: matches are dropped from results.
+        self._slots: dict[str, int] = {}
+        self._names: list[str | None] = []
+        #: the first slot of every sealed batch, by batch id, then of the
+        #: pending one: sealed batch ``b`` holds ``_firsts[b]:_firsts[b + 1]``.
+        #: When every slot of a batch is dead the whole batch is purged from
+        #: the cache (capacity released in whole-batch units — swap
         #: accounting stays batch-granular).
-        self._dead_in_batch: dict[int, int] = {}
+        self._firsts: list[int] = [0]
         #: images_compared as of the last :meth:`reset_profile`, so
         #: profile-report means cover only the profiled window.
         self._images_at_profile_reset = 0
@@ -234,25 +236,32 @@ class TextureSearchEngine:
             matrix, norms = self.prepare_reference_matrix(descriptors)
         self.add_prepared_reference(ref_id, matrix, norms)
 
+    def _names_of(self, batch_id: int) -> list[str | None]:
+        """The id table's slice for the slots of sealed batch ``batch_id``."""
+        return self._names[self._firsts[batch_id] : self._firsts[batch_id + 1]]
+
     def _seal(self, batch: ReferenceBatch) -> None:
-        """Install a completed batch and repoint its slots' locations.
+        """Install a completed batch.
 
         A batch whose every slot was tombstoned while still pending is
-        never cached at all — there is nothing live to sweep; partially
-        dead batches seed the per-batch dead count so later deletes can
-        purge them once the last live slot goes.
+        never cached at all — there is nothing live to sweep.  If the
+        cache refuses the batch, or drops older ones to make room, the
+        references of every batch it no longer holds leave the id table
+        before the error propagates.
         """
-        dead = sum(
-            1 for slot_id in batch.ids if slot_id.startswith(_DEAD_PREFIX)
-        )
-        if dead >= batch.size:
+        self._firsts.append(len(self._names))
+        if all(name is None for name in self._names_of(batch.batch_id)):
             return
-        self.cache.add(batch)
-        if dead:
-            self._dead_in_batch[batch.batch_id] = dead
-        for idx, slot_id in enumerate(batch.ids):
-            if slot_id in self._locations:
-                self._locations[slot_id] = (batch, idx)
+        try:
+            self.cache.add(batch)
+        except CacheCapacityError:
+            held = {cached.batch.batch_id for cached in self.cache.batches()}
+            for batch_id in range(len(self._firsts) - 1):
+                if batch_id not in held:
+                    for name in self._names_of(batch_id):
+                        if name is not None:
+                            self._names[self._slots.pop(name)] = None
+            raise
 
     def add_prepared_reference(
         self,
@@ -277,11 +286,12 @@ class TextureSearchEngine:
             raise ValueError(f"prepared matrix must be {expected}, got {matrix.dtype}")
         if self.kernel.needs_norms and norms is None:
             raise ValueError(f"backend {self.backend!r} engines require the N_R vector")
-        if ref_id in self._locations:
+        if ref_id in self._slots:
             self.remove_reference(ref_id)
         aux = self.kernel.reference_aux(matrix) if self.kernel.needs_aux else None
-        self._locations[ref_id] = (None, self._builder.pending)
-        flushed = self._builder.add(ref_id, matrix, norms, aux)
+        slot = self._slots[ref_id] = len(self._names)
+        self._names.append(ref_id)
+        flushed = self._builder.add(slot, matrix, norms, aux)
         if flushed is not None:
             self._seal(flushed)
         self.stats.references += 1
@@ -296,12 +306,15 @@ class TextureSearchEngine:
         """
         from ..distributed.serialization import FeatureRecord
 
+        sealed = {cached.batch.batch_id: cached.batch for cached in self.cache.batches()}
+        pending = self._firsts[-1]
         records = []
-        for ref_id, (batch, slot) in self._locations.items():
-            if batch is None:
-                matrix = self._builder.pending_matrix(slot)
+        for ref_id, slot in self._slots.items():
+            if slot >= pending:
+                matrix = self._builder.pending_matrix(slot - pending)
             else:
-                matrix = batch.tensor[slot]
+                batch_id = bisect_right(self._firsts, slot) - 1
+                matrix = sealed[batch_id].tensor[slot - self._firsts[batch_id]]
             records.append(
                 FeatureRecord(
                     ref_id=ref_id,
@@ -339,29 +352,20 @@ class TextureSearchEngine:
 
     def remove_reference(self, ref_id: str) -> bool:
         """Tombstone a reference; returns whether it was enrolled."""
-        ref_id = str(ref_id)
-        location = self._locations.pop(ref_id, None)
-        if location is None:
+        slot = self._slots.pop(str(ref_id), None)
+        if slot is None:
             return False
-        batch, slot = location
-        marker = f"{_DEAD_PREFIX}{self._dead_slots}"
-        self._dead_slots += 1
-        if batch is None:
-            self._builder.rename(slot, marker)
-        else:
-            batch.ids[slot] = marker
-            dead = self._dead_in_batch.get(batch.batch_id, 0) + 1
-            if dead >= batch.size:
+        self._names[slot] = None
+        if slot < self._firsts[-1]:
+            batch_id = bisect_right(self._firsts, slot) - 1
+            if all(name is None for name in self._names_of(batch_id)):
                 # every slot is tombstoned: purge the whole batch so the
                 # cache releases its capacity (batch-granular, like swap)
-                self.cache.remove(batch.batch_id)
-                self._dead_in_batch.pop(batch.batch_id, None)
-            else:
-                self._dead_in_batch[batch.batch_id] = dead
+                self.cache.remove(batch_id)
         return True
 
     def has_reference(self, ref_id: str) -> bool:
-        return str(ref_id) in self._locations
+        return str(ref_id) in self._slots
 
     def flush(self) -> None:
         """Seal the in-progress (partial) batch so it becomes searchable."""
@@ -372,7 +376,7 @@ class TextureSearchEngine:
     @property
     def n_references(self) -> int:
         """Live (non-tombstoned) enrolled references."""
-        return len(self._locations)
+        return len(self._slots)
 
     def capacity_images(self) -> int:
         """The paper's capacity metric for this engine's configuration."""
@@ -383,10 +387,13 @@ class TextureSearchEngine:
         by: batches, their mean fill against ``batch_size``, and the share
         of their slots that are tombstones (compared, never reported)."""
         sealed, slots = len(self.cache), self.cache.total_images
+        dead = sum(
+            self._names_of(cached.batch.batch_id).count(None) for cached in self.cache.batches()
+        )
         return {
             "sealed_batches": sealed,
             "batch_fill": slots / (sealed * self.config.batch_size) if sealed else 0.0,
-            "dead_slot_share": sum(self._dead_in_batch.values()) / slots if slots else 0.0,
+            "dead_slot_share": dead / slots if slots else 0.0,
         }
 
     # ------------------------------------------------------------------
@@ -405,7 +412,7 @@ class TextureSearchEngine:
         decides what is swept and staged (H2D for host-resident
         batches) and charges the device the kernel's pre-costed
         ``batch_steps``; what it swept is then computed — and its
-        tombstones dropped — by the *functional* plane
+        matches named, tombstones dropped — by the *functional* plane
         (:meth:`_swept_matches`) in one kernel call — its own, or that of
         the gather it is part of (:mod:`repro.core.compute`).  The stats
         follow the loop, and so does the multi-stream overlap (Sec. 6.2):
@@ -450,7 +457,7 @@ class TextureSearchEngine:
             for cached in self.cache.batches():
                 batch = cached.batch
                 if candidate_ids is not None and not any(
-                    slot_id in candidate_ids for slot_id in batch.ids
+                    name in candidate_ids for name in self._names_of(batch.batch_id)
                 ):
                     # no nominee lives here: never staged, compared or charged
                     pruned += batch.size
@@ -533,27 +540,19 @@ class TextureSearchEngine:
         the timing plane swept, in sweep order.  They are *submitted*, with
         their survivor masks, as one stack to the ambient scope
         (:mod:`repro.core.compute`); when that computes — at once, unless a
-        gather holds it open — ``deliver`` filters every batch into the lists."""
+        gather holds it open — ``deliver`` names every match from the id
+        table by the slot its kernel labelled it with, and keeps the live
+        (and nominated) ones."""
         per_query: list[list[ImageMatch]] = [[] for _ in range(n_queries)]
 
         def deliver(stacked: list[list[ImageMatch]]) -> None:
-            taken = 0
-            for batch in swept:
-                groups = [matches[taken : taken + batch.size] for matches in stacked]
-                taken += batch.size
-                # resolve the batch's dead slots once (kernels emit one match
-                # per slot, in slot order), then drop them from every query's list
-                alive: list[int] | None = None
-                if self._dead_slots or candidate_ids is not None:
-                    alive = [
-                        i for i, slot_id in enumerate(batch.ids)
-                        if not slot_id.startswith(_DEAD_PREFIX)
-                        and (candidate_ids is None or slot_id in candidate_ids)
-                    ]
-                    if len(alive) == batch.size:
-                        alive = None
-                for q, matches in enumerate(groups):
-                    per_query[q].extend(matches if alive is None else [matches[i] for i in alive])
+            names = self._names
+            for kept, matches in zip(per_query, stacked):
+                for match in matches:
+                    name = names[match.reference_id]
+                    if name is not None and (candidate_ids is None or name in candidate_ids):
+                        match.reference_id = name
+                        kept.append(match)
 
         current_compute().submit(self.kernel, swept, survivors, query, keep_masks, deliver)
         return per_query
@@ -584,11 +583,10 @@ class TextureSearchEngine:
         unit of work.
 
         Every reference batch is transferred (H2D) once for the group,
-        the GEMMs fuse to ``group * n`` query columns, tombstones are
-        filtered once per batch, and the multi-stream overlap reads the
-        steps charged at the fused width.  Higher throughput,
-        but every answer shares the group's completion time (the latency
-        cost the paper warns about — the ``serving`` bench experiment).
+        the GEMMs fuse to ``group * n`` query columns, and the multi-stream
+        overlap reads the steps charged at the fused width.  Higher
+        throughput, but every answer shares the group's completion time (the
+        latency cost the paper warns about — the ``serving`` bench experiment).
 
         Each member is raw ``(d, count)`` descriptors or a
         :class:`~repro.core.kernels.QueryMatrix` some tier in front
@@ -639,7 +637,7 @@ class TextureSearchEngine:
         query = self.kernel.prepare_query(self.device, query_descriptors)
         transient = ReferenceBatch(
             batch_id=-1,
-            ids=["\x00verify"],
+            slots=np.zeros(1, dtype=np.int64),
             tensor=ref_matrix[None, ...],
             norms=norms[None, ...] if norms is not None else None,
             aux=aux[None, ...] if aux is not None else None,

@@ -257,7 +257,8 @@ class MatchKernel(ABC):
     def match_batch(self, device: GPUDevice, batch: ReferenceBatch, query: PreparedQuery,
                     keep_masks: bool = False, survivors: np.ndarray | None = None) -> list[ImageMatch]:
         """Match one prepared query against one reference batch, charged: one
-        :class:`ImageMatch` per slot, in slot order.  ``survivors`` is this
+        :class:`ImageMatch` per slot, in slot order, labelled by the slot (the
+        engine's sweep names it).  ``survivors`` is this
         kernel's own :meth:`prefilter_batch` mask (``None`` without a
         prefilter); a slot the mask rules out is :meth:`ImageMatch.empty`
         and charges nothing."""
@@ -341,11 +342,11 @@ class Algorithm2Kernel(MatchKernel):
         # one vectorised ratio-test/count pass over every (image, query) pair
         masks = batch_ratio_test_masks(result.distances, cfg.ratio_threshold)
         counts = masks.sum(axis=-1).tolist()
-        ids = [slot_id for member in stack for slot_id in member.ids]
+        slots = [slot for member in stack for slot in member.slots.tolist()]
         return [
             [
                 ImageMatch(
-                    reference_id=slot_id,
+                    reference_id=slot,
                     good_matches=counts[i][q],
                     n_query_features=queries.shape[-1],
                     match_mask=masks[i, q].copy() if keep_masks else None,  # not a view of the sweep
@@ -353,7 +354,7 @@ class Algorithm2Kernel(MatchKernel):
                         result.indices[i, q, 0][masks[i, q]] if keep_masks else None
                     ),
                 )
-                for i, slot_id in enumerate(ids)
+                for i, slot in enumerate(slots)
             ]
             for q in range(len(queries))
         ]
@@ -386,12 +387,12 @@ class PerImageKernel(MatchKernel):
             device.charge(self.batch_steps(device, compared, query.n_queries))
         matches = []
         for member, mask in zip(stack, masks):
-            for i, slot_id in enumerate(member.ids):
+            for i, slot in enumerate(member.slots.tolist()):
                 if mask is None or mask[i]:
                     knn = self.image_knn(member, i, query)
-                    matches.append(match_images(slot_id, knn, cfg.ratio_threshold, keep_masks))
+                    matches.append(match_images(slot, knn, cfg.ratio_threshold, keep_masks))
                 else:  # ruled out by the prefilter: neither compared nor charged
-                    matches.append(ImageMatch.empty(slot_id, cfg.n, keep_masks))
+                    matches.append(ImageMatch.empty(slot, cfg.n, keep_masks))
         return [matches]
 
 

@@ -96,7 +96,7 @@ def good_match_count(distances: np.ndarray, ratio_threshold: float) -> int:
 
 
 def match_images(
-    reference_id: str,
+    reference_id: str | int,
     knn: KnnResult,
     ratio_threshold: float,
     keep_mask: bool = False,

@@ -40,9 +40,13 @@ class KnnResult:
 
 @dataclass
 class ImageMatch:
-    """Outcome of matching the query against one reference image."""
+    """Outcome of matching the query against one reference image.
 
-    reference_id: str
+    A kernel labels the match with the image's engine slot (an ``int``);
+    the engine's sweep replaces it with the reference's id before any
+    caller sees it."""
+
+    reference_id: str | int
     good_matches: int
     n_query_features: int
     match_mask: np.ndarray | None = None
@@ -50,7 +54,7 @@ class ImageMatch:
     inliers: int | None = None  # populated by geometric verification
 
     @classmethod
-    def empty(cls, reference_id: str, n_query_features: int, keep_masks: bool = False) -> "ImageMatch":
+    def empty(cls, reference_id: str | int, n_query_features: int, keep_masks: bool = False) -> "ImageMatch":
         """The match of a slot its kernel ruled out before comparing it:
         zero good matches, shaped (with ``keep_masks``) like a compared
         image that matched nothing."""

@@ -38,6 +38,23 @@ def noisy_copy(desc: np.ndarray, sigma: float, seed: int = 1) -> np.ndarray:
     return (out / norms * 512.0).astype(np.float32)
 
 
+#: how a tombstoned slot's id began while batches carried id strings
+DEAD_PREFIX = "\x00dead:"
+
+
+def slot_ids(engine, batch) -> list[str]:
+    """What ``batch.ids`` held before references became integer slots, for
+    the frozen oracles: each slot's live id from the engine's id table, or
+    a dead marker for a tombstone.  The verify oracle's transient one-image
+    batch (batch id -1) is in no table and held a sentinel."""
+    if batch.batch_id < 0:
+        return ["\x00verify"]
+    return [
+        f"{DEAD_PREFIX}{slot}" if engine._names[slot] is None else engine._names[slot]
+        for slot in batch.slots.tolist()
+    ]
+
+
 def tile_sizes(starts: range, images: int) -> list[int]:
     """The images of each tile of a plan (``algorithm2._tile_starts``), in order."""
     return [min(start + starts.step, images) - start for start in starts]

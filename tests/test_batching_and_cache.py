@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cache import CacheLocation, FifoCache, HybridFeatureCache
 from repro.core import BatchBuilder, EngineConfig, ReferenceBatch
-from repro.errors import CacheCapacityError
+from repro.errors import CacheCapacityError, DeviceOutOfMemoryError
 from repro.gpusim import GPUDevice, TESLA_P100
 
 
@@ -17,7 +17,7 @@ def small_device(mem_bytes=10**6, reserved=0):
 def make_batch(batch_id, size, d=8, m=4):
     return ReferenceBatch(
         batch_id=batch_id,
-        ids=[f"b{batch_id}-{i}" for i in range(size)],
+        slots=np.arange(batch_id * size, (batch_id + 1) * size),
         tensor=np.zeros((size, d, m), np.float16),
     )
 
@@ -25,46 +25,38 @@ def make_batch(batch_id, size, d=8, m=4):
 class TestBatchBuilder:
     def test_flush_on_full(self):
         builder = BatchBuilder(batch_size=2, d=4, m=3)
-        assert builder.add("a", np.zeros((4, 3), np.float16)) is None
-        batch = builder.add("b", np.zeros((4, 3), np.float16))
+        assert builder.add(0, np.zeros((4, 3), np.float16)) is None
+        batch = builder.add(1, np.zeros((4, 3), np.float16))
         assert batch is not None
-        assert batch.ids == ["a", "b"]
+        assert batch.slots.tolist() == [0, 1] and batch.slots.dtype == np.int64
         assert batch.size == 2
         assert builder.pending == 0
 
     def test_partial_flush(self):
         builder = BatchBuilder(batch_size=4, d=4, m=3)
-        builder.add("a", np.zeros((4, 3), np.float16))
+        builder.add(0, np.zeros((4, 3), np.float16))
         batch = builder.flush()
         assert batch.size == 1
         assert builder.flush() is None
 
     def test_batch_ids_increment(self):
         builder = BatchBuilder(batch_size=1, d=2, m=2)
-        b0 = builder.add("a", np.zeros((2, 2)))
-        b1 = builder.add("b", np.zeros((2, 2)))
+        b0 = builder.add(0, np.zeros((2, 2)))
+        b1 = builder.add(1, np.zeros((2, 2)))
         assert (b0.batch_id, b1.batch_id) == (0, 1)
 
     def test_shape_enforced(self):
         builder = BatchBuilder(batch_size=2, d=4, m=3)
         with pytest.raises(ValueError, match="shape"):
-            builder.add("a", np.zeros((4, 5)))
+            builder.add(0, np.zeros((4, 5)))
 
     def test_norms_required_when_configured(self):
         builder = BatchBuilder(batch_size=2, d=4, m=3, keep_norms=True)
         with pytest.raises(ValueError, match="norms"):
-            builder.add("a", np.zeros((4, 3)))
-        builder.add("a", np.zeros((4, 3)), norms=np.zeros(3))
+            builder.add(0, np.zeros((4, 3)))
+        builder.add(0, np.zeros((4, 3)), norms=np.zeros(3))
         batch = builder.flush()
         assert batch.norms.shape == (1, 3)
-
-    def test_rename_pending_slot(self):
-        builder = BatchBuilder(batch_size=3, d=2, m=2)
-        builder.add("a", np.zeros((2, 2)))
-        builder.rename(0, "dead")
-        builder.add("b", np.zeros((2, 2)))
-        batch = builder.flush()
-        assert batch.ids == ["dead", "b"]
 
     def test_batch_nbytes(self):
         batch = make_batch(0, 3, d=8, m=4)
@@ -271,6 +263,63 @@ class TestHybridCache:
         assert len(surviving) == len(cache)
         assert surviving == sorted(set(surviving))
         assert cache.total_images == 4 * len(cache)
+
+
+#: one cache step: add a batch (id, images), remove an id, take device
+#: memory from outside the cache (bytes), or give all of that back
+CACHE_STEPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 7), st.integers(1, 3)),
+        st.tuples(st.just("remove"), st.integers(0, 7)),
+        st.tuples(st.just("squeeze"), st.integers(1, 4)),
+        st.tuples(st.just("release")),
+    ),
+    max_size=60,
+)
+
+
+@given(gpu=st.integers(1, 6), host=st.integers(0, 8), steps=CACHE_STEPS)
+@settings(max_examples=200, deadline=None)
+def test_batches_keep_the_order_a_fifo_order_list_kept(gpu, host, steps):
+    """The cache's global order is its host level's then its GPU level's.
+    The model is the order list the cache once kept beside the levels: an
+    add drops an earlier copy and appends the id once the GPU level took
+    it, a remove drops it, and after an overflow every id no level holds
+    is pruned.  Batches are 64 B an image; the device holds the GPU budget
+    plus 4 images, so a squeeze makes the cache demote before it allocates."""
+    image = make_batch(0, 1).nbytes
+    device = small_device(gpu * image + 4 * image)
+    cache = HybridFeatureCache(device, gpu_budget_bytes=gpu * image, host_budget_bytes=host * image)
+    order: list[int] = []
+    squeezed = []
+    for step in steps:
+        if step[0] == "add":
+            _, batch_id, size = step
+            order = [b for b in order if b != batch_id]
+            overflowed = False
+            try:
+                cache.add(make_batch(batch_id, size))
+            except CacheCapacityError:
+                overflowed = True
+            except DeviceOutOfMemoryError:
+                pass  # the GPU level emptied into the host and still did not fit
+            if batch_id in cache._gpu:
+                order.append(batch_id)
+            if overflowed:
+                order = [b for b in order if b in cache._gpu or b in cache._host]
+        elif step[0] == "remove":
+            order = [b for b in order if b != step[1]]
+            cache.remove(step[1])
+        elif step[0] == "squeeze" and device.memory.fits(step[1] * image):
+            squeezed.append(device.alloc(step[1] * image, "squeeze"))
+        elif step[0] == "release":
+            for allocation in squeezed:
+                device.free(allocation)
+            squeezed = []
+        held = set(cache._gpu.keys()) | set(cache._host.keys())
+        ids = [cached.batch.batch_id for cached in cache.batches()]
+        assert ids == [b for b in order if b in held]
+        assert len(ids) == len(cache) == len(held)
 
 
 class TestCapacityPlanner:

@@ -167,7 +167,7 @@ class TestCacheAccounting:
                 make_descriptors(config.m, seed=100 + i)
             )
             sealed = builder.add(
-                f"b{i // size}-{i % size}", matrix, norms,
+                i, matrix, norms,
                 kernel.reference_aux(matrix),
             )
             if sealed is not None:

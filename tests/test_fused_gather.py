@@ -31,7 +31,6 @@ from repro.core import (
     EngineConfig, ImageMatch, SweepCompute, TextureSearchEngine, compute_scope, current_compute,
 )
 from repro.core import algorithm2 as algorithm2_module
-from repro.core.engine import _DEAD_PREFIX
 from repro.core.results import Answer, Sweep
 from repro.core.kernels import (
     Algorithm2Kernel, PerImageKernel, PreparedQuery, QueryMatrix, ReferenceBatch,
@@ -50,7 +49,7 @@ from repro.errors import (
 from repro.features.rootsift import l2_normalize, rootsift
 from repro.obs import DeadlineFanOut, current_deadline, deadline_scope, default_registry
 from repro.routing import RouterPolicy
-from tests.conftest import make_descriptors, noisy_copy, planned_tiles
+from tests.conftest import DEAD_PREFIX, make_descriptors, noisy_copy, planned_tiles, slot_ids
 
 # -- frozen oracles (verbatim from the parent commit) ----------------------
 
@@ -112,19 +111,17 @@ def parent_swept_matches(
             taken += batch.size
         # tombstone filtering: resolve the batch's dead slots once
         # (kernels emit one match per slot, in slot order), then
-        # drop them from every query's list by index.
-        alive: list[int] | None = None
-        if self._dead_slots or candidate_ids is not None:
-            alive = [
-                i for i, slot_id in enumerate(batch.ids)
-                if not slot_id.startswith(_DEAD_PREFIX)
-                and (candidate_ids is None or slot_id in candidate_ids)
-            ]
-            if len(alive) == batch.size:
-                alive = None
+        # drop them from every query's list by index, naming the rest.
+        ids = slot_ids(self, batch)
+        alive = [
+            i for i, slot_id in enumerate(ids)
+            if not slot_id.startswith(DEAD_PREFIX)
+            and (candidate_ids is None or slot_id in candidate_ids)
+        ]
         for q, matches in enumerate(groups):
-            if alive is not None:
-                matches = [matches[i] for i in alive]
+            matches = [matches[i] for i in alive]
+            for i, match in zip(alive, matches):
+                match.reference_id = ids[i]
             per_query[q].extend(matches)
     return per_query
 
@@ -477,7 +474,7 @@ def test_replica_slices_with_different_queries_are_different_computations(monkey
 def job(kernel, query, sizes=(2, 1), keep_masks=False):
     """One sweep's submission, and the list its matches are delivered into."""
     stack = [
-        ReferenceBatch(batch_id=i, ids=[f"j{i}.{s}" for s in range(size)],
+        ReferenceBatch(batch_id=i, slots=np.arange(10 * i, 10 * i + size),
                        tensor=np.stack([kernel.prepare_reference(reference(10 * i + s))[0]
                                         for s in range(size)]))
         for i, size in enumerate(sizes)

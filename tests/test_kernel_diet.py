@@ -443,7 +443,7 @@ def test_match_masks_and_indices_are_those_of_the_oracles_at_paper_scale(monkeyp
         kernel.prepare_reference(model.capture(i, "reference").top(config.m).descriptors)[0]
         for i in range(8)
     ])
-    batch = ReferenceBatch(batch_id=0, ids=[f"ref-{i}" for i in range(8)], tensor=tensor)
+    batch = ReferenceBatch(batch_id=0, slots=np.arange(8), tensor=tensor)
     queries = [model.capture(i, "query").top(config.n).descriptors for i in (2, 5)]
 
     def run():

@@ -33,7 +33,7 @@ from repro.baselines.opencv_cuda import DIST_KERNEL_EFF_FP32
 from repro.core import EngineConfig, TextureSearchEngine, algorithm2 as algorithm2_module, functional_topk, registry
 from repro.core.algorithm2 import BatchKnnResult, _accumulator_peak
 from repro.core.engine import (
-    _CASCADE_PRUNED, _DEAD_PREFIX, _DEADLINE_SWEEPS, _H2D_BYTES, _IMAGES_PRUNED, _STEP_US,
+    _CASCADE_PRUNED, _DEADLINE_SWEEPS, _H2D_BYTES, _IMAGES_PRUNED, _STEP_US,
     _SWEEP_HIT, _SWEEP_MISS, _SWEEP_US, _SWEEPS, _TRACER,
 )
 from repro.core.kernels import Algorithm2Kernel, PreparedQuery
@@ -45,7 +45,7 @@ from repro.gpusim import GPUDevice, TESLA_P100
 from repro.obs import current_deadline, deadline_scope
 from repro.gpusim.pcie import h2d_time_us
 from repro.core.engine import hidden_us
-from tests.conftest import make_descriptors, noisy_copy, planned_tiles
+from tests.conftest import DEAD_PREFIX, make_descriptors, noisy_copy, planned_tiles, slot_ids
 
 # -- frozen oracles (verbatim from the parent commit) ----------------------
 
@@ -212,7 +212,7 @@ class ParentKernel(Algorithm2Kernel):
         device.cpu_postprocess(batch.size, cfg.precision, cfg.n)
         # one vectorised ratio-test/count pass over the whole batch
         return match_images_batch(
-            batch.ids, result.distances, result.indices, cfg.ratio_threshold, keep_masks
+            batch.slots.tolist(), result.distances, result.indices, cfg.ratio_threshold, keep_masks
         )
 
     def match_batch_multi(self, device, batch, query, keep_masks=False):
@@ -238,7 +238,7 @@ class ParentKernel(Algorithm2Kernel):
             groups.append(
                 [
                     ImageMatch(
-                        reference_id=batch.ids[i],
+                        reference_id=int(batch.slots[i]),
                         good_matches=int(counts[i, q]),
                         n_query_features=n_query,
                         match_mask=masks[i, q] if keep_masks else None,
@@ -292,7 +292,7 @@ class ParentEngine(TextureSearchEngine):
             traced = _TRACER.enabled
             for cached in source:
                 if candidate_ids is not None and not any(
-                    slot_id in candidate_ids for slot_id in cached.batch.ids
+                    slot_id in candidate_ids for slot_id in slot_ids(self, cached.batch)
                 ):
                     # no nominee lives here: the batch is never staged
                     # or compared, and no simulated time is charged.
@@ -348,19 +348,17 @@ class ParentEngine(TextureSearchEngine):
                         groups = [self.kernel.match_batch(self.device, batch, query, keep_masks)]
                     # tombstone filtering: resolve the batch's dead slots once
                     # (kernels emit one match per slot, in slot order), then
-                    # drop them from every query's list by index.
-                    alive: list[int] | None = None
-                    if self._dead_slots or candidate_ids is not None:
-                        alive = [
-                            i for i, slot_id in enumerate(batch.ids)
-                            if not slot_id.startswith(_DEAD_PREFIX)
-                            and (candidate_ids is None or slot_id in candidate_ids)
-                        ]
-                        if len(alive) == batch.size:
-                            alive = None
+                    # drop them from every query's list by index, naming the rest.
+                    ids = slot_ids(self, batch)
+                    alive = [
+                        i for i, slot_id in enumerate(ids)
+                        if not slot_id.startswith(DEAD_PREFIX)
+                        and (candidate_ids is None or slot_id in candidate_ids)
+                    ]
                     for q, matches in enumerate(groups):
-                        if alive is not None:
-                            matches = [matches[i] for i in alive]
+                        matches = [matches[i] for i in alive]
+                        for i, match in zip(alive, matches):
+                            match.reference_id = ids[i]
                         per_query[q].extend(matches)
                     images += batch.size
                 if deadline is not None:
@@ -378,7 +376,7 @@ class ParentEngine(TextureSearchEngine):
                 h2d_us, steps, walked = 0.0, [], 0
                 for cached in self.cache.batches():
                     nominated = candidate_ids is None or any(
-                        slot_id in candidate_ids for slot_id in cached.batch.ids)
+                        slot_id in candidate_ids for slot_id in slot_ids(self, cached.batch))
                     if nominated and walked < images:
                         walked += cached.batch.size
                         if cached.location is CacheLocation.HOST:

@@ -52,7 +52,7 @@ from repro.obs.tracing import RequestTracer
 from repro.gpusim.pcie import h2d_time_us
 from repro.core.engine import hidden_us
 from repro.routing import RouterPolicy
-from tests.conftest import make_descriptors, noisy_copy
+from tests.conftest import make_descriptors, noisy_copy, slot_ids
 from tests.test_fused_gather import parent_swept_matches
 from tests.test_stacked_sweep import BATCH, M, N, _SweepOutcome, config, observed, query_for
 
@@ -72,7 +72,7 @@ class ParentCascadeKernel(CascadeKernel):
                 # Hamming-pruned: no GEMM, no scan, no post-processing.
                 matches.append(
                     ImageMatch(
-                        reference_id=batch.ids[i],
+                        reference_id=int(batch.slots[i]),
                         good_matches=0,
                         n_query_features=cfg.n,
                         match_mask=np.zeros(cfg.n, dtype=bool) if keep_masks else None,
@@ -92,7 +92,7 @@ class ParentCascadeKernel(CascadeKernel):
                 device, ref, features, k=cfg.k, sort_kind=self._sort_kind()
             )
             device.cpu_postprocess(1, cfg.precision, cfg.n)
-            matches.append(match_images(batch.ids[i], knn, cfg.ratio_threshold, keep_masks))
+            matches.append(match_images(int(batch.slots[i]), knn, cfg.ratio_threshold, keep_masks))
         return matches
 
 
@@ -161,7 +161,7 @@ class ParentEngine(TextureSearchEngine):
             swept: list[tuple[ReferenceBatch, list | None]] = []
             for cached in source:
                 if candidate_ids is not None and not any(
-                    slot_id in candidate_ids for slot_id in cached.batch.ids
+                    slot_id in candidate_ids for slot_id in slot_ids(self, cached.batch)
                 ):
                     # no nominee lives here: the batch is never staged
                     # or compared, and no simulated time is charged.
@@ -293,7 +293,7 @@ class ParentEngine(TextureSearchEngine):
                     np.zeros(0, dtype=np.int32) if keep_masks else None
                 ),
             )
-            for slot_id in batch.ids
+            for slot_id in batch.slots.tolist()
         ]
 
     def verify(
@@ -308,7 +308,7 @@ class ParentEngine(TextureSearchEngine):
         query = self.kernel.prepare_query(self.device, query_descriptors)
         transient = ReferenceBatch(
             batch_id=-1,
-            ids=["\x00verify"],
+            slots=np.zeros(1, dtype=np.int64),
             tensor=ref_matrix[None, ...],
             norms=norms[None, ...] if norms is not None else None,
             aux=aux[None, ...] if aux is not None else None,
