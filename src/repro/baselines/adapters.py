@@ -8,23 +8,26 @@ these adapters wrap them as match kernels so they run through the real
 same tombstones, same stats and profile reports — and the comparison
 in ``bench`` is apples to apples.
 
-Functional results stay exact where the underlying math is exact: the
-OpenCV and Garcia kernels compute the same FP32 2-NN as Algorithm 1,
-so match counts are bit-identical; only their *cost models* differ.
+The OpenCV and Garcia kernels are :class:`Algorithm1Kernel`s, so their
+matches are Algorithm 1's bit for bit; only their *cost models* differ.
 The LSH kernel is approximate by design (Hamming candidate filtering),
-converging to brute force as ``n_candidates`` approaches ``m``.
+converging to brute force as ``n_candidates`` approaches ``m``, and the
+one kernel that compares image by image.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..core.kernels import Algorithm1Kernel, PerImageKernel, PreparedQuery
+from ..core.algorithm1 import prepare_reference
+from ..core.batching import ReferenceBatch
+from ..core.kernels import Algorithm1Kernel, MatchKernel, PreparedQuery
+from ..core.ratio_test import match_images
 from ..core.results import KnnResult
 from ..features.selection import pad_or_trim
 from ..gpusim.kernels import d2h_result_us, elementwise_us, postprocess_us
 from .lsh import LshCodec
-from .opencv_cuda import opencv_knn_match, opencv_steps_us
+from .opencv_cuda import opencv_steps_us
 
 __all__ = ["GarciaKernel", "LshKernel", "OpenCVKernel"]
 
@@ -48,13 +51,14 @@ class GarciaKernel(Algorithm1Kernel):
         return "insertion"
 
 
-class OpenCVKernel(PerImageKernel):
+class OpenCVKernel(Algorithm1Kernel):
     """OpenCV CUDA ``knnMatch`` baseline (Table 1, column 1).
 
     Raw FP32 descriptors, per-pair distance kernel without GEMM reuse,
     general-k insertion-sort selection.  Produces the same 2-NN results
     as Algorithm 1 in FP32; the cost model is the library's (~4 %
-    compute utilisation on a P100).
+    compute utilisation on a P100).  Caching no norms, it computes ``N_R``
+    and ``N_Q`` at match time, uncharged.
     """
 
     name = "opencv"
@@ -79,15 +83,19 @@ class OpenCVKernel(PerImageKernel):
         descriptors = self._check_descriptors(descriptors)
         return pad_or_trim(descriptors, self.config.n)
 
-    def image_steps(self, device):
+    def prepare_query(self, device, query):
+        matrix = self.engine_matrix(query)
+        return PreparedQuery(matrix=matrix, aux=prepare_reference(matrix, "fp32"))
+
+    def _norms(self, batch):
+        return np.stack([self.norms_for_stored(image) for image in batch.tensor])
+
+    def batch_steps(self, device, size, n_queries):
         cfg = self.config
-        return opencv_steps_us(device.spec, device.cal, cfg.m, cfg.n, cfg.d, cfg.k)
-
-    def image_knn(self, batch, index, query):
-        return opencv_knn_match(None, batch.tensor[index], query.matrix, k=self.config.k)
+        return opencv_steps_us(device.spec, device.cal, cfg.m, cfg.n, cfg.d, cfg.k) * (size * n_queries)
 
 
-class LshKernel(PerImageKernel):
+class LshKernel(MatchKernel):
     """Kusamura et al. LSH compression baseline (related work [15]).
 
     References are cached as FP32 matrices (so the hybrid cache and
@@ -142,7 +150,7 @@ class LshKernel(PerImageKernel):
         matrix = self.engine_matrix(query)
         return PreparedQuery(matrix=matrix, aux=self.codec.encode(matrix))
 
-    def image_steps(self, device):
+    def batch_steps(self, device, size, n_queries):
         cfg = self.config
         spec, cal = device.spec, device.cal
         k_cand = min(self.n_candidates, cfg.m)
@@ -154,9 +162,20 @@ class LshKernel(PerImageKernel):
             ("compute", elementwise_us(spec, cal, 2 * cfg.n * k_cand * cfg.d, "fp32"), "re-rank"),
             ("d2h", d2h_result_us(spec, cal, cfg.n, 1, cfg.k, "fp32"), "D2H copy"),
             ("cpu", postprocess_us(cal, 1, "fp32", cfg.n), "Post-processing"),
-        ]
+        ] * (size * n_queries)
+
+    def match_batch_multi(self, device, batch, query, keep_masks=False, survivors=None):
+        """One query against a stack, image by image (:meth:`image_knn`).  No
+        prefilter: every mask in ``survivors`` is ``None``."""
+        cfg = self.config
+        stack = [batch] if isinstance(batch, ReferenceBatch) else batch
+        if device is not None:
+            device.charge(self.batch_steps(device, sum(m.size for m in stack), query.n_queries))
+        return [[match_images(slot, self.image_knn(member, i, query), cfg.ratio_threshold, keep_masks)
+                 for member in stack for i, slot in enumerate(member.slots.tolist())]]
 
     def image_knn(self, batch, index, query):
+        """Slot ``index`` of ``batch`` against ``query``: computed, never charged."""
         cfg = self.config
         q = query.matrix
         q_codes = query.aux if query.aux is not None else self.codec.encode(q)

@@ -6,8 +6,8 @@ neighbours with a general-k in-memory sort.  The paper measures
 2,012 img/s on a P100 and 2,937 img/s on a V100 (Sec. 3.3) and
 attributes the gap to ~4 % utilisation of the card's compute potential.
 
-Functionally this produces *identical* 2-NN results to Algorithm 1 (it
-is the same mathematics); only the cost model differs.
+Functionally this is Algorithm 1 in FP32 (:func:`knn_algorithm1`
+computes it); only the cost model differs.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from ..core.algorithm1 import knn_algorithm1, prepare_reference
 from ..core.results import KnnResult
-from ..core.topk import functional_topk
 from ..gpusim.calibration import KernelCalibration
 from ..gpusim.device import DeviceSpec
 from ..gpusim.engine_model import GPUDevice
@@ -60,7 +60,7 @@ def opencv_knn_match(
     k: int = 2,
 ) -> KnnResult:
     """Brute-force FP32 2-NN, charged with the OpenCV cost model
-    (``device=None`` computes only).
+    (``device=None`` computes only), computed as Algorithm 1 in FP32.
 
     ``reference``/``query`` are ``(d, m)`` / ``(d, n)`` FP32 matrices.
     """
@@ -74,10 +74,4 @@ def opencv_knn_match(
         raise ValueError(f"k={k} out of range for m={m}")
     if device is not None:
         device.charge(opencv_steps_us(device.spec, device.cal, m, n, d, k)[:-1])
-
-    nr = np.einsum("dm,dm->m", reference, reference)
-    nq = np.einsum("dn,dn->n", query, query)
-    sq = nr[:, None] + nq[None, :] - 2.0 * (reference.T @ query)
-    np.maximum(sq, 0.0, out=sq)
-    vals, idx = functional_topk(sq, k)
-    return KnnResult(distances=np.sqrt(vals, dtype=np.float32), indices=idx.astype(np.int32))
+    return knn_algorithm1(None, prepare_reference(reference, "fp32"), prepare_reference(query, "fp32"), k)

@@ -65,7 +65,7 @@ from ...serving import (
     simulate_serving,
 )
 from ..tables import ExperimentResult
-from .fault_tolerance import _make_descriptors, _noisy
+from .fault_tolerance import _make_workload
 
 __all__ = ["run"]
 
@@ -103,19 +103,6 @@ _QUEUE_GROUPS = 4
 _DEADLINE_GROUPS = 3.0
 
 _LATENCY_METRIC = "repro_serving_latency_us"
-
-
-def _make_workload(seed: int, config: EngineConfig):
-    rng = np.random.default_rng(seed)
-    n_refs = _N_SHARDS * _REFS_PER_SHARD
-    refs = {f"r{i}": _make_descriptors(rng, count=config.n, d=config.d)
-            for i in range(n_refs)}
-    ref_list = list(refs.values())
-    pool = [
-        _noisy(rng, ref_list[int(rng.integers(0, n_refs))])
-        for _ in range(2 * _MAX_BATCH)
-    ]
-    return refs, pool
 
 
 def _build_system(
@@ -325,7 +312,7 @@ def run(
     seed: int = 0,
 ) -> ExperimentResult:
     config = EngineConfig(m=32, n=32, batch_size=4, min_matches=5, scale_factor=0.25)
-    refs, pool = _make_workload(seed, config)
+    refs, pool = _make_workload(_N_SHARDS * _REFS_PER_SHARD, 2 * _MAX_BATCH, seed, config)
 
     lean_us = _calibrate(config, refs, pool, replication=1)
     peak_us = _calibrate(config, refs, pool, replication=_R_MAX)

@@ -44,6 +44,23 @@ def _noisy(rng: np.random.Generator, desc: np.ndarray, sigma: float = 8.0) -> np
     return (out / norms * 512.0).astype(np.float32)
 
 
+def _make_workload(
+    n_refs: int, n_queries: int, seed: int, config: EngineConfig
+) -> tuple[dict[str, np.ndarray], list[np.ndarray]]:
+    """``n_refs`` references ``r0, r1, ...`` of the query width and
+    ``n_queries`` noisy copies of references drawn at random, from one
+    ``seed``: the serving, overload, SLO and elastic benches' workload."""
+    rng = np.random.default_rng(seed)
+    refs = {f"r{i}": _make_descriptors(rng, count=config.n, d=config.d)
+            for i in range(n_refs)}
+    ref_list = list(refs.values())
+    queries = [
+        _noisy(rng, ref_list[int(rng.integers(0, n_refs))])
+        for _ in range(n_queries)
+    ]
+    return refs, queries
+
+
 def run(
     n_nodes: int = 8,
     n_refs: int = 24,

@@ -28,8 +28,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from ...core.config import EngineConfig
 from ...core.engine import TextureSearchEngine
 from ...serving import (
@@ -40,7 +38,7 @@ from ...serving import (
     simulate_serving,
 )
 from ..tables import ExperimentResult
-from .fault_tolerance import _make_descriptors, _noisy
+from .fault_tolerance import _make_workload
 
 __all__ = ["run"]
 
@@ -49,20 +47,6 @@ _SLO_GROUPS = 4.0
 
 #: admission-queue bound for the protected configuration, in groups.
 _QUEUE_GROUPS = 2
-
-
-def _make_workload(
-    n_refs: int, n_queries: int, seed: int, config: EngineConfig
-) -> tuple[dict[str, np.ndarray], list[np.ndarray]]:
-    rng = np.random.default_rng(seed)
-    refs = {f"r{i}": _make_descriptors(rng, count=config.n, d=config.d)
-            for i in range(n_refs)}
-    ref_list = list(refs.values())
-    queries = [
-        _noisy(rng, ref_list[int(rng.integers(0, n_refs))])
-        for _ in range(n_queries)
-    ]
-    return refs, queries
 
 
 def _calibrate(executor, queries, max_batch: int) -> float:

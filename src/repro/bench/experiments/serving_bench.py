@@ -27,8 +27,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
-
 from ...core.config import EngineConfig
 from ...core.engine import TextureSearchEngine
 from ...distributed.cluster import DistributedSearchSystem
@@ -44,7 +42,7 @@ from ...serving import (
     simulate_serving,
 )
 from ..tables import ExperimentResult
-from .fault_tolerance import _make_descriptors, _noisy
+from .fault_tolerance import _make_workload
 
 __all__ = ["run"]
 
@@ -52,20 +50,6 @@ __all__ = ["run"]
 #: process) is the bottleneck at concurrency >= 2, so throughput
 #: differences between policies are visible in the makespan.
 _INTERVAL_US = 2_000.0
-
-
-def _make_workload(
-    n_refs: int, n_queries: int, seed: int, config: EngineConfig
-) -> tuple[dict[str, np.ndarray], list[np.ndarray]]:
-    rng = np.random.default_rng(seed)
-    refs = {f"r{i}": _make_descriptors(rng, count=config.n, d=config.d)
-            for i in range(n_refs)}
-    ref_list = list(refs.values())
-    queries = [
-        _noisy(rng, ref_list[int(rng.integers(0, n_refs))])
-        for _ in range(n_queries)
-    ]
-    return refs, queries
 
 
 def _row(tier: str, concurrency: int, policy: BatchPolicy, report) -> list:

@@ -69,8 +69,8 @@ from ...serving import (
     simulate_serving,
 )
 from ..tables import ExperimentResult
-from .fault_tolerance import _make_descriptors, _noisy
-from .overload_bench import _calibrate, _make_workload
+from .fault_tolerance import _make_descriptors, _make_workload, _noisy
+from .overload_bench import _calibrate
 
 __all__ = ["run"]
 

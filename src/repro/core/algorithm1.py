@@ -16,6 +16,9 @@ not change that column's ordering, so only ``k x n`` elements need the
 final adjustment.  The FP16 path stores features pre-scaled by the
 configured scale factor; squared quantities are scaled by ``s^2`` and
 distances divided by ``s`` at step 7.
+
+Steps 3-8 run, in this order, on Algorithm 2's stacked plane given the
+norms (plain HGEMM, no tensor cores): here one image is a stack of one.
 """
 
 from __future__ import annotations
@@ -25,14 +28,13 @@ from typing import Optional
 
 import numpy as np
 
-from ..blas.gemm import hgemm, sgemm
 from ..blas.norms import squared_norms, squared_norms_fp16
 from ..errors import HalfPrecisionOverflowError
 from ..fp16.convert import FP16_MAX, to_scaled_fp16
 from ..gpusim.engine_model import GPUDevice
 from ..gpusim.kernels import algorithm1_steps_us
+from .algorithm2 import _knn_columns
 from .results import KnnResult
-from .topk import functional_topk
 
 __all__ = [
     "PreparedFeatures", "prepare_reference", "prepare_query", "upload_query", "knn_algorithm1",
@@ -155,9 +157,9 @@ def knn_algorithm1(
 
     Charged as the device half of the per-image chain
     (:func:`~repro.gpusim.kernels.algorithm1_steps_us`; the host
-    post-processing is the caller's), then computed; ``device=None``
-    computes only.  Returns a :class:`KnnResult` with *unscaled*
-    Euclidean distances.
+    post-processing is the caller's), then computed on the stacked plane
+    as a stack of one image; ``device=None`` computes only.  Returns a
+    :class:`KnnResult` with *unscaled* Euclidean distances.
     """
     if reference.precision != query.precision:
         raise ValueError("reference/query precision mismatch")
@@ -173,27 +175,6 @@ def knn_algorithm1(
         steps = algorithm1_steps_us(device.spec, device.cal, m, n, reference.d, k, dtype, sort_kind)
         device.charge(steps[:-1])
 
-    # Step 3: A = -2 R^T Q.
-    if dtype == "fp16":
-        a, overflow = hgemm(None, reference.values, query.values, alpha=1.0, transpose_a=True)
-        if overflow:
-            raise HalfPrecisionOverflowError(reference.scale, float(np.abs(a).max()))
-        a = -2.0 * a
-    else:
-        a = sgemm(None, reference.values, query.values, alpha=-2.0, transpose_a=True)
-
-    # Step 4: in-place row broadcast of N_R.
-    a += reference.norms[:, None]
-
-    # Step 5: column-parallel top-k (the scan and the insertion sort select alike).
-    top_vals, top_idx = functional_topk(a, k)
-
-    # Steps 6-7 (merged kernel): add N_Q to the k winners, sqrt.
-    sq = top_vals + query.norms[None, :]
-    np.maximum(sq, 0.0, out=sq)
-    distances = np.sqrt(sq, dtype=np.float32)
-    if dtype == "fp16":
-        distances /= np.float32(reference.scale)
-
-    # Step 8: the k x n result (+ indices) is what reaches the host.
-    return KnnResult(distances=distances, indices=top_idx.astype(np.int32))
+    distances, indices = _knn_columns(None, [reference.values[None]], query.values, reference.scale, k,
+                                      dtype, False, norms=(reference.norms[None], query.norms))
+    return KnnResult(distances=distances, indices=indices)

@@ -11,6 +11,10 @@ vectors of Algorithm 1 vanish and the pipeline collapses to four steps::
 For FP16 with scale factor ``s``, the stored features are ``s * r`` so
 ``A = -2 s^2 r.q`` and the constant becomes ``2 s^2``; distances are
 divided by ``s`` in step 3.
+
+Given the norms, the same plane is Algorithm 1's ``N_R + N_Q - 2 R^T Q``:
+a tile adds ``N_R`` to the rounded ``-2A`` before the scan, and step 3
+adds ``N_Q`` to the winners in place of ``2 s^2``.
 """
 
 from __future__ import annotations
@@ -126,6 +130,7 @@ def _knn_columns(
     precision: str,
     tensor_core: bool,
     indices: bool = True,
+    norms: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> tuple[np.ndarray, Optional[np.ndarray]]:
     """Steps 1-4 for a *stack* — ``(batch_i, d, m)`` reference batches taken
     as the one batch they would concatenate to — against the ``(d, n)``
@@ -137,6 +142,11 @@ def _knn_columns(
     "The winners-only epilogue").  The tiles (:func:`_tile_starts`) run on
     ``min(usable CPUs, tiles)`` lanes, each with its own workspace; the call
     joins every lane before it returns or raises.
+
+    ``norms`` makes it Algorithm 1: ``(N_R, N_Q)``, the stack's ``(images,
+    m)`` and the columns' ``(n,)`` squared norms as stored, added in
+    Algorithm 1's step order, so each image's answer is
+    :func:`knn_algorithm1`'s bit for bit.
     """
     d, m = stack[0].shape[1:]
     images = sum(len(refs) for refs in stack)
@@ -164,8 +174,9 @@ def _knn_columns(
     room = width * d * m * dtype.itemsize if len(stack) > 1 else 0
     dist = np.empty((k, images * n), dtype=np.float32)
     top_idx = np.empty((k, images * n), dtype=np.int32) if indices else None
-    # Values alone survive selecting before rounding; 4k >= m is a sort either way.
-    unrounded = not indices and 4 * k < m
+    # Values alone survive selecting before rounding; 4k >= m is a sort either way.  Adding
+    # each row's N_R after rounding is not monotone in the unrounded product.
+    unrounded = not indices and 4 * k < m and norms is None
     offsets = np.cumsum([0] + [len(refs) for refs in stack]).tolist()  # where members start
 
     def lane() -> None:
@@ -216,6 +227,8 @@ def _knn_columns(
                 won *= np.float32(-2.0)
             else:
                 scanned *= np.float32(-2.0)
+                if norms is not None:  # Algorithm 1's step 4: + N_R, on the product's layout
+                    out += norms[0][start:stop, None, :]
                 won, won_idx = functional_topk(scanned, k)
                 if indices:
                     top_idx[:, cols] = won_idx
@@ -233,10 +246,12 @@ def _knn_columns(
     for other in others:
         other.result()
 
-    # Step 3: sqrt(const + A) in-register on the winners only; step 4: the gather.
+    # Step 3: sqrt(const + A) in-register on the winners only (Algorithm 1: + N_Q);
+    # step 4: the gather.
     if device is not None:
         device.charge(steps[1:])
-    dist += np.float32(2.0 * scale * scale if fp16 else 2.0)
+    per_column = dist.reshape(k, images, n)
+    per_column += np.float32(2.0 * scale * scale if fp16 else 2.0) if norms is None else norms[1]
     np.maximum(dist, 0.0, out=dist)
     np.sqrt(dist, out=dist)
     if fp16:

@@ -19,10 +19,10 @@ per batch:
   is a *hit*, and an image with fewer than ``min_hits`` hits is pruned.
 
 Only surviving images reach the exact cuBLAS 2-NN pipeline (Algorithm
-1's per-image chain and body, inherited): the sweep charges a batch the
-chain once per survivor, and pruned images report zero good matches
-without any GEMM — and a host-resident batch with no survivor is never
-staged by the engine.  Both Hamming stages are
+1's per-image chain and stacked plane, inherited): the sweep charges a
+batch the chain once per survivor, the plane stacks only the survivors,
+and pruned images report zero good matches without any GEMM — and a
+host-resident batch with no survivor is never staged by the engine.  Both Hamming stages are
 charged through the :func:`repro.gpusim.kernels.hamming_us` integer
 popcount cost model, so the simulated speedup reflects popcount
 throughput vs GEMM FLOPs rather than being free.
@@ -210,6 +210,6 @@ class CascadeKernel(Algorithm1Kernel):
             )
         return survivors
 
-    # -- matching: Algorithm 1's per-image body, which skips what ``survivors`` rules out
+    # -- matching: Algorithm 1's plane, which stacks only what ``survivors`` keeps
     def _query_features(self, query: PreparedQuery) -> PreparedFeatures:
         return query.aux.features

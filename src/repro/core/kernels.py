@@ -10,6 +10,10 @@ baselines the paper compares against are adapted to the same interface
 in :mod:`repro.baselines.adapters`, so they run through the real
 engine, hybrid cache and bench harness.
 
+Every exact kernel matches on Algorithm 2's stacked plane (Algorithm 1's
+family hands it the norms) and builds its matches with
+:func:`stacked_matches`; kernels differ in what they charge.
+
 Query preparation returns an explicit :class:`PreparedQuery` value
 that the engine threads through the sweep — kernels hold no per-query
 mutable state, which is what makes one engine instance safe to use for
@@ -29,12 +33,12 @@ from ..features.selection import pad_or_trim
 from ..fp16.convert import FP16_MAX, to_scaled_fp16
 from ..gpusim.engine_model import GPUDevice
 from ..gpusim.kernels import algorithm1_steps_us, postprocess_us
-from .algorithm1 import PreparedFeatures, knn_algorithm1, prepare_reference, upload_query
-from .algorithm2 import knn_steps
+from .algorithm1 import PreparedFeatures, prepare_reference, upload_query
+from .algorithm2 import _knn_columns, knn_steps
 from .batching import ReferenceBatch
-from .query_batching import knn_algorithm2_multiquery
-from .ratio_test import batch_ratio_test_masks, match_images
-from .results import ImageMatch, KnnResult
+from .query_batching import MultiQueryResult, knn_algorithm2_multiquery
+from .ratio_test import batch_ratio_test_masks
+from .results import ImageMatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .config import EngineConfig
@@ -43,7 +47,6 @@ __all__ = [
     "Algorithm1Kernel",
     "Algorithm2Kernel",
     "MatchKernel",
-    "PerImageKernel",
     "PreparedQuery",
     "QueryMatrix",
     "ReferenceMatrix",
@@ -276,6 +279,34 @@ class MatchKernel(ABC):
         :meth:`batch_steps`; given a device, the call charges them first."""
 
 
+def stacked_matches(stack: list[ReferenceBatch], survivors: list[np.ndarray | None] | None,
+                    result: MultiQueryResult, ratio: float, keep_masks: bool) -> list[list[ImageMatch]]:
+    """Per-query match lists for a stack, in slot order, from the plane's
+    ``result``: one row per slot the members' ``survivors`` masks keep (a
+    ``None`` mask keeps every slot), in stack order.  A slot a mask rules
+    out is :meth:`ImageMatch.empty`."""
+    # one vectorised ratio-test/count pass over every (image, query) pair
+    masks = batch_ratio_test_masks(result.distances, ratio)
+    counts = masks.sum(axis=-1).tolist()
+    n_queries, n = masks.shape[1:]
+    rows = iter(range(len(counts)))
+    per_query: list[list[ImageMatch]] = [[] for _ in range(n_queries)]
+    for member, kept in zip(stack, survivors or [None] * len(stack)):
+        for i, slot in enumerate(member.slots.tolist()):
+            row = next(rows) if kept is None or kept[i] else None
+            for q, matches in enumerate(per_query):
+                matches.append(ImageMatch.empty(slot, n, keep_masks) if row is None else ImageMatch(
+                    reference_id=slot,
+                    good_matches=counts[row][q],
+                    n_query_features=n,
+                    match_mask=masks[row, q].copy() if keep_masks else None,  # not a view of the sweep
+                    matched_reference_indices=(
+                        result.indices[row, q, 0][masks[row, q]] if keep_masks else None
+                    ),
+                ))
+    return per_query
+
+
 class Algorithm2Kernel(MatchKernel):
     """The paper's RootSIFT pipeline.
 
@@ -339,69 +370,16 @@ class Algorithm2Kernel(MatchKernel):
             None, [member.tensor for member in stack], queries, scale=cfg.effective_scale,
             k=cfg.k, precision=cfg.precision, tensor_core=cfg.tensor_core, indices=keep_masks,
         )
-        # one vectorised ratio-test/count pass over every (image, query) pair
-        masks = batch_ratio_test_masks(result.distances, cfg.ratio_threshold)
-        counts = masks.sum(axis=-1).tolist()
-        slots = [slot for member in stack for slot in member.slots.tolist()]
-        return [
-            [
-                ImageMatch(
-                    reference_id=slot,
-                    good_matches=counts[i][q],
-                    n_query_features=queries.shape[-1],
-                    match_mask=masks[i, q].copy() if keep_masks else None,  # not a view of the sweep
-                    matched_reference_indices=(
-                        result.indices[i, q, 0][masks[i, q]] if keep_masks else None
-                    ),
-                )
-                for i, slot in enumerate(slots)
-            ]
-            for q in range(len(queries))
-        ]
+        return stacked_matches(stack, None, result, cfg.ratio_threshold, keep_masks)
 
 
-class PerImageKernel(MatchKernel):
-    """A kernel that compares one reference image at a time (Algorithm 1 and
-    the Table 1 baselines): a batch costs :meth:`image_steps` per image
-    compared, and the body runs :meth:`image_knn` on every surviving slot."""
-
-    supports_multiquery = False
-
-    @abstractmethod
-    def image_steps(self, device: GPUDevice) -> list[tuple]:
-        """What comparing one reference image against one query charges."""
-
-    @abstractmethod
-    def image_knn(self, batch: ReferenceBatch, index: int, query: PreparedQuery) -> KnnResult:
-        """Slot ``index`` of ``batch`` against ``query``: computed, never charged."""
-
-    def batch_steps(self, device, size, n_queries):
-        return self.image_steps(device) * (size * n_queries)
-
-    def match_batch_multi(self, device, batch, query, keep_masks=False, survivors=None):
-        cfg = self.config
-        stack = [batch] if isinstance(batch, ReferenceBatch) else batch
-        masks = survivors or [None] * len(stack)
-        if device is not None:
-            compared = sum(m.size if mask is None else int(mask.sum()) for m, mask in zip(stack, masks))
-            device.charge(self.batch_steps(device, compared, query.n_queries))
-        matches = []
-        for member, mask in zip(stack, masks):
-            for i, slot in enumerate(member.slots.tolist()):
-                if mask is None or mask[i]:
-                    knn = self.image_knn(member, i, query)
-                    matches.append(match_images(slot, knn, cfg.ratio_threshold, keep_masks))
-                else:  # ruled out by the prefilter: neither compared nor charged
-                    matches.append(ImageMatch.empty(slot, cfg.n, keep_masks))
-        return [matches]
-
-
-class Algorithm1Kernel(PerImageKernel):
+class Algorithm1Kernel(MatchKernel):
     """The paper's cuBLAS pipeline.
 
-    Raw descriptors with cached ``N_R`` squared-norm vectors; matching
-    loops per image because the paper batches only the RootSIFT
-    pipeline.  The sort is the register top-2 scan by default
+    Raw descriptors with cached ``N_R`` squared-norm vectors; a batch is
+    charged the per-image chain per image compared, because the paper
+    batches only the RootSIFT pipeline, but matched in one stacked plane
+    call.  The sort is the register top-2 scan by default
     (``EngineConfig.sort_kind``).
     """
 
@@ -446,15 +424,35 @@ class Algorithm1Kernel(PerImageKernel):
         return PreparedQuery(matrix=features.values, aux=features)
 
     def _query_features(self, query: PreparedQuery) -> PreparedFeatures:
-        """Where :meth:`prepare_query` left the exact path's features."""
+        """Where :meth:`prepare_query` left the exact path's features (and ``N_Q``)."""
         return query.aux
 
-    def image_steps(self, device):
+    def _norms(self, batch: ReferenceBatch) -> np.ndarray:
+        """The ``(size, m)`` ``N_R`` of a batch's images."""
+        return batch.norms
+
+    def batch_steps(self, device, size, n_queries):
         cfg = self.config
         return algorithm1_steps_us(device.spec, device.cal, cfg.m, cfg.n, cfg.d, cfg.k,
-                                   cfg.precision, self._sort_kind())
+                                   cfg.precision, self._sort_kind()) * (size * n_queries)
 
-    def image_knn(self, batch, index, query):
+    def match_batch_multi(self, device, batch, query, keep_masks=False, survivors=None):
+        """One query against a stack: only the slots ``survivors`` keeps are
+        stacked and compared, each ruled-out slot is :meth:`ImageMatch.empty`,
+        and a stack with no survivor makes no plane call."""
         cfg = self.config
-        ref = PreparedFeatures(batch.tensor[index], batch.norms[index], cfg.precision, cfg.effective_scale)
-        return knn_algorithm1(None, ref, self._query_features(query), k=cfg.k, sort_kind=self._sort_kind())
+        stack = [batch] if isinstance(batch, ReferenceBatch) else batch
+        masks = survivors or [None] * len(stack)
+        if device is not None:
+            compared = sum(m.size if mask is None else int(mask.sum()) for m, mask in zip(stack, masks))
+            device.charge(self.batch_steps(device, compared, query.n_queries))
+        kept = [(member, slice(None) if mask is None else mask)
+                for member, mask in zip(stack, masks) if mask is None or mask.any()]
+        dist, idx = np.empty((cfg.k, 0), dtype=np.float32), None
+        if kept:
+            norms = (np.concatenate([self._norms(member)[rows] for member, rows in kept]),
+                     self._query_features(query).norms)
+            dist, idx = _knn_columns(None, [member.tensor[rows] for member, rows in kept], query.matrix,
+                                     cfg.effective_scale, cfg.k, cfg.precision, False, keep_masks, norms)
+        result = MultiQueryResult.from_columns(dist, idx, 1, query.matrix.shape[1])
+        return stacked_matches(stack, masks, result, cfg.ratio_threshold, keep_masks)

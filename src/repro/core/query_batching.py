@@ -50,6 +50,15 @@ class MultiQueryResult:
     def n_queries(self) -> int:
         return self.distances.shape[1]
 
+    @classmethod
+    def from_columns(cls, dist: np.ndarray, idx: Optional[np.ndarray], n_queries: int,
+                     n: int) -> "MultiQueryResult":
+        """The plane's ``(k, images * Q * n)`` winners, per (image, query) pair."""
+        def per_pair(x):  # (k, images * Q * n) -> (images, Q, k, n)
+            return np.ascontiguousarray(x.reshape(len(x), -1, n_queries, n).transpose(1, 2, 0, 3))
+
+        return cls(distances=per_pair(dist), indices=None if idx is None else per_pair(idx))
+
 
 def knn_algorithm2_multiquery(
     device: Optional[GPUDevice],
@@ -88,8 +97,4 @@ def knn_algorithm2_multiquery(
     # Column-concatenate queries: (d, Q*n).
     q_all = np.transpose(queries, (1, 0, 2)).reshape(d, n_queries * n)
     dist, idx = _knn_columns(device, stack, q_all, scale, k, precision, tensor_core, indices)
-
-    def per_pair(x):  # (k, images * Q * n) -> (images, Q, k, n)
-        return np.ascontiguousarray(x.reshape(k, -1, n_queries, n).transpose(1, 2, 0, 3))
-
-    return MultiQueryResult(distances=per_pair(dist), indices=per_pair(idx) if indices else None)
+    return MultiQueryResult.from_columns(dist, idx, n_queries, n)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.cache import CacheLocation, FifoCache, HybridFeatureCache
 from repro.core import BatchBuilder, EngineConfig, ReferenceBatch
@@ -279,13 +279,15 @@ CACHE_STEPS = st.lists(
 
 
 @given(gpu=st.integers(1, 6), host=st.integers(0, 8), steps=CACHE_STEPS)
+@example(gpu=1, host=1, steps=[("add", 0, 1), ("add", 1, 1), ("add", 0, 2)])
 @settings(max_examples=200, deadline=None)
 def test_batches_keep_the_order_a_fifo_order_list_kept(gpu, host, steps):
     """The cache's global order is its host level's then its GPU level's.
     The model is the order list the cache once kept beside the levels: an
-    add drops an earlier copy and appends the id once the GPU level took
-    it, a remove drops it, and after an overflow every id no level holds
-    is pruned.  Batches are 64 B an image; the device holds the GPU budget
+    add over the GPU budget is refused before it supersedes anything, any
+    other add drops an earlier copy and appends the id once the GPU level
+    took it, a remove drops it, and after an overflow every id no level
+    holds is pruned.  Batches are 64 B an image; the device holds the GPU budget
     plus 4 images, so a squeeze makes the cache demote before it allocates."""
     image = make_batch(0, 1).nbytes
     device = small_device(gpu * image + 4 * image)
@@ -293,7 +295,10 @@ def test_batches_keep_the_order_a_fifo_order_list_kept(gpu, host, steps):
     order: list[int] = []
     squeezed = []
     for step in steps:
-        if step[0] == "add":
+        if step[0] == "add" and step[2] > gpu:  # refused: the order stays as it was
+            with pytest.raises(CacheCapacityError):
+                cache.add(make_batch(step[1], step[2]))
+        elif step[0] == "add":
             _, batch_id, size = step
             order = [b for b in order if b != batch_id]
             overflowed = False

@@ -15,7 +15,9 @@ from __future__ import annotations
 import ast
 import inspect
 
-from repro.core import cascade, engine
+from repro.baselines import adapters, opencv_cuda
+from repro.core import algorithm1, cascade, engine, kernels
+from repro.core.registry import kernel_class
 
 DECISIONS = (ast.If, ast.For, ast.While, ast.With, ast.ExceptHandler, ast.BoolOp, ast.IfExp,
              ast.comprehension)
@@ -101,6 +103,25 @@ def test_the_sweep_charges_and_never_matches():
 def test_the_cascade_kernel_has_no_match_loop_of_its_own():
     assert "match_batch" not in cascade.CascadeKernel.__dict__
     assert {"prefilter_batch", "prepare_query", "reference_aux"} <= cascade.CascadeKernel.__dict__.keys()
+
+
+def test_one_exact_match_plane():
+    """Every exact kernel matches on the stacked plane: only LSH, the one
+    approximate backend, compares a stack image by image, and the thin
+    per-image callers make no GEMM, top-k or norm epilogue of their own."""
+    assert not hasattr(kernels, "PerImageKernel")
+    backends = ("algorithm1", "algorithm2", "garcia", "opencv", "lsh", "cascade")
+    per_slot = {cls for cls in map(kernel_class, backends) for owner in cls.__mro__
+                if "image_knn" in owner.__dict__}
+    assert per_slot == {adapters.LshKernel}
+    own = {"hgemm", "sgemm", "batched_hgemm", "query_major_product", "matmul", "dot", "einsum",
+           "functional_topk", "sqrt", "maximum"}
+    for fn in (algorithm1.knn_algorithm1, opencv_cuda.opencv_knn_match):
+        tree = ast.parse(inspect.getsource(fn))
+        called = {node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
+        assert not called & own, (fn.__name__, called & own)
+        assert not any(isinstance(node, (ast.MatMult, ast.BinOp)) for node in ast.walk(tree)), fn.__name__
 
 
 def test_the_engine_leaves_the_tracers_off_switch_to_the_tracer():

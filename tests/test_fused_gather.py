@@ -33,7 +33,7 @@ from repro.core import (
 from repro.core import algorithm2 as algorithm2_module
 from repro.core.results import Answer, Sweep
 from repro.core.kernels import (
-    Algorithm2Kernel, PerImageKernel, PreparedQuery, QueryMatrix, ReferenceBatch,
+    Algorithm1Kernel, Algorithm2Kernel, PreparedQuery, QueryMatrix, ReferenceBatch,
 )
 from repro.distributed import (
     DistributedSearchSystem, FaultInjector, FaultSpec, Request, RetryPolicy, SearchNode, WebTier,
@@ -522,7 +522,7 @@ def test_jobs_are_fused_only_when_provably_one_computation(monkeypatch):
 
 def test_an_empty_stack_is_delivered_without_a_kernel_call(monkeypatch):
     kernels = count_calls(monkeypatch, Algorithm2Kernel, "match_batch_multi")
-    per_image = count_calls(monkeypatch, PerImageKernel, "match_batch_multi")
+    per_image = count_calls(monkeypatch, Algorithm1Kernel, "match_batch_multi")
     engine = TextureSearchEngine(config())
     for image in range(6):
         engine.add_reference(f"ref{image}", reference(image))
