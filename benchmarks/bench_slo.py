@@ -5,12 +5,11 @@ from conftest import attach_summary, record_result
 from repro.bench.experiments import slo_bench
 from repro.obs import (
     BurnRateRule,
+    MetricsRegistry,
     SeriesSelection,
     SloEngine,
     SloPolicy,
     TimeSeriesRecorder,
-    default_registry,
-    reset_observability,
 )
 
 
@@ -37,14 +36,13 @@ def test_slo_alerting(benchmark):
 
 def test_scrape_evaluate_kernel(benchmark):
     """Wall-clock of one recorder scrape + two-policy SLO evaluation."""
-    reset_observability()
-    registry = default_registry()
+    registry = MetricsRegistry()
     latency = registry.histogram(
         "bench_slo_latency_us", "synthetic latency", labelnames=()
     )
     total = registry.counter("bench_slo_requests_total", "synthetic totals")
     errors = registry.counter("bench_slo_errors_total", "synthetic errors")
-    recorder = TimeSeriesRecorder(interval_us=1_000.0, retention=512)
+    recorder = TimeSeriesRecorder(registry, interval_us=1_000.0, retention=512)
     engine = SloEngine(
         [
             SloPolicy(
@@ -60,7 +58,8 @@ def test_scrape_evaluate_kernel(benchmark):
                 critical=BurnRateRule(4_000.0, 16_000.0, 10.0),
                 warning=BurnRateRule(8_000.0, 32_000.0, 2.0),
             ),
-        ]
+        ],
+        registry,
     )
     engine.attach(recorder)
     state = {"i": 0}
@@ -73,10 +72,6 @@ def test_scrape_evaluate_kernel(benchmark):
             errors.inc()
         recorder.advance_by(1_000.0)
 
-    try:
-        benchmark(scrape)
-    finally:
-        engine.detach()
-        reset_observability()
+    benchmark(scrape)
     assert len(recorder) > 1
     assert engine.state_of("bench-latency") in ("ok", "warning", "critical")

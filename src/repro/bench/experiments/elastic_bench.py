@@ -43,19 +43,9 @@ from ...distributed import DistributedSearchSystem, FaultInjector
 from ...gpusim.device import GIB, DeviceSpec
 from ...distributed.autoscaler import Autoscaler, AutoscalerPolicy
 from ...distributed.replica import WARMUP_BASE_US, WARMUP_US_PER_REF
-from ...obs import default_registry
-from ...obs.slo import (
-    BurnRateRule,
-    SloEngine,
-    SloPolicy,
-    install_engine,
-    uninstall_engine,
-)
-from ...obs.timeseries import (
-    TimeSeriesRecorder,
-    install_recorder,
-    uninstall_recorder,
-)
+from ...obs import DEFAULT_US_BUCKETS
+from ...obs.slo import BurnRateRule, SloEngine, SloPolicy
+from ...obs.timeseries import TimeSeriesRecorder
 from ...serving import (
     BatchPolicy,
     ClusterGroupExecutor,
@@ -181,55 +171,48 @@ def _run_fleet(
     with_slo: bool = False,
 ) -> dict:
     """One serving replay on a fresh fleet; returns a JSON-ready,
-    fully run-local payload (no process-global counters, so two
+    fully run-local payload (the fleet's counters are its own, so two
     identical runs produce byte-identical payloads)."""
     system = _build_system(config, refs, replication)
-    recorder = TimeSeriesRecorder(interval_us=group_us / 2.0, retention=8192)
-    install_recorder(recorder)
+    recorder = TimeSeriesRecorder(
+        system.obs.registry, interval_us=group_us / 2.0, retention=8192
+    )
+    system.obs.recorder = recorder
     slo_engine = None
     scaler = None
-    try:
-        if with_slo:
-            # the pager watches a latency objective *tighter* than the
-            # shed deadline: the bounded admission queue caps waiting
-            # below the deadline, so a deadline-level threshold would
-            # never burn — the page must fire while the backlog builds,
-            # before shedding starts
-            bounds = default_registry().get(_LATENCY_METRIC).buckets
-            slo_us = TimeSeriesRecorder.effective_threshold_us(
-                bounds, 1.25 * group_us
-            )
-            if slo_us == float("inf"):
-                slo_us = float(bounds[-1])
-            slo_engine = SloEngine(_slo_policies(group_us, slo_us))
-            slo_engine.attach(recorder)
-            install_engine(slo_engine)
-        if elastic:
-            scaler = Autoscaler(system, _scaler_policy(group_us))
-            scaler.attach(recorder)
-            if slo_engine is not None:
-                scaler.subscribe(slo_engine)
-        queries = [pool[i % len(pool)] for i in range(len(arrivals))]
-        trace = build_trace(arrivals, queries, deadline_us=deadline_us)
-        policy = BatchPolicy(
-            max_batch=_MAX_BATCH,
-            max_wait_us=0.0,
-            max_queue_depth=_QUEUE_GROUPS * _MAX_BATCH,
-            shed="reject-new",
-        )
-        report = simulate_serving(ClusterGroupExecutor(system), trace, policy)
-        recorder.flush()
-        node_seconds = system.node_seconds()
-        replication_final = {
-            shard_id: len(group.nodes)
-            for shard_id, group in sorted(system.groups.items())
-        }
-    finally:
-        if scaler is not None:
-            scaler.detach()
+    if with_slo:
+        # the pager watches a latency objective *tighter* than the
+        # shed deadline: the bounded admission queue caps waiting
+        # below the deadline, so a deadline-level threshold would
+        # never burn — the page must fire while the backlog builds,
+        # before shedding starts
+        bounds = DEFAULT_US_BUCKETS  # the serving latency histogram's
+        slo_us = TimeSeriesRecorder.effective_threshold_us(bounds, 1.25 * group_us)
+        if slo_us == float("inf"):
+            slo_us = float(bounds[-1])
+        slo_engine = SloEngine(_slo_policies(group_us, slo_us), system.obs.registry)
+        slo_engine.attach(recorder)
+        system.obs.slo = slo_engine
+    if elastic:
+        scaler = Autoscaler(system, _scaler_policy(group_us))
+        scaler.attach(recorder)
         if slo_engine is not None:
-            uninstall_engine()
-        uninstall_recorder()
+            scaler.subscribe(slo_engine)
+    queries = [pool[i % len(pool)] for i in range(len(arrivals))]
+    trace = build_trace(arrivals, queries, deadline_us=deadline_us)
+    policy = BatchPolicy(
+        max_batch=_MAX_BATCH,
+        max_wait_us=0.0,
+        max_queue_depth=_QUEUE_GROUPS * _MAX_BATCH,
+        shed="reject-new",
+    )
+    report = simulate_serving(ClusterGroupExecutor(system), trace, policy)
+    recorder.flush()
+    node_seconds = system.node_seconds()
+    replication_final = {
+        shard_id: len(group.nodes)
+        for shard_id, group in sorted(system.groups.items())
+    }
 
     n_offered = len(arrivals)
     n_good = sum(
@@ -282,17 +265,12 @@ def _run_replica_kill(
     )
     executor = ClusterGroupExecutor(system)
     partials = 0
-    retries_before = default_registry().value(
-        "repro_cluster_replica_retries_total"
-    )
     for k in range(n_groups):
         if k == n_groups // 3:
             injector.crash(victim.node_id)
         payloads, _ = executor.execute(pool[:_MAX_BATCH])
         partials += sum(1 for r in payloads if r.partial)
-    replica_retries = default_registry().value(
-        "repro_cluster_replica_retries_total"
-    ) - retries_before
+    replica_retries = system.obs.registry.value("repro_cluster_replica_retries_total")
     return {
         "shard": shard_id,
         "victim": victim.node_id,

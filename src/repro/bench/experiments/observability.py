@@ -34,7 +34,7 @@ import numpy as np
 from ...core.config import EngineConfig
 from ...core.engine import TextureSearchEngine
 from ...gpusim import TimelineTracer
-from ...obs import default_registry, default_tracer
+from ...obs import default_tracer
 from ..tables import ExperimentResult
 from .fault_tolerance import _make_descriptors, _noisy
 
@@ -77,10 +77,9 @@ def run(
     for ref_id, desc in refs.items():
         engine.add_reference(ref_id, desc)
 
-    registry = default_registry()
+    registry = engine.obs.registry
     tracer = default_tracer()
     timeline = TimelineTracer()
-    was_enabled = registry.enabled
     was_tracing = tracer.enabled
 
     timings: dict[str, float] = {}
@@ -103,7 +102,6 @@ def run(
         spans_per_sweep = len(tracer.spans) // repeats
         events_recorded = len(timeline.events)
     finally:
-        registry.enabled = was_enabled
         tracer.enabled = was_tracing
 
     # the device clock's absolute value grows across repeats, so the

@@ -38,7 +38,6 @@ import numpy as np
 from ...core.config import EngineConfig
 from ...distributed.cluster import DistributedSearchSystem
 from ...routing import RouterPolicy
-from ...routing.router import _OVERHEAD_US
 from ..tables import ExperimentResult
 from .fault_tolerance import _make_descriptors, _noisy
 
@@ -73,8 +72,8 @@ def _match_key(result) -> list[tuple]:
     )
 
 
-def _overhead_snapshot(kind: str) -> tuple[float, int]:
-    child = _OVERHEAD_US.labels(kind=kind)
+def _overhead_snapshot(system: DistributedSearchSystem, kind: str) -> tuple[float, int]:
+    child = system.obs.registry.get("repro_router_overhead_us").labels(kind=kind)
     return float(child.sum), int(child.count)
 
 
@@ -124,13 +123,14 @@ def run(
         }
         for kind, policy in policies.items():
             routed = _build_cluster(refs, config, n_nodes, policy)
+            routed.build_router()  # what the first routed search would do
             probe_grid = list(nprobes)
             if kind == "ivf" and n_lists not in probe_grid:
                 probe_grid.append(n_lists)  # full probe = exhaustive coverage
             for nprobe in probe_grid:
-                over_sum0, over_n0 = _overhead_snapshot(kind)
+                over_sum0, over_n0 = _overhead_snapshot(routed, kind)
                 routed_results = [routed.search(q, nprobe=nprobe) for q in queries]
-                over_sum1, over_n1 = _overhead_snapshot(kind)
+                over_sum1, over_n1 = _overhead_snapshot(routed, kind)
                 swept = sum(r.images_searched for r in routed_results)
                 pruned = sum(r.images_pruned for r in routed_results)
                 agree = sum(

@@ -5,7 +5,7 @@ collapses; this experiment proves the new SLO layer *sees it coming*.
 The same open-loop Poisson overload trace (4× calibrated capacity)
 runs through two configurations with a
 :class:`~repro.obs.timeseries.TimeSeriesRecorder` and an
-:class:`~repro.obs.slo.SloEngine` installed:
+:class:`~repro.obs.slo.SloEngine` attached to the engine's handle:
 
 * **unprotected** — unbounded queue, no deadlines: the queue grows
   without bound and end-to-end latency climbs past the SLO.  The
@@ -24,7 +24,7 @@ or above ``_SLO_GROUPS`` fused-group times), so "alert error" and
 the lead time to hide in.
 
 The third section prices the telemetry: the fused cluster sweep is
-wall-clock timed with the recorder + engine installed vs not, and the
+wall-clock timed with the recorder + engine attached vs not, and the
 overhead must stay under the observability layer's 5 % budget while
 simulated time stays bit-identical.
 
@@ -44,7 +44,7 @@ import numpy as np
 from ...core.config import EngineConfig
 from ...core.engine import TextureSearchEngine
 from ...distributed import DistributedSearchSystem
-from ...obs import default_registry
+from ...obs import DEFAULT_US_BUCKETS
 from ...obs.slo import (
     CRITICAL,
     OK,
@@ -53,14 +53,8 @@ from ...obs.slo import (
     SeriesSelection,
     SloEngine,
     SloPolicy,
-    install_engine,
-    uninstall_engine,
 )
-from ...obs.timeseries import (
-    TimeSeriesRecorder,
-    install_recorder,
-    uninstall_recorder,
-)
+from ...obs.timeseries import TimeSeriesRecorder
 from ...serving import (
     BatchPolicy,
     FusedEngineExecutor,
@@ -191,7 +185,7 @@ def _time_cluster_sweeps(
     per-sweep wall-clock for the fused cluster sweep in each mode.
 
     The two modes are *interleaved* (one uninstrumented block, one with
-    the recorder installed, repeated) so both minima sample the same
+    the recorder attached to the system, repeated) so both minima sample the same
     scheduler/frequency environment — timing them in separate phases
     lets slow host drift masquerade as telemetry cost — and each
     measurement times a block of ``_OVERHEAD_BLOCK`` sweeps to average
@@ -199,20 +193,20 @@ def _time_cluster_sweeps(
     best_off = best_on = float("inf")
     sim_off = sim_on = 0.0
     for _ in range(repeats):
-        uninstall_recorder()
+        system.obs.recorder = None
         start = time.perf_counter()
         for _ in range(_OVERHEAD_BLOCK):
             group = system.search_group(queries)
         best_off = min(best_off, (time.perf_counter() - start) / _OVERHEAD_BLOCK)
         sim_off = group.elapsed_us
 
-        install_recorder(recorder)
+        system.obs.recorder = recorder
         start = time.perf_counter()
         for _ in range(_OVERHEAD_BLOCK):
             group = system.search_group(queries)
         best_on = min(best_on, (time.perf_counter() - start) / _OVERHEAD_BLOCK)
         sim_on = group.elapsed_us
-    uninstall_recorder()
+    system.obs.recorder = None
     return best_off, best_on, sim_off, sim_on
 
 
@@ -261,7 +255,7 @@ def run(
     interval_us = group_us / 2.0
     # snap the SLO up to the latency histogram's bucket resolution so
     # the alert predicate and the goodput predicate are identical
-    bounds = default_registry().get(_LATENCY_METRIC).buckets
+    bounds = DEFAULT_US_BUCKETS  # the serving latency histogram's
     slo_us = TimeSeriesRecorder.effective_threshold_us(
         bounds, _SLO_GROUPS * group_us
     )
@@ -296,18 +290,14 @@ def run(
     cells: list[dict] = []
     outcomes: dict[str, dict] = {}
     for label, policy, deadline_us in configs:
-        recorder = TimeSeriesRecorder(interval_us=interval_us, retention=1024)
-        install_recorder(recorder)
-        slo_engine = SloEngine(_policies(f"latency-{label}", slo_us, group_us))
+        registry = engine.obs.registry
+        recorder = TimeSeriesRecorder(registry, interval_us=interval_us, retention=1024)
+        slo_engine = SloEngine(_policies(f"latency-{label}", slo_us, group_us), registry)
         slo_engine.attach(recorder)
-        install_engine(slo_engine)
-        try:
-            trace = build_trace(arrivals, queries, deadline_us=deadline_us)
-            report = simulate_serving(executor, trace, policy)
-            recorder.flush()
-        finally:
-            uninstall_engine()
-            uninstall_recorder()
+        engine.obs.recorder, engine.obs.slo = recorder, slo_engine
+        trace = build_trace(arrivals, queries, deadline_us=deadline_us)
+        report = simulate_serving(executor, trace, policy)
+        recorder.flush()
 
         policy_name = f"latency-{label}"
         points = _latency_points(recorder, slo_us)
@@ -371,7 +361,7 @@ def run(
     # recorder samples at half a group time because its windows are
     # group-sized; here the sweep itself is the unit of work)
     recorder = TimeSeriesRecorder(
-        interval_us=max(warm.elapsed_us, 1.0), retention=1024
+        system.obs.registry, interval_us=max(warm.elapsed_us, 1.0), retention=1024
     )
     slo_engine = SloEngine(
         [
@@ -379,7 +369,7 @@ def run(
                 name="sweep-latency", kind="latency", objective=0.9,
                 metric="repro_engine_sweep_us",
                 threshold_us=float(
-                    default_registry().get("repro_engine_sweep_us").buckets[-1]
+                    system.obs.registry.get("repro_engine_sweep_us").buckets[-1]
                 ),
                 critical=BurnRateRule(2 * warm.elapsed_us, 6 * warm.elapsed_us, 3.0),
                 warning=BurnRateRule(4 * warm.elapsed_us, 12 * warm.elapsed_us, 1.0),
@@ -393,18 +383,15 @@ def run(
                 critical=BurnRateRule(2 * warm.elapsed_us, 6 * warm.elapsed_us, 10.0),
                 warning=BurnRateRule(4 * warm.elapsed_us, 12 * warm.elapsed_us, 2.0),
             ),
-        ]
+        ],
+        system.obs.registry,
     )
     slo_engine.attach(recorder)
-    install_engine(slo_engine)
-    try:
-        t_off, t_on, sim_off, sim_on = _time_cluster_sweeps(
-            system, cluster_queries, overhead_repeats, recorder
-        )
-        scrape_s = _time_scrapes(recorder)
-    finally:
-        uninstall_engine()
-        uninstall_recorder()
+    system.obs.slo = slo_engine
+    t_off, t_on, sim_off, sim_on = _time_cluster_sweeps(
+        system, cluster_queries, overhead_repeats, recorder
+    )
+    scrape_s = _time_scrapes(recorder)
     if not math.isclose(sim_on, sim_off, rel_tol=1e-9):
         raise RuntimeError(
             f"telemetry changed simulated time: {sim_off} vs {sim_on}"

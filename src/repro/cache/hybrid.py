@@ -25,29 +25,10 @@ from ..core.batching import ReferenceBatch
 from ..errors import CacheCapacityError
 from ..gpusim.engine_model import GPUDevice
 from ..gpusim.memory import Allocation
-from ..obs import default_registry
+from ..obs import Observability
 from .fifo import FifoCache
 
 __all__ = ["CacheLocation", "HybridFeatureCache", "CachedBatch"]
-
-_REG = default_registry()
-_ADDS = _REG.counter(
-    "repro_cache_adds_total",
-    "Reference batches enqueued into the hybrid cache",
-)
-_DEMOTIONS = _REG.counter(
-    "repro_cache_demotions_total",
-    "GPU-resident batches swapped out to the host level",
-)
-_EVICTIONS = _REG.counter(
-    "repro_cache_evictions_total",
-    "Batches dropped past the host level (combined capacity exhausted)",
-)
-_REMOVALS = _REG.counter(
-    "repro_cache_removals_total",
-    "Batches explicitly removed from the hybrid cache (enrollment deletes)",
-)
-
 
 class CacheLocation(Enum):
     GPU = "gpu"
@@ -78,6 +59,8 @@ class HybridFeatureCache:
         Host (pinned) memory budget — 64 GB per container in Sec. 8.
     pinned:
         Whether host memory is pinned (affects PCIe speed, Table 5).
+    obs:
+        The owning engine's telemetry handle (a private one if omitted).
     """
 
     def __init__(
@@ -86,7 +69,25 @@ class HybridFeatureCache:
         gpu_budget_bytes: int | None = None,
         host_budget_bytes: int = 0,
         pinned: bool = True,
+        obs: Observability | None = None,
     ) -> None:
+        registry = (obs or Observability()).registry
+        self._adds = registry.counter(
+            "repro_cache_adds_total",
+            "Reference batches enqueued into the hybrid cache",
+        )
+        self._demotions = registry.counter(
+            "repro_cache_demotions_total",
+            "GPU-resident batches swapped out to the host level",
+        )
+        self._evictions = registry.counter(
+            "repro_cache_evictions_total",
+            "Batches dropped past the host level (combined capacity exhausted)",
+        )
+        self._removals = registry.counter(
+            "repro_cache_removals_total",
+            "Batches explicitly removed from the hybrid cache (enrollment deletes)",
+        )
         self.device = device
         if gpu_budget_bytes is None:
             gpu_budget_bytes = device.memory.free_bytes
@@ -125,7 +126,7 @@ class HybridFeatureCache:
         cached = CachedBatch(batch=batch, location=CacheLocation.GPU)
         cached.gpu_allocation = self._alloc_gpu(nbytes, f"batch{batch.batch_id}")
         evicted = self._gpu.put(batch.batch_id, cached, nbytes)
-        _ADDS.inc()
+        self._adds.inc()
         for _key, entry in evicted:
             self._demote(entry.value)
 
@@ -144,15 +145,15 @@ class HybridFeatureCache:
             cached.gpu_allocation = None
         cached.location = CacheLocation.HOST
         if self.host_budget_bytes <= 0:
-            _EVICTIONS.inc()
+            self._evictions.inc()
             raise CacheCapacityError(
                 "GPU cache full and no host cache configured "
                 f"(batch {cached.batch.batch_id} has nowhere to go)"
             )
-        _DEMOTIONS.inc()
+        self._demotions.inc()
         evicted = self._host.put(cached.batch.batch_id, cached, cached.batch.nbytes)
         if evicted:
-            _EVICTIONS.inc(len(evicted))
+            self._evictions.inc(len(evicted))
             dropped = ", ".join(str(k) for k, _ in evicted)
             raise CacheCapacityError(
                 f"hybrid cache exhausted: host level evicted batch(es) {dropped}"
@@ -179,7 +180,7 @@ class HybridFeatureCache:
             self._host.pop(batch_id)
             removed = True
         if removed:
-            _REMOVALS.inc()
+            self._removals.inc()
         return removed
 
     # ------------------------------------------------------------------

@@ -45,7 +45,7 @@ from ..errors import CacheCapacityError
 from ..gpusim.device import TESLA_P100
 from ..gpusim.engine_model import GPUDevice
 from ..gpusim.pcie import h2d_time_us
-from ..obs import current_deadline, default_registry, default_tracer
+from ..obs import Observability, current_deadline, default_tracer
 from .batching import BatchBuilder, ReferenceBatch
 from .compute import current_compute
 from .config import EngineConfig
@@ -55,47 +55,7 @@ from .results import Answer, ImageMatch, Sweep
 
 __all__ = ["TextureSearchEngine", "EngineStats", "hidden_us", "overlap_us"]
 
-_REG = default_registry()
 _TRACER = default_tracer()
-_SWEEPS = _REG.counter(
-    "repro_engine_sweeps_total",
-    "Cache sweeps executed by search engines (search + fused groups)",
-)
-_SWEEP_US = _REG.histogram(
-    "repro_engine_sweep_us",
-    "Simulated time of one full cache sweep",
-)
-_STEP_US = _REG.histogram(
-    "repro_engine_step_us",
-    "Simulated per-sweep time by pipeline step (StepProfiler deltas)",
-    ("step",),
-)
-_H2D_BYTES = _REG.counter(
-    "repro_engine_h2d_bytes_total",
-    "Bytes staged host-to-device for host-resident reference batches",
-)
-_SWEEP_LOOKUPS = _REG.counter(
-    "repro_cache_sweep_lookups_total",
-    "Reference-batch touches during sweeps, by cache residency",
-    ("result",),
-)
-_DEADLINE_SWEEPS = _REG.counter(
-    "repro_engine_deadline_expired_total",
-    "Cache sweeps cut short by an expired request deadline",
-)
-_IMAGES_PRUNED = _REG.counter(
-    "repro_engine_images_pruned_total",
-    "Cached reference images skipped by candidate-routing restriction "
-    "(first-tier pruning, not faults)",
-)
-_CASCADE_PRUNED = _REG.counter(
-    "repro_engine_cascade_pruned_total",
-    "Reference images whose exact GEMM was skipped by the cascade "
-    "Hamming prefilter (the prune cost itself is still charged)",
-)
-#: pre-bound children — the sweep loop must not pay label resolution.
-_SWEEP_HIT = _SWEEP_LOOKUPS.labels(result="hit")
-_SWEEP_MISS = _SWEEP_LOOKUPS.labels(result="miss")
 
 
 def overlap_us(streams: int, h2d_us: float, busy_us: float) -> float:
@@ -156,6 +116,9 @@ class TextureSearchEngine:
         Pre-built :class:`~repro.core.kernels.MatchKernel` instance,
         overriding registry resolution (e.g. an ``LshKernel`` with
         non-default codec parameters).
+    obs:
+        The owning system's telemetry handle; an engine built on its own
+        makes a private one.  Exposed as :attr:`obs`.
     """
 
     def __init__(
@@ -166,15 +129,58 @@ class TextureSearchEngine:
         gpu_cache_bytes: int | None = None,
         pinned: bool = True,
         kernel: MatchKernel | None = None,
+        obs: Observability | None = None,
     ) -> None:
         self.config = config or EngineConfig()
         self.kernel = kernel if kernel is not None else create_kernel(self.config)
         self.device = device or GPUDevice(TESLA_P100)
+        self.obs = obs if obs is not None else Observability()
         self.cache = HybridFeatureCache(
             self.device,
             gpu_budget_bytes=gpu_cache_bytes,
             host_budget_bytes=host_cache_bytes,
             pinned=pinned,
+            obs=self.obs,
+        )
+        registry = self.obs.registry
+        self._sweeps = registry.counter(
+            "repro_engine_sweeps_total",
+            "Cache sweeps executed by search engines (search + fused groups)",
+        )
+        self._sweep_us = registry.histogram(
+            "repro_engine_sweep_us",
+            "Simulated time of one full cache sweep",
+        )
+        self._step_us = registry.histogram(
+            "repro_engine_step_us",
+            "Simulated per-sweep time by pipeline step (StepProfiler deltas)",
+            ("step",),
+        )
+        self._h2d_bytes = registry.counter(
+            "repro_engine_h2d_bytes_total",
+            "Bytes staged host-to-device for host-resident reference batches",
+        )
+        lookups = registry.counter(
+            "repro_cache_sweep_lookups_total",
+            "Reference-batch touches during sweeps, by cache residency",
+            ("result",),
+        )
+        #: pre-bound children — the sweep loop must not pay label resolution.
+        self._sweep_hit = lookups.labels(result="hit")
+        self._sweep_miss = lookups.labels(result="miss")
+        self._deadline_sweeps = registry.counter(
+            "repro_engine_deadline_expired_total",
+            "Cache sweeps cut short by an expired request deadline",
+        )
+        self._images_pruned = registry.counter(
+            "repro_engine_images_pruned_total",
+            "Cached reference images skipped by candidate-routing restriction "
+            "(first-tier pruning, not faults)",
+        )
+        self._cascade_pruned = registry.counter(
+            "repro_engine_cascade_pruned_total",
+            "Reference images whose exact GEMM was skipped by the cascade "
+            "Hamming prefilter (the prune cost itself is still charged)",
         )
         cfg = self.config
         self._builder = BatchBuilder(
@@ -474,7 +480,7 @@ class TextureSearchEngine:
                     if survivors is not None:
                         surviving = int(survivors.sum())
                         cascade += batch.size - surviving
-                (_SWEEP_HIT if resident else _SWEEP_MISS).inc()
+                (self._sweep_hit if resident else self._sweep_miss).inc()
                 shape = (surviving, n_queries)
                 if shape not in self._batch_steps:
                     self._batch_steps[shape] = self.kernel.batch_steps(self.device, *shape)
@@ -487,7 +493,7 @@ class TextureSearchEngine:
                         # group shares the transfer, it is not paid per query
                         h2d_us = h2d_time_us(self.device.spec, batch.nbytes, self.cache.pinned)
                         self.device.charge([("h2d", h2d_us, "H2D copy")])
-                        _H2D_BYTES.inc(batch.nbytes)
+                        self._h2d_bytes.inc(batch.nbytes)
                         host_h2d_us += h2d_us
                         host_steps += self._batch_steps[shape]
                     # charged now, computed with the rest of the sweep
@@ -510,18 +516,18 @@ class TextureSearchEngine:
             self.stats.searches += n_queries
             self.stats.images_compared += images * n_queries
             self.stats.total_search_us += elapsed
-            _SWEEPS.inc()
-            _SWEEP_US.observe(elapsed)
+            self._sweeps.inc()
+            self._sweep_us.observe(elapsed)
             step_times = self.stats.step_times_us
             for name, total in self.device.profiler.as_dict().items():
                 delta = total - profile_before.get(name, 0.0)
                 if delta:
                     step_times[name] = step_times.get(name, 0.0) + delta
-                    _STEP_US.labels(step=name).observe(delta)
+                    self._step_us.labels(step=name).observe(delta)
             if skipped:
-                _DEADLINE_SWEEPS.inc()
-            _IMAGES_PRUNED.inc(pruned)
-            _CASCADE_PRUNED.inc(cascade)
+                self._deadline_sweeps.inc()
+            self._images_pruned.inc(pruned)
+            self._cascade_pruned.inc(cascade)
             _TRACER.annotate(
                 sim_elapsed_us=elapsed, images=images, images_skipped=skipped,
                 images_pruned=pruned, cascade_pruned=cascade,

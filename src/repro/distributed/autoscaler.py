@@ -5,7 +5,7 @@ fleet.  The :class:`Autoscaler` closes the loop between the telemetry
 the obs layer already produces and the replica-group topology the
 cluster now supports:
 
-* **Control inputs.**  It subscribes to the installed
+* **Control inputs.**  It subscribes to the cluster's
   :class:`~repro.obs.timeseries.TimeSeriesRecorder` as a sample
   listener, so decisions land exactly on the deterministic sample grid
   (byte-identical replays for identical event timelines), and to the
@@ -40,20 +40,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..obs import default_registry, default_tracer
+from ..obs import default_tracer
 from ..obs.slo import CRITICAL, AlertEvent, SloEngine
 from ..obs.timeseries import Sample, TimeSeriesRecorder
 
 __all__ = ["Autoscaler", "AutoscalerPolicy", "ScalingEvent"]
 
-_REG = default_registry()
 _TRACER = default_tracer()
-_DECISIONS = _REG.counter(
-    "repro_autoscaler_decisions_total",
-    "Autoscaler control decisions by action (hold decisions included "
-    "so the decision cadence itself is observable)",
-    ("action",),
-)
 
 
 @dataclass(frozen=True)
@@ -149,6 +142,12 @@ class Autoscaler:
     ) -> None:
         self.system = system
         self.policy = policy or AutoscalerPolicy()
+        self._decisions = system.obs.registry.counter(
+            "repro_autoscaler_decisions_total",
+            "Autoscaler control decisions by action (hold decisions included "
+            "so the decision cadence itself is observable)",
+            ("action",),
+        )
         self.events: list[ScalingEvent] = []
         self._recorder: TimeSeriesRecorder | None = None
         self._last_out_us = -float("inf")
@@ -264,7 +263,7 @@ class Autoscaler:
             if self._scale_in(now_us, signal):
                 action = "scale_in"
                 self._last_in_us = now_us
-        _DECISIONS.labels(action=action).inc()
+        self._decisions.labels(action=action).inc()
         return action
 
     # -- actuation ------------------------------------------------------
@@ -345,7 +344,7 @@ class Autoscaler:
             "events": [event.to_dict() for event in self.events],
             "n_events": len(self.events),
             "decisions": {
-                action: _REG.value(
+                action: self.system.obs.registry.value(
                     "repro_autoscaler_decisions_total", action=action
                 )
                 for action in ("scale_out", "scale_in", "hold")

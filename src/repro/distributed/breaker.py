@@ -37,15 +37,9 @@ from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
-from ..obs import default_registry
+from ..obs import Observability
 
 __all__ = ["BreakerPolicy", "BreakerState", "CircuitBreaker"]
-
-_TRANSITIONS = default_registry().counter(
-    "repro_breaker_transitions_total",
-    "Circuit-breaker state transitions, by destination state",
-    ("to",),
-)
 
 
 class BreakerState(Enum):
@@ -88,8 +82,15 @@ class CircuitBreaker:
     """Sliding-window failure-rate breaker; pure function of the
     outcome sequence, so seeded fault runs replay identically."""
 
-    def __init__(self, policy: BreakerPolicy | None = None) -> None:
+    def __init__(
+        self, policy: BreakerPolicy | None = None, obs: Observability | None = None
+    ) -> None:
         self.policy = policy or BreakerPolicy()
+        self._transitions_total = (obs or Observability()).registry.counter(
+            "repro_breaker_transitions_total",
+            "Circuit-breaker state transitions, by destination state",
+            ("to",),
+        )
         self.state = BreakerState.CLOSED
         self._window: deque[bool] = deque(maxlen=self.policy.window)
         self._skips_while_open = 0
@@ -103,7 +104,7 @@ class CircuitBreaker:
             return
         self.state = state
         self.transitions[state.value] += 1
-        _TRANSITIONS.labels(to=state.value).inc()
+        self._transitions_total.labels(to=state.value).inc()
         if state is BreakerState.OPEN:
             self._skips_while_open = 0
         elif state is BreakerState.HALF_OPEN:

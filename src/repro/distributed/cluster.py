@@ -36,14 +36,11 @@ from ..errors import (
 from ..gpusim.device import DeviceSpec, TESLA_P100
 from ..obs import (
     DeadlineFanOut,
+    Observability,
     current_brownout,
     current_deadline,
-    default_registry,
     default_tracer,
 )
-from ..obs.slo import installed_engine as _slo_engine
-from ..obs.timeseries import advance_by as _ts_advance_by
-from ..obs.timeseries import installed_recorder as _ts_recorder
 from ..routing import CandidateRouter, RouteDecision, RouterPolicy
 from ..routing import build_router as _make_router
 from .breaker import BreakerPolicy
@@ -52,7 +49,6 @@ from .enrollment import (
     EnrollmentAck,
     EpochRegistry,
     TombstoneLog,
-    count_op,
 )
 from .health import NodeHealth
 from .kvstore import KVStore
@@ -78,57 +74,7 @@ WEB_TIER_OVERHEAD_US = 2000.0
 #: version of the ``GET /stats`` payload shape; bump when keys change.
 STATS_SCHEMA_VERSION = 8
 
-_REG = default_registry()
 _TRACER = default_tracer()
-_SEARCHES = _REG.counter(
-    "repro_cluster_searches_total",
-    "Scatter-gather searches answered by the cluster",
-    ("kind",),
-)
-_RETRIES = _REG.counter(
-    "repro_cluster_retries_total",
-    "Extra node attempts spent after transient failures or timeouts",
-)
-_UNSEARCHED = _REG.counter(
-    "repro_cluster_unsearched_shards_total",
-    "Populated shards skipped after exhausting their retry budget",
-)
-_PARTIALS = _REG.counter(
-    "repro_cluster_partial_results_total",
-    "Searches answered with at least one shard missing",
-)
-_FAILOVERS = _REG.counter(
-    "repro_cluster_failovers_total",
-    "DOWN nodes decommissioned and re-hydrated onto survivors",
-)
-_BROWNOUT_SKIPS = _REG.counter(
-    "repro_cluster_brownout_shards_skipped_total",
-    "Populated shards left unsearched by web-tier brownout degradation",
-)
-_DEADLINE_SKIPS = _REG.counter(
-    "repro_cluster_deadline_skipped_shards_total",
-    "Populated shards never attempted because the request deadline had expired",
-)
-_UNROUTED_SKIPS = _REG.counter(
-    "repro_cluster_unrouted_shards_total",
-    "Populated shards deliberately not fanned out to because the "
-    "candidate router nominated other shards (pruning, not faults)",
-)
-_SCALE_EVENTS = _REG.counter(
-    "repro_cluster_scale_events_total",
-    "Fleet topology changes (shards commissioned/decommissioned, "
-    "replicas attached/detached)",
-    ("action",),
-)
-_ROUTER_HITS = _REG.counter(
-    "repro_router_candidate_hit_total",
-    "Routed searches by whether the pruned gather still produced a "
-    "scoring match (a live proxy for candidate recall; the routing "
-    "bench measures true recall against the exhaustive path)",
-    ("result",),
-)
-_SEARCH_SINGLE = _SEARCHES.labels(kind="single")
-_SEARCH_GROUP = _SEARCHES.labels(kind="group")
 
 #: the header counts a gather sums over the shard sweeps that answered a query
 _COUNTS = ("images_searched", "images_skipped", "images_pruned", "cascade_pruned")
@@ -294,6 +240,63 @@ class DistributedSearchSystem:
         if replication_factor < 1:
             raise ClusterError("replication_factor must be >= 1")
         self.engine_config = engine_config or EngineConfig(m=384, n=768)
+        #: this system's telemetry: every part built below meters into it
+        self.obs = Observability()
+        registry = self.obs.registry
+        searches = registry.counter(
+            "repro_cluster_searches_total",
+            "Scatter-gather searches answered by the cluster",
+            ("kind",),
+        )
+        self._search_single = searches.labels(kind="single")
+        self._search_group = searches.labels(kind="group")
+        self._retries = registry.counter(
+            "repro_cluster_retries_total",
+            "Extra node attempts spent after transient failures or timeouts",
+        )
+        self._unsearched = registry.counter(
+            "repro_cluster_unsearched_shards_total",
+            "Populated shards skipped after exhausting their retry budget",
+        )
+        self._partials = registry.counter(
+            "repro_cluster_partial_results_total",
+            "Searches answered with at least one shard missing",
+        )
+        self._failovers = registry.counter(
+            "repro_cluster_failovers_total",
+            "DOWN nodes decommissioned and re-hydrated onto survivors",
+        )
+        self._brownout_skips = registry.counter(
+            "repro_cluster_brownout_shards_skipped_total",
+            "Populated shards left unsearched by web-tier brownout degradation",
+        )
+        self._deadline_skips = registry.counter(
+            "repro_cluster_deadline_skipped_shards_total",
+            "Populated shards never attempted because the request deadline had expired",
+        )
+        self._unrouted_skips = registry.counter(
+            "repro_cluster_unrouted_shards_total",
+            "Populated shards deliberately not fanned out to because the "
+            "candidate router nominated other shards (pruning, not faults)",
+        )
+        self._scale_events = registry.counter(
+            "repro_cluster_scale_events_total",
+            "Fleet topology changes (shards commissioned/decommissioned, "
+            "replicas attached/detached)",
+            ("action",),
+        )
+        self._router_hits = registry.counter(
+            "repro_router_candidate_hit_total",
+            "Routed searches by whether the pruned gather still produced a "
+            "scoring match (a live proxy for candidate recall; the routing "
+            "bench measures true recall against the exhaustive path)",
+            ("result",),
+        )
+        self._enroll_ops = registry.counter(
+            "repro_enrollment_ops_total",
+            "Corpus mutations through the enrollment path",
+            ("op",),
+        )
         #: the web tier's feature preparation (Fig. 6): the host-side,
         #: never-charged transforms run here once per request; the GPU
         #: containers behind it only match.
@@ -302,8 +305,8 @@ class DistributedSearchSystem:
         #: durable per-shard epoch marks + deletion tombstones (the
         #: epoched-corpus contract lives in the KV store, like the
         #: feature blobs it protects).
-        self.epochs = EpochRegistry(self.store)
-        self.tombstones = TombstoneLog(self.store)
+        self.epochs = EpochRegistry(self.store, self.obs)
+        self.tombstones = TombstoneLog(self.store, self.obs)
         self.retry_policy = retry_policy or RetryPolicy()
         self.min_shard_fraction = float(min_shard_fraction)
         self.auto_failover = bool(auto_failover)
@@ -327,6 +330,7 @@ class DistributedSearchSystem:
             SearchNode(
                 f"gpu-{i:02d}", self.engine_config, device_spec, node_config,
                 health_policy=health_policy, breaker_policy=breaker_policy,
+                obs=self.obs,
             )
             for i in range(n_nodes)
         ]
@@ -340,7 +344,7 @@ class DistributedSearchSystem:
             # a rebuilt cluster over a pre-existing store continues each
             # shard's epoch sequence instead of restarting from zero
             node.epoch = self.epochs.get(node.node_id)
-            self.groups[node.node_id] = ReplicaGroup(node.node_id, [node])
+            self.groups[node.node_id] = ReplicaGroup(node.node_id, [node], self.obs)
             self._stamp_start(node)
         from .sharding import ConsistentHashPlacement, RoundRobinPlacement
 
@@ -377,19 +381,13 @@ class DistributedSearchSystem:
                 return group
         return None
 
-    def _clock_us(self) -> float | None:
-        """Current simulated instant, or ``None`` when no telemetry
-        clock is installed (then warm-up/drain time is not modelled)."""
-        recorder = _ts_recorder()
-        return recorder.now_us if recorder is not None else None
-
     def _stamp_start(self, node: SearchNode) -> None:
-        now = self._clock_us()
+        now = self.obs.now_us
         self._node_started_us[node.node_id] = 0.0 if now is None else now
 
     def _retire_node(self, node: SearchNode) -> None:
         started = self._node_started_us.pop(node.node_id, None)
-        now = self._clock_us()
+        now = self.obs.now_us
         if started is not None and now is not None:
             self._node_seconds_retired += max(now - started, 0.0) / 1e6
 
@@ -397,7 +395,7 @@ class DistributedSearchSystem:
         """Fleet cost so far in node-seconds of simulated time (retired
         nodes' lifetimes plus every live node's time since attach)."""
         total = self._node_seconds_retired
-        now = self._clock_us()
+        now = self.obs.now_us
         if now is None:
             return total
         for node in self.nodes:
@@ -512,10 +510,10 @@ class DistributedSearchSystem:
                 replica._gate()
             shard_id = self._commit_add(ref_id, descriptors, ReferenceMatrix(*prepared))
             epoch = self.epochs.get(shard_id)
-            count_op("update" if updated else "enroll")
+            self._enroll_ops.labels(op="update" if updated else "enroll").inc()
             if span is not None:
                 span.set(node=shard_id, epoch=epoch, updated=updated)
-        _ts_advance_by(WEB_TIER_OVERHEAD_US)
+        self.obs.advance_by(WEB_TIER_OVERHEAD_US)
         return EnrollmentAck(
             ref_id=ref_id, node_id=shard_id, epoch=epoch, updated=updated
         )
@@ -553,10 +551,10 @@ class DistributedSearchSystem:
                 self.tombstones.mark(ref_id, "", 0)
                 deleted = False
                 epoch = 0
-            count_op("delete")
+            self._enroll_ops.labels(op="delete").inc()
             if span is not None:
                 span.set(node=owner or "", epoch=epoch, deleted=deleted)
-        _ts_advance_by(WEB_TIER_OVERHEAD_US)
+        self.obs.advance_by(WEB_TIER_OVERHEAD_US)
         return DeletionAck(
             ref_id=ref_id, node_id=owner or "", epoch=epoch, deleted=deleted
         )
@@ -585,6 +583,7 @@ class DistributedSearchSystem:
             self._node_config,
             health_policy=self._health_policy,
             breaker_policy=self._breaker_policy,
+            obs=self.obs,
         )
         self._node_seq += 1
         if self.fault_injector is not None:
@@ -596,10 +595,10 @@ class DistributedSearchSystem:
         node = self._mint_node(device_spec)
         node.epoch = self.epochs.get(node.node_id)
         self.nodes.append(node)
-        self.groups[node.node_id] = ReplicaGroup(node.node_id, [node])
+        self.groups[node.node_id] = ReplicaGroup(node.node_id, [node], self.obs)
         self.placement.add_node(node.node_id)
         self._stamp_start(node)
-        _SCALE_EVENTS.labels(action="add_shard").inc()
+        self._scale_events.labels(action="add_shard").inc()
         return node
 
     def add_replica(self, shard_id: str) -> SearchNode:
@@ -608,8 +607,8 @@ class DistributedSearchSystem:
         The replica warms its hybrid cache from the KV store (the
         system of record; tombstoned references are skipped so a delete
         that raced the warm-up never resurrects), syncs its index epoch
-        from the durable registry, and — when a telemetry clock is
-        installed — enters ``WARMING`` until its readiness gate at
+        from the durable registry, and — when a time-series recorder is
+        attached to :attr:`obs` — enters ``WARMING`` until its readiness gate at
         ``now + WARMUP_BASE_US + WARMUP_US_PER_REF * n_refs`` passes.
         It observes corpus mutations from the moment it is attached, so
         it is consistent the instant it starts serving.
@@ -626,7 +625,7 @@ class DistributedSearchSystem:
             ]
             loaded = node.hydrate_from_store(self.store, keys)
             node.epoch = max(self.epochs.get(group.shard_id), group.epoch)
-            now = self._clock_us()
+            now = self.obs.now_us
             if now is not None:
                 node.replica_state = ReplicaState.WARMING
                 node.ready_at_us = (
@@ -637,7 +636,7 @@ class DistributedSearchSystem:
             self._stamp_start(node)
             if span is not None:
                 span.set(node=node.node_id, warmed=loaded)
-        _SCALE_EVENTS.labels(action="add_replica").inc()
+        self._scale_events.labels(action="add_replica").inc()
         return node
 
     def remove_replica(self, shard_id: str, node_id: str | None = None) -> SearchNode:
@@ -647,8 +646,8 @@ class DistributedSearchSystem:
         picks one) stops taking new reads immediately, keeps observing
         mutations while it finishes in-flight work, and is detached
         after ``DRAIN_GRACE_US`` of simulated time by
-        :meth:`poll_lifecycle` (immediately when no clock is
-        installed).  The last replica of a shard cannot be removed this
+        :meth:`poll_lifecycle` (immediately when no recorder is
+        attached).  The last replica of a shard cannot be removed this
         way — that is shard decommissioning (:meth:`remove_node`).
         """
         group = self._group_for_shard(shard_id)
@@ -663,10 +662,10 @@ class DistributedSearchSystem:
             raise ClusterError(f"shard {shard_id!r} has no replica {node_id!r}")
         if node.replica_state is ReplicaState.DRAINING:
             return node
-        now = self._clock_us()
+        now = self.obs.now_us
         node.replica_state = ReplicaState.DRAINING
         node.draining_since_us = 0.0 if now is None else now
-        _SCALE_EVENTS.labels(action="remove_replica").inc()
+        self._scale_events.labels(action="remove_replica").inc()
         self.poll_lifecycle()
         return node
 
@@ -674,7 +673,7 @@ class DistributedSearchSystem:
         """Advance replica lifecycles on the simulated clock: promote
         warming replicas whose readiness gate passed, detach draining
         replicas whose grace elapsed.  Returns the detached node ids."""
-        now = self._clock_us()
+        now = self.obs.now_us
         detached: list[str] = []
         for group in self.groups.values():
             group.promote_ready(now)
@@ -707,7 +706,7 @@ class DistributedSearchSystem:
         group = self._group_of_node(node_id)
         if group is not None and len(group.nodes) > 1:
             self._detach_replica(group, victim)
-            _SCALE_EVENTS.labels(action="remove_replica").inc()
+            self._scale_events.labels(action="remove_replica").inc()
             return 0
         if len(self.nodes) <= 1:
             raise ClusterError("cannot remove the last node")
@@ -716,7 +715,7 @@ class DistributedSearchSystem:
         self.groups.pop(shard_id, None)
         self._retire_node(victim)
         self.placement.remove_node(shard_id)
-        _SCALE_EVENTS.labels(action="remove_shard").inc()
+        self._scale_events.labels(action="remove_shard").inc()
         orphaned = [ref for ref, owner in self._placement.items() if owner == shard_id]
         adopters: set[str] = set()
         for ref_id in orphaned:
@@ -766,7 +765,7 @@ class DistributedSearchSystem:
         """
         if self.router_policy is None:
             raise ClusterError("cluster has no router_policy configured")
-        router = _make_router(self.router_policy, d=self.engine_config.d)
+        router = _make_router(self.router_policy, d=self.engine_config.d, obs=self.obs)
         for ref_id, node_id in self._placement.items():
             blob = self.store.get(f"feature:{ref_id}")
             if blob is None:
@@ -814,7 +813,7 @@ class DistributedSearchSystem:
         nominated = [g for g in populated if g.shard_id in shard_set]
         unrouted = [g.shard_id for g in populated if g.shard_id not in shard_set]
         if unrouted:
-            _UNROUTED_SKIPS.inc(len(unrouted))
+            self._unrouted_skips.inc(len(unrouted))
         return nominated, unrouted, True
 
     # ------------------------------------------------------------------
@@ -904,7 +903,7 @@ class DistributedSearchSystem:
         if keep >= len(populated):
             return populated, []
         skipped = [group.shard_id for group in populated[keep:]]
-        _BROWNOUT_SKIPS.inc(len(skipped))
+        self._brownout_skips.inc(len(skipped))
         return populated[:keep], skipped
 
     def _gather(
@@ -956,7 +955,7 @@ class DistributedSearchSystem:
         if fanout.expired_at_entry:
             # the budget was gone before the fan-out even started
             deadline_skipped = [group.shard_id for group in targets]
-            _DEADLINE_SKIPS.inc(len(deadline_skipped))
+            self._deadline_skips.inc(len(deadline_skipped))
             targets = []
         answered: list[list[Answer]] = []  # per answering shard, one answer per query
         epochs: dict[str, int] = {}
@@ -974,7 +973,7 @@ class DistributedSearchSystem:
                         )
 
                 answers, shard_us, shard_retries = group.read(
-                    n_queries, attempt, self._clock_us()
+                    n_queries, attempt, self.obs.now_us
                 )
                 slowest_us = max(slowest_us, shard_us)
                 retries += shard_retries
@@ -991,10 +990,10 @@ class DistributedSearchSystem:
             self.repair()
         search_counter.inc()
         if retries:
-            _RETRIES.inc(retries)
+            self._retries.inc(retries)
         if unsearched:
-            _UNSEARCHED.inc(len(unsearched))
-            _PARTIALS.inc()
+            self._unsearched.inc(len(unsearched))
+            self._partials.inc()
         # the fold: each query's matches and counts summed over the shard sweeps that
         # answered it; R > 1 slices a deadline cut apart give a query its own header
         matches = [[m for shard in answered for m in shard[i].matches] for i in range(n_queries)]
@@ -1005,7 +1004,7 @@ class DistributedSearchSystem:
         if routed:
             for found in matches:
                 hit = any(m.score > 0 for m in found)
-                _ROUTER_HITS.labels(result="hit" if hit else "miss").inc()
+                self._router_hits.labels(result="hit" if hit else "miss").inc()
         elapsed = slowest_us + WEB_TIER_OVERHEAD_US
         _TRACER.annotate(
             nodes=len(populated), retries=retries, unsearched=len(unsearched),
@@ -1016,7 +1015,7 @@ class DistributedSearchSystem:
             raise DegradedClusterError(searched, len(nominated), self.min_shard_fraction)
         # standalone searches drive the simulated telemetry clock
         # relatively (no-op under a serving loop's exclusive scope)
-        _ts_advance_by(elapsed)
+        self.obs.advance_by(elapsed)
         shared = dict(
             elapsed_us=elapsed, retries=retries, unsearched_shards=tuple(unsearched),
             unrouted_shards=tuple(unrouted), routed=routed, shard_epochs=tuple(epochs.items()),
@@ -1042,7 +1041,7 @@ class DistributedSearchSystem:
         the ``router_policy`` per request."""
         with _TRACER.span("cluster.search", layer="cluster"):
             group = [query_descriptors]  # of one
-            return self._gather(group, nprobe, recall_target, _SEARCH_SINGLE).answers[0]
+            return self._gather(group, nprobe, recall_target, self._search_single).answers[0]
 
     def search_group(
         self,
@@ -1060,7 +1059,7 @@ class DistributedSearchSystem:
             queries=len(query_descriptor_list),
         ):
             return self._gather(
-                query_descriptor_list, nprobe, recall_target, _SEARCH_GROUP
+                query_descriptor_list, nprobe, recall_target, self._search_group
             )
 
     # ------------------------------------------------------------------
@@ -1114,13 +1113,13 @@ class DistributedSearchSystem:
             if group is not None and len(group.nodes) > 1:
                 self._detach_replica(group, node)
                 repaired.append(node.node_id)
-                _FAILOVERS.inc()
+                self._failovers.inc()
                 continue
             if len(self.nodes) <= 1:
                 break
             self.remove_node(node.node_id)
             repaired.append(node.node_id)
-            _FAILOVERS.inc()
+            self._failovers.inc()
         return repaired
 
     # ------------------------------------------------------------------
@@ -1137,9 +1136,9 @@ class DistributedSearchSystem:
 
         ``schema_version`` is bumped whenever the payload shape
         changes so dashboards can gate on it.  The counter blocks are
-        :data:`_STATS_BLOCKS` read off the process-wide metrics
-        registry (they aggregate over every engine in the process —
-        one cluster per process in any real deployment).
+        :data:`_STATS_BLOCKS` read off this system's own registry
+        (``obs.registry``): they aggregate over this cluster's engines,
+        caches and nodes, and over nothing else in the process.
         """
         payload = {
             "schema_version": STATS_SCHEMA_VERSION,
@@ -1150,7 +1149,7 @@ class DistributedSearchSystem:
         }
         for block, keys in _STATS_BLOCKS.items():
             payload[block] = {
-                key: _REG.value(metric, **labels)
+                key: self.obs.registry.value(metric, **labels)
                 for key, (metric, labels) in keys.items()
             }
         payload["routing"].update(
@@ -1192,14 +1191,14 @@ class DistributedSearchSystem:
             "draining": sum(1 for s in states if s is ReplicaState.DRAINING),
             "node_seconds": self.node_seconds(),
             "scale_events": {
-                action: _REG.value(
+                action: self.obs.registry.value(
                     "repro_cluster_scale_events_total", action=action
                 )
                 for action in (
                     "add_shard", "remove_shard", "add_replica", "remove_replica"
                 )
             },
-            "replica_retries_total": _REG.value(
+            "replica_retries_total": self.obs.registry.value(
                 "repro_cluster_replica_retries_total"
             ),
             "autoscaler": {"enabled": False},
@@ -1208,14 +1207,13 @@ class DistributedSearchSystem:
             block["autoscaler"] = {"enabled": True, **self.autoscaler.to_dict()}
         return block
 
-    @staticmethod
-    def _slo_stats() -> dict:
-        """The schema-v7 ``"slo"`` block: state of the installed
-        time-series recorder and SLO engine (both optional — the block
-        reports ``enabled: False`` sides when nothing is installed, so
-        the key is always present and dashboards can gate on it)."""
-        recorder = _ts_recorder()
-        engine = _slo_engine()
+    def _slo_stats(self) -> dict:
+        """The schema-v7 ``"slo"`` block: state of the time-series
+        recorder and SLO engine attached to :attr:`obs` (both optional —
+        the block reports ``enabled: False`` sides when none is attached,
+        so the key is always present and dashboards can gate on it)."""
+        recorder = self.obs.recorder
+        engine = self.obs.slo
         block: dict = {
             "recorder": {"enabled": False},
             "engine": {"enabled": False},
@@ -1233,7 +1231,7 @@ class DistributedSearchSystem:
             block["engine"] = {"enabled": True, **engine.to_dict()}
             block["transitions"] = {
                 state: sum(
-                    _REG.value(
+                    self.obs.registry.value(
                         "repro_slo_transitions_total",
                         policy=policy.name, to=state,
                     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..obs import default_registry
+from ..obs import Observability
 from .kvstore import KVStore
 
 __all__ = [
@@ -33,22 +33,6 @@ __all__ = [
     "EpochRegistry",
     "TombstoneLog",
 ]
-
-_REG = default_registry()
-_ENROLL_OPS = _REG.counter(
-    "repro_enrollment_ops_total",
-    "Corpus mutations through the enrollment path",
-    ("op",),
-)
-_EPOCH_GAUGE = _REG.gauge(
-    "repro_corpus_epoch",
-    "Latest recorded index epoch per shard",
-    ("node",),
-)
-_TOMBSTONES_LIVE = _REG.gauge(
-    "repro_enrollment_tombstones_live",
-    "Tombstoned (deleted, not yet compacted) references in the KV store",
-)
 
 #: KV key prefix guarding deleted references against resurrection.
 TOMBSTONE_PREFIX = "tombstone:"
@@ -93,8 +77,13 @@ class EpochRegistry:
     never move a shard's epoch backwards.
     """
 
-    def __init__(self, store: KVStore) -> None:
+    def __init__(self, store: KVStore, obs: Observability | None = None) -> None:
         self._store = store
+        self._gauge = (obs or Observability()).registry.gauge(
+            "repro_corpus_epoch",
+            "Latest recorded index epoch per shard",
+            ("node",),
+        )
 
     def get(self, node_id: str) -> int:
         raw = self._store.hget(EPOCH_HASH_KEY, str(node_id))
@@ -106,7 +95,7 @@ class EpochRegistry:
         node_id = str(node_id)
         merged = max(int(epoch), self.get(node_id))
         self._store.hset(EPOCH_HASH_KEY, node_id, str(merged).encode())
-        _EPOCH_GAUGE.labels(node=node_id).set(merged)
+        self._gauge.labels(node=node_id).set(merged)
         return merged
 
     def forget(self, node_id: str) -> None:
@@ -114,7 +103,7 @@ class EpochRegistry:
         re-homed; their epochs now live with the new owners)."""
         node_id = str(node_id)
         self._store.hdel(EPOCH_HASH_KEY, node_id)
-        _EPOCH_GAUGE.labels(node=node_id).set(0)
+        self._gauge.labels(node=node_id).set(0)
 
     def snapshot(self) -> dict[str, int]:
         return {
@@ -135,10 +124,14 @@ class TombstoneLog:
     and clears: no mutation scans the store.
     """
 
-    def __init__(self, store: KVStore) -> None:
+    def __init__(self, store: KVStore, obs: Observability | None = None) -> None:
         self._store = store
         self._live = len(self)
-        _TOMBSTONES_LIVE.set(self._live)
+        self._gauge = (obs or Observability()).registry.gauge(
+            "repro_enrollment_tombstones_live",
+            "Tombstoned (deleted, not yet compacted) references in the KV store",
+        )
+        self._gauge.set(self._live)
 
     def _key(self, ref_id: str) -> str:
         return f"{TOMBSTONE_PREFIX}{ref_id}"
@@ -148,12 +141,12 @@ class TombstoneLog:
         if not self._store.exists(key):
             self._live += 1
         self._store.set(key, f"{node_id}:{int(epoch)}".encode())
-        _TOMBSTONES_LIVE.set(self._live)
+        self._gauge.set(self._live)
 
     def clear(self, ref_id: str) -> bool:
         removed = self._store.delete(self._key(ref_id)) > 0
         self._live -= removed
-        _TOMBSTONES_LIVE.set(self._live)
+        self._gauge.set(self._live)
         return removed
 
     def contains(self, ref_id: str) -> bool:
@@ -173,8 +166,3 @@ class TombstoneLog:
 
     def __len__(self) -> int:
         return len(self._store.keys(f"{TOMBSTONE_PREFIX}*"))
-
-
-def count_op(op: str) -> None:
-    """Record one mutation in ``repro_enrollment_ops_total``."""
-    _ENROLL_OPS.labels(op=op).inc()

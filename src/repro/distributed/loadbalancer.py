@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..obs import brownout_scope, default_registry, default_tracer
+from ..obs import brownout_scope, default_tracer
 from .admission import AdmissionPolicy, TokenBucket
 from .cluster import DistributedSearchSystem, WEB_TIER_OVERHEAD_US
 from .rest import Request, Response, Router, build_api
@@ -31,21 +31,7 @@ SHED_HANDLING_US = 50.0
 #: routes subject to admission control (mutations and probes always pass).
 _SEARCH_ROUTES = ("/search", "/search/batch")
 
-_REG = default_registry()
 _TRACER = default_tracer()
-_WEB_REQUESTS = _REG.counter(
-    "repro_web_requests_total",
-    "Requests dispatched through the web tier, by route root and status",
-    ("route", "status"),
-)
-_RATE_LIMITED = _REG.counter(
-    "repro_web_rate_limited_total",
-    "Search requests rejected with 429 by the web tier's token bucket",
-)
-_BROWNOUTS = _REG.counter(
-    "repro_web_brownout_total",
-    "Search requests served in brownout (reduced shard fraction)",
-)
 
 
 @dataclass
@@ -84,6 +70,20 @@ class WebTier:
         self.system = system
         self.policy = policy
         self.admission = admission
+        registry = system.obs.registry
+        self._web_requests = registry.counter(
+            "repro_web_requests_total",
+            "Requests dispatched through the web tier, by route root and status",
+            ("route", "status"),
+        )
+        self._rate_limited = registry.counter(
+            "repro_web_rate_limited_total",
+            "Search requests rejected with 429 by the web tier's token bucket",
+        )
+        self._brownouts = registry.counter(
+            "repro_web_brownout_total",
+            "Search requests served in brownout (reduced shard fraction)",
+        )
         self._bucket = (
             TokenBucket(admission.rate_per_s, admission.burst)
             if admission is not None and admission.rate_per_s > 0
@@ -116,13 +116,13 @@ class WebTier:
         if self._bucket is None or request.path not in _SEARCH_ROUTES:
             return None, None
         if not self._bucket.try_take(now_us):
-            _RATE_LIMITED.inc()
+            self._rate_limited.inc()
             return Response(429, {
                 "error": "rate limited",
                 "retry_after_us": self._bucket.retry_after_us(now_us),
             }), None
         if self._bucket.fraction < self.admission.brownout_tokens:
-            _BROWNOUTS.inc()
+            self._brownouts.inc()
             return None, self.admission.brownout_shard_fraction
         return None, None
 
@@ -142,7 +142,7 @@ class WebTier:
         rejection, brownout = self._admit(request, started)
         root = request.path.split("/", 2)[1] if "/" in request.path else request.path
         if rejection is not None:
-            _WEB_REQUESTS.labels(route=root, status=rejection.status).inc()
+            self._web_requests.labels(route=root, status=rejection.status).inc()
             self.worker_clock_us[worker] = started + SHED_HANDLING_US
             self.requests_handled[worker] += 1
             return DispatchRecord(
@@ -164,7 +164,7 @@ class WebTier:
                 span.set(status=response.status)
         # route label uses only the first path segment — ids would
         # explode the label cardinality
-        _WEB_REQUESTS.labels(route=root, status=response.status).inc()
+        self._web_requests.labels(route=root, status=response.status).inc()
         cost = REQUEST_HANDLING_US
         if request.path in ("/search", "/search/batch") and response.ok:
             # the cluster already accounts the web overhead once;

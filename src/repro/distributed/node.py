@@ -19,7 +19,7 @@ from ..core.results import Answer, Sweep
 from ..errors import NodeDownError, TransientNodeError
 from ..gpusim.device import DeviceSpec, TESLA_P100
 from ..gpusim.engine_model import GPUDevice
-from ..obs import default_tracer
+from ..obs import Observability, default_tracer
 from .breaker import BreakerPolicy, CircuitBreaker
 from .health import HealthPolicy, HealthTracker, NodeHealth
 from .kvstore import KVStore
@@ -53,20 +53,27 @@ class SearchNode:
         node_config: NodeConfig | None = None,
         health_policy: HealthPolicy | None = None,
         breaker_policy: BreakerPolicy | None = None,
+        obs: Observability | None = None,
     ) -> None:
         self.node_id = str(node_id)
         self.node_config = node_config or NodeConfig()
         device = GPUDevice(device_spec, reserved_bytes=self.node_config.engine_reserved_bytes)
+        #: the engine meters into the cluster's handle (a private one
+        #: for a node built on its own)
         self.engine = TextureSearchEngine(
             config=engine_config,
             device=device,
             host_cache_bytes=self.node_config.host_cache_bytes,
             pinned=self.node_config.pinned,
+            obs=obs,
         )
         self.health = HealthTracker(health_policy)
         #: per-node circuit breaker (opt-in: ``None`` keeps the
         #: pre-breaker behaviour of attempting every serving node).
-        self.breaker = CircuitBreaker(breaker_policy) if breaker_policy is not None else None
+        self.breaker = (
+            CircuitBreaker(breaker_policy, self.engine.obs)
+            if breaker_policy is not None else None
+        )
         #: optional :class:`~repro.distributed.faults.FaultInjector`
         #: consulted on every search-path operation.
         self.fault_injector = None

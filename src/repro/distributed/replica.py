@@ -36,7 +36,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from ..obs import default_registry
+from ..obs import Observability
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from ..core.results import Answer, Sweep
@@ -49,18 +49,6 @@ __all__ = [
     "WARMUP_BASE_US",
     "WARMUP_US_PER_REF",
 ]
-
-_REG = default_registry()
-_BREAKER_SKIPS = _REG.counter(
-    "repro_cluster_breaker_skipped_total",
-    "Node attempts skipped because the node's circuit breaker was open",
-)
-_REPLICA_RETRIES = _REG.counter(
-    "repro_cluster_replica_retries_total",
-    "Read slices transparently retried on a sibling replica after the "
-    "chosen reader failed (the shard only lands in unsearched_shards "
-    "when every serving replica is exhausted)",
-)
 
 #: simulated time a draining replica keeps running to finish in-flight
 #: work before it is detached (it takes no new reads in the meantime).
@@ -99,7 +87,23 @@ class ReplicaGroup:
     and lets :meth:`DistributedSearchSystem.repair` observe the death.
     """
 
-    def __init__(self, shard_id: str, nodes: list[SearchNode] | None = None) -> None:
+    def __init__(
+        self,
+        shard_id: str,
+        nodes: list[SearchNode] | None = None,
+        obs: Observability | None = None,
+    ) -> None:
+        registry = (obs or Observability()).registry
+        self._breaker_skips = registry.counter(
+            "repro_cluster_breaker_skipped_total",
+            "Node attempts skipped because the node's circuit breaker was open",
+        )
+        self._replica_retries = registry.counter(
+            "repro_cluster_replica_retries_total",
+            "Read slices transparently retried on a sibling replica after the "
+            "chosen reader failed (the shard only lands in unsearched_shards "
+            "when every serving replica is exhausted)",
+        )
         self.shard_id = str(shard_id)
         self.nodes: list[SearchNode] = list(nodes or [])
         self._cursor = 0
@@ -157,7 +161,7 @@ class ReplicaGroup:
         """Promote warming replicas whose readiness gate has passed.
 
         The gate is twofold: the simulated warm-up time has elapsed
-        (``now_us`` is ``None`` when no clock is installed — then time
+        (``now_us`` is ``None`` when no recorder is attached — then time
         is not modelled and warm-up is instantaneous) *and* the replica
         has caught up to the shard's reference set and epoch, so it can
         never serve a stale view.
@@ -175,7 +179,7 @@ class ReplicaGroup:
 
     def drained(self, now_us: float | None) -> list[SearchNode]:
         """Draining replicas whose grace period has elapsed (ready to be
-        detached).  With no clock installed the grace is immediate."""
+        detached).  With no recorder attached the grace is immediate."""
         out = []
         for node in self.nodes:
             if node.replica_state is not ReplicaState.DRAINING:
@@ -239,7 +243,7 @@ class ReplicaGroup:
         workers = []
         for replica in self.readers(now_us):
             if replica.breaker is not None and not replica.breaker.allow():
-                _BREAKER_SKIPS.inc()
+                self._breaker_skips.inc()
                 continue
             workers.append(replica)
         answers: list = [None] * n_queries
@@ -253,7 +257,7 @@ class ReplicaGroup:
             slice_us = 0.0
             for j, replica in enumerate(workers[w:] + workers[:w]):
                 if j:
-                    _REPLICA_RETRIES.inc()
+                    self._replica_retries.inc()
                 answered, node_us, node_retries = attempt(replica, indices)
                 slice_us += node_us
                 retries += node_retries

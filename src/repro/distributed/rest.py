@@ -398,28 +398,25 @@ def build_api(system: DistributedSearchSystem) -> Router:
 
     @router.route("GET", "/metrics")
     def metrics(request: Request) -> Response:
-        """Prometheus text exposition of the process-wide registry."""
-        from ..obs import default_registry
-
+        """Prometheus text exposition of the system's own registry."""
         return Response(
             200,
             {
                 "content_type": "text/plain; version=0.0.4",
-                "text": default_registry().to_prometheus(),
+                "text": system.obs.registry.to_prometheus(),
             },
         )
 
     @router.route("GET", "/metrics/history")
     def metrics_history(request: Request) -> Response:
-        """Time-series sample history from the installed
-        :class:`~repro.obs.timeseries.TimeSeriesRecorder`.  Optional
-        body keys: ``names`` (list of metric families), ``since_us``
-        (drop older samples), ``limit`` (keep only the newest N).
-        Answers ``enabled: false`` with no recorder installed — history
+        """Time-series sample history from the
+        :class:`~repro.obs.timeseries.TimeSeriesRecorder` attached to the
+        system's handle.  Optional body keys: ``names`` (list of metric
+        families), ``since_us`` (drop older samples; NaN is refused, the
+        infinities are valid bounds), ``limit`` (keep only the newest N).
+        Answers ``enabled: false`` with no recorder attached — history
         is opt-in telemetry, not an error."""
-        from ..obs import installed_recorder
-
-        recorder = installed_recorder()
+        recorder = system.obs.recorder
         if recorder is None:
             return Response(200, {"enabled": False, "samples": []})
         names = request.body.get("names")
@@ -428,9 +425,10 @@ def build_api(system: DistributedSearchSystem) -> Router:
                 isinstance(n, str) for n in names
             ):
                 raise RestError(400, "'names' must be a list of metric names")
-        since_us = request.body.get("since_us")
-        if since_us is not None:
-            since_us = _number("since_us", since_us, float)
+        raw = request.body.get("since_us")
+        since_us = None if raw is None else _number("since_us", raw, float)
+        if since_us != since_us:  # NaN: every ``t_us >= nan`` is false
+            raise RestError(400, f"'since_us' must be a number, got {raw!r}")
         limit = request.body.get("limit")
         if limit is not None:
             limit = _number("limit", limit, int)

@@ -1,40 +1,44 @@
 """Unified observability: labeled metrics + request-scoped tracing.
 
-Two process-wide singletons tie the system's telemetry together:
+Telemetry is scoped to the system it measures.  Each
+:class:`~repro.distributed.cluster.DistributedSearchSystem` (and each
+:class:`~repro.core.engine.TextureSearchEngine` built on its own) owns
+one :class:`Observability` handle, exposed as ``.obs``, and hands it to
+every part it builds:
 
-* :func:`default_registry` — the :class:`MetricsRegistry` every layer
-  (cache, engine, node, cluster, web tier, serving loop) writes its
+* ``obs.registry`` — the :class:`MetricsRegistry` that system's cache,
+  engines, nodes, cluster, web tier and serving loop write their
   :class:`Counter`/:class:`Gauge`/:class:`Histogram` series to.
-  Exposed as a JSON snapshot and as Prometheus text via the REST
-  route ``GET /metrics``.
-* :func:`default_tracer` — the :class:`RequestTracer` that follows one
-  request from ingress down to the engine's cache sweep.  Off by
-  default; enable it (``default_tracer().enable()`` or
-  ``python -m repro.bench.run ... --trace out.json``) and every search
-  exports as Perfetto/Chrome JSON, optionally merged with a
-  :class:`~repro.gpusim.tracing.TimelineTracer`'s simulated device
-  lanes (:func:`to_perfetto`).
+  Exposed as a JSON snapshot and as Prometheus text via the REST route
+  ``GET /metrics``.  Two systems in one process share no series.
+* ``obs.recorder`` — an optional :class:`TimeSeriesRecorder` that
+  scrapes the registry on the simulated clock into a ring buffer
+  (windowed rates and sliding-window percentiles); and ``obs.slo`` —
+  an optional :class:`SloEngine` evaluating declarative
+  :class:`SloPolicy` objectives with multi-window burn-rate rules into
+  an OK→WARNING→CRITICAL alert history (``GET /metrics/history``, the
+  ``"slo"`` stats block, and Perfetto counter tracks).  Both are
+  ``None`` until a caller assigns one.
 
-On top of the cumulative registry sits an optional time-series layer:
-an installed :class:`TimeSeriesRecorder` scrapes the registry on the
-simulated clock into a ring buffer (windowed rates and sliding-window
-percentiles), and an :class:`SloEngine` evaluates declarative
-:class:`SloPolicy` objectives with multi-window burn-rate rules into an
-OK→WARNING→CRITICAL alert history (``GET /metrics/history``, the
-``"slo"`` stats block, and Perfetto counter tracks).
+The request tracer stays process-wide: :func:`default_tracer` follows
+one request from ingress down to the engine's cache sweep, keyed by
+trace id.  Off by default; enable it (``default_tracer().enable()`` or
+``python -m repro.bench.run ... --trace out.json``) and every search
+exports as Perfetto/Chrome JSON, optionally merged with a
+:class:`~repro.gpusim.tracing.TimelineTracer`'s simulated device lanes
+(:func:`to_perfetto`).
 
 See ``docs/observability.md`` for the metric catalogue, label
 conventions and how to open traces in Perfetto.
 """
 
+from .handle import Observability
 from .metrics import (
     DEFAULT_US_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    default_registry,
-    set_default_registry,
 )
 from .reqctx import (
     Deadline,
@@ -54,16 +58,8 @@ from .slo import (
     SeriesSelection,
     SloEngine,
     SloPolicy,
-    install_engine,
-    installed_engine,
-    uninstall_engine,
 )
-from .timeseries import (
-    TimeSeriesRecorder,
-    install_recorder,
-    installed_recorder,
-    uninstall_recorder,
-)
+from .timeseries import TimeSeriesRecorder
 from .tracing import RequestTracer, Span, default_tracer, to_perfetto
 
 __all__ = [
@@ -80,6 +76,7 @@ __all__ = [
     "WARNING",
     "Histogram",
     "MetricsRegistry",
+    "Observability",
     "RequestTracer",
     "SeriesSelection",
     "SloEngine",
@@ -90,28 +87,6 @@ __all__ = [
     "current_brownout",
     "current_deadline",
     "deadline_scope",
-    "default_registry",
     "default_tracer",
-    "install_engine",
-    "install_recorder",
-    "installed_engine",
-    "installed_recorder",
-    "reset_observability",
-    "set_default_registry",
     "to_perfetto",
-    "uninstall_engine",
-    "uninstall_recorder",
 ]
-
-
-def reset_observability() -> None:
-    """Zero every metric series and drop all collected spans (the
-    tracer's enabled/disabled state is reset to disabled).  Test
-    isolation helper — wired as an autouse fixture in the test suite."""
-    default_registry().reset()
-    default_registry().enable()
-    tracer = default_tracer()
-    tracer.reset()
-    tracer.disable()
-    uninstall_engine()
-    uninstall_recorder()

@@ -1,4 +1,4 @@
-"""Labeled metrics primitives and the process-wide registry.
+"""Labeled metrics primitives and the registry one system owns.
 
 The paper's argument is built on measurement (per-step breakdowns in
 Tables 1/3, cluster throughput in Sec. 8); this module makes the same
@@ -9,11 +9,12 @@ snapshot and Prometheus text exposition (``GET /metrics``).
 
 Design rules
 ------------
-* **One registry per process** (:func:`default_registry`), mirroring
-  the Prometheus client model: instrument sites create their series at
-  import time and the registry deduplicates by name, so a cluster of
-  nodes aggregates into the same series unless a label distinguishes
-  them.
+* **One registry per system**, held by the system's
+  :class:`~repro.obs.Observability` handle: each part the system builds
+  binds its metric families when it is constructed, and the registry
+  deduplicates by name, so a cluster's nodes aggregate into the same
+  series unless a label distinguishes them, while a second cluster in
+  the same process writes to a registry of its own.
 * **Labels are sparse**: a metric created with ``labelnames`` only
   materialises a child series the first time that label combination is
   observed, and snapshots list series in first-seen order (stable for
@@ -44,8 +45,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "default_registry",
-    "set_default_registry",
 ]
 
 #: default buckets for microsecond-duration histograms: roughly
@@ -292,7 +291,7 @@ class Histogram(_Metric):
 
 
 class MetricsRegistry:
-    """Process-wide metric namespace.
+    """One system's metric namespace.
 
     ``counter``/``gauge``/``histogram`` are *get-or-create*: calling
     twice with the same name returns the same family (so every engine
@@ -384,24 +383,3 @@ class MetricsRegistry:
             ),
             0.0,
         )
-
-
-_default = MetricsRegistry()
-
-
-def default_registry() -> MetricsRegistry:
-    """The process-wide registry every instrument site writes to."""
-    return _default
-
-
-def set_default_registry(registry: MetricsRegistry) -> MetricsRegistry:
-    """Swap the process-wide registry (tests); returns the previous one.
-
-    Note: instrument sites bind their series objects at import time, so
-    swapping the registry affects *newly created* series only — prefer
-    :meth:`MetricsRegistry.reset` for isolation.
-    """
-    global _default
-    previous = _default
-    _default = registry
-    return previous

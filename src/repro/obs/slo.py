@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
-from .metrics import MetricsRegistry, default_registry
+from .metrics import MetricsRegistry
 from .timeseries import TimeSeriesRecorder
 
 __all__ = [
@@ -53,9 +53,6 @@ __all__ = [
     "BurnRateRule",
     "SloEngine",
     "SloPolicy",
-    "install_engine",
-    "installed_engine",
-    "uninstall_engine",
 ]
 
 OK = "ok"
@@ -267,8 +264,9 @@ class _PolicyState:
 class SloEngine:
     """Evaluates policies on the recorder's sample grid.
 
-    Construct, then :meth:`attach` to a recorder (subscribes as a
-    sample listener).  Severity escalates the instant a rule fires;
+    Construct on the registry it reports its state into (the one the
+    recorder watches), then :meth:`attach` to the recorder (subscribes
+    as a sample listener).  Severity escalates the instant a rule fires;
     it downgrades only after the policy's rules at higher severities
     have been continuously quiet for ``clear_hold_us``.
     """
@@ -276,7 +274,7 @@ class SloEngine:
     def __init__(
         self,
         policies: Sequence[SloPolicy],
-        registry: MetricsRegistry | None = None,
+        registry: MetricsRegistry,
         sinks: Sequence[AlertSink] = (),
     ) -> None:
         names = [p.name for p in policies]
@@ -287,23 +285,22 @@ class SloEngine:
         self._states = {p.name: _PolicyState() for p in self.policies}
         self._sinks = list(sinks)
         self._recorder: TimeSeriesRecorder | None = None
-        reg = registry if registry is not None else default_registry()
-        self._g_state = reg.gauge(
+        self._g_state = registry.gauge(
             "repro_slo_state",
             "Alert state per SLO policy (0=ok, 1=warning, 2=critical)",
             labelnames=("policy",),
         )
-        self._g_burn = reg.gauge(
+        self._g_burn = registry.gauge(
             "repro_slo_burn_rate",
             "Error-budget burn-rate multiple per policy and window",
             labelnames=("policy", "window"),
         )
-        self._c_transitions = reg.counter(
+        self._c_transitions = registry.counter(
             "repro_slo_transitions_total",
             "Alert state transitions per policy and destination state",
             labelnames=("policy", "to"),
         )
-        self._c_sink_errors = reg.counter(
+        self._c_sink_errors = registry.counter(
             "repro_slo_sink_errors_total",
             "AlertSink callbacks that raised during dispatch (each sink "
             "is isolated, so one hostile sink can neither abort "
@@ -471,29 +468,3 @@ class SloEngine:
             "alerts": self.log.to_dicts(),
             "n_transitions": len(self.log),
         }
-
-
-# ---------------------------------------------------------------------
-# process-wide installation (mirrors timeseries.install_recorder)
-# ---------------------------------------------------------------------
-_installed: SloEngine | None = None
-
-
-def install_engine(engine: SloEngine) -> SloEngine | None:
-    global _installed
-    previous = _installed
-    _installed = engine
-    return previous
-
-
-def installed_engine() -> SloEngine | None:
-    return _installed
-
-
-def uninstall_engine() -> SloEngine | None:
-    global _installed
-    previous = _installed
-    if previous is not None:
-        previous.detach()
-    _installed = None
-    return previous

@@ -9,8 +9,9 @@ enabled, then verifies the two exported surfaces:
 * the request tracer exports valid Perfetto/Chrome JSON whose deepest
   request lane nests at least five layers (web → cluster → node →
   engine → cache);
-* the time-series layer end-to-end: an installed
-  :class:`~repro.obs.timeseries.TimeSeriesRecorder` accumulates
+* the time-series layer end-to-end: a
+  :class:`~repro.obs.timeseries.TimeSeriesRecorder` attached to the
+  cluster's handle accumulates
   samples on the simulated clock as cluster ops advance it, the SLO
   engine evaluates its policies on the sample grid,
   ``GET /metrics/history`` serves the ring buffer, ``GET /stats``
@@ -36,13 +37,7 @@ from . import (
     SloEngine,
     SloPolicy,
     TimeSeriesRecorder,
-    default_registry,
     default_tracer,
-    install_engine,
-    install_recorder,
-    reset_observability,
-    uninstall_engine,
-    uninstall_recorder,
 )
 
 
@@ -97,9 +92,8 @@ def run_smoke(trace_path: str = "obs_trace.json") -> dict:
     from ..core import EngineConfig
     from ..distributed import DistributedSearchSystem, Request, WebTier
 
-    reset_observability()
-    registry = default_registry()
     tracer = default_tracer()
+    tracer.reset()
     tracer.enable()
 
     cfg = EngineConfig(m=32, n=32, d=32, batch_size=2, min_matches=3)
@@ -153,11 +147,11 @@ def run_smoke(trace_path: str = "obs_trace.json") -> dict:
     assert depth >= 5, f"deepest trace nests {depth} layers, need >= 5"
 
     # ---- time-series + SLO surface --------------------------------------
-    # install a recorder on the simulated clock (each cluster search
+    # attach a recorder on the simulated clock (each cluster search
     # advances it by the search's elapsed simulated time) and an SLO
     # engine evaluating on its sample grid
-    recorder = TimeSeriesRecorder(interval_us=2_000.0, retention=128)
-    install_recorder(recorder)
+    registry = system.obs.registry
+    recorder = TimeSeriesRecorder(registry, interval_us=2_000.0, retention=128)
     engine = SloEngine(
         [
             SloPolicy(
@@ -175,10 +169,11 @@ def run_smoke(trace_path: str = "obs_trace.json") -> dict:
                 critical=BurnRateRule(4_000.0, 16_000.0, 10.0),
                 warning=BurnRateRule(8_000.0, 32_000.0, 2.0),
             ),
-        ]
+        ],
+        registry,
     )
     engine.attach(recorder)
-    install_engine(engine)
+    system.obs.recorder, system.obs.slo = recorder, engine
 
     for i in range(6):
         hit = web.handle(
@@ -230,10 +225,7 @@ def run_smoke(trace_path: str = "obs_trace.json") -> dict:
         for e in merged["traceEvents"]
     ), "telemetry process metadata missing from Perfetto export"
 
-    uninstall_engine()
-    uninstall_recorder()
     tracer.disable()
-    registry.enable()
     return {
         "series_checked": key_series,
         "samples": len(samples),

@@ -20,12 +20,13 @@ buffer, from which windowed views are derived:
 Determinism rules
 -----------------
 * **No wall-clock reads.**  The recorder owns a monotone simulated
-  clock advanced only by explicit hooks: :func:`advance_to` from
-  drivers that own an absolute timeline (the serving event loop) and
-  :func:`advance_by` from relative drivers (cluster search/enroll ops
-  called outside any loop).  A driver that owns absolute time wraps its
-  run in :func:`exclusive_clock` so nested relative hooks (the cluster
-  call *inside* a serving executor) do not double-advance.
+  clock advanced only by explicit hooks: :meth:`~TimeSeriesRecorder.advance_to`
+  from drivers that own an absolute timeline (the serving event loop)
+  and :meth:`~TimeSeriesRecorder.advance_by` from relative drivers
+  (cluster search/enroll ops called outside any loop).  A driver that
+  owns absolute time wraps its run in
+  :meth:`~TimeSeriesRecorder.exclusive` so nested relative hooks (the
+  cluster call *inside* a serving executor) do not double-advance.
 * **Samples land on the grid.**  Crossing one or more interval
   boundaries takes exactly one sample, stamped at the *last* boundary
   crossed — identical event timelines scrape identical sample
@@ -36,10 +37,12 @@ Determinism rules
   between boundaries appear in the next sample.  Attribution
   granularity is therefore one interval.
 
-One recorder may be *installed* process-wide (:func:`install_recorder`)
-— the hooks in the serving loop and the cluster are no-ops when nothing
-is installed (one global read), keeping the uninstrumented hot path at
-the same cost the observability bench already budgets.
+A recorder watches one system's registry and is attached by assigning
+it to that system's :class:`~repro.obs.Observability` handle
+(``system.obs.recorder``); the handle's hooks, which the serving loop
+and the cluster call, are no-ops while none is attached (one attribute
+read), keeping the uninstrumented hot path at the same cost the
+observability bench already budgets.
 """
 
 from __future__ import annotations
@@ -49,18 +52,9 @@ from collections import deque
 from contextlib import contextmanager
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .metrics import Histogram, MetricsRegistry, default_registry
+from .metrics import Histogram, MetricsRegistry
 
-__all__ = [
-    "Sample",
-    "TimeSeriesRecorder",
-    "advance_by",
-    "advance_to",
-    "exclusive_clock",
-    "install_recorder",
-    "installed_recorder",
-    "uninstall_recorder",
-]
+__all__ = ["Sample", "TimeSeriesRecorder"]
 
 #: default scrape cadence — 50 simulated ms, comfortably finer than any
 #: serving-level SLO window while keeping a 256-deep ring under 13 s.
@@ -98,13 +92,13 @@ def _match(labelnames: Sequence[str], key: tuple, labels: Mapping[str, str]) -> 
 
 
 class TimeSeriesRecorder:
-    """Deterministic registry scraper with ring-buffer retention."""
+    """Deterministic scraper of one registry, with ring-buffer retention."""
 
     def __init__(
         self,
+        registry: MetricsRegistry,
         interval_us: float = DEFAULT_INTERVAL_US,
         retention: int = DEFAULT_RETENTION,
-        registry: MetricsRegistry | None = None,
     ) -> None:
         if interval_us <= 0:
             raise ValueError(f"interval_us must be > 0, got {interval_us}")
@@ -112,7 +106,7 @@ class TimeSeriesRecorder:
             raise ValueError(f"retention must be >= 2 samples, got {retention}")
         self.interval_us = float(interval_us)
         self.retention = int(retention)
-        self._registry = registry if registry is not None else default_registry()
+        self._registry = registry
         self._samples: deque[Sample] = deque(maxlen=self.retention)
         #: metric name -> (kind, labelnames, buckets-or-None); refreshed
         #: at every scrape so late-registered series are picked up.
@@ -467,58 +461,3 @@ class TimeSeriesRecorder:
                         "value": float(value),
                     })
         return points
-
-
-# ---------------------------------------------------------------------
-# process-wide installation — the hooks below are what the serving loop
-# and the cluster call; they cost one global read when nothing is
-# installed.
-# ---------------------------------------------------------------------
-_installed: TimeSeriesRecorder | None = None
-
-
-def install_recorder(recorder: TimeSeriesRecorder) -> TimeSeriesRecorder | None:
-    """Install the process-wide recorder; returns the previous one (or
-    ``None``) so callers can restore it."""
-    global _installed
-    previous = _installed
-    _installed = recorder
-    return previous
-
-
-def installed_recorder() -> TimeSeriesRecorder | None:
-    return _installed
-
-
-def uninstall_recorder() -> TimeSeriesRecorder | None:
-    """Remove the process-wide recorder; returns it."""
-    global _installed
-    previous = _installed
-    _installed = None
-    return previous
-
-
-def advance_to(now_us: float) -> None:
-    """Hook for absolute-timeline drivers (the serving event loop)."""
-    recorder = _installed
-    if recorder is not None:
-        recorder.advance_to(now_us)
-
-
-def advance_by(delta_us: float) -> None:
-    """Hook for relative drivers (cluster ops outside any event loop)."""
-    recorder = _installed
-    if recorder is not None:
-        recorder.advance_by(delta_us)
-
-
-@contextmanager
-def exclusive_clock():
-    """Hook-level :meth:`TimeSeriesRecorder.exclusive` that no-ops when
-    nothing is installed."""
-    recorder = _installed
-    if recorder is None:
-        yield None
-        return
-    with recorder.exclusive():
-        yield recorder

@@ -49,7 +49,7 @@ import numpy as np
 from ..baselines.cbir_ivf import kmeans
 from ..baselines.lsh import LshCodec
 from ..features.binarize import unpack_bits
-from ..obs import default_registry, default_tracer
+from ..obs import Observability, default_tracer
 
 __all__ = [
     "CandidateRouter",
@@ -61,39 +61,12 @@ __all__ = [
     "pool_descriptors",
 ]
 
-_REG = default_registry()
 _TRACER = default_tracer()
 
 #: candidate-count buckets (images nominated per query).
 _CANDIDATE_BUCKETS = (
     1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0,
     256.0, 512.0, 1024.0, 4096.0, 16384.0,
-)
-
-_NOMINATIONS = _REG.counter(
-    "repro_router_nominations_total",
-    "Router nominations by implementation and outcome "
-    "(routed = a proper candidate subset, exhaustive = fallback to a full sweep)",
-    ("kind", "outcome"),
-)
-_CANDIDATES = _REG.histogram(
-    "repro_router_candidates_examined",
-    "Candidate reference images nominated per query (the second tier "
-    "sweeps only these)",
-    ("kind",),
-    buckets=_CANDIDATE_BUCKETS,
-)
-_OVERHEAD_US = _REG.histogram(
-    "repro_router_overhead_us",
-    "Host wall-clock spent inside CandidateRouter.nominate (the first "
-    "tier runs on the web tier, outside the simulated GPU clock)",
-    ("kind",),
-)
-_REFRESHES = _REG.counter(
-    "repro_router_refresh_total",
-    "Routing-index refreshes: incremental absorb/retract of one "
-    "reference vs a full rebuild of the coarse structure",
-    ("kind", "mode"),
 )
 
 
@@ -245,7 +218,35 @@ class CandidateRouter(ABC):
     nominations carry on ``RouteDecision.corpus_epoch``.
     """
 
-    def __init__(self, policy: RouterPolicy, d: int = 128) -> None:
+    def __init__(
+        self, policy: RouterPolicy, d: int = 128, obs: Observability | None = None
+    ) -> None:
+        registry = (obs or Observability()).registry
+        self._nominations = registry.counter(
+            "repro_router_nominations_total",
+            "Router nominations by implementation and outcome "
+            "(routed = a proper candidate subset, exhaustive = fallback to a full sweep)",
+            ("kind", "outcome"),
+        )
+        self._candidates = registry.histogram(
+            "repro_router_candidates_examined",
+            "Candidate reference images nominated per query (the second tier "
+            "sweeps only these)",
+            ("kind",),
+            buckets=_CANDIDATE_BUCKETS,
+        )
+        self._overhead_us = registry.histogram(
+            "repro_router_overhead_us",
+            "Host wall-clock spent inside CandidateRouter.nominate (the first "
+            "tier runs on the web tier, outside the simulated GPU clock)",
+            ("kind",),
+        )
+        self._refreshes = registry.counter(
+            "repro_router_refresh_total",
+            "Routing-index refreshes: incremental absorb/retract of one "
+            "reference vs a full rebuild of the coarse structure",
+            ("kind", "mode"),
+        )
         self.policy = policy
         self.d = int(d)
         #: insertion-ordered ref -> pooled (d,) vector.
@@ -355,7 +356,7 @@ class CandidateRouter(ABC):
         """Eagerly (re)build the routing index from scratch."""
         self._rebuild()
         self._dirty = False
-        _REFRESHES.labels(kind=self.kind, mode="rebuild").inc()
+        self._refreshes.labels(kind=self.kind, mode="rebuild").inc()
 
     @property
     def kind(self) -> str:
@@ -408,10 +409,10 @@ class CandidateRouter(ABC):
                         corpus_epoch=self.epoch,
                     )
             outcome = "exhaustive" if decision.exhaustive else "routed"
-            _NOMINATIONS.labels(kind=self.kind, outcome=outcome).inc()
+            self._nominations.labels(kind=self.kind, outcome=outcome).inc()
             if not decision.exhaustive:
-                _CANDIDATES.labels(kind=self.kind).observe(decision.n_candidates)
-            _OVERHEAD_US.labels(kind=self.kind).observe(
+                self._candidates.labels(kind=self.kind).observe(decision.n_candidates)
+            self._overhead_us.labels(kind=self.kind).observe(
                 (time.perf_counter_ns() - started) / 1_000.0
             )
             if span is not None:
@@ -445,8 +446,10 @@ class IvfCandidateRouter(CandidateRouter):
     to the query.
     """
 
-    def __init__(self, policy: RouterPolicy, d: int = 128) -> None:
-        super().__init__(policy, d)
+    def __init__(
+        self, policy: RouterPolicy, d: int = 128, obs: Observability | None = None
+    ) -> None:
+        super().__init__(policy, d, obs)
         self._centroids: np.ndarray | None = None
         self._lists: list[list[str]] = []
         #: ref -> index of the coarse list holding it.
@@ -492,7 +495,7 @@ class IvfCandidateRouter(CandidateRouter):
         lst = int(np.argmin(d2))
         self._lists[lst].append(ref_id)
         self._list_of[ref_id] = lst
-        _REFRESHES.labels(kind=self.kind, mode="incremental").inc()
+        self._refreshes.labels(kind=self.kind, mode="incremental").inc()
 
     def _retract(self, ref_id: str) -> None:
         if self._dirty or self._centroids is None:
@@ -503,7 +506,7 @@ class IvfCandidateRouter(CandidateRouter):
             self._dirty = True
             return
         self._lists[lst].remove(ref_id)
-        _REFRESHES.labels(kind=self.kind, mode="incremental").inc()
+        self._refreshes.labels(kind=self.kind, mode="incremental").inc()
 
     def _nominate(self, pooled_query: np.ndarray, nprobe: int) -> list[str]:
         if self._centroids is None:
@@ -538,8 +541,10 @@ class LshCandidateRouter(CandidateRouter):
     distance, then insertion order.
     """
 
-    def __init__(self, policy: RouterPolicy, d: int = 128) -> None:
-        super().__init__(policy, d)
+    def __init__(
+        self, policy: RouterPolicy, d: int = 128, obs: Observability | None = None
+    ) -> None:
+        super().__init__(policy, d, obs)
         self._codec: LshCodec | None = None
         self._ref_ids: list[str] = []
         self._codes: np.ndarray | None = None
@@ -604,7 +609,7 @@ class LshCandidateRouter(CandidateRouter):
         self._codes = np.vstack([self._codes, codes])
         self._bands = np.vstack([self._bands, self._band_values(codes)])
         self._alive = np.append(self._alive, True)
-        _REFRESHES.labels(kind=self.kind, mode="incremental").inc()
+        self._refreshes.labels(kind=self.kind, mode="incremental").inc()
 
     def _retract(self, ref_id: str) -> None:
         if self._dirty or self._codec is None or self._alive is None:
@@ -616,7 +621,7 @@ class LshCandidateRouter(CandidateRouter):
             return
         self._alive[row] = False
         self._dead_rows += 1
-        _REFRESHES.labels(kind=self.kind, mode="incremental").inc()
+        self._refreshes.labels(kind=self.kind, mode="incremental").inc()
         if self._dead_rows * 2 > len(self._ref_ids):
             # mostly tombstones: compact with a full rebuild next use
             self._dirty = True
@@ -641,10 +646,13 @@ class LshCandidateRouter(CandidateRouter):
         return [self._ref_ids[int(hits[i])] for i in order]
 
 
-def build_router(policy: RouterPolicy, d: int = 128) -> CandidateRouter:
-    """Construct the router implementation named by ``policy.kind``."""
+def build_router(
+    policy: RouterPolicy, d: int = 128, obs: Observability | None = None
+) -> CandidateRouter:
+    """Construct the router implementation named by ``policy.kind``,
+    metering into ``obs`` (a private handle if omitted)."""
     if policy.kind == "ivf":
-        return IvfCandidateRouter(policy, d=d)
+        return IvfCandidateRouter(policy, d=d, obs=obs)
     if policy.kind == "lsh":
-        return LshCandidateRouter(policy, d=d)
+        return LshCandidateRouter(policy, d=d, obs=obs)
     raise ValueError(f"unknown router kind {policy.kind!r}")

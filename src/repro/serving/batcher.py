@@ -31,54 +31,10 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
 from ..errors import ExecutorContractError
-from ..obs import deadline_scope, default_registry, default_tracer
-from ..obs.timeseries import advance_to as _ts_advance_to
-from ..obs.timeseries import exclusive_clock as _ts_exclusive_clock
+from ..obs import MetricsRegistry, Observability, deadline_scope, default_tracer
 from .metrics import GROUP_SIZE_BUCKETS, Rejected, ServingMeters, ServingReport
 
-_REG = default_registry()
 _TRACER = default_tracer()
-_SERVING_REQUESTS = _REG.counter(
-    "repro_serving_requests_total",
-    "Requests admitted by the serving batcher",
-)
-_SERVING_GROUPS = _REG.counter(
-    "repro_serving_groups_total",
-    "Fused groups launched, by admission trigger",
-    ("trigger",),
-)
-_QUEUE_DEPTH = _REG.gauge(
-    "repro_serving_queue_depth",
-    "Requests pending in the admission queue right now",
-)
-_GROUP_SIZE = _REG.histogram(
-    "repro_serving_group_size",
-    "Requests fused per launched group",
-    buckets=GROUP_SIZE_BUCKETS,
-)
-_QUEUE_WAIT_US = _REG.histogram(
-    "repro_serving_queue_wait_us",
-    "Simulated time requests waited for admission",
-)
-_SHED = _REG.counter(
-    "repro_serving_shed_total",
-    "Requests shed by the serving tier, by reason",
-    ("reason",),
-)
-_COMPLETIONS = _REG.counter(
-    "repro_serving_completions_total",
-    "Requests completed by the serving tier, by SLO outcome "
-    "(good = finished within its deadline or had none)",
-    ("outcome",),
-)
-_LATENCY_US = _REG.histogram(
-    "repro_serving_latency_us",
-    "End-to-end simulated request latency (queue wait + execution)",
-)
-_COMPLETED_GOOD = _COMPLETIONS.labels(outcome="good")
-_COMPLETED_LATE = _COMPLETIONS.labels(outcome="late")
-_GROUP_SIZE_TRIGGER = _SERVING_GROUPS.labels(trigger="size")
-_GROUP_TIMEOUT_TRIGGER = _SERVING_GROUPS.labels(trigger="timeout")
 
 __all__ = [
     "BatchPolicy",
@@ -257,6 +213,54 @@ def build_trace(
     ]
 
 
+class _LoopMetrics:
+    """The serving loop's families on one registry, with the children the
+    loop touches per request pre-bound (no label lookup in the loop)."""
+
+    def __init__(self, registry: MetricsRegistry) -> None:
+        self.requests = registry.counter(
+            "repro_serving_requests_total",
+            "Requests admitted by the serving batcher",
+        )
+        groups = registry.counter(
+            "repro_serving_groups_total",
+            "Fused groups launched, by admission trigger",
+            ("trigger",),
+        )
+        self.size_trigger = groups.labels(trigger="size")
+        self.timeout_trigger = groups.labels(trigger="timeout")
+        self.queue_depth = registry.gauge(
+            "repro_serving_queue_depth",
+            "Requests pending in the admission queue right now",
+        )
+        self.group_size = registry.histogram(
+            "repro_serving_group_size",
+            "Requests fused per launched group",
+            buckets=GROUP_SIZE_BUCKETS,
+        )
+        self.queue_wait_us = registry.histogram(
+            "repro_serving_queue_wait_us",
+            "Simulated time requests waited for admission",
+        )
+        self.shed = registry.counter(
+            "repro_serving_shed_total",
+            "Requests shed by the serving tier, by reason",
+            ("reason",),
+        )
+        completions = registry.counter(
+            "repro_serving_completions_total",
+            "Requests completed by the serving tier, by SLO outcome "
+            "(good = finished within its deadline or had none)",
+            ("outcome",),
+        )
+        self.completed_good = completions.labels(outcome="good")
+        self.completed_late = completions.labels(outcome="late")
+        self.latency_us = registry.histogram(
+            "repro_serving_latency_us",
+            "End-to-end simulated request latency (queue wait + execution)",
+        )
+
+
 def simulate_serving(
     executor,
     trace: Iterable[ServingRequest],
@@ -267,7 +271,11 @@ def simulate_serving(
 
     ``executor`` is any object with
     ``execute(queries) -> (payloads, elapsed_us)`` — see
-    :mod:`repro.serving.executors`.
+    :mod:`repro.serving.executors`.  The loop meters into
+    ``executor.obs``, the backend's telemetry handle (every built-in
+    executor exposes one), and drives the simulated clock of the
+    recorder attached to it; an executor without one meters into a
+    private handle.
 
     With a bounded queue (``policy.max_queue_depth > 0``) arrivals
     that find it full are shed per ``policy.shed``; requests whose
@@ -282,6 +290,8 @@ def simulate_serving(
     groups: list[GroupRecord] = []
     rejected: list[Rejected] = []
     meters = ServingMeters()
+    obs = getattr(executor, "obs", None) or Observability()
+    loop = _LoopMetrics(obs.registry)
 
     i = 0
     n = len(requests)
@@ -289,7 +299,7 @@ def simulate_serving(
     free_at = 0.0
 
     def _shed(request: ServingRequest, now_us: float, reason: str) -> None:
-        _SHED.labels(reason=reason).inc()
+        loop.shed.labels(reason=reason).inc()
         if reason == "deadline-expired":
             retry_after_us = 0.0  # retrying a missed deadline buys nothing
         else:
@@ -318,13 +328,13 @@ def simulate_serving(
                     continue
                 _shed(batcher.drop_oldest(), arrival.arrival_us, "drop-oldest")
             batcher.enqueue(arrival)
-            _SERVING_REQUESTS.inc()
+            loop.requests.inc()
         depth = len(batcher)
-        _QUEUE_DEPTH.set(depth)
+        loop.queue_depth.set(depth)
         meters.observe_queue_depth(depth)
-        # this loop owns the absolute timeline: feed it to an installed
+        # this loop owns the absolute timeline: feed it to the attached
         # time-series recorder so samples land on simulated boundaries
-        _ts_advance_to(t)
+        obs.advance_to(t)
         if t < free_at:
             # device busy: late arrivals admitted above join the next
             # group once the running sweep completes.
@@ -341,7 +351,7 @@ def simulate_serving(
                 t = deadline
             continue
         taken = batcher.take()
-        _QUEUE_DEPTH.set(len(batcher))
+        loop.queue_depth.set(len(batcher))
         group = []
         for request in taken:
             if request.deadline_us is not None and t >= request.deadline_us:
@@ -365,7 +375,7 @@ def simulate_serving(
             # nested cluster calls advance the recorder *relatively*;
             # suppress them here — this loop charges the same simulated
             # time absolutely via advance_to below
-            with _ts_exclusive_clock():
+            with obs.exclusive():
                 if budgets:
                     with deadline_scope(min(budgets)):
                         payloads, elapsed_us = executor.execute(queries)
@@ -381,14 +391,14 @@ def simulate_serving(
             )
         completed = t + float(elapsed_us)
         # launch-time events are stamped at t (the clock's position)…
-        (_GROUP_SIZE_TRIGGER if trig == "size" else _GROUP_TIMEOUT_TRIGGER).inc()
-        _GROUP_SIZE.observe(float(len(group)))
+        (loop.size_trigger if trig == "size" else loop.timeout_trigger).inc()
+        loop.group_size.observe(float(len(group)))
         meters.observe_group(len(group))
         for request in group:
-            _QUEUE_WAIT_US.observe(t - request.arrival_us)
+            loop.queue_wait_us.observe(t - request.arrival_us)
         # …then the clock advances before events stamped at `completed`,
         # so a sample at a boundary in (t, completed] excludes them
-        _ts_advance_to(completed)
+        obs.advance_to(completed)
         group_id = len(groups)
         groups.append(
             GroupRecord(
@@ -400,11 +410,11 @@ def simulate_serving(
             )
         )
         for request, payload in zip(group, payloads):
-            _LATENCY_US.observe(completed - request.arrival_us)
+            loop.latency_us.observe(completed - request.arrival_us)
             if request.deadline_us is None or completed <= request.deadline_us:
-                _COMPLETED_GOOD.inc()
+                loop.completed_good.inc()
             else:
-                _COMPLETED_LATE.inc()
+                loop.completed_late.inc()
             records.append(
                 RequestRecord(
                     request_id=request.request_id,
@@ -421,8 +431,8 @@ def simulate_serving(
 
     # the loop drained: leave the gauge telling the truth (an idle
     # queue), not frozen at the last pre-launch depth
-    _ts_advance_to(max(t, free_at))
-    _QUEUE_DEPTH.set(0)
+    obs.advance_to(max(t, free_at))
+    loop.queue_depth.set(0)
     meters.observe_queue_depth(0)
 
     records.sort(key=lambda r: r.request_id)

@@ -7,7 +7,9 @@ backend.  The event loop treats the backend as serial, so
 ``elapsed_us`` is exactly how long the device (or cluster) is busy.
 
 Executors are duck-typed — :class:`GroupExecutor` documents the
-contract; anything with a matching ``execute`` works.
+contract; anything with a matching ``execute`` works.  Each built-in
+executor exposes its backend's telemetry handle as ``obs``, which the
+serving loop meters into.
 """
 
 from __future__ import annotations
@@ -47,6 +49,7 @@ class FusedEngineExecutor(GroupExecutor):
 
     def __init__(self, engine) -> None:
         self.engine = engine
+        self.obs = engine.obs
 
     def execute(self, queries: list[Any]) -> tuple[list[Any], float]:
         sweep = self.engine.search_group(queries)
@@ -65,6 +68,7 @@ class SerialEngineExecutor(GroupExecutor):
 
     def __init__(self, engine) -> None:
         self.engine = engine
+        self.obs = engine.obs
 
     def execute(self, queries: list[Any]) -> tuple[list[Any], float]:
         answers = [self.engine.search(q) for q in queries]
@@ -91,6 +95,7 @@ class ClusterGroupExecutor(GroupExecutor):
         recall_target: float | None = None,
     ) -> None:
         self.system = system
+        self.obs = system.obs
         self.nprobe = nprobe
         self.recall_target = recall_target
 
@@ -170,6 +175,7 @@ class WebTierBatchExecutor(GroupExecutor):
         recall_target: float | None = None,
     ) -> None:
         self.tier = tier
+        self.obs = tier.system.obs
         self.top = top
         self.nprobe = nprobe
         self.recall_target = recall_target

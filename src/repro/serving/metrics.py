@@ -58,8 +58,8 @@ class ServingMeters:
     The loop observes each launched group's size into ``group_size``
     and tracks the admission queue's high-water mark — the report
     layer *consumes* these instead of re-deriving them from the record
-    lists after the fact (the process-wide registry gets the same
-    observations, but aggregated across runs).
+    lists after the fact (the executor's registry, ``executor.obs``,
+    gets the same observations, but aggregated across runs).
     """
 
     group_size: Histogram = field(default_factory=make_group_size_histogram)

@@ -7,17 +7,6 @@ import pytest
 
 from repro.core import algorithm2 as algorithm2_module
 from repro.gpusim import GPUDevice, KernelCalibration, TESLA_P100, TESLA_V100
-from repro.obs import reset_observability
-
-
-@pytest.fixture(autouse=True)
-def _fresh_observability():
-    """Zero the process-wide metrics registry and tracer around every
-    test: counters are module-global, so tests must not see each
-    other's increments."""
-    reset_observability()
-    yield
-    reset_observability()
 
 
 def make_descriptors(count: int, seed: int = 0, d: int = 128) -> np.ndarray:

@@ -23,7 +23,7 @@ from repro.core import engine as engine_module
 from repro.core.results import Answer, Sweep
 from repro.distributed import DistributedSearchSystem, FaultInjector, Request, build_api
 from repro.distributed import cluster as cluster_module
-from repro.obs import brownout_scope, reset_observability
+from repro.obs import brownout_scope
 from repro.routing import RouterPolicy
 from tests.conftest import make_descriptors, noisy_copy
 
@@ -56,7 +56,6 @@ def batch(api, group, **knobs) -> dict:
 def rest_script() -> dict[str, dict]:
     """Every body the script's requests answer, keyed by scenario."""
     out: dict[str, dict] = {}
-    reset_observability()
     api, descs = cluster(14, 56)
     qs = queries(descs, [3, 17, 22, 9])
     out["14/search"] = search(api, qs[0])

@@ -11,7 +11,6 @@ from repro.core.batching import BatchBuilder
 from repro.core.cascade import CascadeKernel
 from repro.features.binarize import words_for_bits
 from repro.gpusim import GPUDevice, TESLA_P100
-from repro.obs import default_registry
 from tests.conftest import make_descriptors, noisy_copy
 
 pytestmark = pytest.mark.cascade
@@ -71,7 +70,7 @@ class TestPrefilterBehaviour:
         assert result.best().score == 0
         # the engine-level counter tracks the prune
         assert (
-            default_registry().value("repro_engine_cascade_pruned_total")
+            engine.obs.registry.value("repro_engine_cascade_pruned_total")
             == len(descs)
         )
 

@@ -18,6 +18,8 @@ import inspect
 import threading
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro.core import EngineConfig, TextureSearchEngine, algorithm2, compute, compute_scope
 from repro.distributed import DistributedSearchSystem, SearchNode
@@ -74,9 +76,11 @@ def test_fusion_added_no_knob():
     parameters = lambda cls: list(inspect.signature(cls.__init__).parameters)[1:]
     assert parameters(TextureSearchEngine) == [
         "config", "device", "host_cache_bytes", "gpu_cache_bytes", "pinned", "kernel",
+        "obs",  # the owning system's telemetry handle, not a knob
     ]
     assert parameters(SearchNode) == [
         "node_id", "engine_config", "device_spec", "node_config", "health_policy", "breaker_policy",
+        "obs",  # the owning cluster's telemetry handle, not a knob
     ]
     assert parameters(DistributedSearchSystem) == [
         "n_nodes", "engine_config", "device_spec", "node_config", "store", "placement",
@@ -118,7 +122,18 @@ class Watched:
         self.var.reset(token)
 
 
-def test_nothing_on_a_tile_lane_reads_the_callers_context(monkeypatch):
+@pytest.fixture
+def tracer():
+    """The process-wide request tracer, with no spans before the test and
+    reset and off after it."""
+    tracer = default_tracer()
+    tracer.reset()
+    yield tracer
+    tracer.reset()
+    tracer.disable()
+
+
+def test_nothing_on_a_tile_lane_reads_the_callers_context(monkeypatch, tracer):
     """The deadline, the brownout, the compute scope and the current span
     stay on the caller's thread: a two-lane search under all of them, with
     tracing on, reads none of them from a lane."""
@@ -147,17 +162,13 @@ def test_nothing_on_a_tile_lane_reads_the_callers_context(monkeypatch):
     for image in range(6):
         engine.add_reference(f"ref{image}", make_descriptors(24, seed=image))
     query = make_descriptors(24, seed=3)[:, :16]
-    tracer = default_tracer()
     tracer.enable()
-    try:
-        with deadline_scope(1e12), brownout_scope(1.0):
-            assert system.search(query).best().reference_id == "ref3"
-            with compute_scope() as scope:
-                result = engine.search(query)
-                scope.run()
-            assert result.best().reference_id == "ref3"
-    finally:
-        tracer.disable()
+    with deadline_scope(1e12), brownout_scope(1.0):
+        assert system.search(query).best().reference_id == "ref3"
+        with compute_scope() as scope:
+            result = engine.search(query)
+            scope.run()
+        assert result.best().reference_id == "ref3"
     assert lane_ran.is_set() and tracer.spans  # two lanes ran, and spans were taken
     assert all(variable.reads for variable in (getattr(owner, name) for owner, name in watched))
     assert seen == []

@@ -1,4 +1,5 @@
-"""A ratchet on the shape of the sweep (stdlib ``ast`` only).
+"""Ratchets on the shape of the sweep and on where telemetry lives
+(stdlib ``ast`` only).
 
 ``TextureSearchEngine._execute_sweep`` was the most branched function in
 ``src/``: 40 decision points in 156 lines at the commit before PR 18, by
@@ -14,7 +15,10 @@ from __future__ import annotations
 
 import ast
 import inspect
+from pathlib import Path
 
+import repro
+from repro import obs
 from repro.baselines import adapters, opencv_cuda
 from repro.core import algorithm1, cascade, engine, kernels
 from repro.core.registry import kernel_class
@@ -134,3 +138,59 @@ def test_the_engine_leaves_the_tracers_off_switch_to_the_tracer():
     source = inspect.getsource(engine)
     for gone in ("record_stats", "honor_deadline", "fully_pruned", "_pruned_matches", "nullcontext"):
         assert gone not in source
+
+
+#: the process-global telemetry API that one handle per system replaced
+GLOBAL_TELEMETRY = frozenset({
+    "default_registry", "set_default_registry",
+    "install_recorder", "installed_recorder", "uninstall_recorder",
+    "advance_to", "advance_by", "exclusive_clock",
+    "install_engine", "installed_engine", "uninstall_engine",
+    "reset_observability",
+})
+#: still method names: of a recorder, and of the handle that forwards to it
+CLOCK_METHODS = frozenset({"advance_to", "advance_by"})
+
+
+def import_time_nodes(tree: ast.Module):
+    """Every node that runs when the module is imported: the module's and
+    class bodies' statements, never a function body."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_telemetry_is_bound_by_its_owner_not_at_import():
+    """Every metric family is created when the part that owns it is built,
+    on its system's registry; no module creates one at import, and nothing
+    under ``src/`` names the process-global registry, recorder, SLO engine,
+    their clock hooks or their reset."""
+    at_import, named = [], []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        where = path.relative_to(Path(repro.__file__).parent).as_posix()
+        tree = ast.parse(path.read_text())
+        at_import += [
+            (where, node.lineno) for node in import_time_nodes(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("counter", "gauge", "histogram")
+        ]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found = {node.id}
+            elif isinstance(node, ast.alias):
+                found = {node.name.rpartition(".")[2], node.asname}
+            elif isinstance(node, ast.Attribute):
+                found = {node.attr} - CLOCK_METHODS
+            else:
+                found = set()
+            named += [(where, name) for name in found & GLOBAL_TELEMETRY]
+        named += [(where, node.name) for node in tree.body
+                  if isinstance(node, ast.FunctionDef) and node.name in GLOBAL_TELEMETRY]
+    assert at_import == []
+    assert named == []
+    assert not GLOBAL_TELEMETRY & set(obs.__all__)
+    for module in (obs, obs.metrics, obs.timeseries, obs.slo):
+        assert not [name for name in GLOBAL_TELEMETRY if hasattr(module, name)], module.__name__

@@ -28,9 +28,6 @@ from repro.obs import (
     SloEngine,
     SloPolicy,
     TimeSeriesRecorder,
-    default_registry,
-    install_recorder,
-    uninstall_recorder,
 )
 from repro.obs.slo import AlertEvent
 from repro.serving import diurnal_arrivals, flash_crowd_arrivals
@@ -101,7 +98,7 @@ class TestReplicaGroups:
     def test_sibling_absorbs_crashed_replica(self):
         injector = FaultInjector(seed=11)
         system, refs = build_system(replication=2, injector=injector)
-        retries0 = default_registry().value("repro_cluster_replica_retries_total")
+        retries0 = system.obs.registry.value("repro_cluster_replica_retries_total")
         shard_id = sorted(system.groups)[0]
         victim = system.groups[shard_id].nodes[1]
         injector.crash(victim.node_id)
@@ -110,7 +107,7 @@ class TestReplicaGroups:
             grouped = system.search_group(queries)
             assert all(not r.partial for r in grouped.answers)
             assert all(not r.unsearched_shards for r in grouped.answers)
-        retries = default_registry().value("repro_cluster_replica_retries_total")
+        retries = system.obs.registry.value("repro_cluster_replica_retries_total")
         assert retries > retries0
 
     def test_last_replica_cannot_be_removed(self):
@@ -123,72 +120,63 @@ class TestReplicaGroups:
 class TestReplicaLifecycle:
     def _with_clock(self, **kwargs):
         system, refs = build_system(**kwargs)
-        recorder = TimeSeriesRecorder(interval_us=1_000.0, retention=256)
-        install_recorder(recorder)
+        recorder = TimeSeriesRecorder(system.obs.registry, interval_us=1_000.0, retention=256)
+        system.obs.recorder = recorder
         return system, refs, recorder
 
     def test_warmup_readiness_gate(self):
         system, _, recorder = self._with_clock(replication=1)
-        try:
-            shard_id = sorted(system.groups)[0]
-            group = system.groups[shard_id]
-            n_refs = group.primary.n_references
-            fresh = system.add_replica(shard_id)
-            assert fresh.replica_state is ReplicaState.WARMING
-            # cache already hydrated from the KV store, but not ready
-            assert fresh.n_references == n_refs
-            assert fresh.node_id not in [n.node_id for n in group.readers(recorder.now_us)]
-            recorder.advance_by(WARMUP_BASE_US + WARMUP_US_PER_REF * n_refs + 1.0)
-            system.poll_lifecycle()
-            assert fresh.replica_state is ReplicaState.SERVING
-            seen = set()
-            for _ in range(len(group)):
-                seen.add(group.readers(recorder.now_us)[0].node_id)
-            assert fresh.node_id in seen
-        finally:
-            uninstall_recorder()
+        shard_id = sorted(system.groups)[0]
+        group = system.groups[shard_id]
+        n_refs = group.primary.n_references
+        fresh = system.add_replica(shard_id)
+        assert fresh.replica_state is ReplicaState.WARMING
+        # cache already hydrated from the KV store, but not ready
+        assert fresh.n_references == n_refs
+        assert fresh.node_id not in [n.node_id for n in group.readers(recorder.now_us)]
+        recorder.advance_by(WARMUP_BASE_US + WARMUP_US_PER_REF * n_refs + 1.0)
+        system.poll_lifecycle()
+        assert fresh.replica_state is ReplicaState.SERVING
+        seen = set()
+        for _ in range(len(group)):
+            seen.add(group.readers(recorder.now_us)[0].node_id)
+        assert fresh.node_id in seen
 
     def test_warming_replica_observes_mutations(self):
         system, _, recorder = self._with_clock(replication=1)
-        try:
-            shard_id = sorted(system.groups)[0]
-            group = system.groups[shard_id]
-            fresh = system.add_replica(shard_id)
-            # enroll lands on the warming replica too: it must be
-            # consistent the moment it becomes ready
-            ref = next(
-                f"w{i}" for i in range(64)
-                if system.placement.peek(f"w{i}") == shard_id
-            )
-            system.add(ref, make_descriptors(32, seed=300))
-            assert fresh.has(ref)
-            assert fresh.epoch == group.epoch
-            recorder.advance_by(WARMUP_BASE_US + WARMUP_US_PER_REF * 64)
-            system.poll_lifecycle()
-            assert fresh.replica_state is ReplicaState.SERVING
-        finally:
-            uninstall_recorder()
+        shard_id = sorted(system.groups)[0]
+        group = system.groups[shard_id]
+        fresh = system.add_replica(shard_id)
+        # enroll lands on the warming replica too: it must be
+        # consistent the moment it becomes ready
+        ref = next(
+            f"w{i}" for i in range(64)
+            if system.placement.peek(f"w{i}") == shard_id
+        )
+        system.add(ref, make_descriptors(32, seed=300))
+        assert fresh.has(ref)
+        assert fresh.epoch == group.epoch
+        recorder.advance_by(WARMUP_BASE_US + WARMUP_US_PER_REF * 64)
+        system.poll_lifecycle()
+        assert fresh.replica_state is ReplicaState.SERVING
 
     def test_drain_grace_then_detach(self):
         system, _, recorder = self._with_clock(replication=2)
-        try:
-            shard_id = sorted(system.groups)[0]
-            group = system.groups[shard_id]
-            recorder.advance_by(5_000.0)
-            victim = system.remove_replica(shard_id)
-            assert victim.replica_state is ReplicaState.DRAINING
-            # no new reads while draining, but still attached
-            assert victim.node_id not in [
-                n.node_id for n in group.readers(recorder.now_us)
-            ]
-            assert system.poll_lifecycle() == []
-            assert group.get(victim.node_id) is victim
-            recorder.advance_by(DRAIN_GRACE_US + 1.0)
-            assert victim.node_id in system.poll_lifecycle()
-            assert group.get(victim.node_id) is None
-            assert system.node_seconds() > 0.0
-        finally:
-            uninstall_recorder()
+        shard_id = sorted(system.groups)[0]
+        group = system.groups[shard_id]
+        recorder.advance_by(5_000.0)
+        victim = system.remove_replica(shard_id)
+        assert victim.replica_state is ReplicaState.DRAINING
+        # no new reads while draining, but still attached
+        assert victim.node_id not in [
+            n.node_id for n in group.readers(recorder.now_us)
+        ]
+        assert system.poll_lifecycle() == []
+        assert group.get(victim.node_id) is victim
+        recorder.advance_by(DRAIN_GRACE_US + 1.0)
+        assert victim.node_id in system.poll_lifecycle()
+        assert group.get(victim.node_id) is None
+        assert system.node_seconds() > 0.0
 
 
 class TestEnrollGate:
@@ -289,101 +277,82 @@ class TestAutoscaler:
 
     def _rig(self, **overrides):
         system, _ = build_system(replication=1)
-        recorder = TimeSeriesRecorder(interval_us=1_000.0, retention=256)
-        install_recorder(recorder)
+        recorder = TimeSeriesRecorder(system.obs.registry, interval_us=1_000.0, retention=256)
+        system.obs.recorder = recorder
         scaler = Autoscaler(system, self._policy(**overrides))
         scaler.attach(recorder)
-        depth = default_registry().get("repro_serving_queue_depth")
+        # the serving loop's gauge, driven by hand here
+        depth = system.obs.registry.gauge("repro_serving_queue_depth", "queue depth")
         return system, recorder, scaler, depth
 
     def test_scale_out_cooldown_and_cap(self):
         system, recorder, scaler, depth = self._rig()
-        try:
-            depth.set(40.0)  # 20 per serving replica, target 4
-            recorder.advance_to(1_000.0)
-            assert [e.action for e in scaler.events] == ["scale_out"]
-            assert all(len(g) == 2 for g in system.groups.values())
-            # inside the cooldown the fleet holds even under pressure
-            recorder.advance_to(2_000.0)
-            assert len(scaler.events) == 1
-            # at the cap further scale-outs are structural no-ops
-            recorder.advance_to(5_000.0)
-            assert len(scaler.events) == 1
-            assert all(len(g) == 2 for g in system.groups.values())
-        finally:
-            scaler.detach()
-            uninstall_recorder()
+        depth.set(40.0)  # 20 per serving replica, target 4
+        recorder.advance_to(1_000.0)
+        assert [e.action for e in scaler.events] == ["scale_out"]
+        assert all(len(g) == 2 for g in system.groups.values())
+        # inside the cooldown the fleet holds even under pressure
+        recorder.advance_to(2_000.0)
+        assert len(scaler.events) == 1
+        # at the cap further scale-outs are structural no-ops
+        recorder.advance_to(5_000.0)
+        assert len(scaler.events) == 1
+        assert all(len(g) == 2 for g in system.groups.values())
 
     def test_scale_in_after_cooldown_respects_floor(self):
         system, recorder, scaler, depth = self._rig()
-        try:
-            depth.set(40.0)
-            recorder.advance_to(1_000.0)
-            assert all(len(g.active()) == 2 for g in system.groups.values())
-            depth.set(0.0)
-            for t in range(2, 20):
-                recorder.advance_to(t * 1_000.0)
-            assert "scale_in" in [e.action for e in scaler.events]
-            system.poll_lifecycle()
-            assert all(len(g) == 1 for g in system.groups.values())
-            # never below one replica per shard no matter how idle
-            assert [e.action for e in scaler.events].count("scale_in") == 1
-        finally:
-            scaler.detach()
-            uninstall_recorder()
+        depth.set(40.0)
+        recorder.advance_to(1_000.0)
+        assert all(len(g.active()) == 2 for g in system.groups.values())
+        depth.set(0.0)
+        for t in range(2, 20):
+            recorder.advance_to(t * 1_000.0)
+        assert "scale_in" in [e.action for e in scaler.events]
+        system.poll_lifecycle()
+        assert all(len(g) == 1 for g in system.groups.values())
+        # never below one replica per shard no matter how idle
+        assert [e.action for e in scaler.events].count("scale_in") == 1
 
     def test_scale_in_vetoed_while_shedding(self):
         system, recorder, scaler, depth = self._rig()
-        shed = default_registry().get("repro_serving_shed_total")
-        try:
-            depth.set(40.0)
-            recorder.advance_to(1_000.0)
-            depth.set(0.0)
-            for t in range(2, 20):
-                # goodput share collapses inside the window
-                shed.labels(reason="queue-full").inc(5.0)
-                recorder.advance_to(t * 1_000.0)
-            assert [e.action for e in scaler.events] == ["scale_out"]
-            assert all(len(g.active()) == 2 for g in system.groups.values())
-        finally:
-            scaler.detach()
-            uninstall_recorder()
+        shed = system.obs.registry.counter("repro_serving_shed_total", "shed", ("reason",))
+        depth.set(40.0)
+        recorder.advance_to(1_000.0)
+        depth.set(0.0)
+        for t in range(2, 20):
+            # goodput share collapses inside the window
+            shed.labels(reason="queue-full").inc(5.0)
+            recorder.advance_to(t * 1_000.0)
+        assert [e.action for e in scaler.events] == ["scale_out"]
+        assert all(len(g.active()) == 2 for g in system.groups.values())
 
     def test_critical_alert_bypasses_cooldown(self):
         system, recorder, scaler, depth = self._rig(
             max_replicas_per_shard=3
         )
-        try:
-            depth.set(40.0)
-            recorder.advance_to(1_000.0)
-            assert len(scaler.events) == 1
-            # still deep inside the scale-out cooldown: a CRITICAL page
-            # overrides it at the next sample
-            scaler.on_alert(AlertEvent(
-                t_us=1_500.0, policy="latency", state=CRITICAL,
-                previous="warning", burn_fast=9.0, burn_slow=4.0,
-            ))
-            recorder.advance_to(2_000.0)
-            actions = [(e.action, e.reason) for e in scaler.events]
-            assert actions == [
-                ("scale_out", "queue-depth"),
-                ("scale_out", "critical-alert"),
-            ]
-        finally:
-            scaler.detach()
-            uninstall_recorder()
+        depth.set(40.0)
+        recorder.advance_to(1_000.0)
+        assert len(scaler.events) == 1
+        # still deep inside the scale-out cooldown: a CRITICAL page
+        # overrides it at the next sample
+        scaler.on_alert(AlertEvent(
+            t_us=1_500.0, policy="latency", state=CRITICAL,
+            previous="warning", burn_fast=9.0, burn_slow=4.0,
+        ))
+        recorder.advance_to(2_000.0)
+        actions = [(e.action, e.reason) for e in scaler.events]
+        assert actions == [
+            ("scale_out", "queue-depth"),
+            ("scale_out", "critical-alert"),
+        ]
 
     def test_decisions_are_deterministic(self):
         def drive():
             system, recorder, scaler, depth = self._rig()
-            try:
-                for t in range(1, 15):
-                    depth.set(40.0 if t < 7 else 0.0)
-                    recorder.advance_to(t * 1_000.0)
-                return [e.to_dict() for e in scaler.events]
-            finally:
-                scaler.detach()
-                uninstall_recorder()
+            for t in range(1, 15):
+                depth.set(40.0 if t < 7 else 0.0)
+                recorder.advance_to(t * 1_000.0)
+            return [e.to_dict() for e in scaler.events]
 
         first = drive()
         second = drive()
@@ -391,22 +360,18 @@ class TestAutoscaler:
 
     def test_stats_and_rest_surface(self):
         system, recorder, scaler, depth = self._rig()
-        try:
-            block = system.stats()["elastic"]
-            assert block["autoscaler"]["enabled"] is True
-            assert block["replicas_total"] == 2
-            assert set(block["replication"]) == set(system.groups)
-            tier = WebTier(system, n_workers=1)
-            response = tier.elastic()
-            assert response.ok
-            assert response.body["autoscaler"]["enabled"] is True
-            assert response.body["shards_total"] == 2
-            # the route is also reachable as a plain GET
-            raw = tier.handle(Request("GET", "/elastic")).response
-            assert raw.ok and raw.body["replication"] == response.body["replication"]
-        finally:
-            scaler.detach()
-            uninstall_recorder()
+        block = system.stats()["elastic"]
+        assert block["autoscaler"]["enabled"] is True
+        assert block["replicas_total"] == 2
+        assert set(block["replication"]) == set(system.groups)
+        tier = WebTier(system, n_workers=1)
+        response = tier.elastic()
+        assert response.ok
+        assert response.body["autoscaler"]["enabled"] is True
+        assert response.body["shards_total"] == 2
+        # the route is also reachable as a plain GET
+        raw = tier.handle(Request("GET", "/elastic")).response
+        assert raw.ok and raw.body["replication"] == response.body["replication"]
 
 
 class TestSinkIsolation:
@@ -422,9 +387,7 @@ class TestSinkIsolation:
 
     def test_hostile_sink_cannot_starve_siblings(self):
         reg = MetricsRegistry()
-        recorder = TimeSeriesRecorder(
-            interval_us=1_000.0, retention=64, registry=reg
-        )
+        recorder = TimeSeriesRecorder(reg, interval_us=1_000.0, retention=64)
         h = reg.histogram("lat_us", "l", buckets=BOUNDS)
         engine = self._critical_engine(reg)
 

@@ -31,7 +31,6 @@ from repro.distributed import (
     build_api,
 )
 from repro.errors import NodeDownError, TransientNodeError
-from repro.obs import default_registry
 from repro.routing import RouterPolicy
 from repro.serving import MixedClusterExecutor
 from tests.conftest import make_descriptors, noisy_copy
@@ -368,20 +367,14 @@ class TestRestAndWebTier:
         assert not system.has("fresh")
 
     def test_stats_enrollment_block(self):
-        registry = default_registry()
-
-        def ops(op):
-            return registry.value("repro_enrollment_ops_total", op=op)
-
-        enrolls0, deletes0 = ops("enroll"), ops("delete")
         system = build_cluster(2, corpus(4))
         system.enroll("fresh", make_descriptors(32, seed=912))
         system.delete("r0")
         stats = system.stats()
         assert stats["schema_version"] == 8
         block = stats["enrollment"]
-        assert block["enrolls_total"] == enrolls0 + 1
-        assert block["deletes_total"] == deletes0 + 1
+        assert block["enrolls_total"] == 1
+        assert block["deletes_total"] == 1
         assert block["tombstones_live"] == 1
         assert block["epochs"] == system.epochs.snapshot()
 
@@ -505,7 +498,7 @@ class TestTombstoneGauge:
         system.delete("r2")
         system.enroll("r2", make_descriptors(32, seed=502))
         assert scans == []
-        assert default_registry().value("repro_enrollment_tombstones_live") == 0
+        assert system.obs.registry.value("repro_enrollment_tombstones_live") == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["mark", "clear", "enroll", "delete"]),
@@ -525,4 +518,4 @@ class TestTombstoneGauge:
                 system.enroll(ref_id, make_descriptors(32, seed=600 + i))
             else:
                 system.delete(ref_id)
-        assert default_registry().value("repro_enrollment_tombstones_live") == len(log)
+        assert system.obs.registry.value("repro_enrollment_tombstones_live") == len(log)

@@ -39,15 +39,12 @@ from repro.distributed import (
     DistributedSearchSystem, FaultInjector, FaultSpec, Request, RetryPolicy, SearchNode, WebTier,
     build_api,
 )
-from repro.distributed.cluster import (
-    _DEADLINE_SKIPS, _PARTIALS, _RETRIES, _ROUTER_HITS, _TRACER, _UNSEARCHED,
-    WEB_TIER_OVERHEAD_US, _ts_advance_by,
-)
+from repro.distributed.cluster import _TRACER, WEB_TIER_OVERHEAD_US
 from repro.errors import (
     DegradedClusterError, HalfPrecisionOverflowError, InvalidDescriptorsError,
 )
 from repro.features.rootsift import l2_normalize, rootsift
-from repro.obs import DeadlineFanOut, current_deadline, deadline_scope, default_registry
+from repro.obs import DeadlineFanOut, current_deadline, deadline_scope
 from repro.routing import RouterPolicy
 from tests.conftest import DEAD_PREFIX, make_descriptors, noisy_copy, planned_tiles, slot_ids
 
@@ -179,7 +176,7 @@ class ParentSystem(DistributedSearchSystem):
         if fanout.expired_at_entry:
             # the budget was gone before the fan-out even started
             deadline_skipped = [group.shard_id for group in targets]
-            _DEADLINE_SKIPS.inc(len(deadline_skipped))
+            self._deadline_skips.inc(len(deadline_skipped))
             targets = []
         for group in targets:
             candidates = (
@@ -194,7 +191,7 @@ class ParentSystem(DistributedSearchSystem):
                     )
 
             answers, shard_us, shard_retries = group.read(
-                n_queries, attempt, self._clock_us()
+                n_queries, attempt, self.obs.now_us
             )
             slowest_us = max(slowest_us, shard_us)
             retries += shard_retries
@@ -216,14 +213,14 @@ class ParentSystem(DistributedSearchSystem):
             self.repair()
         search_counter.inc()
         if retries:
-            _RETRIES.inc(retries)
+            self._retries.inc(retries)
         if unsearched:
-            _UNSEARCHED.inc(len(unsearched))
-            _PARTIALS.inc()
+            self._unsearched.inc(len(unsearched))
+            self._partials.inc()
         if routed:
             for into in merged:
                 hit = any(m.score > 0 for m in into.matches)
-                _ROUTER_HITS.labels(result="hit" if hit else "miss").inc()
+                self._router_hits.labels(result="hit" if hit else "miss").inc()
         elapsed = slowest_us + WEB_TIER_OVERHEAD_US
         _TRACER.annotate(
             nodes=len(populated), retries=retries, unsearched=len(unsearched),
@@ -235,7 +232,7 @@ class ParentSystem(DistributedSearchSystem):
         deadline_expired = bool(deadline_skipped) or truncated
         # standalone searches drive the simulated telemetry clock
         # relatively (no-op under a serving loop's exclusive scope)
-        _ts_advance_by(elapsed)
+        self.obs.advance_by(elapsed)
         for into in merged:
             into.elapsed_us = elapsed
             into.partial = bool(unsearched) or deadline_expired
@@ -338,16 +335,15 @@ def left_behind(system) -> list:
     ]
 
 
-def counters() -> dict:
-    """Every ``repro_*`` series of the process-wide registry but the one that
+def counters(system) -> dict:
+    """Every ``repro_*`` series of the system's registry but the one that
     observes the host's wall clock (the router's nominate time)."""
-    return {name: series for name, series in default_registry().snapshot().items()
+    return {name: series for name, series in system.obs.registry.snapshot().items()
             if name.startswith("repro_") and name != "repro_router_overhead_us"}
 
 
 def lived(system_class, case, groups, budget_of=None) -> tuple:
     """Build one side, run its searches, report all it answered and left."""
-    default_registry().reset()
     system = build(system_class, **case)
     seen = []
     for search, queries in enumerate(groups):
@@ -358,7 +354,7 @@ def lived(system_class, case, groups, budget_of=None) -> tuple:
             seen.append((answer, deadline and deadline.spent_us))
         except DegradedClusterError as exc:
             seen.append(str(exc))
-    return seen, left_behind(system), counters()
+    return seen, left_behind(system), counters(system)
 
 
 @st.composite
@@ -679,8 +675,8 @@ def test_malformed_search_knobs_answer_400_and_touch_nothing(knob, field):
         assert state(system) == before
         after = system.stats()
         assert after == stats_before
-    assert default_registry().value("repro_web_requests_total", status="400") == 2
-    assert default_registry().value("repro_web_requests_total") == 2
+    assert system.obs.registry.value("repro_web_requests_total", status="400") == 2
+    assert system.obs.registry.value("repro_web_requests_total") == 2
     # lenient as ever: int() truncates a float (a bool is no number: tests/test_rest_knobs.py)
     assert tier.handle(Request("POST", "/search", {"descriptors": query, "top": 2.9})).response.ok
 

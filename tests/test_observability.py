@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from repro.core import EngineConfig, TextureSearchEngine
-from repro.distributed import DistributedSearchSystem, Request, WebTier
+from repro.distributed import DistributedSearchSystem, Request, WebTier, build_api
 from repro.gpusim import GPUDevice, TESLA_P100, TimelineTracer
 from repro.obs import (
     MetricsRegistry,
     RequestTracer,
-    default_registry,
+    TimeSeriesRecorder,
     default_tracer,
     to_perfetto,
 )
@@ -27,6 +27,18 @@ from repro.serving import (
 from tests.conftest import make_descriptors, noisy_copy
 
 CFG = EngineConfig(m=32, n=32, batch_size=2, min_matches=5, scale_factor=0.25)
+
+
+@pytest.fixture
+def tracer():
+    """The process-wide request tracer, enabled, with no spans before the
+    test and reset and off after it."""
+    tracer = default_tracer()
+    tracer.reset()
+    tracer.enable()
+    yield tracer
+    tracer.reset()
+    tracer.disable()
 
 
 class TestMetricsRegistry:
@@ -203,12 +215,10 @@ def _small_system(n_refs=6):
 
 
 class TestCrossTierTracing:
-    def test_group_of_one_matches_plain_search(self):
+    def test_group_of_one_matches_plain_search(self, tracer):
         """A fused group of one must walk the same engine/cache span
         structure as a plain search — the executor paths converged."""
         system, descs = _small_system()
-        tracer = default_tracer()
-        tracer.enable()
         query = noisy_copy(descs[1], 8.0, seed=21)
         system.search(query)
         system.search_group([query])
@@ -222,11 +232,9 @@ class TestCrossTierTracing:
         assert inner[0] == inner[1]
         assert inner[0], "no engine/cache spans recorded"
 
-    def test_webtier_trace_nests_five_layers(self):
+    def test_webtier_trace_nests_five_layers(self, tracer):
         system, descs = _small_system()
         tier = WebTier(system, n_workers=1)
-        tracer = default_tracer()
-        tracer.enable()
         query = noisy_copy(descs[0], 8.0, seed=22).tolist()
         response = tier.handle(
             Request("POST", "/search", {"descriptors": query})
@@ -241,7 +249,7 @@ class TestCrossTierTracing:
         assert layers_by_depth[3] == "engine"
         assert layers_by_depth[4] == "cache"
 
-    def test_smoke_module(self, tmp_path):
+    def test_smoke_module(self, tmp_path, tracer):
         summary = run_smoke(str(tmp_path / "trace.json"))
         assert summary["max_depth"] >= 5
         assert (tmp_path / "trace.json").exists()
@@ -260,6 +268,33 @@ class TestCrossTierTracing:
         assert hits + misses > 0
 
 
+def test_two_clusters_keep_their_own_telemetry():
+    """Two clusters in one process: everything cluster A counts, records
+    and clocks stays out of cluster B's ``/stats``, ``/metrics``, fleet
+    cost and registry — B did nothing, so B reads zero everywhere."""
+    a, b = DistributedSearchSystem(2, CFG), DistributedSearchSystem(3, CFG)
+    a.obs.recorder = TimeSeriesRecorder(a.obs.registry, interval_us=1_000.0)
+    descs = [make_descriptors(32, seed=2400 + i) for i in range(6)]
+    for i, desc in enumerate(descs):
+        a.enroll(f"r{i}", desc)
+    for i in range(5):
+        assert a.search(noisy_copy(descs[i], 8.0, seed=24 + i)).matches
+    assert a.node_seconds() > 0.0
+    assert a.obs.registry.value("repro_corpus_epoch", node="gpu-00") > 0
+    assert a.stats()["fault_tolerance"]["searches_single_total"] == 5
+
+    api = build_api(b)  # the routes alone: a web tier would count these reads
+    stats = api.handle(Request("GET", "/stats")).body
+    for block in ("fault_tolerance", "cache", "enrollment"):
+        counters = {k: v for k, v in stats[block].items() if k.endswith("_total")}
+        assert counters and not any(counters.values()), (block, counters)
+    scrape = api.handle(Request("GET", "/metrics")).body["text"]
+    assert not {k: v for k, v in parse_prometheus(scrape).items() if v}
+    assert b.node_seconds() == 0.0
+    assert b.obs.registry.value("repro_corpus_epoch", node="gpu-00") == 0.0
+    assert b.obs.registry.get("repro_corpus_epoch")._children == {}
+
+
 class TestServingMeters:
     def _report(self):
         rng = np.random.default_rng(3)
@@ -272,6 +307,7 @@ class TestServingMeters:
             for i in range(9)
         ]
         arrivals = [float(i * 100) for i in range(9)]
+        self.registry = engine.obs.registry
         return simulate_serving(
             FusedEngineExecutor(engine),
             build_trace(arrivals, queries),
@@ -300,12 +336,12 @@ class TestServingMeters:
         # dispatched the gauge must read an empty queue, not whatever
         # depth the last group left behind
         report = self._report()
-        assert default_registry().value("repro_serving_queue_depth") == 0.0
+        assert self.registry.value("repro_serving_queue_depth") == 0.0
         assert report.meters.peak_queue_depth >= 1
 
     def test_serving_registry_series(self):
-        reg = default_registry()
         self._report()
+        reg = self.registry
         assert reg.value("repro_serving_requests_total") == 9
         size = reg.value("repro_serving_groups_total", trigger="size")
         timeout = reg.value("repro_serving_groups_total", trigger="timeout")

@@ -29,11 +29,11 @@ from repro.errors import ExecutorContractError, ServingError
 from repro.obs import (
     Deadline,
     DeadlineFanOut,
+    Observability,
     brownout_scope,
     current_brownout,
     current_deadline,
     deadline_scope,
-    default_registry,
 )
 from repro.serving import (
     BatchPolicy,
@@ -71,6 +71,7 @@ class StubExecutor:
     def __init__(self, cost_us=1_000.0):
         self.cost_us = cost_us
         self.calls = []
+        self.obs = Observability()
 
     def execute(self, queries):
         self.calls.append(list(queries))
@@ -208,9 +209,9 @@ class TestBoundedQueue:
             assert rejection.shed_us == pytest.approx(5_000.0)
 
     def test_shed_counter_by_reason(self):
-        reg = default_registry()
-        before = reg.value("repro_serving_shed_total", reason="reject-new")
         stub = StubExecutor(cost_us=10_000.0)
+        reg = stub.obs.registry
+        before = reg.value("repro_serving_shed_total", reason="reject-new")
         trace = build_trace([0.0] * 6, [f"q{i}" for i in range(6)])
         policy = BatchPolicy(max_batch=2, max_queue_depth=2, shed="reject-new")
         simulate_serving(stub, trace, policy)
@@ -221,7 +222,7 @@ class TestBoundedQueue:
         stub = StubExecutor()
         trace = build_trace([0.0] * 5, [f"q{i}" for i in range(5)])
         report = simulate_serving(stub, trace, BatchPolicy(max_batch=2))
-        assert default_registry().value("repro_serving_queue_depth") == 0.0
+        assert stub.obs.registry.value("repro_serving_queue_depth") == 0.0
         assert report.meters.peak_queue_depth >= 1
 
 
@@ -296,7 +297,7 @@ class TestEngineDeadlines:
     def test_expired_deadline_skips_the_whole_sweep(self):
         engine, descs = build_engine()
         query = noisy_copy(descs[0], 8.0, seed=42)
-        reg = default_registry()
+        reg = engine.obs.registry
         before = reg.value("repro_engine_deadline_expired_total")
         with deadline_scope(10.0) as deadline:
             deadline.charge(10.0)  # already expired
@@ -463,7 +464,7 @@ class TestClusterBreaker:
         system, descs = self._flaky_cluster()
         sick = system.nodes[0]
         query = noisy_copy(descs[0], 8.0, seed=60)
-        reg = default_registry()
+        reg = system.obs.registry
         before = reg.value("repro_cluster_breaker_skipped_total")
         for _ in range(2):  # two failures open the breaker
             system.search(query)
@@ -607,7 +608,7 @@ class TestWebTierAdmission:
     def test_rate_limit_sheds_with_retry_hint(self):
         tier, descs = self._tier(AdmissionPolicy(rate_per_s=1.0, burst=2))
         query = noisy_copy(descs[0], 8.0, seed=70).tolist()
-        reg = default_registry()
+        reg = tier.system.obs.registry
         before = reg.value("repro_web_rate_limited_total")
         records = [
             tier.handle(Request("POST", "/search", {"descriptors": query}))
@@ -641,7 +642,7 @@ class TestWebTierAdmission:
             )
         )
         query = noisy_copy(descs[0], 8.0, seed=71).tolist()
-        reg = default_registry()
+        reg = tier.system.obs.registry
         before = reg.value("repro_web_brownout_total")
         records = [
             tier.handle(Request("POST", "/search", {"descriptors": query}))
@@ -768,7 +769,7 @@ class TestClusterDeadlines:
     def test_expired_at_entry_skips_every_shard(self):
         system, descs = build_cluster(3, 6)
         query = noisy_copy(descs[0], 8.0, seed=90)
-        reg = default_registry()
+        reg = system.obs.registry
         before = reg.value("repro_cluster_deadline_skipped_shards_total")
         with deadline_scope(1.0) as deadline:
             deadline.charge(1.0)

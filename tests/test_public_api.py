@@ -56,6 +56,20 @@ def test_search_path_loads_no_scipy():
     assert done.stdout.strip() == "[]", done.stdout
 
 
+def test_obs_exports_one_handle_and_no_process_globals():
+    """Telemetry is reached through a system's ``obs`` handle; the tracer is
+    the one process-wide object left."""
+    import repro.obs
+
+    assert sorted(repro.obs.__all__) == sorted([
+        "AlertEvent", "AlertLog", "BurnRateRule", "CRITICAL", "Counter", "DEFAULT_US_BUCKETS",
+        "Deadline", "DeadlineFanOut", "Gauge", "Histogram", "MetricsRegistry", "OK",
+        "Observability", "RequestTracer", "SeriesSelection", "SloEngine", "SloPolicy", "Span",
+        "TimeSeriesRecorder", "WARNING", "brownout_scope", "current_brownout",
+        "current_deadline", "deadline_scope", "default_tracer", "to_perfetto",
+    ])
+
+
 def test_top_level_exports():
     for symbol in repro.__all__:
         assert hasattr(repro, symbol)

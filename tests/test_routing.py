@@ -23,7 +23,7 @@ from repro.distributed import (
     Request,
     build_api,
 )
-from repro.obs import default_registry
+from repro.obs import Observability
 from repro.routing import (
     IvfCandidateRouter,
     LshCandidateRouter,
@@ -50,8 +50,8 @@ def build_cluster(n_nodes, refs, *, policy=None, **kwargs):
     return system
 
 
-def fitted_router(refs, policy, shards=3):
-    router = build_router(policy)
+def fitted_router(refs, policy, shards=3, obs=None):
+    router = build_router(policy, obs=obs)
     for i, (ref_id, desc) in enumerate(refs.items()):
         router.add(ref_id, desc, f"node-{i % shards}")
     router.fit()
@@ -136,10 +136,11 @@ class TestRouteDecision:
 
 class TestRouterLifecycle:
     def test_empty_corpus_falls_back_exhaustive(self):
-        router = build_router(RouterPolicy(kind="ivf"))
+        obs = Observability()
+        router = build_router(RouterPolicy(kind="ivf"), obs=obs)
         decision = router.nominate(make_descriptors(32))
         assert decision.exhaustive
-        assert default_registry().value(
+        assert obs.registry.value(
             "repro_router_nominations_total", kind="ivf", outcome="exhaustive"
         ) == 1.0
 
@@ -385,8 +386,8 @@ class TestRoutingUnderFaults:
         assert scenario() == scenario()
 
 
-def _refreshes(kind, mode):
-    return default_registry().value(
+def _refreshes(obs, kind, mode):
+    return obs.registry.value(
         "repro_router_refresh_total", kind=kind, mode=mode
     )
 
@@ -395,29 +396,32 @@ def _refreshes(kind, mode):
 class TestIncrementalRefresh:
     def test_ivf_absorb_appends_without_rebuild(self):
         refs = corpus(12)
-        router = fitted_router(refs, RouterPolicy(kind="ivf", n_lists=4))
-        rebuilds0 = _refreshes("ivf", "rebuild")
-        incr0 = _refreshes("ivf", "incremental")
+        obs = Observability()
+        router = fitted_router(refs, RouterPolicy(kind="ivf", n_lists=4), obs=obs)
+        rebuilds0 = _refreshes(obs, "ivf", "rebuild")
+        incr0 = _refreshes(obs, "ivf", "incremental")
         extra = make_descriptors(32, seed=991)
         router.add("extra", extra, "node-1")
         decision = router.nominate(noisy_copy(extra, sigma=4.0), nprobe=2)
         assert "extra" in decision.candidate_ids
-        assert _refreshes("ivf", "rebuild") == rebuilds0
-        assert _refreshes("ivf", "incremental") == incr0 + 1
+        assert _refreshes(obs, "ivf", "rebuild") == rebuilds0
+        assert _refreshes(obs, "ivf", "incremental") == incr0 + 1
 
     def test_ivf_retract_removes_without_rebuild(self):
         refs = corpus(12)
-        router = fitted_router(refs, RouterPolicy(kind="ivf", n_lists=4))
-        rebuilds0 = _refreshes("ivf", "rebuild")
+        obs = Observability()
+        router = fitted_router(refs, RouterPolicy(kind="ivf", n_lists=4), obs=obs)
+        rebuilds0 = _refreshes(obs, "ivf", "rebuild")
         assert router.remove("r3")
         decision = router.nominate(noisy_copy(refs["r3"], sigma=4.0), nprobe=4)
         assert "r3" not in decision.candidate_ids
-        assert _refreshes("ivf", "rebuild") == rebuilds0
+        assert _refreshes(obs, "ivf", "rebuild") == rebuilds0
 
     def test_lsh_absorb_and_masked_retract(self):
         refs = corpus(12)
-        router = fitted_router(refs, RouterPolicy(kind="lsh"))
-        rebuilds0 = _refreshes("lsh", "rebuild")
+        obs = Observability()
+        router = fitted_router(refs, RouterPolicy(kind="lsh"), obs=obs)
+        rebuilds0 = _refreshes(obs, "lsh", "rebuild")
         extra = make_descriptors(32, seed=992)
         router.add("extra", extra, "node-0")
         assert "extra" in router.nominate(
@@ -427,22 +431,24 @@ class TestIncrementalRefresh:
         assert "extra" not in router.nominate(
             noisy_copy(extra, sigma=4.0), nprobe=4
         ).candidate_ids
-        assert _refreshes("lsh", "rebuild") == rebuilds0
+        assert _refreshes(obs, "lsh", "rebuild") == rebuilds0
 
     def test_lsh_compacts_when_mostly_dead(self):
         refs = corpus(10)
-        router = fitted_router(refs, RouterPolicy(kind="lsh"))
-        rebuilds0 = _refreshes("lsh", "rebuild")
+        obs = Observability()
+        router = fitted_router(refs, RouterPolicy(kind="lsh"), obs=obs)
+        rebuilds0 = _refreshes(obs, "lsh", "rebuild")
         for i in range(6):  # kill the majority: compaction triggers
             router.remove(f"r{i}")
         survivor = refs["r8"]
         decision = router.nominate(noisy_copy(survivor, sigma=4.0), nprobe=4)
         assert "r8" in decision.candidate_ids
-        assert _refreshes("lsh", "rebuild") == rebuilds0 + 1
+        assert _refreshes(obs, "lsh", "rebuild") == rebuilds0 + 1
 
     def test_update_in_place_retracts_then_absorbs(self):
         refs = corpus(8)
-        router = fitted_router(refs, RouterPolicy(kind="ivf", n_lists=2))
+        obs = Observability()
+        router = fitted_router(refs, RouterPolicy(kind="ivf", n_lists=2), obs=obs)
         replacement = make_descriptors(32, seed=993)
         router.add("r2", replacement, "node-5")
         decision = router.nominate(noisy_copy(replacement, sigma=4.0), nprobe=2)

@@ -11,7 +11,6 @@ from tests.conftest import make_descriptors, noisy_copy
 from repro.core import EngineConfig, TextureSearchEngine
 from repro.errors import ExecutorContractError
 from repro.gpusim import GPUDevice, TESLA_P100
-from repro.obs import default_registry
 from repro.routing import RouterPolicy
 from repro.distributed import (
     DistributedSearchSystem,
@@ -257,10 +256,9 @@ def assert_same_fields(got, want):
         assert getattr(got, f.name) == getattr(want, f.name), f.name
 
 
-def searches_counted():
-    reg = default_registry()
+def searches_counted(system):
     return tuple(
-        reg.value("repro_cluster_searches_total", kind=kind)
+        system.obs.registry.value("repro_cluster_searches_total", kind=kind)
         for kind in ("single", "group")
     )
 
@@ -317,11 +315,11 @@ class TestEngineServing:
         system_b, _ = build_cluster(**kwargs)
         for seed, i in enumerate((4, 7)):  # two rounds: reader rotation at R=2
             query = noisy_copy(descs[i], 8.0, seed=seed)
-            before = searches_counted()
+            before_a, before_b = searches_counted(system_a), searches_counted(system_b)
             single = system_a.search(query)
-            assert searches_counted() == (before[0] + 1, before[1])
+            assert searches_counted(system_a) == (before_a[0] + 1, before_a[1])
             group = system_b.search_group([query])
-            assert searches_counted() == (before[0] + 1, before[1] + 1)
+            assert searches_counted(system_b) == (before_b[0], before_b[1] + 1)
             (grouped,) = group.answers
             assert single.best().reference_id == f"r{i}"
             assert single.routed == (router is not None)
@@ -339,7 +337,7 @@ class TestEngineServing:
             )
             chosen = system.groups["gpu-01"].nodes[0]  # cursor 0 reads it first
             injector.crash(chosen.node_id)
-            reg = default_registry()
+            reg = system.obs.registry
             before = reg.value("repro_cluster_replica_retries_total")
             query = noisy_copy(descs[1], 8.0, seed=11)
             if entry == "search":

@@ -32,10 +32,7 @@ from repro.cache.hybrid import CachedBatch, CacheLocation
 from repro.baselines.opencv_cuda import DIST_KERNEL_EFF_FP32
 from repro.core import EngineConfig, TextureSearchEngine, algorithm2 as algorithm2_module, functional_topk, registry
 from repro.core.algorithm2 import BatchKnnResult, _accumulator_peak
-from repro.core.engine import (
-    _CASCADE_PRUNED, _DEADLINE_SWEEPS, _H2D_BYTES, _IMAGES_PRUNED, _STEP_US,
-    _SWEEP_HIT, _SWEEP_MISS, _SWEEP_US, _SWEEPS, _TRACER,
-)
+from repro.core.engine import _TRACER
 from repro.core.kernels import Algorithm2Kernel, PreparedQuery
 from repro.core.query_batching import MultiQueryResult
 from repro.core.ratio_test import batch_ratio_test_masks, match_images_batch
@@ -314,7 +311,7 @@ class ParentEngine(TextureSearchEngine):
                         cascade_pruned += batch.size - int(survivors.sum())
                 fully_pruned = survivors is not None and not survivors.any()
                 if record_stats:
-                    (_SWEEP_HIT if resident else _SWEEP_MISS).inc()
+                    (self._sweep_hit if resident else self._sweep_miss).inc()
                 batch_cm = (
                     _TRACER.span(
                         "cache.batch", layer="cache",
@@ -329,7 +326,7 @@ class ParentEngine(TextureSearchEngine):
                         # one H2D per reference batch per *sweep* — a query
                         # group shares the transfer, it is not paid per query
                         self.device.h2d(batch.nbytes, pinned=self.cache.pinned)
-                        _H2D_BYTES.inc(batch.nbytes)
+                        self._h2d_bytes.inc(batch.nbytes)
                         host_images += batch.size
                     if fully_pruned:
                         # no survivor: the batch never transfers and the
@@ -388,21 +385,21 @@ class ParentEngine(TextureSearchEngine):
                 self.stats.searches += n_queries
                 self.stats.images_compared += images * n_queries
                 self.stats.total_search_us += elapsed
-                _SWEEPS.inc()
-                _SWEEP_US.observe(elapsed)
+                self._sweeps.inc()
+                self._sweep_us.observe(elapsed)
                 for name, total in self.device.profiler.as_dict().items():
                     delta = total - profile_before.get(name, 0.0)
                     if delta:
                         self.stats.step_times_us[name] = (
                             self.stats.step_times_us.get(name, 0.0) + delta
                         )
-                        _STEP_US.labels(step=name).observe(delta)
+                        self._step_us.labels(step=name).observe(delta)
             if images_skipped:
-                _DEADLINE_SWEEPS.inc()
+                self._deadline_sweeps.inc()
             if images_pruned and record_stats:
-                _IMAGES_PRUNED.inc(images_pruned)
+                self._images_pruned.inc(images_pruned)
             if cascade_pruned and record_stats:
-                _CASCADE_PRUNED.inc(cascade_pruned)
+                self._cascade_pruned.inc(cascade_pruned)
             if sweep_span is not None:
                 sweep_span.set(sim_elapsed_us=elapsed, images=images,
                                images_skipped=images_skipped,

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core import EngineConfig, TextureSearchEngine
 from repro.gpusim import GPUDevice, TESLA_P100
-from repro.obs import deadline_scope, reset_observability
+from repro.obs import deadline_scope
 from tests.conftest import make_descriptors, noisy_copy
 
 GOLDEN = Path(__file__).parent / "golden" / "sweep_clock.json"
@@ -101,7 +101,6 @@ def session(backend: str, precision: str, host: bool, streams: int) -> dict:
 
 
 def script(backend: str, precision: str) -> dict:
-    reset_observability()
     return {name: session(backend, precision, host, streams)
             for name, (host, streams) in SESSIONS.items()}
 

@@ -37,17 +37,14 @@ from repro.core import EngineConfig, TextureSearchEngine, registry
 from repro.core.algorithm1 import PreparedFeatures, knn_algorithm1
 from repro.core.batching import ReferenceBatch
 from repro.core.cascade import CascadeKernel, _CascadeQuery
-from repro.core.engine import (
-    _CASCADE_PRUNED, _DEADLINE_SWEEPS, _H2D_BYTES, _IMAGES_PRUNED, _STEP_US,
-    _SWEEP_HIT, _SWEEP_MISS, _SWEEP_US, _SWEEPS, _TRACER,
-)
+from repro.core.engine import _TRACER
 from repro.baselines.adapters import GarciaKernel
 from repro.core.kernels import Algorithm1Kernel, PreparedQuery
 from repro.core.ratio_test import match_images
 from repro.core.results import ImageMatch
 from repro.distributed import DistributedSearchSystem
 from repro.gpusim import GPUDevice, TESLA_P100
-from repro.obs import current_deadline, deadline_scope, default_registry, default_tracer
+from repro.obs import current_deadline, deadline_scope, default_tracer
 from repro.obs.tracing import RequestTracer
 from repro.gpusim.pcie import h2d_time_us
 from repro.core.engine import hidden_us
@@ -183,7 +180,7 @@ class ParentEngine(TextureSearchEngine):
                         cascade_pruned += batch.size - int(survivors.sum())
                 fully_pruned = survivors is not None and not survivors.any()
                 if record_stats:
-                    (_SWEEP_HIT if resident else _SWEEP_MISS).inc()
+                    (self._sweep_hit if resident else self._sweep_miss).inc()
                 shape = (batch.size, n_queries)
                 if shape not in self._batch_steps:
                     self._batch_steps[shape] = parent_batch_steps(self.kernel, self.device, *shape)
@@ -202,7 +199,7 @@ class ParentEngine(TextureSearchEngine):
                         # one H2D per reference batch per *sweep* — a query
                         # group shares the transfer, it is not paid per query
                         self.device.h2d(batch.nbytes, pinned=self.cache.pinned)
-                        _H2D_BYTES.inc(batch.nbytes)
+                        self._h2d_bytes.inc(batch.nbytes)
                         host_images += batch.size
                     if fully_pruned:
                         # no survivor: the batch never transfers and the
@@ -249,21 +246,21 @@ class ParentEngine(TextureSearchEngine):
                 self.stats.searches += n_queries
                 self.stats.images_compared += images * n_queries
                 self.stats.total_search_us += elapsed
-                _SWEEPS.inc()
-                _SWEEP_US.observe(elapsed)
+                self._sweeps.inc()
+                self._sweep_us.observe(elapsed)
                 for name, total in self.device.profiler.as_dict().items():
                     delta = total - profile_before.get(name, 0.0)
                     if delta:
                         self.stats.step_times_us[name] = (
                             self.stats.step_times_us.get(name, 0.0) + delta
                         )
-                        _STEP_US.labels(step=name).observe(delta)
+                        self._step_us.labels(step=name).observe(delta)
             if images_skipped:
-                _DEADLINE_SWEEPS.inc()
+                self._deadline_sweeps.inc()
             if images_pruned and record_stats:
-                _IMAGES_PRUNED.inc(images_pruned)
+                self._images_pruned.inc(images_pruned)
             if cascade_pruned and record_stats:
-                _CASCADE_PRUNED.inc(cascade_pruned)
+                self._cascade_pruned.inc(cascade_pruned)
             if sweep_span is not None:
                 sweep_span.set(sim_elapsed_us=elapsed, images=images,
                                images_skipped=images_skipped,
@@ -375,9 +372,10 @@ def pair(backend, precision, host=False, seals=(3, 4, 2), dead=()):
     return build(TextureSearchEngine, cfg, host, seals, dead), build(ParentEngine, cfg, host, seals, dead)
 
 
-def engine_counters() -> str:
-    """Every ``repro_engine_*`` / ``repro_cache_sweep_*`` series, as text."""
-    snapshot = default_registry().snapshot()
+def engine_counters(engine) -> str:
+    """Every ``repro_engine_*`` / ``repro_cache_sweep_*`` series of the
+    engine's registry, as text."""
+    snapshot = engine.obs.registry.snapshot()
     return json.dumps(
         {name: series for name, series in snapshot.items()
          if name.startswith(("repro_engine_", "repro_cache_sweep_"))},
@@ -404,14 +402,14 @@ def test_verify_is_the_parents_verify(backend, precision):
     seen = []
     for side in (engine, parent):
         side.search(query_for(1, seed=5))  # stats and counters worth not moving
-        stats, counters = copy.deepcopy(side.stats), engine_counters()
+        stats, counters = copy.deepcopy(side.stats), engine_counters(side)
         verdicts = [side.verify(reference, noisy_copy(reference[:, :N], 6.0, seed=3)),
                     side.verify(reference, impostor())]
         with deadline_scope(0.0) as expired:  # a 1:1 verification is never sheddable
             verdicts.append(side.verify(reference, noisy_copy(reference[:, :N], 6.0, seed=3)))
         assert expired.spent_us == 0.0
         assert verdicts[2] == verdicts[0]
-        assert side.stats == stats and engine_counters() == counters
+        assert side.stats == stats and engine_counters(side) == counters
         assert len(side.cache) == 3  # the transient batch was never cached
         seen.append((verdicts, clock_and_profile(side)))
     assert seen[0] == seen[1]
@@ -419,12 +417,22 @@ def test_verify_is_the_parents_verify(backend, precision):
     assert same and count >= engine.config.min_matches and not other
 
 
-def test_verify_opens_no_sweep_span():
+@pytest.fixture
+def tracer():
+    """The process-wide request tracer, with no spans before the test and
+    reset and off after it."""
+    tracer = default_tracer()
+    tracer.reset()
+    yield tracer
+    tracer.reset()
+    tracer.disable()
+
+
+def test_verify_opens_no_sweep_span(tracer):
     """The one intended difference (docs/observability.md): a verify is
     not a sweep, so a traced one emits no engine.sweep / cache.batch."""
     engine, parent = pair("algorithm2", "fp16")
     reference = make_descriptors(M, seed=77)
-    tracer = default_tracer()
     tracer.enable()
     engine.verify(reference, reference[:, :N])
     assert tracer.spans == []
@@ -456,9 +464,9 @@ def test_a_host_batch_with_no_survivor_is_not_staged_and_reports_empty_matches(k
     seen = []
     for side in pair("cascade", "fp32", host=True, seals=(4, 4, 3)):
         assert sum(c.location is CacheLocation.HOST for c in side.cache.batches()) == 2
-        h2d_before = _H2D_BYTES.value
+        h2d_before = side.obs.registry.value("repro_engine_h2d_bytes_total")
         result = side.search_group([impostor()], keep_masks=keep_masks)
-        assert _H2D_BYTES.value == h2d_before
+        assert side.obs.registry.value("repro_engine_h2d_bytes_total") == h2d_before
         assert result.images_searched == result.cascade_pruned == 11
         steps = {r.name: r.calls for r in side.device.profiler.records()}
         assert "H2D copy" not in steps and "GEMM" not in steps
@@ -482,7 +490,8 @@ def test_a_host_batch_with_no_survivor_is_not_staged_and_reports_empty_matches(k
 def test_partial_survivors_skip_exactly_the_pruned_slots_charges(host):
     seen = []
     for side in pair("cascade", "fp32", host=host, seals=(4, 4, 3)):
-        misses_before = _SWEEP_MISS.value
+        misses = side.obs.registry.get("repro_cache_sweep_lookups_total").labels(result="miss")
+        misses_before = misses.value
         result = side.search_group([query_for(5, seed=2)], keep_masks=True)
         survivors = result.images_searched - result.cascade_pruned
         assert 0 < survivors < result.images_searched == 11
@@ -490,7 +499,7 @@ def test_partial_survivors_skip_exactly_the_pruned_slots_charges(host):
         assert steps["GEMM"] == steps["Post-processing"] == steps["D2H copy"] == survivors
         # the one batch holding a survivor is staged, whole; the others never are
         assert steps.get("H2D copy", 0) == (1 if host else 0)
-        assert _SWEEP_MISS.value - misses_before == (2 if host else 0)
+        assert misses.value - misses_before == (2 if host else 0)
         assert result.answers[0].best().reference_id == "ref5"
         seen.append(observed(side, result))
     assert seen[0] == seen[1]
@@ -534,11 +543,11 @@ def test_the_per_batch_sweep_is_the_parents_bit_for_bit(case):
             budget = case["cut"] * pair(*args)[1].search(query, **kwargs).elapsed_us
         seen = []
         for side in (engine, parent):
-            counters = engine_counters()
+            counters = engine_counters(side)
             with deadline_scope(budget) if budget is not None else nullcontext() as deadline:
                 group = side.search_group([query], **kwargs)
             seen.append((observed(side, group), deadline and deadline.spent_us,
-                         counters != engine_counters()))
+                         counters != engine_counters(side)))
         assert seen[0] == seen[1]
 
 
@@ -572,8 +581,7 @@ def routed_cluster():
     return system, [noisy_copy(refs[r], sigma=8.0) for r in ("r5", "r11")]
 
 
-def test_an_enabled_trace_of_a_routed_search_has_the_parents_shape(monkeypatch):
-    tracer = default_tracer()
+def test_an_enabled_trace_of_a_routed_search_has_the_parents_shape(monkeypatch, tracer):
     shapes = []
     for parent in (False, True):
         with monkeypatch.context() as patch:

@@ -20,12 +20,9 @@ from repro.obs import (
     SeriesSelection,
     SloEngine,
     SloPolicy,
+    Observability,
     TimeSeriesRecorder,
-    install_engine,
-    install_recorder,
     to_perfetto,
-    uninstall_engine,
-    uninstall_recorder,
 )
 from repro.obs.metrics import _escape_label_value
 from repro.obs.smoke import parse_prometheus
@@ -43,9 +40,7 @@ BOUNDS = (10.0, 50.0, 100.0, 500.0, 1000.0)
 
 def _recorder(interval_us=1_000.0, retention=64):
     reg = MetricsRegistry()
-    return reg, TimeSeriesRecorder(
-        interval_us=interval_us, retention=retention, registry=reg
-    )
+    return reg, TimeSeriesRecorder(reg, interval_us=interval_us, retention=retention)
 
 
 class TestRecorderClock:
@@ -128,19 +123,20 @@ class TestRecorderClock:
         rec.advance_to(5_000.0)
         assert seen == [2_000.0]
 
-    def test_module_hooks_noop_when_uninstalled(self):
-        from repro.obs.timeseries import advance_by, advance_to, exclusive_clock
-
-        uninstall_recorder()
-        advance_to(1_000.0)
-        advance_by(1_000.0)
-        with exclusive_clock():
-            pass  # nothing installed: all no-ops
-        _, rec = _recorder()
-        assert install_recorder(rec) is None
-        advance_by(1_500.0)
-        assert rec.now_us == 1_500.0
-        assert uninstall_recorder() is rec
+    def test_handle_hooks_noop_without_a_recorder(self):
+        obs = Observability()
+        obs.advance_to(1_000.0)
+        obs.advance_by(1_000.0)
+        with obs.exclusive() as attached:
+            assert attached is None  # nothing attached: all no-ops
+        assert obs.now_us is None
+        obs.recorder = rec = TimeSeriesRecorder(obs.registry)
+        obs.advance_by(1_500.0)
+        assert rec.now_us == obs.now_us == 1_500.0
+        with obs.exclusive() as attached:
+            assert attached is rec
+            obs.advance_by(1_000.0)  # the absolute driver owns the clock
+        assert obs.now_us == 1_500.0
 
 
 class TestWindowedViews:
@@ -491,13 +487,18 @@ class TestSloEngine:
         assert set(entry["burn"]) == {WARNING, CRITICAL}
         assert out["n_transitions"] == len(out["alerts"]) >= 1
 
-    def test_install_uninstall(self):
-        reg, rec = _recorder()
-        engine = self._engine([_latency_policy()], reg)
+    def test_attached_engine_reports_on_its_own_system_only(self):
+        cfg = EngineConfig(m=32, n=32, batch_size=2, min_matches=5, scale_factor=0.25)
+        mine, other = DistributedSearchSystem(1, cfg), DistributedSearchSystem(1, cfg)
+        rec = TimeSeriesRecorder(mine.obs.registry)
+        engine = self._engine([_latency_policy()], mine.obs.registry)
         engine.attach(rec)
-        assert install_engine(engine) is None
-        assert uninstall_engine() is engine
-        assert engine._recorder is None  # uninstall detaches
+        mine.obs.recorder, mine.obs.slo = rec, engine
+        assert mine.stats()["slo"]["engine"]["enabled"] is True
+        assert other.stats()["slo"] == {
+            "recorder": {"enabled": False}, "engine": {"enabled": False}, "transitions": {},
+        }
+        assert other.obs.registry.get("repro_slo_state") is None
 
 
 class TestDeterminism:
@@ -517,7 +518,7 @@ class TestDeterminism:
         arrivals = poisson_arrivals(len(queries), 8 / group_us * 1e6 * 3.0,
                                     seed=7)
         trace = build_trace(arrivals, queries)
-        recorder = TimeSeriesRecorder(interval_us=group_us / 2.0,
+        recorder = TimeSeriesRecorder(engine.obs.registry, interval_us=group_us / 2.0,
                                       retention=512)
         slo = SloEngine([
             SloPolicy(
@@ -527,27 +528,20 @@ class TestDeterminism:
                 critical=BurnRateRule(2 * group_us, 6 * group_us, 2.0),
                 warning=BurnRateRule(4 * group_us, 12 * group_us, 1.0),
             ),
-        ])
+        ], engine.obs.registry)
         slo.attach(recorder)
-        install_recorder(recorder)
-        try:
-            simulate_serving(
-                executor, trace, BatchPolicy(max_batch=8)
-            )
-            recorder.flush()
-        finally:
-            uninstall_recorder()
-            slo.detach()
+        engine.obs.recorder = recorder
+        simulate_serving(
+            executor, trace, BatchPolicy(max_batch=8)
+        )
+        recorder.flush()
         return {
             "alerts": slo.log.to_dicts(),
             "samples": [s.t_us for s in recorder.samples],
         }
 
     def test_alert_timeline_is_reproducible(self):
-        from repro.obs import reset_observability
-
         first = self._run_once()
-        reset_observability()
         second = self._run_once()
         assert json.dumps(first, sort_keys=True) == json.dumps(
             second, sort_keys=True
@@ -567,42 +561,39 @@ class TestRestAndStatsSurfaces:
 
     def test_metrics_history_route(self):
         tier, descs = self._tier()
-        # no recorder installed: opt-in telemetry answers disabled
+        # no recorder attached: opt-in telemetry answers disabled
         off = tier.handle(Request("GET", "/metrics/history")).response
         assert off.ok and off.body == {"enabled": False, "samples": []}
 
-        rec = TimeSeriesRecorder(interval_us=1_000.0, retention=64)
-        install_recorder(rec)
-        try:
-            query = noisy_copy(descs[0], 4.0, seed=9).tolist()
-            for _ in range(3):
-                assert tier.handle(
-                    Request("POST", "/search", {"descriptors": query})
-                ).response.ok
-            rec.flush()
-            on = tier.handle(
-                Request("GET", "/metrics/history",
-                        {"names": ["repro_cluster_searches_total"],
-                         "limit": 5})
-            ).response
-            assert on.ok and on.body["enabled"] is True
-            assert on.body["n_samples"] >= 1
-            assert set(on.body["meta"]) == {"repro_cluster_searches_total"}
-            last = on.body["samples"][-1]["series"]
-            assert last["repro_cluster_searches_total"][0]["value"] == 3.0
+        obs = tier.system.obs
+        obs.recorder = rec = TimeSeriesRecorder(obs.registry, interval_us=1_000.0, retention=64)
+        query = noisy_copy(descs[0], 4.0, seed=9).tolist()
+        for _ in range(3):
+            assert tier.handle(
+                Request("POST", "/search", {"descriptors": query})
+            ).response.ok
+        rec.flush()
+        on = tier.handle(
+            Request("GET", "/metrics/history",
+                    {"names": ["repro_cluster_searches_total"],
+                     "limit": 5})
+        ).response
+        assert on.ok and on.body["enabled"] is True
+        assert on.body["n_samples"] >= 1
+        assert set(on.body["meta"]) == {"repro_cluster_searches_total"}
+        last = on.body["samples"][-1]["series"]
+        assert last["repro_cluster_searches_total"][0]["value"] == 3.0
 
-            for bad in (
-                {"names": "not-a-list"},
-                {"names": [1, 2]},
-                {"since_us": "soon"},
-                {"limit": "many"},
-            ):
-                resp = tier.handle(
-                    Request("GET", "/metrics/history", bad)
-                ).response
-                assert resp.status == 400
-        finally:
-            uninstall_recorder()
+        for bad in (
+            {"names": "not-a-list"},
+            {"names": [1, 2]},
+            {"since_us": "soon"},
+            {"limit": "many"},
+        ):
+            resp = tier.handle(
+                Request("GET", "/metrics/history", bad)
+            ).response
+            assert resp.status == 400
 
     def test_stats_v7_slo_block(self):
         tier, descs = self._tier()
@@ -611,7 +602,8 @@ class TestRestAndStatsSurfaces:
         assert stats["slo"]["recorder"] == {"enabled": False}
         assert stats["slo"]["engine"] == {"enabled": False}
 
-        rec = TimeSeriesRecorder(interval_us=1_000.0, retention=64)
+        obs = tier.system.obs
+        rec = TimeSeriesRecorder(obs.registry, interval_us=1_000.0, retention=64)
         engine = SloEngine([
             SloPolicy(
                 name="search-availability", kind="availability",
@@ -625,27 +617,22 @@ class TestRestAndStatsSurfaces:
                 critical=BurnRateRule(2_000.0, 6_000.0, 10.0),
                 warning=BurnRateRule(4_000.0, 12_000.0, 2.0),
             ),
-        ])
+        ], obs.registry)
         engine.attach(rec)
-        install_recorder(rec)
-        install_engine(engine)
-        try:
-            query = noisy_copy(descs[0], 4.0, seed=11).tolist()
-            assert tier.handle(
-                Request("POST", "/search", {"descriptors": query})
-            ).response.ok
-            rec.flush()
-            stats = tier.handle(Request("GET", "/stats")).response.body
-            slo = stats["slo"]
-            assert slo["recorder"]["enabled"] is True
-            assert slo["recorder"]["n_samples"] >= 1
-            assert slo["engine"]["enabled"] is True
-            (entry,) = slo["engine"]["policies"]
-            assert entry["name"] == "search-availability"
-            assert entry["state"] == OK
-        finally:
-            uninstall_engine()
-            uninstall_recorder()
+        obs.recorder, obs.slo = rec, engine
+        query = noisy_copy(descs[0], 4.0, seed=11).tolist()
+        assert tier.handle(
+            Request("POST", "/search", {"descriptors": query})
+        ).response.ok
+        rec.flush()
+        stats = tier.handle(Request("GET", "/stats")).response.body
+        slo = stats["slo"]
+        assert slo["recorder"]["enabled"] is True
+        assert slo["recorder"]["n_samples"] >= 1
+        assert slo["engine"]["enabled"] is True
+        (entry,) = slo["engine"]["policies"]
+        assert entry["name"] == "search-availability"
+        assert entry["state"] == OK
 
     def test_perfetto_counter_tracks(self):
         reg, rec = _recorder(interval_us=1_000.0)
