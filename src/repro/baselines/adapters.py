@@ -132,12 +132,6 @@ class LshKernel(MatchKernel):
                 "(the compression lives in the hash codes, not the cache)"
             )
 
-    @classmethod
-    def memory_per_image(cls, config, m=None) -> int:
-        rows = config.m if m is None else int(m)
-        # FP32 re-rank matrix + packed signature words (256 bits -> 32 B)
-        return rows * config.d * 4 + rows * ((256 + 63) // 64) * 8
-
     def prepare_reference(self, descriptors):
         descriptors = self._check_descriptors(descriptors)
         return pad_or_trim(descriptors, self.config.m), None

@@ -45,8 +45,7 @@ def run(
         resident = swept(spec, config, 1)[0].images_per_s
         sweep, step_us = swept(spec, config, streams, host=True)
         bound = pcie_bound(sweep, step_us)
-        # min: at S > 1 only host batches hide post-processing, so the host sweep outruns `resident`
-        hybrid = min(sweep.images_per_s, resident)
+        hybrid = sweep.images_per_s
         bottleneck = "PCIe" if bound < resident else "compute"
         capacity = TextureSearchEngine(config, device=GPUDevice(spec, cal, reserved_bytes=4 * GIB),
                                        host_cache_bytes=host_cache_bytes).capacity_images()
@@ -57,7 +56,7 @@ def run(
         result.summary[key] = hybrid
     result.notes.append(
         "at m=384 the P100 is compute-bound (the Sec. 7 result); faster "
-        "cards with the same PCIe Gen3 link flip back to transfer-bound "
-        "unless the link improves with them (A100: PCIe Gen4)"
+        "cards flip back to transfer-bound unless the link keeps pace "
+        "with them (V100: PCIe Gen3; the A100's Gen4 is not enough)"
     )
     return result

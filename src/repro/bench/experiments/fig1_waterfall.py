@@ -58,7 +58,7 @@ def run(
     asymmetric = EngineConfig(m=384, n=768, d=d)
     asym_speed = swept(spec, asymmetric.with_updates(batch_size=256), 1)[0].images_per_s
     streamed = asymmetric.with_updates(batch_size=512, streams=8)
-    # min, not the host sweep's speed: at S > 1 only host batches hide post-processing
+    # the single-stream GPU-resident speed, capped at the 8-stream PCIe bound
     stage("+ asymmetric m=384, n=768", asymmetric, hybrid=True,
           speed=min(asym_speed, pcie_bound(*swept(spec, streamed, 8, host=True))))
 

@@ -62,7 +62,7 @@ def run(
     # at m=384 — the point of Sec. 7).
     compute_speed = swept(spec, production.with_updates(batch_size=256), 1)[0].images_per_s
     streamed = production.with_updates(batch_size=512, streams=8)
-    # min, not the host sweep's speed: at S > 1 only host batches hide post-processing
+    # the single-stream GPU-resident speed, capped at the 8-stream PCIe bound
     per_gpu_speed = min(compute_speed, pcie_bound(*swept(spec, streamed, 8, host=True)))
     cluster_speed = per_gpu_speed * n_nodes
     million_scale_s = 1_000_000 / cluster_speed

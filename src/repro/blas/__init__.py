@@ -7,13 +7,10 @@ paper's Table 2 scale-factor study reproducible.
 """
 
 from .gemm import FP16_MAX, batched_hgemm, hgemm, sgemm
-from .norms import squared_norms, squared_norms_fp16
 
 __all__ = [
     "FP16_MAX",
     "batched_hgemm",
     "hgemm",
     "sgemm",
-    "squared_norms",
-    "squared_norms_fp16",
 ]

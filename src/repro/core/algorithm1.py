@@ -28,11 +28,10 @@ from typing import Optional
 
 import numpy as np
 
-from ..blas.norms import squared_norms, squared_norms_fp16
 from ..errors import HalfPrecisionOverflowError
 from ..fp16.convert import FP16_MAX, to_scaled_fp16
 from ..gpusim.engine_model import GPUDevice
-from ..gpusim.kernels import algorithm1_steps_us
+from ..gpusim.kernels import algorithm1_steps_us, norm_vector_us
 from .algorithm2 import _knn_columns
 from .results import KnnResult
 
@@ -47,8 +46,8 @@ class PreparedFeatures:
 
     ``values`` is ``(d, count)``; FP16 values are pre-scaled.  ``norms``
     holds the squared norms of the *stored* values (i.e. already in the
-    ``s^2``-scaled domain for FP16), as the paper keeps ``N_R`` cached
-    next to each reference matrix (Sec. 4.1).
+    ``s^2``-scaled domain for FP16), in the same precision, as the paper
+    keeps ``N_R`` cached next to each reference matrix (Sec. 4.1).
     """
 
     values: np.ndarray
@@ -87,25 +86,22 @@ def _attach_norms(
     scale: float,
     device: Optional[GPUDevice],
 ) -> PreparedFeatures:
-    """Attach the squared norms of *stored* values — computed on
-    ``device`` and charged when one is given, offline otherwise."""
-    if precision == "fp16":
-        if device is not None:
-            norms, overflow = squared_norms_fp16(device, values)
-        else:
-            v = values.astype(np.float32)
-            norms = np.einsum("dc,dc->c", v, v)
-            overflow = bool(np.any(norms > FP16_MAX))
-            norms = np.clip(norms, 0, FP16_MAX).astype(np.float16).astype(np.float32)
-        if overflow:
-            v = values.astype(np.float32)  # the real squared norm, not the clipped one stored
-            raise HalfPrecisionOverflowError(scale, float(np.einsum("dc,dc->c", v, v).max()))
-        return PreparedFeatures(values, norms, "fp16", scale)
+    """Attach the squared norms of *stored* ``(d, count)`` values —
+    charged to ``device`` when one is given (a query's ``N_Q``), offline
+    otherwise (``N_R``).  FP16 norms are rounded to FP16 and held in it;
+    one beyond its range raises."""
+    if values.ndim != 2:
+        raise ValueError(f"features must be (d, count), got shape {values.shape}")
+    wide = values.astype(np.float32, copy=False)
+    norms = np.einsum("dc,dc->c", wide, wide)
     if device is not None:
-        norms = squared_norms(device, values)
-    else:
-        norms = np.einsum("dc,dc->c", values, values)
-    return PreparedFeatures(values, norms.astype(np.float32), "fp32", 1.0)
+        d, count = values.shape
+        device.charge([("compute", norm_vector_us(device.spec, device.cal, count, d, precision), "norms")])
+    if precision == "fp32":
+        return PreparedFeatures(values, norms, "fp32", 1.0)
+    if np.any(norms > FP16_MAX):
+        raise HalfPrecisionOverflowError(scale, float(norms.max()))
+    return PreparedFeatures(values, norms.astype(np.float16), "fp16", scale)
 
 
 def prepare_reference(

@@ -79,8 +79,7 @@ class CascadeKernel(Algorithm1Kernel):
     needs_aux = True
     has_prefilter = True
 
-    #: default signature width (bits); :meth:`memory_per_image` assumes
-    #: it unless told otherwise.
+    #: default signature width (bits)
     DEFAULT_BITS = 128
 
     def __init__(
@@ -118,24 +117,6 @@ class CascadeKernel(Algorithm1Kernel):
             f"(cascade {self.n_bits}b "
             f"c{64 * self.coarse_words}/{self.coarse_threshold} "
             f"f{self.fine_threshold} h{self.min_hits})"
-        )
-
-    @classmethod
-    def memory_per_image(cls, config, m=None, n_bits=None) -> int:
-        """Exact cached bytes per image: features + ``N_R`` + codes.
-
-        The ``N_R`` vector lives in a float32 container in both
-        precisions (FP16 norms are rounded but stored widened), and the
-        packed codes add ``words_for_bits(n_bits) + 1`` uint64 words per
-        row (the ``+1`` is the validity flag word).
-        """
-        per_elem = 2 if config.precision == "fp16" else 4
-        rows = config.m if m is None else int(m)
-        bits = cls.DEFAULT_BITS if n_bits is None else int(n_bits)
-        return (
-            rows * config.d * per_elem
-            + rows * 4
-            + rows * (words_for_bits(bits) + 1) * 8
         )
 
     # -- binarization --------------------------------------------------

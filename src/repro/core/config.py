@@ -112,16 +112,15 @@ class EngineConfig:
         """Scale applied before FP16 conversion (1.0 in fp32 mode)."""
         return self.scale_factor if self.precision == "fp16" else 1.0
 
-    def feature_matrix_bytes(self, m: int | None = None) -> int:
-        """Bytes of one cached reference feature matrix.
-
-        Backend-dependent: Algorithm-1-family kernels also cache the
-        squared-norm vector ``N_R``; the LSH kernel adds its packed
-        signature words.
+    def feature_matrix_bytes(self) -> int:
+        """Bytes of one cached reference image under this configuration's
+        kernel (:attr:`~repro.core.kernels.MatchKernel.image_nbytes`):
+        Algorithm-1-family kernels also cache the squared-norm vector
+        ``N_R``, the cascade its packed sign-bit codes.
         """
-        from .registry import kernel_class
+        from .registry import create_kernel
 
-        return kernel_class(self.backend).memory_per_image(self, m)
+        return create_kernel(self).image_nbytes
 
     def with_updates(self, **kwargs) -> "EngineConfig":
         """Functional update helper (frozen dataclass)."""

@@ -25,12 +25,12 @@ image to the same kernel calls and touches neither cache nor stats.
 
 Timing: the device is one in-order queue, so with a single stream every
 stage serialises, as in Tables 1/3/5.  With multiple streams the sweep
-replaces the serial time of the batches it staged from the host by
-Table 6's overlap rule (:func:`overlap_us`), fed the H2D µs and the
-kernel steps it charged them, because real stream concurrency is a
-property the serial NumPy execution cannot exhibit.  This sweep is the
-only stream model: the paper's stream tables run it timing-only
-(:func:`repro.bench.tables.swept`).
+replaces the serial time of the batches it swept by Table 6's overlap
+rule (:func:`overlap_us`), fed the H2D µs of those it staged from the
+host and the kernel steps it charged them all, because real stream
+concurrency is a property the serial NumPy execution cannot exhibit.
+This sweep is the only stream model: the paper's stream tables run it
+timing-only (:func:`repro.bench.tables.swept`).
 """
 
 from __future__ import annotations
@@ -60,17 +60,17 @@ _TRACER = default_tracer()
 
 def overlap_us(streams: int, h2d_us: float, busy_us: float) -> float:
     """Table 6's multi-stream rule (Sec. 6.2): one CPU thread and CUDA
-    stream per slice of the host batches, the PCIe link fair-shared over
+    stream per slice of the swept batches, the PCIe link fair-shared over
     ``streams``, the device serial, CPU post-processing moved to the
     other workers."""
     return max(h2d_us + busy_us / streams, busy_us)
 
 
 def hidden_us(streams: int, h2d_us: float, steps: list[tuple]) -> float:
-    """What ``streams`` streams take off the serial time of host batches
-    that staged ``h2d_us`` of H2D and were charged the ``(engine, us,
-    step)`` list ``steps``: nothing at one stream, else the serial cycle
-    (H2D + device work + post-processing) less :func:`overlap_us`."""
+    """What ``streams`` streams take off the serial time of batches that
+    staged ``h2d_us`` of H2D and were charged the ``(engine, us, step)``
+    list ``steps``: nothing at one stream, else the serial cycle (H2D +
+    device work + post-processing) less :func:`overlap_us`."""
     if streams == 1:
         return 0.0
     busy = sum(us for engine, us, _ in steps if engine != "cpu")
@@ -385,8 +385,9 @@ class TextureSearchEngine:
         return len(self._slots)
 
     def capacity_images(self) -> int:
-        """The paper's capacity metric for this engine's configuration."""
-        return self.cache.capacity_images(self.config.feature_matrix_bytes())
+        """The paper's capacity metric: how many images of what this
+        engine's kernel caches fit its hybrid cache."""
+        return self.cache.capacity_images(self.kernel.image_nbytes)
 
     def fragmentation(self) -> dict:
         """How the sealed cache is chunked, which is what a sweep is charged
@@ -422,12 +423,13 @@ class TextureSearchEngine:
         (:meth:`_swept_matches`) in one kernel call — its own, or that of
         the gather it is part of (:mod:`repro.core.compute`).  The stats
         follow the loop, and so does the multi-stream overlap (Sec. 6.2):
-        the H2D µs and the steps charged to every batch staged from the
-        host — its surviving slots, at the group's width — go to
-        :func:`hidden_us`, which comes off the serial clock (nothing at
-        one stream or with no host batch).  This is the only stream
-        model: the paper's stream tables run this sweep timing-only
-        (:func:`repro.bench.tables.swept`).
+        the steps charged to every swept batch — its surviving slots, at
+        the group's width — and the H2D µs of those staged from the host
+        go to :func:`hidden_us`, which comes off the serial clock
+        (nothing at one stream).  A GPU-resident batch hides its
+        post-processing just as a staged one does.  This is the only
+        stream model: the paper's stream tables run this sweep
+        timing-only (:func:`repro.bench.tables.swept`).
 
         ``candidate_ids`` (a :mod:`repro.routing` tier's nominees): a
         batch with no nominated slot is skipped outright — no staging,
@@ -456,7 +458,7 @@ class TextureSearchEngine:
         with _TRACER.span("engine.sweep", layer="engine", backend=self.backend, queries=n_queries):
             start_us = charged_at_us = self.device.synchronize()
             images = skipped = pruned = cascade = 0
-            host_h2d_us, host_steps = 0.0, []
+            host_h2d_us, swept_steps = 0.0, []
             prefilter_active = self.kernel.has_prefilter and query.matrix.ndim == 2
             swept: list[ReferenceBatch] = []
             survivors_of: list[np.ndarray | None] = []
@@ -495,9 +497,9 @@ class TextureSearchEngine:
                         self.device.charge([("h2d", h2d_us, "H2D copy")])
                         self._h2d_bytes.inc(batch.nbytes)
                         host_h2d_us += h2d_us
-                        host_steps += self._batch_steps[shape]
                     # charged now, computed with the rest of the sweep
                     self.device.charge(self._batch_steps[shape])
+                    swept_steps += self._batch_steps[shape]
                     swept.append(batch)
                     survivors_of.append(survivors)
                     images += batch.size
@@ -509,9 +511,9 @@ class TextureSearchEngine:
                     charged_at_us = now_us
             per_query = self._swept_matches(
                 swept, survivors_of, query, n_queries, keep_masks, candidate_ids)
-            # the host batches' serial time becomes their multi-stream overlap (Sec. 6.2)
+            # the swept batches' serial time becomes their multi-stream overlap (Sec. 6.2)
             elapsed = (self.device.synchronize() - start_us
-                       - hidden_us(self.config.streams, host_h2d_us, host_steps))
+                       - hidden_us(self.config.streams, host_h2d_us, swept_steps))
 
             self.stats.searches += n_queries
             self.stats.images_compared += images * n_queries

@@ -24,16 +24,17 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from ..features.rootsift import l2_normalize, rootsift
 from ..features.selection import pad_or_trim
-from ..fp16.convert import FP16_MAX, to_scaled_fp16
+from ..fp16.convert import to_scaled_fp16
 from ..gpusim.engine_model import GPUDevice
 from ..gpusim.kernels import algorithm1_steps_us, postprocess_us
-from .algorithm1 import PreparedFeatures, prepare_reference, upload_query
+from .algorithm1 import PreparedFeatures, _attach_norms, prepare_reference, upload_query
 from .algorithm2 import _knn_columns, knn_steps
 from .batching import ReferenceBatch
 from .query_batching import MultiQueryResult, knn_algorithm2_multiquery
@@ -145,15 +146,15 @@ class MatchKernel(ABC):
     def validate_config(cls, config: "EngineConfig") -> None:
         """Raise ``ValueError`` when ``config`` cannot drive this kernel."""
 
-    @classmethod
-    def memory_per_image(cls, config: "EngineConfig", m: int | None = None) -> int:
-        """Bytes one cached reference image occupies under this kernel."""
-        per_elem = 2 if config.precision == "fp16" else 4
-        rows = config.m if m is None else int(m)
-        nbytes = rows * config.d * per_elem
-        if cls.needs_norms:
-            nbytes += rows * per_elem  # the cached N_R vector
-        return nbytes
+    @cached_property
+    def image_nbytes(self) -> int:
+        """Bytes one cached reference image occupies: what
+        :meth:`prepare_reference` (and :meth:`reference_aux`, when
+        :attr:`needs_aux`) returns for an image, as a batch holds it —
+        capacity counts what the cache stores."""
+        matrix, norms = self.prepare_reference(np.zeros((self.config.d, 0), dtype=np.float32))
+        aux = self.reference_aux(matrix) if self.needs_aux else None
+        return sum(part.nbytes for part in (matrix, norms, aux) if part is not None)
 
     def describe(self) -> str:
         """Short tag for profile-report headers."""
@@ -401,12 +402,7 @@ class Algorithm1Kernel(MatchKernel):
 
     def norms_for_stored(self, matrix):
         cfg = self.config
-        v = matrix.astype(np.float32)
-        norms = np.einsum("dc,dc->c", v, v)
-        if cfg.precision == "fp16":
-            # match prepare_reference's FP16-stored N_R exactly
-            norms = np.clip(norms, 0, FP16_MAX).astype(np.float16)
-        return norms.astype(np.float32)
+        return _attach_norms(matrix, cfg.precision, cfg.effective_scale, None).norms
 
     def query_matrix(self, descriptors):
         cfg = self.config

@@ -25,7 +25,6 @@ from .kernels import (
     gemm_us,
     hamming_us,
     insertion_sort_us,
-    norm_vector_us,
     postprocess_us,
     top2_scan_us,
 )
@@ -151,9 +150,6 @@ class GPUDevice:
     ) -> float:
         dur = elementwise_us(self.spec, self.cal, elements, dtype, rw_factor)
         return self.submit("compute", dur, step)
-
-    def norm_vector(self, features: int, d: int, dtype: str = "fp16", step: str = "norms") -> float:
-        return self.submit("compute", norm_vector_us(self.spec, self.cal, features, d, dtype), step)
 
     def cpu_postprocess(
         self, batch: int, dtype: str = "fp16", n: int = 768, step: str = "Post-processing",

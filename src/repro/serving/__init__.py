@@ -39,7 +39,7 @@ from .executors import (
     SerialEngineExecutor,
     WebTierBatchExecutor,
 )
-from .metrics import Rejected, ServingMeters, ServingReport, percentile
+from .metrics import Rejected, ServingReport, percentile
 from .workload import (
     burst_arrivals,
     diurnal_arrivals,
@@ -58,7 +58,6 @@ __all__ = [
     "Rejected",
     "RequestRecord",
     "SerialEngineExecutor",
-    "ServingMeters",
     "ServingReport",
     "ServingRequest",
     "WebTierBatchExecutor",

@@ -32,7 +32,7 @@ from typing import Any, Iterable, Sequence
 
 from ..errors import ExecutorContractError
 from ..obs import MetricsRegistry, Observability, deadline_scope, default_tracer
-from .metrics import GROUP_SIZE_BUCKETS, Rejected, ServingMeters, ServingReport
+from .metrics import GROUP_SIZE_BUCKETS, Rejected, ServingReport
 
 _TRACER = default_tracer()
 
@@ -289,7 +289,7 @@ def simulate_serving(
     records: list[RequestRecord] = []
     groups: list[GroupRecord] = []
     rejected: list[Rejected] = []
-    meters = ServingMeters()
+    peak_queue_depth = 0
     obs = getattr(executor, "obs", None) or Observability()
     loop = _LoopMetrics(obs.registry)
 
@@ -331,7 +331,7 @@ def simulate_serving(
             loop.requests.inc()
         depth = len(batcher)
         loop.queue_depth.set(depth)
-        meters.observe_queue_depth(depth)
+        peak_queue_depth = max(peak_queue_depth, depth)
         # this loop owns the absolute timeline: feed it to the attached
         # time-series recorder so samples land on simulated boundaries
         obs.advance_to(t)
@@ -393,7 +393,6 @@ def simulate_serving(
         # launch-time events are stamped at t (the clock's position)…
         (loop.size_trigger if trig == "size" else loop.timeout_trigger).inc()
         loop.group_size.observe(float(len(group)))
-        meters.observe_group(len(group))
         for request in group:
             loop.queue_wait_us.observe(t - request.arrival_us)
         # …then the clock advances before events stamped at `completed`,
@@ -433,11 +432,10 @@ def simulate_serving(
     # queue), not frozen at the last pre-launch depth
     obs.advance_to(max(t, free_at))
     loop.queue_depth.set(0)
-    meters.observe_queue_depth(0)
 
     records.sort(key=lambda r: r.request_id)
     rejected.sort(key=lambda r: r.request_id)
     return ServingReport(
         policy=policy, records=records, groups=groups,
-        meters=meters, rejected=rejected,
+        peak_queue_depth=peak_queue_depth, rejected=rejected,
     )

@@ -13,23 +13,13 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Sequence
 
-from ..obs.metrics import Histogram
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, hints only
     from .batcher import BatchPolicy, GroupRecord, RequestRecord
 
-__all__ = ["Rejected", "ServingMeters", "ServingReport", "percentile"]
+__all__ = ["Rejected", "ServingReport", "percentile"]
 
 #: group sizes are bounded by the policy's max_batch (<= 64 at REST).
 GROUP_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
-
-
-def make_group_size_histogram() -> Histogram:
-    """A standalone (unregistered) per-run group-size histogram."""
-    return Histogram(
-        "serving_group_size", "requests fused per group",
-        buckets=GROUP_SIZE_BUCKETS,
-    )
 
 
 @dataclass(frozen=True)
@@ -49,28 +39,6 @@ class Rejected:
     shed_us: float
     reason: str
     retry_after_us: float = 0.0
-
-
-@dataclass
-class ServingMeters:
-    """Per-run instrumentation captured live by the serving event loop.
-
-    The loop observes each launched group's size into ``group_size``
-    and tracks the admission queue's high-water mark — the report
-    layer *consumes* these instead of re-deriving them from the record
-    lists after the fact (the executor's registry, ``executor.obs``,
-    gets the same observations, but aggregated across runs).
-    """
-
-    group_size: Histogram = field(default_factory=make_group_size_histogram)
-    peak_queue_depth: int = 0
-
-    def observe_group(self, size: int) -> None:
-        self.group_size.observe(float(size))
-
-    def observe_queue_depth(self, depth: int) -> None:
-        if depth > self.peak_queue_depth:
-            self.peak_queue_depth = depth
 
 
 def percentile(values: Sequence[float], p: float) -> float:
@@ -101,10 +69,8 @@ class ServingReport:
     policy: BatchPolicy
     records: list[RequestRecord] = field(default_factory=list)
     groups: list[GroupRecord] = field(default_factory=list)
-    #: live meters from the event loop; when present, group-occupancy
-    #: figures are read from them instead of recomputed from ``groups``
-    #: (equivalent by construction — the loop observes every launch).
-    meters: ServingMeters | None = None
+    #: the admission queue's high-water mark, set by the event loop
+    peak_queue_depth: int = 0
     #: requests shed by admission control or expired deadlines —
     #: they never executed and are absent from ``records``.
     rejected: list[Rejected] = field(default_factory=list)
@@ -186,17 +152,9 @@ class ServingReport:
 
     @property
     def mean_group_size(self) -> float:
-        if self.meters is not None:
-            hist = self.meters.group_size
-            return hist.sum / hist.count if hist.count else 0.0
         if not self.groups:
             return 0.0
         return sum(g.size for g in self.groups) / len(self.groups)
-
-    @property
-    def peak_queue_depth(self) -> int:
-        """Admission-queue high-water mark (0 without live meters)."""
-        return self.meters.peak_queue_depth if self.meters is not None else 0
 
     @property
     def fused_occupancy(self) -> float:

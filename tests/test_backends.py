@@ -127,14 +127,16 @@ class TestRegistry:
             TextureSearchEngine(EngineConfig(m=M, n=N, backend="lsh", precision="fp16"))
 
     def test_memory_per_image(self):
-        # Algorithm-1 family caches N_R next to the matrix
+        # Algorithm-1 family caches N_R next to the matrix, in its precision
         assert cfg("algorithm1").feature_matrix_bytes() == M * 128 * 4 + M * 4
         assert cfg("garcia").feature_matrix_bytes() == M * 128 * 4 + M * 4
+        fp16 = cfg("algorithm1", precision="fp16", scale_factor=0.25)
+        assert fp16.feature_matrix_bytes() == M * 128 * 2 + M * 2
         # norm-free kernels cache just the matrix
         assert cfg("opencv").feature_matrix_bytes() == M * 128 * 4
         assert cfg("algorithm2").feature_matrix_bytes() == M * 128 * 2
-        # LSH adds its packed signature words
-        assert cfg("lsh").feature_matrix_bytes() == M * 128 * 4 + M * 32
+        # LSH hashes where it compares: it caches no signature words
+        assert cfg("lsh").feature_matrix_bytes() == M * 128 * 4
 
 
 class TestBackendParity:

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.blas import FP16_MAX, batched_hgemm, hgemm, sgemm, squared_norms, squared_norms_fp16
+from repro.blas import FP16_MAX, batched_hgemm, hgemm, sgemm
+from repro.core.algorithm1 import prepare_reference, upload_query
+from repro.errors import HalfPrecisionOverflowError
 from tests.conftest import make_descriptors
 
 
@@ -110,22 +112,34 @@ class TestBatchedHgemm:
 
 
 class TestNorms:
+    """Algorithm 1's steps 1-2: ``N_R`` offline at enrolment, ``N_Q`` on
+    the device at query time — one computation, two callers."""
+
     def test_squared_norms(self, p100):
         d = make_descriptors(10, seed=5)
-        norms = squared_norms(p100, d)
-        np.testing.assert_allclose(norms, 512.0**2, rtol=1e-4)
+        reference = prepare_reference(d, "fp32")
+        np.testing.assert_allclose(reference.norms, 512.0**2, rtol=1e-4)
+        assert p100.elapsed_us() == 0.0  # N_R is offline
+        query = upload_query(p100, reference.values, "fp32")
+        np.testing.assert_array_equal(query.norms, reference.norms)
+        assert p100.profiler.as_dict()["norms"] > 0  # N_Q is charged
 
     def test_fp16_norm_overflow(self, p100):
-        d = make_descriptors(4, seed=6).astype(np.float16)
-        _norms, overflow = squared_norms_fp16(p100, d)
-        assert overflow  # 512^2 > fp16 max
+        d = make_descriptors(4, seed=6)
+        with pytest.raises(HalfPrecisionOverflowError):  # 512^2 > fp16 max
+            prepare_reference(d, "fp16", scale=1.0)
+        with pytest.raises(HalfPrecisionOverflowError):
+            upload_query(p100, d.astype(np.float16), "fp16", scale=1.0)
 
     def test_fp16_norm_ok_when_scaled(self, p100):
-        d = (make_descriptors(4, seed=6) * np.float32(0.25)).astype(np.float16)
-        norms, overflow = squared_norms_fp16(p100, d)
-        assert not overflow
-        np.testing.assert_allclose(norms, (512 * 0.25) ** 2, rtol=2e-3)
+        d = make_descriptors(4, seed=6)
+        reference = prepare_reference(d, "fp16", scale=0.25)
+        # rounded to FP16 and held in it: the cache pays two bytes a norm
+        assert reference.norms.dtype == np.float16
+        np.testing.assert_allclose(reference.norms, (512 * 0.25) ** 2, rtol=2e-3)
+        query = upload_query(p100, reference.values, "fp16", scale=0.25)
+        np.testing.assert_array_equal(query.norms, reference.norms)
 
     def test_rejects_bad_shape(self, p100):
         with pytest.raises(ValueError):
-            squared_norms(p100, np.ones(5, np.float32))
+            prepare_reference(np.ones(5, np.float32), "fp32")

@@ -199,8 +199,7 @@ class TestCacheAccounting:
             fine_threshold=min(16, n_bits),
         )
         batch = self._batch_with_aux(config, kernel)
-        per_image = CascadeKernel.memory_per_image(config, n_bits=n_bits)
-        assert batch.nbytes == per_image * batch.size
+        assert batch.nbytes == kernel.image_nbytes * batch.size
         # and the codes really occupy the advertised word count
         assert batch.aux.shape == (
             batch.size, config.m, words_for_bits(n_bits) + 1
@@ -210,7 +209,7 @@ class TestCacheAccounting:
         config = cfg()
         assert (
             config.feature_matrix_bytes()
-            == CascadeKernel.memory_per_image(config)
+            == CascadeKernel(config).image_nbytes
             == M * 128 * 4 + M * 4 + M * (words_for_bits(128) + 1) * 8
         )
 

@@ -223,7 +223,7 @@ class TestBoundedQueue:
         trace = build_trace([0.0] * 5, [f"q{i}" for i in range(5)])
         report = simulate_serving(stub, trace, BatchPolicy(max_batch=2))
         assert stub.obs.registry.value("repro_serving_queue_depth") == 0.0
-        assert report.meters.peak_queue_depth >= 1
+        assert report.peak_queue_depth >= 1
 
 
 class TestServingDeadlines:

@@ -8,7 +8,7 @@ and ``core/query_batching.py`` as of the commit before the stacked
 sweep, copied verbatim (the ``tests/test_kernel_diet.py`` method: only
 the ``def`` names, the sweep's docstring and the module the tile budget
 is read from changed — and the multi-stream block, which applies today's
-overlap rule to the host batches the loop staged).  There every sealed batch is charged *and*
+overlap rule to the batches the loop swept).  There every sealed batch is charged *and*
 computed inside the sweep loop, through five cost-model calls and one
 kernel call each.  The split sweep — charge every batch in the loop,
 compute all of them in one pass whose tiles run across batch boundaries
@@ -277,7 +277,6 @@ class ParentEngine(TextureSearchEngine):
             start_us = self.device.synchronize()
             per_query: list[list[ImageMatch]] = [[] for _ in range(n_queries)]
             images = 0
-            host_images = 0
             images_skipped = 0
             images_pruned = 0
             cascade_pruned = 0
@@ -327,7 +326,6 @@ class ParentEngine(TextureSearchEngine):
                         # group shares the transfer, it is not paid per query
                         self.device.h2d(batch.nbytes, pinned=self.cache.pinned)
                         self._h2d_bytes.inc(batch.nbytes)
-                        host_images += batch.size
                     if fully_pruned:
                         # no survivor: the batch never transfers and the
                         # exact stage is skipped outright.
@@ -366,10 +364,11 @@ class ParentEngine(TextureSearchEngine):
                     charged_at_us = now_us
             elapsed = self.device.synchronize() - start_us
 
-            if cfg.streams > 1 and host_images:
-                # The overlap rule (Sec. 6.2) over the host batches the loop
-                # staged — the nominated ones, up to the ``images`` swept
-                # before any cut: their H2D and the steps charged them.
+            if cfg.streams > 1:
+                # The overlap rule (Sec. 6.2) over the batches the loop
+                # swept — the nominated ones, up to the ``images`` swept
+                # before any cut: the steps charged them all, and the H2D
+                # of those staged from the host.
                 h2d_us, steps, walked = 0.0, [], 0
                 for cached in self.cache.batches():
                     nominated = candidate_ids is None or any(
@@ -378,7 +377,7 @@ class ParentEngine(TextureSearchEngine):
                         walked += cached.batch.size
                         if cached.location is CacheLocation.HOST:
                             h2d_us += h2d_time_us(self.device.spec, cached.batch.nbytes, self.cache.pinned)
-                            steps += self.kernel.batch_steps(self.device, cached.batch.size, n_queries)
+                        steps += self.kernel.batch_steps(self.device, cached.batch.size, n_queries)
                 elapsed -= hidden_us(cfg.streams, h2d_us, steps)
 
             if record_stats:

@@ -5,7 +5,7 @@
 and ``core/cascade.py`` as of the commit before the seam moved, copied
 verbatim (the ``tests/test_stacked_sweep.py`` method: only the class they
 hang off, the sweep's docstring and its multi-stream block — today's
-overlap rule over the host batches it staged — changed; since every kernel is
+overlap rule over the batches it swept — changed; since every kernel is
 pre-costed, the sweep reads the parent's ``batch_steps`` — ``None`` but
 for Algorithm 2 — through :func:`parent_batch_steps` and computes what
 it charged through ``tests/test_fused_gather.py``'s
@@ -145,7 +145,6 @@ class ParentEngine(TextureSearchEngine):
         with sweep_cm as sweep_span:
             start_us = self.device.synchronize()
             images = 0
-            host_images = 0
             images_skipped = 0
             images_pruned = 0
             cascade_pruned = 0
@@ -200,7 +199,6 @@ class ParentEngine(TextureSearchEngine):
                         # group shares the transfer, it is not paid per query
                         self.device.h2d(batch.nbytes, pinned=self.cache.pinned)
                         self._h2d_bytes.inc(batch.nbytes)
-                        host_images += batch.size
                     if fully_pruned:
                         # no survivor: the batch never transfers and the
                         # exact stage is skipped outright.
@@ -226,10 +224,10 @@ class ParentEngine(TextureSearchEngine):
             per_query = parent_swept_matches(self, swept, query, n_queries, keep_masks, candidate_ids)
             elapsed = self.device.synchronize() - start_us
 
-            if cfg.streams > 1 and host_images:
-                # The overlap rule (Sec. 6.2) over the swept batches the loop
-                # staged from the host: their H2D and the steps charged their
-                # surviving slots (the prefilter re-run on a throwaway device).
+            if cfg.streams > 1:
+                # The overlap rule (Sec. 6.2) over the batches the loop swept:
+                # the steps charged their surviving slots (the prefilter re-run
+                # on a throwaway device), and the H2D of those staged from the host.
                 location = {cached.batch.batch_id: cached.location for cached in self.cache.batches()}
                 h2d_us, steps = 0.0, []
                 for batch, _ in swept:
@@ -237,8 +235,9 @@ class ParentEngine(TextureSearchEngine):
                     if prefilter_active:
                         mask = self.kernel.prefilter_batch(GPUDevice(self.device.spec), batch, query)
                         surviving = batch.size if mask is None else int(mask.sum())
-                    if surviving and location[batch.batch_id] is CacheLocation.HOST:
-                        h2d_us += h2d_time_us(self.device.spec, batch.nbytes, self.cache.pinned)
+                    if surviving:
+                        if location.get(batch.batch_id) is CacheLocation.HOST:  # verify's batch is in no cache
+                            h2d_us += h2d_time_us(self.device.spec, batch.nbytes, self.cache.pinned)
                         steps += self.kernel.batch_steps(self.device, surviving, n_queries)
                 elapsed -= hidden_us(cfg.streams, h2d_us, steps)
 
