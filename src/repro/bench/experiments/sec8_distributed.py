@@ -8,9 +8,9 @@ total), caching 10.8 M reference matrices (m=384, FP16) and searching
 Two parts:
 
 * **capacity/throughput arithmetic** at the paper's full scale: one
-  container's capacity, and its speed read off timing-only sweeps of the
-  production engine (:func:`repro.bench.tables.swept`, no functional
-  compute needed);
+  container's capacity, and its speed read off the Table 7 cell of the
+  production dimensions (:func:`.table7_asymmetric.cell_speed`, no
+  functional compute needed);
 * a **functional mini-cluster** (scaled-down descriptors) that actually
   enrols, shards, serialises and answers a search through the REST API,
   verifying the machinery end-to-end.
@@ -27,7 +27,8 @@ from ...distributed.rest import Request, build_api
 from ...gpusim.calibration import KernelCalibration
 from ...gpusim.device import TESLA_P100, DeviceSpec
 from ...gpusim.engine_model import GPUDevice
-from ..tables import ExperimentResult, pcie_bound, swept
+from ..tables import ExperimentResult
+from .table7_asymmetric import cell_speed
 
 __all__ = ["run"]
 
@@ -57,13 +58,9 @@ def run(
     node_cache_bytes = container.cache.gpu_budget_bytes + container.cache.host_budget_bytes
     cluster_capacity = container.capacity_images() * n_nodes
 
-    # Per-GPU speed: a GPU-resident sweep at batch 256, capped by the
-    # PCIe bound of 8 streams over batches of 512 (which no longer binds
-    # at m=384 — the point of Sec. 7).
-    compute_speed = swept(spec, production.with_updates(batch_size=256), 1)[0].images_per_s
-    streamed = production.with_updates(batch_size=512, streams=8)
-    # the single-stream GPU-resident speed, capped at the 8-stream PCIe bound
-    per_gpu_speed = min(compute_speed, pcie_bound(*swept(spec, streamed, 8, host=True)))
+    # Per-GPU speed: the Table 7 m / n cell (batch 256, GPU-resident), as
+    # the paper quotes it (872,984 / 14 = 62,356, its m=384 / n=768 cell).
+    per_gpu_speed = cell_speed(spec, m, n, d)
     cluster_speed = per_gpu_speed * n_nodes
     million_scale_s = 1_000_000 / cluster_speed
 

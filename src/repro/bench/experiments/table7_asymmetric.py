@@ -21,7 +21,7 @@ from ...gpusim.engine_model import GPUDevice
 from ...metrics.accuracy import evaluate_top1
 from ..tables import ExperimentResult, images_per_s, kernel_steps
 
-__all__ = ["run", "DEFAULT_GRID"]
+__all__ = ["run", "cell_speed", "DEFAULT_GRID"]
 
 DEFAULT_GRID = [
     (768, 768),
@@ -42,6 +42,15 @@ _PAPER = {
     (384, 512): (0.9576, 91367),
     (384, 384): (0.9181, 111818),
 }
+
+
+def cell_speed(spec: DeviceSpec, m: int, n: int, d: int = 128, batch: int = 256) -> float:
+    """One speed cell: images per second of the FP16 Algorithm-2 kernel's
+    chain over a ``batch``-image batch at ``(m, n)``.  Fig. 1's last stage
+    and Sec. 8's per-GPU speed quote the m=384 / n=768 cell, as the paper
+    does."""
+    config = EngineConfig(m=m, n=n, d=d, precision="fp16")
+    return images_per_s(kernel_steps(spec, config, batch), batch)
 
 
 def run(
@@ -65,8 +74,7 @@ def run(
     speeds = {}
     accuracies = {}
     for m, n in grid:
-        config = EngineConfig(m=m, n=n, d=d, precision="fp16")
-        speed = images_per_s(kernel_steps(spec, config, batch), batch)
+        speed = cell_speed(spec, m, n, d, batch)
         speeds[(m, n)] = speed
         if with_accuracy:
             dataset = build_feature_dataset(

@@ -40,16 +40,19 @@ def functional_topk(
     Deterministic tie-breaking: ties resolve to the lower row index,
     matching what a sequential scan produces.  For k ≪ m the selection
     is Sec. 4.1's ``k`` running minima: one ``argmin`` pass per winner
-    (first occurrence = lower row), the winner masked with ``+inf``
-    before the next pass and every masked entry put back before
-    returning, so ``a`` is unchanged after the call (a read-only ``a``
-    is copied first).  Columns are scanned fastest when contiguous in
-    memory, i.e. when ``a`` is F-ordered.
+    (first occurrence = lower row), the winner read and masked with
+    ``+inf`` through its flat index in the F-ordered buffer (row + column
+    · m) before the next pass, and every masked entry put back before
+    returning, so ``a`` is unchanged after the call.  An ``a`` that is
+    not F-contiguous, or not writeable, is selected from an F-ordered
+    copy: the passes scan contiguous columns, and the flat index needs
+    that layout.
 
     ``largest=True`` is the values-only mirror image for a caller that
     owns ``a`` and is done with it: the ``k`` largest values, largest
     first and with multiplicity, of columns free of NaN and ``-inf``;
-    no indices (``None``), and the winners stay masked with ``-inf``.
+    no indices (``None``), and the winners stay masked with ``-inf`` (in
+    ``a`` itself when it is F-contiguous and writeable).
     """
     a = np.asarray(a)
     if a.ndim != 2:
@@ -61,21 +64,27 @@ def functional_topk(
         # k is a sizable fraction of m (a stable full sort is both
         # simpler and no slower), or the dtype has no +inf to mask with.
         return (np.sort(a, axis=0)[: -k - 1 : -1], None) if largest else _stable_topk(a, k)
-    work = a if a.flags.writeable else a.copy()
-    col = np.arange(cols)
+    work = a if a.flags.f_contiguous and a.flags.writeable else np.array(a, order="F")
+    flat = work.ravel(order="F")  # a view: element (row, column) sits at row + column·m
     vals = np.empty((k, cols), dtype=a.dtype)
     idx = np.empty((k, cols), dtype=np.intp)
+    at = np.empty((k, cols), dtype=np.intp)
+    column_starts = np.arange(0, cols * m, m, dtype=np.intp)
     found = 0
     pick, mask = (np.argmax, -np.inf) if largest else (np.argmin, np.inf)
     try:
         for j in range(k):
             pick(work, axis=0, out=idx[j])
-            vals[j] = work[idx[j], col]
+            np.add(idx[j], column_starts, out=at[j])
+            np.take(flat, at[j], out=vals[j])
             found = j + 1
-            work[idx[j], col] = mask
+            flat[at[j]] = mask
     finally:
-        if not largest:
-            work[idx[:found], col] = vals[:found]
+        if not largest and work is a:
+            # earliest pick written last: a pass that re-picks a masked
+            # entry must not leave the mask behind
+            for j in reversed(range(found)):
+                flat[at[j]] = vals[j]
     if largest:
         return vals, None
     # A winner that is not < +inf is a NaN (argmin's first pick, a

@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..obs import brownout_scope, default_tracer
 from .admission import AdmissionPolicy, TokenBucket
 from .cluster import DistributedSearchSystem, WEB_TIER_OVERHEAD_US
 from .rest import Request, Response, Router, build_api
+from .serialization import serialize_descriptors
 
 __all__ = ["DispatchRecord", "WebTier"]
 
@@ -201,12 +200,10 @@ class WebTier:
 
         Mutations bypass admission control — shedding an enrollment
         saves a few hundred µs and loses data — but are load-balanced
-        and charged to a worker clock like any other request.
+        and charged to a worker clock like any other request.  The
+        descriptors travel as a serialized fp32 feature record.
         """
-        body = {
-            "id": str(ref_id),
-            "descriptors": np.asarray(descriptors, dtype=np.float32).tolist(),
-        }
+        body = {"id": str(ref_id), "descriptors": serialize_descriptors(descriptors)}
         return self.handle(Request("POST", "/enroll", body)).response
 
     def delete_reference(self, ref_id: str) -> Response:

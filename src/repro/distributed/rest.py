@@ -29,12 +29,21 @@ map to compare against), a crashed target shard answers 503 without
 mutating anything, and deletes are idempotent (a tombstone is written
 even for unknown ids so stale blobs can never resurrect).
 
-Descriptor payloads are ``(d, count)`` nested lists (what a JSON body
-would carry); a well-formed payload the backend cannot prepare (a
-negative entry under RootSIFT, FP16 overflow at the configured scale)
-answers 400 on every route that takes one, with nothing written, routed
-or fanned out.  No sockets are involved — the web tier of the paper's
-Fig. 6 is reproduced as a deterministic, testable dispatch layer.
+A descriptor payload (each entry of ``queries`` too) takes one of two
+forms: ``(d, count)`` nested lists, what a JSON body would carry, or
+the bytes of a serialized :class:`~repro.distributed.serialization.FeatureRecord`
+(fp32 at scale 1.0, its matrix the raw ``(d, count)`` descriptors:
+:func:`~repro.distributed.serialization.serialize_descriptors`) — the
+protobuf-style record Sec. 8 ships to the GPU containers, and what the
+package's own clients (:meth:`WebTier.enroll`,
+:class:`~repro.serving.WebTierBatchExecutor`) send.  A record that does
+not decode, is not fp32 at scale 1.0, has the wrong ``d`` or holds a
+non-finite value answers 400 as a bad list does.  A well-formed payload
+the backend cannot prepare (a negative entry under RootSIFT, FP16
+overflow at the configured scale) answers 400 on every route that takes
+one, with nothing written, routed or fanned out.  No sockets are
+involved — the web tier of the paper's Fig. 6 is reproduced as a
+deterministic, testable dispatch layer.
 """
 
 from __future__ import annotations
@@ -51,12 +60,14 @@ from ..errors import (
     InvalidDescriptorsError,
     NodeDownError,
     RestError,
+    SerializationError,
     TransientNodeError,
 )
 from ..core.registry import kernel_class
 from ..core.results import Answer, Sweep
 from ..obs import deadline_scope
 from .cluster import DistributedSearchSystem
+from .serialization import deserialize_descriptors
 
 __all__ = ["Request", "Response", "Router", "build_api"]
 
@@ -174,14 +185,23 @@ def _parse_routing(body: dict) -> tuple[int | None, float | None]:
 
 
 def _parse_descriptors(body: dict, d_expected: int) -> np.ndarray:
+    """The body's ``descriptors`` — nested lists or a serialized
+    :class:`FeatureRecord` — as a finite float32 ``(d, count)`` matrix,
+    or a 400."""
     raw = body.get("descriptors")
     if raw is None:
         raise RestError(400, "missing 'descriptors'")
-    try:
-        with np.errstate(over="ignore"):  # a finite double past float32 becomes inf: 400 below
-            matrix = np.asarray(raw, dtype=np.float32)
-    except (TypeError, ValueError) as exc:
-        raise RestError(400, f"malformed descriptors: {exc}") from exc
+    if isinstance(raw, bytes):
+        try:
+            matrix = deserialize_descriptors(raw)
+        except SerializationError as exc:
+            raise RestError(400, f"malformed descriptor record: {exc}") from exc
+    else:
+        try:
+            with np.errstate(over="ignore"):  # a finite double past float32 becomes inf: 400 below
+                matrix = np.asarray(raw, dtype=np.float32)
+        except (TypeError, ValueError) as exc:
+            raise RestError(400, f"malformed descriptors: {exc}") from exc
     if matrix.ndim != 2 or matrix.shape[0] != d_expected:
         raise RestError(
             400,

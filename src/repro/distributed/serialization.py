@@ -30,6 +30,8 @@ __all__ = [
     "FeatureRecord",
     "serialize_record",
     "deserialize_record",
+    "serialize_descriptors",
+    "deserialize_descriptors",
 ]
 
 SCHEMA_VERSION = 1
@@ -141,11 +143,22 @@ def serialize_record(record: FeatureRecord) -> bytes:
     )
 
 
+#: the wire type each known field must arrive with
+_FIELD_WIRES = {1: _WIRE_VARINT, 2: _WIRE_BYTES, 3: _WIRE_VARINT, 4: _WIRE_VARINT,
+                5: _WIRE_BYTES, 6: _WIRE_BYTES, 7: _WIRE_BYTES}
+
+
 def deserialize_record(data: bytes) -> FeatureRecord:
+    """Decode :func:`serialize_record`'s bytes; anything malformed —
+    truncation, a known field of the wrong wire type, text that is not
+    its encoding, a payload whose length disagrees with ``(d, m)`` —
+    raises :class:`SerializationError`."""
     fields: dict[int, object] = {}
-    for field, _wire, value in _iter_fields(data):
+    for field, wire, value in _iter_fields(data):
         # Unknown fields are skipped (forward compatibility).
-        if field in (1, 2, 3, 4, 5, 6, 7):
+        if field in _FIELD_WIRES:
+            if wire != _FIELD_WIRES[field]:
+                raise SerializationError(f"field {field} has wire type {wire}")
             fields[field] = value
     for required in (2, 3, 4, 5, 7):
         if required not in fields:
@@ -153,9 +166,15 @@ def deserialize_record(data: bytes) -> FeatureRecord:
     version = int(fields.get(1, 0))
     if version > SCHEMA_VERSION:
         raise SerializationError(f"unsupported schema version {version}")
-    precision = bytes(fields[5]).decode("ascii")
+    try:
+        precision = bytes(fields[5]).decode("ascii")
+        ref_id = bytes(fields[2]).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SerializationError(f"undecodable text field: {exc}") from exc
     if precision not in _DTYPES:
         raise SerializationError(f"unknown precision {precision!r}")
+    if 6 in fields and len(fields[6]) != 8:
+        raise SerializationError(f"scale is {len(fields[6])} B, expected 8")
     d = int(fields[3])
     m = int(fields[4])
     raw = bytes(fields[7])
@@ -168,8 +187,28 @@ def deserialize_record(data: bytes) -> FeatureRecord:
     matrix = np.frombuffer(raw, dtype=dtype).reshape(d, m).copy()
     scale = struct.unpack("<d", bytes(fields[6]))[0] if 6 in fields else 1.0
     return FeatureRecord(
-        ref_id=bytes(fields[2]).decode("utf-8"),
+        ref_id=ref_id,
         matrix=matrix,
         precision=precision,
         scale=float(scale),
     )
+
+
+def serialize_descriptors(descriptors) -> bytes:
+    """Raw ``(d, count)`` descriptors as the web tier's clients send them
+    (Sec. 8, Fig. 6): an fp32 record at scale 1.0 with an empty id."""
+    with np.errstate(over="ignore"):  # a finite double past float32 becomes inf: the server's 400
+        matrix = np.asarray(descriptors, dtype=np.float32)
+    return serialize_record(FeatureRecord("", matrix, "fp32", 1.0))
+
+
+def deserialize_descriptors(data: bytes) -> np.ndarray:
+    """The ``(d, count)`` matrix :func:`serialize_descriptors` sent; a
+    record that does not decode, or is not fp32 at scale 1.0, raises
+    :class:`SerializationError`."""
+    record = deserialize_record(data)
+    if record.precision != "fp32" or record.scale != 1.0:
+        raise SerializationError(
+            f"descriptors travel as fp32 at scale 1.0, got {record.precision} at {record.scale}"
+        )
+    return record.matrix

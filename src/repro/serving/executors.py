@@ -17,8 +17,6 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import Any
 
-import numpy as np
-
 __all__ = [
     "ClusterGroupExecutor",
     "FusedEngineExecutor",
@@ -162,8 +160,10 @@ class MixedClusterExecutor(ClusterGroupExecutor):
 
 class WebTierBatchExecutor(GroupExecutor):
     """The full front door: groups go through the load balancer as
-    ``POST /search/batch`` requests, so executor time includes web-tier
-    overhead and the payloads are the JSON-style response dicts."""
+    ``POST /search/batch`` requests, each query a serialized fp32
+    :class:`~repro.distributed.serialization.FeatureRecord`, so executor
+    time includes web-tier overhead and the payloads are the JSON-style
+    response dicts."""
 
     name = "webtier-batch"
 
@@ -184,11 +184,9 @@ class WebTierBatchExecutor(GroupExecutor):
         # Imported here so repro.serving does not hard-depend on the
         # distributed tier (engine-only users never touch REST).
         from ..distributed.rest import Request
+        from ..distributed.serialization import serialize_descriptors
 
-        body = {
-            "queries": [np.asarray(q).tolist() for q in queries],
-            "top": self.top,
-        }
+        body = {"queries": [serialize_descriptors(q) for q in queries], "top": self.top}
         if self.nprobe is not None:
             body["nprobe"] = self.nprobe
         if self.recall_target is not None:

@@ -79,6 +79,60 @@ class TestFunctionalTopk:
         )
 
 
+@st.composite
+def selections(draw):
+    """``(a, k, largest, layout)``: a tie-riddled column block over a small
+    alphabet — ``+inf`` and whole NaN columns on the smallest-k path — in
+    one of the three layouts :func:`functional_topk` meets."""
+    m, cols, k = draw(st.integers(5, 64)), draw(st.integers(1, 12)), draw(st.integers(1, 3))
+    largest = draw(st.booleans())
+    alphabet = [0.0, 1.0, 2.0, 3.0] if largest else [0.0, 1.0, 2.0, np.inf, np.nan]
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    a = draw(hnp.arrays(dtype, (m, cols), elements=st.sampled_from(alphabet)))
+    if not largest:
+        a[:, draw(st.lists(st.integers(0, cols - 1), max_size=cols))] = np.nan
+    return a, k, largest, draw(st.sampled_from(["F", "C", "read-only F", "read-only C"]))
+
+
+class TestFlatIndexSelection:
+    """The winners are read and masked through flat indices into the
+    F-ordered buffer; any other layout is selected from an F-ordered copy."""
+
+    @given(selections())
+    @settings(max_examples=200, deadline=None)
+    def test_property_stable_sort_oracle_and_side_effects(self, case):
+        original, k, largest, layout = case
+        a = np.asfortranarray(original) if layout.endswith("F") else np.ascontiguousarray(original)
+        a = a.copy(order="K")
+        a.flags.writeable = not layout.startswith("read-only")
+        # a one-column block is F-contiguous whatever its order
+        consumed = a.flags.f_contiguous and a.flags.writeable and 4 * k < len(a)
+        vals, idx = functional_topk(a, k, largest=largest)
+        after = original.copy()
+        if largest:
+            assert idx is None
+            np.testing.assert_array_equal(vals, np.sort(original, axis=0)[::-1][:k])
+            if consumed:  # the selection path masks the winners in place
+                winners = np.argsort(-original, axis=0, kind="stable")[:k]
+                np.put_along_axis(after, winners, -np.inf, axis=0)
+        else:
+            order = np.argsort(original, axis=0, kind="stable")[:k]
+            np.testing.assert_array_equal(idx, order)
+            np.testing.assert_array_equal(vals, np.take_along_axis(original, order, axis=0))
+        np.testing.assert_array_equal(a, after)  # restored, or masked where documented
+
+    def test_a_masked_entry_picked_again_is_restored(self):
+        # argmin picks the NaN, then — every other entry +inf — the mask
+        # itself: the NaN must come back, and the column take the sort's order
+        a = np.full((10, 1), np.inf)
+        a[0, 0] = np.nan
+        a = np.asfortranarray(a)
+        vals, idx = functional_topk(a, 2)
+        np.testing.assert_array_equal(idx[:, 0], [1, 2])
+        np.testing.assert_array_equal(vals[:, 0], [np.inf, np.inf])
+        assert np.isnan(a[0, 0]) and np.isinf(a[1:]).all()
+
+
 class TestDeviceTopk:
     def test_scan_and_insertion_agree(self, p100):
         rng = np.random.default_rng(2)
