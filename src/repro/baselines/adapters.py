@@ -24,9 +24,9 @@ from ..core.batching import ReferenceBatch
 from ..core.kernels import Algorithm1Kernel, MatchKernel, PreparedQuery
 from ..core.ratio_test import match_images
 from ..core.results import KnnResult
+from ..features.binarize import LshCodec, hamming_distances
 from ..features.selection import pad_or_trim
 from ..gpusim.kernels import d2h_result_us, elementwise_us, postprocess_us
-from .lsh import LshCodec
 from .opencv_cuda import opencv_steps_us
 
 __all__ = ["GarciaKernel", "LshKernel", "OpenCVKernel"]
@@ -175,7 +175,7 @@ class LshKernel(MatchKernel):
         q_codes = query.aux if query.aux is not None else self.codec.encode(q)
         ref = batch.tensor[index]
         n, m = q.shape[1], ref.shape[1]
-        hamming = self.codec.hamming(q_codes, self.codec.encode(ref))  # (n, m)
+        hamming = hamming_distances(q_codes, self.codec.encode(ref))  # (n, m)
         k_cand = min(self.n_candidates, m)
         if k_cand < m:
             candidates = np.argpartition(hamming, k_cand - 1, axis=1)[:, :k_cand]

@@ -252,7 +252,7 @@ def run_lsh_ablation(
     decisive evidence product traceability needs.  The FP16 engine
     keeps the exact ratio-test margin at a fixed 2x compression.
     """
-    from ...baselines.lsh import LshCodec, LshMatcher
+    from ...baselines.adapters import LshKernel
 
     bit_widths = bit_widths or [64, 256, 1024]
     dataset = build_feature_dataset(n_bricks, m, n, queries_per_brick=1, seed=seed)
@@ -265,66 +265,45 @@ def run_lsh_ablation(
                  "top-1 accuracy", "genuine med.", "impostor med.", "margin"],
     )
 
-    def margin_stats(scores):
-        genuine = np.array([s[0] for s in scores], dtype=np.float64)
-        impostor = np.array([s[1] for s in scores], dtype=np.float64)
-        med_g = float(np.median(genuine))
-        med_i = float(np.median(impostor))
-        return med_g, med_i, med_g / max(med_i, 1.0)
-
-    # --- FP16 engine -----------------------------------------------------
-    engine = TextureSearchEngine(
-        EngineConfig(m=m, n=n, precision="fp16", scale_factor=0.25,
-                     batch_size=min(32, n_bricks))
-    )
-    for ref in dataset.references:
-        engine.add_reference(str(ref.brick_id), ref.descriptors)
-    engine.flush()
-    engine_scores = []
-    engine_correct = 0
-    for query in dataset.queries:
-        search = engine.search(query.descriptors)
-        by_id = {match.reference_id: match.good_matches for match in search.matches}
-        truth = str(query.brick_id)
-        true_score = by_id.get(truth, 0)
-        imp_score = max((s for rid, s in by_id.items() if rid != truth), default=0)
-        engine_scores.append((true_score, imp_score))
-        best = search.best()
-        if best is not None and best.reference_id == truth and best.score >= 8:
-            engine_correct += 1
-    med_g, med_i, margin = margin_stats(engine_scores)
-    fp16_bytes = m * 128 * 2
-    result.rows.append(
-        ["FP16 engine (paper)", fp16_bytes, f"{fp32_bytes / fp16_bytes:.0f}x",
-         f"{engine_correct / len(dataset.queries):.2%}", med_g, med_i, round(margin, 1)]
-    )
-    result.summary["fp16_margin"] = margin
-    result.summary["fp16_accuracy"] = engine_correct / len(dataset.queries)
-
-    # --- LSH sweep --------------------------------------------------------
-    for bits in bit_widths:
-        codec = LshCodec(d=128, n_bits=bits, seed=seed)
-        codec.train(sample)
-        matcher = LshMatcher(codec, n_candidates=n_candidates)
+    def row(label: str, per_image: int, engine: TextureSearchEngine) -> tuple[float, float, float]:
+        """Enrol every reference, search every query; append the row and
+        return (accuracy, impostor median, margin)."""
         for ref in dataset.references:
-            matcher.add(str(ref.brick_id), ref.descriptors)
+            engine.add_reference(str(ref.brick_id), ref.descriptors)
+        engine.flush()
         scores = []
         correct = 0
         for query in dataset.queries:
-            ranked = matcher.search(query.descriptors)
-            by_id = dict(ranked)
+            search = engine.search(query.descriptors)
+            by_id = {match.reference_id: match.good_matches for match in search.matches}
             truth = str(query.brick_id)
-            true_score = by_id.get(truth, 0)
             imp_score = max((s for rid, s in by_id.items() if rid != truth), default=0)
-            scores.append((true_score, imp_score))
-            if ranked and ranked[0][0] == truth and ranked[0][1] >= 8:
+            scores.append((by_id.get(truth, 0), imp_score))
+            best = search.best()
+            if best is not None and best.reference_id == truth and best.score >= 8:
                 correct += 1
-        med_g, med_i, margin = margin_stats(scores)
-        per_image = codec.bytes_per_descriptor * m
-        result.rows.append(
-            [f"LSH {bits}-bit signatures", per_image, f"{fp32_bytes / per_image:.0f}x",
-             f"{correct / len(dataset.queries):.2%}", med_g, med_i, round(margin, 1)]
-        )
+        med_g = float(np.median([s[0] for s in scores]))
+        med_i = float(np.median([s[1] for s in scores]))
+        margin = med_g / max(med_i, 1.0)
+        accuracy = correct / len(dataset.queries)
+        result.rows.append([label, per_image, f"{fp32_bytes / per_image:.0f}x",
+                            f"{accuracy:.2%}", med_g, med_i, round(margin, 1)])
+        return accuracy, med_i, margin
+
+    batch_size = min(32, n_bricks)
+    fp16 = TextureSearchEngine(
+        EngineConfig(m=m, n=n, precision="fp16", scale_factor=0.25, batch_size=batch_size)
+    )
+    accuracy, _, margin = row("FP16 engine (paper)", m * 128 * 2, fp16)
+    result.summary["fp16_margin"] = margin
+    result.summary["fp16_accuracy"] = accuracy
+
+    config = EngineConfig(m=m, n=n, precision="fp32", backend="lsh", batch_size=batch_size)
+    for bits in bit_widths:
+        kernel = LshKernel(config, n_bits=bits, n_candidates=n_candidates, seed=seed)
+        kernel.codec.train(sample)
+        _, med_i, margin = row(f"LSH {bits}-bit signatures", kernel.codec.bytes_per_descriptor * m,
+                               TextureSearchEngine(config, kernel=kernel))
         result.summary[f"lsh{bits}_margin"] = margin
         result.summary[f"lsh{bits}_impostor_median"] = med_i
     result.notes.append(

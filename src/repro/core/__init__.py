@@ -21,7 +21,7 @@ from .ratio_test import (
 )
 from .registry import available_backends, create_kernel, register_kernel
 from .results import Answer, ImageMatch, KnnResult, Sweep
-from .topk import functional_topk, insertion_topk, top2_scan
+from .topk import functional_topk
 
 __all__ = [
     "Answer",
@@ -53,7 +53,6 @@ __all__ = [
     "current_compute",
     "functional_topk",
     "good_match_count",
-    "insertion_topk",
     "knn_algorithm1",
     "knn_algorithm2",
     "knn_algorithm2_multiquery",
@@ -63,6 +62,5 @@ __all__ = [
     "prepare_reference",
     "ratio_test_mask",
     "register_kernel",
-    "top2_scan",
     "verify_pair",
 ]

@@ -4,12 +4,12 @@ GPU Cascade Hashing (Xu et al.) and CUDA LATCH (Parker et al.) both
 show that a cheap XOR/popcount Hamming stage in front of exact matching
 prunes most candidates at equal accuracy.  :class:`CascadeKernel`
 applies the idea to this engine: every reference image's stored matrix
-is sign-binarized into packed uint64 codes (the shared
-:mod:`repro.features.binarize` helpers, same machinery as the LSH
-baseline codec) and cached *alongside* the FP16/FP32 features in the
-``ReferenceBatch.aux`` slot, so the hybrid cache accounts and evicts
-codes with the batch.  At query time a coarse-to-fine Hamming test runs
-per batch:
+is sign-binarized into packed uint64 codes by an untrained
+:class:`~repro.features.LshCodec` (the encoder the LSH baseline and
+router use, its hyperplanes through the origin) and cached *alongside*
+the FP16/FP32 features in the ``ReferenceBatch.aux`` slot, so the
+hybrid cache accounts and evicts codes with the batch.  At query time a
+coarse-to-fine Hamming test runs per batch:
 
 * **coarse** — the first ``coarse_words`` uint64 words of each
   signature are compared pairwise; only pairs within
@@ -22,10 +22,11 @@ Only surviving images reach the exact cuBLAS 2-NN pipeline (Algorithm
 1's per-image chain and stacked plane, inherited): the sweep charges a
 batch the chain once per survivor, the plane stacks only the survivors,
 and pruned images report zero good matches without any GEMM — and a
-host-resident batch with no survivor is never staged by the engine.  Both Hamming stages are
-charged through the :func:`repro.gpusim.kernels.hamming_us` integer
-popcount cost model, so the simulated speedup reflects popcount
-throughput vs GEMM FLOPs rather than being free.
+host-resident batch with no survivor is never staged by the engine.
+Both Hamming stages are charged as one-step lists costed by the
+:func:`repro.gpusim.kernels.hamming_us` integer popcount model, so the
+simulated speedup reflects popcount throughput vs GEMM FLOPs rather
+than being free.
 
 The default knobs are *conservative*: sign bits of genuinely matching
 descriptor pairs disagree on only a few percent of planes, while
@@ -42,8 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..features.binarize import hamming_distances, pack_bits, sign_planes, words_for_bits
+from ..features.binarize import LshCodec, hamming_distances
 from ..gpusim.engine_model import GPUDevice
+from ..gpusim.kernels import hamming_us
 from .algorithm1 import PreparedFeatures
 from .batching import ReferenceBatch
 from .kernels import Algorithm1Kernel, PreparedQuery
@@ -67,11 +69,11 @@ class CascadeKernel(Algorithm1Kernel):
     ``TextureSearchEngine(config, kernel=CascadeKernel(config, ...))``
     to override the defaults (the bench experiment sweeps them).
 
-    Signatures carry one extra uint64 *validity* word flagging non-zero
-    descriptor columns: ``pad_or_trim`` zero-pads reference and query
-    matrices alike, and without the flag every padded column would
-    Hamming-match every other padded column at distance 0, defeating
-    the prune.
+    Signatures are ``codec``'s sign bits of the stored matrix plus one
+    extra uint64 *validity* word flagging non-zero descriptor columns:
+    ``pad_or_trim`` zero-pads reference and query matrices alike, and
+    without the flag every padded column would Hamming-match every other
+    padded column at distance 0, defeating the prune.
     """
 
     name = "cascade"
@@ -93,8 +95,9 @@ class CascadeKernel(Algorithm1Kernel):
         seed: int = 0,
     ) -> None:
         super().__init__(config)
-        self.n_bits = int(n_bits)
-        self.n_words = words_for_bits(self.n_bits)
+        self.codec = LshCodec(config.d, n_bits, seed)
+        self.n_bits = self.codec.n_bits
+        self.n_words = self.codec.n_words
         if not (1 <= int(coarse_words) <= self.n_words):
             raise ValueError(
                 f"coarse_words must be in [1, {self.n_words}], got {coarse_words}"
@@ -110,7 +113,6 @@ class CascadeKernel(Algorithm1Kernel):
         self.fine_threshold = int(fine_threshold)
         self.min_hits = int(min_hits)
         self.seed = int(seed)
-        self._planes = sign_planes(config.d, self.n_bits, seed)
 
     def describe(self) -> str:
         return (
@@ -127,10 +129,8 @@ class CascadeKernel(Algorithm1Kernel):
         FP16 pre-scaling never flips a sign), so enrolment, record
         re-import and query encoding all agree bit-for-bit.
         """
-        values = np.asarray(matrix, dtype=np.float32)
-        codes = pack_bits(self._planes @ values > 0)
-        valid = values.any(axis=0).astype(np.uint64)
-        return np.concatenate([codes, valid[:, None]], axis=1)
+        valid = np.asarray(matrix).any(axis=0).astype(np.uint64)
+        return np.concatenate([self.codec.encode(matrix), valid[:, None]], axis=1)
 
     def reference_aux(self, matrix: np.ndarray) -> np.ndarray:
         return self._encode(matrix)
@@ -145,12 +145,6 @@ class CascadeKernel(Algorithm1Kernel):
         )
 
     # -- the prefilter -------------------------------------------------
-    def _batch_codes(self, batch: ReferenceBatch, index: int) -> np.ndarray:
-        if batch.aux is not None:
-            return batch.aux[index]
-        # transient batches built outside the engine: encode on the fly
-        return self._encode(batch.tensor[index])
-
     def prefilter_batch(
         self,
         device: GPUDevice,
@@ -163,11 +157,12 @@ class CascadeKernel(Algorithm1Kernel):
         n = qc.shape[0]
         m = batch.tensor.shape[2]
         # coarse stage: every pair, prefix width, the whole batch fused.
-        device.hamming_prefilter(m, n, self.coarse_words, batch=batch.size)
+        device.charge([("compute", hamming_us(device.spec, device.cal, m, n, self.coarse_words,
+                                              batch.size), "Hamming prefilter")])
         survivors = np.zeros(batch.size, dtype=bool)
         fine_pairs = 0
         for i in range(batch.size):
-            codes = self._batch_codes(batch, i)
+            codes = batch.aux[i]
             r_valid = codes[:, self.n_words] != 0
             rc = codes[:, : self.n_words]
             coarse = hamming_distances(qc, rc, words=self.coarse_words)
@@ -186,9 +181,8 @@ class CascadeKernel(Algorithm1Kernel):
             survivors[i] = hits >= self.min_hits
         if fine_pairs:
             # fine stage: full width, only the coarse-surviving pairs.
-            device.hamming_prefilter(
-                max(1, -(-fine_pairs // n)), n, self.n_words, batch=1
-            )
+            device.charge([("compute", hamming_us(device.spec, device.cal, max(1, -(-fine_pairs // n)),
+                                                  n, self.n_words), "Hamming prefilter")])
         return survivors
 
     # -- matching: Algorithm 1's plane, which stacks only what ``survivors`` keeps

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
@@ -152,7 +153,7 @@ class Answer:
     def top(self, count: int = 1) -> list[ImageMatch]:
         """Best ``count`` reference images by score (descending); a score
         tie goes to the smallest id, whichever shard answered first."""
-        return sorted(self.matches, key=lambda m: (-m.score, m.reference_id))[:count]
+        return heapq.nsmallest(count, self.matches, key=lambda m: (-m.score, m.reference_id))
 
     def best(self) -> ImageMatch | None:
         top = self.top(1)

@@ -1,19 +1,14 @@
-"""Top-2 selection kernels (Sec. 4.1).
+"""Top-k selection (Sec. 4.1): the functional body of both selection
+strategies the paper compares.
 
-Functional NumPy implementations of the two selection strategies the
-paper compares:
-
-* :func:`top2_scan` — the proposed register-resident single-pass scan.
-  Each column is scanned once, keeping the two smallest values in
-  registers; no intermediate stores.  81.9 % faster than insertion sort
-  at batch 1 (Table 1).
-* :func:`insertion_topk` — the Garcia et al. [9] modified insertion
-  sort, the general-k baseline (functionally identical for k = 2 but
-  charged its much higher memory-traffic cost).
-
-Both return ``(values, indices)`` with shape ``(k, columns)``, smallest
-first, over the *rows* of the input (one column = one query feature's
-distance vector, as in Algorithm 1).
+The proposed register-resident top-2 scan and the Garcia et al. [9]
+modified insertion sort select the same winners; they differ only in
+their simulated cost (:func:`repro.gpusim.kernels.top2_scan_us` and
+:func:`~repro.gpusim.kernels.insertion_sort_us`, 81.9 % apart at batch
+1, Table 1), which each kernel lists in its step list.
+:func:`functional_topk` returns ``(values, indices)`` with shape ``(k,
+columns)``, smallest first, over the *rows* of the input (one column =
+one query feature's distance vector, as in Algorithm 1).
 """
 
 from __future__ import annotations
@@ -22,9 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..gpusim.engine_model import GPUDevice
-
-__all__ = ["top2_scan", "insertion_topk", "functional_topk"]
+__all__ = ["functional_topk"]
 
 
 def _stable_topk(a: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -95,39 +88,3 @@ def functional_topk(
         vals[:, unordered], idx[:, unordered] = _stable_topk(a[:, unordered], k)
     return vals, idx
 
-
-def top2_scan(
-    device: GPUDevice,
-    a: np.ndarray,
-    dtype: str = "fp16",
-    k: int = 2,
-    step: str = "Top-2 sort",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Register-resident top-k scan over the columns of ``(m, cols)``.
-
-    Charged with the single-pass scan cost model.  ``k`` defaults to 2
-    — the whole point of the kernel is that two registers per thread
-    suffice (Sec. 4.1).
-    """
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"expected (m, columns), got shape {a.shape}")
-    m, cols = a.shape
-    device.top2_scan(m, cols, dtype=dtype, step=step)
-    return functional_topk(a, k)
-
-
-def insertion_topk(
-    device: GPUDevice,
-    a: np.ndarray,
-    k: int = 2,
-    dtype: str = "fp32",
-    step: str = "Top-2 sort",
-) -> tuple[np.ndarray, np.ndarray]:
-    """Modified insertion sort baseline (general k, heavy memory traffic)."""
-    a = np.asarray(a)
-    if a.ndim != 2:
-        raise ValueError(f"expected (m, columns), got shape {a.shape}")
-    m, cols = a.shape
-    device.insertion_sort(m, cols, dtype=dtype, step=step)
-    return functional_topk(a, k)

@@ -3,6 +3,7 @@
 RootSIFT, and response-ranked selection for asymmetric extraction."""
 
 from .binarize import (
+    LshCodec,
     hamming_distances,
     pack_bits,
     popcount,
@@ -28,6 +29,7 @@ __all__ = [
     "ExtractionResult",
     "GaussianPyramid",
     "Keypoint",
+    "LshCodec",
     "SIFTConfig",
     "SIFTExtractor",
     "SURFConfig",

@@ -1,18 +1,20 @@
-"""Sign-bit binarization shared by every Hamming-space consumer.
+"""Sign-bit binarization: the one encoder every Hamming-space consumer uses.
 
-Three subsystems reduce float descriptors to packed sign bits and
-compare them with XOR + popcount: the LSH compression baseline
-(:mod:`repro.baselines.lsh`), the LSH-banding candidate router
-(:mod:`repro.routing.router`) and the cascade-hashing prefilter kernel
-(:mod:`repro.core.cascade`).  Historically the packing/popcount code
-was private to the baseline codec; this module is the one shared
-implementation, so a bit-layout change (or a faster popcount) lands in
-all three at once.
+:class:`LshCodec` turns float descriptors into packed sign bits of random
+projections, and :func:`hamming_distances` compares them with XOR +
+popcount.  Three subsystems consume the codes: the LSH compression
+baseline (:class:`repro.baselines.adapters.LshKernel`), the LSH-banding
+candidate router (:mod:`repro.routing.router`) and the cascade-hashing
+prefilter kernel (:mod:`repro.core.cascade`).  The baseline and the
+router centre the hyperplanes on a training sample; the cascade keeps
+them through the origin, so its codes are the signs of the stored
+matrix.  This module is the one implementation, so a bit-layout change
+(or a faster popcount) lands in all three at once.
 
 Bit layout: bit ``b`` of a signature lives in uint64 word ``b // 64``
-at offset ``b % 64`` (LSB first).  All helpers are pure NumPy and make
-no assumption about where the bits came from — random-hyperplane
-signs, band values, or anything else.
+at offset ``b % 64`` (LSB first).  The packing and distance helpers are
+pure NumPy and make no assumption about where the bits came from —
+random-hyperplane signs, band values, or anything else.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
+    "LshCodec",
     "hamming_distances",
     "pack_bits",
     "popcount",
@@ -36,6 +39,10 @@ def words_for_bits(n_bits: int) -> int:
     return (int(n_bits) + 63) // 64
 
 
+#: set bits of every byte value, for :func:`popcount` without ``np.bitwise_count``
+_BYTE_POPCOUNT = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
+
+
 def popcount(values: np.ndarray) -> np.ndarray:
     """Per-element popcount for unsigned integer arrays.
 
@@ -44,12 +51,10 @@ def popcount(values: np.ndarray) -> np.ndarray:
     """
     if hasattr(np, "bitwise_count"):
         return np.bitwise_count(values)
-    # fallback: byte-table popcount
-    table = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
     out = np.zeros(values.shape, dtype=np.int64)
     view = values.copy()
     for _ in range(values.dtype.itemsize):
-        out += table[(view & 0xFF).astype(np.uint8)]
+        out += _BYTE_POPCOUNT[(view & 0xFF).astype(np.uint8)]
         view >>= 8
     return out
 
@@ -131,3 +136,40 @@ def sign_planes(d: int, n_bits: int, seed: int = 0) -> np.ndarray:
         raise ValueError("n_bits must be >= 8")
     rng = np.random.default_rng(seed)
     return rng.normal(size=(int(n_bits), int(d))).astype(np.float32)
+
+
+class LshCodec:
+    """Random-hyperplane sign bits: ``n_bits`` per descriptor, packed into
+    ``ceil(n_bits / 64)`` uint64 words.
+
+    768 SIFT floats (3 KB) become e.g. 32 bytes at 256 bits, a 96x
+    compression at the cost of Hamming-space recall.  The hyperplanes
+    pass through the origin until :meth:`train` centres them on a data
+    sample.
+    """
+
+    def __init__(self, d: int = 128, n_bits: int = 256, seed: int = 0) -> None:
+        self.d = d
+        self.n_bits = int(n_bits)
+        self.n_words = words_for_bits(self.n_bits)
+        self._planes = sign_planes(d, self.n_bits, seed)
+        self._center = np.zeros(d, dtype=np.float32)
+
+    def train(self, sample: np.ndarray) -> None:
+        """Centre the hyperplanes on a data sample ((d, count) matrix)."""
+        sample = np.asarray(sample, dtype=np.float32)
+        if sample.ndim != 2 or sample.shape[0] != self.d:
+            raise ValueError(f"sample must be ({self.d}, count)")
+        self._center = sample.mean(axis=1)
+
+    def encode(self, descriptors: np.ndarray) -> np.ndarray:
+        """``(d, count)`` descriptors -> ``(count, n_words)`` uint64 codes."""
+        descriptors = np.asarray(descriptors, dtype=np.float32)
+        if descriptors.ndim != 2 or descriptors.shape[0] != self.d:
+            raise ValueError(f"descriptors must be ({self.d}, count)")
+        bits = (self._planes @ (descriptors - self._center[:, None])) > 0  # (bits, count)
+        return pack_bits(bits)
+
+    @property
+    def bytes_per_descriptor(self) -> int:
+        return self.n_words * 8

@@ -25,7 +25,7 @@ Two implementations, both reusing the baseline machinery:
   (:func:`repro.baselines.cbir_ivf.kmeans`) over the pooled vectors;
   a query probes its ``nprobe`` nearest centroid lists.
 * :class:`LshCandidateRouter` — LSH banding over
-  :class:`repro.baselines.lsh.LshCodec` sign bits: signatures are
+  :class:`repro.features.LshCodec` sign bits: signatures are
   split into bands and an image is nominated when enough of its bands
   collide with the query's.  ``nprobe`` relaxes the required band
   matches (the codec analogue of probing more lists).
@@ -47,8 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..baselines.cbir_ivf import kmeans
-from ..baselines.lsh import LshCodec
-from ..features.binarize import unpack_bits
+from ..features.binarize import LshCodec, hamming_distances, unpack_bits
 from ..obs import Observability, default_tracer
 
 __all__ = [
@@ -530,7 +529,7 @@ class LshCandidateRouter(CandidateRouter):
     """LSH-banding router.
 
     Pooled vectors are signed into ``n_bits``-bit signatures
-    (:class:`~repro.baselines.lsh.LshCodec`); signatures split into
+    (:class:`~repro.features.LshCodec`); signatures split into
     bands of ``band_bits``.  An image is nominated when it shares at
     least ``max(1, band_matches + 1 - nprobe)`` band values with the
     query — ``nprobe=1`` demands ``band_matches`` collisions
@@ -641,7 +640,7 @@ class LshCandidateRouter(CandidateRouter):
         hits = np.nonzero(eligible)[0]
         if hits.size == 0:
             return []
-        hamming = self._codec.hamming(q_codes, self._codes[hits])[0]
+        hamming = hamming_distances(q_codes, self._codes[hits])[0]
         order = np.lexsort((hits, hamming, -band_matches[hits]))
         return [self._ref_ids[int(hits[i])] for i in order]
 

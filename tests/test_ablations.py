@@ -48,8 +48,20 @@ class TestVerificationAblation:
 
 
 class TestLshAblation:
-    def test_impostor_inflation_at_tight_budgets(self):
-        result = ablations.run_lsh_ablation(n_bricks=8, bit_widths=[64, 1024])
+    @pytest.fixture(scope="class")
+    def result(self):
+        return ablations.run_lsh_ablation(n_bricks=8, bit_widths=[64, 1024])
+
+    def test_summary_is_pinned(self, result):
+        """The LSH rows run ``lsh`` engines; this is the summary the
+        per-feature matcher they replaced printed."""
+        assert result.summary == {
+            "fp16_margin": 14.5, "fp16_accuracy": 0.875,
+            "lsh64_margin": pytest.approx(13.2), "lsh64_impostor_median": 2.5,
+            "lsh1024_margin": 25.0, "lsh1024_impostor_median": 0.0,
+        }
+
+    def test_impostor_inflation_at_tight_budgets(self, result):
         assert (
             result.summary["lsh64_impostor_median"]
             >= result.summary["lsh1024_impostor_median"]

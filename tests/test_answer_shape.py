@@ -17,10 +17,11 @@ from dataclasses import FrozenInstanceError, asdict, dataclass, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import EngineConfig
 from repro.core import engine as engine_module
-from repro.core.results import Answer, Sweep
+from repro.core.results import Answer, ImageMatch, Sweep
 from repro.distributed import DistributedSearchSystem, FaultInjector, Request, build_api
 from repro.distributed import cluster as cluster_module
 from repro.obs import brownout_scope
@@ -141,6 +142,26 @@ def test_the_answers_share_one_immutable_header():
     # a value like any other: it copies, pickles and converts
     assert copy.deepcopy(sweep) == pickle.loads(pickle.dumps(sweep)) == sweep
     assert asdict(sweep)["shard_epochs"] == tuple(first.corpus_epoch.items())
+
+
+MATCHES = st.lists(
+    st.builds(ImageMatch, reference_id=st.sampled_from(["a", "b", "c"]),
+              good_matches=st.integers(0, 2), n_query_features=st.just(4),
+              inliers=st.none() | st.integers(0, 2)),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(matches=MATCHES, data=st.data())
+def test_top_is_the_head_of_the_full_sort(matches, data):
+    """Score ties, id ties and both at once: ``top(count)`` is the same
+    objects in the same order as the first ``count`` of a stable sort."""
+    count = data.draw(st.integers(0, len(matches) + 1), label="count")
+    answer = Answer(matches, Sweep())
+    ranked = sorted(matches, key=lambda m: (-m.score, m.reference_id))
+    assert [id(m) for m in answer.top(count)] == [id(m) for m in ranked[:count]]
+    assert answer.best() is (ranked[0] if ranked else None)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
-"""Ratchets on the shape of the sweep and on where telemetry lives
-(stdlib ``ast`` only).
+"""Ratchets on the shape of the sweep, on where telemetry lives and on
+one implementation of the LSH baseline and its sign-bit encoder (stdlib
+``ast`` only).
 
 ``TextureSearchEngine._execute_sweep`` was the most branched function in
 ``src/``: 40 decision points in 156 lines at the commit before PR 18, by
@@ -14,14 +15,18 @@ counts as part of the sweep.
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro import obs
 from repro.baselines import adapters, opencv_cuda
-from repro.core import algorithm1, cascade, engine, kernels
+from repro.core import algorithm1, cascade, engine, kernels, topk
 from repro.core.registry import kernel_class
+from repro.gpusim import GPUDevice
 
 DECISIONS = (ast.If, ast.For, ast.While, ast.With, ast.ExceptHandler, ast.BoolOp, ast.IfExp,
              ast.comprehension)
@@ -194,3 +199,29 @@ def test_telemetry_is_bound_by_its_owner_not_at_import():
     assert not GLOBAL_TELEMETRY & set(obs.__all__)
     for module in (obs, obs.metrics, obs.timeseries, obs.slo):
         assert not [name for name in GLOBAL_TELEMETRY if hasattr(module, name)], module.__name__
+
+
+def test_one_lsh_and_one_sign_code_encoder():
+    """The LSH baseline is the ``lsh`` engine, and sign bits are packed in
+    ``features/binarize.py`` alone: no second matcher, no second encoder."""
+    defined, encoding = [], []
+    for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+        where = path.relative_to(Path(repro.__file__).parent).as_posix()
+        tree = ast.parse(path.read_text())
+        defined += [where for node in ast.walk(tree)
+                    if isinstance(node, ast.ClassDef) and node.name == "LshMatcher"]
+        encoding += [(where, node.lineno) for node in ast.walk(tree)
+                     if isinstance(node, ast.Call) and where != "features/binarize.py"
+                     and (node.func.attr if isinstance(node.func, ast.Attribute)
+                          else getattr(node.func, "id", None)) in ("sign_planes", "pack_bits")]
+    assert defined == []
+    assert encoding == []
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.baselines.lsh")
+
+
+def test_no_typed_charge_without_a_caller():
+    """The cascade charges its prefilter as a step list; the typed device
+    calls and top-k wrappers nothing in ``src/`` called are gone."""
+    assert not {"hamming_prefilter", "insertion_sort"} & set(dir(GPUDevice))
+    assert topk.__all__ == ["functional_topk"]

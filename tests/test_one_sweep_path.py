@@ -19,6 +19,7 @@ import pytest
 from repro.baselines import LshKernel
 from repro.core import EngineConfig, MatchKernel, TextureSearchEngine
 from repro.core.results import KnnResult
+from repro.features import hamming_distances
 from tests.conftest import make_descriptors, noisy_copy
 
 M, N = 24, 16
@@ -69,7 +70,7 @@ class ParentLshKernel(LshKernel):
         ref = batch.tensor[i]
         m = ref.shape[1]
         codes = self._codes_for(batch, i)
-        hamming = self.codec.hamming(q_codes, codes)  # (n, m)
+        hamming = hamming_distances(q_codes, codes)  # (n, m)
         k_cand = min(self.n_candidates, m)
         if k_cand < m:
             candidates = np.argpartition(hamming, k_cand - 1, axis=1)[:, :k_cand]

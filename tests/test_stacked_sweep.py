@@ -40,6 +40,7 @@ from repro.core.results import ImageMatch, Sweep
 from repro.errors import HalfPrecisionOverflowError
 from repro.gpusim import GPUDevice, TESLA_P100
 from repro.obs import current_deadline, deadline_scope
+from repro.gpusim.kernels import insertion_sort_us
 from repro.gpusim.pcie import h2d_time_us
 from repro.core.engine import hidden_us
 from tests.conftest import DEAD_PREFIX, make_descriptors, noisy_copy, planned_tiles, slot_ids
@@ -631,15 +632,17 @@ def typed_charges(device: GPUDevice, kernel, size: int, n_queries: int) -> None:
             flops = 2.0 * m * n * d
             device.submit("compute", device.spec.kernel_launch_us + flops / (
                 device.spec.fp32_tflops * 1e12 * DIST_KERNEL_EFF_FP32) * 1e6, step="distance kernel")
-            device.insertion_sort(m, n, dtype="fp32", step="Top-2 sort")
+            device.charge([("compute", insertion_sort_us(device.spec, device.cal, m, n, "fp32"), "Top-2 sort")])
         elif cfg.backend == "lsh":
             device.elementwise(n * m * kernel.codec.n_words, dtype="fp32", step="Hamming filter")
             device.elementwise(2 * n * min(kernel.n_candidates, m) * d, dtype="fp32", step="re-rank")
         else:  # Algorithm 1's steps 3-8: algorithm1, garcia, cascade
             device.gemm(m, n, d, batch=1, dtype=dtype, step="GEMM")
             device.elementwise(m * n, dtype=dtype, step="add N_R")
-            sort = device.insertion_sort if cfg.backend == "garcia" else device.top2_scan
-            sort(m, n, dtype=dtype, step="Top-2 sort")
+            if cfg.backend == "garcia":
+                device.charge([("compute", insertion_sort_us(device.spec, device.cal, m, n, dtype), "Top-2 sort")])
+            else:
+                device.top2_scan(m, n, dtype=dtype, step="Top-2 sort")
             device.elementwise(k * n, dtype=dtype, step="add N_Q + sqrt")
         device.d2h_result(n, batch=1, k=k, dtype=dtype)
         device.cpu_postprocess(1, dtype, n)

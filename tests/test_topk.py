@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core import functional_topk, insertion_topk, top2_scan
+from repro.core import functional_topk
+from repro.gpusim.kernels import insertion_sort_us, top2_scan_us
 
 
 class TestFunctionalTopk:
@@ -134,29 +135,23 @@ class TestFlatIndexSelection:
 
 
 class TestDeviceTopk:
-    def test_scan_and_insertion_agree(self, p100):
-        rng = np.random.default_rng(2)
-        a = rng.random((64, 16))
-        v1, i1 = top2_scan(p100, a, "fp32")
-        v2, i2 = insertion_topk(p100, a, 2, "fp32")
-        np.testing.assert_allclose(v1, v2)
-        np.testing.assert_array_equal(i1, i2)
+    """The scan and the insertion sort select with :func:`functional_topk`
+    and differ only in the cost their step lists charge."""
 
     def test_scan_charged_cheaper_than_insertion(self, p100, v100):
-        rng = np.random.default_rng(3)
-        a = rng.random((768, 768))
-        top2_scan(p100, a, "fp32")
-        scan_time = p100.elapsed_us()
-        insertion_topk(v100, a, 2, "fp32")
-        insertion_time = v100.elapsed_us()
-        assert insertion_time > scan_time
+        for device in (p100, v100):
+            scan = top2_scan_us(device.spec, device.cal, 768, 768, "fp32")
+            assert insertion_sort_us(device.spec, device.cal, 768, 768, "fp32") > scan
+        assert insertion_sort_us(v100.spec, v100.cal, 768, 768, "fp32") > top2_scan_us(
+            p100.spec, p100.cal, 768, 768, "fp32")
 
-    def test_general_k_supported_by_insertion(self, p100):
+    def test_general_k_supported_by_insertion(self):
         rng = np.random.default_rng(4)
         a = rng.random((32, 8))
-        vals, _ = insertion_topk(p100, a, 5, "fp32")
-        assert vals.shape == (5, 8)
+        vals, idx = functional_topk(a, 5)
+        assert vals.shape == idx.shape == (5, 8)
+        np.testing.assert_array_equal(vals, np.sort(a, axis=0)[:5])
 
-    def test_bad_sort_kind_shapes(self, p100):
+    def test_bad_sort_kind_shapes(self):
         with pytest.raises(ValueError):
-            top2_scan(p100, np.ones(4))
+            functional_topk(np.ones(4), 2)
