@@ -12,7 +12,6 @@ from .cbir_ivf import CbirVote, IVFPQIndex, ProductQuantizer, kmeans
 from .opencv_cuda import (
     CONTEXT_OVERHEAD_BYTES,
     DIST_KERNEL_EFF_FP32,
-    opencv_knn_match,
 )
 
 __all__ = [
@@ -25,5 +24,4 @@ __all__ = [
     "OpenCVKernel",
     "ProductQuantizer",
     "kmeans",
-    "opencv_knn_match",
 ]

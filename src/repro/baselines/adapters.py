@@ -21,8 +21,8 @@ import numpy as np
 
 from ..core.algorithm1 import prepare_reference
 from ..core.batching import ReferenceBatch
-from ..core.kernels import Algorithm1Kernel, MatchKernel, PreparedQuery
-from ..core.ratio_test import match_images
+from ..core.kernels import Algorithm1Kernel, MatchKernel, PreparedQuery, stacked_matches
+from ..core.query_batching import MultiQueryResult
 from ..core.results import KnnResult
 from ..features.binarize import LshCodec, hamming_distances
 from ..features.selection import pad_or_trim
@@ -159,14 +159,20 @@ class LshKernel(MatchKernel):
         ] * (size * n_queries)
 
     def match_batch_multi(self, device, batch, query, keep_masks=False, survivors=None):
-        """One query against a stack, image by image (:meth:`image_knn`).  No
-        prefilter: every mask in ``survivors`` is ``None``."""
+        """One query against a stack: each image's winners (:meth:`image_knn`)
+        stacked into the ``(images, 1, k, n)`` result :func:`stacked_matches`
+        reads.  No prefilter: every mask in ``survivors`` is ``None``."""
         cfg = self.config
         stack = [batch] if isinstance(batch, ReferenceBatch) else batch
         if device is not None:
             device.charge(self.batch_steps(device, sum(m.size for m in stack), query.n_queries))
-        return [[match_images(slot, self.image_knn(member, i, query), cfg.ratio_threshold, keep_masks)
-                 for member in stack for i, slot in enumerate(member.slots.tolist())]]
+        winners = [self.image_knn(member, i, query) for member in stack for i in range(member.size)]
+        shape = (len(winners), 1, cfg.k, query.matrix.shape[1])
+        result = MultiQueryResult(
+            distances=np.array([w.distances for w in winners], dtype=np.float32).reshape(shape),
+            indices=np.array([w.indices for w in winners], dtype=np.int32).reshape(shape),
+        )
+        return stacked_matches(stack, None, result, cfg.ratio_threshold, keep_masks)
 
     def image_knn(self, batch, index, query):
         """Slot ``index`` of ``batch`` against ``query``: computed, never charged."""

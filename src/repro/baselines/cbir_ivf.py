@@ -124,13 +124,9 @@ class ProductQuantizer:
             codes[:, s] = np.argmin(d2, axis=1)
         return codes
 
-    def adc_table(self, query: np.ndarray) -> np.ndarray:
-        """Asymmetric-distance lookup table for one query: (S, n_centroids)."""
-        return self.adc_tables(np.asarray(query, dtype=np.float32)[None, :])[0]
-
     def adc_tables(self, queries: np.ndarray) -> np.ndarray:
         """Batched ADC lookup tables: ``(count, d)`` queries ->
-        ``(count, S, n_centroids)`` (one :meth:`adc_table` per row)."""
+        ``(count, S, n_centroids)``, one asymmetric-distance table per row."""
         if not self.is_trained:
             raise RuntimeError("quantizer is not trained")
         queries = np.asarray(queries, dtype=np.float32)

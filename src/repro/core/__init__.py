@@ -13,13 +13,11 @@ from .kernels import MatchKernel, PreparedQuery, QueryMatrix, ReferenceMatrix
 from .query_batching import MultiQueryResult, knn_algorithm2_multiquery
 from .ratio_test import (
     batch_ratio_test_masks,
-    good_match_count,
     match_images,
     match_images_batch,
     ratio_test_mask,
-    verify_pair,
 )
-from .registry import available_backends, create_kernel, register_kernel
+from .registry import available_backends, create_kernel
 from .results import Answer, ImageMatch, KnnResult, Sweep
 from .topk import functional_topk
 
@@ -52,7 +50,6 @@ __all__ = [
     "create_kernel",
     "current_compute",
     "functional_topk",
-    "good_match_count",
     "knn_algorithm1",
     "knn_algorithm2",
     "knn_algorithm2_multiquery",
@@ -61,6 +58,4 @@ __all__ = [
     "prepare_query",
     "prepare_reference",
     "ratio_test_mask",
-    "register_kernel",
-    "verify_pair",
 ]

@@ -19,10 +19,8 @@ from .results import ImageMatch, KnnResult
 __all__ = [
     "ratio_test_mask",
     "batch_ratio_test_masks",
-    "good_match_count",
     "match_images",
     "match_images_batch",
-    "verify_pair",
 ]
 
 
@@ -90,11 +88,6 @@ def match_images_batch(
     ]
 
 
-def good_match_count(distances: np.ndarray, ratio_threshold: float) -> int:
-    """Number of query features passing the ratio test."""
-    return int(ratio_test_mask(distances, ratio_threshold).sum())
-
-
 def match_images(
     reference_id: str | int,
     knn: KnnResult,
@@ -110,13 +103,3 @@ def match_images(
         match_mask=mask if keep_mask else None,
         matched_reference_indices=knn.indices[0][mask] if keep_mask else None,
     )
-
-
-def verify_pair(
-    knn: KnnResult,
-    ratio_threshold: float,
-    min_matches: int,
-) -> tuple[bool, int]:
-    """One-to-one verification decision: ``(same_texture, good_matches)``."""
-    count = good_match_count(knn.distances, ratio_threshold)
-    return count >= min_matches, count

@@ -29,8 +29,9 @@ Built-in backends
     the exact cuBLAS 2-NN pipeline runs on the survivors.
 
 Registration is lazy — the mapping stores import paths, so importing
-this module pulls in no kernel code and no baseline code.  Third-party
-kernels register classes directly with :func:`register_kernel`.
+this module pulls in no kernel code and no baseline code.  A kernel
+outside the registry runs by instance:
+``TextureSearchEngine(config, kernel=...)``.
 """
 
 from __future__ import annotations
@@ -47,11 +48,10 @@ __all__ = [
     "canonical_backend",
     "create_kernel",
     "kernel_class",
-    "register_kernel",
 ]
 
-#: built-in backends: name -> (module, class).  Lazy so that config
-#: validation never triggers heavyweight imports (or import cycles).
+#: backends: name -> (module, class).  Lazy so that config validation
+#: never triggers heavyweight imports (or import cycles).
 _BUILTIN: dict[str, tuple[str, str]] = {
     "algorithm2": ("repro.core.kernels", "Algorithm2Kernel"),
     "algorithm1": ("repro.core.kernels", "Algorithm1Kernel"),
@@ -61,24 +61,20 @@ _BUILTIN: dict[str, tuple[str, str]] = {
     "cascade": ("repro.core.cascade", "CascadeKernel"),
 }
 
-#: classes registered at runtime (shadow a built-in of the same name).
-_CUSTOM: dict[str, type] = {}
-
 
 def available_backends() -> list[str]:
-    """Canonical names of every registered backend, built-ins first."""
-    return list(_BUILTIN) + [n for n in _CUSTOM if n not in _BUILTIN]
+    """Canonical names of every registered backend."""
+    return list(_BUILTIN)
 
 
 def canonical_backend(name: str) -> str:
     """Lower-case a backend name; raise ``ValueError`` for unknown ones.
 
-    The error lists *every* currently registered name — built-ins and
-    runtime :func:`register_kernel` additions — so a typo'd config
-    points at the real menu, not just the built-in set.
+    The error lists every registered name, so a typo'd config points at
+    the real menu.
     """
     name = str(name).lower()
-    if name in _CUSTOM or name in _BUILTIN:
+    if name in _BUILTIN:
         return name
     raise ValueError(
         f"unknown backend {name!r}; registered backends: "
@@ -86,28 +82,9 @@ def canonical_backend(name: str) -> str:
     )
 
 
-def register_kernel(name: str, cls: type | None = None):
-    """Register a kernel class under ``name`` (usable as a decorator).
-
-    Re-registering an existing name replaces it — tests use this to
-    shadow a built-in with an instrumented double.
-    """
-
-    def _register(kernel_cls: type) -> type:
-        _CUSTOM[str(name).lower()] = kernel_cls
-        return kernel_cls
-
-    if cls is not None:
-        return _register(cls)
-    return _register
-
-
 def kernel_class(name: str) -> type:
     """The kernel class registered under ``name`` (lazily imported)."""
-    name = canonical_backend(name)
-    if name in _CUSTOM:
-        return _CUSTOM[name]
-    module_name, attr = _BUILTIN[name]
+    module_name, attr = _BUILTIN[canonical_backend(name)]
     return getattr(import_module(module_name), attr)
 
 

@@ -9,7 +9,6 @@ from .dataset import (
     build_feature_dataset,
     build_image_dataset,
 )
-from .export import load_dataset, save_dataset
 from .synthetic_features import (
     Capture,
     FeatureModelConfig,
@@ -36,7 +35,5 @@ __all__ = [
     "TeaBrickGenerator",
     "build_feature_dataset",
     "build_image_dataset",
-    "load_dataset",
-    "save_dataset",
     "value_noise",
 ]

@@ -100,11 +100,6 @@ class HealthTracker:
         self.consecutive_failures = 0
         return self.state
 
-    # ------------------------------------------------------------------
-    @property
-    def is_serving(self) -> bool:
-        return self.state is not NodeHealth.DOWN
-
     def snapshot(self) -> dict:
         return {
             "state": self.state.value,

@@ -3,7 +3,7 @@
 Sec. 8 runs one Redis container as the durable store of serialized
 feature matrices; GPU containers hydrate their caches from it.  This
 in-process stand-in implements the subset the system uses — string
-keys with binary values, hashes, counters, key scans — with the same
+keys with binary values, hashes, key scans — with the same
 semantics (bytes in, bytes out).
 """
 
@@ -59,8 +59,7 @@ class KVStore:
                 name = str(key)
                 if self._strings.pop(name, None) is not None:
                     removed += 1
-                    # versions stay monotonic across delete/re-create so
-                    # a stale writer can never CAS onto a recycled key
+                    # versions stay monotonic across delete/re-create
                     self._versions[name] = self._versions.get(name, 0) + 1
                 if self._hashes.pop(name, None) is not None:
                     removed += 1
@@ -75,65 +74,16 @@ class KVStore:
             names = set(self._strings) | set(self._hashes)
         return sorted(name for name in names if fnmatch.fnmatchcase(name, pattern))
 
-    def incr(self, key: str, amount: int = 1) -> int:
-        with self._lock:
-            name = str(key)
-            current = int(self._strings.get(name, b"0"))
-            current += int(amount)
-            self._strings[name] = str(current).encode()
-            self._versions[name] = self._versions.get(name, 0) + 1
-            return current
-
-    # -- versioned writes -------------------------------------------------
+    # -- versions -----------------------------------------------------------
     def version(self, key: str) -> int:
         """Current write-version of a string key.
 
         Monotonic per key across overwrites *and* deletes; ``0`` means
         the key has never been written.  A missing-but-once-written key
-        keeps its counter so stale writers cannot CAS onto a recycled
-        key (no ABA).
+        keeps its counter, so a recycled key never looks new (no ABA).
         """
         with self._lock:
             return self._versions.get(str(key), 0)
-
-    def set_versioned(self, key: str, value: bytes, expected_version: int) -> int:
-        """Write ``value`` iff the key is still at ``expected_version``.
-
-        Returns the new version on success; raises
-        :class:`~repro.errors.KVConflictError` when another writer got
-        there first.  ``expected_version=0`` means "create only" — the
-        key must never have been written.
-        """
-        from ..errors import KVConflictError
-
-        if not isinstance(value, (bytes, bytearray)):
-            raise TypeError("values must be bytes")
-        with self._lock:
-            name = str(key)
-            actual = self._versions.get(name, 0)
-            if actual != int(expected_version):
-                raise KVConflictError(name, int(expected_version), actual)
-            self._strings[name] = bytes(value)
-            self._versions[name] = actual + 1
-            return actual + 1
-
-    def cas(self, key: str, expected: bytes | None, new: bytes) -> bool:
-        """Compare-and-set on the stored *bytes*: write ``new`` iff the
-        current value equals ``expected`` (``None`` = key absent).
-        Returns whether the swap happened."""
-        if not isinstance(new, (bytes, bytearray)):
-            raise TypeError("values must be bytes")
-        if expected is not None and not isinstance(expected, (bytes, bytearray)):
-            raise TypeError("expected must be bytes or None")
-        with self._lock:
-            name = str(key)
-            current = self._strings.get(name)
-            want = None if expected is None else bytes(expected)
-            if current != want:
-                return False
-            self._strings[name] = bytes(new)
-            self._versions[name] = self._versions.get(name, 0) + 1
-            return True
 
     # -- hash commands ---------------------------------------------------
     def hset(self, key: str, field: str, value: bytes) -> None:
@@ -163,17 +113,7 @@ class KVStore:
         with self._lock:
             return dict(self._hashes.get(str(key), {}))
 
-    def hlen(self, key: str) -> int:
-        with self._lock:
-            return len(self._hashes.get(str(key), {}))
-
     # -- admin -------------------------------------------------------------
-    def flushall(self) -> None:
-        with self._lock:
-            self._strings.clear()
-            self._hashes.clear()
-            self._versions.clear()
-
     def dbsize(self) -> int:
         with self._lock:
             return len(self._strings) + len(self._hashes)

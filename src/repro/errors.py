@@ -62,21 +62,6 @@ class SerializationError(ReproError):
     """Raised when the wire format cannot decode a message."""
 
 
-class KVConflictError(ReproError):
-    """A versioned KV write lost a race: the key's current version did
-    not match the version the writer read.  Carries enough state for
-    the caller to re-read and retry."""
-
-    def __init__(self, key: str, expected: int, actual: int) -> None:
-        self.key = str(key)
-        self.expected = int(expected)
-        self.actual = int(actual)
-        super().__init__(
-            f"versioned write to {key!r} conflicts: expected version "
-            f"{expected}, store is at {actual}"
-        )
-
-
 class ClusterError(ReproError):
     """Raised for distributed-system failures (missing shard, bad node)."""
 

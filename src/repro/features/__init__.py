@@ -14,7 +14,7 @@ from .binarize import (
 from .descriptor import DESCRIPTOR_DIM, DESCRIPTOR_L2_NORM, compute_descriptors
 from .dog import build_dog, detect_keypoints
 from .gaussian import GaussianPyramid, build_gaussian_pyramid, gaussian_blur, gaussian_kernel1d
-from .keypoints import Keypoint, keypoints_to_arrays, remove_border_keypoints
+from .keypoints import Keypoint
 from .orientation import assign_orientations, image_gradients, orientation_histogram
 from .integral import BoxFilter, box_sum, integral_image
 from .rootsift import is_unit_normalized, rootsift
@@ -47,11 +47,9 @@ __all__ = [
     "hamming_distances",
     "image_gradients",
     "is_unit_normalized",
-    "keypoints_to_arrays",
     "orientation_histogram",
     "pack_bits",
     "pad_or_trim",
-    "remove_border_keypoints",
     "popcount",
     "rootsift",
     "select_top_features",

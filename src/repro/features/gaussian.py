@@ -78,15 +78,6 @@ class GaussianPyramid:
     def n_octaves(self) -> int:
         return len(self.octaves)
 
-    def scale_of(self, octave: int, index: int) -> float:
-        """Absolute sigma of image ``index`` in ``octave`` (w.r.t. the
-        base image's pixel grid)."""
-        return self.sigma0 * (2.0 ** (octave + index / self.intervals))
-
-    def octave_scale(self, octave: int, index: int) -> float:
-        """Sigma relative to the octave's own pixel grid."""
-        return self.sigma0 * (2.0 ** (index / self.intervals))
-
 
 def build_gaussian_pyramid(
     image: np.ndarray,

@@ -1,4 +1,4 @@
-"""Keypoint container and geometric filters.
+"""Keypoint container.
 
 ``Keypoint`` carries everything downstream stages need: image-space
 position (in base-image pixels), scale, orientation, the DoG response
@@ -10,9 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-import numpy as np
-
-__all__ = ["Keypoint", "keypoints_to_arrays", "remove_border_keypoints"]
+__all__ = ["Keypoint"]
 
 
 @dataclass(frozen=True)
@@ -34,32 +32,3 @@ class Keypoint:
         """(x, y) in the pixel grid of ``octave``."""
         factor = 2.0**octave
         return self.x / factor, self.y / factor
-
-
-def keypoints_to_arrays(keypoints: list[Keypoint]) -> dict[str, np.ndarray]:
-    """Column-wise arrays for vectorised consumers (and for tests)."""
-    return {
-        "x": np.array([k.x for k in keypoints], dtype=np.float32),
-        "y": np.array([k.y for k in keypoints], dtype=np.float32),
-        "sigma": np.array([k.sigma for k in keypoints], dtype=np.float32),
-        "response": np.array([k.response for k in keypoints], dtype=np.float32),
-        "orientation": np.array([k.orientation for k in keypoints], dtype=np.float32),
-    }
-
-
-def remove_border_keypoints(
-    keypoints: list[Keypoint],
-    image_shape: tuple[int, int],
-    border: int,
-) -> list[Keypoint]:
-    """Drop keypoints whose descriptor window would leave the image.
-
-    This is the "edge feature removing" post-processing step the paper
-    applies after the ratio test (Sec. 4.1, Table 1 note).
-    """
-    h, w = image_shape
-    return [
-        k
-        for k in keypoints
-        if border <= k.x < w - border and border <= k.y < h - border
-    ]

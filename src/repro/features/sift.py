@@ -52,10 +52,6 @@ class ExtractionResult:
     def count(self) -> int:
         return self.descriptors.shape[1]
 
-    @property
-    def dim(self) -> int:
-        return self.descriptors.shape[0]
-
 
 class SIFTExtractor:
     """Extract (optionally Root-)SIFT features from grayscale images."""

@@ -37,11 +37,6 @@ class ScaledFP16:
         if not (self.scale > 0):
             raise ValueError("scale factor must be positive")
 
-    @property
-    def inv_scale_sq(self) -> float:
-        """Multiply scaled squared distances by this to recover units."""
-        return 1.0 / (self.scale * self.scale)
-
     def unscaled(self) -> np.ndarray:
         """Dequantize back to FP32 (lossy round-trip)."""
         return self.values.astype(np.float32) / np.float32(self.scale)

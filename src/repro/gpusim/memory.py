@@ -93,9 +93,6 @@ class MemoryPool:
         del self._live[allocation.serial]
         self._used -= allocation.nbytes
 
-    def live_allocations(self) -> list[Allocation]:
-        return list(self._live.values())
-
     def fits(self, nbytes: int) -> bool:
         return int(nbytes) <= self.free_bytes
 

@@ -20,10 +20,6 @@ class StepRecord:
     total_us: float = 0.0
     calls: int = 0
 
-    @property
-    def mean_us(self) -> float:
-        return self.total_us / self.calls if self.calls else 0.0
-
 
 class StepProfiler:
     """Accumulates named step durations in insertion order."""
@@ -56,9 +52,6 @@ class StepProfiler:
     def as_dict(self) -> dict[str, float]:
         """Map of step name -> total simulated microseconds."""
         return {name: rec.total_us for name, rec in self._steps.items()}
-
-    def mean_us(self, name: str) -> float:
-        return self._steps[name].mean_us
 
     def __contains__(self, name: str) -> bool:
         return name in self._steps

@@ -2,11 +2,10 @@
 
 Attach a :class:`TimelineTracer` to a :class:`GPUDevice` and every
 submitted operation is recorded as ``(engine, step, start, end)`` on the
-device's one queue.  The trace can be inspected programmatically
-(per-engine busy time and utilisation) or exported, one lane per engine,
-as Perfetto JSON by :func:`repro.obs.to_perfetto` — the view GPU
-engineers would take of the real system's nvprof output, reproduced for
-the simulator.
+device's one queue.  The trace can be read as ``events`` or exported,
+one lane per engine, as Perfetto JSON by :func:`repro.obs.to_perfetto` —
+the view GPU engineers would take of the real system's nvprof output,
+reproduced for the simulator.
 """
 
 from __future__ import annotations
@@ -99,22 +98,3 @@ class TimelineTracer:
             yield self
         finally:
             self.detach()
-
-    # ------------------------------------------------------------------
-    # analysis
-    # ------------------------------------------------------------------
-    def engine_busy_us(self) -> dict[str, float]:
-        """Total busy time per engine."""
-        busy: dict[str, float] = {}
-        for event in self.events:
-            busy[event.engine] = busy.get(event.engine, 0.0) + event.duration_us
-        return busy
-
-    def engine_utilisation(self) -> dict[str, float]:
-        """Busy fraction of the makespan per engine."""
-        if not self.events:
-            return {}
-        makespan = max(e.end_us for e in self.events)
-        if makespan <= 0:
-            return {engine: 0.0 for engine in self.engine_busy_us()}
-        return {engine: busy / makespan for engine, busy in self.engine_busy_us().items()}

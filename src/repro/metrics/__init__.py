@@ -1,12 +1,11 @@
-"""Evaluation metrics: top-1 identification accuracy, GPU efficiency
-(Eq. 3) and schedule efficiency (Eq. 4)."""
+"""Evaluation metrics: top-1 identification accuracy, verification ROC
+and GPU efficiency (Eq. 3); Table 6 computes schedule efficiency (Eq. 4)."""
 
 from .accuracy import AccuracyReport, evaluate_top1
 from .throughput import (
     EfficiencyReport,
     gemm_flops_per_image,
     gpu_efficiency,
-    schedule_efficiency,
 )
 from .verification import (
     RocPoint,
@@ -25,5 +24,4 @@ __all__ = [
     "gemm_flops_per_image",
     "gpu_efficiency",
     "roc_from_scores",
-    "schedule_efficiency",
 ]

@@ -1,13 +1,8 @@
-"""Throughput and efficiency metrics (Eqs. 3 and 4).
-
-The paper's two efficiency numbers:
-
-* **GPU efficiency** (Eq. 3) — achieved TFLOPS over theoretical peak,
-  where achieved TFLOPS counts the 2-NN's GEMM work (``2 m n d`` FLOPs
-  per image comparison) against wall-clock search time (Table 4);
-* **schedule efficiency** (Eq. 4) — achieved search speed over the
-  PCIe-bound theoretical speed when references stream from host memory
-  (Table 6).
+"""GPU efficiency (Eq. 3): achieved TFLOPS over theoretical peak, where
+achieved TFLOPS counts the 2-NN's GEMM work (``2 m n d`` FLOPs per image
+comparison) against wall-clock search time (Table 4).  Schedule
+efficiency (Eq. 4) is Table 6's ratio of two speeds, computed there
+(:mod:`repro.bench.experiments.table6_streams`).
 """
 
 from __future__ import annotations
@@ -16,7 +11,7 @@ from dataclasses import dataclass
 
 from ..gpusim.device import DeviceSpec
 
-__all__ = ["EfficiencyReport", "gemm_flops_per_image", "gpu_efficiency", "schedule_efficiency"]
+__all__ = ["EfficiencyReport", "gemm_flops_per_image", "gpu_efficiency"]
 
 
 def gemm_flops_per_image(m: int, n: int, d: int) -> float:
@@ -59,12 +54,3 @@ def gpu_efficiency(
         achieved_tflops=achieved,
         theoretical_tflops=spec.peak_tflops(dtype, tensor_core),
     )
-
-
-def schedule_efficiency(achieved_images_per_s: float, theoretical_images_per_s: float) -> float:
-    """Eq. 4."""
-    if theoretical_images_per_s <= 0:
-        raise ValueError("theoretical speed must be positive")
-    if achieved_images_per_s < 0:
-        raise ValueError("achieved speed must be non-negative")
-    return achieved_images_per_s / theoretical_images_per_s

@@ -25,11 +25,6 @@ class RocPoint:
     far: float  # impostors accepted / impostors
     frr: float  # genuines rejected / genuines
 
-    @property
-    def tar(self) -> float:
-        """True-accept rate (1 - FRR)."""
-        return 1.0 - self.frr
-
 
 @dataclass
 class VerificationReport:

@@ -34,7 +34,6 @@ histograms.  The full catalogue lives in ``docs/observability.md``.
 
 from __future__ import annotations
 
-import json
 import math
 from bisect import bisect_left
 from typing import Iterable, Mapping, Sequence
@@ -212,9 +211,6 @@ class Gauge(_Metric):
         if self._enabled:
             self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.inc(-amount)
-
     def snapshot_value(self) -> dict:
         return {"value": self.value}
 
@@ -354,9 +350,6 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """JSON-ready ``{name: {type, help, series}}`` mapping."""
         return {name: metric.snapshot() for name, metric in self._metrics.items()}
-
-    def to_json(self, indent: int | None = None) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition format 0.0.4."""

@@ -70,10 +70,6 @@ class Deadline:
             raise ValueError(f"budget_us must be >= 0, got {self.budget_us}")
 
     @property
-    def remaining_us(self) -> float:
-        return max(0.0, self.budget_us - self.spent_us)
-
-    @property
     def expired(self) -> bool:
         return self.spent_us >= self.budget_us
 

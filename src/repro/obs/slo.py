@@ -174,16 +174,6 @@ class SloPolicy:
         )
         return errors, total
 
-    def burn_rate(
-        self, recorder: TimeSeriesRecorder, window_us: float
-    ) -> float:
-        """Error-budget burn multiple over the trailing window (0.0 for
-        an empty window — no traffic burns no budget)."""
-        errors, total = self._window_errors(recorder, window_us)
-        if total <= 0:
-            return 0.0
-        return (errors / total) / self.error_budget
-
 
 @dataclass(frozen=True)
 class AlertEvent:

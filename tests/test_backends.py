@@ -6,15 +6,8 @@ import numpy as np
 import pytest
 
 from repro.baselines import LshKernel
-from repro.core import (
-    EngineConfig,
-    MatchKernel,
-    TextureSearchEngine,
-    available_backends,
-    create_kernel,
-    register_kernel,
-)
-from repro.core.registry import _CUSTOM, canonical_backend, kernel_class
+from repro.core import EngineConfig, TextureSearchEngine, available_backends
+from repro.core.registry import canonical_backend
 from repro.gpusim import GPUDevice, TESLA_P100
 from tests.conftest import make_descriptors, noisy_copy
 
@@ -79,46 +72,9 @@ class TestRegistry:
         for name in available_backends():
             assert name in message
 
-    def test_unknown_backend_error_includes_runtime_registrations(self):
-        register_kernel("bespoke", MatchKernel)
-        try:
-            with pytest.raises(ValueError, match="bespoke"):
-                canonical_backend("nope")
-        finally:
-            _CUSTOM.pop("bespoke", None)
-        # and gone again once unregistered
-        with pytest.raises(ValueError) as excinfo:
-            canonical_backend("nope")
-        assert "bespoke" not in str(excinfo.value)
-
     def test_engine_reports_backend(self):
         assert TextureSearchEngine(cfg("garcia")).backend == "garcia"
         assert TextureSearchEngine(EngineConfig(m=M, n=N)).backend == "algorithm2"
-
-    def test_custom_registration(self):
-        class ShoutyKernel(MatchKernel):
-            name = "shouty"
-
-            def prepare_reference(self, descriptors):  # pragma: no cover
-                raise NotImplementedError
-
-            def query_matrix(self, descriptors):  # pragma: no cover
-                raise NotImplementedError
-
-            def batch_steps(self, device, size, n_queries):  # pragma: no cover
-                raise NotImplementedError
-
-            def match_batch_multi(self, device, batch, query, keep_masks=False,
-                                  survivors=None):  # pragma: no cover
-                raise NotImplementedError
-
-        register_kernel("shouty", ShoutyKernel)
-        try:
-            assert kernel_class("shouty") is ShoutyKernel
-            config = EngineConfig(backend="shouty")
-            assert isinstance(create_kernel(config), ShoutyKernel)
-        finally:
-            _CUSTOM.pop("shouty", None)
 
     def test_validate_config_enforced(self):
         with pytest.raises(ValueError, match="fp32"):

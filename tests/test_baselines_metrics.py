@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.baselines import CONTEXT_OVERHEAD_BYTES, opencv_knn_match
+from repro.baselines import CONTEXT_OVERHEAD_BYTES
 from repro.bench import kernel_steps
-from repro.core import EngineConfig, TextureSearchEngine, knn_algorithm1, prepare_query, prepare_reference
+from repro.core import EngineConfig, TextureSearchEngine
 from repro.gpusim import TESLA_P100, TESLA_V100
-from repro.metrics import gemm_flops_per_image, gpu_efficiency, schedule_efficiency
+from repro.metrics import gemm_flops_per_image, gpu_efficiency
 from tests.conftest import make_descriptors, noisy_copy
 
 
@@ -23,15 +23,23 @@ def table1_memory_mb(precision: str, backend: str, references: int = 10_000) -> 
 
 
 class TestOpencvBaseline:
-    def test_results_match_algorithm1(self, p100):
-        ref_d = make_descriptors(24, seed=0)
-        qry_d = noisy_copy(ref_d, 20.0, seed=1)
-        baseline = opencv_knn_match(p100, ref_d, qry_d)
-        ref = prepare_reference(ref_d, "fp32")
-        qry = prepare_query(p100, qry_d, "fp32")
-        ours = knn_algorithm1(p100, ref, qry)
-        np.testing.assert_allclose(baseline.distances, ours.distances, atol=0.5)
-        np.testing.assert_array_equal(baseline.indices, ours.indices)
+    def test_results_match_algorithm1(self):
+        """The opencv backend computes Algorithm 1 in FP32: the same matches,
+        matched feature for feature, through the engine."""
+        refs = {f"r{i}": make_descriptors(24, seed=i) for i in range(3)}
+        query = noisy_copy(refs["r0"], 20.0, seed=1)
+        answers = {}
+        for backend in ("opencv", "algorithm1"):
+            engine = TextureSearchEngine(EngineConfig(m=24, n=24, backend=backend, precision="fp32",
+                                                      batch_size=2, min_matches=2))
+            for ref_id, descriptors in refs.items():
+                engine.add_reference(ref_id, descriptors)
+            answers[backend] = [
+                (m.reference_id, m.good_matches, m.match_mask.tolist(), m.matched_reference_indices.tolist())
+                for m in engine.search(query, keep_masks=True).matches
+            ]
+        assert answers["opencv"] == answers["algorithm1"]
+        assert max(good for _, good, _, _ in answers["opencv"]) > 0
 
     def test_paper_speed_p100(self):
         """Table 1: OpenCV CUDA = 2,012 img/s on P100 (497 us/img)."""
@@ -45,9 +53,10 @@ class TestOpencvBaseline:
     def test_memory_matches_table1(self):
         assert table1_memory_mb("fp32", "opencv") == pytest.approx(4271, rel=0.01)
 
-    def test_validation(self, p100):
+    def test_validation(self):
+        engine = TextureSearchEngine(EngineConfig(m=24, n=24, backend="opencv", precision="fp32"))
         with pytest.raises(ValueError):
-            opencv_knn_match(p100, np.ones((4, 3), np.float32), np.ones((5, 3), np.float32))
+            engine.add_reference("r", np.ones((4, 3), np.float32))
 
 
 class TestGarciaBaseline:
@@ -91,13 +100,8 @@ class TestEfficiencyMetrics:
         report = gpu_efficiency(TESLA_V100, 86519, tensor_core=True)
         assert report.efficiency == pytest.approx(0.114, rel=0.03)
 
-    def test_schedule_efficiency(self):
-        assert schedule_efficiency(41546, 47592) == pytest.approx(0.873, rel=0.01)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             gemm_flops_per_image(0, 1, 1)
         with pytest.raises(ValueError):
             gpu_efficiency(TESLA_P100, -1)
-        with pytest.raises(ValueError):
-            schedule_efficiency(1.0, 0.0)

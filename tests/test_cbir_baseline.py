@@ -54,7 +54,7 @@ class TestProductQuantizer:
         pq.train(data, seed=0)
         query = data[7]
         codes = pq.encode(data[:20])
-        table = pq.adc_table(query)
+        (table,) = pq.adc_tables(query[None, :])
         adc = table[np.arange(2)[None, :], codes].sum(axis=1)
         recon = np.concatenate([pq.codebooks[s][codes[:, s]] for s in range(2)], axis=1)
         exact = ((recon - query) ** 2).sum(axis=1)
@@ -227,4 +227,4 @@ class TestIVFPQRegressions:
         queries = data[:7]
         batched = pq.adc_tables(queries)
         for i in range(len(queries)):
-            np.testing.assert_array_equal(batched[i], pq.adc_table(queries[i]))
+            np.testing.assert_array_equal(batched[i], pq.adc_tables(queries[i : i + 1])[0])

@@ -17,13 +17,14 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro import obs
-from repro.baselines import adapters, opencv_cuda
+from repro.baselines import adapters
 from repro.core import algorithm1, cascade, engine, kernels, topk
 from repro.core.registry import kernel_class
 from repro.gpusim import GPUDevice
@@ -117,7 +118,7 @@ def test_the_cascade_kernel_has_no_match_loop_of_its_own():
 def test_one_exact_match_plane():
     """Every exact kernel matches on the stacked plane: only LSH, the one
     approximate backend, compares a stack image by image, and the thin
-    per-image callers make no GEMM, top-k or norm epilogue of their own."""
+    per-image caller makes no GEMM, top-k or norm epilogue of its own."""
     assert not hasattr(kernels, "PerImageKernel")
     backends = ("algorithm1", "algorithm2", "garcia", "opencv", "lsh", "cascade")
     per_slot = {cls for cls in map(kernel_class, backends) for owner in cls.__mro__
@@ -125,12 +126,11 @@ def test_one_exact_match_plane():
     assert per_slot == {adapters.LshKernel}
     own = {"hgemm", "sgemm", "batched_hgemm", "query_major_product", "matmul", "dot", "einsum",
            "functional_topk", "sqrt", "maximum"}
-    for fn in (algorithm1.knn_algorithm1, opencv_cuda.opencv_knn_match):
-        tree = ast.parse(inspect.getsource(fn))
-        called = {node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
-                  for node in ast.walk(tree) if isinstance(node, ast.Call)}
-        assert not called & own, (fn.__name__, called & own)
-        assert not any(isinstance(node, (ast.MatMult, ast.BinOp)) for node in ast.walk(tree)), fn.__name__
+    tree = ast.parse(inspect.getsource(algorithm1.knn_algorithm1))
+    called = {node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert not called & own, called & own
+    assert not any(isinstance(node, (ast.MatMult, ast.BinOp)) for node in ast.walk(tree))
 
 
 def test_the_engine_leaves_the_tracers_off_switch_to_the_tracer():
@@ -225,3 +225,104 @@ def test_no_typed_charge_without_a_caller():
     calls and top-k wrappers nothing in ``src/`` called are gone."""
     assert not {"hamming_prefilter", "insertion_sort"} & set(dir(GPUDevice))
     assert topk.__all__ == ["functional_topk"]
+
+
+#: the places a public name's caller may sit, besides ``src/`` itself
+CALLER_PLACES = ("README.md", "examples", "benchmarks", "perfbench", "docs")
+IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+#: public names only tests call, kept because the tests use them as tools:
+#: moving one into the tests would delete nothing
+TEST_TOOLS = (
+    "core/ratio_test.py:match_images",  # the per-image oracle of the stacked match builders
+    "data/dataset.py:build_image_dataset",  # rendered photos for the image-pipeline tests
+    "distributed/loadbalancer.py:WebTier.handle_burst",  # a burst through the web workers' clocks
+    "distributed/loadbalancer.py:WebTier.reset_clocks",  # rewinds those clocks between bursts
+    "core/identification.py:IdentificationPipeline.identify",  # README's photo-to-decision pipeline
+    "core/engine.py:TextureSearchEngine.export_records",  # an engine's records, to compare engines by
+    "distributed/node.py:SearchNode.snapshot_to_store",  # writes what restore_from_store reads back
+    "core/engine.py:TextureSearchEngine.reset_profile",  # starts a fresh profile window on a warm engine
+    "distributed/sharding.py:ConsistentHashPlacement.shard_counts",  # the placement-balance check
+    "features/rootsift.py:is_unit_normalized",  # the RootSIFT tests' unit-norm check
+    "gpusim/device.py:get_device_spec",  # a device by name in the configuration matrix
+    "obs/slo.py:AlertLog.for_policy",  # one policy's alert history in the SLO tests
+)
+
+
+def public_definitions() -> dict[str, ast.AST]:
+    """``{"module path:Qualified.name": node}`` of every public top-level
+    function and class under ``src/repro`` and every public method of a
+    public class."""
+    root = Path(repro.__file__).parent
+    found = {}
+    for path in sorted(root.rglob("*.py")):
+        where = path.relative_to(root).as_posix()
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                found[f"{where}:{node.name}"] = node
+                if isinstance(node, ast.ClassDef):
+                    found.update({f"{where}:{node.name}.{item.name}": item for item in node.body
+                                  if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")})
+    return found
+
+
+def src_references() -> list[tuple[str, int, str]]:
+    """``(module path, line, name)`` of every name ``src/repro`` uses: a name,
+    an attribute, or a string that is exactly an identifier (the backend
+    registry names its classes so) outside an ``__all__``.  Imports are not
+    uses, so a package re-export is none."""
+    root = Path(repro.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        where = path.relative_to(root).as_posix()
+        tree = ast.parse(path.read_text())
+        exported = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
+                    and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+                    for node in ast.walk(stmt.value)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                found.append((where, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                found.append((where, node.lineno, node.attr))
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in exported
+                  and IDENTIFIER.fullmatch(node.value)):
+                found.append((where, node.lineno, node.value))
+    return found
+
+
+def uncalled_public_names(tools: tuple[str, ...]) -> list[str]:
+    """Every public name nothing outside ``tests/`` reaches.  A use inside the
+    name's own definition does not count, nor one inside a definition that is
+    itself uncalled, so a helper only dead code calls is dead too; each of
+    ``tools`` counts as called."""
+    root = Path(repro.__file__).parents[2]
+    outside = set()
+    for place in CALLER_PLACES:
+        files = [root / place] if place.endswith(".md") else sorted((root / place).rglob("*"))
+        for path in files:
+            if path.suffix in (".py", ".md"):
+                outside |= set(IDENTIFIER.findall(path.read_text()))
+    definitions = public_definitions()
+    spans: dict[str, list[tuple[str, int, int]]] = {}
+    for key, node in definitions.items():
+        spans.setdefault(key.split(":")[0], []).append((key, node.lineno, node.end_lineno))
+    uses: dict[str, list[tuple[str, frozenset[str]]]] = {}
+    for where, line, name in src_references():
+        enclosing = frozenset(key for key, first, last in spans.get(where, ()) if first <= line <= last)
+        uses.setdefault(name, []).append((where, enclosing))
+    dead: set[str] = set()
+    while True:
+        now = {key for key, node in definitions.items()
+               if key not in tools and node.name not in outside
+               and not any(key not in enclosing and not enclosing & dead for _, enclosing in uses.get(node.name, ()))}
+        if now == dead:
+            return sorted(dead)
+        dead = now
+
+
+def test_every_public_name_has_a_caller():
+    """Every public function, class and method is reached from ``src/``,
+    ``examples/``, ``benchmarks/``, ``perfbench/``, ``docs/`` or README.md,
+    or is a test tool; library surface that only its own tests call goes."""
+    assert uncalled_public_names(TEST_TOOLS) == []
+    assert set(TEST_TOOLS) <= set(uncalled_public_names(())), "a tool with a caller leaves TEST_TOOLS"

@@ -53,7 +53,6 @@ class TestHealthTracker:
         assert tracker.record_failure() is NodeHealth.DEGRADED
         assert tracker.record_failure() is NodeHealth.DEGRADED
         assert tracker.record_failure() is NodeHealth.DOWN
-        assert not tracker.is_serving
 
     def test_success_resets_streak_but_not_down(self):
         tracker = HealthTracker(HealthPolicy(degraded_after=1, down_after=2))

@@ -61,14 +61,6 @@ class TestPyramid:
         for o in range(1, pyr.n_octaves):
             assert pyr.octaves[o][0].shape[0] == pyr.octaves[o - 1][0].shape[0] // 2
 
-    def test_scale_bookkeeping(self):
-        img = np.zeros((64, 64), np.float32)
-        pyr = build_gaussian_pyramid(img, sigma0=1.6, intervals=3)
-        assert pyr.scale_of(0, 0) == pytest.approx(1.6)
-        assert pyr.scale_of(0, 3) == pytest.approx(3.2)
-        assert pyr.scale_of(1, 0) == pytest.approx(3.2)
-        assert pyr.octave_scale(1, 0) == pytest.approx(1.6)
-
     def test_blur_increases_within_octave(self):
         rng = np.random.default_rng(4)
         img = rng.random((64, 64)).astype(np.float32)

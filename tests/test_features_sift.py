@@ -1,4 +1,4 @@
-"""SIFT detection, orientation and descriptor properties."""
+"""SIFT detection, orientation and descriptor properties, and DoG internals."""
 
 import numpy as np
 import pytest
@@ -13,10 +13,9 @@ from repro.features import (
     build_gaussian_pyramid,
     detect_keypoints,
     image_gradients,
-    keypoints_to_arrays,
     orientation_histogram,
-    remove_border_keypoints,
 )
+from repro.features.dog import _passes_edge_test, _quadratic_fit
 
 
 def texture_image(seed=0, size=160):
@@ -143,18 +142,6 @@ class TestDescriptors:
 
 
 class TestKeypointHelpers:
-    def test_arrays(self):
-        kps = [Keypoint(1.0, 2.0, 1.6, 0.5, 0, 1), Keypoint(3.0, 4.0, 3.2, 0.7, 1, 2)]
-        arrays = keypoints_to_arrays(kps)
-        np.testing.assert_allclose(arrays["x"], [1.0, 3.0])
-        np.testing.assert_allclose(arrays["sigma"], [1.6, 3.2])
-
-    def test_border_removal(self):
-        kps = [Keypoint(5.0, 5.0, 1.6, 0.5, 0, 1), Keypoint(50.0, 50.0, 1.6, 0.5, 0, 1)]
-        kept = remove_border_keypoints(kps, (100, 100), border=10)
-        assert len(kept) == 1
-        assert kept[0].x == 50.0
-
     def test_octave_scaling(self):
         kp = Keypoint(8.0, 12.0, 3.2, 0.5, 1, 1)
         assert kp.scaled_to_octave(1) == (4.0, 6.0)
@@ -163,3 +150,33 @@ class TestKeypointHelpers:
         kp = Keypoint(1, 2, 1.6, 0.5, 0, 1)
         kp2 = kp.with_orientation(1.0)
         assert kp.orientation == 0.0 and kp2.orientation == 1.0
+
+
+class TestDogInternals:
+    def test_quadratic_fit_finds_parabola_peak(self):
+        """A discrete 3-D paraboloid peaked off-grid: the fit recovers
+        the sub-pixel offset."""
+        layers, h, w = 3, 9, 9
+        dog = np.zeros((layers, h, w), dtype=np.float64)
+        cy, cx, cl = 4.3, 4.2, 1.0
+        for layer in range(layers):
+            for y in range(h):
+                for x in range(w):
+                    dog[layer, y, x] = 1.0 - 0.05 * (
+                        (y - cy) ** 2 + (x - cx) ** 2 + (layer - cl) ** 2
+                    )
+        offset, value, _h2 = _quadratic_fit(dog, 1, 4, 4)
+        assert offset[0] == pytest.approx(0.2, abs=0.05)  # x
+        assert offset[1] == pytest.approx(0.3, abs=0.05)  # y
+        assert value == pytest.approx(1.0, abs=0.02)
+
+    def test_edge_test_rejects_ridges(self):
+        # isotropic blob: passes
+        blob = np.array([[-0.5, 0.0], [0.0, -0.5]])
+        assert _passes_edge_test(blob, edge_ratio=10.0)
+        # strong ridge (one large, one tiny curvature): rejected
+        ridge = np.array([[-1.0, 0.0], [0.0, -0.01]])
+        assert not _passes_edge_test(ridge, edge_ratio=10.0)
+        # saddle (negative determinant): rejected
+        saddle = np.array([[-1.0, 0.0], [0.0, 0.5]])
+        assert not _passes_edge_test(saddle, edge_ratio=10.0)

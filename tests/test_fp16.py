@@ -36,9 +36,6 @@ class TestScaledConversion:
         with pytest.raises(ValueError):
             to_scaled_fp16(np.ones((2, 2), np.float32), 0.0)
 
-    def test_inv_scale_sq(self):
-        scaled = to_scaled_fp16(np.ones((2, 2), np.float32), 0.5)
-        assert scaled.inv_scale_sq == 4.0
 
 
 class TestMatmulOverflowCheck:

@@ -90,7 +90,6 @@ class TestGPUDevice:
         p100.submit("compute", 10.0, step="GEMM")
         p100.submit("compute", 4.0, step="GEMM")
         assert p100.profiler.as_dict()["GEMM"] == 14.0
-        assert p100.profiler.mean_us("GEMM") == 7.0
 
     def test_typed_ops_charge_profiler(self, p100):
         p100.gemm(768, 768, 128)

@@ -63,15 +63,6 @@ class TestMemoryPool:
         assert not pool.fits(41)
         assert pool.fits(40)
 
-    def test_live_allocations(self):
-        pool = MemoryPool(100)
-        a = pool.alloc(10, "x")
-        b = pool.alloc(20, "y")
-        pool.free(a)
-        live = pool.live_allocations()
-        assert [alloc.label for alloc in live] == ["y"]
-        assert live[0] is b
-
     def test_negative_alloc_rejected(self):
         pool = MemoryPool(100)
         with pytest.raises(ValueError):
@@ -88,5 +79,5 @@ class TestMemoryPool:
             except DeviceOutOfMemoryError:
                 if live:
                     pool.free(live.pop(0))
-            assert pool.used_bytes == sum(a.nbytes for a in pool.live_allocations())
+            assert pool.used_bytes == sum(a.nbytes for a in live)
             assert 0 <= pool.used_bytes <= pool.usable_bytes

@@ -45,7 +45,6 @@ class TestProfiler:
         assert [r.name for r in records] == ["b", "a"]
         assert records[0].total_us == 4.0
         assert records[0].calls == 2
-        assert records[0].mean_us == 2.0
 
     def test_disabled(self):
         profiler = StepProfiler()
@@ -63,11 +62,6 @@ class TestProfiler:
         profiler.add("x", 1.0)
         profiler.reset()
         assert profiler.records() == []
-
-    def test_empty_record_mean(self):
-        from repro.gpusim import StepRecord
-
-        assert StepRecord("x").mean_us == 0.0
 
 
 class TestCalibrationConstruction:

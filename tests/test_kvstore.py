@@ -3,7 +3,6 @@
 import pytest
 
 from repro.distributed import KVStore
-from repro.errors import KVConflictError
 
 
 @pytest.fixture
@@ -29,11 +28,6 @@ class TestStrings:
         assert store.delete("a", "b", "ghost") == 2
         assert not store.exists("a")
 
-    def test_incr(self, store):
-        assert store.incr("counter") == 1
-        assert store.incr("counter", 5) == 6
-        assert store.get("counter") == b"6"
-
     def test_keys_pattern(self, store):
         for name in ("feature:1", "feature:2", "meta:1"):
             store.set(name, b"x")
@@ -46,7 +40,6 @@ class TestHashes:
         store.hset("h", "f", b"v")
         assert store.hget("h", "f") == b"v"
         assert store.hget("h", "missing") is None
-        assert store.hlen("h") == 1
 
     def test_hgetall(self, store):
         store.hset("h", "a", b"1")
@@ -73,14 +66,8 @@ class TestVersioning:
         store.set("k", b"v2")
         assert store.version("k") == 2
 
-    def test_incr_bumps_version(self, store):
-        store.incr("counter")
-        store.incr("counter")
-        assert store.version("counter") == 2
-
     def test_version_monotonic_across_delete(self, store):
-        # a recycled key must never look "new" again, or a stale
-        # writer could CAS onto it (the ABA problem)
+        # a recycled key must never look "new" again (the ABA problem)
         store.set("k", b"v1")
         store.set("k", b"v2")
         store.delete("k")
@@ -88,42 +75,6 @@ class TestVersioning:
         assert store.version("k") == 3
         store.set("k", b"v3")
         assert store.version("k") == 4
-
-    def test_set_versioned_happy_path(self, store):
-        assert store.set_versioned("k", b"v1", expected_version=0) == 1
-        assert store.set_versioned("k", b"v2", expected_version=1) == 2
-        assert store.get("k") == b"v2"
-
-    def test_set_versioned_conflict(self, store):
-        store.set("k", b"v1")
-        store.set("k", b"v2")
-        with pytest.raises(KVConflictError) as exc_info:
-            store.set_versioned("k", b"stale", expected_version=1)
-        assert exc_info.value.expected == 1
-        assert exc_info.value.actual == 2
-        assert store.get("k") == b"v2"  # conflicting write left no trace
-
-    def test_set_versioned_create_only(self, store):
-        store.set("k", b"v")
-        with pytest.raises(KVConflictError):
-            store.set_versioned("k", b"other", expected_version=0)
-
-    def test_cas_by_value(self, store):
-        store.set("k", b"old")
-        assert store.cas("k", b"wrong", b"new") is False
-        assert store.get("k") == b"old"
-        assert store.cas("k", b"old", b"new") is True
-        assert store.get("k") == b"new"
-
-    def test_cas_create_when_absent(self, store):
-        assert store.cas("k", None, b"v") is True
-        assert store.get("k") == b"v"
-        assert store.cas("k", None, b"other") is False
-
-    def test_flushall_resets_versions(self, store):
-        store.set("k", b"v")
-        store.flushall()
-        assert store.version("k") == 0
 
     def test_restore_resets_versions_to_one(self, store):
         store.set("k", b"v1")
@@ -136,9 +87,9 @@ class TestVersioning:
 
 
 class TestAdmin:
-    def test_dbsize_and_flush(self, store):
+    def test_dbsize_counts_strings_and_hashes(self, store):
         store.set("a", b"1")
         store.hset("h", "f", b"2")
         assert store.dbsize() == 2
-        store.flushall()
+        store.delete("a", "h")
         assert store.dbsize() == 0

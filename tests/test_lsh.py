@@ -5,6 +5,7 @@ import pytest
 
 from repro import EngineConfig, TextureSearchEngine
 from repro.baselines import LshKernel
+from repro.core.ratio_test import match_images
 from repro.features import LshCodec, hamming_distances
 from repro.features.binarize import popcount
 from tests.conftest import make_descriptors, noisy_copy
@@ -100,3 +101,59 @@ class TestMatcher:
         config = EngineConfig(m=M, n=M, precision="fp32", backend="lsh")
         with pytest.raises(ValueError, match="at least 2 candidates"):
             LshKernel(config, n_candidates=1)
+
+
+def per_image_matches(kernel, stack, query, keep_masks):
+    """The oracle: LSH's match build before it shared ``stacked_matches``,
+    one ``match_images`` per slot over the same :meth:`LshKernel.image_knn`."""
+    return [[match_images(slot, kernel.image_knn(member, i, query), kernel.config.ratio_threshold, keep_masks)
+             for member in stack for i, slot in enumerate(member.slots.tolist())]]
+
+
+def tie_heavy(count, seed):
+    """Descriptors on a coarse grid with repeated columns: equal distances
+    and equal Hamming codes everywhere, so any tie order shows."""
+    desc = np.round(make_descriptors(count, seed=seed) / 96.0) * 96.0
+    desc[:, : count // 4] = desc[:, count // 4: count // 2]
+    return desc.astype(np.float32)
+
+
+class TestStackedMatches:
+    """``match_batch_multi`` builds its matches with ``stacked_matches``, field
+    for field what the per-image ``match_images`` build gave."""
+
+    @pytest.mark.parametrize("keep_masks", [False, True])
+    @pytest.mark.parametrize("several", [False, True])
+    @pytest.mark.parametrize("corpus", ["random", "ties"])
+    def test_equals_the_per_image_build(self, corpus, several, keep_masks):
+        draw = tie_heavy if corpus == "ties" else make_descriptors
+        descs = [draw(M, seed=2300 + i) for i in range(9)]
+        if corpus == "ties":
+            descs[3] = descs[1].copy()  # a duplicate reference: tied images too
+        config = EngineConfig(m=M, n=M, precision="fp32", backend="lsh", batch_size=4)
+        kernel = LshKernel(config, n_bits=64, n_candidates=6, seed=0)
+        kernel.codec.train(np.hstack(descs))
+        engine = TextureSearchEngine(config, kernel=kernel)
+        for i, d in enumerate(descs):
+            engine.add_reference(f"img{i}", d)
+        engine.flush()
+        batches = [cached.batch for cached in engine.cache.batches()]
+        assert len(batches) == 3
+        stack = batches if several else batches[:1]
+        query = kernel.prepare_query(None, noisy_copy(descs[1], 8.0, seed=231) if corpus == "random"
+                                     else descs[1][:, ::-1].copy())
+        got = kernel.match_batch_multi(None, stack if several else stack[0], query, keep_masks=keep_masks)
+        want = per_image_matches(kernel, stack, query, keep_masks)
+        assert len(got) == len(want) == 1
+        assert len(got[0]) == len(want[0]) == sum(member.size for member in stack)
+        assert sum(match.good_matches for match in want[0]) > 0
+        for g, w in zip(got[0], want[0]):
+            assert (g.reference_id, g.good_matches, g.n_query_features, g.inliers) == (
+                w.reference_id, w.good_matches, w.n_query_features, w.inliers)
+            if keep_masks:
+                assert g.match_mask.dtype == w.match_mask.dtype
+                np.testing.assert_array_equal(g.match_mask, w.match_mask)
+                assert g.matched_reference_indices.dtype == w.matched_reference_indices.dtype
+                np.testing.assert_array_equal(g.matched_reference_indices, w.matched_reference_indices)
+            else:
+                assert g.match_mask is None and g.matched_reference_indices is None

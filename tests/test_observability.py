@@ -65,7 +65,7 @@ class TestMetricsRegistry:
         g = reg.gauge("depth", "queue depth")
         g.set(5)
         g.inc()
-        g.dec(2)
+        g.inc(-2)
         assert reg.value("depth") == 4
 
     def test_histogram_buckets_and_mean(self):
@@ -101,7 +101,7 @@ class TestMetricsRegistry:
         reg = MetricsRegistry()
         reg.counter("a_total", "a").inc()
         reg.histogram("b_us", "b", buckets=(1.0,)).observe(2.0)
-        payload = json.loads(reg.to_json())
+        payload = json.loads(json.dumps(reg.snapshot()))
         assert payload["a_total"]["type"] == "counter"
         assert payload["b_us"]["type"] == "histogram"
 

@@ -19,7 +19,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.baselines import GarciaKernel, opencv_cuda
+from repro.baselines import GarciaKernel
 from repro.blas.gemm import hgemm, sgemm
 from repro.core import EngineConfig, ImageMatch, TextureSearchEngine, knn_algorithm1
 from repro.core import algorithm2 as algorithm2_module
@@ -135,11 +135,6 @@ def test_the_thin_callers_are_the_plane(precision):
         got = knn_algorithm1(None, reference, query)
         assert got.distances.tobytes() == want.distances.tobytes()
         assert got.indices.tobytes() == want.indices.tobytes()
-    raw_reference, raw_query = make_descriptors(M, seed=3), noisy_copy(make_descriptors(N, seed=3), 20.0)
-    want = parent_knn_algorithm1(prepare_reference(raw_reference, "fp32"), prepare_reference(raw_query, "fp32"))
-    got = opencv_cuda.opencv_knn_match(None, raw_reference, raw_query)
-    assert got.distances.tobytes() == want.distances.tobytes()
-    assert got.indices.tobytes() == want.indices.tobytes()
 
 
 @pytest.mark.parametrize("kernel_class", [Algorithm1Kernel, GarciaKernel])

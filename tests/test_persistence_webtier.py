@@ -246,7 +246,6 @@ class TestVerificationMetrics:
         point = report.operating_point(8)
         assert point.far == pytest.approx(0.0)
         assert point.frr == pytest.approx(0.2)
-        assert point.tar == pytest.approx(0.8)
 
     def test_best_threshold_separates(self):
         report = roc_from_scores(np.array([30, 40, 50]), np.array([0, 1, 2]))

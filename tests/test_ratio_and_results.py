@@ -10,11 +10,9 @@ from repro.core import (
     KnnResult,
     Sweep,
     batch_ratio_test_masks,
-    good_match_count,
     match_images,
     match_images_batch,
     ratio_test_mask,
-    verify_pair,
 )
 
 
@@ -44,8 +42,8 @@ class TestRatioTest:
     def test_monotone_in_threshold(self, threshold):
         rng = np.random.default_rng(0)
         d = np.sort(rng.random((2, 50)), axis=0)
-        strict = good_match_count(d, threshold / 2)
-        loose = good_match_count(d, threshold)
+        strict = ratio_test_mask(d, threshold / 2).sum()
+        loose = ratio_test_mask(d, threshold).sum()
         assert strict <= loose
 
 
@@ -67,11 +65,6 @@ class TestMatchImages:
         np.testing.assert_array_equal(match.match_mask, [True, False, True])
         np.testing.assert_array_equal(match.matched_reference_indices, [3, 7])
 
-    def test_verify_pair(self):
-        same, count = verify_pair(self._knn(), 0.8, min_matches=2)
-        assert same and count == 2
-        same, _ = verify_pair(self._knn(), 0.8, min_matches=3)
-        assert not same
 
 
 class TestBatchMatchCounting:

@@ -85,7 +85,7 @@ class TestSURFExtractor:
         return SURFExtractor(SURFConfig(n_features=100)).extract(image)
 
     def test_descriptor_shape_and_norm(self, result):
-        assert result.dim == SURF_DESCRIPTOR_DIM == 64
+        assert result.descriptors.shape[0] == SURF_DESCRIPTOR_DIM == 64
         assert result.count > 5
         np.testing.assert_allclose(
             np.linalg.norm(result.descriptors, axis=0), 512.0, rtol=1e-4

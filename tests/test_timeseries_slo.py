@@ -351,24 +351,29 @@ class TestSloPolicy:
                 warning=BurnRateRule(1.0, 2.0, 1.0),
             )  # no series selections
 
-    def test_burn_rate_math(self):
-        reg, rec = _recorder(interval_us=1_000.0)
+    @staticmethod
+    def _burns(reg, policy, observations):
+        """The ``repro_slo_burn_rate`` series an engine reports after one
+        sample over ``observations`` (every window reaches back to t=0)."""
         h = reg.histogram("lat_us", "latency", buckets=BOUNDS)
-        for _ in range(7):
-            h.observe(20.0)
-        for _ in range(3):
-            h.observe(900.0)
+        rec = TimeSeriesRecorder(reg, interval_us=1_000.0)
+        SloEngine([policy], registry=reg).attach(rec)
+        for value in observations:
+            h.observe(value)
         rec.advance_to(1_000.0)
+        return {s["labels"]["window"]: s["value"] for s in reg.snapshot()["repro_slo_burn_rate"]["series"]}
+
+    def test_burn_rate_math(self):
         policy = _latency_policy()  # budget = 0.1
+        burns = self._burns(MetricsRegistry(), policy, [20.0] * 7 + [900.0] * 3)
         # 3/10 above 100us -> error fraction 0.3 -> burn 3.0
-        assert policy.burn_rate(rec, 1_000.0) == pytest.approx(3.0)
+        assert burns == pytest.approx(dict.fromkeys(
+            ("critical_fast", "critical_slow", "warning_fast", "warning_slow"), 3.0))
         assert policy.error_budget == pytest.approx(0.1)
 
     def test_burn_rate_empty_window_is_zero(self):
-        reg, rec = _recorder(interval_us=1_000.0)
-        reg.histogram("lat_us", "latency", buckets=BOUNDS)
-        rec.advance_to(1_000.0)
-        assert _latency_policy().burn_rate(rec, 1_000.0) == 0.0
+        burns = self._burns(MetricsRegistry(), _latency_policy(), [])
+        assert burns == dict.fromkeys(("critical_fast", "critical_slow", "warning_fast", "warning_slow"), 0.0)
 
 
 class TestSloEngine:

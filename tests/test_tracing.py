@@ -95,26 +95,6 @@ class TestCapture:
         assert len(tracer.events) == 1
 
 
-class TestAnalysis:
-    def test_engine_busy_and_utilisation(self, traced):
-        device, tracer = traced
-        device.submit("h2d", 4.0)
-        device.submit("compute", 10.0)
-        device.submit("compute", 6.0)
-        busy = tracer.engine_busy_us()
-        assert busy == {"compute": 16.0, "h2d": 4.0}
-        # one queue: the busy times tile the 20 us makespan
-        util = tracer.engine_utilisation()
-        assert util["compute"] == pytest.approx(0.8)
-        assert util["h2d"] == pytest.approx(0.2)
-
-    def test_empty_trace(self):
-        tracer = TimelineTracer()
-        assert tracer.engine_utilisation() == {}
-        assert tracer.engine_busy_us() == {}
-
-
-
 class TestChromeExport:
     def test_valid_json_with_metadata(self, traced):
         device, tracer = traced
