@@ -31,9 +31,6 @@ least the same factor.  Results land in ``BENCH_cascade.json``
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from ...core.cascade import CascadeKernel
@@ -83,7 +80,6 @@ def _verdict(result, min_matches: int) -> tuple:
 
 def run(
     quick: bool = False,
-    json_path: str | Path = "BENCH_cascade.json",
     seed: int = 0,
 ) -> ExperimentResult:
     corpus_sizes = (24,) if quick else (48, 120)
@@ -215,7 +211,7 @@ def run(
         "model (hamming_us) — the prune is paid for, not free"
     )
 
-    payload = {
+    result.payload = {
         "experiment": "cascade",
         "seed": seed,
         "quick": quick,
@@ -232,6 +228,4 @@ def run(
         "grid": cells,
         "summary": result.summary,
     }
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    result.notes.append(f"full grid written to {json_path}")
     return result

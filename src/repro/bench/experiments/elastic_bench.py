@@ -34,7 +34,6 @@ Results land in ``BENCH_elastic.json``.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from ...gpusim.device import GIB, DeviceSpec
 from ...distributed.autoscaler import Autoscaler, AutoscalerPolicy
 from ...distributed.replica import WARMUP_BASE_US, WARMUP_US_PER_REF
 from ...obs import DEFAULT_US_BUCKETS
-from ...obs.slo import BurnRateRule, SloEngine, SloPolicy
+from ...obs.slo import SloEngine
 from ...obs.timeseries import TimeSeriesRecorder
 from ...serving import (
     BatchPolicy,
@@ -56,6 +55,7 @@ from ...serving import (
 )
 from ..tables import ExperimentResult
 from .fault_tolerance import _make_workload
+from .slo_bench import _policies
 
 __all__ = ["run"]
 
@@ -91,8 +91,6 @@ _R_MAX = 3
 _QUEUE_GROUPS = 4
 #: per-request latency budget as a multiple of the lean group time.
 _DEADLINE_GROUPS = 3.0
-
-_LATENCY_METRIC = "repro_serving_latency_us"
 
 
 def _build_system(
@@ -141,23 +139,6 @@ def _scaler_policy(group_us: float) -> AutoscalerPolicy:
     )
 
 
-def _slo_policies(group_us: float, slo_us: float) -> list[SloPolicy]:
-    """Burn-rate pager for the flash-crowd section (same shape as the
-    SLO bench: 3x burn over a 2/6-group window pair pages CRITICAL)."""
-    return [
-        SloPolicy(
-            name="latency-elastic",
-            kind="latency",
-            objective=0.9,
-            metric=_LATENCY_METRIC,
-            threshold_us=slo_us,
-            critical=BurnRateRule(2 * group_us, 6 * group_us, 3.0),
-            warning=BurnRateRule(4 * group_us, 12 * group_us, 1.0),
-            clear_hold_us=4 * group_us,
-        )
-    ]
-
-
 def _run_fleet(
     config: EngineConfig,
     refs: dict[str, np.ndarray],
@@ -190,7 +171,7 @@ def _run_fleet(
         slo_us = TimeSeriesRecorder.effective_threshold_us(bounds, 1.25 * group_us)
         if slo_us == float("inf"):
             slo_us = float(bounds[-1])
-        slo_engine = SloEngine(_slo_policies(group_us, slo_us), system.obs.registry)
+        slo_engine = SloEngine(_policies("latency-elastic", slo_us, group_us), system.obs.registry)
         slo_engine.attach(recorder)
         system.obs.slo = slo_engine
     if elastic:
@@ -286,7 +267,6 @@ def _run_replica_kill(
 
 def run(
     quick: bool = False,
-    json_path: str | Path = "BENCH_elastic.json",
     seed: int = 0,
 ) -> ExperimentResult:
     config = EngineConfig(m=32, n=32, batch_size=4, min_matches=5, scale_factor=0.25)
@@ -437,7 +417,7 @@ def run(
         "retries absorbed the dead reader)"
     )
 
-    payload = {
+    result.payload = {
         "experiment": "elastic",
         "seed": seed,
         "quick": quick,
@@ -471,6 +451,4 @@ def run(
         },
         "summary": result.summary,
     }
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    result.notes.append(f"full timelines written to {json_path}")
     return result

@@ -28,9 +28,6 @@ clock, no timestamps).
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from ...core.config import EngineConfig
@@ -112,7 +109,6 @@ def _build_requests(
 
 def run(
     quick: bool = False,
-    json_path: str | Path = "BENCH_enrollment.json",
     seed: int = 0,
 ) -> ExperimentResult:
     config = EngineConfig(m=32, n=32, batch_size=4, min_matches=5, scale_factor=0.25)
@@ -245,7 +241,7 @@ def run(
         "which must return it AND carry corpus_epoch >= its ack's epoch"
     )
 
-    payload = {
+    result.payload = {
         "experiment": "enrollment",
         "seed": seed,
         "quick": quick,
@@ -263,6 +259,4 @@ def run(
         "grid": cells,
         "summary": result.summary,
     }
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    result.notes.append(f"full grid written to {json_path}")
     return result

@@ -24,10 +24,8 @@ the device clock — and the experiment asserts that.
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -58,7 +56,6 @@ def run(
     n_refs: int = 48,
     group_size: int = 8,
     repeats: int = 7,
-    json_path: str | Path = "BENCH_observability.json",
     seed: int = 0,
 ) -> ExperimentResult:
     config = EngineConfig(m=64, n=128, batch_size=8, min_matches=5, scale_factor=0.25)
@@ -144,7 +141,7 @@ def run(
         "device.submit; simulated elapsed_us identical across modes"
     )
 
-    payload = {
+    result.payload = {
         "experiment": "observability",
         "seed": seed,
         "workload": {
@@ -157,6 +154,4 @@ def run(
         "sweep_ms": {k: round(v * 1e3, 3) for k, v in timings.items()},
         "summary": result.summary,
     }
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    result.notes.append(f"timings written to {json_path}")
     return result

@@ -25,9 +25,6 @@ workload, simulated clock, no timestamps).
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from ...core.config import EngineConfig
 from ...core.engine import TextureSearchEngine
 from ...serving import (
@@ -57,7 +54,6 @@ def _calibrate(executor, queries, max_batch: int) -> float:
 
 def run(
     quick: bool = False,
-    json_path: str | Path = "BENCH_overload.json",
     seed: int = 0,
 ) -> ExperimentResult:
     config = EngineConfig(m=32, n=32, batch_size=4, min_matches=5, scale_factor=0.25)
@@ -162,7 +158,7 @@ def run(
         "goodput = SLO-meeting completions per second of makespan"
     )
 
-    payload = {
+    result.payload = {
         "experiment": "overload",
         "seed": seed,
         "quick": quick,
@@ -178,6 +174,4 @@ def run(
         "grid": cells,
         "summary": result.summary,
     }
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    result.notes.append(f"full grid written to {json_path}")
     return result

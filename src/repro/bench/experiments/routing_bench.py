@@ -30,9 +30,6 @@ clock, no timestamps).
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 import numpy as np
 
 from ...core.config import EngineConfig
@@ -79,7 +76,6 @@ def _overhead_snapshot(system: DistributedSearchSystem, kind: str) -> tuple[floa
 
 def run(
     quick: bool = False,
-    json_path: str | Path = "BENCH_routing.json",
     seed: int = 0,
 ) -> ExperimentResult:
     config = EngineConfig(m=32, n=32, batch_size=4, min_matches=5, scale_factor=0.25)
@@ -209,7 +205,7 @@ def run(
         "GPU time — nomination runs on the CPU in front of the scatter"
     )
 
-    payload = {
+    result.payload = {
         "experiment": "routing",
         "seed": seed,
         "quick": quick,
@@ -224,6 +220,4 @@ def run(
         "grid": cells,
         "summary": result.summary,
     }
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    result.notes.append(f"full grid written to {json_path}")
     return result

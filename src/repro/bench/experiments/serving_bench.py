@@ -24,9 +24,6 @@ seeded workload).
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from ...core.config import EngineConfig
 from ...core.engine import TextureSearchEngine
 from ...distributed.cluster import DistributedSearchSystem
@@ -70,7 +67,6 @@ def _row(tier: str, concurrency: int, policy: BatchPolicy, report) -> list:
 
 def run(
     quick: bool = False,
-    json_path: str | Path = "BENCH_serving.json",
     seed: int = 0,
 ) -> ExperimentResult:
     config = EngineConfig(m=32, n=32, batch_size=4, min_matches=5, scale_factor=0.25)
@@ -160,7 +156,7 @@ def run(
         "latency = queue wait + execution (nearest-rank percentiles)"
     )
 
-    payload = {
+    result.payload = {
         "experiment": "serving",
         "seed": seed,
         "quick": quick,
@@ -174,6 +170,4 @@ def run(
         "grid": cells,
         "summary": result.summary,
     }
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    result.notes.append(f"full grid written to {json_path}")
     return result

@@ -34,10 +34,8 @@ simulated clock, alert timeline a pure function of the trace).
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -235,7 +233,6 @@ def _time_scrapes(
 
 def run(
     quick: bool = False,
-    json_path: str | Path = "BENCH_slo.json",
     seed: int = 0,
 ) -> ExperimentResult:
     config = EngineConfig(m=32, n=32, batch_size=4, min_matches=5, scale_factor=0.25)
@@ -443,7 +440,7 @@ def run(
         "kept as a cross-check)"
     )
 
-    payload = {
+    result.payload = {
         "experiment": "slo",
         "seed": seed,
         "quick": quick,
@@ -467,6 +464,4 @@ def run(
         },
         "summary": result.summary,
     }
-    Path(json_path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    result.notes.append(f"full timeline written to {json_path}")
     return result

@@ -8,18 +8,30 @@ Regenerate any of the paper's tables/figures from a shell::
     python -m repro.bench.run all --quick       # skip accuracy sweeps
     python -m repro.bench.run table7 --bricks 80 --queries 2
 
+A run at an experiment's defaults is the evidence and is written down:
+its table to ``benchmarks/results/<slug>.txt`` and, for a system bench,
+its JSON body to ``BENCH_<experiment>.json``, both under the working
+directory.  A run with ``--quick``, ``--bricks``, ``--queries`` or
+``--backend`` only prints, so no smaller run can replace the evidence.
+
 Exit code is non-zero if any requested experiment raises.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
+from pathlib import Path
 
 from .experiments import ALL_EXPERIMENTS
+from .tables import ExperimentResult
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "run_experiment"]
+
+#: where a run at the defaults writes each experiment's table.
+_RESULTS_DIR = Path("benchmarks") / "results"
 
 #: experiments whose runtime is dominated by functional accuracy sweeps.
 _ACCURACY_EXPERIMENTS = {"table2", "table7"}
@@ -88,6 +100,32 @@ def _kwargs_for(name: str, args: argparse.Namespace) -> dict:
     return kwargs
 
 
+def _slug(title: str) -> str:
+    """The results file name of a table, from its title's head."""
+    head = title.split(":", 1)[0].strip()
+    if head.lower() == "ablation":
+        # keep the ablation subject so files don't collide
+        head = "ablation " + title.split(":", 1)[1].split("(")[0].split(",")[0].strip()
+    slug = "".join(c if c.isalnum() or c == " " else "" for c in head.lower())
+    return "_".join(slug.split())[:60]
+
+
+def run_experiment(name: str, args: argparse.Namespace) -> ExperimentResult:
+    """Run one experiment; at its defaults, write its JSON body (if it has
+    one) and its table."""
+    kwargs = _kwargs_for(name, args)
+    result = ALL_EXPERIMENTS[name].run(**kwargs)
+    if args.quick or kwargs:
+        return result
+    if result.payload is not None:
+        path = Path(f"BENCH_{name}.json")
+        path.write_text(json.dumps(result.payload, indent=2, sort_keys=True) + "\n")
+        result.notes.append(f"full results written to {path}")
+    _RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+    (_RESULTS_DIR / f"{_slug(result.name)}.txt").write_text(result.to_text() + "\n")
+    return result
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -120,7 +158,7 @@ def main(argv: list[str] | None = None) -> int:
     for name in names:
         started = time.perf_counter()
         try:
-            result = ALL_EXPERIMENTS[name].run(**_kwargs_for(name, args))
+            result = run_experiment(name, args)
         except Exception as exc:  # surface, keep going
             failures += 1
             print(f"[{name}] FAILED: {exc}", file=sys.stderr)

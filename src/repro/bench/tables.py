@@ -145,6 +145,9 @@ class ExperimentResult:
     notes: list[str] = field(default_factory=list)
     #: free-form scalar findings ("speedup": 7.9, ...), used by tests.
     summary: dict[str, Any] = field(default_factory=dict)
+    #: the full JSON body of a system bench (``bench.run`` writes it as
+    #: ``BENCH_<experiment>.json``); ``None`` for a paper table.
+    payload: dict[str, Any] | None = None
 
     def to_text(self) -> str:
         text = format_table(self.headers, self.rows, title=self.name)

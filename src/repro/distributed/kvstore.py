@@ -21,9 +21,6 @@ class KVStore:
     def __init__(self) -> None:
         self._strings: dict[str, bytes] = {}
         self._hashes: dict[str, dict[str, bytes]] = {}
-        #: per string-key write counter; version 0 means "never written"
-        #: (or deleted), so a fresh create acks as version 1.
-        self._versions: dict[str, int] = {}
         self._lock = threading.RLock()
         self._read_fault = None
 
@@ -42,9 +39,7 @@ class KVStore:
         if not isinstance(value, (bytes, bytearray)):
             raise TypeError("values must be bytes")
         with self._lock:
-            name = str(key)
-            self._strings[name] = bytes(value)
-            self._versions[name] = self._versions.get(name, 0) + 1
+            self._strings[str(key)] = bytes(value)
 
     def get(self, key: str) -> bytes | None:
         if self._read_fault is not None and self._read_fault(str(key)):
@@ -59,8 +54,6 @@ class KVStore:
                 name = str(key)
                 if self._strings.pop(name, None) is not None:
                     removed += 1
-                    # versions stay monotonic across delete/re-create
-                    self._versions[name] = self._versions.get(name, 0) + 1
                 if self._hashes.pop(name, None) is not None:
                     removed += 1
         return removed
@@ -73,17 +66,6 @@ class KVStore:
         with self._lock:
             names = set(self._strings) | set(self._hashes)
         return sorted(name for name in names if fnmatch.fnmatchcase(name, pattern))
-
-    # -- versions -----------------------------------------------------------
-    def version(self, key: str) -> int:
-        """Current write-version of a string key.
-
-        Monotonic per key across overwrites *and* deletes; ``0`` means
-        the key has never been written.  A missing-but-once-written key
-        keeps its counter, so a recycled key never looks new (no ABA).
-        """
-        with self._lock:
-            return self._versions.get(str(key), 0)
 
     # -- hash commands ---------------------------------------------------
     def hset(self, key: str, field: str, value: bytes) -> None:
@@ -175,7 +157,4 @@ class KVStore:
         with self._lock:
             self._strings = strings
             self._hashes = hashes
-            # snapshots predate the version ledger: every restored key
-            # re-enters at version 1, as if freshly created
-            self._versions = {name: 1 for name in strings}
         return count

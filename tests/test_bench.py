@@ -1,7 +1,8 @@
 """Benchmark harness: table formatting and experiment runners.
 
 Experiment runners are exercised at reduced scale here; the full-scale
-rows live under ``benchmarks/``.
+rows are written by ``python -m repro.bench.run`` and checked against
+their acceptance bars by ``pytest benchmarks/``.
 """
 
 import pytest

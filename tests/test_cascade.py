@@ -56,7 +56,7 @@ class TestPrefilterBehaviour:
         assert cas.best().reference_id == ref.best().reference_id == "ref3"
         assert cas.best().good_matches == ref.best().good_matches
         # the prune actually fired: most non-matching images skipped GEMM
-        assert cas.cascade_pruned > 0
+        assert cas.cascade_pruned >= 0.9 * len(descs)
         # prefilter-examined images still count as searched
         assert cas.images_searched == ref.images_searched == len(descs)
 

@@ -22,7 +22,8 @@ class TestCliFlags:
         args = build_parser().parse_args(["table7", "--queries", "3"])
         assert args.queries == 3
 
-    def test_device_sweep_runs(self, capsys):
+    def test_device_sweep_runs(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a run at the defaults writes its table
         assert bench_main(["device-sweep"]) == 0
         assert "Device sweep" in capsys.readouterr().out
 

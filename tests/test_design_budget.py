@@ -245,6 +245,7 @@ TEST_TOOLS = (
     "distributed/sharding.py:ConsistentHashPlacement.shard_counts",  # the placement-balance check
     "features/rootsift.py:is_unit_normalized",  # the RootSIFT tests' unit-norm check
     "gpusim/device.py:get_device_spec",  # a device by name in the configuration matrix
+    "gpusim/device.py:DeviceSpec.with_memory",  # a device of a chosen memory size for the engine and cache tests
     "obs/slo.py:AlertLog.for_policy",  # one policy's alert history in the SLO tests
 )
 

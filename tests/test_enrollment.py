@@ -104,6 +104,7 @@ class TestClusterEnroll:
         ack = system.enroll("fresh", desc)
         assert isinstance(ack, EnrollmentAck)
         assert not ack.updated
+        assert ack.epoch > 0
         assert system.has("fresh")
         owner = next(n for n in system.nodes if n.node_id == ack.node_id)
         assert ack.epoch == owner.epoch == system.epochs.get(ack.node_id)

@@ -53,6 +53,11 @@ class TestClusterFailover:
 
 
 class TestCli:
+    @pytest.fixture(autouse=True)
+    def _scratch_cwd(self, tmp_path, monkeypatch):
+        # a run at the defaults writes its table under the working directory
+        monkeypatch.chdir(tmp_path)
+
     def test_single_experiment(self, capsys):
         assert bench_main(["table3"]) == 0
         out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Functional accuracy experiments (reduced scale).
 
-The full-scale sweeps run under ``benchmarks/``; here we verify the
+The full-scale sweeps run in ``pytest benchmarks/`` (through
+``python -m repro.bench.run table2 table7``); here we verify the
 experiment machinery and the qualitative claims at a size that keeps
 the test suite fast.
 """

@@ -186,6 +186,18 @@ class TestRetryPolicy:
         assert total_retries > 0
         assert injector.injected["transient"] == total_retries
 
+    def test_slow_faults_move_the_clock_not_the_answer(self):
+        injector = FaultInjector(FaultSpec(slow_rate=0.2, slow_multiplier=4.0), seed=0)
+        system, descs = build_cluster(
+            4, 16, injector=injector, retry_policy=RetryPolicy(max_attempts=4, backoff_us=500.0),
+        )
+        query = noisy_copy(descs[7], 8.0, seed=3)
+        for _ in range(6):
+            result = system.search(query)
+            assert result.best().reference_id == "r7"
+            assert not result.partial
+        assert injector.injected["slow"] > 0
+
     def test_timeout_skips_chronically_slow_node(self):
         system, descs = build_cluster(2, 4)
         query = noisy_copy(descs[0], 8.0, seed=5)

@@ -56,36 +56,6 @@ class TestHashes:
         assert store.delete("h") == 1
 
 
-class TestVersioning:
-    def test_version_starts_at_zero(self, store):
-        assert store.version("nope") == 0
-
-    def test_set_bumps_version(self, store):
-        store.set("k", b"v1")
-        assert store.version("k") == 1
-        store.set("k", b"v2")
-        assert store.version("k") == 2
-
-    def test_version_monotonic_across_delete(self, store):
-        # a recycled key must never look "new" again (the ABA problem)
-        store.set("k", b"v1")
-        store.set("k", b"v2")
-        store.delete("k")
-        assert store.get("k") is None
-        assert store.version("k") == 3
-        store.set("k", b"v3")
-        assert store.version("k") == 4
-
-    def test_restore_resets_versions_to_one(self, store):
-        store.set("k", b"v1")
-        store.set("k", b"v2")
-        snapshot = store.dump()
-        fresh = KVStore()
-        fresh.restore(snapshot)
-        assert fresh.version("k") == 1
-        assert fresh.get("k") == b"v2"
-
-
 class TestAdmin:
     def test_dbsize_counts_strings_and_hashes(self, store):
         store.set("a", b"1")

@@ -807,12 +807,11 @@ class TestClusterDeadlines:
 # bench experiment
 # ----------------------------------------------------------------------
 class TestOverloadExperiment:
-    def test_quick_run_plateaus(self, tmp_path):
+    def test_quick_run_plateaus(self):
         from repro.bench.experiments import overload_bench
 
-        out = tmp_path / "BENCH_overload.json"
-        result = overload_bench.run(quick=True, json_path=out)
-        assert out.exists()
+        result = overload_bench.run(quick=True)
+        assert result.payload["summary"] == result.summary
         assert result.summary["goodput_plateaus"] is True
         assert result.summary["goodput_plateau_ratio"] >= 0.9
         assert result.summary["unprotected_p99_growth_x"] > 1.0

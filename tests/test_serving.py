@@ -372,6 +372,7 @@ class TestEngineServing:
             FusedEngineExecutor(engine), trace, BatchPolicy(max_batch=4, max_wait_us=2_000.0)
         )
         assert fused.throughput_images_per_s > serial.throughput_images_per_s
+        assert fused.n_requests == len(queries)
         assert fused.mean_group_size == 4.0
 
     def test_determinism_same_trace_same_report(self):
@@ -511,13 +512,12 @@ class TestClusterServing:
 
 
 class TestServingExperiment:
-    def test_quick_run_writes_json_and_shows_speedup(self, tmp_path):
+    def test_quick_run_writes_json_and_shows_speedup(self):
         from repro.bench.experiments import serving_bench
 
-        json_path = tmp_path / "BENCH_serving.json"
-        result = serving_bench.run(quick=True, json_path=json_path)
+        result = serving_bench.run(quick=True)
         assert result.summary["fused_speedup_at_conc4"] > 1.0
-        payload = json.loads(json_path.read_text())
+        payload = json.loads(json.dumps(result.payload))
         assert payload["experiment"] == "serving"
         tiers = {cell["tier"] for cell in payload["grid"]}
         assert {"engine", "cluster", "webtier"} <= tiers
