@@ -21,7 +21,7 @@ import numpy as np
 
 from ..core.algorithm1 import prepare_reference
 from ..core.batching import ReferenceBatch
-from ..core.kernels import Algorithm1Kernel, MatchKernel, PreparedQuery, stacked_matches
+from ..core.kernels import NEIGHBOURS, Algorithm1Kernel, MatchKernel, PreparedQuery, stacked_matches
 from ..core.query_batching import MultiQueryResult
 from ..core.results import KnnResult
 from ..features.binarize import LshCodec, hamming_distances
@@ -36,19 +36,17 @@ class GarciaKernel(Algorithm1Kernel):
     """Garcia et al. [9]: Algorithm 1 with the original modified
     insertion sort (Table 1, column 2).
 
-    Identical math and memory layout to :class:`Algorithm1Kernel`; the
-    configured ``sort_kind`` is overridden, which only changes the
-    simulated sort cost (67 % of the pipeline on the P100 profile that
-    motivated the paper's register scan).
+    Identical math and memory layout to :class:`Algorithm1Kernel`; its
+    sort alone differs, and that changes only the simulated sort cost
+    (67 % of the pipeline on the P100 profile that motivated the paper's
+    register scan).
     """
 
     name = "garcia"
+    sort_kind = "insertion"
 
     def describe(self) -> str:
         return "(Garcia [9])"
-
-    def _sort_kind(self) -> str:
-        return "insertion"
 
 
 class OpenCVKernel(Algorithm1Kernel):
@@ -92,7 +90,7 @@ class OpenCVKernel(Algorithm1Kernel):
 
     def batch_steps(self, device, size, n_queries):
         cfg = self.config
-        return opencv_steps_us(device.spec, device.cal, cfg.m, cfg.n, cfg.d, cfg.k) * (size * n_queries)
+        return opencv_steps_us(device.spec, device.cal, cfg.m, cfg.n, cfg.d, NEIGHBOURS) * (size * n_queries)
 
 
 class LshKernel(MatchKernel):
@@ -154,7 +152,7 @@ class LshKernel(MatchKernel):
              "Hamming filter"),
             # exact re-rank of the candidate set only
             ("compute", elementwise_us(spec, cal, 2 * cfg.n * k_cand * cfg.d, "fp32"), "re-rank"),
-            ("d2h", d2h_result_us(spec, cal, cfg.n, 1, cfg.k, "fp32"), "D2H copy"),
+            ("d2h", d2h_result_us(spec, cal, cfg.n, 1, NEIGHBOURS, "fp32"), "D2H copy"),
             ("cpu", postprocess_us(cal, 1, "fp32", cfg.n), "Post-processing"),
         ] * (size * n_queries)
 
@@ -167,7 +165,7 @@ class LshKernel(MatchKernel):
         if device is not None:
             device.charge(self.batch_steps(device, sum(m.size for m in stack), query.n_queries))
         winners = [self.image_knn(member, i, query) for member in stack for i in range(member.size)]
-        shape = (len(winners), 1, cfg.k, query.matrix.shape[1])
+        shape = (len(winners), 1, NEIGHBOURS, query.matrix.shape[1])
         result = MultiQueryResult(
             distances=np.array([w.distances for w in winners], dtype=np.float32).reshape(shape),
             indices=np.array([w.indices for w in winners], dtype=np.int32).reshape(shape),
@@ -190,7 +188,7 @@ class LshKernel(MatchKernel):
         cand = ref[:, candidates]  # (d, n, k_cand)
         diff = cand - q[:, :, None]
         dists = np.sqrt(np.einsum("dnk,dnk->nk", diff, diff, optimize=True))
-        order = np.argsort(dists, axis=1)[:, : cfg.k]
+        order = np.argsort(dists, axis=1)[:, :NEIGHBOURS]
         top_d = np.take_along_axis(dists, order, axis=1)  # (n, k)
         top_i = np.take_along_axis(candidates, order, axis=1)
         return KnnResult(

@@ -14,8 +14,11 @@ times.  This experiment quantifies what they cost: the same fused
 
 Each mode reports the *minimum* per-sweep wall-clock over several
 repeats (minimum, not mean: the floor is the intrinsic cost; the
-spread is scheduler noise).  The acceptance bar for the observability
-layer is **full-mode overhead < 5%** relative to off.
+spread is scheduler noise).  The repeats run in interleaved rounds —
+one sweep of each mode per round — so load drift on the host spreads
+over all three modes instead of landing on whichever ran last.  The
+acceptance bar for the observability layer is **full-mode overhead
+< 5%** relative to off.
 
 Results go to ``BENCH_observability.json``.  Simulated time is
 identical across modes by construction — instrumentation never touches
@@ -39,17 +42,12 @@ from .fault_tolerance import _make_descriptors, _noisy
 __all__ = ["run"]
 
 
-def _time_sweeps(engine, queries, repeats: int) -> tuple[float, float]:
-    """Min wall-clock seconds per fused sweep, and the (simulated)
-    elapsed_us of the last sweep for the cross-mode invariance check."""
-    best = float("inf")
-    sim_us = 0.0
-    for _ in range(repeats):
-        start = time.perf_counter()
-        group = engine.search_group(queries)
-        best = min(best, time.perf_counter() - start)
-        sim_us = group.elapsed_us
-    return best, sim_us
+def _time_sweep(engine, queries) -> tuple[float, float]:
+    """Wall-clock seconds of one fused sweep, and its (simulated)
+    elapsed_us for the cross-mode invariance check."""
+    start = time.perf_counter()
+    group = engine.search_group(queries)
+    return time.perf_counter() - start, group.elapsed_us
 
 
 def run(
@@ -79,22 +77,26 @@ def run(
     timeline = TimelineTracer()
     was_tracing = tracer.enabled
 
-    timings: dict[str, float] = {}
+    timings = dict.fromkeys(("off", "metrics", "full"), float("inf"))
     sim: dict[str, float] = {}
     try:
         # warm up caches/allocator before any timed mode
         engine.search_group(queries)
 
-        registry.disable()
-        tracer.disable()
-        timings["off"], sim["off"] = _time_sweeps(engine, queries, repeats)
+        for _ in range(repeats):
+            registry.disable()
+            tracer.disable()
+            seconds, sim["off"] = _time_sweep(engine, queries)
+            timings["off"] = min(timings["off"], seconds)
 
-        registry.enable()
-        timings["metrics"], sim["metrics"] = _time_sweeps(engine, queries, repeats)
+            registry.enable()
+            seconds, sim["metrics"] = _time_sweep(engine, queries)
+            timings["metrics"] = min(timings["metrics"], seconds)
 
-        tracer.enable()
-        with timeline.attached(engine.device):
-            timings["full"], sim["full"] = _time_sweeps(engine, queries, repeats)
+            tracer.enable()
+            with timeline.attached(engine.device):
+                seconds, sim["full"] = _time_sweep(engine, queries)
+            timings["full"] = min(timings["full"], seconds)
         tracer.disable()
         spans_per_sweep = len(tracer.spans) // repeats
         events_recorded = len(timeline.events)

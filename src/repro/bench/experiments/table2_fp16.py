@@ -51,7 +51,7 @@ def _accuracy_at(
     def evaluate(precision: str, scale: float) -> float:
         config = EngineConfig(
             m=m, n=n, precision=precision, scale_factor=scale,
-            backend="algorithm1", batch_size=64, sort_kind="scan",
+            backend="algorithm1", batch_size=64,
         )
         engine = TextureSearchEngine(config, device=GPUDevice(TESLA_P100))
         return evaluate_top1(engine, dataset).top1_accuracy

@@ -20,6 +20,7 @@ Exit code is non-zero if any requested experiment raises.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import sys
 import time
@@ -95,7 +96,7 @@ def _kwargs_for(name: str, args: argparse.Namespace) -> dict:
             kwargs["queries_per_brick"] = args.queries
     if name == "backends" and args.backend:
         kwargs["backends"] = args.backend
-    if name in ("serving", "overload", "routing", "cascade", "slo", "elastic") and args.quick:
+    if args.quick and "quick" in inspect.signature(ALL_EXPERIMENTS[name].run).parameters:
         kwargs["quick"] = True
     return kwargs
 

@@ -42,9 +42,6 @@ class EngineConfig:
         (plain normalisation, for signed descriptors such as SURF).
     batch_size:
         Reference images per batched GEMM (Sec. 5.2).
-    sort_kind:
-        ``"scan"`` (the paper's register top-2) or ``"insertion"`` (the
-        Garcia et al. baseline).
     tensor_core:
         Use tensor-core GEMM where the device supports it.
     ratio_threshold:
@@ -56,8 +53,12 @@ class EngineConfig:
         simulated-clock quantity only.  How many host threads compute a
         sweep's tiles is the process's CPU count, not this (docs/architecture.md,
         "Host tile lanes").
-    k:
-        Neighbours retrieved (always 2 in the paper).
+
+    Two choices the paper never varies are not knobs: every kernel
+    retrieves :data:`~repro.core.kernels.NEIGHBOURS` (two) neighbours
+    for the ratio test, and the top-2 sort is the kernel's own — the
+    register scan in ``"algorithm1"``, the insertion sort in
+    ``"garcia"``.
     """
 
     d: int = 128
@@ -68,12 +69,10 @@ class EngineConfig:
     backend: str = "algorithm2"
     normalization: str = "rootsift"
     batch_size: int = 256
-    sort_kind: str = "scan"
     tensor_core: bool = False
     ratio_threshold: float = 0.8
     min_matches: int = 8
     streams: int = 1
-    k: int = 2
 
     def __post_init__(self) -> None:
         if self.d <= 0 or self.m <= 0 or self.n <= 0:
@@ -88,16 +87,12 @@ class EngineConfig:
             )
         if self.batch_size <= 0:
             raise ValueError("batch_size must be positive")
-        if self.sort_kind not in ("scan", "insertion"):
-            raise ValueError(f"sort_kind must be 'scan' or 'insertion', got {self.sort_kind!r}")
         if not (0.0 < self.ratio_threshold < 1.0):
             raise ValueError("ratio_threshold must be in (0, 1)")
         if self.min_matches < 1:
             raise ValueError("min_matches must be >= 1")
         if self.streams < 1:
             raise ValueError("streams must be >= 1")
-        if self.k < 2:
-            raise ValueError("k must be >= 2 (the ratio test needs two neighbours)")
         from .registry import canonical_backend
 
         # normalise case once; raises ValueError for unknown names

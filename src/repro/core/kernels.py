@@ -48,10 +48,15 @@ __all__ = [
     "Algorithm1Kernel",
     "Algorithm2Kernel",
     "MatchKernel",
+    "NEIGHBOURS",
     "PreparedQuery",
     "QueryMatrix",
     "ReferenceMatrix",
 ]
+
+#: neighbours every kernel retrieves per query feature: the ratio
+#: test's two (the paper always takes k = 2).
+NEIGHBOURS = 2
 
 
 @dataclass(frozen=True)
@@ -349,7 +354,7 @@ class Algorithm2Kernel(MatchKernel):
     def batch_steps(self, device, size, n_queries):
         cfg = self.config
         post = postprocess_us(device.cal, size * n_queries, cfg.precision, cfg.n)
-        return knn_steps(device, size, cfg.m, n_queries * cfg.n, cfg.d, cfg.k, cfg.precision,
+        return knn_steps(device, size, cfg.m, n_queries * cfg.n, cfg.d, NEIGHBOURS, cfg.precision,
                          cfg.tensor_core) + [("cpu", post, "Post-processing")]
 
     def match_batch(self, device, batch, query, keep_masks=False, survivors=None):
@@ -369,7 +374,7 @@ class Algorithm2Kernel(MatchKernel):
             device.charge(self.batch_steps(device, images, len(queries)))
         result = knn_algorithm2_multiquery(
             None, [member.tensor for member in stack], queries, scale=cfg.effective_scale,
-            k=cfg.k, precision=cfg.precision, tensor_core=cfg.tensor_core, indices=keep_masks,
+            k=NEIGHBOURS, precision=cfg.precision, tensor_core=cfg.tensor_core, indices=keep_masks,
         )
         return stacked_matches(stack, None, result, cfg.ratio_threshold, keep_masks)
 
@@ -380,18 +385,18 @@ class Algorithm1Kernel(MatchKernel):
     Raw descriptors with cached ``N_R`` squared-norm vectors; a batch is
     charged the per-image chain per image compared, because the paper
     batches only the RootSIFT pipeline, but matched in one stacked plane
-    call.  The sort is the register top-2 scan by default
-    (``EngineConfig.sort_kind``).
+    call.  The sort is the class's: the paper's register top-2 scan here,
+    Garcia et al.'s insertion sort in
+    :class:`~repro.baselines.adapters.GarciaKernel`.
     """
 
     name = "algorithm1"
     needs_norms = True
+    #: the top-2 sort the cost model charges (``algorithm1_steps_us``)
+    sort_kind = "scan"
 
     def describe(self) -> str:
         return "(Alg. 1)"
-
-    def _sort_kind(self) -> str:
-        return self.config.sort_kind
 
     def prepare_reference(self, descriptors):
         cfg = self.config
@@ -429,8 +434,8 @@ class Algorithm1Kernel(MatchKernel):
 
     def batch_steps(self, device, size, n_queries):
         cfg = self.config
-        return algorithm1_steps_us(device.spec, device.cal, cfg.m, cfg.n, cfg.d, cfg.k,
-                                   cfg.precision, self._sort_kind()) * (size * n_queries)
+        return algorithm1_steps_us(device.spec, device.cal, cfg.m, cfg.n, cfg.d, NEIGHBOURS,
+                                   cfg.precision, self.sort_kind) * (size * n_queries)
 
     def match_batch_multi(self, device, batch, query, keep_masks=False, survivors=None):
         """One query against a stack: only the slots ``survivors`` keeps are
@@ -444,11 +449,11 @@ class Algorithm1Kernel(MatchKernel):
             device.charge(self.batch_steps(device, compared, query.n_queries))
         kept = [(member, slice(None) if mask is None else mask)
                 for member, mask in zip(stack, masks) if mask is None or mask.any()]
-        dist, idx = np.empty((cfg.k, 0), dtype=np.float32), None
+        dist, idx = np.empty((NEIGHBOURS, 0), dtype=np.float32), None
         if kept:
             norms = (np.concatenate([self._norms(member)[rows] for member, rows in kept]),
                      self._query_features(query).norms)
             dist, idx = _knn_columns(None, [member.tensor[rows] for member, rows in kept], query.matrix,
-                                     cfg.effective_scale, cfg.k, cfg.precision, False, keep_masks, norms)
+                                     cfg.effective_scale, NEIGHBOURS, cfg.precision, False, keep_masks, norms)
         result = MultiQueryResult.from_columns(dist, idx, 1, query.matrix.shape[1])
         return stacked_matches(stack, masks, result, cfg.ratio_threshold, keep_masks)

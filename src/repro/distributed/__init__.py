@@ -25,7 +25,7 @@ from .node import NodeConfig, SearchNode
 from .replica import ReplicaGroup, ReplicaState
 from .rest import Request, Response, Router, build_api
 from ..routing import RouterPolicy
-from .sharding import ConsistentHashPlacement, PlacementPolicy, RoundRobinPlacement
+from .sharding import RoundRobinPlacement
 from .serialization import (
     FeatureRecord,
     decode_varint,
@@ -46,14 +46,12 @@ __all__ = [
     "EpochRegistry",
     "TombstoneLog",
     "TokenBucket",
-    "ConsistentHashPlacement",
     "DispatchRecord",
     "FaultInjector",
     "FaultSpec",
     "HealthPolicy",
     "HealthTracker",
     "NodeHealth",
-    "PlacementPolicy",
     "RetryPolicy",
     "RoundRobinPlacement",
     "RouterPolicy",

@@ -223,7 +223,6 @@ class DistributedSearchSystem:
         device_spec: DeviceSpec = TESLA_P100,
         node_config: NodeConfig | None = None,
         store: KVStore | None = None,
-        placement: str = "round-robin",
         retry_policy: RetryPolicy | None = None,
         min_shard_fraction: float = 0.0,
         auto_failover: bool = True,
@@ -346,15 +345,9 @@ class DistributedSearchSystem:
             node.epoch = self.epochs.get(node.node_id)
             self.groups[node.node_id] = ReplicaGroup(node.node_id, [node], self.obs)
             self._stamp_start(node)
-        from .sharding import ConsistentHashPlacement, RoundRobinPlacement
+        from .sharding import RoundRobinPlacement
 
-        shard_ids = [node.node_id for node in self.nodes]
-        if placement == "round-robin":
-            self.placement = RoundRobinPlacement(shard_ids)
-        elif placement == "consistent-hash":
-            self.placement = ConsistentHashPlacement(shard_ids)
-        else:
-            raise ClusterError(f"unknown placement policy {placement!r}")
+        self.placement = RoundRobinPlacement([node.node_id for node in self.nodes])
         self._placement: dict[str, str] = {}
         if fault_injector is not None:
             fault_injector.install(self)

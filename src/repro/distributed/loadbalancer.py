@@ -2,10 +2,10 @@
 
 The paper fronts the GPU containers with web-service containers; this
 module models that tier: a :class:`WebTier` owns ``n_workers`` router
-replicas, dispatches incoming requests round-robin (or to the least
-loaded worker), and tracks a simulated per-worker clock so concurrent
-request bursts exhibit realistic queueing — each worker serialises its
-own requests while different workers proceed in parallel.
+replicas, dispatches incoming requests round-robin, and tracks a
+simulated per-worker clock so concurrent request bursts exhibit
+realistic queueing — each worker serialises its own requests while
+different workers proceed in parallel.
 """
 
 from __future__ import annotations
@@ -59,15 +59,11 @@ class WebTier:
         self,
         system: DistributedSearchSystem,
         n_workers: int = 4,
-        policy: str = "round-robin",
         admission: AdmissionPolicy | None = None,
     ) -> None:
         if n_workers < 1:
             raise ValueError("need at least one web worker")
-        if policy not in ("round-robin", "least-loaded"):
-            raise ValueError(f"unknown policy {policy!r}")
         self.system = system
-        self.policy = policy
         self.admission = admission
         registry = system.obs.registry
         self._web_requests = registry.counter(
@@ -98,8 +94,6 @@ class WebTier:
         return len(self.routers)
 
     def _pick_worker(self) -> int:
-        if self.policy == "least-loaded":
-            return int(min(range(self.n_workers), key=lambda w: self.worker_clock_us[w]))
         worker = self._next
         self._next = (self._next + 1) % self.n_workers
         return worker

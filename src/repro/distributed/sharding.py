@@ -1,47 +1,19 @@
-"""Shard-placement policies for the distributed system.
+"""Shard placement for the distributed system.
 
 The paper allocates reference matrices "equally to those 14 GPU
-containers" — round-robin, which balances perfectly but reshuffles
-almost everything when the node count changes.  Production clusters
-prefer **consistent hashing**: each node owns many virtual points on a
-hash ring, keys map to the next point clockwise, and adding/removing a
-node only moves ~1/N of the keys.  Both policies implement one
-protocol so :class:`DistributedSearchSystem` can be configured with
-either.
+containers": round-robin, which balances perfectly.  One stateful
+cursor walks the shard list; adding or removing a shard keeps it in
+range.
 """
 
 from __future__ import annotations
 
-import bisect
-import hashlib
-
-__all__ = ["PlacementPolicy", "RoundRobinPlacement", "ConsistentHashPlacement"]
+__all__ = ["RoundRobinPlacement"]
 
 
-class PlacementPolicy:
-    """Maps reference ids to node ids over a mutable node set."""
-
-    def add_node(self, node_id: str) -> None:
-        raise NotImplementedError
-
-    def remove_node(self, node_id: str) -> None:
-        raise NotImplementedError
-
-    def place(self, ref_id: str) -> str:
-        """Node that should own ``ref_id`` (stable until the node set
-        changes)."""
-        raise NotImplementedError
-
-    def peek(self, ref_id: str) -> str:
-        """Node :meth:`place` would pick for ``ref_id``, without
-        consuming any placement state — callers that must inspect the
-        target before committing (gate-before-mutate enrollment) peek
-        first, then place."""
-        return self.place(ref_id)
-
-
-class RoundRobinPlacement(PlacementPolicy):
-    """The paper's equal-allocation policy (stateful cursor)."""
+class RoundRobinPlacement:
+    """The paper's equal-allocation policy (stateful cursor): maps
+    reference ids to node ids over a mutable node set."""
 
     def __init__(self, node_ids: list[str] | None = None) -> None:
         self._nodes: list[str] = list(node_ids or [])
@@ -58,71 +30,16 @@ class RoundRobinPlacement(PlacementPolicy):
             self._cursor %= len(self._nodes)
 
     def place(self, ref_id: str) -> str:
-        if not self._nodes:
-            raise ValueError("no nodes registered")
-        node = self._nodes[self._cursor]
+        """Node that owns ``ref_id``; advances the cursor."""
+        node = self.peek(ref_id)
         self._cursor = (self._cursor + 1) % len(self._nodes)
         return node
 
     def peek(self, ref_id: str) -> str:
-        # the cursor does not advance: the next place() returns this
+        """Node :meth:`place` would pick for ``ref_id``, without
+        advancing the cursor — callers that must inspect the target
+        before committing (gate-before-mutate enrollment) peek first,
+        then place."""
         if not self._nodes:
             raise ValueError("no nodes registered")
         return self._nodes[self._cursor]
-
-
-def _ring_hash(value: str) -> int:
-    """Stable 64-bit hash (Python's ``hash`` is salted per process)."""
-    return int.from_bytes(hashlib.blake2b(value.encode(), digest_size=8).digest(), "big")
-
-
-class ConsistentHashPlacement(PlacementPolicy):
-    """Hash-ring placement with virtual nodes.
-
-    ``vnodes`` points per physical node smooth the load distribution;
-    128 keeps the max/min shard ratio within ~20 % for tens of nodes.
-    """
-
-    def __init__(self, node_ids: list[str] | None = None, vnodes: int = 128) -> None:
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        self.vnodes = int(vnodes)
-        self._ring: list[tuple[int, str]] = []
-        self._keys: list[int] = []
-        self._nodes: set[str] = set()
-        for node_id in node_ids or []:
-            self.add_node(node_id)
-
-    def add_node(self, node_id: str) -> None:
-        if node_id in self._nodes:
-            raise ValueError(f"duplicate node {node_id!r}")
-        self._nodes.add(node_id)
-        for v in range(self.vnodes):
-            point = (_ring_hash(f"{node_id}#{v}"), node_id)
-            index = bisect.bisect(self._keys, point[0])
-            self._ring.insert(index, point)
-            self._keys.insert(index, point[0])
-
-    def remove_node(self, node_id: str) -> None:
-        if node_id not in self._nodes:
-            raise KeyError(node_id)
-        self._nodes.discard(node_id)
-        keep = [(h, n) for h, n in self._ring if n != node_id]
-        self._ring = keep
-        self._keys = [h for h, _ in keep]
-
-    def place(self, ref_id: str) -> str:
-        if not self._ring:
-            raise ValueError("no nodes registered")
-        h = _ring_hash(str(ref_id))
-        index = bisect.bisect(self._keys, h)
-        if index == len(self._ring):
-            index = 0
-        return self._ring[index][1]
-
-    def shard_counts(self, ref_ids: list[str]) -> dict[str, int]:
-        """Histogram of where ``ref_ids`` would land (load inspection)."""
-        counts = {node: 0 for node in self._nodes}
-        for ref_id in ref_ids:
-            counts[self.place(ref_id)] += 1
-        return counts

@@ -5,6 +5,7 @@ writer and writes only a run at the experiments' defaults."""
 
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -24,6 +25,17 @@ def test_a_quick_run_only_prints(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     assert main(["serving", "--quick"]) == 0
     assert "Serving" in capsys.readouterr().out
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_quick_reaches_every_experiment_with_a_quick_mode(tmp_path, monkeypatch, capsys):
+    # enrollment's quick grid is its 0 and 25 % rows; the full grid adds 10 and 50 %
+    monkeypatch.chdir(tmp_path)
+    assert main(["enrollment", "--quick"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    body = lines[next(i for i, line in enumerate(lines) if line.startswith("---")) + 1:]
+    rows = itertools.takewhile(lambda line: "|" in line, body)
+    assert [row.split("|")[0].strip() for row in rows] == ["0", "25"]
     assert list(tmp_path.iterdir()) == []
 
 

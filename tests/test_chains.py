@@ -30,10 +30,6 @@ class TestAlgorithm1Steps:
         """Table 1 column 3: 148.5 us."""
         assert per_image_us("algorithm1") == pytest.approx(148.5, rel=0.02)
 
-    def test_unknown_sort(self):
-        with pytest.raises(ValueError):
-            EngineConfig(backend="algorithm1", sort_kind="radix")
-
 
 class TestAlgorithm2Steps:
     def test_step_names_match_table3(self):

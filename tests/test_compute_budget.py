@@ -71,7 +71,7 @@ def test_only_the_gather_opens_a_scope():
 def test_fusion_added_no_knob():
     assert [f.name for f in dataclasses.fields(EngineConfig)] == [
         "d", "m", "n", "precision", "scale_factor", "backend", "normalization", "batch_size",
-        "sort_kind", "tensor_core", "ratio_threshold", "min_matches", "streams", "k",
+        "tensor_core", "ratio_threshold", "min_matches", "streams",
     ]
     parameters = lambda cls: list(inspect.signature(cls.__init__).parameters)[1:]
     assert parameters(TextureSearchEngine) == [
@@ -83,7 +83,7 @@ def test_fusion_added_no_knob():
         "obs",  # the owning cluster's telemetry handle, not a knob
     ]
     assert parameters(DistributedSearchSystem) == [
-        "n_nodes", "engine_config", "device_spec", "node_config", "store", "placement",
+        "n_nodes", "engine_config", "device_spec", "node_config", "store",
         "retry_policy", "min_shard_fraction", "auto_failover", "fault_injector", "health_policy",
         "breaker_policy", "router_policy", "replication_factor",
     ]

@@ -14,20 +14,21 @@ def _row(test_id: str, **overrides):
 
 
 # ids predate the ``backend`` field (algorithm2 was ``use_rootsift=True``)
-# and stay as they were so each row keeps its name in test reports
+# and the kernels owning their sort (insertion is ``garcia``), and stay as
+# they were so each row keeps its name in test reports
 CONFIG_GRID = [
     _row("precision=fp16-use_rootsift=True-sort_kind=scan",
-         precision="fp16", backend="algorithm2", sort_kind="scan"),
+         precision="fp16", backend="algorithm2"),
     _row("precision=fp32-use_rootsift=True-sort_kind=scan",
-         precision="fp32", backend="algorithm2", sort_kind="scan"),
+         precision="fp32", backend="algorithm2"),
     _row("precision=fp16-use_rootsift=False-sort_kind=scan",
-         precision="fp16", backend="algorithm1", sort_kind="scan"),
+         precision="fp16", backend="algorithm1"),
     _row("precision=fp32-use_rootsift=False-sort_kind=scan",
-         precision="fp32", backend="algorithm1", sort_kind="scan"),
+         precision="fp32", backend="algorithm1"),
     _row("precision=fp32-use_rootsift=False-sort_kind=insertion",
-         precision="fp32", backend="algorithm1", sort_kind="insertion"),
+         precision="fp32", backend="garcia"),
     _row("precision=fp16-use_rootsift=True-sort_kind=scan-normalization=l2",
-         precision="fp16", backend="algorithm2", sort_kind="scan", normalization="l2"),
+         precision="fp16", backend="algorithm2", normalization="l2"),
 ]
 
 

@@ -15,6 +15,7 @@ counts as part of the sweep.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import re
@@ -240,9 +241,9 @@ TEST_TOOLS = (
     "distributed/loadbalancer.py:WebTier.reset_clocks",  # rewinds those clocks between bursts
     "core/identification.py:IdentificationPipeline.identify",  # README's photo-to-decision pipeline
     "core/engine.py:TextureSearchEngine.export_records",  # an engine's records, to compare engines by
+    "distributed/cluster.py:DistributedSearchSystem.add_node",  # grows a cluster by one empty shard
     "distributed/node.py:SearchNode.snapshot_to_store",  # writes what restore_from_store reads back
     "core/engine.py:TextureSearchEngine.reset_profile",  # starts a fresh profile window on a warm engine
-    "distributed/sharding.py:ConsistentHashPlacement.shard_counts",  # the placement-balance check
     "features/rootsift.py:is_unit_normalized",  # the RootSIFT tests' unit-norm check
     "gpusim/device.py:get_device_spec",  # a device by name in the configuration matrix
     "gpusim/device.py:DeviceSpec.with_memory",  # a device of a chosen memory size for the engine and cache tests
@@ -327,3 +328,21 @@ def test_every_public_name_has_a_caller():
     or is a test tool; library surface that only its own tests call goes."""
     assert uncalled_public_names(TEST_TOOLS) == []
     assert set(TEST_TOOLS) <= set(uncalled_public_names(())), "a tool with a caller leaves TEST_TOOLS"
+
+
+def test_every_option_has_a_second_value_outside_the_tests():
+    """An option nothing outside the tests sets to anything but its default
+    is a second code path only tests reach: the paper always takes k = 2,
+    each Algorithm 1 kernel owns its sort, references are placed round-robin
+    and web workers are picked round-robin."""
+    from repro.core import EngineConfig
+    from repro.distributed import DistributedSearchSystem, WebTier
+    import repro.distributed
+
+    assert [f.name for f in dataclasses.fields(EngineConfig)] == [
+        "d", "m", "n", "precision", "scale_factor", "backend", "normalization", "batch_size",
+        "tensor_core", "ratio_threshold", "min_matches", "streams",
+    ]
+    assert "placement" not in inspect.signature(DistributedSearchSystem.__init__).parameters
+    assert "policy" not in inspect.signature(WebTier.__init__).parameters
+    assert not {"ConsistentHashPlacement", "PlacementPolicy"} & set(dir(repro.distributed))

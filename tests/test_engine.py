@@ -40,11 +40,11 @@ class TestConfig:
             dict(precision="int8"),
             dict(precision="fp16", scale_factor=0.0),
             dict(batch_size=0),
-            dict(sort_kind="quick"),
+            dict(normalization="l1"),
             dict(ratio_threshold=1.5),
             dict(min_matches=0),
             dict(streams=0),
-            dict(k=1),
+            dict(backend="no-such-kernel"),
         ],
     )
     def test_invalid(self, kwargs):
@@ -103,7 +103,7 @@ class TestSearch:
 class TestAlgorithm1Path:
     def test_fp32_insertion(self):
         engine = TextureSearchEngine(
-            small_config(backend="algorithm1", precision="fp32", sort_kind="insertion")
+            small_config(backend="garcia", precision="fp32")
         )
         descs = enrolled(engine, 6)
         result = engine.search(noisy_copy(descs[1], 8.0, seed=10))

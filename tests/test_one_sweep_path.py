@@ -18,6 +18,7 @@ import pytest
 
 from repro.baselines import LshKernel
 from repro.core import EngineConfig, MatchKernel, TextureSearchEngine
+from repro.core.kernels import NEIGHBOURS
 from repro.core.results import KnnResult
 from repro.features import hamming_distances
 from tests.conftest import make_descriptors, noisy_copy
@@ -79,7 +80,7 @@ class ParentLshKernel(LshKernel):
         cand = ref[:, candidates]  # (d, n, k_cand)
         diff = cand - q[:, :, None]
         dists = np.sqrt(np.einsum("dnk,dnk->nk", diff, diff, optimize=True))
-        order = np.argsort(dists, axis=1)[:, : cfg.k]
+        order = np.argsort(dists, axis=1)[:, :NEIGHBOURS]
         top_d = np.take_along_axis(dists, order, axis=1)  # (n, k)
         top_i = np.take_along_axis(candidates, order, axis=1)
         return KnnResult(

@@ -141,10 +141,10 @@ class TestClusterSearchMany:
 
 
 class TestWebTier:
-    def _tier(self, policy="round-robin", workers=3):
+    def _tier(self, workers=3):
         system = DistributedSearchSystem(2, CFG)
         descs = {i: make_descriptors(32, seed=1700 + i) for i in range(4)}
-        tier = WebTier(system, n_workers=workers, policy=policy)
+        tier = WebTier(system, n_workers=workers)
         for i, d in descs.items():
             record = tier.handle(
                 Request("POST", "/textures", {"id": f"r{i}", "descriptors": d.tolist()})
@@ -167,19 +167,10 @@ class TestWebTier:
         serial = sum(r.completed_us - r.started_us for r in records)
         assert tier.makespan_us() < serial * 0.75
 
-    def test_least_loaded_policy(self):
-        tier, descs = self._tier(policy="least-loaded")
-        tier.reset_clocks()
-        query = noisy_copy(descs[0], 8.0, seed=172).tolist()
-        tier.handle_burst([Request("POST", "/search", {"descriptors": query})] * 6)
-        assert max(tier.requests_handled) - min(tier.requests_handled) <= 2
-
     def test_validation(self):
         system = DistributedSearchSystem(1, CFG)
         with pytest.raises(ValueError):
             WebTier(system, n_workers=0)
-        with pytest.raises(ValueError):
-            WebTier(system, policy="random")
 
     def test_stats_schema_and_observability_counters(self):
         """``GET /stats`` carries a schema version plus the cache and

@@ -1,17 +1,10 @@
-"""Placement policies and engine profiling report."""
+"""Round-robin placement and the engine profiling report."""
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core import EngineConfig, TextureSearchEngine
-from repro.distributed import (
-    ConsistentHashPlacement,
-    DistributedSearchSystem,
-    RoundRobinPlacement,
-)
-from repro.errors import ClusterError
-from tests.conftest import make_descriptors, noisy_copy
+from repro.distributed import RoundRobinPlacement
+from tests.conftest import make_descriptors
 
 
 class TestRoundRobin:
@@ -33,67 +26,6 @@ class TestRoundRobin:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             RoundRobinPlacement().place("k")
-
-
-class TestConsistentHash:
-    def test_deterministic_and_stable(self):
-        policy = ConsistentHashPlacement(["n0", "n1", "n2"])
-        assert policy.place("brick-42") == policy.place("brick-42")
-        other = ConsistentHashPlacement(["n0", "n1", "n2"])
-        assert policy.place("brick-42") == other.place("brick-42")
-
-    def test_balanced_distribution(self):
-        policy = ConsistentHashPlacement([f"n{i}" for i in range(5)])
-        keys = [f"brick-{i}" for i in range(2000)]
-        counts = policy.shard_counts(keys)
-        assert min(counts.values()) > 0.6 * (2000 / 5)
-        assert max(counts.values()) < 1.5 * (2000 / 5)
-
-    def test_minimal_movement_on_node_removal(self):
-        """Removing one of N nodes moves only ~1/N of the keys."""
-        policy = ConsistentHashPlacement([f"n{i}" for i in range(8)])
-        keys = [f"brick-{i}" for i in range(2000)]
-        before = {k: policy.place(k) for k in keys}
-        policy.remove_node("n3")
-        moved = sum(1 for k in keys if policy.place(k) != before[k])
-        orphaned = sum(1 for k in keys if before[k] == "n3")
-        assert moved == orphaned  # only the victim's keys move
-
-    def test_remove_unknown(self):
-        policy = ConsistentHashPlacement(["a"])
-        with pytest.raises(KeyError):
-            policy.remove_node("b")
-
-    def test_vnodes_validation(self):
-        with pytest.raises(ValueError):
-            ConsistentHashPlacement(vnodes=0)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=50, deadline=None)
-    def test_every_key_lands_on_a_registered_node(self, key):
-        policy = ConsistentHashPlacement(["x", "y", "z"], vnodes=16)
-        assert policy.place(f"k{key}") in {"x", "y", "z"}
-
-
-class TestClusterWithConsistentHash:
-    def test_end_to_end(self):
-        cfg = EngineConfig(m=32, n=32, batch_size=2, min_matches=5, scale_factor=0.25)
-        system = DistributedSearchSystem(3, cfg, placement="consistent-hash")
-        descs = {i: make_descriptors(32, seed=5000 + i) for i in range(9)}
-        for i, d in descs.items():
-            system.add(f"r{i}", d)
-        assert system.n_references == 9
-        result = system.search(noisy_copy(descs[4], 8.0, seed=51))
-        assert result.best().reference_id == "r4"
-        # failover still works under the hash policy
-        victim = system._placement["r4"]
-        system.remove_node(victim)
-        result = system.search(noisy_copy(descs[4], 8.0, seed=52))
-        assert result.best().reference_id == "r4"
-
-    def test_unknown_policy(self):
-        with pytest.raises(ClusterError):
-            DistributedSearchSystem(1, placement="random")
 
 
 class TestProfileReport:

@@ -33,7 +33,7 @@ from repro.baselines.opencv_cuda import DIST_KERNEL_EFF_FP32
 from repro.core import EngineConfig, TextureSearchEngine, algorithm2 as algorithm2_module, functional_topk, registry
 from repro.core.algorithm2 import BatchKnnResult, _accumulator_peak
 from repro.core.engine import _TRACER
-from repro.core.kernels import Algorithm2Kernel, PreparedQuery
+from repro.core.kernels import NEIGHBOURS, Algorithm2Kernel, PreparedQuery
 from repro.core.query_batching import MultiQueryResult
 from repro.core.ratio_test import batch_ratio_test_masks, match_images_batch
 from repro.core.results import ImageMatch, Sweep
@@ -203,7 +203,7 @@ class ParentKernel(Algorithm2Kernel):
             batch.tensor,
             query.matrix,
             scale=cfg.effective_scale,
-            k=cfg.k,
+            k=NEIGHBOURS,
             precision=cfg.precision,
             tensor_core=cfg.tensor_core,
         )
@@ -221,7 +221,7 @@ class ParentKernel(Algorithm2Kernel):
             batch.tensor,
             query.matrix,
             scale=cfg.effective_scale,
-            k=cfg.k,
+            k=NEIGHBOURS,
             precision=cfg.precision,
             tensor_core=cfg.tensor_core,
         )
@@ -618,7 +618,7 @@ def typed_charges(device: GPUDevice, kernel, size: int, n_queries: int) -> None:
     of a batch against ``n_queries`` queries: Algorithm 2's five per batch,
     every other backend's chain per image (its kernel's loop, as it was)."""
     cfg = kernel.config
-    m, n, d, k, dtype = cfg.m, cfg.n, cfg.d, cfg.k, cfg.precision
+    m, n, d, k, dtype = cfg.m, cfg.n, cfg.d, NEIGHBOURS, cfg.precision
     if cfg.backend == "algorithm2":
         width = n_queries * n
         device.gemm(m, width, d, batch=size, dtype=dtype, step="GEMM")

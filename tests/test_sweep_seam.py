@@ -39,7 +39,7 @@ from repro.core.batching import ReferenceBatch
 from repro.core.cascade import CascadeKernel, _CascadeQuery
 from repro.core.engine import _TRACER
 from repro.baselines.adapters import GarciaKernel
-from repro.core.kernels import Algorithm1Kernel, PreparedQuery
+from repro.core.kernels import NEIGHBOURS, Algorithm1Kernel, PreparedQuery
 from repro.core.ratio_test import match_images
 from repro.core.results import ImageMatch
 from repro.distributed import DistributedSearchSystem
@@ -86,7 +86,7 @@ class ParentCascadeKernel(CascadeKernel):
                 scale=cfg.effective_scale,
             )
             knn = knn_algorithm1(
-                device, ref, features, k=cfg.k, sort_kind=self._sort_kind()
+                device, ref, features, k=NEIGHBOURS, sort_kind=self.sort_kind
             )
             device.cpu_postprocess(1, cfg.precision, cfg.n)
             matches.append(match_images(int(batch.slots[i]), knn, cfg.ratio_threshold, keep_masks))

@@ -36,6 +36,7 @@ from repro.core import (
     query_batching as query_batching_module,
 )
 from repro.core.algorithm2 import _accumulator_peak, knn_steps
+from repro.core.kernels import NEIGHBOURS
 from repro.core.topk import functional_topk
 from repro.data import SyntheticFeatureModel
 from repro.errors import HalfPrecisionOverflowError
@@ -672,7 +673,7 @@ def test_without_masks_nothing_but_the_gemm_and_the_two_scans_touches_a_tile(mon
     if keep_masks:
         assert sorted(rounded) == sorted(tiles) and sorted(spy.reduced) == sorted(tiles)
     else:
-        assert sorted(rounded) == sorted(PAPER.k * size // PAPER.m for size in tiles)  # the winners
+        assert sorted(rounded) == sorted(NEIGHBOURS * size // PAPER.m for size in tiles)  # the winners
         assert spy.reduced == []
 
 
