@@ -185,7 +185,6 @@ def _run_fleet(
         max_batch=_MAX_BATCH,
         max_wait_us=0.0,
         max_queue_depth=_QUEUE_GROUPS * _MAX_BATCH,
-        shed="reject-new",
     )
     report = simulate_serving(ClusterGroupExecutor(system), trace, policy)
     recorder.flush()

@@ -273,7 +273,6 @@ def run(
                 max_batch=max_batch,
                 max_wait_us=0.0,
                 max_queue_depth=_QUEUE_GROUPS * max_batch,
-                shed="reject-new",
             ),
             slo_us,
         ),

@@ -89,7 +89,7 @@ class Sweep:
     counts those whose exact GEMM a Hamming prefilter skipped (still
     searched).  A gather adds its fan-out: ``retries``, the
     ``unsearched_shards`` it lost (down, timing out, breaker-open, shed by
-    brownout or the deadline), the ``unrouted_shards`` a ``routed``
+    the deadline), the ``unrouted_shards`` a ``routed``
     fan-out did not nominate, ``deadline_expired`` when the deadline
     skipped a shard or cut a sweep, and ``shard_epochs``: each answering
     shard's index epoch, read as the :attr:`corpus_epoch` map — the

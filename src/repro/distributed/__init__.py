@@ -2,13 +2,11 @@
 serialization, a Redis-like KV store, GPU container nodes, the sharded
 scatter-gather cluster, the RESTful API layer, and the fault-tolerance
 layer (health states, deterministic fault injection, retries and
-partial-result degradation), plus the overload-protection layer
-(admission control, circuit breakers, brownout) and the online
+partial-result degradation), plus circuit breakers and the online
 enrollment layer (per-shard index epochs, tombstones,
 read-your-writes acks), and the elastic tier (replica groups with
 graceful warm-up/drain lifecycles and the SLO-driven autoscaler)."""
 
-from .admission import AdmissionPolicy, TokenBucket
 from .autoscaler import Autoscaler, AutoscalerPolicy, ScalingEvent
 from .breaker import BreakerPolicy, BreakerState, CircuitBreaker
 from .enrollment import DeletionAck, EnrollmentAck, EpochRegistry, TombstoneLog
@@ -35,7 +33,6 @@ from .serialization import (
 )
 
 __all__ = [
-    "AdmissionPolicy",
     "Autoscaler",
     "AutoscalerPolicy",
     "BreakerPolicy",
@@ -45,7 +42,6 @@ __all__ = [
     "EnrollmentAck",
     "EpochRegistry",
     "TombstoneLog",
-    "TokenBucket",
     "DispatchRecord",
     "FaultInjector",
     "FaultSpec",

@@ -14,8 +14,6 @@ behind the paper's 872,984 img/s on 14 P100s.
 
 from __future__ import annotations
 
-import hashlib
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +35,6 @@ from ..gpusim.device import DeviceSpec, TESLA_P100
 from ..obs import (
     DeadlineFanOut,
     Observability,
-    current_brownout,
     current_deadline,
     default_tracer,
 )
@@ -72,7 +69,7 @@ __all__ = [
 WEB_TIER_OVERHEAD_US = 2000.0
 
 #: version of the ``GET /stats`` payload shape; bump when keys change.
-STATS_SCHEMA_VERSION = 8
+STATS_SCHEMA_VERSION = 9
 
 _TRACER = default_tracer()
 
@@ -130,7 +127,6 @@ _STATS_BLOCKS: dict[str, dict[str, tuple[str, dict[str, str]]]] = {
     },
     "overload": {
         "shed_reject_new_total": ("repro_serving_shed_total", {"reason": "reject-new"}),
-        "shed_drop_oldest_total": ("repro_serving_shed_total", {"reason": "drop-oldest"}),
         "shed_deadline_expired_total": (
             "repro_serving_shed_total", {"reason": "deadline-expired"}
         ),
@@ -140,22 +136,8 @@ _STATS_BLOCKS: dict[str, dict[str, tuple[str, dict[str, str]]]] = {
         ),
         "breaker_skipped_total": ("repro_cluster_breaker_skipped_total", {}),
         "breaker_opened_total": ("repro_breaker_transitions_total", {"to": "open"}),
-        "brownout_shards_skipped_total": (
-            "repro_cluster_brownout_shards_skipped_total", {}
-        ),
-        "rate_limited_total": ("repro_web_rate_limited_total", {}),
-        "brownout_requests_total": ("repro_web_brownout_total", {}),
     },
 }
-
-
-def _jitter_draw(seed: int, *parts: object) -> float:
-    """Reproducible uniform in [0, 1) keyed on ``parts`` (same recipe
-    as :mod:`repro.distributed.faults` — no global RNG, no ordering
-    sensitivity)."""
-    token = ":".join(str(p) for p in (seed, *parts)).encode()
-    digest = hashlib.blake2b(token, digest_size=8).digest()
-    return int.from_bytes(digest, "big") / 2**64
 
 
 @dataclass(frozen=True)
@@ -168,22 +150,12 @@ class RetryPolicy:
     ``backoff_us * backoff_multiplier**retry`` of simulated time before
     each retry; a node that exhausts its attempts is skipped and its
     shard reported unsearched.
-
-    ``jitter_fraction`` opts into deterministic *full jitter*: each
-    wait is scaled by ``1 - jitter_fraction * u`` with ``u`` a hashed
-    uniform draw keyed on ``(jitter_seed, key, retry_index)``, so
-    synchronized retries against a recovering node de-correlate
-    (thundering-herd avoidance) while every run replays bit-identically.
-    At the default ``jitter_fraction=0`` the waits are exactly the
-    un-jittered schedule.
     """
 
     max_attempts: int = 3
     timeout_us: float = 0.0
     backoff_us: float = 1000.0
     backoff_multiplier: float = 2.0
-    jitter_fraction: float = 0.0
-    jitter_seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -192,24 +164,10 @@ class RetryPolicy:
             raise ValueError("timeout_us and backoff_us must be non-negative")
         if self.backoff_multiplier < 1.0:
             raise ValueError("backoff_multiplier must be >= 1")
-        if not 0.0 <= self.jitter_fraction <= 1.0:
-            raise ValueError(
-                f"jitter_fraction must be in [0, 1], got {self.jitter_fraction}"
-            )
 
-    def backoff_for(self, retry_index: int, key: object = None) -> float:
-        """Simulated wait before the ``retry_index``-th retry (0-based).
-
-        ``key`` scopes the jitter draw (callers pass the node id so
-        distinct nodes de-correlate); it is ignored when
-        ``jitter_fraction`` is 0, which returns the exact un-jittered
-        schedule bit-for-bit.
-        """
-        base = self.backoff_us * self.backoff_multiplier**retry_index
-        if self.jitter_fraction == 0.0:
-            return base
-        u = _jitter_draw(self.jitter_seed, key, retry_index)
-        return base * (1.0 - self.jitter_fraction * u)
+    def backoff_for(self, retry_index: int) -> float:
+        """Simulated wait before the ``retry_index``-th retry (0-based)."""
+        return self.backoff_us * self.backoff_multiplier**retry_index
 
 
 class DistributedSearchSystem:
@@ -264,10 +222,6 @@ class DistributedSearchSystem:
         self._failovers = registry.counter(
             "repro_cluster_failovers_total",
             "DOWN nodes decommissioned and re-hydrated onto survivors",
-        )
-        self._brownout_skips = registry.counter(
-            "repro_cluster_brownout_shards_skipped_total",
-            "Populated shards left unsearched by web-tier brownout degradation",
         )
         self._deadline_skips = registry.counter(
             "repro_cluster_deadline_skipped_shards_total",
@@ -837,7 +791,7 @@ class DistributedSearchSystem:
         retries = 0
 
         def _wait(attempt: int) -> float:
-            wait_us = policy.backoff_for(attempt, key=node.node_id)
+            wait_us = policy.backoff_for(attempt)
             if deadline is not None:
                 deadline.charge(wait_us)
             return wait_us
@@ -877,28 +831,6 @@ class DistributedSearchSystem:
             retries += 1
         return None, spent_us, retries
 
-    def _gather_targets(self, populated: list[ReplicaGroup]) -> tuple[list[ReplicaGroup], list[str]]:
-        """Apply any ambient brownout to the fan-out target set.
-
-        When the web tier has entered brownout
-        (:func:`repro.obs.brownout_scope`), the gather degrades to a
-        fraction of the populated shards instead of rejecting the
-        request outright.  The fraction is floored at
-        ``min_shard_fraction`` so a brownout can never *itself* trip
-        :class:`DegradedClusterError`.  Returns ``(targets,
-        skipped_shard_ids)``.
-        """
-        fraction = current_brownout()
-        if fraction is None or not populated:
-            return populated, []
-        fraction = max(fraction, self.min_shard_fraction)
-        keep = max(1, math.ceil(fraction * len(populated)))
-        if keep >= len(populated):
-            return populated, []
-        skipped = [group.shard_id for group in populated[keep:]]
-        self._brownout_skips.inc(len(skipped))
-        return populated[:keep], skipped
-
     def _gather(
         self,
         queries: list[np.ndarray],
@@ -923,8 +855,8 @@ class DistributedSearchSystem:
         exhaustive.
 
         Shards whose readers are all down, erroring, timing out or
-        breaker-open past the retry budget, and shards shed by brownout
-        or an expired deadline, land in ``unsearched_shards``.  If fewer
+        breaker-open past the retry budget, and shards shed by an
+        expired deadline, land in ``unsearched_shards``.  If fewer
         than ``min_shard_fraction`` of the nominated populated shards
         answered, :class:`DegradedClusterError` is raised instead.  With
         ``auto_failover``, nodes that went ``DOWN`` during the gather are
@@ -942,14 +874,12 @@ class DistributedSearchSystem:
         route = self._route(queries, nprobe, recall_target)
         populated = [g for g in self.groups.values() if g.n_references > 0]
         nominated, unrouted, routed = self._partition_routed(populated, route)
-        targets, brownout_skipped = self._gather_targets(nominated)
         fanout = DeadlineFanOut(current_deadline())
-        deadline_skipped: list[str] = []
+        targets, deadline_skipped = nominated, []
         if fanout.expired_at_entry:
             # the budget was gone before the fan-out even started
-            deadline_skipped = [group.shard_id for group in targets]
+            targets, deadline_skipped = [], [group.shard_id for group in nominated]
             self._deadline_skips.inc(len(deadline_skipped))
-            targets = []
         answered: list[list[Answer]] = []  # per answering shard, one answer per query
         epochs: dict[str, int] = {}
         with compute_scope() as compute:  # shards charge in here; run() computes them all
@@ -977,7 +907,6 @@ class DistributedSearchSystem:
                     epochs[group.shard_id] = group.epoch
             compute.run()
         fanout.join()
-        unsearched.extend(brownout_skipped)
         unsearched.extend(deadline_skipped)
         if self.auto_failover:
             self.repair()

@@ -1,34 +1,26 @@
 """Web tier with load balancing (Fig. 6's four RESTful containers).
 
 The paper fronts the GPU containers with web-service containers; this
-module models that tier: a :class:`WebTier` owns ``n_workers`` router
-replicas, dispatches incoming requests round-robin, and tracks a
-simulated per-worker clock so concurrent request bursts exhibit
-realistic queueing — each worker serialises its own requests while
-different workers proceed in parallel.
+module models that tier: a :class:`WebTier` owns ``n_workers`` workers
+sharing one stateless route table, dispatches incoming requests
+round-robin, and tracks a simulated per-worker clock so concurrent
+request bursts exhibit realistic queueing — each worker serialises its
+own requests while different workers proceed in parallel.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..obs import brownout_scope, default_tracer
-from .admission import AdmissionPolicy, TokenBucket
+from ..obs import default_tracer
 from .cluster import DistributedSearchSystem, WEB_TIER_OVERHEAD_US
-from .rest import Request, Response, Router, build_api
+from .rest import Request, Response, build_api
 from .serialization import serialize_descriptors
 
 __all__ = ["DispatchRecord", "WebTier"]
 
 #: request parsing/serialisation cost charged per request on its worker.
 REQUEST_HANDLING_US = 500.0
-
-#: cheap early-exit cost of a rate-limited (429) response — the whole
-#: point of shedding at the front door is that it costs almost nothing.
-SHED_HANDLING_US = 50.0
-
-#: routes subject to admission control (mutations and probes always pass).
-_SEARCH_ROUTES = ("/search", "/search/batch")
 
 _TRACER = default_tracer()
 
@@ -55,104 +47,40 @@ class DispatchRecord:
 class WebTier:
     """Load-balanced front end over one search cluster."""
 
-    def __init__(
-        self,
-        system: DistributedSearchSystem,
-        n_workers: int = 4,
-        admission: AdmissionPolicy | None = None,
-    ) -> None:
+    def __init__(self, system: DistributedSearchSystem, n_workers: int = 4) -> None:
         if n_workers < 1:
             raise ValueError("need at least one web worker")
         self.system = system
-        self.admission = admission
-        registry = system.obs.registry
-        self._web_requests = registry.counter(
+        self._web_requests = system.obs.registry.counter(
             "repro_web_requests_total",
             "Requests dispatched through the web tier, by route root and status",
             ("route", "status"),
         )
-        self._rate_limited = registry.counter(
-            "repro_web_rate_limited_total",
-            "Search requests rejected with 429 by the web tier's token bucket",
-        )
-        self._brownouts = registry.counter(
-            "repro_web_brownout_total",
-            "Search requests served in brownout (reduced shard fraction)",
-        )
-        self._bucket = (
-            TokenBucket(admission.rate_per_s, admission.burst)
-            if admission is not None and admission.rate_per_s > 0
-            else None
-        )
-        self.routers: list[Router] = [build_api(system) for _ in range(n_workers)]
+        self._router = build_api(system)  # stateless: every worker shares it
         self.worker_clock_us = [0.0] * n_workers
         self.requests_handled = [0] * n_workers
         self._next = 0
 
     @property
     def n_workers(self) -> int:
-        return len(self.routers)
+        return len(self.worker_clock_us)
 
     def _pick_worker(self) -> int:
         worker = self._next
         self._next = (self._next + 1) % self.n_workers
         return worker
 
-    def _admit(self, request: Request, now_us: float) -> tuple[Response | None, float | None]:
-        """Admission decision for one request at worker time ``now_us``.
-
-        Returns ``(rejection, brownout_fraction)``: a 429 response when
-        the token bucket is empty, else optionally the shard fraction
-        to brown out to when tokens are running low.  Non-search routes
-        always pass — shedding a DELETE saves nothing and loses data.
-        """
-        if self._bucket is None or request.path not in _SEARCH_ROUTES:
-            return None, None
-        if not self._bucket.try_take(now_us):
-            self._rate_limited.inc()
-            return Response(429, {
-                "error": "rate limited",
-                "retry_after_us": self._bucket.retry_after_us(now_us),
-            }), None
-        if self._bucket.fraction < self.admission.brownout_tokens:
-            self._brownouts.inc()
-            return None, self.admission.brownout_shard_fraction
-        return None, None
-
     def handle(self, request: Request) -> DispatchRecord:
         """Dispatch one request; the worker's clock advances by the
-        handling cost plus (for searches) the cluster's simulated time.
-
-        With an :class:`AdmissionPolicy` configured, search routes pass
-        through the token bucket first: an empty bucket sheds the
-        request with a cheap 429 (``retry_after_us`` hints when to come
-        back), and a nearly-empty one serves it in *brownout* — the
-        cluster degrades to a fraction of its shards and answers
-        ``partial=True`` rather than turning the request away.
-        """
+        handling cost plus (for searches) the cluster's simulated time."""
         worker = self._pick_worker()
         started = self.worker_clock_us[worker]
-        rejection, brownout = self._admit(request, started)
         root = request.path.split("/", 2)[1] if "/" in request.path else request.path
-        if rejection is not None:
-            self._web_requests.labels(route=root, status=rejection.status).inc()
-            self.worker_clock_us[worker] = started + SHED_HANDLING_US
-            self.requests_handled[worker] += 1
-            return DispatchRecord(
-                worker=worker,
-                response=rejection,
-                started_us=started,
-                completed_us=self.worker_clock_us[worker],
-            )
         with _TRACER.span(
             "web.request", layer="web",
             method=request.method, path=request.path, worker=worker,
         ) as span:
-            if brownout is not None:
-                with brownout_scope(brownout):
-                    response = self.routers[worker].handle(request)
-            else:
-                response = self.routers[worker].handle(request)
+            response = self._router.handle(request)
             if span is not None:
                 span.set(status=response.status)
         # route label uses only the first path segment — ids would
@@ -190,13 +118,8 @@ class WebTier:
         return self.handle(Request("GET", "/elastic")).response
 
     def enroll(self, ref_id: str, descriptors) -> Response:
-        """Online enrollment through a web worker (``POST /enroll``).
-
-        Mutations bypass admission control — shedding an enrollment
-        saves a few hundred µs and loses data — but are load-balanced
-        and charged to a worker clock like any other request.  The
-        descriptors travel as a serialized fp32 feature record.
-        """
+        """Online enrollment through a web worker (``POST /enroll``); the
+        descriptors travel as a serialized fp32 feature record."""
         body = {"id": str(ref_id), "descriptors": serialize_descriptors(descriptors)}
         return self.handle(Request("POST", "/enroll", body)).response
 

@@ -43,8 +43,6 @@ from .metrics import (
 from .reqctx import (
     Deadline,
     DeadlineFanOut,
-    brownout_scope,
-    current_brownout,
     current_deadline,
     deadline_scope,
 )
@@ -83,8 +81,6 @@ __all__ = [
     "SloPolicy",
     "Span",
     "TimeSeriesRecorder",
-    "brownout_scope",
-    "current_brownout",
     "current_deadline",
     "deadline_scope",
     "default_tracer",

@@ -1,21 +1,16 @@
-"""Request-scoped overload context: deadlines and brownout hints.
+"""Request-scoped overload context: the request deadline.
 
-Overload protection needs two pieces of per-request state to flow from
-the ingress (serving batcher or web tier) down to the engine's cache
-sweep without growing every API a parameter:
+Overload protection needs one piece of per-request state to flow from
+the ingress (the serving batcher or a REST request) down to the
+engine's cache sweep without growing every API a parameter: a
+**deadline** — how much simulated time the request is still worth
+spending.  The engine checks it between cache batches and stops
+sweeping when it expires (returning a partial result) instead of
+burning simulated GPU time on an answer nobody is waiting for.
 
-* a **deadline** — how much simulated time the request is still worth
-  spending.  The engine checks it between cache batches and stops
-  sweeping when it expires (returning a partial result) instead of
-  burning simulated GPU time on an answer nobody is waiting for.
-* a **brownout fraction** — when the web tier is under pressure it
-  degrades searches to a fraction of the populated shards *before*
-  rejecting requests outright.
-
-Both ride the same :mod:`contextvars` mechanism the request tracer uses
-(:mod:`repro.obs.tracing`): a ``with deadline_scope(...)`` /
-``brownout_scope(...)`` block at the ingress, ``current_deadline()`` /
-``current_brownout()`` reads anywhere below it.  No API changed shape.
+It rides the same :mod:`contextvars` mechanism the request tracer uses
+(:mod:`repro.obs.tracing`): a ``with deadline_scope(...)`` block at the
+ingress, ``current_deadline()`` reads anywhere below it.
 
 Deadlines are *budgets of simulated time*, not absolute timestamps —
 the tiers keep separate simulated clocks (each device has its own), so
@@ -37,17 +32,12 @@ from dataclasses import dataclass
 __all__ = [
     "Deadline",
     "DeadlineFanOut",
-    "brownout_scope",
-    "current_brownout",
     "current_deadline",
     "deadline_scope",
 ]
 
 _deadline: ContextVar["Deadline | None"] = ContextVar(
     "repro_obs_deadline", default=None
-)
-_brownout: ContextVar[float | None] = ContextVar(
-    "repro_obs_brownout", default=None
 )
 
 
@@ -145,22 +135,3 @@ def current_deadline() -> Deadline | None:
     """The deadline governing the current request, if any."""
     return _deadline.get()
 
-
-@contextmanager
-def brownout_scope(shard_fraction: float):
-    """Mark the current request as browned out: scatter-gathers below
-    this scope search only ``shard_fraction`` of the populated shards
-    (never fewer than one) and return partial results for the rest."""
-    fraction = float(shard_fraction)
-    if not 0.0 < fraction <= 1.0:
-        raise ValueError(f"shard_fraction must be in (0, 1], got {fraction}")
-    token = _brownout.set(fraction)
-    try:
-        yield
-    finally:
-        _brownout.reset(token)
-
-
-def current_brownout() -> float | None:
-    """The active brownout shard fraction, or ``None`` at full service."""
-    return _brownout.get()

@@ -207,7 +207,7 @@ def run_smoke(trace_path: str = "obs_trace.json") -> dict:
 
     stats = web.handle(Request("GET", "/stats")).response
     assert stats.ok, stats
-    assert stats.body["schema_version"] == 8, stats.body["schema_version"]
+    assert stats.body["schema_version"] == 9, stats.body["schema_version"]
     slo_block = stats.body["slo"]
     assert slo_block["recorder"]["enabled"], slo_block
     assert slo_block["engine"]["enabled"], slo_block

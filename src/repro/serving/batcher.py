@@ -8,8 +8,8 @@ that arrive while a group is executing join the *next* group —
 continuous batching, not static windowing.
 
 Overload protection is opt-in per policy: ``max_queue_depth`` bounds
-the queue (arrivals beyond it are shed per the ``shed`` policy with a
-typed :class:`~repro.serving.metrics.Rejected` outcome and a
+the queue (arrivals beyond it are shed with a typed
+:class:`~repro.serving.metrics.Rejected` outcome and a
 ``retry_after_us`` hint), and requests may carry a ``deadline_us`` —
 expired ones are shed at dispatch instead of wasting a sweep, and the
 surviving group executes under a :func:`repro.obs.deadline_scope`
@@ -57,16 +57,13 @@ class BatchPolicy:
     device frees up, never holding a request back for company.
 
     ``max_queue_depth`` bounds the admission queue (0 = unbounded, the
-    pre-overload-protection behaviour).  When an arrival finds the
-    queue full, ``shed`` picks the victim: ``"reject-new"`` bounces
-    the arrival, ``"drop-oldest"`` evicts the head (the request most
-    likely to miss its deadline anyway) and admits the arrival.
+    pre-overload-protection behaviour).  An arrival that finds the
+    queue full is bounced (``"reject-new"``).
     """
 
     max_batch: int = 8
     max_wait_us: float = 0.0
     max_queue_depth: int = 0
-    shed: str = "reject-new"
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
@@ -76,10 +73,6 @@ class BatchPolicy:
         if self.max_queue_depth < 0:
             raise ValueError(
                 f"max_queue_depth must be >= 0, got {self.max_queue_depth}"
-            )
-        if self.shed not in ("reject-new", "drop-oldest"):
-            raise ValueError(
-                f"shed must be 'reject-new' or 'drop-oldest', got {self.shed!r}"
             )
 
 
@@ -180,10 +173,6 @@ class DynamicBatcher:
         count = min(self.policy.max_batch, len(self._pending))
         return [self._pending.popleft() for _ in range(count)]
 
-    def drop_oldest(self) -> ServingRequest:
-        """Evict and return the head of the queue (shed victim)."""
-        return self._pending.popleft()
-
 
 def build_trace(
     arrivals: Sequence[float],
@@ -278,7 +267,7 @@ def simulate_serving(
     private handle.
 
     With a bounded queue (``policy.max_queue_depth > 0``) arrivals
-    that find it full are shed per ``policy.shed``; requests whose
+    that find it full are shed; requests whose
     ``deadline_us`` passes while they wait are shed at dispatch.  Shed
     requests never execute — they come back as typed
     :class:`~repro.serving.metrics.Rejected` outcomes in
@@ -323,10 +312,8 @@ def simulate_serving(
             arrival = requests[i]
             i += 1
             if policy.max_queue_depth and len(batcher) >= policy.max_queue_depth:
-                if policy.shed == "reject-new":
-                    _shed(arrival, arrival.arrival_us, "reject-new")
-                    continue
-                _shed(batcher.drop_oldest(), arrival.arrival_us, "drop-oldest")
+                _shed(arrival, arrival.arrival_us, "reject-new")
+                continue
             batcher.enqueue(arrival)
             loop.requests.inc()
         depth = len(batcher)

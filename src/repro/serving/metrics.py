@@ -26,12 +26,11 @@ GROUP_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0)
 class Rejected:
     """Typed shed outcome for one request that never executed.
 
-    ``reason`` is one of ``"reject-new"`` (queue full, this request
-    bounced), ``"drop-oldest"`` (queue full, this request was evicted
-    to make room), or ``"deadline-expired"`` (its deadline passed
-    while it waited).  ``retry_after_us`` hints how long (simulated)
-    the client should wait before retrying — the time until the device
-    frees up plus the policy's wait budget; 0 when no estimate exists.
+    ``reason`` is ``"reject-new"`` (queue full, this request bounced)
+    or ``"deadline-expired"`` (its deadline passed while it waited).
+    ``retry_after_us`` hints how long (simulated) the client should
+    wait before retrying — the time until the device frees up plus the
+    policy's wait budget; 0 when no estimate exists.
     """
 
     request_id: int

@@ -24,7 +24,6 @@ from repro.core import engine as engine_module
 from repro.core.results import Answer, ImageMatch, Sweep
 from repro.distributed import DistributedSearchSystem, FaultInjector, Request, build_api
 from repro.distributed import cluster as cluster_module
-from repro.obs import brownout_scope
 from repro.routing import RouterPolicy
 from tests.conftest import make_descriptors, noisy_copy
 
@@ -65,9 +64,6 @@ def rest_script() -> dict[str, dict]:
     for budget in (60.0, 1500.0):  # cuts every shard mid-sweep, cuts nothing
         out[f"14/deadline-{budget:g}/search"] = search(api, qs[1], budget_us=budget)
         out[f"14/deadline-{budget:g}/batch-4"] = batch(api, qs, budget_us=budget)
-    with brownout_scope(0.5):
-        out["14/brownout/search"] = search(api, qs[2])
-        out["14/brownout/batch-4"] = batch(api, qs)
 
     injector = FaultInjector(seed=0)
     api, descs = cluster(3, 6, fault_injector=injector)

@@ -136,7 +136,7 @@ class TestDistributedStats:
         assert hit.best().reference_id == "ref2"
         assert hit.cascade_pruned < len(descs)
         stats = system.stats()
-        assert stats["schema_version"] == 8
+        assert stats["schema_version"] == 9
         assert stats["cascade"]["enabled"] is True
         assert (
             stats["cascade"]["images_pruned_total"]

@@ -23,7 +23,7 @@ import pytest
 import repro
 from repro.core import EngineConfig, TextureSearchEngine, algorithm2, compute, compute_scope
 from repro.distributed import DistributedSearchSystem, SearchNode
-from repro.obs import brownout_scope, deadline_scope, default_tracer, reqctx, tracing
+from repro.obs import deadline_scope, default_tracer, reqctx, tracing
 from tests.conftest import make_descriptors
 
 SRC = Path(repro.__file__).resolve().parent
@@ -134,12 +134,11 @@ def tracer():
 
 
 def test_nothing_on_a_tile_lane_reads_the_callers_context(monkeypatch, tracer):
-    """The deadline, the brownout, the compute scope and the current span
-    stay on the caller's thread: a two-lane search under all of them, with
-    tracing on, reads none of them from a lane."""
+    """The deadline, the compute scope and the current span stay on the
+    caller's thread: a two-lane search under all of them, with tracing on,
+    reads none of them from a lane."""
     seen: list = []
-    watched = [(reqctx, "_deadline"), (reqctx, "_brownout"), (compute, "_scope"),
-               (tracing, "_current_span")]
+    watched = [(reqctx, "_deadline"), (compute, "_scope"), (tracing, "_current_span")]
     for owner, name in watched:
         monkeypatch.setattr(owner, name, Watched(getattr(owner, name), seen))
     monkeypatch.setattr(algorithm2, "_usable_cpus", lambda: 2)
@@ -163,7 +162,7 @@ def test_nothing_on_a_tile_lane_reads_the_callers_context(monkeypatch, tracer):
         engine.add_reference(f"ref{image}", make_descriptors(24, seed=image))
     query = make_descriptors(24, seed=3)[:, :16]
     tracer.enable()
-    with deadline_scope(1e12), brownout_scope(1.0):
+    with deadline_scope(1e12):
         assert system.search(query).best().reference_id == "ref3"
         with compute_scope() as scope:
             result = engine.search(query)

@@ -268,11 +268,40 @@ def public_definitions() -> dict[str, ast.AST]:
     return found
 
 
-def src_references() -> list[tuple[str, int, str]]:
-    """``(module path, line, name)`` of every name ``src/repro`` uses: a name,
-    an attribute, or a string that is exactly an identifier (the backend
-    registry names its classes so) outside an ``__all__``.  Imports are not
-    uses, so a package re-export is none."""
+def class_hierarchies() -> dict[str, frozenset[str]]:
+    """``{class name: the names of its ancestors, itself and its descendants}``
+    over every top-level class in ``src/repro``: the classes whose methods a
+    ``self.<name>`` inside that class can reach."""
+    root = Path(repro.__file__).parent
+    bases: dict[str, set[str]] = {}
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.ClassDef):
+                bases.setdefault(node.name, set()).update(
+                    base.id if isinstance(base, ast.Name) else base.attr
+                    for base in node.bases if isinstance(base, (ast.Name, ast.Attribute)))
+
+    def closure(name: str, step) -> set[str]:
+        seen, frontier = {name}, [name]
+        while frontier:
+            for other in step(frontier.pop()) - seen:
+                seen.add(other)
+                frontier.append(other)
+        return seen
+
+    def children(name: str) -> set[str]:
+        return {child for child, parents in bases.items() if name in parents}
+
+    return {name: frozenset(closure(name, lambda n: bases.get(n, set())) | closure(name, children))
+            for name in bases}
+
+
+def src_references() -> list[tuple[str, int, str, str | None]]:
+    """``(module path, line, name, class)`` of every name ``src/repro`` uses: a
+    name, an attribute, or a string that is exactly an identifier (the backend
+    registry names its classes so) outside an ``__all__``.  ``class`` is the
+    enclosing top-level class of a ``self.<name>`` use, else ``None``.  Imports
+    are not uses, so a package re-export is none."""
     root = Path(repro.__file__).parent
     found = []
     for path in sorted(root.rglob("*.py")):
@@ -281,22 +310,26 @@ def src_references() -> list[tuple[str, int, str]]:
         exported = {id(node) for stmt in tree.body if isinstance(stmt, ast.Assign)
                     and any(isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
                     for node in ast.walk(stmt.value)}
+        owner = {id(node): top.name for top in tree.body if isinstance(top, ast.ClassDef)
+                 for node in ast.walk(top)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                found.append((where, node.lineno, node.id))
+                found.append((where, node.lineno, node.id, None))
             elif isinstance(node, ast.Attribute):
-                found.append((where, node.lineno, node.attr))
+                on_self = isinstance(node.value, ast.Name) and node.value.id == "self"
+                found.append((where, node.lineno, node.attr, owner.get(id(node)) if on_self else None))
             elif (isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in exported
                   and IDENTIFIER.fullmatch(node.value)):
-                found.append((where, node.lineno, node.value))
+                found.append((where, node.lineno, node.value, None))
     return found
 
 
 def uncalled_public_names(tools: tuple[str, ...]) -> list[str]:
     """Every public name nothing outside ``tests/`` reaches.  A use inside the
     name's own definition does not count, nor one inside a definition that is
-    itself uncalled, so a helper only dead code calls is dead too; each of
-    ``tools`` counts as called."""
+    itself uncalled, so a helper only dead code calls is dead too, and a
+    ``self.<name>`` use counts only for the same-named methods of its class's
+    hierarchy; each of ``tools`` counts as called."""
     root = Path(repro.__file__).parents[2]
     outside = set()
     for place in CALLER_PLACES:
@@ -308,15 +341,22 @@ def uncalled_public_names(tools: tuple[str, ...]) -> list[str]:
     spans: dict[str, list[tuple[str, int, int]]] = {}
     for key, node in definitions.items():
         spans.setdefault(key.split(":")[0], []).append((key, node.lineno, node.end_lineno))
-    uses: dict[str, list[tuple[str, frozenset[str]]]] = {}
-    for where, line, name in src_references():
+    hierarchies = class_hierarchies()
+    uses: dict[str, list[tuple[frozenset[str], frozenset[str] | None]]] = {}
+    for where, line, name, cls in src_references():
         enclosing = frozenset(key for key, first, last in spans.get(where, ()) if first <= line <= last)
-        uses.setdefault(name, []).append((where, enclosing))
+        uses.setdefault(name, []).append((enclosing, hierarchies.get(cls) if cls else None))
+
+    def reaches(key: str, classes: frozenset[str] | None) -> bool:
+        qualified = key.split(":")[1]
+        return classes is None or ("." in qualified and qualified.split(".")[0] in classes)
+
     dead: set[str] = set()
     while True:
         now = {key for key, node in definitions.items()
                if key not in tools and node.name not in outside
-               and not any(key not in enclosing and not enclosing & dead for _, enclosing in uses.get(node.name, ()))}
+               and not any(key not in enclosing and not enclosing & dead and reaches(key, classes)
+                           for enclosing, classes in uses.get(node.name, ()))}
         if now == dead:
             return sorted(dead)
         dead = now
@@ -333,10 +373,13 @@ def test_every_public_name_has_a_caller():
 def test_every_option_has_a_second_value_outside_the_tests():
     """An option nothing outside the tests sets to anything but its default
     is a second code path only tests reach: the paper always takes k = 2,
-    each Algorithm 1 kernel owns its sort, references are placed round-robin
-    and web workers are picked round-robin."""
+    each Algorithm 1 kernel owns its sort, references are placed round-robin,
+    web workers are picked round-robin and admit every request, a full
+    serving queue bounces the arrival, and retries back off on a fixed
+    schedule."""
     from repro.core import EngineConfig
-    from repro.distributed import DistributedSearchSystem, WebTier
+    from repro.distributed import DistributedSearchSystem, RetryPolicy, WebTier
+    from repro.serving import BatchPolicy
     import repro.distributed
 
     assert [f.name for f in dataclasses.fields(EngineConfig)] == [
@@ -344,5 +387,11 @@ def test_every_option_has_a_second_value_outside_the_tests():
         "tensor_core", "ratio_threshold", "min_matches", "streams",
     ]
     assert "placement" not in inspect.signature(DistributedSearchSystem.__init__).parameters
-    assert "policy" not in inspect.signature(WebTier.__init__).parameters
-    assert not {"ConsistentHashPlacement", "PlacementPolicy"} & set(dir(repro.distributed))
+    assert list(inspect.signature(WebTier.__init__).parameters)[1:] == ["system", "n_workers"]
+    assert [f.name for f in dataclasses.fields(BatchPolicy)] == ["max_batch", "max_wait_us", "max_queue_depth"]
+    assert [f.name for f in dataclasses.fields(RetryPolicy)] == [
+        "max_attempts", "timeout_us", "backoff_us", "backoff_multiplier",
+    ]
+    assert not {"ConsistentHashPlacement", "PlacementPolicy", "AdmissionPolicy", "TokenBucket"} & set(
+        dir(repro.distributed))
+    assert not {"brownout_scope", "current_brownout"} & set(dir(obs))

@@ -372,7 +372,7 @@ class TestRestAndWebTier:
         system.enroll("fresh", make_descriptors(32, seed=912))
         system.delete("r0")
         stats = system.stats()
-        assert stats["schema_version"] == 8
+        assert stats["schema_version"] == 9
         block = stats["enrollment"]
         assert block["enrolls_total"] == 1
         assert block["deletes_total"] == 1

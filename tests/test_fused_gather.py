@@ -170,7 +170,7 @@ class ParentSystem(DistributedSearchSystem):
         route = self._route(queries, nprobe, recall_target)
         populated = [g for g in self.groups.values() if g.n_references > 0]
         nominated, unrouted, routed = self._partition_routed(populated, route)
-        targets, brownout_skipped = self._gather_targets(nominated)
+        targets = nominated
         fanout = DeadlineFanOut(current_deadline())
         deadline_skipped: list[str] = []
         if fanout.expired_at_entry:
@@ -207,7 +207,6 @@ class ParentSystem(DistributedSearchSystem):
                 into.images_pruned += result.images_pruned
                 into.cascade_pruned += result.cascade_pruned
         fanout.join()
-        unsearched.extend(brownout_skipped)
         unsearched.extend(deadline_skipped)
         if self.auto_failover:
             self.repair()

@@ -1,6 +1,6 @@
-"""Overload protection: bounded admission queues and shed policies,
-request deadlines end to end (serving -> web -> cluster -> engine),
-per-node circuit breakers, token-bucket rate limiting and brownout.
+"""Overload protection: bounded admission queues, request deadlines
+end to end (serving -> web -> cluster -> engine) and per-node circuit
+breakers.
 
 Everything runs on simulated clocks and hashed draws, so every
 scenario — including the ones layered on seeded fault injection — is
@@ -12,7 +12,6 @@ import pytest
 
 from repro.core import EngineConfig, TextureSearchEngine
 from repro.distributed import (
-    AdmissionPolicy,
     BreakerPolicy,
     BreakerState,
     CircuitBreaker,
@@ -22,7 +21,6 @@ from repro.distributed import (
     HealthPolicy,
     Request,
     RetryPolicy,
-    TokenBucket,
     WebTier,
 )
 from repro.errors import ExecutorContractError, ServingError
@@ -30,8 +28,6 @@ from repro.obs import (
     Deadline,
     DeadlineFanOut,
     Observability,
-    brownout_scope,
-    current_brownout,
     current_deadline,
     deadline_scope,
 )
@@ -79,7 +75,7 @@ class StubExecutor:
 
 
 # ----------------------------------------------------------------------
-# request context: Deadline / DeadlineFanOut / brownout
+# request context: Deadline / DeadlineFanOut
 # ----------------------------------------------------------------------
 class TestRequestContext:
     def test_deadline_budget_accounting(self):
@@ -129,29 +125,14 @@ class TestRequestContext:
             pass
         fan.join()  # must not raise
 
-    def test_brownout_scope(self):
-        assert current_brownout() is None
-        with brownout_scope(0.5):
-            assert current_brownout() == 0.5
-        assert current_brownout() is None
-        with pytest.raises(ValueError):
-            with brownout_scope(0.0):
-                pass
-        with pytest.raises(ValueError):
-            with brownout_scope(1.5):
-                pass
-
 
 # ----------------------------------------------------------------------
-# serving tier: bounded queue + shed policies + deadlines
+# serving tier: bounded queue + deadlines
 # ----------------------------------------------------------------------
 class TestBoundedQueue:
     def test_policy_validation(self):
         with pytest.raises(ValueError):
             BatchPolicy(max_queue_depth=-1)
-        with pytest.raises(ValueError):
-            BatchPolicy(shed="random")
-        assert BatchPolicy(max_queue_depth=4, shed="drop-oldest").shed == "drop-oldest"
 
     def test_unbounded_queue_never_sheds(self):
         stub = StubExecutor()
@@ -165,7 +146,7 @@ class TestBoundedQueue:
         # 8 simultaneous arrivals, queue bounded at 4: the first group
         # of 4 is admitted, the rest bounce
         trace = build_trace([0.0] * 8, [f"q{i}" for i in range(8)])
-        policy = BatchPolicy(max_batch=4, max_queue_depth=4, shed="reject-new")
+        policy = BatchPolicy(max_batch=4, max_queue_depth=4)
         report = simulate_serving(stub, trace, policy)
         assert report.n_requests == 4
         assert report.n_rejected == 4
@@ -177,26 +158,13 @@ class TestBoundedQueue:
         assert [r.request_id for r in report.records] == [0, 1, 2, 3]
         assert [r.request_id for r in report.rejected] == [4, 5, 6, 7]
 
-    def test_drop_oldest_evicts_the_head(self):
-        stub = StubExecutor(cost_us=10_000.0)
-        trace = build_trace([0.0] * 8, [f"q{i}" for i in range(8)])
-        policy = BatchPolicy(max_batch=4, max_queue_depth=4, shed="drop-oldest")
-        report = simulate_serving(stub, trace, policy)
-        assert report.n_rejected == 4
-        assert {r.reason for r in report.rejected} == {"drop-oldest"}
-        # the oldest were evicted to make room: the newest survive
-        assert [r.request_id for r in report.records] == [4, 5, 6, 7]
-        assert [r.request_id for r in report.rejected] == [0, 1, 2, 3]
-
     def test_retry_after_hint_covers_device_busy_time(self):
         stub = StubExecutor(cost_us=10_000.0)
         # one group executing [0, 10000); arrivals at t=5000 find the
         # bounded queue full and must be told to come back later
         arrivals = [0.0] * 4 + [5_000.0] * 2
         trace = build_trace(arrivals, [f"q{i}" for i in range(6)])
-        policy = BatchPolicy(
-            max_batch=4, max_wait_us=2_000.0, max_queue_depth=1, shed="reject-new"
-        )
+        policy = BatchPolicy(max_batch=4, max_wait_us=2_000.0, max_queue_depth=1)
         report = simulate_serving(stub, trace, policy)
         late = [r for r in report.rejected if r.arrival_us == 5_000.0]
         assert late
@@ -210,7 +178,7 @@ class TestBoundedQueue:
         reg = stub.obs.registry
         before = reg.value("repro_serving_shed_total", reason="reject-new")
         trace = build_trace([0.0] * 6, [f"q{i}" for i in range(6)])
-        policy = BatchPolicy(max_batch=2, max_queue_depth=2, shed="reject-new")
+        policy = BatchPolicy(max_batch=2, max_queue_depth=2)
         simulate_serving(stub, trace, policy)
         after = reg.value("repro_serving_shed_total", reason="reject-new")
         assert after - before == 4
@@ -516,167 +484,6 @@ class TestClusterBreaker:
 
 
 # ----------------------------------------------------------------------
-# retry jitter
-# ----------------------------------------------------------------------
-class TestRetryJitter:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter_fraction=-0.1)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter_fraction=1.5)
-
-    def test_zero_jitter_is_bit_identical_to_legacy_schedule(self):
-        policy = RetryPolicy(backoff_us=1_000.0, backoff_multiplier=2.0)
-        for retry in range(6):
-            expected = 1_000.0 * 2.0**retry
-            assert policy.backoff_for(retry) == expected
-            # the key must be completely inert at jitter 0
-            assert policy.backoff_for(retry, key="gpu-03") == expected
-
-    def test_jitter_bounds_and_determinism(self):
-        policy = RetryPolicy(
-            backoff_us=1_000.0, backoff_multiplier=2.0,
-            jitter_fraction=0.5, jitter_seed=7,
-        )
-        for retry in range(4):
-            base = 1_000.0 * 2.0**retry
-            wait = policy.backoff_for(retry, key="gpu-00")
-            assert base * 0.5 <= wait <= base
-            assert wait == policy.backoff_for(retry, key="gpu-00")  # replays
-
-    def test_jitter_decorrelates_nodes_and_seeds(self):
-        policy = RetryPolicy(jitter_fraction=1.0, jitter_seed=0)
-        waits = {policy.backoff_for(0, key=f"gpu-{i:02d}") for i in range(8)}
-        assert len(waits) == 8  # distinct nodes draw distinct waits
-        other = RetryPolicy(jitter_fraction=1.0, jitter_seed=1)
-        assert other.backoff_for(0, key="gpu-00") != policy.backoff_for(0, key="gpu-00")
-
-
-# ----------------------------------------------------------------------
-# token bucket + web-tier admission
-# ----------------------------------------------------------------------
-class TestTokenBucket:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TokenBucket(0.0, 4)
-        with pytest.raises(ValueError):
-            TokenBucket(10.0, 0)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(rate_per_s=-1.0)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(burst=0)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(brownout_tokens=1.5)
-        with pytest.raises(ValueError):
-            AdmissionPolicy(brownout_shard_fraction=0.0)
-
-    def test_starts_full_and_drains(self):
-        bucket = TokenBucket(rate_per_s=1.0, burst=2)
-        assert bucket.fraction == 1.0
-        assert bucket.try_take(0.0)
-        assert bucket.try_take(0.0)
-        assert not bucket.try_take(0.0)  # empty
-        assert bucket.retry_after_us(0.0) == pytest.approx(1e6)
-
-    def test_refills_on_simulated_time(self):
-        bucket = TokenBucket(rate_per_s=10.0, burst=1)
-        assert bucket.try_take(0.0)
-        assert not bucket.try_take(0.0)
-        assert bucket.try_take(200_000.0)  # 0.2 s = 2 tokens at 10/s
-        # never overfills past burst
-        bucket2 = TokenBucket(rate_per_s=1_000.0, burst=2)
-        bucket2.try_take(0.0)
-        assert bucket2.fraction <= 1.0
-
-    def test_time_never_runs_backwards(self):
-        bucket = TokenBucket(rate_per_s=10.0, burst=4)
-        bucket.try_take(100_000.0)
-        tokens_before = bucket.fraction
-        bucket.try_take(0.0)  # out-of-order clock must not refill
-        assert bucket.fraction <= tokens_before
-
-
-class TestWebTierAdmission:
-    def _tier(self, admission, n_refs=4, workers=1, **cluster_kwargs):
-        system, descs = build_cluster(2, n_refs, **cluster_kwargs)
-        tier = WebTier(system, n_workers=workers, admission=admission)
-        return tier, descs
-
-    def test_rate_limit_sheds_with_retry_hint(self):
-        tier, descs = self._tier(AdmissionPolicy(rate_per_s=1.0, burst=2))
-        query = noisy_copy(descs[0], 8.0, seed=70).tolist()
-        reg = tier.system.obs.registry
-        before = reg.value("repro_web_rate_limited_total")
-        records = [
-            tier.handle(Request("POST", "/search", {"descriptors": query}))
-            for _ in range(4)
-        ]
-        statuses = [r.response.status for r in records]
-        assert statuses.count(429) >= 1
-        assert statuses.count(200) >= 1
-        shed = next(r for r in records if r.response.status == 429)
-        assert shed.response.body["retry_after_us"] > 0
-        # a 429 is cheap: it must not pay the search handling cost
-        assert shed.latency_us < 500.0
-        assert reg.value("repro_web_rate_limited_total") > before
-
-    def test_non_search_routes_bypass_the_bucket(self):
-        tier, _ = self._tier(AdmissionPolicy(rate_per_s=1.0, burst=1))
-        for _ in range(5):
-            assert tier.handle(Request("GET", "/health")).response.ok
-        statuses = {
-            tier.handle(Request("GET", "/stats")).response.status for _ in range(3)
-        }
-        assert statuses == {200}
-
-    def test_brownout_degrades_before_rejecting(self):
-        # burst 4, brownout below 75% fill: the 2nd-4th searches run
-        # browned out (half the shards), only later ones get 429
-        tier, descs = self._tier(
-            AdmissionPolicy(
-                rate_per_s=1.0, burst=4,
-                brownout_tokens=0.75, brownout_shard_fraction=0.5,
-            )
-        )
-        query = noisy_copy(descs[0], 8.0, seed=71).tolist()
-        reg = tier.system.obs.registry
-        before = reg.value("repro_web_brownout_total")
-        records = [
-            tier.handle(Request("POST", "/search", {"descriptors": query}))
-            for _ in range(4)
-        ]
-        assert all(r.response.status == 200 for r in records)
-        assert reg.value("repro_web_brownout_total") - before == 3
-        browned = records[1].response.body
-        assert browned["partial"] is True
-        assert len(browned["unsearched_shards"]) == 1  # half of 2 nodes
-        assert reg.value("repro_cluster_brownout_shards_skipped_total") >= 1
-
-    def test_brownout_respects_min_shard_fraction(self):
-        # min_shard_fraction above the brownout fraction: the floor wins
-        # and no DegradedClusterError escapes
-        tier, descs = self._tier(
-            AdmissionPolicy(
-                rate_per_s=1.0, burst=4,
-                brownout_tokens=1.0, brownout_shard_fraction=0.25,
-            ),
-            min_shard_fraction=1.0,
-        )
-        query = noisy_copy(descs[0], 8.0, seed=72).tolist()
-        record = tier.handle(Request("POST", "/search", {"descriptors": query}))
-        assert record.response.status == 200
-        assert record.response.body["partial"] is False  # floor kept all shards
-
-    def test_no_admission_policy_is_transparent(self):
-        tier, descs = self._tier(None)
-        query = noisy_copy(descs[0], 8.0, seed=73).tolist()
-        for _ in range(6):
-            assert tier.handle(
-                Request("POST", "/search", {"descriptors": query})
-            ).response.ok
-
-
-# ----------------------------------------------------------------------
 # REST deadlines + stats/metrics exposure
 # ----------------------------------------------------------------------
 class TestRestDeadlines:
@@ -750,7 +557,7 @@ class TestRestDeadlines:
             Request("POST", "/search", {"descriptors": query, "budget_us": 1e-3})
         )
         stats = tier.handle(Request("GET", "/stats")).response.body
-        assert stats["schema_version"] == 8
+        assert stats["schema_version"] == 9
         overload = stats["overload"]
         assert overload["deadline_expired_sweeps_total"] >= 1
         assert overload["deadline_skipped_shards_total"] >= 0

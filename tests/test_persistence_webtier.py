@@ -194,7 +194,7 @@ class TestWebTier:
         stats = tier.handle(Request("GET", "/stats")).response
         assert stats.ok
         body = stats.body
-        assert body["schema_version"] == STATS_SCHEMA_VERSION == 8
+        assert body["schema_version"] == STATS_SCHEMA_VERSION == 9
         assert body["references"] == 10
         cache = body["cache"]
         assert cache["adds_total"] > 0  # sealed batches entered the cache
@@ -206,10 +206,17 @@ class TestWebTier:
         assert ft["partial_results_total"] == 0
         assert ft["failovers_total"] == 0
         overload = body["overload"]
+        assert sorted(overload) == [
+            "breaker_opened_total",
+            "breaker_skipped_total",
+            "deadline_expired_sweeps_total",
+            "deadline_skipped_shards_total",
+            "shed_deadline_expired_total",
+            "shed_reject_new_total",
+        ]
         assert overload["shed_reject_new_total"] == 0
         assert overload["deadline_expired_sweeps_total"] == 0
         assert overload["breaker_skipped_total"] == 0
-        assert overload["rate_limited_total"] == 0
 
     def test_latency_is_delta_not_absolute_clock(self):
         """Regression: ``DispatchRecord.latency_us`` must be the

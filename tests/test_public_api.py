@@ -65,8 +65,8 @@ def test_obs_exports_one_handle_and_no_process_globals():
         "AlertEvent", "AlertLog", "BurnRateRule", "CRITICAL", "Counter", "DEFAULT_US_BUCKETS",
         "Deadline", "DeadlineFanOut", "Gauge", "Histogram", "MetricsRegistry", "OK",
         "Observability", "RequestTracer", "SeriesSelection", "SloEngine", "SloPolicy", "Span",
-        "TimeSeriesRecorder", "WARNING", "brownout_scope", "current_brownout",
-        "current_deadline", "deadline_scope", "default_tracer", "to_perfetto",
+        "TimeSeriesRecorder", "WARNING", "current_deadline", "deadline_scope", "default_tracer",
+        "to_perfetto",
     ])
 
 

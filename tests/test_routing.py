@@ -302,7 +302,7 @@ class TestRoutedCluster:
         system = build_cluster(3, refs, policy=RouterPolicy(kind="ivf", n_lists=4))
         system.search(noisy_copy(refs["r1"], sigma=8.0))
         stats = system.stats()
-        assert stats["schema_version"] == 8
+        assert stats["schema_version"] == 9
         routing = stats["routing"]
         assert routing["enabled"] is True
         assert routing["kind"] == "ivf"

@@ -126,16 +126,6 @@ class TestDynamicBatcher:
         batcher.enqueue(ServingRequest(1, 100.0, "b"))
         assert batcher.trigger(100.0) == "size"
 
-    def test_drop_oldest_evicts_the_queue_head(self):
-        batcher = DynamicBatcher(BatchPolicy(max_batch=8))
-        for i in range(3):
-            batcher.enqueue(ServingRequest(i, float(i), i))
-        evicted = batcher.drop_oldest()
-        assert evicted.request_id == 0
-        assert len(batcher) == 2
-        assert [r.request_id for r in batcher.take()] == [1, 2]
-
-
 class TestEventLoop:
     def test_size_bound_groups(self):
         stub = StubExecutor()

@@ -603,7 +603,7 @@ class TestRestAndStatsSurfaces:
     def test_stats_v7_slo_block(self):
         tier, descs = self._tier()
         stats = tier.handle(Request("GET", "/stats")).response.body
-        assert stats["schema_version"] == 8
+        assert stats["schema_version"] == 9
         assert stats["slo"]["recorder"] == {"enabled": False}
         assert stats["slo"]["engine"] == {"enabled": False}
 
