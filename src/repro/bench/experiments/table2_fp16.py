@@ -78,15 +78,17 @@ def run(
     scales = scales if scales is not None else list(DEFAULT_SCALES)
     model = SyntheticFeatureModel(seed=seed)
 
-    # Eq. 2 over same-brick reference/query pairs (the matching case).
+    # Eq. 2 over same-brick reference/query pairs (the matching case),
+    # drawn once for every scale.
+    pairs = [
+        (model.capture(brick, "reference").top(m).descriptors,
+         model.capture(brick, "query").top(n).descriptors)
+        for brick in range(n_pairs)
+    ]
     errors: dict[float, str] = {scale: "" for scale in scales}
     for scale in scales:
-        per_pair = []
         try:
-            for brick in range(n_pairs):
-                ref = model.capture(brick, "reference").top(m).descriptors
-                qry = model.capture(brick, "query").top(n).descriptors
-                per_pair.append(compression_error(ref, qry, scale))
+            per_pair = [compression_error(ref, qry, scale) for ref, qry in pairs]
             errors[scale] = f"{float(np.mean(per_pair)):.4%}"
         except HalfPrecisionOverflowError:
             errors[scale] = "overflow"

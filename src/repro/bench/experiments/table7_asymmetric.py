@@ -14,8 +14,7 @@ from __future__ import annotations
 
 from ...core.config import EngineConfig
 from ...core.engine import TextureSearchEngine
-from ...data.dataset import build_feature_dataset
-from ...data.synthetic_features import SyntheticFeatureModel
+from ...data.dataset import IdentificationDataset, LabeledFeatures, build_feature_dataset
 from ...gpusim.device import TESLA_P100, DeviceSpec
 from ...gpusim.engine_model import GPUDevice
 from ...metrics.accuracy import evaluate_top1
@@ -53,6 +52,18 @@ def cell_speed(spec: DeviceSpec, m: int, n: int, d: int = 128, batch: int = 256)
     return images_per_s(kernel_steps(spec, config, batch), batch)
 
 
+def _trimmed(full: IdentificationDataset, m: int, n: int) -> IdentificationDataset:
+    """``full`` cut to each reference's top ``m`` and each query's top
+    ``n`` features: captures are response-ranked and ``Capture.top`` is a
+    prefix copy, so this equals a dataset drawn at ``(m, n)``."""
+    return IdentificationDataset(
+        references=[LabeledFeatures(r.brick_id, r.descriptors[:, :m].copy())
+                    for r in full.references],
+        queries=[LabeledFeatures(q.brick_id, q.descriptors[:, :n].copy())
+                 for q in full.queries],
+    )
+
+
 def run(
     spec: DeviceSpec = TESLA_P100,
     grid: list[tuple[int, int]] | None = None,
@@ -64,7 +75,6 @@ def run(
     seed: int = 0,
 ) -> ExperimentResult:
     grid = grid if grid is not None else list(DEFAULT_GRID)
-    model = SyntheticFeatureModel(seed=seed)
 
     result = ExperimentResult(
         name=f"Table 7: asymmetric feature counts, d={d}, batch={batch}, {spec.name}",
@@ -73,14 +83,16 @@ def run(
     )
     speeds = {}
     accuracies = {}
+    if with_accuracy and grid:
+        full = build_feature_dataset(
+            n_bricks, max(m for m, _ in grid), max(n for _, n in grid),
+            queries_per_brick=queries_per_brick, seed=seed,
+        )
     for m, n in grid:
         speed = cell_speed(spec, m, n, d, batch)
         speeds[(m, n)] = speed
         if with_accuracy:
-            dataset = build_feature_dataset(
-                n_bricks, m, n, queries_per_brick=queries_per_brick,
-                model=model, seed=seed,
-            )
+            dataset = _trimmed(full, m, n)
             engine = TextureSearchEngine(
                 EngineConfig(m=m, n=n, precision="fp16", backend="algorithm2",
                              batch_size=min(batch, n_bricks), scale_factor=0.25),

@@ -78,17 +78,18 @@ def build_feature_dataset(
     if not (0.0 < query_brick_fraction <= 1.0):
         raise ValueError("query_brick_fraction must be in (0, 1]")
     model = model or SyntheticFeatureModel(config, seed=seed)
-    brick_ids = list(range(n_bricks))
-    refs = [
-        LabeledFeatures(c.brick_id, c.descriptors)
-        for c in model.reference_set(brick_ids, m_reference)
-    ]
     n_query_bricks = max(1, int(round(n_bricks * query_brick_fraction)))
-    queries = [
-        LabeledFeatures(c.brick_id, c.descriptors)
-        for c in model.query_set(brick_ids[:n_query_bricks], n_query, queries_per_brick)
-    ]
-    return IdentificationDataset(references=refs, queries=queries)
+    dataset = IdentificationDataset()
+    # Brick by brick: the model holds one brick's pool, so a reference
+    # and its queries share one draw.
+    for brick in range(n_bricks):
+        ref = model.capture(brick, "reference").top(m_reference)
+        dataset.references.append(LabeledFeatures(ref.brick_id, ref.descriptors))
+        if brick < n_query_bricks:
+            for q in range(queries_per_brick):
+                query = model.capture(brick, "query", capture_index=q).top(n_query)
+                dataset.queries.append(LabeledFeatures(query.brick_id, query.descriptors))
+    return dataset
 
 
 def build_image_dataset(

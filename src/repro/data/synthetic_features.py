@@ -128,7 +128,10 @@ class SyntheticFeatureModel:
     def __init__(self, config: FeatureModelConfig | None = None, seed: int = 0) -> None:
         self.config = config or FeatureModelConfig()
         self.seed = int(seed)
-        self._pool_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # The pool of the brick drawn last, as (brick, strengths, canon):
+        # one brick's pool is 0.73 MB at the defaults, so a memo of every
+        # brick ever drawn would grow with the corpus.
+        self._pool: tuple[int, np.ndarray, np.ndarray] | None = None
         # The visual vocabulary is shared by *all* bricks of one model —
         # tea bricks are a single fine-grained category, so their local
         # appearances draw from one vocabulary (Sec. 2's point about
@@ -143,8 +146,12 @@ class SyntheticFeatureModel:
         return np.random.default_rng(np.random.SeedSequence([self.seed, int(brick_id), tag]))
 
     def brick_pool(self, brick_id: int) -> tuple[np.ndarray, np.ndarray]:
-        """(strengths (K,), canonical descriptors (d, K)) for one brick."""
-        if brick_id not in self._pool_cache:
+        """(strengths (K,), canonical descriptors (d, K)) for one brick.
+
+        Only the pool of the brick drawn last is held, so consecutive
+        captures of one brick share a draw; callers that draw many
+        bricks should draw them brick by brick."""
+        if self._pool is None or self._pool[0] != brick_id:
             cfg = self.config
             rng = self._brick_rng(brick_id, 0)
             strengths = np.sort(rng.exponential(1.0, cfg.pool_size))[::-1].copy()
@@ -153,8 +160,8 @@ class SyntheticFeatureModel:
             words = rng.integers(0, cfg.n_words, cfg.pool_size)
             indiv = _normalize_sift(rng.gamma(0.6, 1.0, size=(cfg.d, cfg.pool_size)))
             canon = cfg.word_weight * self._words[:, words] + (1.0 - cfg.word_weight) * indiv
-            self._pool_cache[brick_id] = (strengths, _normalize_sift(canon))
-        return self._pool_cache[brick_id]
+            self._pool = (brick_id, strengths, _normalize_sift(canon))
+        return self._pool[1], self._pool[2]
 
     # ------------------------------------------------------------------
     def capture(
@@ -209,21 +216,3 @@ class SyntheticFeatureModel:
             descriptors=np.ascontiguousarray(descriptors[:, order]),
             keypoint_ids=idx[order].astype(np.int64),
         )
-
-    # ------------------------------------------------------------------
-    def reference_set(self, brick_ids: list[int], budget: int) -> list[Capture]:
-        """One budgeted reference capture per brick."""
-        return [self.capture(b, "reference").top(budget) for b in brick_ids]
-
-    def query_set(
-        self,
-        brick_ids: list[int],
-        budget: int,
-        queries_per_brick: int = 1,
-    ) -> list[Capture]:
-        """Budgeted query captures; ``brick_id`` is the ground truth."""
-        out = []
-        for b in brick_ids:
-            for q in range(queries_per_brick):
-                out.append(self.capture(b, "query", capture_index=q).top(budget))
-        return out

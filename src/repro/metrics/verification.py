@@ -96,14 +96,17 @@ def evaluate_verification(
         raise ValueError("need at least two bricks for impostor pairs")
     m = engine.config.m
     n = engine.config.n
-    genuine, impostor = [], []
+    # Brick by brick: the model holds one brick's pool, so each brick's
+    # reference and query share one draw, and each capture is drawn once.
+    references, queries = [], []
     for brick in range(n_bricks):
-        reference = model.capture(brick, "reference").top(m).descriptors
-        query = model.capture(brick, "query").top(n).descriptors
-        _, count = engine.verify(reference, query)
+        references.append(model.capture(brick, "reference").top(m).descriptors)
+        queries.append(model.capture(brick, "query").top(n).descriptors)
+    genuine, impostor = [], []
+    for brick, query in enumerate(queries):
+        _, count = engine.verify(references[brick], query)
         genuine.append(count)
         for j in range(1, impostors_per_brick + 1):
-            other = model.capture((brick + j) % n_bricks, "reference").top(m).descriptors
-            _, count = engine.verify(other, query)
+            _, count = engine.verify(references[(brick + j) % n_bricks], query)
             impostor.append(count)
     return roc_from_scores(np.array(genuine), np.array(impostor))

@@ -1,8 +1,12 @@
 """Dataset substrate: tea-brick generator, transforms, synthetic features."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from repro.bench.experiments import table7_asymmetric
+from repro.core import EngineConfig, TextureSearchEngine
 from repro.data import (
     CaptureSimulator,
     FeatureModelConfig,
@@ -13,6 +17,13 @@ from repro.data import (
     build_feature_dataset,
     value_noise,
 )
+from repro.metrics import evaluate_verification
+
+
+def fresh_capture(seed, brick, side, index=0, budget=None):
+    """One capture from a model that has drawn nothing else."""
+    capture = SyntheticFeatureModel(seed=seed).capture(brick, side, capture_index=index)
+    return capture if budget is None else capture.top(budget)
 
 
 class TestTeaBrick:
@@ -162,6 +173,99 @@ class TestSyntheticFeatures:
             FeatureModelConfig(word_weight=1.0)
         with pytest.raises(ValueError):
             FeatureModelConfig(n_words=0)
+
+
+class TestBrickPool:
+    """The model holds the pool of the brick drawn last and no other."""
+
+    def test_consecutive_captures_share_a_pool_and_older_pools_go(self):
+        model = SyntheticFeatureModel(seed=0)
+        strengths, canon = model.brick_pool(1)
+        assert model.brick_pool(1)[1] is canon
+        model.brick_pool(2)
+        again = model.brick_pool(1)
+        assert again[1] is not canon  # redrawn, not kept
+        np.testing.assert_array_equal(again[0], strengths)
+        np.testing.assert_array_equal(again[1], canon)
+
+    @staticmethod
+    def _peak_bytes(n_bricks):
+        model = SyntheticFeatureModel(seed=0)
+        tracemalloc.start()
+        try:
+            for brick in range(n_bricks):
+                model.capture(brick, "reference").top(768)
+                model.capture(brick, "query").top(768)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak
+
+    def test_memory_does_not_grow_with_the_bricks_drawn(self):
+        """A memo of every pool would hold 0.73 MB a brick: ~27 MB more
+        over 40 bricks than over 2."""
+        assert self._peak_bytes(40) - self._peak_bytes(2) < 1.5 * 2**20
+
+    @pytest.mark.parametrize("order", ["reversed", "interleaved"])
+    def test_captures_do_not_depend_on_draw_order(self, order):
+        keys = [(brick, side, index) for brick in range(5)
+                for side, index in (("reference", 0), ("query", 0), ("query", 1))]
+        if order == "reversed":
+            keys = keys[::-1]
+        else:
+            keys = sorted(keys, key=lambda key: (key[1], key[2], key[0]))
+        model = SyntheticFeatureModel(seed=2)
+        for brick, side, index in keys:
+            got = model.capture(brick, side, capture_index=index)
+            want = fresh_capture(2, brick, side, index)
+            np.testing.assert_array_equal(got.descriptors, want.descriptors)
+            np.testing.assert_array_equal(got.keypoint_ids, want.keypoint_ids)
+
+
+class TestCallersDrawBrickByBrick:
+    """Every caller's inputs equal per-capture draws from fresh models."""
+
+    def test_feature_dataset(self):
+        ds = build_feature_dataset(5, 40, 56, queries_per_brick=2,
+                                   query_brick_fraction=0.6, seed=3)
+        assert [r.brick_id for r in ds.references] == list(range(5))
+        for ref in ds.references:
+            want = fresh_capture(3, ref.brick_id, "reference", budget=40)
+            np.testing.assert_array_equal(ref.descriptors, want.descriptors)
+        expected = [(brick, index) for brick in range(3) for index in range(2)]
+        assert [q.brick_id for q in ds.queries] == [brick for brick, _ in expected]
+        for query, (brick, index) in zip(ds.queries, expected):
+            want = fresh_capture(3, brick, "query", index, budget=56)
+            np.testing.assert_array_equal(query.descriptors, want.descriptors)
+
+    def test_verification_scores(self):
+        config = EngineConfig(m=96, n=128, batch_size=8, min_matches=8, scale_factor=0.25)
+        report = evaluate_verification(TextureSearchEngine(config),
+                                       SyntheticFeatureModel(seed=4), n_bricks=5,
+                                       impostors_per_brick=2)
+        engine = TextureSearchEngine(config)
+        genuine, impostor = [], []
+        for brick in range(5):
+            query = fresh_capture(4, brick, "query", budget=128).descriptors
+            for other in (brick, (brick + 1) % 5, (brick + 2) % 5):
+                reference = fresh_capture(4, other, "reference", budget=96).descriptors
+                (genuine if other == brick else impostor).append(
+                    engine.verify(reference, query)[1])
+        np.testing.assert_array_equal(report.genuine_scores, genuine)
+        np.testing.assert_array_equal(report.impostor_scores, impostor)
+
+    def test_table7_cells(self):
+        full = build_feature_dataset(4, 96, 128, seed=5)
+        for m, n in [(96, 128), (64, 128), (96, 48), (32, 32)]:
+            cell = table7_asymmetric._trimmed(full, m, n)
+            for ref in cell.references:
+                want = fresh_capture(5, ref.brick_id, "reference", budget=m)
+                np.testing.assert_array_equal(ref.descriptors, want.descriptors)
+                assert ref.descriptors.flags.c_contiguous
+            for query in cell.queries:
+                want = fresh_capture(5, query.brick_id, "query", budget=n)
+                np.testing.assert_array_equal(query.descriptors, want.descriptors)
+                assert query.descriptors.flags.c_contiguous
 
 
 class TestDatasetBuilders:
