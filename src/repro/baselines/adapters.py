@@ -156,7 +156,7 @@ class LshKernel(MatchKernel):
             ("cpu", postprocess_us(cal, 1, "fp32", cfg.n), "Post-processing"),
         ] * (size * n_queries)
 
-    def match_batch_multi(self, device, batch, query, keep_masks=False, survivors=None):
+    def match_batch_multi(self, device, batch, query, survivors=None):
         """One query against a stack: each image's winners (:meth:`image_knn`)
         stacked into the ``(images, 1, k, n)`` result :func:`stacked_matches`
         reads.  No prefilter: every mask in ``survivors`` is ``None``."""
@@ -164,13 +164,11 @@ class LshKernel(MatchKernel):
         stack = [batch] if isinstance(batch, ReferenceBatch) else batch
         if device is not None:
             device.charge(self.batch_steps(device, sum(m.size for m in stack), query.n_queries))
-        winners = [self.image_knn(member, i, query) for member in stack for i in range(member.size)]
+        winners = [self.image_knn(member, i, query).distances
+                   for member in stack for i in range(member.size)]
         shape = (len(winners), 1, NEIGHBOURS, query.matrix.shape[1])
-        result = MultiQueryResult(
-            distances=np.array([w.distances for w in winners], dtype=np.float32).reshape(shape),
-            indices=np.array([w.indices for w in winners], dtype=np.int32).reshape(shape),
-        )
-        return stacked_matches(stack, None, result, cfg.ratio_threshold, keep_masks)
+        result = MultiQueryResult(np.array(winners, dtype=np.float32).reshape(shape), None)
+        return stacked_matches(stack, None, result, cfg.ratio_threshold)
 
     def image_knn(self, batch, index, query):
         """Slot ``index`` of ``batch`` against ``query``: computed, never charged."""

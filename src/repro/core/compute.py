@@ -6,8 +6,8 @@ at once (:func:`current_compute` hands out a scope of one).  A tier that
 fans a request out to many engines in one process opens a scope around
 the fan-out (:func:`compute_scope`, the ambient idiom of
 :func:`repro.obs.deadline_scope`) and runs it once after: jobs that are
-provably one computation — same kernel class, equal config and
-``keep_masks``, bit-equal query operand — become one stacked kernel call.
+provably one computation — same kernel class, equal config, bit-equal
+query operand — become one stacked kernel call.
 Only *when* and *in how many calls* matches are computed is decided here;
 a scope that is never run has charged everything and computed nothing.
 """
@@ -34,12 +34,12 @@ class SweepCompute:
     def __init__(self) -> None:
         self._jobs: list[tuple] = []
 
-    def submit(self, kernel, stack, survivors, query, keep_masks, deliver) -> None:
+    def submit(self, kernel, stack, survivors, query, deliver) -> None:
         """Queue one sweep's charged batches, each beside its prefilter's
         survivor mask (or ``None``).  ``deliver(stacked)`` receives the
         per-query match lists ``kernel.match_batch_multi(None, stack, query,
-        keep_masks, survivors)`` would return (``[]`` for an empty stack)."""
-        self._jobs.append((kernel, stack, survivors, query, keep_masks, deliver))
+        survivors)`` would return (``[]`` for an empty stack)."""
+        self._jobs.append((kernel, stack, survivors, query, deliver))
 
     def run(self) -> None:
         """Compute every queued job, those that are one computation over
@@ -47,15 +47,15 @@ class SweepCompute:
         jobs, self._jobs = self._jobs, []
         fused: list[list[tuple]] = []
         for job in jobs:
-            kernel, stack, _, query, keep_masks, deliver = job
+            kernel, stack, _, query, deliver = job
             if not stack:
                 deliver([])
                 continue
             for group in fused:
-                first, _, _, asked, masks, _ = group[0]
+                first, _, _, asked, _ = group[0]
                 if (
                     type(kernel) is type(first) and kernel.config == first.config
-                    and keep_masks == masks and query.aux is None and asked.aux is None
+                    and query.aux is None and asked.aux is None
                     and _same_bits(query.matrix, asked.matrix)
                 ):
                     group.append(job)
@@ -63,12 +63,12 @@ class SweepCompute:
             else:
                 fused.append([job])
         for group in fused:
-            kernel, _, _, query, keep_masks, _ = group[0]
+            kernel, _, _, query, _ = group[0]
             stacked = kernel.match_batch_multi(
-                None, [batch for job in group for batch in job[1]], query, keep_masks,
+                None, [batch for job in group for batch in job[1]], query,
                 [mask for job in group for mask in job[2]])
             taken = 0
-            for _, stack, _, _, _, deliver in group:
+            for _, stack, _, _, deliver in group:
                 images = sum(batch.size for batch in stack)
                 deliver([matches[taken : taken + images] for matches in stacked])
                 taken += images
@@ -77,8 +77,8 @@ class SweepCompute:
 class _AtOnce(SweepCompute):
     """The scope of one a sweep gets when nobody gathers it."""
 
-    def submit(self, kernel, stack, survivors, query, keep_masks, deliver) -> None:
-        super().submit(kernel, stack, survivors, query, keep_masks, deliver)
+    def submit(self, kernel, stack, survivors, query, deliver) -> None:
+        super().submit(kernel, stack, survivors, query, deliver)
         self.run()
 
 

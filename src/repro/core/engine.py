@@ -410,7 +410,6 @@ class TextureSearchEngine:
         self,
         query: PreparedQuery,
         n_queries: int,
-        keep_masks: bool = False,
         candidate_ids: set[str] | frozenset[str] | None = None,
     ) -> Sweep:
         """One search's pass over the cache, for :meth:`search_group`.
@@ -509,8 +508,7 @@ class TextureSearchEngine:
                     now_us = self.device.elapsed_us()
                     deadline.charge(now_us - charged_at_us)
                     charged_at_us = now_us
-            per_query = self._swept_matches(
-                swept, survivors_of, query, n_queries, keep_masks, candidate_ids)
+            per_query = self._swept_matches(swept, survivors_of, query, n_queries, candidate_ids)
             # the swept batches' serial time becomes their multi-stream overlap (Sec. 6.2)
             elapsed = (self.device.synchronize() - start_us
                        - hidden_us(self.config.streams, host_h2d_us, swept_steps))
@@ -541,8 +539,7 @@ class TextureSearchEngine:
 
     def _swept_matches(
         self, swept: list[ReferenceBatch], survivors: list[np.ndarray | None],
-        query: PreparedQuery, n_queries: int, keep_masks: bool,
-        candidate_ids: set[str] | frozenset[str] | None,
+        query: PreparedQuery, n_queries: int, candidate_ids: set[str] | frozenset[str] | None,
     ) -> list[list[ImageMatch]]:
         """The sweep's functional plane: per-query match lists for the batches
         the timing plane swept, in sweep order.  They are *submitted*, with
@@ -562,7 +559,7 @@ class TextureSearchEngine:
                         match.reference_id = name
                         kept.append(match)
 
-        current_compute().submit(self.kernel, swept, survivors, query, keep_masks, deliver)
+        current_compute().submit(self.kernel, swept, survivors, query, deliver)
         return per_query
 
     # ------------------------------------------------------------------
@@ -571,19 +568,15 @@ class TextureSearchEngine:
     def search(
         self,
         query_descriptors: np.ndarray | QueryMatrix,
-        keep_masks: bool = False,
         candidate_ids: set[str] | frozenset[str] | None = None,
     ) -> Answer:
         """One-to-many search over every cached reference image: a
         query group of one (see :meth:`search_group`)."""
-        return self.search_group(
-            [query_descriptors], keep_masks=keep_masks, candidate_ids=candidate_ids
-        ).answers[0]
+        return self.search_group([query_descriptors], candidate_ids=candidate_ids).answers[0]
 
     def search_group(
         self,
         query_descriptor_list: list[np.ndarray | QueryMatrix],
-        keep_masks: bool = False,
         candidate_ids: set[str] | frozenset[str] | None = None,
     ) -> Sweep:
         """Search a query group in *one* sweep over the cache (Sec. 5.3
@@ -622,9 +615,7 @@ class TextureSearchEngine:
         else:
             query = self.kernel.prepare_query_many(self.device, query_descriptor_list)
         self.flush()
-        return self._execute_sweep(
-            query, n_queries=n_queries, keep_masks=keep_masks, candidate_ids=candidate_ids
-        )
+        return self._execute_sweep(query, n_queries=n_queries, candidate_ids=candidate_ids)
 
     # ------------------------------------------------------------------
     # verification

@@ -264,18 +264,18 @@ class MatchKernel(ABC):
         computes every swept batch in one ``match_batch_multi(None, stack, ...)``."""
 
     def match_batch(self, device: GPUDevice, batch: ReferenceBatch, query: PreparedQuery,
-                    keep_masks: bool = False, survivors: np.ndarray | None = None) -> list[ImageMatch]:
+                    survivors: np.ndarray | None = None) -> list[ImageMatch]:
         """Match one prepared query against one reference batch, charged: one
         :class:`ImageMatch` per slot, in slot order, labelled by the slot (the
         engine's sweep names it).  ``survivors`` is this
         kernel's own :meth:`prefilter_batch` mask (``None`` without a
-        prefilter); a slot the mask rules out is :meth:`ImageMatch.empty`
-        and charges nothing."""
-        return self.match_batch_multi(device, batch, query, keep_masks, [survivors])[0]
+        prefilter); a slot the mask rules out has no good match and
+        charges nothing."""
+        return self.match_batch_multi(device, batch, query, [survivors])[0]
 
     @abstractmethod
     def match_batch_multi(self, device: GPUDevice | None, batch: ReferenceBatch | list[ReferenceBatch],
-                          query: PreparedQuery, keep_masks: bool = False,
+                          query: PreparedQuery,
                           survivors: list[np.ndarray | None] | None = None) -> list[list[ImageMatch]]:
         """The kernel's one functional body: per-query match lists for a
         prepared query (or group) against a batch or a *stack* — a list of
@@ -286,30 +286,20 @@ class MatchKernel(ABC):
 
 
 def stacked_matches(stack: list[ReferenceBatch], survivors: list[np.ndarray | None] | None,
-                    result: MultiQueryResult, ratio: float, keep_masks: bool) -> list[list[ImageMatch]]:
+                    result: MultiQueryResult, ratio: float) -> list[list[ImageMatch]]:
     """Per-query match lists for a stack, in slot order, from the plane's
     ``result``: one row per slot the members' ``survivors`` masks keep (a
     ``None`` mask keeps every slot), in stack order.  A slot a mask rules
-    out is :meth:`ImageMatch.empty`."""
+    out has no good match."""
     # one vectorised ratio-test/count pass over every (image, query) pair
-    masks = batch_ratio_test_masks(result.distances, ratio)
-    counts = masks.sum(axis=-1).tolist()
-    n_queries, n = masks.shape[1:]
-    rows = iter(range(len(counts)))
-    per_query: list[list[ImageMatch]] = [[] for _ in range(n_queries)]
+    counts = batch_ratio_test_masks(result.distances, ratio).sum(axis=-1).tolist()
+    rows = iter(counts)
+    per_query: list[list[ImageMatch]] = [[] for _ in range(result.n_queries)]
     for member, kept in zip(stack, survivors or [None] * len(stack)):
         for i, slot in enumerate(member.slots.tolist()):
             row = next(rows) if kept is None or kept[i] else None
             for q, matches in enumerate(per_query):
-                matches.append(ImageMatch.empty(slot, n, keep_masks) if row is None else ImageMatch(
-                    reference_id=slot,
-                    good_matches=counts[row][q],
-                    n_query_features=n,
-                    match_mask=masks[row, q].copy() if keep_masks else None,  # not a view of the sweep
-                    matched_reference_indices=(
-                        result.indices[row, q, 0][masks[row, q]] if keep_masks else None
-                    ),
-                ))
+                matches.append(ImageMatch(slot, 0 if row is None else row[q]))
     return per_query
 
 
@@ -357,10 +347,10 @@ class Algorithm2Kernel(MatchKernel):
         return knn_steps(device, size, cfg.m, n_queries * cfg.n, cfg.d, NEIGHBOURS, cfg.precision,
                          cfg.tensor_core) + [("cpu", post, "Post-processing")]
 
-    def match_batch(self, device, batch, query, keep_masks=False, survivors=None):
-        return self.match_batch_multi(device, batch, query, keep_masks)[0]
+    def match_batch(self, device, batch, query, survivors=None):
+        return self.match_batch_multi(device, batch, query)[0]
 
-    def match_batch_multi(self, device, batch, query, keep_masks=False, survivors=None):
+    def match_batch_multi(self, device, batch, query, survivors=None):
         """The kernel's one body.  ``batch`` may be a *stack* — a list of
         batches taken in order as the one batch they would concatenate to
         (``device=None``: the sweep has charged each as its own) — and
@@ -374,9 +364,9 @@ class Algorithm2Kernel(MatchKernel):
             device.charge(self.batch_steps(device, images, len(queries)))
         result = knn_algorithm2_multiquery(
             None, [member.tensor for member in stack], queries, scale=cfg.effective_scale,
-            k=NEIGHBOURS, precision=cfg.precision, tensor_core=cfg.tensor_core, indices=keep_masks,
+            k=NEIGHBOURS, precision=cfg.precision, tensor_core=cfg.tensor_core, indices=False,
         )
-        return stacked_matches(stack, None, result, cfg.ratio_threshold, keep_masks)
+        return stacked_matches(stack, None, result, cfg.ratio_threshold)
 
 
 class Algorithm1Kernel(MatchKernel):
@@ -437,9 +427,9 @@ class Algorithm1Kernel(MatchKernel):
         return algorithm1_steps_us(device.spec, device.cal, cfg.m, cfg.n, cfg.d, NEIGHBOURS,
                                    cfg.precision, self.sort_kind) * (size * n_queries)
 
-    def match_batch_multi(self, device, batch, query, keep_masks=False, survivors=None):
+    def match_batch_multi(self, device, batch, query, survivors=None):
         """One query against a stack: only the slots ``survivors`` keeps are
-        stacked and compared, each ruled-out slot is :meth:`ImageMatch.empty`,
+        stacked and compared, each ruled-out slot has no good match,
         and a stack with no survivor makes no plane call."""
         cfg = self.config
         stack = [batch] if isinstance(batch, ReferenceBatch) else batch
@@ -449,11 +439,11 @@ class Algorithm1Kernel(MatchKernel):
             device.charge(self.batch_steps(device, compared, query.n_queries))
         kept = [(member, slice(None) if mask is None else mask)
                 for member, mask in zip(stack, masks) if mask is None or mask.any()]
-        dist, idx = np.empty((NEIGHBOURS, 0), dtype=np.float32), None
+        dist = np.empty((NEIGHBOURS, 0), dtype=np.float32)
         if kept:
             norms = (np.concatenate([self._norms(member)[rows] for member, rows in kept]),
                      self._query_features(query).norms)
-            dist, idx = _knn_columns(None, [member.tensor[rows] for member, rows in kept], query.matrix,
-                                     cfg.effective_scale, NEIGHBOURS, cfg.precision, False, keep_masks, norms)
-        result = MultiQueryResult.from_columns(dist, idx, 1, query.matrix.shape[1])
-        return stacked_matches(stack, masks, result, cfg.ratio_threshold, keep_masks)
+            dist, _ = _knn_columns(None, [member.tensor[rows] for member, rows in kept], query.matrix,
+                                   cfg.effective_scale, NEIGHBOURS, cfg.precision, False, False, norms)
+        result = MultiQueryResult.from_columns(dist, None, 1, query.matrix.shape[1])
+        return stacked_matches(stack, masks, result, cfg.ratio_threshold)

@@ -23,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..gpusim.engine_model import GPUDevice
-from .algorithm2 import BatchKnnResult, _knn_columns
+from .algorithm2 import _knn_columns
 
 __all__ = ["MultiQueryResult", "knn_algorithm2_multiquery"]
 
@@ -38,13 +38,6 @@ class MultiQueryResult:
 
     distances: np.ndarray
     indices: Optional[np.ndarray]
-
-    def query(self, q: int) -> BatchKnnResult:
-        """The per-query view, shaped like a single-query Algorithm 2 run."""
-        return BatchKnnResult(
-            distances=np.ascontiguousarray(self.distances[:, q]),
-            indices=np.ascontiguousarray(self.indices[:, q]),
-        )
 
     @property
     def n_queries(self) -> int:

@@ -63,43 +63,14 @@ def batch_ratio_test_masks(distances: np.ndarray, ratio_threshold: float) -> np.
     return d1 < ratio_threshold * d2
 
 
-def match_images_batch(
-    reference_ids,
-    distances: np.ndarray,
-    indices: np.ndarray,
-    ratio_threshold: float,
-    keep_masks: bool = False,
-) -> list[ImageMatch]:
+def match_images_batch(reference_ids, distances: np.ndarray, ratio_threshold: float) -> list[ImageMatch]:
     """Per-image :class:`ImageMatch` list for one ``(batch, k, n)``
     2-NN result, with the ratio test and match counting done in a
     single vectorised pass over the whole batch."""
-    masks = batch_ratio_test_masks(distances, ratio_threshold)  # (batch, n)
-    counts = masks.sum(axis=-1)
-    n_query = distances.shape[-1]
-    return [
-        ImageMatch(
-            reference_id=ref_id,
-            good_matches=int(counts[i]),
-            n_query_features=n_query,
-            match_mask=masks[i] if keep_masks else None,
-            matched_reference_indices=indices[i, 0][masks[i]] if keep_masks else None,
-        )
-        for i, ref_id in enumerate(reference_ids)
-    ]
+    counts = batch_ratio_test_masks(distances, ratio_threshold).sum(axis=-1)  # (batch,)
+    return [ImageMatch(ref_id, int(counts[i])) for i, ref_id in enumerate(reference_ids)]
 
 
-def match_images(
-    reference_id: str | int,
-    knn: KnnResult,
-    ratio_threshold: float,
-    keep_mask: bool = False,
-) -> ImageMatch:
+def match_images(reference_id: str | int, knn: KnnResult, ratio_threshold: float) -> ImageMatch:
     """Build an :class:`ImageMatch` from one reference's 2-NN result."""
-    mask = ratio_test_mask(knn.distances, ratio_threshold)
-    return ImageMatch(
-        reference_id=reference_id,
-        good_matches=int(mask.sum()),
-        n_query_features=knn.n_query,
-        match_mask=mask if keep_mask else None,
-        matched_reference_indices=knn.indices[0][mask] if keep_mask else None,
-    )
+    return ImageMatch(reference_id, int(ratio_test_mask(knn.distances, ratio_threshold).sum()))

@@ -45,27 +45,11 @@ class ImageMatch:
 
     A kernel labels the match with the image's engine slot (an ``int``);
     the engine's sweep replaces it with the reference's id before any
-    caller sees it."""
+    caller sees it.  A slot a prefilter ruled out is ``ImageMatch(slot, 0)``."""
 
     reference_id: str | int
     good_matches: int
-    n_query_features: int
-    match_mask: np.ndarray | None = None
-    matched_reference_indices: np.ndarray | None = None
     inliers: int | None = None  # populated by geometric verification
-
-    @classmethod
-    def empty(cls, reference_id: str | int, n_query_features: int, keep_masks: bool = False) -> "ImageMatch":
-        """The match of a slot its kernel ruled out before comparing it:
-        zero good matches, shaped (with ``keep_masks``) like a compared
-        image that matched nothing."""
-        return cls(
-            reference_id=reference_id,
-            good_matches=0,
-            n_query_features=n_query_features,
-            match_mask=np.zeros(n_query_features, dtype=bool) if keep_masks else None,
-            matched_reference_indices=np.zeros(0, dtype=np.int32) if keep_masks else None,
-        )
 
     @property
     def score(self) -> int:

@@ -142,7 +142,7 @@ def test_the_answers_share_one_immutable_header():
 
 MATCHES = st.lists(
     st.builds(ImageMatch, reference_id=st.sampled_from(["a", "b", "c"]),
-              good_matches=st.integers(0, 2), n_query_features=st.just(4),
+              good_matches=st.integers(0, 2),
               inliers=st.none() | st.integers(0, 2)),
     max_size=12,
 )

@@ -3,7 +3,8 @@
 ``tests/test_stacked_sweep.py``'s method one tier up.  ``ParentSystem._gather``
 and ``parent_swept_matches`` are verbatim copies of
 ``DistributedSearchSystem._gather`` and ``TextureSearchEngine._swept_matches``
-as of the commit before the gather owned the functional plane: every shard
+as of the commit before the gather owned the functional plane (less
+``keep_masks``, an option the engine no longer has): every shard
 computes its own stack inside its own sweep, the gather merges as answers
 arrive.  The shipped gather lets every shard *charge* its sweep, computes all
 of them in one ``SweepCompute.run()`` and merges afterwards; nothing but the
@@ -92,14 +93,14 @@ class ClusterGroupResult:
 
 def parent_swept_matches(
     self, swept: list[tuple[ReferenceBatch, list | None]], query: PreparedQuery,
-    n_queries: int, keep_masks: bool, candidate_ids: set[str] | frozenset[str] | None,
+    n_queries: int, candidate_ids: set[str] | frozenset[str] | None,
 ) -> list[list[ImageMatch]]:
     """The sweep's functional plane: per-query matches of the batches
     the timing plane swept, in sweep order.  Those it only charged
     (``groups`` is ``None``) are computed here as one stack; every
     batch then goes through the tombstone/candidate filter."""
     stack = [batch for batch, groups in swept if groups is None]
-    stacked = self.kernel.match_batch_multi(None, stack, query, keep_masks) if stack else []
+    stacked = self.kernel.match_batch_multi(None, stack, query) if stack else []
     per_query: list[list[ImageMatch]] = [[] for _ in range(n_queries)]
     taken = 0
     for batch, groups in swept:
@@ -123,16 +124,16 @@ def parent_swept_matches(
     return per_query
 
 
-def parent_plane(self, swept, survivors, query, n_queries, keep_masks, candidate_ids):
+def parent_plane(self, swept, survivors, query, n_queries, candidate_ids):
     """Today's call into the functional plane, answered by the parent's.  A
     batch with a survivor mask (the cascade's) was matched inside the sweep
     loop there, by a call of its own."""
     matched = [
         (batch, None if mask is None
-         else self.kernel.match_batch_multi(None, [batch], query, keep_masks, [mask]))
+         else self.kernel.match_batch_multi(None, [batch], query, [mask]))
         for batch, mask in zip(swept, survivors, strict=True)
     ]
-    return parent_swept_matches(self, matched, query, n_queries, keep_masks, candidate_ids)
+    return parent_swept_matches(self, matched, query, n_queries, candidate_ids)
 
 
 class ParentSystem(DistributedSearchSystem):
@@ -466,7 +467,7 @@ def test_replica_slices_with_different_queries_are_different_computations(monkey
     assert all(len(args[2]) == 3 for args in kernels)  # one batch from each shard, both times
 
 
-def job(kernel, query, sizes=(2, 1), keep_masks=False):
+def job(kernel, query, sizes=(2, 1)):
     """One sweep's submission, and the list its matches are delivered into."""
     stack = [
         ReferenceBatch(batch_id=i, slots=np.arange(10 * i, 10 * i + size),
@@ -475,7 +476,7 @@ def job(kernel, query, sizes=(2, 1), keep_masks=False):
         for i, size in enumerate(sizes)
     ]
     delivered: list = []
-    return (kernel, stack, [None] * len(stack), query, keep_masks, delivered.append), delivered
+    return (kernel, stack, [None] * len(stack), query, delivered.append), delivered
 
 
 def test_jobs_are_fused_only_when_provably_one_computation(monkeypatch):
@@ -502,17 +503,10 @@ def test_jobs_are_fused_only_when_provably_one_computation(monkeypatch):
                 lists.append((submission, delivered))
             scope.run()
         assert len(kernels) == calls
-        for (k, stack, _, q, masks, _), delivered in lists:  # each its own answer, whoever shared the call
-            alone = k.match_batch_multi(None, stack, q, masks)
+        for (k, stack, _, q, _), delivered in lists:  # each its own answer, whoever shared the call
+            alone = k.match_batch_multi(None, stack, q)
             assert [[dataclasses.astuple(m) for m in per_query] for per_query in delivered[0]] == [
                 [dataclasses.astuple(m) for m in per_query] for per_query in alone]
-    with monkeypatch.context() as patch:  # keep_masks is part of the computation
-        kernels = count_calls(patch, Algorithm2Kernel, "match_batch_multi")
-        scope = SweepCompute()
-        scope.submit(*job(kernel, query)[0])
-        scope.submit(*job(kernel, query, keep_masks=True)[0])
-        scope.run()
-    assert [args[4] for args in kernels] == [False, True]
 
 
 def test_an_empty_stack_is_delivered_without_a_kernel_call(monkeypatch):
@@ -608,12 +602,11 @@ def engines(dead=(1, 6)):
 def test_outside_a_scope_the_engine_is_the_parents_engine():
     engine, parent = engines()
     queries = [query_for(2, seed=1), query_for(7, seed=2)]
-    for keep_masks in (False, True):
-        for candidates in (None, {"ref2", "ref3", "ref6"}):
-            got = engine.search_group(queries, keep_masks=keep_masks, candidate_ids=candidates)
-            want = parent.search_group(queries, keep_masks=keep_masks, candidate_ids=candidates)
-            assert repr(plain(got)) == repr(plain(want))  # masks are arrays: compare as text
-            assert [len(r.matches) for r in got.answers] == [2 if candidates else 7] * 2
+    for candidates in (None, {"ref2", "ref3", "ref6"}):
+        got = engine.search_group(queries, candidate_ids=candidates)
+        want = parent.search_group(queries, candidate_ids=candidates)
+        assert repr(plain(got)) == repr(plain(want))
+        assert [len(r.matches) for r in got.answers] == [2 if candidates else 7] * 2
     assert repr(plain(engine.search(queries[0]))) == repr(plain(parent.search(queries[0])))
     assert engine.verify(reference(2), queries[0]) == parent.verify(reference(2), queries[0])
     assert engine.stats == parent.stats

@@ -8,6 +8,7 @@ from repro.baselines import LshKernel
 from repro.core.ratio_test import match_images
 from repro.features import LshCodec, hamming_distances
 from repro.features.binarize import popcount
+from repro.gpusim import GPUDevice, TESLA_P100
 from tests.conftest import make_descriptors, noisy_copy
 
 M = 48
@@ -103,10 +104,10 @@ class TestMatcher:
             LshKernel(config, n_candidates=1)
 
 
-def per_image_matches(kernel, stack, query, keep_masks):
+def per_image_matches(kernel, stack, query):
     """The oracle: LSH's match build before it shared ``stacked_matches``,
     one ``match_images`` per slot over the same :meth:`LshKernel.image_knn`."""
-    return [[match_images(slot, kernel.image_knn(member, i, query), kernel.config.ratio_threshold, keep_masks)
+    return [[match_images(slot, kernel.image_knn(member, i, query), kernel.config.ratio_threshold)
              for member in stack for i, slot in enumerate(member.slots.tolist())]]
 
 
@@ -120,12 +121,14 @@ def tie_heavy(count, seed):
 
 class TestStackedMatches:
     """``match_batch_multi`` builds its matches with ``stacked_matches``, field
-    for field what the per-image ``match_images`` build gave."""
+    for field what the per-image ``match_images`` build gave, whether the
+    call is charged (a device: what ``match_batch`` and ``verify`` make) or
+    the sweep has charged it already (``None``)."""
 
-    @pytest.mark.parametrize("keep_masks", [False, True])
+    @pytest.mark.parametrize("charged", [False, True])
     @pytest.mark.parametrize("several", [False, True])
     @pytest.mark.parametrize("corpus", ["random", "ties"])
-    def test_equals_the_per_image_build(self, corpus, several, keep_masks):
+    def test_equals_the_per_image_build(self, corpus, several, charged):
         draw = tie_heavy if corpus == "ties" else make_descriptors
         descs = [draw(M, seed=2300 + i) for i in range(9)]
         if corpus == "ties":
@@ -142,18 +145,15 @@ class TestStackedMatches:
         stack = batches if several else batches[:1]
         query = kernel.prepare_query(None, noisy_copy(descs[1], 8.0, seed=231) if corpus == "random"
                                      else descs[1][:, ::-1].copy())
-        got = kernel.match_batch_multi(None, stack if several else stack[0], query, keep_masks=keep_masks)
-        want = per_image_matches(kernel, stack, query, keep_masks)
+        device = GPUDevice(TESLA_P100) if charged else None
+        got = kernel.match_batch_multi(device, stack if several else stack[0], query)
+        want = per_image_matches(kernel, stack, query)
+        images = sum(member.size for member in stack)
+        if charged:  # the chain of every image, once
+            alone = GPUDevice(TESLA_P100)
+            alone.charge(kernel.batch_steps(alone, images, 1))
+            assert device.synchronize() == alone.synchronize() > 0
         assert len(got) == len(want) == 1
-        assert len(got[0]) == len(want[0]) == sum(member.size for member in stack)
+        assert len(got[0]) == len(want[0]) == images
         assert sum(match.good_matches for match in want[0]) > 0
-        for g, w in zip(got[0], want[0]):
-            assert (g.reference_id, g.good_matches, g.n_query_features, g.inliers) == (
-                w.reference_id, w.good_matches, w.n_query_features, w.inliers)
-            if keep_masks:
-                assert g.match_mask.dtype == w.match_mask.dtype
-                np.testing.assert_array_equal(g.match_mask, w.match_mask)
-                assert g.matched_reference_indices.dtype == w.matched_reference_indices.dtype
-                np.testing.assert_array_equal(g.matched_reference_indices, w.matched_reference_indices)
-            else:
-                assert g.match_mask is None and g.matched_reference_indices is None
+        assert got == want  # every field: id, count and inliers

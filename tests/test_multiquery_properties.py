@@ -32,10 +32,8 @@ class TestMultiQueryProperties:
         multi = knn_algorithm2_multiquery(device, refs, queries, precision="fp32")
         for q in range(n_queries):
             single = knn_algorithm2(device, refs, queries[q], precision="fp32")
-            np.testing.assert_allclose(
-                multi.query(q).distances, single.distances, atol=1e-5
-            )
-            np.testing.assert_array_equal(multi.query(q).indices, single.indices)
+            np.testing.assert_allclose(multi.distances[:, q], single.distances, atol=1e-5)
+            np.testing.assert_array_equal(multi.indices[:, q], single.indices)
 
 
 class TestHgemmProperties:

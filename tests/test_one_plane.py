@@ -144,9 +144,9 @@ def test_a_kernel_matches_every_slot_of_a_stack_as_algorithm_1(kernel_class, pre
     kernel = kernel_class(config(precision))
     prepared = PreparedQuery(matrix=query.values, aux=query)
     with tile_budget(2):
-        (got,) = kernel.match_batch_multi(None, stack, prepared, keep_masks=True)
+        (got,) = kernel.match_batch_multi(None, stack, prepared)
     slots = [slot for batch in stack for slot in batch.slots.tolist()]
-    want = [match_images(slot, parent_knn_algorithm1(reference, query), kernel.config.ratio_threshold, True)
+    want = [match_images(slot, parent_knn_algorithm1(reference, query), kernel.config.ratio_threshold)
             for slot, reference in zip(slots, images_of(stack, query))]
     assert [plain(m) for m in got] == [plain(m) for m in want]
     assert max(m.good_matches for m in got) > 0  # the query's own image matches
@@ -160,20 +160,17 @@ def test_only_survivors_are_stacked_and_the_pruned_are_empty(monkeypatch):
     real = kernels_module._knn_columns
     monkeypatch.setattr(kernels_module, "_knn_columns", lambda device, members, *rest: (
         stacked.append(sum(map(len, members))), real(device, members, *rest))[1])
-    for keep_masks in (False, True):
-        (full,) = kernel.match_batch_multi(None, stack, prepared, keep_masks)
-        masks = [np.array([True, False, True]), np.zeros(2, dtype=bool), None]
-        (pruned,) = kernel.match_batch_multi(None, stack, prepared, keep_masks, masks)
-        kept = np.concatenate([np.ones(3, dtype=bool) if mask is None else mask for mask in masks])
-        assert [plain(m) for m in pruned] == [
-            plain(m if keep else ImageMatch.empty(m.reference_id, N, keep_masks))
-            for m, keep in zip(full, kept)]
-        assert stacked[-2:] == [8, 5]
-        nobody = [np.zeros(batch.size, dtype=bool) for batch in stack]
-        (empty,) = kernel.match_batch_multi(None, stack, prepared, keep_masks, nobody)
-        assert [plain(m) for m in empty] == [plain(ImageMatch.empty(m.reference_id, N, keep_masks))
-                                             for m in full]
-        assert len(stacked) == 2 * (1 + keep_masks)  # no plane call for a stack with no survivor
+    (full,) = kernel.match_batch_multi(None, stack, prepared)
+    masks = [np.array([True, False, True]), np.zeros(2, dtype=bool), None]
+    (pruned,) = kernel.match_batch_multi(None, stack, prepared, masks)
+    kept = np.concatenate([np.ones(3, dtype=bool) if mask is None else mask for mask in masks])
+    assert [plain(m) for m in pruned] == [
+        plain(m if keep else ImageMatch(m.reference_id, 0)) for m, keep in zip(full, kept)]
+    assert stacked == [8, 5]
+    nobody = [np.zeros(batch.size, dtype=bool) for batch in stack]
+    (empty,) = kernel.match_batch_multi(None, stack, prepared, nobody)
+    assert [plain(m) for m in empty] == [plain(ImageMatch(m.reference_id, 0)) for m in full]
+    assert len(stacked) == 2  # no plane call for a stack with no survivor
 
 
 def test_an_opencv_engine_answers_as_an_algorithm1_fp32_engine():
@@ -184,8 +181,7 @@ def test_an_opencv_engine_answers_as_an_algorithm1_fp32_engine():
             engine.add_reference(f"ref{i}", reference)
     for q in range(4):
         query = noisy_copy(references[2 * q][:, :N], 20.0 + 10 * q, seed=q)
-        for keep_masks in (False, True):
-            want, got = (engine.search(query, keep_masks=keep_masks) for engine in engines)
-            assert [plain(m) for m in got.matches] == [plain(m) for m in want.matches]
-            assert max(m.good_matches for m in want.matches) > 0
+        want, got = (engine.search(query) for engine in engines)
+        assert [plain(m) for m in got.matches] == [plain(m) for m in want.matches]
+        assert max(m.good_matches for m in want.matches) > 0
 

@@ -38,8 +38,7 @@ def test_the_protocol_has_no_default_batch_steps():
         def query_matrix(self, descriptors):  # pragma: no cover
             raise NotImplementedError
 
-        def match_batch_multi(self, device, batch, query, keep_masks=False,
-                              survivors=None):  # pragma: no cover
+        def match_batch_multi(self, device, batch, query, survivors=None):  # pragma: no cover
             raise NotImplementedError
 
     with pytest.raises(TypeError, match="batch_steps"):
@@ -102,7 +101,7 @@ def test_lsh_keeps_nothing_per_batch_through_enrol_delete_cycles():
         for engine, out in zip(engines, seen):
             for ref_id, desc in zip(ids, descriptors):
                 engine.add_reference(ref_id, desc)
-            out.append([(m.reference_id, m.good_matches) for m in engine.search(query, keep_masks=True).matches])
+            out.append([(m.reference_id, m.good_matches) for m in engine.search(query).matches])
             for ref_id in ids[:4]:
                 engine.remove_reference(ref_id)
             out.append([(m.reference_id, m.good_matches) for m in engine.search(query).matches])

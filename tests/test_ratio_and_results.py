@@ -57,14 +57,6 @@ class TestMatchImages:
         match = match_images("ref-a", self._knn(), 0.8)
         assert match.reference_id == "ref-a"
         assert match.good_matches == 2
-        assert match.n_query_features == 3
-        assert match.match_mask is None
-
-    def test_keep_mask(self):
-        match = match_images("ref-a", self._knn(), 0.8, keep_mask=True)
-        np.testing.assert_array_equal(match.match_mask, [True, False, True])
-        np.testing.assert_array_equal(match.matched_reference_indices, [3, 7])
-
 
 
 class TestBatchMatchCounting:
@@ -99,30 +91,13 @@ class TestBatchMatchCounting:
     def test_counts_identical_to_match_images(self):
         distances, indices = self._batch(seed=3)
         ids = [f"r{i}" for i in range(distances.shape[0])]
-        batch_matches = match_images_batch(ids, distances, indices, 0.8)
+        batch_matches = match_images_batch(ids, distances, 0.8)
         for i, match in enumerate(batch_matches):
             scalar = match_images(
                 ids[i], KnnResult(distances[i], indices[i]), 0.8
             )
             assert match.reference_id == scalar.reference_id
             assert match.good_matches == scalar.good_matches
-            assert match.n_query_features == scalar.n_query_features
-
-    def test_keep_masks_identical_to_match_images(self):
-        distances, indices = self._batch(seed=4)
-        ids = [f"r{i}" for i in range(distances.shape[0])]
-        batch_matches = match_images_batch(
-            ids, distances, indices, 0.8, keep_masks=True
-        )
-        for i, match in enumerate(batch_matches):
-            scalar = match_images(
-                ids[i], KnnResult(distances[i], indices[i]), 0.8, keep_mask=True
-            )
-            np.testing.assert_array_equal(match.match_mask, scalar.match_mask)
-            np.testing.assert_array_equal(
-                match.matched_reference_indices,
-                scalar.matched_reference_indices,
-            )
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -156,9 +131,9 @@ class TestResultContainers:
 
     def test_search_result_ranking(self):
         (result,) = Sweep(elapsed_us=1000.0, images_searched=3).carrying([[
-            ImageMatch("a", 3, 10),
-            ImageMatch("b", 7, 10),
-            ImageMatch("c", 7, 10),
+            ImageMatch("a", 3),
+            ImageMatch("b", 7),
+            ImageMatch("c", 7),
         ]]).answers
         top = result.top(2)
         assert [m.reference_id for m in top] == ["b", "c"]  # id tiebreak
@@ -166,7 +141,7 @@ class TestResultContainers:
         assert result.images_per_s == pytest.approx(3000.0)
 
     def test_inliers_override_score(self):
-        match = ImageMatch("a", 9, 10, inliers=2)
+        match = ImageMatch("a", 9, inliers=2)
         assert match.score == 2
 
     def test_empty_result(self):

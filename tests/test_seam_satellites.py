@@ -44,7 +44,7 @@ def test_a_batch_the_engine_purged_is_garbage():
 
 
 def match(ref_id: str, score: int) -> ImageMatch:
-    return ImageMatch(reference_id=ref_id, good_matches=score, n_query_features=16)
+    return ImageMatch(reference_id=ref_id, good_matches=score)
 
 
 @pytest.mark.parametrize("order", [("b", "a"), ("a", "b")])

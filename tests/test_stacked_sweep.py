@@ -8,11 +8,13 @@ and ``core/query_batching.py`` as of the commit before the stacked
 sweep, copied verbatim (the ``tests/test_kernel_diet.py`` method: only
 the ``def`` names, the sweep's docstring and the module the tile budget
 is read from changed — and the multi-stream block, which applies today's
-overlap rule to the batches the loop swept).  There every sealed batch is charged *and*
+overlap rule to the batches the loop swept; ``keep_masks``, an option the
+engine no longer has, is cut with the mask and index fields of
+``ImageMatch``).  There every sealed batch is charged *and*
 computed inside the sweep loop, through five cost-model calls and one
 kernel call each.  The split sweep — charge every batch in the loop,
 compute all of them in one pass whose tiles run across batch boundaries
-— must reproduce it bit for bit: matches, masks, ``elapsed_us``,
+— must reproduce it bit for bit: matches, ``elapsed_us``,
 ``step_times_us``, the device clock, the profiler and ``EngineStats``.
 """
 
@@ -196,7 +198,7 @@ class ParentKernel(Algorithm2Kernel):
     """``Algorithm2Kernel.match_batch`` / ``match_batch_multi`` as of the parent
     commit: two bodies, each charging and computing one batch."""
 
-    def match_batch(self, device, batch, query, keep_masks=False):
+    def match_batch(self, device, batch, query):
         cfg = self.config
         result = oracle_knn_algorithm2(
             device,
@@ -209,11 +211,9 @@ class ParentKernel(Algorithm2Kernel):
         )
         device.cpu_postprocess(batch.size, cfg.precision, cfg.n)
         # one vectorised ratio-test/count pass over the whole batch
-        return match_images_batch(
-            batch.slots.tolist(), result.distances, result.indices, cfg.ratio_threshold, keep_masks
-        )
+        return match_images_batch(batch.slots.tolist(), result.distances, cfg.ratio_threshold)
 
-    def match_batch_multi(self, device, batch, query, keep_masks=False):
+    def match_batch_multi(self, device, batch, query):
         cfg = self.config
         n_queries = query.n_queries
         result = oracle_knn_algorithm2_multiquery(
@@ -230,20 +230,11 @@ class ParentKernel(Algorithm2Kernel):
         # (batch, n_queries) group, instead of per-pair calls
         masks = batch_ratio_test_masks(result.distances, cfg.ratio_threshold)
         counts = masks.sum(axis=-1)  # (batch, n_queries)
-        n_query = result.distances.shape[-1]
         groups: list[list[ImageMatch]] = []
         for q in range(n_queries):
             groups.append(
                 [
-                    ImageMatch(
-                        reference_id=int(batch.slots[i]),
-                        good_matches=int(counts[i, q]),
-                        n_query_features=n_query,
-                        match_mask=masks[i, q] if keep_masks else None,
-                        matched_reference_indices=(
-                            result.indices[i, q, 0][masks[i, q]] if keep_masks else None
-                        ),
-                    )
+                    ImageMatch(reference_id=int(batch.slots[i]), good_matches=int(counts[i, q]))
                     for i in range(batch.size)
                 ]
             )
@@ -255,7 +246,6 @@ class ParentEngine(TextureSearchEngine):
         self,
         query: PreparedQuery,
         n_queries: int,
-        keep_masks: bool = False,
         batches: Iterable[CachedBatch] | None = None,
         record_stats: bool = True,
         honor_deadline: bool = True,
@@ -330,18 +320,18 @@ class ParentEngine(TextureSearchEngine):
                     if fully_pruned:
                         # no survivor: the batch never transfers and the
                         # exact stage is skipped outright.
-                        groups = [self._pruned_matches(batch, keep_masks)]
+                        groups = [self._pruned_matches(batch)]
                     elif query.matrix.ndim == 3:  # a prepared query *group*
-                        groups = self.kernel.match_batch_multi(self.device, batch, query, keep_masks)
+                        groups = self.kernel.match_batch_multi(self.device, batch, query)
                     elif survivors is not None:
                         groups = [
                             self.kernel.match_batch(
-                                self.device, batch, query, keep_masks,
+                                self.device, batch, query,
                                 survivors=survivors,
                             )
                         ]
                     else:
-                        groups = [self.kernel.match_batch(self.device, batch, query, keep_masks)]
+                        groups = [self.kernel.match_batch(self.device, batch, query)]
                     # tombstone filtering: resolve the batch's dead slots once
                     # (kernels emit one match per slot, in slot order), then
                     # drop them from every query's list by index, naming the rest.
@@ -461,14 +451,7 @@ def observed(engine, group) -> tuple:
     """Everything a search leaves behind, bits included."""
     shared = (group.elapsed_us, group.images_searched, group.partial, group.images_skipped,
               group.images_pruned, group.cascade_pruned)
-    matches = [
-        [(m.reference_id, m.good_matches, m.n_query_features,
-          None if m.match_mask is None else m.match_mask.tobytes(),
-          None if m.matched_reference_indices is None
-          else (m.matched_reference_indices.dtype.str, m.matched_reference_indices.tobytes()))
-         for m in result.matches]
-        for result in group.answers
-    ]
+    matches = [[(m.reference_id, m.good_matches) for m in result.matches] for result in group.answers]
     assert all(
         (r.elapsed_us, r.images_searched, r.partial, r.images_skipped, r.images_pruned,
          r.cascade_pruned) == shared for r in group.answers
@@ -504,7 +487,6 @@ def sweeps(draw):
         groups=draw(st.lists(st.integers(1, 4), min_size=1, max_size=2)),
         precision=draw(st.sampled_from(["fp16", "fp32"])),
         host=host,
-        keep_masks=draw(st.booleans()),
         images_per_tile=draw(st.sampled_from([None, 1, 2, 3, 5])),
         cut=draw(st.none() | st.floats(0.05, 0.95)),
     )
@@ -518,7 +500,7 @@ def test_split_sweep_is_the_parents_sweep_bit_for_bit(case):
     engine, parent = both(cfg, case["host"], case["seals"], case["dead"])
     for search, n_queries in enumerate(case["groups"]):
         queries = [query_for((3 * search + q) % sum(case["seals"]), seed=q) for q in range(n_queries)]
-        kwargs = dict(keep_masks=case["keep_masks"], candidate_ids=candidates)
+        kwargs = dict(candidate_ids=candidates)
         budget = None
         if case["cut"] is not None:
             # a deadline that expires part of the way through the parent's full sweep
@@ -538,16 +520,14 @@ def test_the_cut_sweep_is_a_prefix_of_the_full_one():
     before the cut matches the full sweep's prefix bit for bit."""
     engine, _ = both(config(), False, [2, 1, 3, 2, 1], [4])
     queries = [query_for(1, seed=3), query_for(6, seed=4)]
-    full = engine.search_group(queries, keep_masks=True)
+    full = engine.search_group(queries)
     with deadline_scope(0.5 * full.elapsed_us):
-        cut = engine.search_group(queries, keep_masks=True)
+        cut = engine.search_group(queries)
     assert cut.partial and 0 < cut.images_searched < full.images_searched
     for part, whole in zip(cut.answers, full.answers, strict=True):
         assert 0 < len(part.matches) < len(whole.matches)
         for got, want in zip(part.matches, whole.matches):  # the prefix
             assert (got.reference_id, got.good_matches) == (want.reference_id, want.good_matches)
-            assert np.array_equal(got.match_mask, want.match_mask)
-            assert np.array_equal(got.matched_reference_indices, want.matched_reference_indices)
 
 
 # -- counts that need no clock ---------------------------------------------

@@ -3,7 +3,8 @@
 ``tests/golden/sweep_clock.json`` holds what a scripted engine session left
 behind on each backend and precision, recorded before every match kernel
 pre-costed its batches (when the Algorithm-1 family still charged typed
-device calls inside the sweep loop): matches, ``elapsed_us``, the profiler's
+device calls inside the sweep loop): matches as ``[reference_id,
+good_matches]`` pairs, ``elapsed_us``, the profiler's
 ``(name, total_us, calls)`` rows, ``EngineStats``, the device clock and a
 deadline's ``spent_us``, after every step.  Charges are the same floats
 submitted in the same order, so the file must match to the last bit.
@@ -61,13 +62,7 @@ def left_behind(engine: TextureSearchEngine, outcome) -> dict:
     return {
         "sweep": [outcome.elapsed_us, outcome.images_searched, outcome.images_skipped,
                   outcome.images_pruned, outcome.cascade_pruned, outcome.partial],
-        "matches": [
-            [[m.reference_id, m.good_matches, m.n_query_features,
-              None if m.match_mask is None else "".join("01"[bit] for bit in m.match_mask),
-              None if m.matched_reference_indices is None else m.matched_reference_indices.tolist()]
-             for m in answer.matches]
-            for answer in answers
-        ],
+        "matches": [[[m.reference_id, m.good_matches] for m in answer.matches] for answer in answers],
         "profiler": [[r.name, r.total_us, r.calls] for r in device.profiler.records()],
         "stats": dataclasses.asdict(engine.stats),
         "clock_us": device.elapsed_us(),
@@ -75,20 +70,20 @@ def left_behind(engine: TextureSearchEngine, outcome) -> dict:
 
 
 def session(backend: str, precision: str, host: bool, streams: int) -> dict:
-    """One engine through a search with masks, an impostor, a candidate set, a
+    """One engine through a genuine search, an impostor, a candidate set, a
     deadline that cuts mid-sweep, a query group where the backend answers one,
     and a genuine and an impostor ``verify``."""
     engine = engine_for(backend, precision, host, streams)
     genuine = noisy_copy(make_descriptors(M, seed=505)[:, :N], 6.0, seed=1)
     impostor = make_descriptors(N, seed=9999)
     steps: dict = {}
-    full = engine.search(genuine, keep_masks=True)
-    steps["search/masks"] = left_behind(engine, full)
+    full = engine.search(genuine)
+    steps["search/genuine"] = left_behind(engine, full)
     steps["search/impostor"] = left_behind(engine, engine.search(impostor))
     candidates = {"ref1", "ref5", "nobody"}
     steps["search/candidates"] = left_behind(engine, engine.search(genuine, candidate_ids=candidates))
     with deadline_scope(0.5 * full.elapsed_us) as deadline:
-        cut = engine.search(genuine, keep_masks=True)
+        cut = engine.search(genuine)
     steps["search/deadline"] = {**left_behind(engine, cut), "spent_us": deadline.spent_us}
     if engine.kernel.supports_multiquery:
         steps["group/3"] = left_behind(engine, engine.search_group([genuine, impostor, genuine]))
@@ -128,7 +123,7 @@ def test_every_session_cuts_prunes_and_stages():
         for name, steps in record.items():
             assert steps["search/deadline"]["sweep"][2] > 0  # images skipped
             assert steps["search/candidates"]["sweep"][3] > 0  # images pruned
-            h2d = any(row[0] == "H2D copy" for row in steps["search/masks"]["profiler"])
+            h2d = any(row[0] == "H2D copy" for row in steps["search/genuine"]["profiler"])
             assert h2d == (name != "L1")
     assert all(steps["search/impostor"]["sweep"][4] > 0 for steps in golden["cascade/fp32"].values())
 

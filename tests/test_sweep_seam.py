@@ -5,7 +5,9 @@
 and ``core/cascade.py`` as of the commit before the seam moved, copied
 verbatim (the ``tests/test_stacked_sweep.py`` method: only the class they
 hang off, the sweep's docstring and its multi-stream block — today's
-overlap rule over the batches it swept — changed; since every kernel is
+overlap rule over the batches it swept — changed, and ``keep_masks``, an
+option the engine no longer has, is cut with the mask and index fields of
+``ImageMatch``; since every kernel is
 pre-costed, the sweep reads the parent's ``batch_steps`` — ``None`` but
 for Algorithm 2 — through :func:`parent_batch_steps` and computes what
 it charged through ``tests/test_fused_gather.py``'s
@@ -15,9 +17,9 @@ cache switched off by parameter, the engine built the zero-match entries
 of a fully pruned batch itself, and the cascade kernel carried its own
 copy of Algorithm 1's match loop.  Now ``verify`` calls the kernel
 directly, every kernel's ``match_batch`` takes ``survivors`` and reports
-``ImageMatch.empty`` for what the mask rules out, and the tracer owns
+no good match for what the mask rules out, and the tracer owns
 its off switch — and nothing observable may have moved: verdicts,
-matches, masks, ``elapsed_us``, the device clock, the profiler's rows,
+matches, ``elapsed_us``, the device clock, the profiler's rows,
 ``EngineStats`` and every engine counter.
 """
 
@@ -60,24 +62,14 @@ class ParentCascadeKernel(CascadeKernel):
     """``CascadeKernel.match_batch`` as of the parent commit: its own copy
     of Algorithm 1's loop, building the pruned slots' entries itself."""
 
-    def match_batch(self, device, batch, query, keep_masks=False, survivors=None):
+    def match_batch(self, device, batch, query, survivors=None):
         cfg = self.config
         features = query.aux.features if isinstance(query.aux, _CascadeQuery) else query.aux
         matches = []
         for i in range(batch.size):
             if survivors is not None and not survivors[i]:
                 # Hamming-pruned: no GEMM, no scan, no post-processing.
-                matches.append(
-                    ImageMatch(
-                        reference_id=int(batch.slots[i]),
-                        good_matches=0,
-                        n_query_features=cfg.n,
-                        match_mask=np.zeros(cfg.n, dtype=bool) if keep_masks else None,
-                        matched_reference_indices=(
-                            np.zeros(0, dtype=np.int32) if keep_masks else None
-                        ),
-                    )
-                )
+                matches.append(ImageMatch(reference_id=int(batch.slots[i]), good_matches=0))
                 continue
             ref = PreparedFeatures(
                 values=batch.tensor[i],
@@ -89,7 +81,7 @@ class ParentCascadeKernel(CascadeKernel):
                 device, ref, features, k=NEIGHBOURS, sort_kind=self.sort_kind
             )
             device.cpu_postprocess(1, cfg.precision, cfg.n)
-            matches.append(match_images(int(batch.slots[i]), knn, cfg.ratio_threshold, keep_masks))
+            matches.append(match_images(int(batch.slots[i]), knn, cfg.ratio_threshold))
         return matches
 
 
@@ -122,7 +114,6 @@ class ParentEngine(TextureSearchEngine):
         self,
         query: PreparedQuery,
         n_queries: int,
-        keep_masks: bool = False,
         batches: Iterable[CachedBatch] | None = None,
         record_stats: bool = True,
         honor_deadline: bool = True,
@@ -202,17 +193,17 @@ class ParentEngine(TextureSearchEngine):
                     if fully_pruned:
                         # no survivor: the batch never transfers and the
                         # exact stage is skipped outright.
-                        groups = [self._pruned_matches(batch, keep_masks)]
+                        groups = [self._pruned_matches(batch)]
                     elif steps is not None:
                         # charged now, computed with the rest of the sweep
                         self.device.charge(steps)
                         groups = None
                     elif query.matrix.ndim == 3:  # a prepared query *group*
-                        groups = self.kernel.match_batch_multi(self.device, batch, query, keep_masks)
+                        groups = self.kernel.match_batch_multi(self.device, batch, query)
                     else:
                         kept = {} if survivors is None else {"survivors": survivors}
                         match = self.kernel.match_batch
-                        groups = [match(self.device, batch, query, keep_masks, **kept)]
+                        groups = [match(self.device, batch, query, **kept)]
                     swept.append((batch, groups))
                     images += batch.size
                 if deadline is not None:
@@ -221,7 +212,7 @@ class ParentEngine(TextureSearchEngine):
                     now_us = self.device.elapsed_us()
                     deadline.charge(now_us - charged_at_us)
                     charged_at_us = now_us
-            per_query = parent_swept_matches(self, swept, query, n_queries, keep_masks, candidate_ids)
+            per_query = parent_swept_matches(self, swept, query, n_queries, candidate_ids)
             elapsed = self.device.synchronize() - start_us
 
             if cfg.streams > 1:
@@ -274,23 +265,11 @@ class ParentEngine(TextureSearchEngine):
             cascade_pruned=cascade_pruned,
         )
 
-    def _pruned_matches(self, batch: ReferenceBatch, keep_masks: bool) -> list[ImageMatch]:
+    def _pruned_matches(self, batch: ReferenceBatch) -> list[ImageMatch]:
         """Zero-match entries for a fully Hamming-pruned batch — one per
         slot, in slot order, so the tombstone/candidate filtering below
         treats them exactly like kernel output."""
-        n = self.config.n
-        return [
-            ImageMatch(
-                reference_id=slot_id,
-                good_matches=0,
-                n_query_features=n,
-                match_mask=np.zeros(n, dtype=bool) if keep_masks else None,
-                matched_reference_indices=(
-                    np.zeros(0, dtype=np.int32) if keep_masks else None
-                ),
-            )
-            for slot_id in batch.slots.tolist()
-        ]
+        return [ImageMatch(reference_id=slot_id, good_matches=0) for slot_id in batch.slots.tolist()]
 
     def verify(
         self,
@@ -458,28 +437,24 @@ def test_a_pruned_pair_verifies_false_without_a_gemm(precision):
 
 
 @pytest.mark.cascade
-@pytest.mark.parametrize("keep_masks", [False, True])
-def test_a_host_batch_with_no_survivor_is_not_staged_and_reports_empty_matches(keep_masks):
+@pytest.mark.parametrize("tombstoned", [False, True])
+def test_a_host_batch_with_no_survivor_is_not_staged_and_reports_empty_matches(tombstoned):
+    """A host batch whose every slot the prefilter rules out is never staged
+    and reports no good match; a deleted reference among those slots is
+    dropped from the answer like any tombstone."""
+    dead = (5,) if tombstoned else ()
     seen = []
-    for side in pair("cascade", "fp32", host=True, seals=(4, 4, 3)):
+    for side in pair("cascade", "fp32", host=True, seals=(4, 4, 3), dead=dead):
         assert sum(c.location is CacheLocation.HOST for c in side.cache.batches()) == 2
         h2d_before = side.obs.registry.value("repro_engine_h2d_bytes_total")
-        result = side.search_group([impostor()], keep_masks=keep_masks)
+        result = side.search_group([impostor()])
         assert side.obs.registry.value("repro_engine_h2d_bytes_total") == h2d_before
         assert result.images_searched == result.cascade_pruned == 11
         steps = {r.name: r.calls for r in side.device.profiler.records()}
         assert "H2D copy" not in steps and "GEMM" not in steps
         matches = result.answers[0].matches
-        assert [m.reference_id for m in matches] == [f"ref{i}" for i in range(11)]
-        for match in matches:
-            assert (match.good_matches, match.n_query_features) == (0, N)
-            if keep_masks:
-                assert match.match_mask.dtype == np.bool_ and match.match_mask.shape == (N,)
-                assert not match.match_mask.any()
-                indices = match.matched_reference_indices
-                assert indices.dtype == np.int32 and indices.shape == (0,)
-            else:
-                assert match.match_mask is None and match.matched_reference_indices is None
+        assert [m.reference_id for m in matches] == [f"ref{i}" for i in range(11) if i not in dead]
+        assert [m.good_matches for m in matches] == [0] * (11 - len(dead))
         seen.append(observed(side, result))
     assert seen[0] == seen[1]
 
@@ -491,7 +466,7 @@ def test_partial_survivors_skip_exactly_the_pruned_slots_charges(host):
     for side in pair("cascade", "fp32", host=host, seals=(4, 4, 3)):
         misses = side.obs.registry.get("repro_cache_sweep_lookups_total").labels(result="miss")
         misses_before = misses.value
-        result = side.search_group([query_for(5, seed=2)], keep_masks=True)
+        result = side.search_group([query_for(5, seed=2)])
         survivors = result.images_searched - result.cascade_pruned
         assert 0 < survivors < result.images_searched == 11
         steps = {r.name: r.calls for r in side.device.profiler.records()}
@@ -522,7 +497,6 @@ def per_batch_sweeps(draw):
         candidates=draw(st.none() | st.none() | nominees),
         # a reference's own noisy copy (partial survivors) or an impostor (none)
         queries=draw(st.lists(st.none() | st.integers(0, total - 1), min_size=1, max_size=2)),
-        keep_masks=draw(st.booleans()),
         cut=draw(st.none() | st.floats(0.05, 0.95)),
     )
 
@@ -532,7 +506,7 @@ def per_batch_sweeps(draw):
 def test_the_per_batch_sweep_is_the_parents_bit_for_bit(case):
     args = (case["backend"], case["precision"], case["host"], case["seals"], case["dead"])
     candidates = None if case["candidates"] is None else {f"ref{i}" for i in case["candidates"]}
-    kwargs = dict(keep_masks=case["keep_masks"], candidate_ids=candidates)
+    kwargs = dict(candidate_ids=candidates)
     engine, parent = pair(*args)
     for search, image in enumerate(case["queries"]):
         query = impostor(seed=4000 + search) if image is None else query_for(image, seed=search)

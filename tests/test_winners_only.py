@@ -577,45 +577,27 @@ def observed(engine, *results) -> tuple:
     return (frozen(results), copy.deepcopy(engine.stats), device.elapsed_us(), steps(device))
 
 
-@pytest.mark.parametrize("keep_masks", [False, True])
+@pytest.mark.parametrize("routed", [False, True])
 @pytest.mark.parametrize("config", [PAPER, SERVICE], ids=["paper", "service"])
-def test_engine_results_are_the_parent_engines(config, keep_masks):
-    """``search`` and ``search_group`` at paper and service dimensions against
+def test_engine_results_are_the_parent_engines(config, routed):
+    """``search`` and ``search_group`` at paper and service dimensions, over
+    every reference or a candidate set that rules a whole batch out, against
     an engine whose sweeps run the parent's ``_knn_columns``: every field of
-    every ``SearchResult``, mask and index bytes and dtypes, simulated clock,
-    ``EngineStats`` and profiler."""
+    every answer, simulated clock, ``EngineStats`` and profiler."""
     group = queries_for(config, (2, 5, 11))
+    candidates = {"ref-2", "ref-5", "nobody"} if routed else None
     engine, parent = build_engine(config), build_engine(config)
-    got_single = engine.search(group[1], keep_masks=keep_masks)
-    got_group = engine.search_group(group, keep_masks=keep_masks)
+    got_single = engine.search(group[1], candidate_ids=candidates)
+    got_group = engine.search_group(group, candidate_ids=candidates)
     with parent_kernels():
-        want_single = parent.search(group[1], keep_masks=keep_masks)
-        want_group = parent.search_group(group, keep_masks=keep_masks)
+        want_single = parent.search(group[1], candidate_ids=candidates)
+        want_group = parent.search_group(group, candidate_ids=candidates)
     assert observed(engine, got_single, got_group) == observed(parent, want_single, want_group)
-    if not keep_masks:
-        assert got_single == want_single and got_group.answers == want_group.answers
+    assert got_single == want_single and got_group.answers == want_group.answers
     assert got_single.best().reference_id == "ref-5" and got_single.elapsed_us > 0
     assert sum(m.good_matches for r in got_group.answers for m in r.matches) > 0
-    masks = [m.match_mask for r in got_group.answers for m in r.matches]
-    assert len(masks) == 36 and all((mask is not None) == keep_masks for mask in masks)
-
-
-def test_a_kept_match_mask_is_an_owned_row():
-    """``masks[i, q]`` was a view of the whole sweep's ``(images, Q, n)``
-    array — every batch of the cache since the stacked sweep — so keeping one
-    match kept them all alive."""
-    engine, parent = build_engine(SERVICE), build_engine(SERVICE)
-    query = queries_for(SERVICE, (5,))[0]
-    result = engine.search(query, keep_masks=True)
-    assert len(result.matches) == 12
-    for match in result.matches:
-        assert match.match_mask.base is None and match.match_mask.dtype == np.bool_
-        assert match.match_mask.shape == (SERVICE.n,)
-        assert match.matched_reference_indices.base is None
-        assert match.good_matches == int(match.match_mask.sum()) == len(match.matched_reference_indices)
-    with parent_kernels():
-        assert frozen(result) == frozen(parent.search(query, keep_masks=True))
-    assert engine.search(query) == parent.search(query)  # without masks ``==`` is plain
+    assert [len(r.matches) for r in got_group.answers] == [2 if routed else 12] * 3
+    assert got_group.images_pruned == (4 if routed else 0)
 
 
 # -- a pass pin that needs no clock ----------------------------------------
@@ -643,14 +625,17 @@ class SpyNumpy:
         return getattr(np, name)
 
 
-@pytest.mark.parametrize("keep_masks", [False, True])
-def test_without_masks_nothing_but_the_gemm_and_the_two_scans_touches_a_tile(monkeypatch, keep_masks):
-    """During a ``keep_masks=False`` search the codec only ever sees the
-    winners and the epilogue reduces nothing product-sized; with masks it
-    rounds and scans every tile, as it always did."""
+@pytest.mark.parametrize("indices", [False, True])
+def test_without_masks_nothing_but_the_gemm_and_the_two_scans_touches_a_tile(monkeypatch, indices):
+    """During a search (which keeps counts, never masks or indices) the
+    codec only ever sees the winners and the epilogue reduces nothing
+    product-sized; the same plane asked for indices, as the paper's step 4
+    ships them, rounds and scans every tile, as it always did."""
     engine = build_engine(PAPER, references=8)
     query = queries_for(PAPER, (5,))[0]
     engine.search(query)  # warm: lazy set-up is not what is pinned
+    stack = [cached.batch.tensor for cached in engine.cache.batches()]
+    matrix = engine.kernel.prepare_query(None, query).matrix
     rounded, spy = [], SpyNumpy()
 
     def recording(x, hi):
@@ -664,13 +649,16 @@ def test_without_masks_nothing_but_the_gemm_and_the_two_scans_touches_a_tile(mon
     real_topk = algorithm2_module.functional_topk
     monkeypatch.setattr(algorithm2_module, "functional_topk",
                         lambda a, *args, **kw: (scans.append(a.size), real_topk(a, *args, **kw))[1])
-    result = engine.search(query, keep_masks=keep_masks)
-    assert result.best().reference_id == "ref-5"
+    if indices:
+        knn_algorithm2_multiquery(None, stack, matrix[None], scale=PAPER.effective_scale,
+                                  precision=PAPER.precision)
+    else:
+        assert engine.search(query).best().reference_id == "ref-5"
     image = PAPER.m * PAPER.n
     tiles = [size * image for size in planned_tiles(8, 4 * image)]
     # one selection per tile, on the tile, in whatever order the lanes finish
     assert sorted(scans) == sorted(tiles) and len(tiles) > 1
-    if keep_masks:
+    if indices:
         assert sorted(rounded) == sorted(tiles) and sorted(spy.reduced) == sorted(tiles)
     else:
         assert sorted(rounded) == sorted(NEIGHBOURS * size // PAPER.m for size in tiles)  # the winners
