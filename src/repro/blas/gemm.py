@@ -28,7 +28,7 @@ import numpy as np
 from ..fp16.codec import FP16_MAX, is_nonneg_finite, round_trip_nonneg, upcast_nonneg
 from ..gpusim.engine_model import GPUDevice
 
-__all__ = ["sgemm", "hgemm", "batched_hgemm", "query_major_product", "FP16_MAX"]
+__all__ = ["sgemm", "hgemm", "batched_hgemm", "fp16_operand", "query_major_product", "FP16_MAX"]
 
 
 def _as_2d(a: np.ndarray, name: str) -> np.ndarray:
@@ -71,30 +71,54 @@ def query_major_product(
     return np.matmul(b32.T, a32, out=out).transpose(0, 2, 1)
 
 
+def _upcast(half: np.ndarray, nonneg: bool, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``half`` as float32 (into ``out`` if given): the codec on its domain, else ``astype``."""
+    if nonneg:
+        return upcast_nonneg(half, out)
+    if out is None:
+        return half.astype(np.float32)
+    out[...] = half
+    return out
+
+
+def fp16_operand(x: np.ndarray, out: Optional[np.ndarray] = None) -> tuple[np.ndarray, bool]:
+    """One operand made ready for :func:`batched_hgemm`'s ``nonneg=``: ``(x
+    stored in FP16 and read back as float32, whether those halves are
+    non-negative and finite)``, the float32 written into ``out`` if given.  A
+    caller that multiplies one operand by many (a query by every tile of a
+    sweep) scans and up-casts it once; an operand made slice by slice into one
+    buffer is flagged by the ``and`` of its slices' flags."""
+    half = x.astype(np.float16, copy=False)
+    nonneg = is_nonneg_finite(half)
+    return _upcast(half, nonneg, out), nonneg
+
+
 def _fp16_gemm(
-    product, a: np.ndarray, b: np.ndarray, alpha: float, tensor_core: bool, store_fp16: bool,
-    out: Optional[np.ndarray] = None, unexamined: bool = False,
+    product, a: np.ndarray, b: np.ndarray, nonneg: Optional[bool], alpha: float,
+    tensor_core: bool, store_fp16: bool, out: Optional[np.ndarray] = None,
+    unexamined: bool = False,
 ) -> tuple[np.ndarray, Optional[bool]]:
     """``(alpha * product(a, b) as float32, overflowed)`` from FP16
     operands: the one epilogue behind both entry points, which differ in
     the ``product`` that lays the result out (into its ``out``, if given).
+    ``nonneg=None`` takes FP16 operands and scans and up-casts them here;
+    otherwise ``a`` and ``b`` are already up-cast (:func:`fp16_operand`), all
+    non-negative and finite iff ``nonneg``.
     Callers that model plain HGEMM must treat ``overflowed=True`` outputs
     as saturated/invalid (the library raises, see :mod:`repro.fp16`).
     ``unexamined`` skips the epilogue where a caller can make up for it on
     a few entries: the accumulator of non-negative finite operands comes
     back as it is, flagged ``None``.
     """
-    a = a.astype(np.float16, copy=False)
-    b = b.astype(np.float16, copy=False)
-    # One scan of the stored bits per operand: no sign bit anywhere means
-    # no negative product and no -0.0, and picks the codec over astype.
-    nonneg = is_nonneg_finite(a) and is_nonneg_finite(b)
-    if nonneg:
-        a32, b32 = upcast_nonneg(a), upcast_nonneg(b)
-    else:
-        a32, b32 = a.astype(np.float32), b.astype(np.float32)
+    if nonneg is None:
+        a = a.astype(np.float16, copy=False)
+        b = b.astype(np.float16, copy=False)
+        # One scan of the stored bits per operand: no sign bit anywhere means
+        # no negative product and no -0.0, and picks the codec over astype.
+        nonneg = is_nonneg_finite(a) and is_nonneg_finite(b)
+        a, b = _upcast(a, nonneg), _upcast(b, nonneg)
     # What an FP32-accumulating engine produces; owned, so the rest is in place.
-    exact = product(a32, b32, out=out)
+    exact = product(a, b, out=out)
     if nonneg and unexamined:
         return exact if alpha == 1.0 else np.multiply(exact, np.float32(alpha), out=exact), None
     # fmin/fmax skip NaNs, so ``hi > x`` is ``np.any(exact > x)``.  Sums of
@@ -108,9 +132,9 @@ def _fp16_gemm(
         overflow = unstorable
     else:
         # Conservative bound on the largest partial sum.
-        bound = product(np.abs(a32), np.abs(b32))
+        bound = product(np.abs(a), np.abs(b))
         overflow = bool(np.fmax.reduce(bound, axis=None, initial=-np.inf) > FP16_MAX)
-    del a32, b32  # the up-casts are spent: the round trip's constants may take their place
+    del a, b  # up-casts made here are spent: the round trip's constants may take their place
     if store_fp16:
         # Model FP16 rounding of the accumulator on the final result.
         # (The per-step rounding error is dominated by input
@@ -148,7 +172,7 @@ def hgemm(
     if device is not None:
         device.gemm(m, n, k, batch=1, dtype="fp16", tensor_core=tensor_core, step=step)
     # The tensor-core path hands back the FP32 accumulator unrounded.
-    return _fp16_gemm(np.matmul, op_a, b, alpha, tensor_core, store_fp16=not tensor_core)
+    return _fp16_gemm(np.matmul, op_a, b, None, alpha, tensor_core, store_fp16=not tensor_core)
 
 
 def batched_hgemm(
@@ -160,6 +184,7 @@ def batched_hgemm(
     step: str = "GEMM",
     out: Optional[np.ndarray] = None,
     store_fp16: bool = True,
+    nonneg: Optional[bool] = None,
 ) -> tuple[np.ndarray, Optional[bool]]:
     """Batched FP16 GEMM: ``a_batch`` is ``(batch, k, m)`` reference
     matrices (features stored column-wise, as in Fig. 3); ``b`` is the
@@ -176,6 +201,9 @@ def batched_hgemm(
     exceeds ``FP16_MAX``, for the caller to read off the few entries it
     keeps — for non-negative finite operands only; any others come back
     stored and flagged as ever, since their flag needs the whole product.
+    ``nonneg`` given: ``a_batch`` and ``b`` are :func:`fp16_operand`'s
+    float32 up-casts of FP16 operands, all non-negative and finite iff
+    ``nonneg``, and this call neither scans nor up-casts them again.
     """
     a_batch = np.asarray(a_batch)
     if a_batch.ndim != 3:
@@ -187,5 +215,5 @@ def batched_hgemm(
     n = b.shape[1]
     if device is not None:
         device.gemm(m, n, k, batch=batch, dtype="fp16", tensor_core=tensor_core, step=step)
-    return _fp16_gemm(query_major_product, a_batch, b, alpha, tensor_core, store_fp16=True,
-                      out=out, unexamined=not store_fp16)
+    return _fp16_gemm(query_major_product, a_batch, b, nonneg, alpha, tensor_core,
+                      store_fp16=True, out=out, unexamined=not store_fp16)

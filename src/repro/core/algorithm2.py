@@ -23,11 +23,12 @@ import os
 from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..blas.gemm import FP16_MAX, batched_hgemm, query_major_product
+from ..blas.gemm import FP16_MAX, batched_hgemm, fp16_operand, query_major_product
 from ..errors import HalfPrecisionOverflowError
 from ..fp16.codec import round_trip_nonneg
 from ..gpusim.engine_model import GPUDevice
@@ -65,8 +66,10 @@ class BatchKnnResult:
 
 # Step 1's product is made, rounded and scanned one tile of whole images at a
 # time, in one reused buffer of at most this many bytes (a single image's
-# product if that is larger).  Measured: docs/architecture.md, "The tiled sweep".
-_PRODUCT_TILE_BYTES = 4 << 20
+# product if that is larger): small enough that the scan takes a tile while it
+# is still in cache.  Measured: docs/architecture.md, "The budget is measured,
+# not configured" (docs/hostclock/tile_budget.py).
+_PRODUCT_TILE_BYTES = 1 << 20
 
 
 # The tiles of one call run on lanes, one per CPU this process may use: lane 0 is the
@@ -156,8 +159,6 @@ def _knn_columns(
     if precision not in ("fp16", "fp32"):
         raise ValueError(f"precision must be 'fp16' or 'fp32', got {precision!r}")
     fp16 = precision == "fp16"
-    if not fp16:
-        columns = columns.astype(np.float32, copy=False)
 
     # Step 1: batched GEMM, charged as one fused call per batch (the Sec. 5
     # data reuse) and computed tile by tile: columns are independent, so steps
@@ -170,44 +171,62 @@ def _knn_columns(
     tile = starts.step  # images
     width = min(tile, images)
     lanes = min(cpus, len(starts))
-    dtype, product = stack[0].dtype, 4 * width * n * m
-    room = width * d * m * dtype.itemsize if len(stack) > 1 else 0
-    dist = np.empty((k, images * n), dtype=np.float32)
-    top_idx = np.empty((k, images * n), dtype=np.int32) if indices else None
+    # One allocation a call, carved into cache-line-aligned parts: the query's fp32 operand,
+    # the winners and, per lane, a product tile with the tile's fp32 operand behind it (every
+    # fp16 tile is up-cast there; an fp32 tile is a view of its member unless it crosses
+    # members).  The largest block a call frees sets the allocator's thresholds: apart, the
+    # parts are trimmed off the heap or mapped afresh and faulted in again on every call
+    # (docs/architecture.md, "What a lane owns").
+    product, operand = 4 * width * n * m, (4 * width * d * m if fp16 or len(stack) > 1 else 0)
+    parts = [4 * d * n if fp16 else 0, 4 * k * images * n, 4 * k * images * n if indices else 0]
+    parts += [-(-product // 64) * 64 + operand] * lanes
+    at = np.cumsum([0] + [-(-size // 64) * 64 for size in parts]).tolist()
+    held = np.empty(at[-1], dtype=np.uint8)
+    carved = lambda i, dtype: held[at[i] : at[i] + parts[i]].view(dtype)
+    if fp16:  # the query's operand, scanned and up-cast once a call: the lanes only read it
+        query, query_nonneg = fp16_operand(columns, carved(0, np.float32).reshape(d, n))
+    else:
+        query, query_nonneg = columns.astype(np.float32, copy=False), None
+    dist = carved(1, np.float32).reshape(k, images * n)
+    top_idx = carved(2, np.int32).reshape(k, images * n) if indices else None
     # Values alone survive selecting before rounding; 4k >= m is a sort either way.  Adding
     # each row's N_R after rounding is not monotone in the unrounded product.
     unrounded = not indices and 4 * k < m and norms is None
     offsets = np.cumsum([0] + [len(refs) for refs in stack]).tolist()  # where members start
 
-    def lane() -> None:
-        # One allocation a lane a call — the scratch its tiles reuse and, behind it, room for a
-        # tile that crosses members: apart, they and the GEMM's up-cast are trimmed off the heap
-        # and faulted back in on every call (docs/architecture.md, "One functional plane per
-        # gather").  A tile writes only its own columns of dist / top_idx.
-        workspace = np.empty(product + room, dtype=np.uint8)
+    def lane(workspace: np.ndarray) -> None:
+        # A tile writes only its own columns of dist / top_idx.
         scratch = workspace[:product].view(np.float32).reshape(width, n, m)
-        crossing = workspace[product:].view(dtype).reshape(-1, d, m)
+        wide = workspace[workspace.size - operand :].view(np.float32).reshape(-1, d, m)
         for start in unclaimed:
             stop = min(start + tile, images)
-            # A tile stops at an image boundary, not at a member's: inside one member
-            # it is a view, across members a copy of this tile's operand only.
+            out = scratch[: stop - start]
+            cols = slice(start * n, stop * n)
+            # A tile stops at an image boundary, not at a member's: it reads its slice of
+            # every member it spans.
             first, last = bisect_right(offsets, start) - 1, bisect_right(offsets, stop - 1) - 1
-            refs = stack[first][start - offsets[first] : stop - offsets[first]]
-            if first != last:
-                parts = [refs] + [stack[i][: stop - offsets[i]] for i in range(first + 1, last + 1)]
-                refs = np.concatenate(parts, out=crossing[: stop - start])
-            out = scratch[: len(refs)]
-            cols = slice(start * n, (start + len(refs)) * n)
-            if fp16:
-                a, overflow = batched_hgemm(None, refs, columns, tensor_core=tensor_core, out=out,
-                                            store_fp16=not unrounded)
+            if fp16 or first != last:
+                refs, nonneg = wide[: stop - start], query_nonneg
+                for i in range(first, last + 1):
+                    lo, hi = max(start, offsets[i]), min(stop, offsets[i + 1])
+                    part = stack[i][lo - offsets[i] : hi - offsets[i]]
+                    if fp16:  # each slice scanned and up-cast into the lane's operand
+                        nonneg = fp16_operand(part, refs[lo - start : hi - start])[1] and nonneg
+                    else:
+                        refs[lo - start : hi - start] = part
             else:
-                a = query_major_product(refs.astype(np.float32, copy=False), columns, out=out)
+                lo = start - offsets[first]
+                refs = stack[first][lo : lo + stop - start].astype(np.float32, copy=False)
+            if fp16:
+                a, overflow = batched_hgemm(None, refs, query, tensor_core=tensor_core, out=out,
+                                            store_fp16=not unrounded, nonneg=nonneg)
+            else:
+                a = query_major_product(refs, query, out=out)
                 overflow = False
             # Step 2: one scan thread per (image, query-feature) column — on the
             # query-major product a zero-copy F-ordered view, each column
             # contiguous.  Only the winners leave the tile.
-            scanned = np.transpose(a, (1, 0, 2)).reshape(m, len(refs) * n)
+            scanned = np.transpose(a, (1, 0, 2)).reshape(m, (stop - start) * n)
             unexamined = overflow is None
             if unexamined:
                 # The unrounded accumulator of non-negative operands.  Rounding and x-2 are
@@ -238,9 +257,9 @@ def _knn_columns(
     # holds the GIL), so a lane whose CPU is taken leaves its share to the others instead of
     # holding the call back.  Lane 0 is this thread, alone when lanes == 1.
     unclaimed = iter(starts)
-    others = [_LANES.submit(lane) for _ in range(1, lanes)]
+    others = [_LANES.submit(partial(lane, carved(3 + i, np.uint8))) for i in range(1, lanes)]
     try:
-        lane()
+        lane(carved(3, np.uint8))
     finally:
         wait(others)  # no lane touches a buffer once control leaves
     for other in others:
@@ -250,8 +269,10 @@ def _knn_columns(
     # step 4: the gather.
     if device is not None:
         device.charge(steps[1:])
-    per_column = dist.reshape(k, images, n)
-    per_column += np.float32(2.0 * scale * scale if fp16 else 2.0) if norms is None else norms[1]
+    # The answers leave the call's block: step 3's first pass writes dist anew, top_idx is copied.
+    dist = (dist.reshape(k, images, n) + (np.float32(2.0 * scale * scale if fp16 else 2.0)
+                                          if norms is None else norms[1])).reshape(k, images * n)
+    top_idx = None if top_idx is None else top_idx.copy()
     np.maximum(dist, 0.0, out=dist)
     np.sqrt(dist, out=dist)
     if fp16:

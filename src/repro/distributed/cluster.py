@@ -258,8 +258,8 @@ class DistributedSearchSystem:
         #: durable per-shard epoch marks + deletion tombstones (the
         #: epoched-corpus contract lives in the KV store, like the
         #: feature blobs it protects).
-        self.epochs = EpochRegistry(self.store, self.obs)
-        self.tombstones = TombstoneLog(self.store, self.obs)
+        self.epochs = EpochRegistry(self.store)
+        self.tombstones = TombstoneLog(self.store)
         self.retry_policy = retry_policy or RetryPolicy()
         self.min_shard_fraction = float(min_shard_fraction)
         self.auto_failover = bool(auto_failover)

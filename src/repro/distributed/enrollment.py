@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..obs import Observability
 from .kvstore import KVStore
 
 __all__ = [
@@ -77,13 +76,8 @@ class EpochRegistry:
     never move a shard's epoch backwards.
     """
 
-    def __init__(self, store: KVStore, obs: Observability | None = None) -> None:
+    def __init__(self, store: KVStore) -> None:
         self._store = store
-        self._gauge = (obs or Observability()).registry.gauge(
-            "repro_corpus_epoch",
-            "Latest recorded index epoch per shard",
-            ("node",),
-        )
 
     def get(self, node_id: str) -> int:
         raw = self._store.hget(EPOCH_HASH_KEY, str(node_id))
@@ -95,7 +89,6 @@ class EpochRegistry:
         node_id = str(node_id)
         merged = max(int(epoch), self.get(node_id))
         self._store.hset(EPOCH_HASH_KEY, node_id, str(merged).encode())
-        self._gauge.labels(node=node_id).set(merged)
         return merged
 
     def forget(self, node_id: str) -> None:
@@ -103,7 +96,6 @@ class EpochRegistry:
         re-homed; their epochs now live with the new owners)."""
         node_id = str(node_id)
         self._store.hdel(EPOCH_HASH_KEY, node_id)
-        self._gauge.labels(node=node_id).set(0)
 
     def snapshot(self) -> dict[str, int]:
         return {
@@ -119,35 +111,21 @@ class TombstoneLog:
     every replayer (failover re-hydration, warm restore, cache
     warming) sees it no matter when it crashed.  Re-enrolling the same
     id clears the tombstone — the new blob is a different logical
-    record.  As its store's one tombstone writer, the log counts live
-    tombstones once and then keeps the count (and the gauge) as it marks
-    and clears: no mutation scans the store.
+    record.  Marking and clearing touch one key: no mutation scans the
+    store.
     """
 
-    def __init__(self, store: KVStore, obs: Observability | None = None) -> None:
+    def __init__(self, store: KVStore) -> None:
         self._store = store
-        self._live = len(self)
-        self._gauge = (obs or Observability()).registry.gauge(
-            "repro_enrollment_tombstones_live",
-            "Tombstoned (deleted, not yet compacted) references in the KV store",
-        )
-        self._gauge.set(self._live)
 
     def _key(self, ref_id: str) -> str:
         return f"{TOMBSTONE_PREFIX}{ref_id}"
 
     def mark(self, ref_id: str, node_id: str, epoch: int) -> None:
-        key = self._key(ref_id)
-        if not self._store.exists(key):
-            self._live += 1
-        self._store.set(key, f"{node_id}:{int(epoch)}".encode())
-        self._gauge.set(self._live)
+        self._store.set(self._key(ref_id), f"{node_id}:{int(epoch)}".encode())
 
     def clear(self, ref_id: str) -> bool:
-        removed = self._store.delete(self._key(ref_id)) > 0
-        self._live -= removed
-        self._gauge.set(self._live)
-        return removed
+        return self._store.delete(self._key(ref_id)) > 0
 
     def contains(self, ref_id: str) -> bool:
         return self._store.exists(self._key(ref_id))

@@ -18,6 +18,8 @@ directions are a few whole-array passes, bit-identical to ``astype``
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 __all__ = [
@@ -44,9 +46,14 @@ def is_nonneg_finite(half: np.ndarray) -> bool:
     return not half.size or int(half.view(np.uint16).max()) <= _LARGEST_FINITE_BITS
 
 
-def upcast_nonneg(half: np.ndarray) -> np.ndarray:
-    """``half.astype(float32)`` for an :func:`is_nonneg_finite` array."""
-    wide = half.view(np.uint16).astype(np.uint32)
+def upcast_nonneg(half: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``half.astype(float32)`` for an :func:`is_nonneg_finite` array, written
+    into the float32 ``out`` of ``half``'s shape if given."""
+    if out is None:
+        wide = half.view(np.uint16).astype(np.uint32)
+    else:
+        wide = out.view(np.uint32)
+        wide[...] = half.view(np.uint16)
     wide <<= 13
     wide = wide.view(np.float32)
     wide *= _BIAS_FIX

@@ -483,8 +483,9 @@ class TestEngineUnderMutation:
 
 
 class TestTombstoneGauge:
-    """The live-tombstone gauge stays exact without scanning the store: a
-    scan per mutation made enrolment cost grow with the corpus."""
+    """``/stats`` ``enrollment.tombstones_live`` counts the tombstones a
+    mix of mutations leaves, and no mutation scans the store: a scan per
+    mutation made enrolment cost grow with the corpus."""
 
     def test_enrolments_never_scan_the_store(self, monkeypatch):
         system = build_cluster(2, corpus(4))
@@ -499,7 +500,7 @@ class TestTombstoneGauge:
         system.delete("r2")
         system.enroll("r2", make_descriptors(32, seed=502))
         assert scans == []
-        assert system.obs.registry.value("repro_enrollment_tombstones_live") == 0
+        assert system.stats()["enrollment"]["tombstones_live"] == 0
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(["mark", "clear", "enroll", "delete"]),
@@ -508,7 +509,7 @@ class TestTombstoneGauge:
         store = KVStore()
         TombstoneLog(store).mark("old", "", 0)  # a tombstone the cluster inherits
         system = DistributedSearchSystem(2, CFG, store=store)
-        log = system.tombstones
+        log, live = system.tombstones, {"old"}
         for op, i in ops:
             ref_id = f"r{i}"
             if op == "mark":
@@ -519,4 +520,7 @@ class TestTombstoneGauge:
                 system.enroll(ref_id, make_descriptors(32, seed=600 + i))
             else:
                 system.delete(ref_id)
-        assert system.obs.registry.value("repro_enrollment_tombstones_live") == len(log)
+            # a delete tombstones the id even if it was never enrolled; an enrolment clears it
+            (live.add if op in ("mark", "delete") else live.discard)(ref_id)
+        assert sorted(log.ref_ids()) == sorted(live)
+        assert system.stats()["enrollment"]["tombstones_live"] == len(live)

@@ -87,6 +87,21 @@ def test_upcast_keeps_shape_on_strided_input_and_leaves_it_alone():
     assert np.array_equal(stack.view(np.uint16), before.view(np.uint16))
 
 
+def test_upcast_into_out_writes_only_there():
+    """``out=``: the kernel up-casts each member slice into its lane's operand
+    buffer — a slice of a larger block — and nothing around it moves."""
+    stack = NONNEG_HALVES[: 4 * 16 * 31].reshape(4, 16, 31)
+    before = stack.copy()
+    for view in (stack, stack[1:3], stack.transpose(0, 2, 1), stack[:, ::2, 1:]):
+        block = np.full((len(view) + 2, *view.shape[1:]), np.nan, dtype=np.float32)
+        out = block[1:-1]
+        got = upcast_nonneg(view, out)
+        assert np.shares_memory(got, out) and got.shape == view.shape
+        assert np.array_equal(bits(out), bits(view.astype(np.float32)))
+        assert np.isnan(block[[0, -1]]).all()
+    assert np.array_equal(stack.view(np.uint16), before.view(np.uint16))
+
+
 # -- the round trip --------------------------------------------------------
 
 
@@ -199,9 +214,11 @@ def reference_fp16_gemm(product, a, b, alpha, tensor_core, store_fp16):
     return exact, overflow
 
 
-def check_both_entry_points(a, b, case):
+def check_both_entry_points(a, b, case, prepared=True):
     """``batched_hgemm`` on the stack and ``hgemm`` on its first image
-    against the reference: values, overflow flag, simulated time."""
+    against the reference: values, overflow flag, simulated time; and
+    (``prepared``) ``batched_hgemm`` on operands prepared as the kernel
+    prepares them."""
     for tensor_core, alpha in itertools.product((False, True), (1.0, -2.0)):
         label = f"{case} tensor_core={tensor_core} alpha={alpha}"
         device, ref_device = GPUDevice(TESLA_V100), GPUDevice(TESLA_V100)
@@ -214,6 +231,16 @@ def check_both_entry_points(a, b, case):
         assert type(flag) is bool and flag == want_flag, label
         assert np.array_equal(bits(got), bits(want)), label
         assert device.synchronize() == ref_device.synchronize(), label
+
+        if not prepared:
+            continue
+        # the kernel's call: each operand prepared once, the stack slice by slice into one buffer
+        wide = np.empty(a.shape, dtype=np.float32)
+        nonneg = all([gemm.fp16_operand(a[i : i + 1], wide[i : i + 1])[1] for i in range(len(a))])
+        query, query_nonneg = gemm.fp16_operand(b)
+        got, flag = batched_hgemm(None, wide, query, alpha=alpha, tensor_core=tensor_core,
+                                  nonneg=nonneg and query_nonneg)
+        assert flag == want_flag and np.array_equal(bits(got), bits(want)), label
 
         got, flag = hgemm(device, a[0], b, alpha=alpha, transpose_a=True, tensor_core=tensor_core)
         want, want_flag = reference_fp16_gemm(
@@ -270,8 +297,10 @@ def test_gemm_takes_numpys_converter_outside_the_codecs_domain(kind, monkeypatch
             gemm, name, lambda *args, _real=real, _name=name: (calls.append(_name), _real(*args))[1]
         )
     with np.errstate(invalid="ignore", over="ignore"):
-        check_both_entry_points(a, b, kind)
+        check_both_entry_points(a, b, kind, prepared=False)
     if kind == "overflow":  # in the domain: clipped, then rounded by the codec
         assert "upcast_nonneg" in calls and "round_trip_nonneg" in calls
     else:
         assert calls == []
+    with np.errstate(invalid="ignore", over="ignore"):  # a slice inside the domain takes the codec
+        check_both_entry_points(a, b, kind)

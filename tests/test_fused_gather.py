@@ -712,20 +712,44 @@ def test_an_overflowing_norm_is_rejected_not_enrolled_as_zeros(make, recwarn):
 # -- the allocation pin ------------------------------------------------------
 
 
-def test_fused_searches_do_not_churn_the_heap():
-    """The 84-image service stack fits one 4 MiB tile; its scratch, its
-    crossing operand and the GEMM's up-cast allocated apart are trimmed off
-    the heap and faulted back in on every request (~2 500 minor faults)."""
+def assert_searches_keep_the_heap(shards: int, members: list[int], n_queries: int) -> None:
+    """Fifty warm searches of ``n_queries`` fused queries over ``shards`` shards,
+    each sealing one member of every size in ``members``, take < 100 minor
+    faults a search."""
     service = EngineConfig(m=96, n=128, precision="fp16", scale_factor=0.25, batch_size=8,
                            min_matches=8)
-    system = DistributedSearchSystem(14, service)
-    for image in range(84):
-        system.add(f"ref{image}", make_descriptors(96, seed=image))
+    system = DistributedSearchSystem(shards, service)
+    image = 0
+    for size in members:  # round-robin placement: each shard seals a member of ``size``
+        for _ in range(size * shards):
+            system.add(f"ref{image}", make_descriptors(96, seed=image))
+            image += 1
+        for node in system.nodes:
+            node.engine.flush()
     queries = [noisy_copy(make_descriptors(96, seed=i)[:, :128], 6.0, seed=i) for i in range(10)]
-    for query in queries:  # warm-up: the allocator settles its thresholds
-        system.search(query)
+    groups = [[queries[(i + j) % 10] for j in range(n_queries)] for i in range(10)]
+    for group in groups:  # warm-up: the allocator settles its thresholds
+        system.search_group(group)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for i in range(50):
-        assert system.search(queries[i % 10]).images_searched == 84
+        assert system.search_group(groups[i % 10]).images_searched == image
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     assert faults < 50 * 100, f"{faults / 50:.0f} minor faults a search"
+
+
+def test_fused_searches_do_not_churn_the_heap():
+    """A fused call's workspace — the query's operand, the winners and every
+    lane's product tile and tile operand — is one allocation: apart, they are
+    trimmed off the heap and faulted back in on every request (~2 500 minor
+    faults a search on the 84-image ``rest_fanout`` stack)."""
+    assert_searches_keep_the_heap(14, [6], 1)
+
+
+@pytest.mark.parametrize("shards, members, n_queries", [
+    (4, [8, 8, 8, 8], 8),  # a full group of eight over 4 x 32 images
+    (14, [1, 3, 6, 1], 1),  # what re-enrolments leave: 154 images, 1-6 a member
+], ids=["serving_fused", "mutation_mix"])
+def test_every_fused_shape_keeps_the_heap(shards, members, n_queries):
+    """The other workloads' fused calls: a group's varying width and a
+    fragmented stack's many members must not churn the heap either."""
+    assert_searches_keep_the_heap(shards, members, n_queries)

@@ -186,12 +186,14 @@ def oracle_batched_hgemm(
     return np.float32(alpha) * result, overflow
 
 
-def oracle_on_a_tile(device, a_tile, b, out=None, store_fp16=True, **kwargs):
+def oracle_on_a_tile(device, a_tile, b, out=None, store_fp16=True, nonneg=None, **kwargs):
     """The call ``_knn_columns`` makes since the tiled sweep — ``device=None``
     (it has charged the batch itself), a scratch ``out`` and, for a caller that
     wants indices, a stored product — answered by the oracle, which charges a
-    throwaway device and allocates its own result."""
-    assert device is None and store_fp16
+    throwaway device and allocates its own result.  The kernel hands over its
+    operands already up-cast (``nonneg`` given); the oracle's own FP16 cast
+    gets back the halves they hold."""
+    assert device is None and store_fp16 and nonneg is not None
     return oracle_batched_hgemm(GPUDevice(TESLA_P100), a_tile, b, **kwargs)
 
 
@@ -650,30 +652,31 @@ def test_engine_search_at_paper_dimensions_is_the_same_at_any_tiling(monkeypatch
 
 
 def test_the_batch_product_is_never_materialised(monkeypatch):
-    """Peak traced memory is a scratch tile per lane (at most two here), one
-    tile's operands, the round trip's constants and the winners — not the
-    18.9 MB ``(16, 384, 768)`` fp32 product."""
+    """Peak traced memory is, per lane (at most two here), a workspace (a
+    product tile and the tile's fp32 operand) and the round trip's constants,
+    then the query's operand and the winners — not the 18.9 MB ``(16, 384,
+    768)`` fp32 product."""
     usable = algorithm2_module._usable_cpus
     monkeypatch.setattr(algorithm2_module, "_usable_cpus", lambda: min(2, usable()))
     rng = np.random.default_rng(6)
     refs, queries, scale = knn_operands("nonneg", "fp16", (16, 384, 1, 768), rng)
     device = GPUDevice(TESLA_P100)
     knn_algorithm2(device, refs, queries[0], scale=scale)  # imports, lazy set-up
-    budget = algorithm2_module._PRODUCT_TILE_BYTES
     image = 384 * 768 * 4
-    per_tile = budget // image
-    assert 1 < per_tile < 16
-    outputs = 2 * (2 * 16 * 768 * 4) * 2  # (k, batch*n) winners, then the (batch, k, n) results
-    operands = (per_tile * 128 * 384 + 128 * 768) * 4  # one tile's fp32 up-casts
+    starts = algorithm2_module._tile_starts(16, image, algorithm2_module._usable_cpus())
+    assert 1 <= starts.step < 16  # under 1.18 MB a paper image, the budget's tile is one image
+    lanes = min(algorithm2_module._usable_cpus(), len(starts))
+    workspace = starts.step * (image + 128 * 384 * 4)  # a product tile and the tile's fp32 operand
     codec = image  # the round trip's per-image constants, one image's worth reused
+    query = 128 * 768 * 4  # the query's fp32 operand, made once a call
+    outputs = 2 * (2 * 16 * 768 * 4) * 2  # (k, batch*n) winners, then the (batch, k, n) results
     tracemalloc.start()
     try:
         knn_algorithm2(device, refs, queries[0], scale=scale)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    lanes = min(algorithm2_module._usable_cpus(), -(-16 // per_tile))  # a scratch tile each
-    allowed = lanes * budget + outputs + operands + codec + 256 * 1024  # + top-k and interpreter small change
+    allowed = lanes * (workspace + codec) + query + outputs + 256 * 1024  # + top-k and small change
     assert peak < allowed < 16 * image * 3 / 4
 
 

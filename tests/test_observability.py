@@ -280,7 +280,7 @@ def test_two_clusters_keep_their_own_telemetry():
     for i in range(5):
         assert a.search(noisy_copy(descs[i], 8.0, seed=24 + i)).matches
     assert a.node_seconds() > 0.0
-    assert a.obs.registry.value("repro_corpus_epoch", node="gpu-00") > 0
+    assert a.obs.registry.value("repro_enrollment_ops_total", op="enroll") == 6
     assert a.stats()["fault_tolerance"]["searches_single_total"] == 5
 
     api = build_api(b)  # the routes alone: a web tier would count these reads
@@ -291,8 +291,8 @@ def test_two_clusters_keep_their_own_telemetry():
     scrape = api.handle(Request("GET", "/metrics")).body["text"]
     assert not {k: v for k, v in parse_prometheus(scrape).items() if v}
     assert b.node_seconds() == 0.0
-    assert b.obs.registry.value("repro_corpus_epoch", node="gpu-00") == 0.0
-    assert b.obs.registry.get("repro_corpus_epoch")._children == {}
+    assert b.obs.registry.value("repro_enrollment_ops_total", op="enroll") == 0.0
+    assert b.obs.registry.get("repro_enrollment_ops_total")._children == {}
 
 
 class TestServingMeters:

@@ -566,23 +566,30 @@ def test_one_gemm_per_tile_not_per_batch(monkeypatch):
         )
 
 
-def test_a_tile_inside_one_batch_is_a_view_and_across_batches_one_tiles_copy(monkeypatch):
-    monkeypatch.setattr(algorithm2_module, "_usable_cpus", lambda: 1)  # the budget's 3 + 3 + 2
-    engine = build(TextureSearchEngine, config(), False, [4, 4], [])
-    tensors = [cached.batch.tensor for cached in engine.cache.batches()]
-    with monkeypatch.context() as patch, tile_budget(3, 1):
-        gemms = count_calls(patch, "batched_hgemm")
-        engine.search(query_for(0, seed=1))
-    operands = [args[1] for args in gemms]
-    assert [len(operand) for operand in operands] == [3, 3, 2]
-    assert all(operand.nbytes <= 3 * tensors[0][0].nbytes for operand in operands)
-    assert np.array_equal(operands[1], np.concatenate([tensors[0][3:], tensors[1][:2]]))
-    one_batch = build(TextureSearchEngine, config(), False, [4], [])
-    with monkeypatch.context() as patch, tile_budget(3, 1):
-        gemms = count_calls(patch, "batched_hgemm")
-        one_batch.search(query_for(0, seed=1))
-    tensor = next(iter(one_batch.cache.batches())).batch.tensor
-    assert all(np.shares_memory(args[1], tensor) for args in gemms)  # a stack of one: views
+def test_a_tile_is_up_cast_into_the_lanes_workspace_and_an_fp32_one_inside_a_batch_is_a_view(
+        monkeypatch):
+    """At one lane and three images a tile (3 + 3 + 2 over two batches of four):
+    every fp16 tile's operand is the float32 up-cast of its images, written into
+    the lane's one workspace, never a new array; an fp32 tile inside one batch is
+    a view of it, and one across batches a copy into that workspace."""
+    monkeypatch.setattr(algorithm2_module, "_usable_cpus", lambda: 1)
+    for precision, product, views in (("fp16", "batched_hgemm", [False] * 3),
+                                      ("fp32", "query_major_product", [True, False, True])):
+        engine = build(TextureSearchEngine, config(precision), False, [4, 4], [])
+        tensors = [cached.batch.tensor for cached in engine.cache.batches()]
+        images, calls, real = np.concatenate(tensors), [], getattr(algorithm2_module, product)
+        operand = 1 if product == "batched_hgemm" else 0
+        with monkeypatch.context() as patch, tile_budget(3, 1):
+            patch.setattr(algorithm2_module, product, lambda *args, **kw: (
+                calls.append((args[operand], args[operand].copy())), real(*args, **kw))[1])
+            engine.search(query_for(0, seed=1))
+        assert [len(held) for _, held in calls] == [3, 3, 2]
+        for (refs, held), start, view in zip(calls, (0, 3, 6), views):
+            assert held.dtype == np.float32
+            assert np.array_equal(held, images[start : start + len(held)].astype(np.float32))
+            assert any(np.shares_memory(refs, tensor) for tensor in tensors) == view
+        workspace = [refs for (refs, _), view in zip(calls, views) if not view]
+        assert all(np.shares_memory(refs, workspace[0]) for refs in workspace)  # one a lane
 
 
 #: every built-in backend with each precision its ``validate_config`` accepts

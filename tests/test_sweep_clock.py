@@ -19,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import EngineConfig, TextureSearchEngine
+from repro.core import Answer, EngineConfig, TextureSearchEngine
 from repro.gpusim import GPUDevice, TESLA_P100
 from repro.obs import deadline_scope
 from tests.conftest import make_descriptors, noisy_copy
@@ -57,7 +57,7 @@ def engine_for(backend: str, precision: str, host: bool, streams: int) -> Textur
 
 def left_behind(engine: TextureSearchEngine, outcome) -> dict:
     """Everything one step leaves behind, as plain JSON values."""
-    answers = outcome.answers if hasattr(outcome, "answers") else [outcome]
+    answers = [outcome] if isinstance(outcome, Answer) else outcome.answers
     device = engine.device
     return {
         "sweep": [outcome.elapsed_us, outcome.images_searched, outcome.images_skipped,

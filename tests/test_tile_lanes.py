@@ -271,9 +271,10 @@ def test_one_lane_makes_the_parents_tiles_and_any_lane_count_the_plans():
 
 
 def test_a_rest_fanout_request_is_bit_equal_at_every_lane_count():
-    """Fourteen shards of six images at the service scale m=96, n=128: one
-    4.13 MB tile under the 4 MiB budget at one lane, 42 + 42 images at two,
-    28 × 3 at three — and the same distances, indices, clock and profiler."""
+    """Fourteen shards of six images at the service scale m=96, n=128: four
+    21-image tiles under the 1 MiB budget at any lane count, most of them
+    across shards — and the same distances, indices, clock and profiler at
+    one, two and three lanes."""
     m, n = 96, 128
     rng = np.random.default_rng(26)
     unit = lambda a: (a / np.linalg.norm(a, axis=1, keepdims=True) * 0.25).astype(np.float16)
@@ -282,7 +283,7 @@ def test_a_rest_fanout_request_is_bit_equal_at_every_lane_count():
     seen = {}
     for count in LANES:
         with lanes(count):
-            assert planned_tiles(84, m * n * 4) == [84 // count] * count
+            assert planned_tiles(84, m * n * 4) == [21] * 4
             for indices in (True, False):
                 device = GPUDevice(TESLA_P100)
                 result = knn_algorithm2_multiquery(device, stack, query, scale=0.25, indices=indices)
