@@ -54,7 +54,7 @@ def main() -> None:
         query = extractor.extract(photo, n_features=N)
         result = engine.search(query.descriptors)
         best = result.best()
-        ok = best.reference_id == f"item-{item}" and best.score >= engine.config.min_matches
+        ok = best.reference_id == f"item-{item}" and best.good_matches >= engine.config.min_matches
         correct += ok
         rows.append([f"item-{item}", query.count, best.reference_id,
                      best.good_matches, "OK" if ok else "MISS"])

@@ -158,7 +158,7 @@ def run_cbir_ablation(
         best = engine.search(query.descriptors).best()
         if best is not None and best.reference_id == truth:
             ident_argmax += 1
-            if best.score >= min_score:
+            if best.good_matches >= min_score:
                 ident_decisive += 1
         votes = index.search(query.descriptors, nprobe=nprobe)
         top1 = votes[0].votes if votes else 0
@@ -275,12 +275,12 @@ def run_lsh_ablation(
         correct = 0
         for query in dataset.queries:
             search = engine.search(query.descriptors)
-            by_id = {match.reference_id: match.good_matches for match in search.matches}
+            by_id = dict(zip(search.ids.tolist(), search.counts.tolist()))
             truth = str(query.brick_id)
             imp_score = max((s for rid, s in by_id.items() if rid != truth), default=0)
             scores.append((by_id.get(truth, 0), imp_score))
             best = search.best()
-            if best is not None and best.reference_id == truth and best.score >= 8:
+            if best is not None and best.reference_id == truth and best.good_matches >= 8:
                 correct += 1
         med_g = float(np.median([s[0] for s in scores]))
         med_i = float(np.median([s[1] for s in scores]))

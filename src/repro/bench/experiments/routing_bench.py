@@ -62,11 +62,9 @@ def _build_cluster(
 
 
 def _match_key(result) -> list[tuple]:
-    """Canonical, order-independent view of a result's matches for the
-    bit-identity check (score/good_matches are exact floats/ints)."""
-    return sorted(
-        (m.reference_id, m.score, m.good_matches) for m in result.matches
-    )
+    """Canonical, order-independent view of a result's ids and counts for
+    the bit-identity check."""
+    return sorted(zip(result.ids.tolist(), result.counts.tolist()))
 
 
 def _overhead_snapshot(system: DistributedSearchSystem, kind: str) -> tuple[float, int]:

@@ -1,14 +1,14 @@
 """The functional plane of a sweep, owned by whoever gathers the sweeps.
 
 An engine's sweep *charges* its batches and *submits* them here; the
-matches are computed when the scope is run.  With no scope open that is
+counts are computed when the scope is run.  With no scope open that is
 at once (:func:`current_compute` hands out a scope of one).  A tier that
 fans a request out to many engines in one process opens a scope around
 the fan-out (:func:`compute_scope`, the ambient idiom of
 :func:`repro.obs.deadline_scope`) and runs it once after: jobs that are
 provably one computation — same kernel class, equal config, bit-equal
 query operand — become one stacked kernel call.
-Only *when* and *in how many calls* matches are computed is decided here;
+Only *when* and *in how many calls* they are computed is decided here;
 a scope that is never run has charged everything and computed nothing.
 """
 
@@ -36,9 +36,9 @@ class SweepCompute:
 
     def submit(self, kernel, stack, survivors, query, deliver) -> None:
         """Queue one sweep's charged batches, each beside its prefilter's
-        survivor mask (or ``None``).  ``deliver(stacked)`` receives the
-        per-query match lists ``kernel.match_batch_multi(None, stack, query,
-        survivors)`` would return (``[]`` for an empty stack)."""
+        survivor mask (or ``None``).  ``deliver(counts)`` receives what
+        ``kernel.match_batch_multi(None, stack, query, survivors)`` would
+        return; an empty stack has nothing to deliver."""
         self._jobs.append((kernel, stack, survivors, query, deliver))
 
     def run(self) -> None:
@@ -47,9 +47,8 @@ class SweepCompute:
         jobs, self._jobs = self._jobs, []
         fused: list[list[tuple]] = []
         for job in jobs:
-            kernel, stack, _, query, deliver = job
+            kernel, stack, _, query, _ = job
             if not stack:
-                deliver([])
                 continue
             for group in fused:
                 first, _, _, asked, _ = group[0]
@@ -64,13 +63,13 @@ class SweepCompute:
                 fused.append([job])
         for group in fused:
             kernel, _, _, query, _ = group[0]
-            stacked = kernel.match_batch_multi(
+            counts = kernel.match_batch_multi(
                 None, [batch for job in group for batch in job[1]], query,
                 [mask for job in group for mask in job[2]])
             taken = 0
             for _, stack, _, _, deliver in group:
                 images = sum(batch.size for batch in stack)
-                deliver([matches[taken : taken + images] for matches in stacked])
+                deliver(counts[:, taken : taken + images])
                 taken += images
 
 

@@ -20,7 +20,7 @@ decides what each slot of a swept batch costs and reports.
 A reference is an integer *slot*, numbered in enrolment order.  Batches
 and kernels see only slots; the engine holds the one id table (``_slots``
 from live id to slot, ``_names`` from slot to id, ``None`` once the slot
-is a tombstone), and its sweep names the matches it reports from it.  :meth:`verify` is not a sweep: it hands one transient
+is a tombstone), and its sweep names the slots it reports from it.  :meth:`verify` is not a sweep: it hands one transient
 image to the same kernel calls and touches neither cache nor stats.
 
 Timing: the device is one in-order queue, so with a single stream every
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -51,7 +52,7 @@ from .compute import current_compute
 from .config import EngineConfig
 from .kernels import MatchKernel, PreparedQuery, QueryMatrix, ReferenceMatrix
 from .registry import create_kernel
-from .results import Answer, ImageMatch, Sweep
+from .results import Answer, Sweep
 
 __all__ = ["TextureSearchEngine", "EngineStats", "hidden_us", "overlap_us"]
 
@@ -196,7 +197,7 @@ class TextureSearchEngine:
         #: the id table: live id -> slot, and slot -> id, or ``None`` once
         #: deleting or updating the reference tombstoned it — batches are
         #: immutable, so the slot is still *compared* (honest cost) but its
-        #: matches are dropped from results.
+        #: counts are dropped from results.
         self._slots: dict[str, int] = {}
         self._names: list[str | None] = []
         #: the first slot of every sealed batch, by batch id, then of the
@@ -417,8 +418,8 @@ class TextureSearchEngine:
         Two planes.  The loop is the *timing* plane: batch by batch it
         decides what is swept and staged (H2D for host-resident
         batches) and charges the device the kernel's pre-costed
-        ``batch_steps``; what it swept is then computed — and its
-        matches named, tombstones dropped — by the *functional* plane
+        ``batch_steps``; what it swept is then computed — its slots
+        named, tombstones dropped — by the *functional* plane
         (:meth:`_swept_matches`) in one kernel call — its own, or that of
         the gather it is part of (:mod:`repro.core.compute`).  The stats
         follow the loop, and so does the multi-stream overlap (Sec. 6.2):
@@ -434,7 +435,7 @@ class TextureSearchEngine:
         batch with no nominated slot is skipped outright — no staging,
         no simulated cost — and counted into ``images_pruned``; a swept
         batch runs at full width (the honest cost of the immutable
-        layout) and its matches are filtered to the nominees, so results
+        layout) and its counts are filtered to the nominees, so results
         depend on the candidate set, never on batch co-location.
 
         Deadline (:func:`repro.obs.current_deadline`): each swept
@@ -448,7 +449,7 @@ class TextureSearchEngine:
         The batch is then charged ``batch_steps`` for its surviving slots
         only — nothing, and no staging, when none survives — and its mask
         rides beside it into the functional plane, where the kernel
-        reports zero matches for the slots it rules out.  They still
+        counts 0 for the slots it rules out.  They still
         count into ``images_searched`` (examined, unlike routing-pruned
         ones) and into ``cascade_pruned``.
         """
@@ -508,7 +509,7 @@ class TextureSearchEngine:
                     now_us = self.device.elapsed_us()
                     deadline.charge(now_us - charged_at_us)
                     charged_at_us = now_us
-            per_query = self._swept_matches(swept, survivors_of, query, n_queries, candidate_ids)
+            answers = self._swept_matches(swept, survivors_of, query, n_queries, candidate_ids)
             # the swept batches' serial time becomes their multi-stream overlap (Sec. 6.2)
             elapsed = (self.device.synchronize() - start_us
                        - hidden_us(self.config.streams, host_h2d_us, swept_steps))
@@ -535,32 +536,31 @@ class TextureSearchEngine:
         return Sweep(
             elapsed_us=elapsed, images_searched=images, images_skipped=skipped,
             images_pruned=pruned, cascade_pruned=cascade, deadline_expired=skipped > 0,
-        ).carrying(per_query)
+        ).carrying(answers)
 
     def _swept_matches(
         self, swept: list[ReferenceBatch], survivors: list[np.ndarray | None],
         query: PreparedQuery, n_queries: int, candidate_ids: set[str] | frozenset[str] | None,
-    ) -> list[list[ImageMatch]]:
-        """The sweep's functional plane: per-query match lists for the batches
-        the timing plane swept, in sweep order.  They are *submitted*, with
-        their survivor masks, as one stack to the ambient scope
-        (:mod:`repro.core.compute`); when that computes — at once, unless a
-        gather holds it open — ``deliver`` names every match from the id
-        table by the slot its kernel labelled it with, and keeps the live
-        (and nominated) ones."""
-        per_query: list[list[ImageMatch]] = [[] for _ in range(n_queries)]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The sweep's functional plane: per query, the swept batches' live (and
+        nominated) ids, one array named once per slot from the id table (a
+        batch it never named, like ``bench.tables.swept``'s, names nothing),
+        and their row of one ``(n_queries, ids)`` count array.  The stack is
+        *submitted* to the ambient scope (:mod:`repro.core.compute`); the counts
+        are zero until that computes — at once, unless a gather holds it
+        open — and ``deliver`` keeps the named slots' columns."""
+        names = np.array(list(chain.from_iterable(
+            self._names[batch.slots[0] : batch.slots[0] + batch.size] for batch in swept)), dtype=object)
+        keep = (np.not_equal(names, None) if candidate_ids is None
+                else np.fromiter(map(candidate_ids.__contains__, names), bool, len(names)))
+        counts = np.zeros((n_queries, int(keep.sum())), dtype=np.int64)
 
-        def deliver(stacked: list[list[ImageMatch]]) -> None:
-            names = self._names
-            for kept, matches in zip(per_query, stacked):
-                for match in matches:
-                    name = names[match.reference_id]
-                    if name is not None and (candidate_ids is None or name in candidate_ids):
-                        match.reference_id = name
-                        kept.append(match)
+        def deliver(stacked: np.ndarray) -> None:
+            np.compress(keep, stacked, axis=1, out=counts)
 
         current_compute().submit(self.kernel, swept, survivors, query, deliver)
-        return per_query
+        ids = names[keep]
+        return [(ids, row) for row in counts]
 
     # ------------------------------------------------------------------
     # search
@@ -647,9 +647,9 @@ class TextureSearchEngine:
         survivors = None
         if self.kernel.has_prefilter:
             survivors = self.kernel.prefilter_batch(self.device, transient, query)
-        match = self.kernel.match_batch(self.device, transient, query, survivors=survivors)[0]
+        good = int(self.kernel.match_batch(self.device, transient, query, survivors=survivors)[0])
         self.device.synchronize()
-        return match.good_matches >= cfg.min_matches, match.good_matches
+        return good >= cfg.min_matches, good
 
     # ------------------------------------------------------------------
     # introspection

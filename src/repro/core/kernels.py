@@ -11,7 +11,7 @@ in :mod:`repro.baselines.adapters`, so they run through the real
 engine, hybrid cache and bench harness.
 
 Every exact kernel matches on Algorithm 2's stacked plane (Algorithm 1's
-family hands it the norms) and builds its matches with
+family hands it the norms) and counts its matches with
 :func:`stacked_matches`; kernels differ in what they charge.
 
 Query preparation returns an explicit :class:`PreparedQuery` value
@@ -39,7 +39,6 @@ from .algorithm2 import _knn_columns, knn_steps
 from .batching import ReferenceBatch
 from .query_batching import MultiQueryResult, knn_algorithm2_multiquery
 from .ratio_test import batch_ratio_test_masks
-from .results import ImageMatch
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .config import EngineConfig
@@ -264,43 +263,37 @@ class MatchKernel(ABC):
         computes every swept batch in one ``match_batch_multi(None, stack, ...)``."""
 
     def match_batch(self, device: GPUDevice, batch: ReferenceBatch, query: PreparedQuery,
-                    survivors: np.ndarray | None = None) -> list[ImageMatch]:
-        """Match one prepared query against one reference batch, charged: one
-        :class:`ImageMatch` per slot, in slot order, labelled by the slot (the
-        engine's sweep names it).  ``survivors`` is this
+                    survivors: np.ndarray | None = None) -> np.ndarray:
+        """Match one prepared query against one reference batch, charged: the
+        good-match count of every slot, in slot order.  ``survivors`` is this
         kernel's own :meth:`prefilter_batch` mask (``None`` without a
-        prefilter); a slot the mask rules out has no good match and
-        charges nothing."""
+        prefilter); a slot the mask rules out counts 0 and charges nothing."""
         return self.match_batch_multi(device, batch, query, [survivors])[0]
 
     @abstractmethod
     def match_batch_multi(self, device: GPUDevice | None, batch: ReferenceBatch | list[ReferenceBatch],
                           query: PreparedQuery,
-                          survivors: list[np.ndarray | None] | None = None) -> list[list[ImageMatch]]:
-        """The kernel's one functional body: per-query match lists for a
-        prepared query (or group) against a batch or a *stack* — a list of
-        batches taken in order as the one batch they would concatenate to.
-        ``survivors`` holds each member's prefilter mask (or ``None``).
-        ``device=None``: the sweep has charged every member its
+                          survivors: list[np.ndarray | None] | None = None) -> np.ndarray:
+        """The kernel's one functional body: ``(queries, images)`` good-match
+        counts of a prepared query (or group) against a batch or a *stack* —
+        a list of batches taken in order as the one batch they would
+        concatenate to.  ``survivors`` holds each member's prefilter mask (or
+        ``None``).  ``device=None``: the sweep has charged every member its
         :meth:`batch_steps`; given a device, the call charges them first."""
 
 
 def stacked_matches(stack: list[ReferenceBatch], survivors: list[np.ndarray | None] | None,
-                    result: MultiQueryResult, ratio: float) -> list[list[ImageMatch]]:
-    """Per-query match lists for a stack, in slot order, from the plane's
-    ``result``: one row per slot the members' ``survivors`` masks keep (a
-    ``None`` mask keeps every slot), in stack order.  A slot a mask rules
-    out has no good match."""
+                    result: MultiQueryResult, ratio: float) -> np.ndarray:
+    """The ``(queries, images)`` good-match counts of a stack, in stack
+    order, from the plane's ``result``: one row per slot the members'
+    ``survivors`` masks keep (a ``None`` mask keeps every slot).  A slot a
+    mask rules out counts 0."""
+    kept = np.concatenate([np.ones(member.size, dtype=bool) if mask is None else mask
+                           for member, mask in zip(stack, survivors or [None] * len(stack))])
+    counts = np.zeros((result.n_queries, kept.size), dtype=np.int64)
     # one vectorised ratio-test/count pass over every (image, query) pair
-    counts = batch_ratio_test_masks(result.distances, ratio).sum(axis=-1).tolist()
-    rows = iter(counts)
-    per_query: list[list[ImageMatch]] = [[] for _ in range(result.n_queries)]
-    for member, kept in zip(stack, survivors or [None] * len(stack)):
-        for i, slot in enumerate(member.slots.tolist()):
-            row = next(rows) if kept is None or kept[i] else None
-            for q, matches in enumerate(per_query):
-                matches.append(ImageMatch(slot, 0 if row is None else row[q]))
-    return per_query
+    counts[:, kept] = batch_ratio_test_masks(result.distances, ratio).sum(axis=-1).T
+    return counts
 
 
 class Algorithm2Kernel(MatchKernel):

@@ -41,20 +41,11 @@ class KnnResult:
 
 @dataclass
 class ImageMatch:
-    """Outcome of matching the query against one reference image.
-
-    A kernel labels the match with the image's engine slot (an ``int``);
-    the engine's sweep replaces it with the reference's id before any
-    caller sees it.  A slot a prefilter ruled out is ``ImageMatch(slot, 0)``."""
+    """One ranked reference of an answer (:meth:`Answer.top`): its id and
+    how many of the query's features matched it."""
 
     reference_id: str | int
     good_matches: int
-    inliers: int | None = None  # populated by geometric verification
-
-    @property
-    def score(self) -> int:
-        """Ranking score: inlier count when verified, else match count."""
-        return self.inliers if self.inliers is not None else self.good_matches
 
 
 @dataclass(frozen=True)
@@ -115,18 +106,20 @@ class Sweep:
         pairs = self.images_searched * len(self.answers)
         return pairs / (self.elapsed_us * 1e-6) if self.elapsed_us > 0 else 0.0
 
-    def carrying(self, matches: Iterable[list[ImageMatch]]) -> Sweep:
-        """This header carrying one answer per query's match list."""
-        return replace(self, answers=tuple(Answer(m, self) for m in matches))
+    def carrying(self, rows: Iterable[tuple[np.ndarray, np.ndarray]]) -> Sweep:
+        """This header carrying one answer per query's ``(ids, counts)``."""
+        return replace(self, answers=tuple(Answer(ids, counts, self) for ids, counts in rows))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Answer:
-    """One query's matches, ranked by :meth:`top` / :meth:`best`; every
-    other field is read through :attr:`sweep`, the header the query was
+    """One query's reference ``ids`` (in sweep order; a sweep's answers share
+    them) and their good-match ``counts``, ranked by :meth:`top` / :meth:`best`;
+    every other field is read through :attr:`sweep`, the header the query was
     answered under (a header carries no answers of its own)."""
 
-    matches: list[ImageMatch]
+    ids: np.ndarray
+    counts: np.ndarray
     sweep: Sweep
 
     def __getattr__(self, name: str):
@@ -134,11 +127,22 @@ class Answer:
             raise AttributeError(name)
         return getattr(self.sweep, name)
 
+    def __eq__(self, other: object) -> bool:
+        return (isinstance(other, Answer) and self.sweep == other.sweep
+                and np.array_equal(self.ids, other.ids) and np.array_equal(self.counts, other.counts))
+
     def top(self, count: int = 1) -> list[ImageMatch]:
-        """Best ``count`` reference images by score (descending); a score
-        tie goes to the smallest id, whichever shard answered first."""
-        return heapq.nsmallest(count, self.matches, key=lambda m: (-m.score, m.reference_id))
+        """Best ``count`` reference images by good matches (descending), and the
+        only :class:`ImageMatch` built; a tie goes to the smallest id."""
+        counts = self.counts
+        count = min(count, len(counts))
+        if count <= 0:
+            return []
+        floor = int(np.partition(counts, len(counts) - count)[len(counts) - count])
+        above = np.flatnonzero(counts > floor)  # fewer than ``count``: all of them rank
+        ranked = sorted(zip((-counts[above]).tolist(), self.ids[above].tolist()))
+        tied = heapq.nsmallest(count - len(above), self.ids[counts == floor].tolist())
+        return [ImageMatch(ref_id, -good) for good, ref_id in ranked + [(-floor, i) for i in tied]]
 
     def best(self) -> ImageMatch | None:
-        top = self.top(1)
-        return top[0] if top else None
+        return next(iter(self.top(1)), None)

@@ -75,6 +75,7 @@ _TRACER = default_tracer()
 
 #: the header counts a gather sums over the shard sweeps that answered a query
 _COUNTS = ("images_searched", "images_skipped", "images_pruned", "cascade_pruned")
+_NO_IDS, _NO_COUNTS = np.empty(0, dtype=object), np.empty(0, dtype=np.int64)
 
 
 #: the registry-backed blocks of ``GET /stats``: block -> key ->
@@ -916,17 +917,20 @@ class DistributedSearchSystem:
         if unsearched:
             self._unsearched.inc(len(unsearched))
             self._partials.inc()
-        # the fold: each query's matches and counts summed over the shard sweeps that
-        # answered it; R > 1 slices a deadline cut apart give a query its own header
-        matches = [[m for shard in answered for m in shard[i].matches] for i in range(n_queries)]
+        # the fold: each query's arrays joined and header counts summed over the shard sweeps
+        # that answered it; R > 1 slices a deadline cut apart give a query its own header
+        found = [
+            (np.concatenate([shard[i].ids for shard in answered] + [_NO_IDS]),
+             np.concatenate([shard[i].counts for shard in answered] + [_NO_COUNTS]))
+            for i in range(n_queries)
+        ]
         shares = [
             tuple(sum(getattr(shard[i].sweep, name) for shard in answered) for name in _COUNTS)
             for i in range(n_queries)
         ]
         if routed:
-            for found in matches:
-                hit = any(m.score > 0 for m in found)
-                self._router_hits.labels(result="hit" if hit else "miss").inc()
+            for _, counts in found:
+                self._router_hits.labels(result="hit" if counts.any() else "miss").inc()
         elapsed = slowest_us + WEB_TIER_OVERHEAD_US
         _TRACER.annotate(
             nodes=len(populated), retries=retries, unsearched=len(unsearched),
@@ -947,7 +951,7 @@ class DistributedSearchSystem:
         )
         headers = {share: Sweep(**shared, **dict(zip(_COUNTS, share))) for share in set(shares)}
         return Sweep(
-            answers=tuple(Answer(m, headers[share]) for m, share in zip(matches, shares)),
+            answers=tuple(Answer(*rows, headers[share]) for rows, share in zip(found, shares)),
             **shared, **dict(zip(_COUNTS, map(max, zip(*shares)))),
         )
 

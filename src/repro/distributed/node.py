@@ -182,7 +182,7 @@ class SearchNode:
             sweep = self.engine.search_group(query_descriptor_list, candidate_ids=candidate_ids)
             if multiplier != 1.0:  # an injected slow node: the same answers, later
                 header = replace(sweep, answers=(), elapsed_us=sweep.elapsed_us * multiplier)
-                sweep = header.carrying(answer.matches for answer in sweep.answers)
+                sweep = header.carrying((answer.ids, answer.counts) for answer in sweep.answers)
             self.health.record_success()
             if span is not None:
                 span.set(sim_elapsed_us=sweep.elapsed_us)

@@ -249,7 +249,7 @@ def _query_payload(answer: Answer, top: int, *keys: str) -> dict:
     added = [f.name for f in fields(answer.sweep) if f.name not in _SWEEP_FIELDS]
     return {
         "results": [
-            {"id": m.reference_id, "score": m.score, "good_matches": m.good_matches}
+            {"id": m.reference_id, "score": m.good_matches, "good_matches": m.good_matches}
             for m in answer.top(top)
         ],
         **_header(answer.sweep, (*_ANSWER_KEYS, *keys, *added)),

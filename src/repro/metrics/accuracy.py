@@ -54,9 +54,9 @@ def evaluate_top1(
         best = result.best()
         if (
             best is not None
-            and best.score >= threshold
+            and best.good_matches >= threshold
             and best.reference_id == str(query.brick_id)
         ):
             correct += 1
-        scores.append(0 if best is None else best.score)
+        scores.append(0 if best is None else best.good_matches)
     return AccuracyReport(correct=correct, total=len(dataset.queries), per_query_scores=scores)

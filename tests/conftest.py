@@ -44,6 +44,30 @@ def slot_ids(engine, batch) -> list[str]:
     ]
 
 
+def pairs(answer) -> list[tuple]:
+    """An answer's ``ids`` and ``counts`` arrays as the ``(id, count)`` list
+    its ``matches`` read as before answers became arrays."""
+    return list(zip(answer.ids.tolist(), answer.counts.tolist()))
+
+
+def arrays(matches) -> tuple[np.ndarray, np.ndarray]:
+    """A frozen oracle's ``ImageMatch`` list as the ``(ids, counts)`` arrays
+    an answer carries today."""
+    return (np.array([m.reference_id for m in matches], dtype=object),
+            np.array([m.good_matches for m in matches], dtype=np.int64))
+
+
+def slot_matches(stack, counts) -> list[list]:
+    """A kernel's ``(queries, images)`` counts over ``stack`` (a batch or a
+    list of them) as the slot-labelled ``ImageMatch`` list per query it
+    returned before answers became arrays."""
+    from repro.core.results import ImageMatch
+
+    stack = stack if isinstance(stack, list) else [stack]
+    slots = np.concatenate([batch.slots for batch in stack]).tolist()
+    return [[ImageMatch(*match) for match in zip(slots, row)] for row in np.atleast_2d(counts).tolist()]
+
+
 def tile_sizes(starts: range, images: int) -> list[int]:
     """The images of each tile of a plan (``algorithm2._tile_starts``), in order."""
     return [min(start + starts.step, images) - start for start in starts]

@@ -16,6 +16,7 @@ import pickle
 from dataclasses import FrozenInstanceError, asdict, dataclass, replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,7 +26,7 @@ from repro.core.results import Answer, ImageMatch, Sweep
 from repro.distributed import DistributedSearchSystem, FaultInjector, Request, build_api
 from repro.distributed import cluster as cluster_module
 from repro.routing import RouterPolicy
-from tests.conftest import make_descriptors, noisy_copy
+from tests.conftest import arrays, make_descriptors, noisy_copy
 
 GOLDEN = Path(__file__).parent / "golden" / "rest_payloads.json"
 CFG = EngineConfig(m=32, n=32, batch_size=2, min_matches=5, scale_factor=0.25)
@@ -140,24 +141,38 @@ def test_the_answers_share_one_immutable_header():
     assert asdict(sweep)["shard_epochs"] == tuple(first.corpus_epoch.items())
 
 
-MATCHES = st.lists(
-    st.builds(ImageMatch, reference_id=st.sampled_from(["a", "b", "c"]),
-              good_matches=st.integers(0, 2),
-              inliers=st.none() | st.integers(0, 2)),
-    max_size=12,
+#: one shard's ``(id, count)`` list: ids with digit-order traps ("r10" sorts
+#: before "r9") that repeat, and counts that tie at every value, 0 included
+SHARD = st.lists(
+    st.tuples(st.sampled_from(["r1", "r9", "r10", "r2", "r20", "a", "b"]), st.integers(0, 3)),
+    max_size=8,
 )
 
 
+def folded(shards: list[list[tuple[str, int]]]) -> Answer:
+    """One answer folded from per-shard arrays as a gather folds them."""
+    parts = [arrays([ImageMatch(*pair) for pair in shard]) for shard in shards]
+    return Answer(np.concatenate([ids for ids, _ in parts] + [cluster_module._NO_IDS]),
+                  np.concatenate([counts for _, counts in parts] + [cluster_module._NO_COUNTS]),
+                  Sweep())
+
+
 @settings(max_examples=300, deadline=None)
-@given(matches=MATCHES, data=st.data())
-def test_top_is_the_head_of_the_full_sort(matches, data):
-    """Score ties, id ties and both at once: ``top(count)`` is the same
-    objects in the same order as the first ``count`` of a stable sort."""
+@given(shards=st.lists(SHARD, min_size=1, max_size=4), data=st.data())
+def test_top_is_the_head_of_the_full_sort(shards, data):
+    """Count ties, id ties and both at once, over answers folded from one to
+    four shards: ``top(count)`` is the first ``count`` of Python's stable sort
+    of the ``(id, count)`` list, in builtin ``str`` and ``int``."""
+    answer = folded(shards)
+    matches = [pair for shard in shards for pair in shard]
     count = data.draw(st.integers(0, len(matches) + 1), label="count")
-    answer = Answer(matches, Sweep())
-    ranked = sorted(matches, key=lambda m: (-m.score, m.reference_id))
-    assert [id(m) for m in answer.top(count)] == [id(m) for m in ranked[:count]]
-    assert answer.best() is (ranked[0] if ranked else None)
+    ranked = sorted(matches, key=lambda match: (-match[1], match[0]))
+    top = answer.top(count)
+    assert [(m.reference_id, m.good_matches) for m in top] == ranked[:count]
+    assert all(type(m.reference_id) is str and type(m.good_matches) is int for m in top)
+    best = answer.best()
+    assert (best and (best.reference_id, best.good_matches)) == (ranked[0] if ranked else None)
+    assert best is None or (type(best.reference_id), type(best.good_matches)) == (str, int)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ from repro.baselines import LshKernel
 from repro.core import EngineConfig, TextureSearchEngine, available_backends
 from repro.core.registry import canonical_backend
 from repro.gpusim import GPUDevice, TESLA_P100
-from tests.conftest import make_descriptors, noisy_copy
+from tests.conftest import make_descriptors, noisy_copy, pairs
 
 M = N = 48
 BATCH = 4
@@ -139,7 +139,7 @@ class TestBackendParity:
                 engine.add_reference(f"ref{i}", d)
             result = engine.search(fixtures["query"])
             per_backend[backend] = {
-                m.reference_id: m.good_matches for m in result.matches
+                ref_id: good for ref_id, good in pairs(result)
             }
         reference = per_backend["algorithm1"]
         assert len(reference) == 8
@@ -152,7 +152,7 @@ class TestBackendParity:
             descs = enrolled(engine)
             assert engine.remove_reference("ref3")
             result = engine.search(noisy_copy(descs[3], 8.0, seed=50))
-            assert all(m.reference_id != "ref3" for m in result.matches), backend
+            assert all(ref_id != "ref3" for ref_id, _ in pairs(result)), backend
             assert result.images_searched == 8  # tombstoned slot still compared
 
     def test_adapters_run_through_hybrid_cache(self):
@@ -208,8 +208,8 @@ class TestSweepExecutorRegressions:
         first = engine.search(noisy_copy(descs[1], 8.0, seed=4200))
         engine.verify(descs[4], noisy_copy(descs[4], 8.0, seed=4201))
         second = engine.search(noisy_copy(descs[1], 8.0, seed=4200))
-        assert [m.good_matches for m in first.matches] == [
-            m.good_matches for m in second.matches
+        assert [good for _, good in pairs(first)] == [
+            good for _, good in pairs(second)
         ]
 
     def test_search_many_accumulates_step_times(self):

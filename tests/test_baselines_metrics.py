@@ -8,7 +8,7 @@ from repro.bench import kernel_steps
 from repro.core import EngineConfig, TextureSearchEngine
 from repro.gpusim import TESLA_P100, TESLA_V100
 from repro.metrics import gemm_flops_per_image, gpu_efficiency
-from tests.conftest import make_descriptors, noisy_copy
+from tests.conftest import make_descriptors, noisy_copy, pairs
 
 
 def per_image_us(spec, backend: str) -> float:
@@ -34,7 +34,7 @@ class TestOpencvBaseline:
                                                       batch_size=2, min_matches=2))
             for ref_id, descriptors in refs.items():
                 engine.add_reference(ref_id, descriptors)
-            answers[backend] = [(m.reference_id, m.good_matches) for m in engine.search(query).matches]
+            answers[backend] = pairs(engine.search(query))
         assert answers["opencv"] == answers["algorithm1"]
         assert max(good for _, good in answers["opencv"]) > 0
 
@@ -70,9 +70,8 @@ class TestGarciaBaseline:
                 engine.add_reference(ref_id, descriptors)
             answers[backend] = engine.search(query)
         garcia, ours = answers["garcia"], answers["algorithm1"]
-        assert [(m.reference_id, m.good_matches) for m in garcia.matches] == [
-            (m.reference_id, m.good_matches) for m in ours.matches]
-        assert garcia.matches and garcia.elapsed_us > ours.elapsed_us
+        assert pairs(garcia) == pairs(ours)
+        assert pairs(garcia) and garcia.elapsed_us > ours.elapsed_us
 
     def test_memory_matches_table1(self):
         assert table1_memory_mb("fp32", "garcia") == pytest.approx(4307, rel=0.01)

@@ -11,7 +11,7 @@ from repro.core.batching import BatchBuilder
 from repro.core.cascade import CascadeKernel
 from repro.features.binarize import words_for_bits
 from repro.gpusim import GPUDevice, TESLA_P100
-from tests.conftest import make_descriptors, noisy_copy
+from tests.conftest import make_descriptors, noisy_copy, pairs
 
 pytestmark = pytest.mark.cascade
 
@@ -66,8 +66,8 @@ class TestPrefilterBehaviour:
         impostor = make_descriptors(N, seed=9999)
         result = engine.search(impostor)
         assert result.cascade_pruned == len(descs)
-        assert all(m.good_matches == 0 for m in result.matches)
-        assert result.best().score == 0
+        assert all(good == 0 for _, good in pairs(result))
+        assert result.best().good_matches == 0
         # the engine-level counter tracks the prune
         assert (
             engine.obs.registry.value("repro_engine_cascade_pruned_total")
@@ -119,7 +119,7 @@ class TestPrefilterBehaviour:
         probe[:, N // 2:] = 0.0  # half the query is padding too
         result = engine.search(probe)
         assert result.cascade_pruned == 1
-        assert result.best().score == 0
+        assert result.best().good_matches == 0
 
 
 class TestDistributedStats:
@@ -246,4 +246,4 @@ class TestCacheAccounting:
         for i in range(BATCH):
             engine.remove_reference(f"ref{i}")
         assert engine.cache.used_bytes == (0, 0)
-        assert engine.search(noisy_copy(descs[0], SIGMA)).matches == []
+        assert pairs(engine.search(noisy_copy(descs[0], SIGMA))) == []

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import ast
 import dataclasses
-import importlib
+import importlib.util
 import inspect
 import re
 from pathlib import Path
@@ -401,4 +401,41 @@ def test_every_option_has_a_second_value_outside_the_tests():
     for fn in (TextureSearchEngine.search, TextureSearchEngine.search_group, MatchKernel.match_batch,
                MatchKernel.match_batch_multi, SweepCompute.submit, stacked_matches):
         assert "keep_masks" not in inspect.signature(fn).parameters, fn.__qualname__
-    assert [f.name for f in dataclasses.fields(ImageMatch)] == ["reference_id", "good_matches", "inliers"]
+    assert [f.name for f in dataclasses.fields(ImageMatch)] == ["reference_id", "good_matches"]
+
+
+def test_an_image_match_is_built_only_for_what_a_caller_is_handed():
+    """Answers are arrays from kernel to fold: ``src/`` builds an
+    ``ImageMatch`` only in ``Answer.top`` and in ``core/ratio_test.py``,
+    whose ``match_images_batch`` the host-clock scoreboard binds and whose
+    ``match_images`` the tests keep as an oracle; an ``Answer`` holds no
+    match list.  Every name the scoreboard's tracer binds still resolves
+    as it binds it."""
+    from repro.core.results import Answer
+
+    src = Path(repro.__file__).parent
+    builders = set()
+
+    def visit(node, where: str, scope: str) -> None:
+        if isinstance(node, ast.Call) and "ImageMatch" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+            builders.add((where, scope))
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else scope
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, inner)
+
+    for path in sorted(src.rglob("*.py")):
+        visit(ast.parse(path.read_text()), path.relative_to(src).as_posix(), "<module>")
+    assert builders == {("core/results.py", "top"), ("core/ratio_test.py", "match_images_batch"),
+                        ("core/ratio_test.py", "match_images")}
+    assert [f.name for f in dataclasses.fields(Answer)] == ["ids", "counts", "sweep"]
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).parents[1] / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for _, module_name, path, _ in tracer.TARGETS:
+        module = importlib.import_module(module_name)
+        owner_name, _, attr = path.rpartition(".")
+        owner = getattr(module, owner_name) if owner_name else module
+        assert callable(owner.__dict__[attr] if owner_name else getattr(module, attr)), path

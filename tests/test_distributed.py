@@ -15,7 +15,7 @@ from repro.distributed import (
     build_api,
 )
 from repro.errors import ClusterError
-from tests.conftest import make_descriptors, noisy_copy
+from tests.conftest import make_descriptors, noisy_copy, pairs
 
 CFG = EngineConfig(m=32, n=32, batch_size=2, min_matches=5, scale_factor=0.25)
 
@@ -136,7 +136,7 @@ class TestCluster:
         system.add("r1", descs[1])
         system.add("r0", descs[2])  # update in place with new content
         result = system.search(noisy_copy(descs[2], 8.0, seed=9))
-        hits = [m for m in result.matches if m.reference_id == "r0"]
+        hits = [ref_id for ref_id, _ in pairs(result) if ref_id == "r0"]
         assert len(hits) == 1
         assert result.best().reference_id == "r0"
         assert system.n_references == 2
@@ -263,7 +263,7 @@ def twin_clusters(n_nodes, config, refs, **kwargs):
 
 
 def image_matches(matches):
-    return [(m.reference_id, m.good_matches, m.score) for m in matches]
+    return list(matches)
 
 
 def assert_assembled_from_the_nodes(got, per_shard, system):
@@ -274,10 +274,10 @@ def assert_assembled_from_the_nodes(got, per_shard, system):
     assert list(got.corpus_epoch) == list(per_shard)
     matches = []
     for want in per_shard.values():
-        matches.extend(want.matches)
+        matches.extend(pairs(want))
     assert got.images_searched == sum(want.images_searched for want in per_shard.values())
-    assert image_matches(got.matches) == image_matches(matches)
-    assert [m.good_matches for m in got.matches] == [m.good_matches for m in matches]
+    assert image_matches(pairs(got)) == image_matches(matches)
+    assert [good for _, good in pairs(got)] == [good for _, good in matches]
     assert got.elapsed_us == max(r.elapsed_us for r in per_shard.values()) + WEB_TIER_OVERHEAD_US
     assert got.corpus_epoch == {g.shard_id: g.epoch for g in system.groups.values()}
 
@@ -421,8 +421,8 @@ class TestPreparedOncePerRequest:
             assert record.ref_id == "r0" and record.matrix.dtype == want.dtype
             assert np.array_equal(record.matrix.view(np.uint16), want.view(np.uint16))
         query = noisy_copy(self.REFS["r2"], 8.0, seed=2)
-        assert group.nodes[1].search(query).matches[0].good_matches == (
-            alone.search(query).matches[0].good_matches
+        assert pairs(group.nodes[1].search(query))[0][1] == (
+            pairs(alone.search(query))[0][1]
         )
 
     @pytest.mark.parametrize("backend", ["algorithm1", "cascade", "garcia", "opencv", "lsh"])

@@ -7,7 +7,7 @@ import pytest
 from repro.core import EngineConfig, TextureSearchEngine
 from repro.errors import HalfPrecisionOverflowError
 from repro.gpusim import GPUDevice, TESLA_P100
-from tests.conftest import make_descriptors, noisy_copy
+from tests.conftest import make_descriptors, noisy_copy, pairs
 
 
 def small_config(**kwargs):
@@ -200,7 +200,7 @@ class TestTombstones:
         assert engine.remove_reference("a")
         engine.flush()
         result = engine.search(noisy_copy(make_descriptors(48, seed=300), 8.0, seed=302))
-        assert all(m.reference_id != "a" for m in result.matches)
+        assert all(ref_id != "a" for ref_id, _ in pairs(result))
 
 
 class TestHybridEngine:

@@ -6,7 +6,7 @@ import pytest
 from repro.core import EngineConfig, TextureSearchEngine
 from repro.errors import CacheCapacityError
 from repro.gpusim import GPUDevice, TESLA_P100
-from tests.conftest import make_descriptors
+from tests.conftest import make_descriptors, pairs
 
 CFG = EngineConfig(m=32, n=32, batch_size=2, min_matches=5, scale_factor=0.25)
 
@@ -15,7 +15,7 @@ class TestEmptyAndDegenerate:
     def test_search_empty_engine(self):
         engine = TextureSearchEngine(CFG)
         result = engine.search(make_descriptors(32, seed=7000))
-        assert result.matches == []
+        assert pairs(result) == []
         assert result.images_searched == 0
         assert result.best() is None
 

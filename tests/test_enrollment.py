@@ -33,7 +33,7 @@ from repro.distributed import (
 from repro.errors import NodeDownError, TransientNodeError
 from repro.routing import RouterPolicy
 from repro.serving import MixedClusterExecutor
-from tests.conftest import make_descriptors, noisy_copy
+from tests.conftest import make_descriptors, noisy_copy, pairs
 
 pytestmark = pytest.mark.enrollment
 
@@ -226,7 +226,7 @@ class TestDeleteNeverResurrects:
         assert not system.has("r3")
         for result_ref in ("r0", "r7"):
             result = system.search(noisy_copy(refs[result_ref], sigma=4.0))
-            assert "r3" not in {m.reference_id for m in result.matches}
+            assert "r3" not in {ref_id for ref_id, _ in pairs(result)}
 
 
 @pytest.mark.chaos

@@ -17,7 +17,6 @@ overflowed to zeros) and the allocation pin.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import resource
 from collections.abc import Mapping
 from contextlib import nullcontext
@@ -47,7 +46,9 @@ from repro.errors import (
 from repro.features.rootsift import l2_normalize, rootsift
 from repro.obs import DeadlineFanOut, current_deadline, deadline_scope
 from repro.routing import RouterPolicy
-from tests.conftest import DEAD_PREFIX, make_descriptors, noisy_copy, planned_tiles, slot_ids
+from tests.conftest import (
+    DEAD_PREFIX, arrays, make_descriptors, noisy_copy, pairs, planned_tiles, slot_ids, slot_matches,
+)
 
 # -- frozen oracles (verbatim from the parent commit) ----------------------
 
@@ -100,7 +101,7 @@ def parent_swept_matches(
     (``groups`` is ``None``) are computed here as one stack; every
     batch then goes through the tombstone/candidate filter."""
     stack = [batch for batch, groups in swept if groups is None]
-    stacked = self.kernel.match_batch_multi(None, stack, query) if stack else []
+    stacked = slot_matches(stack, self.kernel.match_batch_multi(None, stack, query)) if stack else []
     per_query: list[list[ImageMatch]] = [[] for _ in range(n_queries)]
     taken = 0
     for batch, groups in swept:
@@ -125,15 +126,15 @@ def parent_swept_matches(
 
 
 def parent_plane(self, swept, survivors, query, n_queries, candidate_ids):
-    """Today's call into the functional plane, answered by the parent's.  A
-    batch with a survivor mask (the cascade's) was matched inside the sweep
-    loop there, by a call of its own."""
+    """Today's call into the functional plane, answered by the parent's as
+    today's ``(ids, counts)`` pair per query.  A batch with a survivor mask (the
+    cascade's) was matched inside the sweep loop there, by a call of its own."""
     matched = [
         (batch, None if mask is None
-         else self.kernel.match_batch_multi(None, [batch], query, [mask]))
+         else slot_matches([batch], self.kernel.match_batch_multi(None, [batch], query, [mask])))
         for batch, mask in zip(swept, survivors, strict=True)
     ]
-    return parent_swept_matches(self, matched, query, n_queries, candidate_ids)
+    return [arrays(matches) for matches in parent_swept_matches(self, matched, query, n_queries, candidate_ids)]
 
 
 class ParentSystem(DistributedSearchSystem):
@@ -202,7 +203,7 @@ class ParentSystem(DistributedSearchSystem):
             epochs_seen[group.shard_id] = group.epoch
             for into, result in zip(merged, answers):
                 truncated = truncated or result.partial
-                into.matches.extend(result.matches)
+                into.matches.extend(ImageMatch(*match) for match in pairs(result))
                 into.per_node[group.shard_id] = result
                 into.images_searched += result.images_searched
                 into.images_pruned += result.images_pruned
@@ -219,7 +220,7 @@ class ParentSystem(DistributedSearchSystem):
             self._partials.inc()
         if routed:
             for into in merged:
-                hit = any(m.score > 0 for m in into.matches)
+                hit = any(m.good_matches > 0 for m in into.matches)
                 self._router_hits.labels(result="hit" if hit else "miss").inc()
         elapsed = slowest_us + WEB_TIER_OVERHEAD_US
         _TRACER.annotate(
@@ -318,7 +319,9 @@ def plain(result) -> dict:
     shapes report (an engine's sweep has no fan-out: its fan-out fields read
     as they would on the parent's cluster result)."""
     if isinstance(result, (Answer, ClusterSearchResult)):
-        return {"matches": [dataclasses.asdict(m) for m in result.matches],
+        matches = ([(m.reference_id, m.good_matches) for m in result.matches]
+                   if isinstance(result, ClusterSearchResult) else pairs(result))
+        return {"matches": [list(match) for match in matches],
                 **{name: builtin(getattr(result, name)) for name in ANSWER}}
     answers = result.answers if isinstance(result, Sweep) else result.results
     return {**{name: builtin(getattr(result, name)) for name in GROUP},
@@ -468,7 +471,7 @@ def test_replica_slices_with_different_queries_are_different_computations(monkey
 
 
 def job(kernel, query, sizes=(2, 1)):
-    """One sweep's submission, and the list its matches are delivered into."""
+    """One sweep's submission, and the list its counts are delivered into."""
     stack = [
         ReferenceBatch(batch_id=i, slots=np.arange(10 * i, 10 * i + size),
                        tensor=np.stack([kernel.prepare_reference(reference(10 * i + s))[0]
@@ -505,8 +508,7 @@ def test_jobs_are_fused_only_when_provably_one_computation(monkeypatch):
         assert len(kernels) == calls
         for (k, stack, _, q, _), delivered in lists:  # each its own answer, whoever shared the call
             alone = k.match_batch_multi(None, stack, q)
-            assert [[dataclasses.astuple(m) for m in per_query] for per_query in delivered[0]] == [
-                [dataclasses.astuple(m) for m in per_query] for per_query in alone]
+            assert slot_matches(stack, delivered[0]) == slot_matches(stack, alone)
 
 
 def test_an_empty_stack_is_delivered_without_a_kernel_call(monkeypatch):
@@ -518,16 +520,16 @@ def test_an_empty_stack_is_delivered_without_a_kernel_call(monkeypatch):
     with compute_scope() as scope:
         pruned = engine.search(query_for(1, seed=1), candidate_ids={"nobody"})
         scope.run()
-    assert pruned.matches == [] and pruned.images_pruned == 6 and not kernels
+    assert pairs(pruned) == [] and pruned.images_pruned == 6 and not kernels
     exact = TextureSearchEngine(config(backend="algorithm1"))  # pre-costed like every kernel
     exact.add_reference("ref1", reference(1))
     with compute_scope() as scope:
         nobody = exact.search(query_for(1, seed=1), candidate_ids={"nobody"})
         held = exact.search(query_for(1, seed=1))
-        assert held.matches == []  # delivered by run(), like everyone's
+        assert pairs(held) == [("ref1", 0)]  # counted by run(), like everyone's
         scope.run()
-    assert nobody.matches == [] and nobody.images_pruned == 1
-    assert [m.reference_id for m in held.matches] == ["ref1"] and not kernels
+    assert pairs(nobody) == [] and nobody.images_pruned == 1
+    assert [ref_id for ref_id, _ in pairs(held)] == ["ref1"] and held.counts[0] > 0 and not kernels
     assert [args[2] for args in per_image] == [[next(iter(exact.cache.batches())).batch]]  # held's only
 
 
@@ -606,7 +608,7 @@ def test_outside_a_scope_the_engine_is_the_parents_engine():
         got = engine.search_group(queries, candidate_ids=candidates)
         want = parent.search_group(queries, candidate_ids=candidates)
         assert repr(plain(got)) == repr(plain(want))
-        assert [len(r.matches) for r in got.answers] == [2 if candidates else 7] * 2
+        assert [len(pairs(r)) for r in got.answers] == [2 if candidates else 7] * 2
     assert repr(plain(engine.search(queries[0]))) == repr(plain(parent.search(queries[0])))
     assert engine.verify(reference(2), queries[0]) == parent.verify(reference(2), queries[0])
     assert engine.stats == parent.stats
@@ -619,14 +621,15 @@ def test_inside_a_scope_matches_arrive_with_run():
     want = parent.search_group(queries)
     with compute_scope() as scope:
         held = engine.search_group(queries)
-        assert [r.matches for r in held.answers] == [[], []]
+        assert not any(r.counts.any() for r in held.answers)
         assert plain(held) == {**plain(want), "answers": [
-            {**plain(r), "matches": []} for r in want.answers]}  # all but the matches is there
+            {**plain(r), "matches": [[ref_id, 0] for ref_id, _ in plain(r)["matches"]]}
+            for r in want.answers]}  # all but the counts is there
         assert engine.stats == parent.stats  # the timing plane is complete
-        lists = [r.matches for r in held.answers]
+        rows = [r.counts for r in held.answers]
         scope.run()
     assert plain(held) == plain(want)
-    assert all(a is b for a, b in zip(lists, (r.matches for r in held.answers)))  # filled in place
+    assert all(a is b for a, b in zip(rows, (r.counts for r in held.answers)))  # filled in place
     assert plain(engine.search_group(queries)) == plain(parent.search_group(queries))  # none left open
 
 

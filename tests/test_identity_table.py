@@ -17,7 +17,7 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.core import EngineConfig, TextureSearchEngine
 from repro.errors import CacheCapacityError
-from tests.conftest import make_descriptors
+from tests.conftest import make_descriptors, pairs
 
 IDS = [f"r{i}" for i in range(7)]
 
@@ -43,7 +43,7 @@ def test_a_batch_the_cache_drops_takes_its_references_out_of_the_table():
     assert engine.has_reference("r6") and not engine.has_reference("r4")
     assert [record.ref_id for record in engine.export_records()] == ["r2", "r3", "r5", "r6"]
     assert engine.remove_reference("r6")  # so the search seals nothing the full cache refuses
-    found = [match.reference_id for match in engine.search(make_descriptors(16, seed=4)).matches]
+    found = [ref_id for ref_id, _ in pairs(engine.search(make_descriptors(16, seed=4)))]
     assert sorted(found) == ["r2", "r3", "r5"]
 
 
@@ -104,7 +104,7 @@ class EngineIdentity(RuleBasedStateMachine):
     def search(self, seed):
         sweep = self.engine.search(make_descriptors(16, seed=seed))
         self._seal()
-        assert sorted(m.reference_id for m in sweep.matches) == sorted(self.live)
+        assert sorted(ref_id for ref_id, _ in pairs(sweep)) == sorted(self.live)
         assert sweep.images_pruned == 0
 
     @rule(nominees=st.sets(st.sampled_from(IDS + ["unknown"]), max_size=4))
@@ -113,7 +113,7 @@ class EngineIdentity(RuleBasedStateMachine):
         holding only a re-enrolled nominee's dead slot, say) is pruned."""
         sweep = self.engine.search(make_descriptors(16, seed=9), candidate_ids=frozenset(nominees))
         self._seal()
-        assert sorted(m.reference_id for m in sweep.matches) == sorted(nominees & self.live.keys())
+        assert sorted(ref_id for ref_id, _ in pairs(sweep)) == sorted(nominees & self.live.keys())
         assert sweep.images_pruned == sum(
             len(batch) for batch in self.cached if not nominees & {self.slot_ids[s] for s in batch})
 

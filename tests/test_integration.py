@@ -93,6 +93,6 @@ class TestDistributedIntegration:
         for query in dataset.queries:
             result = system.search(query.descriptors)
             best = result.best()
-            if best is not None and best.reference_id == str(query.brick_id) and best.score >= 6:
+            if best is not None and best.reference_id == str(query.brick_id) and best.good_matches >= 6:
                 hits += 1
         assert hits >= 3

@@ -39,7 +39,7 @@ from repro.errors import HalfPrecisionOverflowError
 from repro.fp16 import FP16_MIN_NORMAL
 from repro.fp16.codec import round_trip_nonneg
 from repro.gpusim import GPUDevice, TESLA_P100, TESLA_V100
-from tests.conftest import planned_tiles
+from tests.conftest import planned_tiles, slot_matches
 
 # -- frozen oracles (verbatim from the parent commit) ----------------------
 
@@ -470,7 +470,7 @@ def test_match_masks_and_indices_are_those_of_the_oracles_at_paper_scale(monkeyp
     for got, want in zip(got_indices, want_indices, strict=True):
         assert np.array_equal(got, want)
     counts = want_masks.sum(axis=-1)  # the kernel's winners-only counts are the oracle's
-    for q, matches in enumerate([single, *groups]):
+    for q, matches in enumerate(slot_matches(batch, single) + slot_matches(batch, groups)):
         assert [(m.reference_id, m.good_matches) for m in matches] == [
             (slot, int(counts[slot, max(q - 1, 0)])) for slot in range(8)]
 

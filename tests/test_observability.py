@@ -24,7 +24,7 @@ from repro.serving import (
     build_trace,
     simulate_serving,
 )
-from tests.conftest import make_descriptors, noisy_copy
+from tests.conftest import make_descriptors, noisy_copy, pairs
 
 CFG = EngineConfig(m=32, n=32, batch_size=2, min_matches=5, scale_factor=0.25)
 
@@ -278,7 +278,7 @@ def test_two_clusters_keep_their_own_telemetry():
     for i, desc in enumerate(descs):
         a.enroll(f"r{i}", desc)
     for i in range(5):
-        assert a.search(noisy_copy(descs[i], 8.0, seed=24 + i)).matches
+        assert pairs(a.search(noisy_copy(descs[i], 8.0, seed=24 + i)))
     assert a.node_seconds() > 0.0
     assert a.obs.registry.value("repro_enrollment_ops_total", op="enroll") == 6
     assert a.stats()["fault_tolerance"]["searches_single_total"] == 5

@@ -31,7 +31,7 @@ from repro.core.ratio_test import match_images
 from repro.core.results import KnnResult
 from repro.core.topk import functional_topk
 from repro.errors import HalfPrecisionOverflowError
-from tests.conftest import make_descriptors, noisy_copy
+from tests.conftest import make_descriptors, noisy_copy, pairs, slot_matches
 
 M, N, K = 24, 16, 2
 SCALE = 2.0**-7
@@ -144,7 +144,7 @@ def test_a_kernel_matches_every_slot_of_a_stack_as_algorithm_1(kernel_class, pre
     kernel = kernel_class(config(precision))
     prepared = PreparedQuery(matrix=query.values, aux=query)
     with tile_budget(2):
-        (got,) = kernel.match_batch_multi(None, stack, prepared)
+        (got,) = slot_matches(stack, kernel.match_batch_multi(None, stack, prepared))
     slots = [slot for batch in stack for slot in batch.slots.tolist()]
     want = [match_images(slot, parent_knn_algorithm1(reference, query), kernel.config.ratio_threshold)
             for slot, reference in zip(slots, images_of(stack, query))]
@@ -160,15 +160,15 @@ def test_only_survivors_are_stacked_and_the_pruned_are_empty(monkeypatch):
     real = kernels_module._knn_columns
     monkeypatch.setattr(kernels_module, "_knn_columns", lambda device, members, *rest: (
         stacked.append(sum(map(len, members))), real(device, members, *rest))[1])
-    (full,) = kernel.match_batch_multi(None, stack, prepared)
+    (full,) = slot_matches(stack, kernel.match_batch_multi(None, stack, prepared))
     masks = [np.array([True, False, True]), np.zeros(2, dtype=bool), None]
-    (pruned,) = kernel.match_batch_multi(None, stack, prepared, masks)
+    (pruned,) = slot_matches(stack, kernel.match_batch_multi(None, stack, prepared, masks))
     kept = np.concatenate([np.ones(3, dtype=bool) if mask is None else mask for mask in masks])
     assert [plain(m) for m in pruned] == [
         plain(m if keep else ImageMatch(m.reference_id, 0)) for m, keep in zip(full, kept)]
     assert stacked == [8, 5]
     nobody = [np.zeros(batch.size, dtype=bool) for batch in stack]
-    (empty,) = kernel.match_batch_multi(None, stack, prepared, nobody)
+    (empty,) = slot_matches(stack, kernel.match_batch_multi(None, stack, prepared, nobody))
     assert [plain(m) for m in empty] == [plain(ImageMatch(m.reference_id, 0)) for m in full]
     assert len(stacked) == 2  # no plane call for a stack with no survivor
 
@@ -182,6 +182,6 @@ def test_an_opencv_engine_answers_as_an_algorithm1_fp32_engine():
     for q in range(4):
         query = noisy_copy(references[2 * q][:, :N], 20.0 + 10 * q, seed=q)
         want, got = (engine.search(query) for engine in engines)
-        assert [plain(m) for m in got.matches] == [plain(m) for m in want.matches]
-        assert max(m.good_matches for m in want.matches) > 0
+        assert pairs(got) == pairs(want)
+        assert max(good for _, good in pairs(want)) > 0
 

@@ -21,7 +21,7 @@ from repro.core import EngineConfig, MatchKernel, TextureSearchEngine
 from repro.core.kernels import NEIGHBOURS
 from repro.core.results import KnnResult
 from repro.features import hamming_distances
-from tests.conftest import make_descriptors, noisy_copy
+from tests.conftest import make_descriptors, noisy_copy, pairs
 
 M, N = 24, 16
 
@@ -101,10 +101,10 @@ def test_lsh_keeps_nothing_per_batch_through_enrol_delete_cycles():
         for engine, out in zip(engines, seen):
             for ref_id, desc in zip(ids, descriptors):
                 engine.add_reference(ref_id, desc)
-            out.append([(m.reference_id, m.good_matches) for m in engine.search(query).matches])
+            out.append(pairs(engine.search(query)))
             for ref_id in ids[:4]:
                 engine.remove_reference(ref_id)
-            out.append([(m.reference_id, m.good_matches) for m in engine.search(query).matches])
+            out.append(pairs(engine.search(query)))
             out.append(engine.verify(descriptors[4], query))
     assert seen[0] == seen[1]
     assert all(dict(step)[f"c{cycle}.2"] >= 2 for cycle, step in enumerate(seen[0][::3]))  # found

@@ -38,7 +38,7 @@ from repro.serving import (
     build_trace,
     simulate_serving,
 )
-from tests.conftest import make_descriptors, noisy_copy
+from tests.conftest import make_descriptors, noisy_copy, pairs
 
 CFG = EngineConfig(m=32, n=32, batch_size=2, min_matches=5, scale_factor=0.25)
 
@@ -270,7 +270,7 @@ class TestEngineDeadlines:
         assert result.partial
         assert result.images_searched == 0
         assert result.images_skipped == 8
-        assert result.matches == []
+        assert pairs(result) == []
         assert reg.value("repro_engine_deadline_expired_total") == before + 1
 
     def test_partial_prefix_is_bit_identical_to_full_search(self):
@@ -285,9 +285,9 @@ class TestEngineDeadlines:
         assert partial.partial
         assert 0 < partial.images_searched < full.images_searched
         assert partial.images_skipped == full.images_searched - partial.images_searched
-        full_by_id = {m.reference_id: m.good_matches for m in full.matches}
-        for match in partial.matches:
-            assert full_by_id[match.reference_id] == match.good_matches
+        full_by_id = dict(pairs(full))
+        for ref_id, good in pairs(partial):
+            assert full_by_id[ref_id] == good
 
     def test_generous_deadline_changes_nothing(self):
         engine, descs = build_engine()
@@ -298,8 +298,8 @@ class TestEngineDeadlines:
         assert not result.partial
         assert result.images_skipped == 0
         assert result.images_searched == baseline.images_searched
-        assert [m.reference_id for m in result.matches] == [
-            m.reference_id for m in baseline.matches
+        assert [ref_id for ref_id, _ in pairs(result)] == [
+            ref_id for ref_id, _ in pairs(baseline)
         ]
 
     def test_verify_ignores_deadlines(self):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import EngineConfig, TextureSearchEngine, knn_algorithm1, knn_algorithm2, prepare_query, prepare_reference
 from repro.features import rootsift
 from repro.gpusim import GPUDevice, TESLA_P100, TESLA_V100
-from tests.conftest import make_descriptors, noisy_copy
+from tests.conftest import make_descriptors, noisy_copy, pairs
 
 
 def build_engine(batch_size, streams=1, **kwargs):
@@ -41,8 +41,8 @@ class TestBatchSizeInvariance:
         other = build_engine(batch_size=batch_size)
         enrol(other, descs)
         query = noisy_copy(descs[4], 8.0, seed=201)
-        a = {m.reference_id: m.good_matches for m in baseline.search(query).matches}
-        b = {m.reference_id: m.good_matches for m in other.search(query).matches}
+        a = dict(pairs(baseline.search(query)))
+        b = dict(pairs(other.search(query)))
         assert a == b
 
     def test_results_identical_across_devices(self, descs):
@@ -55,8 +55,8 @@ class TestBatchSizeInvariance:
         )
         enrol(v100, descs)
         query = noisy_copy(descs[2], 8.0, seed=202)
-        a = {m.reference_id: m.good_matches for m in p100.search(query).matches}
-        b = {m.reference_id: m.good_matches for m in v100.search(query).matches}
+        a = dict(pairs(p100.search(query)))
+        b = dict(pairs(v100.search(query)))
         assert a == b
 
     def test_streams_do_not_change_results(self, descs):
@@ -75,8 +75,8 @@ class TestDeterminism:
         engine = build_engine(batch_size=4)
         enrol(engine, descs)
         query = noisy_copy(descs[0], 8.0, seed=204)
-        first = [(m.reference_id, m.good_matches) for m in engine.search(query).matches]
-        second = [(m.reference_id, m.good_matches) for m in engine.search(query).matches]
+        first = pairs(engine.search(query))
+        second = pairs(engine.search(query))
         assert first == second
 
     def test_enrolment_order_irrelevant_for_scores(self, descs):
@@ -87,8 +87,8 @@ class TestDeterminism:
             backward.add_reference(f"r{i}", descs[i])
         backward.flush()
         query = noisy_copy(descs[5], 8.0, seed=205)
-        a = {m.reference_id: m.good_matches for m in forward.search(query).matches}
-        b = {m.reference_id: m.good_matches for m in backward.search(query).matches}
+        a = dict(pairs(forward.search(query)))
+        b = dict(pairs(backward.search(query)))
         assert a == b
 
 

@@ -8,7 +8,7 @@ from repro.bench.experiments.ablations import run_query_batch_ablation
 from repro.core import EngineConfig, TextureSearchEngine, knn_algorithm2, knn_algorithm2_multiquery
 from repro.features import rootsift
 from repro.gpusim import TESLA_P100
-from tests.conftest import make_descriptors, noisy_copy
+from tests.conftest import make_descriptors, noisy_copy, pairs
 
 
 def rootsift_batch(count, m, seed):
@@ -95,9 +95,7 @@ class TestEngineSearchMany:
         solo = twin.search(query)
         assert grouped.best().reference_id == "r3"
         assert grouped.elapsed_us == solo.elapsed_us
-        assert [(m.reference_id, m.good_matches) for m in grouped.matches] == [
-            (m.reference_id, m.good_matches) for m in solo.matches
-        ]
+        assert pairs(grouped) == pairs(solo)
 
     def test_empty_input(self):
         engine = TextureSearchEngine(EngineConfig(m=32, n=32, batch_size=4))
@@ -111,7 +109,7 @@ class TestEngineSearchMany:
             engine.add_reference(f"r{i}", d)
         engine.remove_reference("r1")
         results = engine.search_group([noisy_copy(descs[1], 8.0, seed=81)]).answers
-        assert all(m.reference_id != "r1" for m in results[0].matches)
+        assert all(ref_id != "r1" for ref_id, _ in pairs(results[0]))
 
 
 class TestTradeoffModel:

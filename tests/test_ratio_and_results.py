@@ -14,6 +14,7 @@ from repro.core import (
     match_images_batch,
     ratio_test_mask,
 )
+from tests.conftest import arrays
 
 
 class TestRatioTest:
@@ -110,7 +111,7 @@ class TestBatchMatchCounting:
 
 class TestSweepHeader:
     def test_pairs_and_throughput(self):
-        group = Sweep(elapsed_us=2_000_000.0, images_searched=10).carrying([[], [], []])
+        group = Sweep(elapsed_us=2_000_000.0, images_searched=10).carrying([arrays([])] * 3)
         assert len(group.answers) == 3
         assert group.pairs_per_s == pytest.approx(15.0)  # pairs: every query saw every image
         assert group.images_per_s == group.answers[0].images_per_s == pytest.approx(5.0)
@@ -130,20 +131,21 @@ class TestResultContainers:
             KnnResult(np.ones((2, 3)), np.ones((2, 4), np.int32))
 
     def test_search_result_ranking(self):
-        (result,) = Sweep(elapsed_us=1000.0, images_searched=3).carrying([[
+        (result,) = Sweep(elapsed_us=1000.0, images_searched=3).carrying([arrays([
             ImageMatch("a", 3),
             ImageMatch("b", 7),
             ImageMatch("c", 7),
-        ]]).answers
+        ])]).answers
         top = result.top(2)
         assert [m.reference_id for m in top] == ["b", "c"]  # id tiebreak
         assert result.best().reference_id == "b"
         assert result.images_per_s == pytest.approx(3000.0)
 
-    def test_inliers_override_score(self):
-        match = ImageMatch("a", 9, inliers=2)
-        assert match.score == 2
+    def test_a_match_is_an_id_and_a_count(self):
+        match = ImageMatch("a", 9)
+        assert (match.reference_id, match.good_matches) == ("a", 9)
+        assert not hasattr(match, "inliers") and not hasattr(match, "score")
 
     def test_empty_result(self):
-        assert Answer([], Sweep()).best() is None
-        assert Answer([], Sweep()).images_per_s == 0.0
+        assert Answer(*arrays([]), Sweep()).best() is None
+        assert Answer(*arrays([]), Sweep()).images_per_s == 0.0

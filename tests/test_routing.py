@@ -32,7 +32,7 @@ from repro.routing import (
     build_router,
     pool_descriptors,
 )
-from tests.conftest import make_descriptors, noisy_copy
+from tests.conftest import make_descriptors, noisy_copy, pairs
 
 CFG = EngineConfig(m=32, n=32, batch_size=2, min_matches=5, scale_factor=0.25)
 
@@ -59,7 +59,7 @@ def fitted_router(refs, policy, shards=3, obs=None):
 
 
 def match_key(result):
-    return sorted((m.reference_id, m.score, m.good_matches) for m in result.matches)
+    return sorted(pairs(result))
 
 
 class TestPoolDescriptors:
@@ -232,7 +232,7 @@ class TestEngineCandidateRestriction:
         query = noisy_copy(refs["r2"], sigma=8.0)
         result = engine.search(query, candidate_ids=frozenset({"r2"}))
         assert result.best().reference_id == "r2"
-        assert {m.reference_id for m in result.matches} <= {"r2"}
+        assert {ref_id for ref_id, _ in pairs(result)} <= {"r2"}
         assert result.images_pruned > 0
         assert result.images_searched + result.images_pruned == len(refs)
         assert not result.partial  # pruning is not a fault
@@ -506,7 +506,7 @@ class TestClusterRouterSync:
         system.build_router()
         system.delete("r4")
         result = system.search(noisy_copy(refs["r4"], sigma=4.0), nprobe=6)
-        assert "r4" not in {m.reference_id for m in result.matches}
+        assert "r4" not in {ref_id for ref_id, _ in pairs(result)}
         assert system.router.n_images == len(refs) - 1
 
     def test_failover_keeps_router_consistent(self):

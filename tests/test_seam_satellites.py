@@ -19,7 +19,7 @@ from repro.gpusim.kernels import (
     d2h_result_us, dtype_bytes, elementwise_us, gemm_us, postprocess_us, top2_scan_us,
 )
 from repro.gpusim.pcie import h2d_time_us
-from tests.conftest import make_descriptors
+from tests.conftest import arrays, make_descriptors
 
 # -- a purged batch is freed -----------------------------------------------
 
@@ -50,13 +50,13 @@ def match(ref_id: str, score: int) -> ImageMatch:
 @pytest.mark.parametrize("order", [("b", "a"), ("a", "b")])
 def test_a_cluster_tie_goes_to_the_smallest_id_whichever_shard_answered_first(order):
     shards = [[match(ref_id, 9), match(ref_id + "-low", 3)] for ref_id in order]
-    result = Answer([m for shard in shards for m in shard], Sweep(elapsed_us=1.0, images_searched=4))
-    assert result.best() is result.top(1)[0]
+    result = Answer(*arrays([m for shard in shards for m in shard]), Sweep(elapsed_us=1.0, images_searched=4))
+    assert result.best() == result.top(1)[0]
     assert result.best().reference_id == "a"
 
 
 def test_no_match_has_no_best():
-    assert Answer([], Sweep()).best() is None
+    assert Answer(*arrays([]), Sweep()).best() is None
 
 
 # -- one spelling of Algorithm 2's cost chain ------------------------------

@@ -4,9 +4,10 @@ determinism, fused-vs-serial throughput, and the REST batch route."""
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
-from tests.conftest import make_descriptors, noisy_copy
+from tests.conftest import make_descriptors, noisy_copy, slot_matches
 from repro.core import EngineConfig, TextureSearchEngine
 from repro.errors import ExecutorContractError
 from repro.gpusim import GPUDevice, TESLA_P100
@@ -239,10 +240,13 @@ class TestWorkloads:
 
 
 def assert_same_fields(got, want):
-    """Field-by-field dataclass equality (names the field that moved)."""
+    """Field-by-field dataclass equality (names the field that moved); an
+    answer's arrays compare element by element."""
     assert type(got) is type(want)
     for f in dataclasses.fields(want):
-        assert getattr(got, f.name) == getattr(want, f.name), f.name
+        value, wanted = getattr(got, f.name), getattr(want, f.name)
+        same = np.array_equal(value, wanted) if isinstance(wanted, np.ndarray) else value == wanted
+        assert same, f.name
 
 
 def searches_counted(system):
@@ -271,7 +275,8 @@ class TestEngineServing:
         assert batches
         for batch in batches:
             want = kernel.match_batch(device_1, batch, single_q)
-            (got,) = kernel.match_batch_multi(device_m, batch, group_q)
+            (got,) = slot_matches(batch, kernel.match_batch_multi(device_m, batch, group_q))
+            (want,) = slot_matches(batch, want)
             assert device_m.synchronize() == device_1.synchronize() > 0  # exact, not approx
             assert len(got) == len(want) == batch.size
             for g, w in zip(got, want):

@@ -45,7 +45,7 @@ from repro.obs import current_deadline, deadline_scope
 from repro.gpusim.kernels import insertion_sort_us
 from repro.gpusim.pcie import h2d_time_us
 from repro.core.engine import hidden_us
-from tests.conftest import DEAD_PREFIX, make_descriptors, noisy_copy, planned_tiles, slot_ids
+from tests.conftest import DEAD_PREFIX, arrays, make_descriptors, noisy_copy, pairs, planned_tiles, slot_ids
 
 # -- frozen oracles (verbatim from the parent commit) ----------------------
 
@@ -57,7 +57,7 @@ def _SweepOutcome(per_query_matches, images, elapsed_us, images_skipped=0, image
         elapsed_us=elapsed_us, images_searched=images, images_skipped=images_skipped,
         images_pruned=images_pruned, cascade_pruned=cascade_pruned,
         deadline_expired=images_skipped > 0,
-    ).carrying(per_query_matches)
+    ).carrying(map(arrays, per_query_matches))
 
 
 def oracle_knn_columns(
@@ -451,7 +451,7 @@ def observed(engine, group) -> tuple:
     """Everything a search leaves behind, bits included."""
     shared = (group.elapsed_us, group.images_searched, group.partial, group.images_skipped,
               group.images_pruned, group.cascade_pruned)
-    matches = [[(m.reference_id, m.good_matches) for m in result.matches] for result in group.answers]
+    matches = [pairs(result) for result in group.answers]
     assert all(
         (r.elapsed_us, r.images_searched, r.partial, r.images_skipped, r.images_pruned,
          r.cascade_pruned) == shared for r in group.answers
@@ -525,9 +525,9 @@ def test_the_cut_sweep_is_a_prefix_of_the_full_one():
         cut = engine.search_group(queries)
     assert cut.partial and 0 < cut.images_searched < full.images_searched
     for part, whole in zip(cut.answers, full.answers, strict=True):
-        assert 0 < len(part.matches) < len(whole.matches)
-        for got, want in zip(part.matches, whole.matches):  # the prefix
-            assert (got.reference_id, got.good_matches) == (want.reference_id, want.good_matches)
+        assert 0 < len(pairs(part)) < len(pairs(whole))
+        for got, want in zip(pairs(part), pairs(whole)):  # the prefix
+            assert got == want
 
 
 # -- counts that need no clock ---------------------------------------------

@@ -22,7 +22,7 @@ import pytest
 from repro.core import Answer, EngineConfig, TextureSearchEngine
 from repro.gpusim import GPUDevice, TESLA_P100
 from repro.obs import deadline_scope
-from tests.conftest import make_descriptors, noisy_copy
+from tests.conftest import make_descriptors, noisy_copy, pairs
 
 GOLDEN = Path(__file__).parent / "golden" / "sweep_clock.json"
 M, N, BATCH, IMAGES = 24, 16, 4, 11
@@ -62,7 +62,7 @@ def left_behind(engine: TextureSearchEngine, outcome) -> dict:
     return {
         "sweep": [outcome.elapsed_us, outcome.images_searched, outcome.images_skipped,
                   outcome.images_pruned, outcome.cascade_pruned, outcome.partial],
-        "matches": [[[m.reference_id, m.good_matches] for m in answer.matches] for answer in answers],
+        "matches": [[list(match) for match in pairs(answer)] for answer in answers],
         "profiler": [[r.name, r.total_us, r.calls] for r in device.profiler.records()],
         "stats": dataclasses.asdict(engine.stats),
         "clock_us": device.elapsed_us(),

@@ -51,7 +51,7 @@ from repro.obs.tracing import RequestTracer
 from repro.gpusim.pcie import h2d_time_us
 from repro.core.engine import hidden_us
 from repro.routing import RouterPolicy
-from tests.conftest import make_descriptors, noisy_copy, slot_ids
+from tests.conftest import make_descriptors, noisy_copy, pairs, slot_ids
 from tests.test_fused_gather import parent_swept_matches
 from tests.test_stacked_sweep import BATCH, M, N, _SweepOutcome, config, observed, query_for
 
@@ -295,8 +295,8 @@ class ParentEngine(TextureSearchEngine):
             record_stats=False,
             honor_deadline=False,  # a 1:1 verification is never sheddable
         )
-        match = outcome.answers[0].matches[0]
-        return match.good_matches >= cfg.min_matches, match.good_matches
+        _, good = pairs(outcome.answers[0])[0]
+        return good >= cfg.min_matches, good
 
 
 # -- helpers ---------------------------------------------------------------
@@ -452,9 +452,7 @@ def test_a_host_batch_with_no_survivor_is_not_staged_and_reports_empty_matches(t
         assert result.images_searched == result.cascade_pruned == 11
         steps = {r.name: r.calls for r in side.device.profiler.records()}
         assert "H2D copy" not in steps and "GEMM" not in steps
-        matches = result.answers[0].matches
-        assert [m.reference_id for m in matches] == [f"ref{i}" for i in range(11) if i not in dead]
-        assert [m.good_matches for m in matches] == [0] * (11 - len(dead))
+        assert pairs(result.answers[0]) == [(f"ref{i}", 0) for i in range(11) if i not in dead]
         seen.append(observed(side, result))
     assert seen[0] == seen[1]
 

@@ -16,6 +16,7 @@ import pytest
 from repro.bench import tables
 from repro.core import EngineConfig, TextureSearchEngine
 from repro.gpusim import GPUDevice, TESLA_P100
+from tests.conftest import pairs
 
 BATCHES = 3
 CONFIGS = [
@@ -75,8 +76,8 @@ def test_the_byte_free_sweep_reads_what_a_real_engine_charges(monkeypatch, confi
         assert (batch.norms is not None) is real.kernel.needs_norms
         assert batch.norms is None or batch.norms.strides == (0, 0)
     # the real engine computed its matches, the timing-only one none
-    assert len(answer.matches) == BATCHES * config.batch_size
-    assert sweep.answers[0].matches == []
+    assert len(pairs(answer)) == BATCHES * config.batch_size
+    assert pairs(sweep.answers[0]) == []
 
 
 def test_a_prefilter_kernel_is_refused():

@@ -26,7 +26,7 @@ from repro.core import algorithm2 as algorithm2_module
 from repro.distributed import DistributedSearchSystem
 from repro.errors import HalfPrecisionOverflowError
 from repro.gpusim import GPUDevice, TESLA_P100
-from tests.conftest import make_descriptors, noisy_copy, planned_tiles, tile_sizes
+from tests.conftest import make_descriptors, noisy_copy, pairs, planned_tiles, tile_sizes
 
 M, N, BATCH, D = 24, 16, 4, 128
 LANES = (1, 2, 3)
@@ -107,7 +107,7 @@ def query_for(image: int, seed: int) -> np.ndarray:
 
 def observed(engine, group) -> tuple:
     """Everything a search leaves behind, bits included."""
-    matches = [[(m.reference_id, m.good_matches) for m in result.matches] for result in group.answers]
+    matches = [pairs(result) for result in group.answers]
     shared = [(r.elapsed_us, r.images_searched, r.partial, r.images_skipped, r.images_pruned)
               for r in group.answers]
     return (matches, shared, copy.deepcopy(engine.stats), engine.device.elapsed_us(),
@@ -179,7 +179,7 @@ def test_four_caller_threads_searching_one_cluster_get_the_serial_answers():
         system.add(f"ref{image}", make_descriptors(M, seed=900 + image))
     system.poll_lifecycle()
     queries = [query_for(image, seed=image) for image in range(0, 14, 2)]
-    answer = lambda query: [(m.reference_id, m.good_matches) for m in system.search(query).matches]
+    answer = lambda query: pairs(system.search(query))
     with tile_budget(1, 1):
         with lanes(1):
             serial = [answer(query) for query in queries]

@@ -5,7 +5,8 @@ ambient :func:`repro.core.compute.compute_scope`; a scope nobody runs has
 charged everything and computed nothing.  Every session of
 ``tests/golden/sweep_clock.json`` replayed inside one must leave every
 recorded clock, profiler row, stat and verdict of the golden behind, and
-no match at all (``verify`` is not a sweep: it still computes).
+every answer its ids with no match counted (``verify`` is not a sweep: it
+still computes).
 """
 
 from __future__ import annotations
@@ -35,4 +36,5 @@ def test_an_unrun_scope_charges_the_golden_clock_and_computes_nothing(backend, p
     for session, steps in want.items():
         for step, fields in steps.items():
             if "matches" in fields:
-                assert got[session][step]["matches"] == [[] for _ in fields["matches"]]
+                assert got[session][step]["matches"] == [  # the ids swept, none counted
+                    [[ref_id, 0] for ref_id, _ in answer] for answer in fields["matches"]]

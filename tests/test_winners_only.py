@@ -42,7 +42,7 @@ from repro.data import SyntheticFeatureModel
 from repro.errors import HalfPrecisionOverflowError
 from repro.fp16.codec import FP16_MIN_NORMAL, is_nonneg_finite, round_trip_nonneg, upcast_nonneg
 from repro.gpusim import GPUDevice, TESLA_P100, TESLA_V100
-from tests.conftest import planned_tiles
+from tests.conftest import pairs, planned_tiles
 
 # -- frozen oracles (verbatim from the parent commit) ----------------------
 
@@ -561,9 +561,11 @@ def queries_for(config: EngineConfig, images: Sequence[int]) -> list[np.ndarray]
 
 def frozen(value):
     """A result as plain tuples, every field kept: arrays by dtype, shape and
-    bytes (``==`` on a dataclass holding arrays is ambiguous)."""
+    bytes (``==`` on a dataclass holding arrays is ambiguous); an object
+    array (an answer's ids) by its items."""
     if isinstance(value, np.ndarray):
-        return (value.dtype.str, value.shape, value.tobytes())
+        return (value.dtype.str, value.shape,
+                tuple(value.tolist()) if value.dtype == object else value.tobytes())
     if dataclasses.is_dataclass(value):
         return tuple((f.name, frozen(getattr(value, f.name))) for f in dataclasses.fields(value))
     if isinstance(value, (list, tuple)):
@@ -595,8 +597,8 @@ def test_engine_results_are_the_parent_engines(config, routed):
     assert observed(engine, got_single, got_group) == observed(parent, want_single, want_group)
     assert got_single == want_single and got_group.answers == want_group.answers
     assert got_single.best().reference_id == "ref-5" and got_single.elapsed_us > 0
-    assert sum(m.good_matches for r in got_group.answers for m in r.matches) > 0
-    assert [len(r.matches) for r in got_group.answers] == [2 if routed else 12] * 3
+    assert sum(count for r in got_group.answers for _, count in pairs(r)) > 0
+    assert [len(pairs(r)) for r in got_group.answers] == [2 if routed else 12] * 3
     assert got_group.images_pruned == (4 if routed else 0)
 
 
